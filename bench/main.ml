@@ -5,6 +5,9 @@
      dune exec bench/main.exe -- fig11 fig15     — selected figures
      dune exec bench/main.exe -- --scale 10 all  — deeper scale
      dune exec bench/main.exe -- --micro         — Bechamel wall-clock suite
+     dune exec bench/main.exe -- --batch 1,256   — fig7 scan batch-size sweep
+     dune exec bench/main.exe -- --shards 1,4    — fig7 scan shard-count sweep
+                                                   (bare --shards: 1,2,4,8)
      dune exec bench/main.exe -- --csv out.csv   — export the stats database
 
    Figures print simulated (paper-protocol) elapsed times side by side with
@@ -16,8 +19,8 @@ let default_scale = 40
 let usage msg =
   Printf.eprintf "%s\n" msg;
   Printf.eprintf
-    "usage: main [--scale N] [--micro] [--batch N[,N...]] [--csv FILE] \
-     [figure ...]\n\
+    "usage: main [--scale N] [--micro] [--batch N[,N...]] [--shards [N[,N...]]] \
+     [--csv FILE] [figure ...]\n\
      known figures: %s\n"
     (String.concat ", " Tb_core.Figures.names);
   exit 2

@@ -148,11 +148,11 @@ let tests () =
         Array.iter
           (fun rid ->
             let h = Tb_store.Database.acquire db rid in
-            (match Tb_store.Database.packed_body db h with
-            | Some (buf, pos) ->
-                Tb_query.Packed.seek_all prog buf ~pos;
+            (match h.Tb_store.Handle.repr with
+            | Tb_store.Handle.Packed p ->
+                let buf = Tb_query.Packed.seek prog p in
                 if Tb_query.Packed.eval_preds db prog buf then incr n
-            | None -> ());
+            | Tb_store.Handle.Whole _ -> ());
             Tb_store.Database.unref db h)
           b.Tb_derby.Generator.patients;
         !n);
@@ -306,10 +306,6 @@ let estimates_of ~quota tests =
 
 let estimates ~quota () = estimates_of ~quota (tests ())
 
-(* Batch-size sweep over the fig7 full scan: how much interpreter dispatch
-   the row vectors amortize.  Charge-invariant by construction (the parity
-   test pins that), so this is wall-clock tuning data only — deliberately
-   not part of [tests ()], the perf_gate baseline tracks the default. *)
 (* Shard-count sweep over the fig7 full scan, in *simulated* elapsed time:
    the near-linear fork/join speedup, with the Gather merge cost bending
    the curve.  Deterministic — one cold run per shard count, no Bechamel;
@@ -335,6 +331,10 @@ let shard_sweep ~shards_list () =
       (shards, lanes))
     shards_list
 
+(* Batch-size sweep over the fig7 full scan: how much interpreter dispatch
+   the row vectors amortize.  Charge-invariant by construction (the parity
+   test pins that), so this is wall-clock tuning data only — deliberately
+   not part of [tests ()], the perf_gate baseline tracks the default. *)
 let batch_sweep ~quota ~batches () =
   let open Bechamel in
   let tests =

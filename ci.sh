@@ -63,12 +63,18 @@ fi
 # counters), and the invariance suite pins S=1 to the golden scale-40
 # fingerprint byte for byte — one shard must BE the unsharded engine.
 dune runtest
+# End-to-end benchmark smoke (about 2 s): every workload at scale 500 with
+# its answers checked and its metric names printed.  It builds e2e.exe in
+# its own .bench_build directory, release profile.
+python3 e2ebench/run.py --smoke
 # Exhaustive crash-recovery fuzz: crash at every durable write of the
 # fixed-seed workload (the default runtest pass strides the same sweep).
 TREEBENCH_RECOVERY_FULL=1 dune exec test/test_main.exe -- test recovery
 # Exhaustive chaos sweep: kill every shard at every exchange boundary of
 # every (algorithm x access path) plan on the S=4/R=2 database and require
-# the fault-free result multiset plus exactly one failover (the default
-# runtest pass runs a strided smoke of the same matrix).
+# the fault-free result multiset plus exactly one failover; and crash a
+# follower at every durable write of its workload, clean and torn, then
+# require promotion to refuse it or match a fault-free twin (the default
+# runtest pass strides both).
 TREEBENCH_CHAOS_FULL=1 dune exec test/test_main.exe -- test chaos
 dune exec bench/perf_gate.exe -- --smoke --check --tolerance 150

@@ -34,6 +34,24 @@ let live_of_env = function
   | [ (_, Op.Live h) ] -> h
   | _ -> invalid_arg "Exec: operator expects one Handle-backed variable"
 
+(* Pin [rid] and, when [pass] accepts its Handle, emit the Handle bound to
+   [var] in front of [env].  The pin is released on both paths out of the
+   row; a match with an exception case, not [Fun.protect], so the per-row
+   work builds no closure. *)
+let pin_row st fr ~pass ~var env rid emit =
+  let h = Database.acquire st.db rid in
+  match
+    if pass h then begin
+      fr.Op.rows_out <- fr.Op.rows_out + 1;
+      emit ((var, Op.Live h) :: env);
+      Op.Acct.enter st.acct fr
+    end
+  with
+  | () -> Database.unref st.db h
+  | exception e ->
+      Database.unref st.db h;
+      raise e
+
 (* --- Rid streams --- *)
 
 let rec iter_rids st node emit =
@@ -43,13 +61,16 @@ let rec iter_rids st node emit =
       Op.Acct.enter st.acct fr;
       let cur = Database.scan_cursor st.db ~cls in
       let rec go () =
-        match Database.cursor_next cur with
-        | Some rid ->
+        let n = Database.cursor_next_page cur in
+        if n > 0 then begin
+          let rids = Database.cursor_rids cur in
+          for i = 0 to n - 1 do
             fr.Op.rows_out <- fr.Op.rows_out + 1;
-            emit rid;
-            Op.Acct.enter st.acct fr;
-            go ()
-        | None -> ()
+            emit rids.(i);
+            Op.Acct.enter st.acct fr
+          done;
+          go ()
+        end
       in
       go ()
   | Op.Index_scan { index; lo; hi } ->
@@ -76,31 +97,27 @@ let rec iter_rids st node emit =
 
 (* --- batched Rid streams ---
 
-   The vector-at-a-time feed for Fetch: Rids arrive in chunks of at most
-   [batch], and the producer's frame is re-entered once per chunk instead
-   of once per row.  Chunks never straddle a page boundary (Seq_scan feeds
-   page by page via [Database.cursor_next_page]), so interleaving the
-   consumer's per-row page accesses with the producer's page fetches keeps
-   the exact charge order of the row-at-a-time stream — batching is
-   charge-order-preserving by construction and needs no planner
-   eligibility rules. *)
+   The vector-at-a-time feed for Fetch: Rids arrive as slices
+   [rids.(pos .. pos + len - 1)] of at most [batch] rows, and the
+   producer's frame is re-entered once per slice instead of once per row.
+   Slices never straddle a page boundary (Seq_scan feeds page by page via
+   [Database.cursor_next_page]), so interleaving the consumer's per-row
+   page accesses with the producer's page fetches keeps the exact charge
+   order of the row-at-a-time stream — batching is charge-order-preserving
+   by construction and needs no planner eligibility rules.  A slice
+   borrows the producer's array: the consumer must not keep it. *)
 
-(* Emit [rids] in [batch]-sized chunks, bumping rows_out per chunk. *)
-and emit_rid_chunks st fr ~batch rids emit =
-  match rids with
-  | [] -> ()
-  | _ ->
-      let rec split n acc rest =
-        match rest with
-        | _ when n = 0 -> (List.rev acc, rest)
-        | [] -> (List.rev acc, [])
-        | rid :: tl -> split (n - 1) (rid :: acc) tl
-      in
-      let chunk, rest = split batch [] rids in
-      fr.Op.rows_out <- fr.Op.rows_out + List.length chunk;
-      emit chunk;
-      Op.Acct.enter st.acct fr;
-      emit_rid_chunks st fr ~batch rest emit
+(* Emit [rids.(0 .. n - 1)] in [batch]-sized slices, bumping rows_out per
+   slice. *)
+and emit_rid_chunks st fr ~batch rids n emit =
+  let pos = ref 0 in
+  while !pos < n do
+    let len = Int.min batch (n - !pos) in
+    fr.Op.rows_out <- fr.Op.rows_out + len;
+    emit rids ~pos:!pos ~len;
+    Op.Acct.enter st.acct fr;
+    pos := !pos + len
+  done
 
 and iter_rid_batches st ~batch node emit =
   let fr = node.Op.frame in
@@ -109,20 +126,22 @@ and iter_rid_batches st ~batch node emit =
       Op.Acct.enter st.acct fr;
       let cur = Database.scan_cursor st.db ~cls in
       let rec go () =
-        match Database.cursor_next_page cur with
-        | Some rids ->
-            emit_rid_chunks st fr ~batch rids emit;
-            go ()
-        | None -> ()
+        let n = Database.cursor_next_page cur in
+        if n > 0 then begin
+          emit_rid_chunks st fr ~batch (Database.cursor_rids cur) n emit;
+          go ()
+        end
       in
       go ()
   | Op.Index_scan { index; lo; hi } ->
-      (* Index entries surface one at a time; singleton chunks keep the
+      (* Index entries surface one at a time; singleton slices keep the
          per-row tree-page fetches interleaved exactly as before. *)
       Op.Acct.enter st.acct fr;
+      let one = [| Rid.nil |] in
       Tb_store.Btree.range index.Tb_store.Index_def.tree ?lo ?hi (fun _ rid ->
           fr.Op.rows_out <- fr.Op.rows_out + 1;
-          emit [ rid ];
+          one.(0) <- rid;
+          emit one ~pos:0 ~len:1;
           Op.Acct.enter st.acct fr)
   | Op.Sort_rids { child } ->
       let rids = ref [] in
@@ -133,23 +152,10 @@ and iter_rid_batches st ~batch node emit =
       Op.Acct.enter st.acct fr;
       fr.Op.rows_in <- !n;
       fr.Op.bytes <- !n * Rid.on_disk_bytes;
-      (* Chunk emission happens inside the claim window, so the buffer
+      (* Slice emission happens inside the claim window, so the buffer
          release still follows the last emitted row as it always did. *)
       Operators.with_sorted_rids (Database.sim st.db) ~rids:!rids ~count:!n
-        (fun arr ->
-          let len = Array.length arr in
-          let i = ref 0 in
-          while !i < len do
-            let stop = min len (!i + batch) in
-            let chunk = ref [] in
-            for j = stop - 1 downto !i do
-              chunk := arr.(j) :: !chunk
-            done;
-            fr.Op.rows_out <- fr.Op.rows_out + (stop - !i);
-            emit !chunk;
-            Op.Acct.enter st.acct fr;
-            i := stop
-          done)
+        (fun arr -> emit_rid_chunks st fr ~batch arr (Array.length arr) emit)
   | _ -> invalid_arg "Exec: operator does not produce Rids"
 
 (* --- binding streams: (var, source) environments --- *)
@@ -163,20 +169,19 @@ and iter_envs st node emit =
         (* Identity-only projection with no residual predicates: no
            Handle traffic at all (Section 5's remark that navigation need
            not read patients when returning objects). *)
-        iter_rid_batches st ~batch child (fun rids ->
-            List.iter
-              (fun rid ->
-                Op.Acct.enter st.acct fr;
-                fr.Op.rows_in <- fr.Op.rows_in + 1;
-                fr.Op.rows_out <- fr.Op.rows_out + 1;
-                emit [ (var, Op.Stored { Op.self = rid; attrs = [] }) ];
-                Op.Acct.enter st.acct fr)
-              rids)
+        iter_rid_batches st ~batch child (fun rids ~pos ~len ->
+            for i = pos to pos + len - 1 do
+              Op.Acct.enter st.acct fr;
+              fr.Op.rows_in <- fr.Op.rows_in + 1;
+              fr.Op.rows_out <- fr.Op.rows_out + 1;
+              emit [ (var, Op.Stored { Op.self = rids.(i); attrs = [] }) ];
+              Op.Acct.enter st.acct fr
+            done)
       else begin
         (* Emission stays inline per row in both modes: deferring it past
            the batch would reorder Handle releases against downstream
            claims and move the simulated memory peak. *)
-        let eval =
+        let pass =
           match mode with
           | Op.Handle ->
               let cpreds = Operators.compile_preds db ~cls preds in
@@ -187,31 +192,22 @@ and iter_envs st node emit =
                  body; those rows take the Handle kernel (same charges). *)
               let cpreds = lazy (Operators.compile_preds db ~cls preds) in
               fun h -> (
-                match Database.packed_body db h with
-                | Some (buf, pos) ->
-                    Packed.seek_all prog buf ~pos;
-                    Packed.eval_preds db prog buf
-                | None -> Operators.eval_preds db h (Lazy.force cpreds))
+                match h.Handle.repr with
+                | Handle.Packed p -> Packed.eval_preds db prog (Packed.seek prog p)
+                | Handle.Whole _ ->
+                    Operators.eval_preds db h (Lazy.force cpreds))
         in
-        iter_rid_batches st ~batch child (fun rids ->
-            List.iter
-              (fun rid ->
-                Op.Acct.enter st.acct fr;
-                fr.Op.rows_in <- fr.Op.rows_in + 1;
-                let h = Database.acquire db rid in
-                Fun.protect
-                  ~finally:(fun () -> Database.unref db h)
-                  (fun () ->
-                    if eval h then begin
-                      fr.Op.rows_out <- fr.Op.rows_out + 1;
-                      emit [ (var, Op.Live h) ];
-                      Op.Acct.enter st.acct fr
-                    end))
-              rids)
+        iter_rid_batches st ~batch child (fun rids ~pos ~len ->
+            for i = pos to pos + len - 1 do
+              Op.Acct.enter st.acct fr;
+              fr.Op.rows_in <- fr.Op.rows_in + 1;
+              pin_row st fr ~pass ~var [] rids.(i) emit
+            done)
       end
   | Op.Nav_set { child; set_attr; owner_cls; nav_var; nav_cls; preds } ->
       let set_slot = Database.attr_slot db ~cls:owner_cls set_attr in
       let cpreds = Operators.compile_preds db ~cls:nav_cls preds in
+      let pass h = Operators.eval_preds db h cpreds in
       iter_envs st child (fun env ->
           Op.Acct.enter st.acct fr;
           fr.Op.rows_in <- fr.Op.rows_in + 1;
@@ -219,36 +215,19 @@ and iter_envs st node emit =
           let clients = Database.get_att_slot db ph set_slot in
           Database.iter_set db clients (fun elt ->
               match elt with
-              | Value.Ref crid ->
-                  let ch = Database.acquire db crid in
-                  Fun.protect
-                    ~finally:(fun () -> Database.unref db ch)
-                    (fun () ->
-                      if Operators.eval_preds db ch cpreds then begin
-                        fr.Op.rows_out <- fr.Op.rows_out + 1;
-                        emit ((nav_var, Op.Live ch) :: env);
-                        Op.Acct.enter st.acct fr
-                      end)
+              | Value.Ref crid -> pin_row st fr ~pass ~var:nav_var env crid emit
               | Value.Nil -> ()
               | _ -> invalid_arg "Exec: collection element is not a reference"))
   | Op.Nav_inverse { child; inv_attr; owner_cls; nav_var; nav_cls; preds } ->
       let inv_slot = Database.attr_slot db ~cls:owner_cls inv_attr in
       let cpreds = Operators.compile_preds db ~cls:nav_cls preds in
+      let pass h = Operators.eval_preds db h cpreds in
       iter_envs st child (fun env ->
           Op.Acct.enter st.acct fr;
           fr.Op.rows_in <- fr.Op.rows_in + 1;
           let ch = live_of_env env in
           match Database.get_att_slot db ch inv_slot with
-          | Value.Ref prid ->
-              let ph = Database.acquire db prid in
-              Fun.protect
-                ~finally:(fun () -> Database.unref db ph)
-                (fun () ->
-                  if Operators.eval_preds db ph cpreds then begin
-                    fr.Op.rows_out <- fr.Op.rows_out + 1;
-                    emit ((nav_var, Op.Live ph) :: env);
-                    Op.Acct.enter st.acct fr
-                  end)
+          | Value.Ref prid -> pin_row st fr ~pass ~var:nav_var env prid emit
           | Value.Nil -> ()
           | _ -> invalid_arg "Exec: inverse attribute is not a reference")
   | Op.Hash_probe { build; probe; probe_key; probe_cls; build_var; probe_var }
@@ -287,9 +266,9 @@ and iter_kvs st node emit =
           fr.Op.rows_in <- fr.Op.rows_in + 1;
           let h = live_of_env env in
           let self = h.Handle.rid in
-          match Database.packed_body st.db h with
-          | Some (buf, pos) -> (
-              Packed.seek_all prog buf ~pos;
+          match h.Handle.repr with
+          | Handle.Packed p -> (
+              let buf = Packed.seek prog p in
               match Packed.eval_key st.db prog buf ~self with
               | Some k ->
                   let payload = Packed.make_payload st.db prog buf ~self in
@@ -297,7 +276,7 @@ and iter_kvs st node emit =
                   emit (k, payload);
                   Op.Acct.enter st.acct fr
               | None -> ())
-          | None -> (
+          | Handle.Whole _ -> (
               (* Materialized resident: Handle kernel, identical charges. *)
               match (Lazy.force keyf) h with
               | Some k ->

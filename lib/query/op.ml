@@ -345,10 +345,15 @@ let pp_report ~global ppf node =
    current.  Read-only: attribution never touches the counters themselves,
    so the charge stream is identical with or without instrumentation. *)
 module Acct = struct
+  (* The clock snapshot lives in a float-only record: OCaml stores its
+     field unboxed, so re-taking the snapshot at every frame switch
+     allocates nothing (a float field of [acct] itself would be boxed). *)
+  type mark = { mutable mark_ms : float }
+
   type acct = {
     sim : Sim.t;
     mutable cur : frame;
-    mutable s_ms : float;
+    s_ms : mark;
     mutable s_dr : int;
     mutable s_dw : int;
     mutable s_ha : int;
@@ -371,7 +376,7 @@ module Acct = struct
     {
       sim;
       cur = frame;
-      s_ms = now_ms sim;
+      s_ms = { mark_ms = now_ms sim };
       s_dr = c.Counters.disk_reads;
       s_dw = c.Counters.disk_writes;
       s_ha = c.Counters.handle_allocs;
@@ -395,8 +400,8 @@ module Acct = struct
       - t.s_hp;
     f.sort_cmps <- f.sort_cmps + c.Counters.sort_comparisons - t.s_sc;
     let ms = now_ms t.sim in
-    f.ms <- f.ms +. (ms -. t.s_ms);
-    t.s_ms <- ms;
+    f.ms <- f.ms +. (ms -. t.s_ms.mark_ms);
+    t.s_ms.mark_ms <- ms;
     t.s_dr <- c.Counters.disk_reads;
     t.s_dw <- c.Counters.disk_writes;
     t.s_ha <- c.Counters.handle_allocs;

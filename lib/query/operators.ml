@@ -60,12 +60,14 @@ let eval_select db select ~lookup =
   in
   ev select
 
-let eval_preds db h preds =
-  List.for_all
-    (fun { pslot; pcmp; pconst } ->
+(* A direct recursion rather than [List.for_all] over a closure: this runs
+   once per navigated object, and must not allocate to do it. *)
+let rec eval_preds db h = function
+  | [] -> true
+  | { pslot; pcmp; pconst } :: rest ->
       Sim.charge_compare (Database.sim db) 1;
-      Oql_ast.eval_cmp pcmp (Database.get_att_slot db h pslot) pconst)
-    preds
+      Oql_ast.eval_cmp pcmp (Database.get_att_slot db h pslot) pconst
+      && eval_preds db h rest
 
 let key_of_inverse db inv_slot h =
   match Database.get_att_slot db h inv_slot with

@@ -120,17 +120,22 @@ let compile db ~cls ?(preds = []) ?(key = Op.K_self) ?(attrs = []) () =
     inverse = (match inverse_slot with Some s -> reg_of_slot s | None -> -1);
   }
 
-(* Charge-free position pass: one cursor walk from the first attribute,
-   recording where each needed slot's encoding starts. *)
-let seek_all prog buf ~pos =
-  let cursor = ref pos in
-  Array.iter
-    (fun { skips; dst } ->
-      for _ = 1 to skips do
-        cursor := Codec.skip buf ~pos:!cursor
-      done;
-      prog.scratch.(dst) <- !cursor)
-    prog.seeks
+(* Charge-free position pass over a packed handle's record: revalidate
+   its page position, then one cursor walk from the first attribute,
+   recording where each needed slot's encoding starts.  Returns the page
+   buffer the recorded positions index into.  Plain loops: nothing here
+   allocates. *)
+let seek prog (p : Tb_store.Handle.packed) =
+  let buf = Database.packed_buf p in
+  let cursor = ref p.Tb_store.Handle.p_body in
+  for i = 0 to Array.length prog.seeks - 1 do
+    let { skips; dst } = prog.seeks.(i) in
+    for _ = 1 to skips do
+      cursor := Codec.skip buf ~pos:!cursor
+    done;
+    prog.scratch.(dst) <- !cursor
+  done;
+  buf
 
 let apply_cmp cmp ord =
   match cmp with
@@ -161,28 +166,27 @@ let cmp_str buf base len s =
 let eval_preds db prog buf =
   let sim = Database.sim db in
   let n = Array.length prog.preds in
-  let rec go i =
-    i >= n
-    ||
-    let p = prog.preds.(i) in
+  let i = ref 0 in
+  let pass = ref true in
+  while !pass && !i < n do
+    let p = prog.preds.(!i) in
     Sim.charge_compare sim 1;
     Sim.charge_get_att sim;
     let pos = prog.scratch.(p.src) in
     let tag = Char.code (Bytes.unsafe_get buf pos) in
-    let pass =
-      match p.pconst with
-      | C_int k when tag = Codec.tag_int ->
-          apply_cmp p.pcmp
-            (Int.compare (Int32.to_int (Bytes.get_int32_le buf (pos + 1))) k)
-      | C_string s when tag = Codec.tag_string ->
-          apply_cmp p.pcmp
-            (cmp_str buf (pos + 3) (Bytes.get_uint16_le buf (pos + 1)) s)
-      | C_int _ | C_string _ ->
-          Oql_ast.eval_cmp p.pcmp (fst (Codec.decode buf ~pos)) p.pfallback
-    in
-    pass && go (i + 1)
-  in
-  go 0
+    (pass :=
+       match p.pconst with
+       | C_int k when tag = Codec.tag_int ->
+           apply_cmp p.pcmp
+             (Int.compare (Int32.to_int (Bytes.get_int32_le buf (pos + 1))) k)
+       | C_string s when tag = Codec.tag_string ->
+           apply_cmp p.pcmp
+             (cmp_str buf (pos + 3) (Bytes.get_uint16_le buf (pos + 1)) s)
+       | C_int _ | C_string _ ->
+           Oql_ast.eval_cmp p.pcmp (fst (Codec.decode buf ~pos)) p.pfallback);
+    incr i
+  done;
+  !pass
 
 (* Join key off the record bytes: the object's own identity (free, as in
    [Operators.compile_key]) or the stored inverse reference (one get_att

@@ -2,13 +2,13 @@
 
     Compiles a predicate conjunction, join key and payload prefix against a
     class's schema slots into a flat program evaluated in place on the
-    record bytes a {!Tb_store.Database.packed_body} exposes — no Handle
+    record bytes a packed Handle pins ({!Tb_store.Database.packed_buf}) — no Handle
     attribute walk, and no [Value.t] decode for rows a predicate rejects.
 
     Charge discipline: {!eval_preds}, {!eval_key} and {!make_payload}
     re-issue exactly the simulated charges of the Handle path
     ({!Operators.eval_preds} / [compile_key] / [make_payload]) in the same
-    order, so switching paths never moves a counter.  {!seek_all} is
+    order, so switching paths never moves a counter.  {!seek} is
     charge-free host work.  This module is a charging kernel in the sense
     of treelint R1 (listed in [charge_allowed]) and the only query-layer
     module allowed raw byte reads (R5). *)
@@ -33,10 +33,12 @@ val compile :
   unit ->
   prog
 
-(** [seek_all prog buf ~pos] records the byte position of every attribute
-    the program needs, walking once from [pos] (the record's first
-    attribute).  Charge-free; must precede the evaluators for each row. *)
-val seek_all : prog -> bytes -> pos:int -> unit
+(** [seek prog p] records the byte position of every attribute the
+    program needs, walking once from the packed record's first attribute,
+    and returns the page buffer those positions index into — the [buf] the
+    evaluators take.  Charge-free and allocation-free; must precede the
+    evaluators for each row. *)
+val seek : prog -> Tb_store.Handle.packed -> bytes
 
 (** [eval_preds db prog buf] evaluates the conjunction left to right with
     short-circuit, charging one compare and one get_att per predicate

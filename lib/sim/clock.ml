@@ -2,7 +2,10 @@ type t = { mutable now_ms : float; mutable work_ms : float }
 
 let create () = { now_ms = 0.0; work_ms = 0.0 }
 
-let advance t ms =
+(* Inlined into every charge site ([Sim.us] and friends) so the duration
+   stays an unboxed float all the way into the flat clock record.  The
+   float operations, and their order, are those of the call. *)
+let[@inline] advance t ms =
   if ms < 0.0 then invalid_arg "Clock.advance: negative duration";
   t.now_ms <- t.now_ms +. ms;
   t.work_ms <- t.work_ms +. ms

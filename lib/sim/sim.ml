@@ -49,7 +49,7 @@ let excess_ratio t =
     let excess = t.working_bytes - avail in
     if excess <= 0 then 0.0 else float_of_int excess /. float_of_int avail
 
-let us t micros = Clock.advance t.clock (micros /. 1000.0)
+let[@inline] us t micros = Clock.advance t.clock (micros /. 1000.0)
 
 (* Deterministic swap accounting: accumulate fractional faults and charge
    whole ones, so results do not depend on PRNG draws. *)

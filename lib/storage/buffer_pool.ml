@@ -54,11 +54,9 @@ let touch t node =
   push_tail t node
 
 let find t id =
-  match Hashtbl.find_opt t.table id with
-  | None -> None
-  | Some node ->
-      touch t node;
-      Some node.page
+  let node = Hashtbl.find t.table id in
+  touch t node;
+  node.page
 
 let mem t id = Hashtbl.mem t.table id
 

@@ -14,8 +14,9 @@ val create : capacity_pages:int -> t
 val capacity : t -> int
 val size : t -> int
 
-(** [find t id] returns the cached page and marks it most recently used. *)
-val find : t -> Page_id.t -> Page_layout.t option
+(** [find t id] returns the cached page and marks it most recently used.
+    Raises [Not_found] when [id] is not cached; a hit allocates nothing. *)
+val find : t -> Page_id.t -> Page_layout.t
 
 val mem : t -> Page_id.t -> bool
 

@@ -65,11 +65,11 @@ let client_add t id page =
 
 let fetch_from_server t id =
   match Buffer_pool.find t.server id with
-  | Some page ->
+  | page ->
       t.sim.Tb_sim.Sim.counters.Tb_sim.Counters.server_hits <-
         t.sim.Tb_sim.Sim.counters.Tb_sim.Counters.server_hits + 1;
       page
-  | None ->
+  | exception Not_found ->
       t.sim.Tb_sim.Sim.counters.Tb_sim.Counters.server_misses <-
         t.sim.Tb_sim.Sim.counters.Tb_sim.Counters.server_misses + 1;
       (* Transient read errors burn a read plus an exponentially backed-off
@@ -96,10 +96,10 @@ let fetch_from_server t id =
 
 let fetch t id =
   match Buffer_pool.find t.client id with
-  | Some page ->
+  | page ->
       Tb_sim.Sim.charge_client_hit t.sim;
       page
-  | None ->
+  | exception Not_found ->
       t.sim.Tb_sim.Sim.counters.Tb_sim.Counters.client_misses <-
         t.sim.Tb_sim.Sim.counters.Tb_sim.Counters.client_misses + 1;
       Tb_sim.Sim.charge_rpc t.sim ~pages:1;

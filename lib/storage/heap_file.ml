@@ -15,11 +15,17 @@ type t = {
   stack : Cache_stack.t;
   file : int;
   mutable tail : int; (* page currently receiving inserts; -1 when empty *)
+  (* [locate]'s answer beside the page it returns: the physical slot and
+     body offset of the last resolution.  Per heap, so no module state. *)
+  mutable loc_slot : int;
+  mutable loc_pos : int;
 }
+
+let make stack ~file ~tail = { stack; file; tail; loc_slot = -1; loc_pos = -1 }
 
 let create stack ~name =
   let file = Disk.new_file (Cache_stack.disk stack) ~name in
-  { stack; file; tail = -1 }
+  make stack ~file ~tail:(-1)
 
 let create_temp stack =
   let name =
@@ -28,7 +34,7 @@ let create_temp stack =
   create stack ~name
 
 let of_file stack ~file =
-  { stack; file; tail = Disk.page_count (Cache_stack.disk stack) file - 1 }
+  make stack ~file ~tail:(Disk.page_count (Cache_stack.disk stack) file - 1)
 
 let file_id t = t.file
 let page_count t = Disk.page_count (Cache_stack.disk t.stack) t.file
@@ -119,40 +125,40 @@ let read t rid =
     body_of framed'
   else body_of framed
 
-(* Zero-copy read path: resolve a Rid to the page object holding its body
-   plus the body's span inside that page's buffer, following at most one
-   forwarding hop.  The charge sequence (one fetch per page touched) is
-   identical to [read]; the difference is purely host-side — no Bytes.sub.
-   Returns [(page, slot, pos, len)] where [slot] is the physical slot on
-   [page] whose record contains the body (it differs from [rid.slot] when
-   the record was relocated), so callers can re-derive the span after the
-   page compacts under them. *)
+(* Zero-copy read path: resolve a Rid to the page object holding its body,
+   following at most one forwarding hop, and leave the physical slot (it
+   differs from [rid.slot] when the record was relocated) and the body's
+   offset in the heap's [loc_*] fields, so the per-row path builds no
+   tuple.  The charge sequence (one fetch per page touched) is identical to
+   [read]; the difference is purely host-side — no Bytes.sub. *)
 let locate t (rid : Rid.t) =
   let pid = Page_id.make ~file:rid.Rid.file ~index:rid.Rid.page in
   let page = Cache_stack.fetch t.stack pid in
-  let off, len = Page_layout.record_span page rid.Rid.slot in
+  let off = Page_layout.record_offset page rid.Rid.slot in
   let buf = Page_layout.buffer page in
   match Bytes.get buf off with
-  | c when c = tag_normal -> (page, rid.Rid.slot, off + 1, len - 1)
+  | c when c = tag_normal ->
+      t.loc_slot <- rid.Rid.slot;
+      t.loc_pos <- off + 1;
+      page
   | c when c = tag_forward ->
       let target = Rid.decode buf ~pos:(off + 1) in
       let tpid = Page_id.make ~file:target.Rid.file ~index:target.Rid.page in
       let tpage = Cache_stack.fetch t.stack tpid in
-      let toff, tlen = Page_layout.record_span tpage target.Rid.slot in
+      let toff = Page_layout.record_offset tpage target.Rid.slot in
       if Bytes.get (Page_layout.buffer tpage) toff <> tag_relocated then
         invalid_arg "Heap_file.locate: stub does not point at a relocated body";
-      let hop = 1 + Rid.on_disk_bytes in
-      (tpage, target.Rid.slot, toff + hop, tlen - hop)
+      t.loc_slot <- target.Rid.slot;
+      t.loc_pos <- toff + 1 + Rid.on_disk_bytes;
+      tpage
   | c when c = tag_relocated ->
-      let hop = 1 + Rid.on_disk_bytes in
-      (page, rid.Rid.slot, off + hop, len - hop)
+      t.loc_slot <- rid.Rid.slot;
+      t.loc_pos <- off + 1 + Rid.on_disk_bytes;
+      page
   | _ -> invalid_arg "Heap_file.locate: bad record tag"
 
-(* The page stays pinned (a live OCaml reference) for the duration of [f];
-   [f] must not mutate the page or trigger record movement on it. *)
-let with_record_bytes t rid ~f =
-  let page, _, pos, len = locate t rid in
-  f (Page_layout.buffer page) ~pos ~len
+let located_slot t = t.loc_slot
+let located_pos t = t.loc_pos
 
 let write_for t (rid : Rid.t) =
   let pid = Page_id.make ~file:rid.Rid.file ~index:rid.Rid.page in

@@ -38,21 +38,22 @@ val insert : t -> bytes -> Rid.t
     hop. Raises [Not_found] on a dead Rid. *)
 val read : t -> Rid.t -> bytes
 
-(** [locate t rid] resolves [rid] to [(page, slot, pos, len)]: the page
-    object holding the record's body, the physical slot on that page (it
-    differs from [rid.slot] for relocated bodies), and the body's span in
-    the page buffer — following at most one forwarding hop.  Charges are
-    identical to {!read} (one cache fetch per page touched); no copy is
-    made.  The span is valid until the page next compacts; use [slot] with
-    {!Page_layout.record_span} to re-derive it. Raises [Not_found] on a
-    dead Rid. *)
-val locate : t -> Rid.t -> Page_layout.t * int * int * int
+(** [locate t rid] resolves [rid] to the page object holding the record's
+    body, following at most one forwarding hop.  Charges are identical to
+    {!read} (one cache fetch per page touched); no copy is made and nothing
+    is allocated on the direct path.  The rest of the answer is read back
+    with {!located_slot} and {!located_pos} before the next [locate] on
+    [t]. Raises [Not_found] on a dead Rid. *)
+val locate : t -> Rid.t -> Page_layout.t
 
-(** [with_record_bytes t rid ~f] runs [f buf ~pos ~len] on the record's
-    body in place, with the page pinned for the duration of [f].  [f] must
-    not mutate the buffer or move records on the page. *)
-val with_record_bytes :
-  t -> Rid.t -> f:(bytes -> pos:int -> len:int -> 'a) -> 'a
+(** The physical slot of the last {!locate}'s body on its page (it differs
+    from [rid.slot] for relocated bodies). *)
+val located_slot : t -> int
+
+(** The offset of the last {!locate}'s body in its page's buffer.  It is
+    valid until the page next compacts; {!Page_layout.record_offset} on
+    {!located_slot} re-derives it. *)
+val located_pos : t -> int
 
 (** [update t rid body] rewrites the record; relocates and leaves a
     forwarding stub when the body no longer fits near its page. *)

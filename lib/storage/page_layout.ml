@@ -169,11 +169,11 @@ let read t slot =
    dirty bit and the version counter stay truthful. *)
 let buffer t = t.buf
 
-let record_span t slot =
+let record_offset t slot =
   check_slot t slot;
   let off = slot_offset t slot in
   if off = 0 then raise Not_found;
-  (off, slot_length t slot)
+  off
 
 let record_modified t =
   t.dirty <- true;

@@ -79,15 +79,15 @@ val read : t -> int -> bytes
     while a patch blits only the bytes that moved. *)
 
 (** The page's backing buffer.  Writes outside a span obtained from
-    [record_span], or without a following [record_modified], corrupt the
+    [record_offset], or without a following [record_modified], corrupt the
     page. *)
 val buffer : t -> Bytes.t
 
-(** [record_span t slot] is the live record's [(offset, length)] within
-    [buffer].  The span is stable until a different record on the page is
+(** [record_offset t slot] is the offset of the live record's first byte
+    within [buffer].  It is stable until a different record on the page is
     inserted, resized or deleted (those may compact the page).
     Raises [Not_found] for dead or out-of-range slots. *)
-val record_span : t -> int -> int * int
+val record_offset : t -> int -> int
 
 (** Declare that record bytes were patched through [buffer]: marks the page
     dirty and bumps [version]. *)

@@ -144,7 +144,7 @@ let encode_node node =
    copy). *)
 let decode_page page =
   let b = Page_layout.buffer page in
-  let off, _len = Page_layout.record_span page 0 in
+  let off = Page_layout.record_offset page 0 in
   let read_entry pos =
     {
       key = Int64.to_int (Bytes.get_int64_le b pos);
@@ -283,7 +283,7 @@ let array_remove arr pos =
 
 let leaf_insert_inplace t index (lf : leaf) pos e =
   let page = page_for t index true in
-  let off, _ = Page_layout.record_span page 0 in
+  let off = Page_layout.record_offset page 0 in
   Array.blit lf.entries pos lf.entries (pos + 1) (lf.n - pos);
   lf.entries.(pos) <- e;
   lf.n <- lf.n + 1;
@@ -297,7 +297,7 @@ let leaf_insert_inplace t index (lf : leaf) pos e =
 
 let leaf_remove_inplace t index (lf : leaf) pos =
   let page = page_for t index true in
-  let off, _ = Page_layout.record_span page 0 in
+  let off = Page_layout.record_offset page 0 in
   Array.blit lf.entries (pos + 1) lf.entries pos (lf.n - pos - 1);
   lf.n <- lf.n - 1;
   let b = Page_layout.buffer page in
@@ -311,7 +311,7 @@ let leaf_remove_inplace t index (lf : leaf) pos =
    non-overflowing parents (nk < internal_cap). *)
 let internal_insert_inplace t index ino child_idx sep right_page =
   let page = page_for t index true in
-  let off, _ = Page_layout.record_span page 0 in
+  let off = Page_layout.record_offset page 0 in
   let nk = ino.nk in
   Array.blit ino.seps child_idx ino.seps (child_idx + 1) (nk - child_idx);
   ino.seps.(child_idx) <- sep;
@@ -360,7 +360,7 @@ let rec ins t index e =
              [pos .. mid) moved (none when the insert landed in the right
              half), plus the next pointer and the count. *)
           let page = page_for t index true in
-          let off, _ = Page_layout.record_span page 0 in
+          let off = Page_layout.record_offset page 0 in
           let b = Page_layout.buffer page in
           if pos < mid then begin
             let epos = off + leaf_base + (entry_bytes * pos) in
@@ -757,7 +757,7 @@ let bulk_add t run =
                 spine := Array.of_list (List.rev acc);
                 bleaf := lf;
                 bpage := page;
-                boff := fst (Page_layout.record_span page 0);
+                boff := Page_layout.record_offset page 0;
                 bcache := c;
                 synced := lf.n;
                 bdirty := Page_layout.dirty page)

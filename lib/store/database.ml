@@ -143,9 +143,10 @@ let class_file t ~cls =
   | None -> raise Not_found
 
 let heap_of_rid t (rid : Rid.t) =
-  match Hashtbl.find_opt t.files_by_id rid.Rid.file with
-  | Some heap -> heap
-  | None -> invalid_arg "Database: rid belongs to no registered file"
+  match Hashtbl.find t.files_by_id rid.Rid.file with
+  | heap -> heap
+  | exception Not_found ->
+      invalid_arg "Database: rid belongs to no registered file"
 
 (* Spill oversized inline collections into the collection file. *)
 let rec spill t v =
@@ -237,38 +238,48 @@ let read_object t rid = decode_object t.schema (Heap_file.read (heap_of_rid t ri
    attributes start — no body copy, no offsets table, no header slots array.
    Attribute reads skip-walk the page bytes from [p_body] on demand.  The
    charge sequence is identical to the old copy-out load (locate fetches
-   the same pages [Heap_file.read] did); only host work changes. *)
+   the same pages [Heap_file.read] did); only host work changes.  A hit
+   allocates nothing; a miss allocates just the Handle. *)
 let acquire t rid =
-  Handle_table.acquire t.handles rid ~load:(fun () ->
-      let page, slot, pos, _len = Heap_file.locate (heap_of_rid t rid) rid in
-      let span_off, _ = Tb_storage.Page_layout.record_span page slot in
-      let buf = Tb_storage.Page_layout.buffer page in
-      let class_id = Obj_header.peek_class_id buf ~pos in
-      let body = Obj_header.skip buf ~pos in
-      ( class_id,
-        Handle.Packed
-          {
-            Handle.p_page = page;
-            p_slot = slot;
-            p_delta = body - span_off;
-            p_version = Tb_storage.Page_layout.version page;
-            p_body = body;
-          } ))
+  if Handle_table.resident t.handles rid then Handle_table.acquire t.handles rid
+  else begin
+    let mem_bytes = Handle_table.reserve t.handles in
+    let heap = heap_of_rid t rid in
+    let page = Heap_file.locate heap rid in
+    let slot = Heap_file.located_slot heap in
+    let pos = Heap_file.located_pos heap in
+    let buf = Tb_storage.Page_layout.buffer page in
+    let body = Obj_header.skip buf ~pos in
+    Handle_table.install t.handles
+      (Handle.make ~rid
+         ~class_id:(Obj_header.peek_class_id buf ~pos)
+         ~repr:
+           (Handle.Packed
+              {
+                Handle.p_page = page;
+                p_slot = slot;
+                p_delta = body - Tb_storage.Page_layout.record_offset page slot;
+                p_version = Tb_storage.Page_layout.version page;
+                p_body = body;
+              })
+         ~mem_bytes)
+  end
 
 let unref t h = Handle_table.unreference t.handles h
 
-(* Revalidate a packed handle against its page and return the buffer.  The
-   page object stays GC-alive (the handle references it) with frozen bytes
-   even if evicted from the pool; the only way its contents move is in-page
-   compaction, which record_span re-resolves.  A same-rid update installs a
-   Whole repr via [update_object]'s resident-coherence hook before it could
-   be observed here, so the record body itself is unchanged whenever this
-   runs. *)
+(* Revalidate a packed handle against its page and return the buffer, with
+   [p_body] current.  The page object stays GC-alive (the handle references
+   it) with frozen bytes even if evicted from the pool; the only way its
+   contents move is in-page compaction, which record_offset re-resolves.  A
+   same-rid update installs a Whole repr via [update_object]'s
+   resident-coherence hook before it could be observed here, so the record
+   body itself is unchanged whenever this runs. *)
 let packed_buf (p : Handle.packed) =
   let v = Tb_storage.Page_layout.version p.Handle.p_page in
   if v <> p.Handle.p_version then begin
-    let off, _ = Tb_storage.Page_layout.record_span p.Handle.p_page p.Handle.p_slot in
-    p.Handle.p_body <- off + p.Handle.p_delta;
+    p.Handle.p_body <-
+      Tb_storage.Page_layout.record_offset p.Handle.p_page p.Handle.p_slot
+      + p.Handle.p_delta;
     p.Handle.p_version <- v
   end;
   Tb_storage.Page_layout.buffer p.Handle.p_page
@@ -285,18 +296,6 @@ let get_att_slot t h slot =
       fst (Codec.decode buf ~pos:!pos)
   | Handle.Whole (Value.Tuple fields) -> snd (List.nth fields slot)
   | Handle.Whole _ -> invalid_arg "Database.get_att_slot: not a tuple"
-
-(* Charge-free peek at a packed handle's record bytes: [Some (buf, body)]
-   with [body] the offset of the first attribute, or [None] when the handle
-   was materialized (e.g. by an update) and callers must take the decoded
-   path. *)
-let packed_body (_t : t) h =
-  match h.Handle.repr with
-  | Handle.Packed p -> Some (packed_buf p, p.Handle.p_body)
-  | Handle.Whole _ -> None
-
-let with_record_bytes t rid ~f =
-  Heap_file.with_record_bytes (heap_of_rid t rid) rid ~f
 
 let attr_slot t ~cls attr =
   match Schema.attr_slot t.schema ~class_id:(Schema.class_id t.schema cls) ~attr with
@@ -381,17 +380,17 @@ let set_length t v =
   iter_set t v (fun _ -> incr n);
   !n
 
-(* Pull-style extent scan: the executor's Seq_scan operator advances this
-   one Rid at a time.  A page is fetched (and charged) exactly when the
-   cursor first needs a Rid from it; the per-page record walk is
-   chargeless, so the charge order is identical to the push-style
-   [scan_extent] below. *)
+(* Pull-style extent scan, a page at a time: the executor's Seq_scan
+   operator takes each page's matching Rids as a slice of the cursor's own
+   buffer.  A page is fetched (and charged) exactly when the cursor first
+   needs a Rid from it, and the per-page record walk is chargeless. *)
 type cursor = {
   c_heap : Heap_file.t;
   c_want : int;
   c_pages : int;
   mutable c_page : int;
-  mutable c_pending : Rid.t list;
+  mutable c_rids : Rid.t array;  (* the current page's matches, reused *)
+  mutable c_len : int;
 }
 
 let scan_cursor t ~cls =
@@ -401,70 +400,50 @@ let scan_cursor t ~cls =
     c_want = Schema.class_id t.schema cls;
     c_pages = Heap_file.page_count heap;
     c_page = 0;
-    c_pending = [];
+    c_rids = Array.make 64 Rid.nil;
+    c_len = 0;
   }
 
-(* Fill [c_pending] from the next page with matching records; false at end
+let cursor_push cur rid =
+  if cur.c_len = Array.length cur.c_rids then begin
+    let grown = Array.make (2 * cur.c_len) Rid.nil in
+    Array.blit cur.c_rids 0 grown 0 cur.c_len;
+    cur.c_rids <- grown
+  end;
+  cur.c_rids.(cur.c_len) <- rid;
+  cur.c_len <- cur.c_len + 1
+
+(* Refill the buffer from the next page with matching records; 0 at end
    of extent.  The header peek is on the page bytes in place — no body
-   copy, no header decode. *)
-let rec cursor_fill cur =
-  if cur.c_page >= cur.c_pages then false
+   copy, no header decode.  Deliberately page-bounded: merging across
+   pages would fetch page N+1 before the per-row work on page N's rows,
+   reordering the cache access sequence under small pools. *)
+let rec cursor_next_page cur =
+  if cur.c_page >= cur.c_pages then 0
   else begin
-    let acc = ref [] in
+    cur.c_len <- 0;
     Heap_file.iter_page_spans cur.c_heap ~page:cur.c_page
       (fun rid buf pos _len ->
         if
           Obj_header.peek_class_id buf ~pos = cur.c_want
           && not (Obj_header.peek_deleted buf ~pos)
-        then acc := rid :: !acc);
+        then cursor_push cur rid);
     cur.c_page <- cur.c_page + 1;
-    match List.rev !acc with
-    | [] -> cursor_fill cur
-    | pending ->
-        cur.c_pending <- pending;
-        true
+    if cur.c_len = 0 then cursor_next_page cur else cur.c_len
   end
 
-let cursor_next cur =
-  match cur.c_pending with
-  | rid :: rest ->
-      cur.c_pending <- rest;
-      Some rid
-  | [] ->
-      if cursor_fill cur then begin
-        match cur.c_pending with
-        | rid :: rest ->
-            cur.c_pending <- rest;
-            Some rid
-        | [] -> assert false
-      end
-      else None
-
-(* Batched variant: all matching Rids of the next non-empty page at once.
-   Deliberately page-bounded — merging across pages would fetch page N+1
-   before the per-row work on page N's rows, reordering the cache access
-   sequence under small pools. *)
-let cursor_next_page cur =
-  match cur.c_pending with
-  | _ :: _ as pending ->
-      cur.c_pending <- [];
-      Some pending
-  | [] ->
-      if cursor_fill cur then begin
-        let pending = cur.c_pending in
-        cur.c_pending <- [];
-        Some pending
-      end
-      else None
+let cursor_rids cur = cur.c_rids
 
 let scan_extent t ~cls f =
   let cur = scan_cursor t ~cls in
   let rec go () =
-    match cursor_next cur with
-    | Some rid ->
-        f rid;
-        go ()
-    | None -> ()
+    let n = cursor_next_page cur in
+    if n > 0 then begin
+      for i = 0 to n - 1 do
+        f cur.c_rids.(i)
+      done;
+      go ()
+    end
   in
   go ()
 

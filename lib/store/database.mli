@@ -75,20 +75,13 @@ val attr_slot : t -> cls:string -> string -> int
     page bytes. *)
 val get_att_slot : t -> Handle.t -> int -> Value.t
 
-(** [packed_body t h] is [Some (buf, pos)] — the handle's record bytes in
-    place, [pos] at the first attribute — when the handle is packed, or
-    [None] when it was materialized (e.g. by an update) and the caller must
-    use {!get_att_slot}/{!handle_value} instead.  Charge-free; the packed
-    execution path ({!Tb_query.Packed}) evaluates on these bytes. *)
-val packed_body : t -> Handle.t -> (bytes * int) option
-
-(** [with_record_bytes t rid ~f] runs [f buf ~pos ~len] over the record's
-    body bytes in place, pinning the page for the duration of [f] and
-    charging exactly what the Handle-path page access would (one cache
-    fetch per page touched, forwarding hops included).  [f] must not
-    mutate the buffer. *)
-val with_record_bytes :
-  t -> Tb_storage.Rid.t -> f:(bytes -> pos:int -> len:int -> 'a) -> 'a
+(** [packed_buf p] is the page buffer holding a packed handle's record,
+    with [p.p_body] revalidated to the offset of its first attribute (the
+    page may have compacted since the handle was loaded).  Charge-free; the
+    packed execution path ({!Tb_query.Packed}) evaluates on these bytes.
+    A materialized ({!Handle.Whole}) handle has no bytes: callers take
+    {!get_att_slot} instead. *)
+val packed_buf : Handle.packed -> bytes
 
 (** [handle_value t h] materializes the Handle's full value (slow path —
     tests and updates; queries should use {!get_att_slot}). *)
@@ -134,20 +127,25 @@ val analyze : ?buckets:int -> t -> unit
     composition-clustering tax of Section 5.3. *)
 val scan_extent : t -> cls:string -> (Tb_storage.Rid.t -> unit) -> unit
 
-(** Pull-style extent scan for the executor's Seq_scan operator.  A data
-    page is fetched (and charged) exactly when the cursor first needs a
-    Rid from it, so driving a cursor to exhaustion produces the same
-    charge sequence as {!scan_extent}. *)
+(** Pull-style extent scan for the executor's Seq_scan operator, a page at
+    a time.  A data page is fetched (and charged) exactly when the cursor
+    first needs a Rid from it, so driving a cursor to exhaustion produces
+    the same charge sequence as {!scan_extent}. *)
 type cursor
 
 val scan_cursor : t -> cls:string -> cursor
-val cursor_next : cursor -> Tb_storage.Rid.t option
 
-(** [cursor_next_page cur] returns all remaining matching Rids of the next
-    page at once (never straddling a page boundary, so interleaving
-    per-row page accesses with cursor advances keeps the exact charge
-    order of {!cursor_next}).  The vectorized Seq_scan feeds on this. *)
-val cursor_next_page : cursor -> Tb_storage.Rid.t list option
+(** [cursor_next_page cur] loads the matching Rids of the next page that
+    has any into the cursor's buffer and returns how many there are; [0]
+    at the end of the extent.  A batch never straddles a page boundary, so
+    interleaving per-row page accesses with cursor advances keeps the
+    charge order of a row-at-a-time walk. *)
+val cursor_next_page : cursor -> int
+
+(** The cursor's buffer: after [cursor_next_page cur] returned [n], its
+    first [n] entries are that page's Rids in physical order.  Reused by
+    the next [cursor_next_page]; callers must not keep it. *)
+val cursor_rids : cursor -> Tb_storage.Rid.t array
 
 val cardinality : t -> cls:string -> int
 

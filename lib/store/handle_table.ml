@@ -25,25 +25,32 @@ let destroy t h =
 let trim t =
   while Queue.length t.zombies > t.zombie_limit do
     let rid = Queue.pop t.zombies in
-    match H.find_opt t.table rid with
-    | Some h when h.Handle.refcount = 0 -> destroy t h
-    | Some _ | None -> ()
+    match H.find t.table rid with
+    | h when h.Handle.refcount = 0 -> destroy t h
+    | _ -> ()
+    | exception Not_found -> ()
   done
 
-let acquire t rid ~load =
-  match H.find_opt t.table rid with
-  | Some h ->
-      Tb_sim.Sim.charge_handle_hit t.sim;
-      h.Handle.refcount <- h.Handle.refcount + 1;
-      h
-  | None ->
-      Tb_sim.Sim.charge_handle_alloc t.sim t.kind;
-      let mem_bytes = Tb_sim.Cost_model.handle_bytes t.sim.Tb_sim.Sim.cost t.kind in
-      Tb_sim.Sim.claim_bytes t.sim mem_bytes;
-      let class_id, repr = load () in
-      let h = Handle.make ~rid ~class_id ~repr ~mem_bytes in
-      H.replace t.table rid h;
-      h
+(* Lookups here allocate nothing: [H.find], not [H.find_opt].  A miss is
+   told apart by [resident] first, because raising [Not_found] once per
+   cold row costs more host time than a second lookup per hit. *)
+let resident t rid = H.mem t.table rid
+
+let acquire t rid =
+  let h = H.find t.table rid in
+  Tb_sim.Sim.charge_handle_hit t.sim;
+  h.Handle.refcount <- h.Handle.refcount + 1;
+  h
+
+let reserve t =
+  Tb_sim.Sim.charge_handle_alloc t.sim t.kind;
+  let mem_bytes = Tb_sim.Cost_model.handle_bytes t.sim.Tb_sim.Sim.cost t.kind in
+  Tb_sim.Sim.claim_bytes t.sim mem_bytes;
+  mem_bytes
+
+let install t h =
+  H.replace t.table h.Handle.rid h;
+  h
 
 let unreference t h =
   if h.Handle.refcount <= 0 then

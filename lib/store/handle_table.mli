@@ -16,12 +16,26 @@ val create : Tb_sim.Sim.t -> kind:Tb_sim.Cost_model.handle_kind -> zombie_limit:
 
 val kind : t -> Tb_sim.Cost_model.handle_kind
 
-(** [acquire t rid ~load] returns the object's Handle with its refcount
-    bumped.  A resident Handle (live or zombie) is reused for almost
-    nothing; otherwise a new one is allocated (charged) and [load] is called
-    to produce the object's representation (usually a {!Handle.Packed}). *)
-val acquire :
-  t -> Tb_storage.Rid.t -> load:(unit -> int * Handle.repr) -> Handle.t
+(** [resident t rid] tells whether [rid] has a resident Handle (live or
+    zombie).  Charge-free. *)
+val resident : t -> Tb_storage.Rid.t -> bool
+
+(** [acquire t rid] returns [rid]'s resident Handle with its refcount
+    bumped, for almost nothing (a charged hit).  Raises [Not_found],
+    charging nothing, when {!resident} is false: the caller then charges a
+    new Handle with {!reserve}, loads the object's representation (usually
+    a {!Handle.Packed}) and registers it with {!install} — in that order,
+    which is the charge order of a miss. *)
+val acquire : t -> Tb_storage.Rid.t -> Handle.t
+
+(** [reserve t] charges one Handle allocation and claims its simulated
+    memory; the result is the bytes claimed, the new Handle's
+    [mem_bytes]. *)
+val reserve : t -> int
+
+(** [install t h] makes the freshly made [h] (refcount 1, memory already
+    {!reserve}d) the resident Handle of its Rid, and returns it. *)
+val install : t -> Handle.t -> Handle.t
 
 (** [unreference t h] drops one reference; at zero the Handle becomes a
     zombie and may be destroyed later. Raises [Invalid_argument] if the

@@ -340,12 +340,9 @@ let promo_patient i =
       ("age", Value.Int (20 + (i mod 60)));
     ]
 
-(* Crash the follower's own machine mid-commit (clean or torn), then ask
-   [Shard_map.promote] to install it: promotion must either refuse or
-   produce a shard byte-identical to a commit-hook oracle — never a
-   silently corrupt primary.  Crash points beyond the workload's writes
-   degenerate to promoting a clean follower, which must also hold. *)
-let promotion_catches_damage (at_write, torn) =
+(* A two-shard, two-replica map with an empty Patients file on every
+   replica; the follower of shard 0 runs [promo_batches] on its own. *)
+let promo_setup () =
   let sim = Sim.create (Tb_sim.Cost_model.scaled 100) in
   let smap =
     Shard_map.create sim ~schema:promo_schema ~shards:2 ~replicas:2
@@ -359,27 +356,54 @@ let promotion_catches_damage (at_write, torn) =
           Database.bind_class db ~cls:"Patient" f)
         group);
   let follower = List.nth (Shard_map.group smap 0) 1 in
-  let digests = Hashtbl.create 8 in
-  Database.set_commit_hook follower
-    (Some
-       (fun ~seq ->
-         Hashtbl.replace digests seq (Database.durable_fingerprint follower)));
   Database.commit follower;
-  Hashtbl.replace digests
-    (Database.commit_seq follower)
-    (Database.durable_fingerprint follower);
+  (smap, follower)
+
+(* Six committed batches of 30 inserts. *)
+let promo_batches db =
+  for batch = 0 to 5 do
+    Database.with_txn db (fun db ->
+        for i = batch * 30 to (batch * 30) + 29 do
+          ignore (Database.insert_object db ~cls:"Patient" ~indexed:true
+                    (promo_patient i))
+        done)
+  done
+
+(* The oracle: a fault-free twin of the same workload, with the durable
+   digest after every commit it reaches (commit_seq -> fingerprint), and
+   the number of durable writes the whole run makes.  Taken from a twin
+   rather than from the crashing run's own commit hook, because that hook
+   fires only after a commit's flush: a crash after the commit record is
+   forced but before the hook runs leaves a legitimate winner at a seq the
+   crashing run never got to record. *)
+let promo_oracle =
+  lazy
+    (let _, twin = promo_setup () in
+     let digests = Hashtbl.create 8 in
+     let record () =
+       Hashtbl.replace digests (Database.commit_seq twin)
+         (Database.durable_fingerprint twin)
+     in
+     record ();
+     Database.set_commit_hook twin (Some (fun ~seq:_ -> record ()));
+     let f = Fault.create ~seed:13 in
+     Database.set_fault twin (Some f);
+     promo_batches twin;
+     (digests, Fault.writes_seen f))
+
+(* Crash the follower's own machine mid-commit (clean or torn), then ask
+   [Shard_map.promote] to install it: promotion must either refuse or
+   produce a shard byte-identical to the fault-free twin at the same
+   commit — never a silently corrupt primary.  Crash points beyond the
+   workload's writes degenerate to promoting a clean follower, which must
+   also hold. *)
+let promotion_catches_damage (at_write, torn) =
+  let digests, _ = Lazy.force promo_oracle in
+  let smap, follower = promo_setup () in
   let f = Fault.create ~seed:13 in
   Database.set_fault follower (Some f);
   Fault.schedule_crash f ~at_write ~torn;
-  (try
-     for batch = 0 to 5 do
-       Database.with_txn follower (fun db ->
-           for i = batch * 30 to (batch * 30) + 29 do
-             ignore (Database.insert_object db ~cls:"Patient" ~indexed:true
-                       (promo_patient i))
-           done)
-     done
-   with Fault.Crash -> ());
+  (try promo_batches follower with Fault.Crash -> ());
   match Shard_map.promote smap ~shard:0 with
   | Error _ -> true (* verification refused the damaged replica *)
   | Ok db -> (
@@ -393,6 +417,26 @@ let promotion_prop =
     ~name:"promotion: checksum walk catches every torn/lost page"
     QCheck.(pair (int_range 1 400) bool)
     promotion_catches_damage
+
+(* The same check at every crash point, 1 .. writes + 1, clean and torn.
+   The default pass strides through them; TREEBENCH_CHAOS_FULL=1 takes
+   every one. *)
+let test_promotion_sweep () =
+  let _, writes = Lazy.force promo_oracle in
+  check_bool "the workload writes" true (writes > 0);
+  let stride = if full_sweep () then 1 else 3 in
+  let at_write = ref 1 in
+  while !at_write <= writes + 1 do
+    List.iter
+      (fun torn ->
+        check_bool
+          (Printf.sprintf "crash at write %d%s" !at_write
+             (if torn then " (torn)" else ""))
+          true
+          (promotion_catches_damage (!at_write, torn)))
+      [ false; true ];
+    at_write := !at_write + stride
+  done
 
 (* Exhausting the replicas is an error, not a wrong answer. *)
 let test_unrecoverable () =
@@ -425,6 +469,8 @@ let suite =
     Alcotest.test_case "determinism: one seed, one disaster" `Quick
       test_chaos_determinism;
     QCheck_alcotest.to_alcotest promotion_prop;
+    Alcotest.test_case "promotion: every crash point, clean and torn" `Quick
+      test_promotion_sweep;
     Alcotest.test_case "promotion: refuses when no replica remains" `Quick
       test_unrecoverable;
   ]

@@ -214,26 +214,32 @@ let test_header_slot_growth () =
 
 (* --- Handle table --- *)
 
-let dummy_load () = (0, Handle.Whole (Value.Int 1))
+(* A miss goes reserve -> load -> install; the dummy loads a constant. *)
+let acquire_dummy tbl rid =
+  if Handle_table.resident tbl rid then Handle_table.acquire tbl rid
+  else
+    let mem_bytes = Handle_table.reserve tbl in
+    Handle_table.install tbl
+      (Handle.make ~rid ~class_id:0 ~repr:(Handle.Whole (Value.Int 1)) ~mem_bytes)
 
 let test_handles_refcount_and_zombies () =
   let sim = fresh_sim () in
   let tbl = Handle_table.create sim ~kind:Tb_sim.Cost_model.Fat ~zombie_limit:2 in
   let rid i = Rid.make ~file:0 ~page:i ~slot:0 in
-  let h0 = Handle_table.acquire tbl (rid 0) ~load:dummy_load in
+  let h0 = acquire_dummy tbl (rid 0) in
   check_int "one alloc" 1 sim.Tb_sim.Sim.counters.Tb_sim.Counters.handle_allocs;
-  let h0' = Handle_table.acquire tbl (rid 0) ~load:(fun () -> Alcotest.fail "reload") in
+  let h0' = Handle_table.acquire tbl (rid 0) in
   check_bool "same handle" true (h0 == h0');
   check_int "hit counted" 1 sim.Tb_sim.Sim.counters.Tb_sim.Counters.handle_hits;
   Handle_table.unreference tbl h0;
   Handle_table.unreference tbl h0';
   (* Zombie: resurrecting is free. *)
-  let h0'' = Handle_table.acquire tbl (rid 0) ~load:(fun () -> Alcotest.fail "reload") in
+  let h0'' = Handle_table.acquire tbl (rid 0) in
   check_int "still one alloc" 1 sim.Tb_sim.Sim.counters.Tb_sim.Counters.handle_allocs;
   Handle_table.unreference tbl h0'';
   (* Push enough zombies to force real frees. *)
   for i = 1 to 5 do
-    let h = Handle_table.acquire tbl (rid i) ~load:dummy_load in
+    let h = acquire_dummy tbl (rid i) in
     Handle_table.unreference tbl h
   done;
   check_bool "delayed frees happened" true
@@ -243,7 +249,7 @@ let test_handles_refcount_and_zombies () =
 let test_handles_double_unref_rejected () =
   let sim = fresh_sim () in
   let tbl = Handle_table.create sim ~kind:Tb_sim.Cost_model.Fat ~zombie_limit:8 in
-  let h = Handle_table.acquire tbl (Rid.make ~file:0 ~page:0 ~slot:0) ~load:dummy_load in
+  let h = acquire_dummy tbl (Rid.make ~file:0 ~page:0 ~slot:0) in
   Handle_table.unreference tbl h;
   check_bool "double unref raises" true
     (match Handle_table.unreference tbl h with
@@ -256,7 +262,7 @@ let test_handles_memory_accounting () =
   let before = Tb_sim.Sim.working_bytes sim in
   let hs =
     List.init 10 (fun i ->
-        Handle_table.acquire tbl (Rid.make ~file:0 ~page:i ~slot:0) ~load:dummy_load)
+        acquire_dummy tbl (Rid.make ~file:0 ~page:i ~slot:0))
   in
   check_int "60 bytes per fat handle" (before + 600) (Tb_sim.Sim.working_bytes sim);
   List.iter (Handle_table.unreference tbl) hs;
@@ -269,7 +275,7 @@ let test_compact_handles_cheaper () =
     let tbl = Handle_table.create sim ~kind ~zombie_limit:0 in
     for i = 1 to 1000 do
       let h =
-        Handle_table.acquire tbl (Rid.make ~file:0 ~page:i ~slot:0) ~load:dummy_load
+        acquire_dummy tbl (Rid.make ~file:0 ~page:i ~slot:0)
       in
       Handle_table.unreference tbl h
     done;
