@@ -53,11 +53,16 @@ let shards t = Array.length t.rows
    two different objects on two shards can carry the same raw Rid.  The
    join sides are colocated (a patient's inverse reference names a
    provider on its own shard), so matching pairs always carry the same
-   tag and still meet on the same destination lane. *)
+   tag and still meet on the same destination lane.  A nil key (a
+   dangling inverse reference) matches nothing and stays nil.
+   Shard_map.create bounds the shard count so that every tagged file id
+   fits in a Rid. *)
 let retag ~shard rid =
-  Rid.make
-    ~file:((shard * 0x10000) + rid.Rid.file)
-    ~page:rid.Rid.page ~slot:rid.Rid.slot
+  if Rid.is_nil rid then rid
+  else
+    Rid.make
+      ~file:((shard * Rid.disk_file_limit) + Rid.file rid)
+      ~page:(Rid.page rid) ~slot:(Rid.slot rid)
 
 let dest_of t key = Rid.hash key mod Array.length t.rows
 

@@ -31,7 +31,8 @@ val shards : 'a t -> int
 
 (** [retag ~shard rid] tags a key Rid with its source shard so keys from
     different shards can never collide after repartitioning.  Colocated
-    join sides carry the same tag on both sides of a matching pair. *)
+    join sides carry the same tag on both sides of a matching pair.  A nil
+    key stays nil. *)
 val retag : shard:int -> Tb_storage.Rid.t -> Tb_storage.Rid.t
 
 (** Destination lane of a (retagged) key: its hash modulo the lane count. *)

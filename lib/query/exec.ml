@@ -24,9 +24,9 @@ module Counters = Tb_sim.Counters
 type state = { db : Database.t; acct : Op.Acct.acct }
 
 let lookup_env env v =
-  match List.assoc_opt v env with
-  | Some s -> s
-  | None -> invalid_arg ("Exec: unknown var " ^ v)
+  match Value.assoc v env with
+  | s -> s
+  | exception Not_found -> invalid_arg ("Exec: unknown var " ^ v)
 
 (* The single live Handle a Fetch put in scope — what navigation, harvest
    and probe operators consume. *)

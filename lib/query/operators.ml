@@ -52,9 +52,10 @@ let eval_select db select ~lookup =
         match lookup v with
         | Op.Live h -> Database.get_att db h attr
         | Op.Stored p -> (
-            match List.assoc_opt attr p.Op.attrs with
-            | Some x -> x
-            | None -> invalid_arg ("Exec: attribute " ^ attr ^ " not stowed")))
+            match Value.assoc attr p.Op.attrs with
+            | x -> x
+            | exception Not_found ->
+                invalid_arg ("Exec: attribute " ^ attr ^ " not stowed")))
     | Oql_ast.Mk_tuple fields ->
         Value.Tuple (List.map (fun (n, e) -> (n, ev e)) fields)
   in
@@ -84,7 +85,9 @@ let compile_key db ~cls = function
 (* Figure 8 right: the matching Rids are buffered, sorted so the fetches
    become (at worst) one sequential sweep, and streamed out.  The buffer's
    simulated memory is released even when a downstream operator raises —
-   a failed query must not leak claimed RAM. *)
+   a failed query must not leak claimed RAM.  Rids are distinct immediates,
+   so any correct sort gives the same order: Rid.sort radix-sorts the
+   packed ints. *)
 let with_sorted_rids sim ~rids ~count f =
   let claim = count * Rid.on_disk_bytes in
   Sim.claim_bytes sim claim;
@@ -93,7 +96,7 @@ let with_sorted_rids sim ~rids ~count f =
     (fun () ->
       Sim.charge_sort sim count;
       let arr = Array.of_list rids in
-      Array.sort Rid.compare arr;
+      Rid.sort arr;
       f arr)
 
 let sorted_rids sim ~rids ~count f =
@@ -119,7 +122,9 @@ let charge_external_sort sim ~elems ~bytes =
 
 (* Claim a gathered (key, payload) run and sort it by key.  The sort is
    unstable, so the input order — newest-first, exactly as the gather loop
-   prepends — is part of the deterministic contract. *)
+   prepends — is part of the deterministic contract, so this keeps the
+   stdlib heap sort rather than Rid.sort: equal keys must keep the tie
+   order it has always produced. *)
 let claim_and_sort sim kvs ~bytes =
   Sim.claim_bytes sim bytes;
   (* The claim deliberately survives the return — the caller owns it — but

@@ -73,12 +73,10 @@ let flip = function
 (* Resolve an extent name through the schema roots: a root of type
    set(ClassName) names the extent of that class. *)
 let extent_class schema name =
-  match List.assoc_opt name (Schema.roots schema) with
-  | Some (Schema.TSet (Schema.TRef cls)) | Some (Schema.TList (Schema.TRef cls))
-    ->
-      cls
-  | Some _ -> raise (Unsupported ("root " ^ name ^ " is not an object extent"))
-  | None -> invalid_arg ("unknown extent " ^ name)
+  match Value.assoc name (Schema.roots schema) with
+  | Schema.TSet (Schema.TRef cls) | Schema.TList (Schema.TRef cls) -> cls
+  | _ -> raise (Unsupported ("root " ^ name ^ " is not an object extent"))
+  | exception Not_found -> invalid_arg ("unknown extent " ^ name)
 
 let check_attr schema ~cls ~attr =
   match Schema.attr_type schema ~cls ~attr with
@@ -89,10 +87,10 @@ let check_attr schema ~cls ~attr =
 (* Normalize one conjunct into (var, attr_pred). *)
 let normalize_conjunct vars = function
   | Oql_ast.Cmp (Oql_ast.Path (v, attr), cmp, Oql_ast.Const lit)
-    when List.mem v vars ->
+    when List.exists (String.equal v) vars ->
       (v, { attr; cmp; const = Oql_ast.literal_to_value lit })
   | Oql_ast.Cmp (Oql_ast.Const lit, cmp, Oql_ast.Path (v, attr))
-    when List.mem v vars ->
+    when List.exists (String.equal v) vars ->
       (v, { attr; cmp = flip cmp; const = Oql_ast.literal_to_value lit })
   | p ->
       raise
@@ -104,7 +102,8 @@ let check_select_vars vars select =
   let rec go = function
     | Oql_ast.Const _ -> ()
     | Oql_ast.Var v | Oql_ast.Path (v, _) ->
-        if not (List.mem v vars) then invalid_arg ("unknown variable " ^ v)
+        if not (List.exists (String.equal v) vars) then
+          invalid_arg ("unknown variable " ^ v)
     | Oql_ast.Mk_tuple fields -> List.iter (fun (_, e) -> go e) fields
   in
   go select
@@ -217,7 +216,8 @@ let needed_attrs var expr =
     | Oql_ast.Const _ -> ()
     | Oql_ast.Var v -> if String.equal v var then self := true
     | Oql_ast.Path (v, a) ->
-        if String.equal v var && not (List.mem a !attrs) then attrs := a :: !attrs
+        if String.equal v var && not (List.exists (String.equal a) !attrs) then
+          attrs := a :: !attrs
     | Oql_ast.Mk_tuple fields -> List.iter (fun (_, e) -> go e) fields
   in
   go expr;

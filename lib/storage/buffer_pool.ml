@@ -14,7 +14,7 @@ type node = {
 
 type t = {
   capacity : int;
-  table : (Page_id.t, node) Hashtbl.t;
+  table : node Int_table.t; (* keyed by the packed Page_id *)
   sentinel : node;
 }
 
@@ -30,12 +30,12 @@ let create ~capacity_pages =
   in
   {
     capacity = capacity_pages;
-    table = Hashtbl.create (min 65536 (capacity_pages + 1));
+    table = Int_table.create (min 65536 (capacity_pages + 1));
     sentinel;
   }
 
 let capacity t = t.capacity
-let size t = Hashtbl.length t.table
+let size t = Int_table.length t.table
 
 let unlink node =
   node.prev.next <- node.next;
@@ -53,53 +53,53 @@ let touch t node =
   unlink node;
   push_tail t node
 
-let find t id =
-  let node = Hashtbl.find t.table id in
+let find t (id : Page_id.t) =
+  let node = Int_table.find t.table (id :> int) in
   touch t node;
   node.page
 
-let mem t id = Hashtbl.mem t.table id
+let mem t (id : Page_id.t) = Int_table.mem t.table (id :> int)
 
 (* Like [find] but leaves recency untouched: a host-level probe for callers
    that must not perturb the pools' eviction order (the B+-tree bulk build,
    the WAL's after-image capture). *)
-let peek t id =
-  match Hashtbl.find_opt t.table id with
+let peek t (id : Page_id.t) =
+  match Int_table.find_opt t.table (id :> int) with
   | None -> None
   | Some node -> Some node.page
 
-let add t id page =
-  match Hashtbl.find_opt t.table id with
+let add t (id : Page_id.t) page =
+  match Int_table.find_opt t.table (id :> int) with
   | Some node ->
       (* Re-adding refreshes recency only; the cached page stays. *)
       ignore page;
       touch t node;
       None
   | None ->
-      if Hashtbl.length t.table >= t.capacity then begin
+      if Int_table.length t.table >= t.capacity then begin
         (* Full: evict the LRU entry and recycle its node for the newcomer. *)
         let lru = t.sentinel.next in
         let victim = (lru.id, lru.page) in
-        Hashtbl.remove t.table lru.id;
+        Int_table.remove t.table (lru.id :> int);
         lru.id <- id;
         lru.page <- page;
-        Hashtbl.replace t.table id lru;
+        Int_table.replace t.table (id :> int) lru;
         touch t lru;
         Some victim
       end
       else begin
         let node = { id; page; prev = t.sentinel; next = t.sentinel } in
-        Hashtbl.replace t.table id node;
+        Int_table.replace t.table (id :> int) node;
         push_tail t node;
         None
       end
 
-let remove t id =
-  match Hashtbl.find_opt t.table id with
+let remove t (id : Page_id.t) =
+  match Int_table.find_opt t.table (id :> int) with
   | None -> ()
   | Some node ->
       unlink node;
-      Hashtbl.remove t.table id
+      Int_table.remove t.table (id :> int)
 
 let iter t f =
   let s = t.sentinel in
@@ -112,6 +112,6 @@ let iter t f =
   go s.next
 
 let clear t =
-  Hashtbl.reset t.table;
+  Int_table.reset t.table;
   t.sentinel.prev <- t.sentinel;
   t.sentinel.next <- t.sentinel

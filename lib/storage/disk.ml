@@ -30,7 +30,10 @@ type file = {
 
 type t = {
   sim : Tb_sim.Sim.t;
-  mutable files : file list;
+  (* A growable array indexed by file id: [files.(0 .. n_files - 1)] are
+     live, the rest is spare capacity.  Every page load looks its file up
+     here, so the lookup must not walk a list. *)
+  mutable files : file array;
   mutable n_files : int;
   (* Pristine page image and its checksum, computed once: the page size is
      fixed by the cost model, and [append_page] runs on loader hot paths. *)
@@ -38,7 +41,7 @@ type t = {
   mutable epoch : int;
 }
 
-let create sim = { sim; files = []; n_files = 0; empty = None; epoch = 0 }
+let create sim = { sim; files = [||]; n_files = 0; empty = None; epoch = 0 }
 let page_size t = t.sim.Tb_sim.Sim.cost.Tb_sim.Cost_model.page_size
 
 (* FNV-1a with the offset basis folded into 62 bits, so the hash stays an
@@ -62,7 +65,13 @@ let checksum_of bytes =
 
 let new_file t ~name =
   let id = t.n_files in
-  t.files <- t.files @ [ { name; pages = [||]; n_pages = 0 } ];
+  let f = { name; pages = [||]; n_pages = 0 } in
+  if id = Array.length t.files then begin
+    let grown = Array.make (max 8 (2 * id)) f in
+    Array.blit t.files 0 grown 0 id;
+    t.files <- grown
+  end;
+  t.files.(id) <- f;
   t.n_files <- id + 1;
   id
 
@@ -70,16 +79,17 @@ let file_count t = t.n_files
 
 let get_file t id =
   if id < 0 || id >= t.n_files then invalid_arg "Disk: bad file id";
-  List.nth t.files id
+  t.files.(id)
 
 let file_name t id = (get_file t id).name
 
 let find_file t ~name =
-  let rec go i = function
-    | [] -> None
-    | f :: rest -> if String.equal f.name name then Some i else go (i + 1) rest
+  let rec go i =
+    if i >= t.n_files then None
+    else if String.equal t.files.(i).name name then Some i
+    else go (i + 1)
   in
-  go 0 t.files
+  go 0
 
 let page_count t id = (get_file t id).n_pages
 
@@ -168,14 +178,14 @@ let page_lsn t pid = (durable_of t pid).lsn
 
 let verify t =
   let torn = ref [] in
-  List.iteri
-    (fun file f ->
-      for index = f.n_pages - 1 downto 0 do
-        let d = f.pages.(index) in
-        if checksum_of d.image <> d.checksum then
-          torn := Page_id.make ~file ~index :: !torn
-      done)
-    t.files;
+  for file = 0 to t.n_files - 1 do
+    let f = t.files.(file) in
+    for index = f.n_pages - 1 downto 0 do
+      let d = f.pages.(index) in
+      if checksum_of d.image <> d.checksum then
+        torn := Page_id.make ~file ~index :: !torn
+    done
+  done;
   !torn
 
 let truncate_file t ~file ~pages =
@@ -185,12 +195,18 @@ let truncate_file t ~file ~pages =
 
 let truncate_files t ~keep =
   if keep < 0 || keep > t.n_files then invalid_arg "Disk.truncate_files";
-  t.files <- List.filteri (fun i _ -> i < keep) t.files;
+  (* A fresh array, so the dropped files' pages are not kept reachable. *)
+  t.files <- Array.sub t.files 0 keep;
   t.n_files <- keep
 
-let page_counts t = Array.of_list (List.map (fun f -> f.n_pages) t.files)
+let page_counts t = Array.init t.n_files (fun i -> t.files.(i).n_pages)
 
-let total_pages t = List.fold_left (fun acc f -> acc + f.n_pages) 0 t.files
+let total_pages t =
+  let n = ref 0 in
+  for i = 0 to t.n_files - 1 do
+    n := !n + t.files.(i).n_pages
+  done;
+  !n
 let total_bytes t = total_pages t * page_size t
 
 (* Digest of the durable state: file names, page counts and image bytes.
@@ -211,12 +227,12 @@ let durable_digest t =
     done
   in
   mix_int t.n_files;
-  List.iter
-    (fun f ->
-      String.iter (fun ch -> mix_byte (Char.code ch)) f.name;
-      mix_int f.n_pages;
-      for index = 0 to f.n_pages - 1 do
-        mix_bytes f.pages.(index).image
-      done)
-    t.files;
+  for i = 0 to t.n_files - 1 do
+    let f = t.files.(i) in
+    String.iter (fun ch -> mix_byte (Char.code ch)) f.name;
+    mix_int f.n_pages;
+    for index = 0 to f.n_pages - 1 do
+      mix_bytes f.pages.(index).image
+    done
+  done;
   Printf.sprintf "%016x" (!h land max_int)

@@ -113,9 +113,9 @@ let insert_framed t framed =
 let insert t body = insert_framed t (frame_normal body)
 
 let fetch_slot t (rid : Rid.t) =
-  let pid = Page_id.make ~file:rid.Rid.file ~index:rid.Rid.page in
+  let pid = Page_id.make ~file:(Rid.file rid) ~index:(Rid.page rid) in
   let page = Cache_stack.fetch t.stack pid in
-  (page, Page_layout.read page rid.Rid.slot)
+  (page, Page_layout.read page (Rid.slot rid))
 
 let read t rid =
   let _, framed = fetch_slot t rid in
@@ -132,27 +132,29 @@ let read t rid =
    tuple.  The charge sequence (one fetch per page touched) is identical to
    [read]; the difference is purely host-side — no Bytes.sub. *)
 let locate t (rid : Rid.t) =
-  let pid = Page_id.make ~file:rid.Rid.file ~index:rid.Rid.page in
+  let pid = Page_id.make ~file:(Rid.file rid) ~index:(Rid.page rid) in
   let page = Cache_stack.fetch t.stack pid in
-  let off = Page_layout.record_offset page rid.Rid.slot in
+  let off = Page_layout.record_offset page (Rid.slot rid) in
   let buf = Page_layout.buffer page in
   match Bytes.get buf off with
   | c when c = tag_normal ->
-      t.loc_slot <- rid.Rid.slot;
+      t.loc_slot <- Rid.slot rid;
       t.loc_pos <- off + 1;
       page
   | c when c = tag_forward ->
       let target = Rid.decode buf ~pos:(off + 1) in
-      let tpid = Page_id.make ~file:target.Rid.file ~index:target.Rid.page in
+      let tpid =
+        Page_id.make ~file:(Rid.file target) ~index:(Rid.page target)
+      in
       let tpage = Cache_stack.fetch t.stack tpid in
-      let toff = Page_layout.record_offset tpage target.Rid.slot in
+      let toff = Page_layout.record_offset tpage (Rid.slot target) in
       if Bytes.get (Page_layout.buffer tpage) toff <> tag_relocated then
         invalid_arg "Heap_file.locate: stub does not point at a relocated body";
-      t.loc_slot <- target.Rid.slot;
+      t.loc_slot <- Rid.slot target;
       t.loc_pos <- toff + 1 + Rid.on_disk_bytes;
       tpage
   | c when c = tag_relocated ->
-      t.loc_slot <- rid.Rid.slot;
+      t.loc_slot <- Rid.slot rid;
       t.loc_pos <- off + 1 + Rid.on_disk_bytes;
       page
   | _ -> invalid_arg "Heap_file.locate: bad record tag"
@@ -161,42 +163,42 @@ let located_slot t = t.loc_slot
 let located_pos t = t.loc_pos
 
 let write_for t (rid : Rid.t) =
-  let pid = Page_id.make ~file:rid.Rid.file ~index:rid.Rid.page in
+  let pid = Page_id.make ~file:(Rid.file rid) ~index:(Rid.page rid) in
   Cache_stack.fetch_for_write t.stack pid
 
 (* Relocate [body] elsewhere and point [home]'s slot at it. *)
 let relocate t ~(home : Rid.t) body =
   let fresh = insert_framed t (frame_relocated ~home body) in
   let page = write_for t home in
-  if not (Page_layout.update page home.Rid.slot (frame_stub fresh)) then
+  if not (Page_layout.update page (Rid.slot home) (frame_stub fresh)) then
     failwith "Heap_file: cannot write forwarding stub"
 
 let update t (rid : Rid.t) body =
   let page = write_for t rid in
-  let framed_old = Page_layout.read page rid.Rid.slot in
+  let framed_old = Page_layout.read page (Rid.slot rid) in
   match Bytes.get framed_old 0 with
   | c when c = tag_normal ->
-      if not (Page_layout.update page rid.Rid.slot (frame_normal body)) then
+      if not (Page_layout.update page (Rid.slot rid) (frame_normal body)) then
         relocate t ~home:rid body
   | c when c = tag_forward ->
       let target = Rid.decode framed_old ~pos:1 in
       let tpage = write_for t target in
       let framed = frame_relocated ~home:rid body in
-      if not (Page_layout.update tpage target.Rid.slot framed) then begin
-        Page_layout.delete tpage target.Rid.slot;
+      if not (Page_layout.update tpage (Rid.slot target) framed) then begin
+        Page_layout.delete tpage (Rid.slot target);
         relocate t ~home:rid body
       end
   | _ -> invalid_arg "Heap_file.update: rid addresses a relocated body"
 
 let delete t (rid : Rid.t) =
   let page = write_for t rid in
-  let framed = Page_layout.read page rid.Rid.slot in
+  let framed = Page_layout.read page (Rid.slot rid) in
   if Bytes.get framed 0 = tag_forward then begin
     let target = Rid.decode framed ~pos:1 in
     let tpage = write_for t target in
-    Page_layout.delete tpage target.Rid.slot
+    Page_layout.delete tpage (Rid.slot target)
   end;
-  Page_layout.delete page rid.Rid.slot
+  Page_layout.delete page (Rid.slot rid)
 
 let iter_page_records t ~page:index f =
   let pid = Page_id.make ~file:t.file ~index in

@@ -26,6 +26,7 @@
      descent would have emitted. *)
 
 module Rid = Tb_storage.Rid
+module Int_table = Tb_storage.Int_table
 module Page_layout = Tb_storage.Page_layout
 
 type entry = { key : int; rid : Rid.t }
@@ -54,7 +55,7 @@ type t = {
   name : string;
   mutable root : int;
   mutable entries : int;
-  cache : (int, cached) Hashtbl.t; (* page index -> decoded node *)
+  cache : cached Int_table.t; (* page index -> decoded node *)
 }
 
 let leaf_cap = 200
@@ -184,7 +185,7 @@ let page_for t index writable =
    the slot was filled. *)
 let cached_for t index page =
   let v = Page_layout.version page in
-  match Hashtbl.find_opt t.cache index with
+  match Int_table.find_opt t.cache index with
   | Some c ->
       if c.ver <> v then begin
         c.node <- decode_page page;
@@ -193,19 +194,19 @@ let cached_for t index page =
       c
   | None ->
       let c = { ver = v; node = decode_page page } in
-      Hashtbl.replace t.cache index c;
+      Int_table.replace t.cache index c;
       c
 
 let read_node t index = (cached_for t index (page_for t index false)).node
 
 (* Re-point the cache at [node], valid as of the page's current version. *)
 let stamp t index page node =
-  match Hashtbl.find_opt t.cache index with
+  match Int_table.find_opt t.cache index with
   | Some c ->
       c.node <- node;
       c.ver <- Page_layout.version page
   | None ->
-      Hashtbl.replace t.cache index { ver = Page_layout.version page; node }
+      Int_table.replace t.cache index { ver = Page_layout.version page; node }
 
 let write_node t index node =
   let page = page_for t index true in
@@ -228,7 +229,7 @@ let alloc_node t node =
 let create stack ~name =
   let file = Tb_storage.Disk.new_file (Tb_storage.Cache_stack.disk stack) ~name in
   let t =
-    { stack; file; name; root = 0; entries = 0; cache = Hashtbl.create 64 }
+    { stack; file; name; root = 0; entries = 0; cache = Int_table.create 64 }
   in
   t.root <- alloc_node t (Leaf (new_leaf ~next:(-1)));
   t
@@ -900,6 +901,6 @@ let checkpoint t = { st_root = t.root; st_entries = t.entries }
 let restore t s =
   t.root <- s.st_root;
   t.entries <- s.st_entries;
-  Hashtbl.reset t.cache
+  Int_table.reset t.cache
 
-let drop_cache t = Hashtbl.reset t.cache
+let drop_cache t = Int_table.reset t.cache

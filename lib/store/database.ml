@@ -1,5 +1,7 @@
 module Rid = Tb_storage.Rid
 module Heap_file = Tb_storage.Heap_file
+module Int_table = Tb_storage.Int_table
+module String_table = Hashtbl.Make (String)
 
 (* A catalog checkpoint: the volatile state that pages alone cannot
    recover.  Captured after every commit (and, for a commit in flight, at
@@ -23,11 +25,11 @@ type t = {
   handles : Handle_table.t;
   txn : Transaction.t;
   collections : Heap_file.t;
-  files_by_id : (int, Heap_file.t) Hashtbl.t;
+  files_by_id : Heap_file.t Int_table.t;
   mutable class_files : (string * Heap_file.t) list;
   mutable index_list : Index_def.t list;
   mutable next_index_id : int;
-  cardinalities : (string, int ref) Hashtbl.t;
+  cardinalities : int ref String_table.t;
   mutable commit_seq : int;
   mutable checkpoint : ckpt;
   mutable pending_ckpt : ckpt option;
@@ -35,7 +37,7 @@ type t = {
 }
 
 let register_file t heap =
-  Hashtbl.replace t.files_by_id (Heap_file.file_id heap) heap;
+  Int_table.replace t.files_by_id (Heap_file.file_id heap) heap;
   heap
 
 let take_ckpt t =
@@ -44,9 +46,9 @@ let take_ckpt t =
     ck_index_list = t.index_list;
     ck_next_index_id = t.next_index_id;
     ck_cardinalities =
-      Hashtbl.fold (fun cls r acc -> (cls, !r) :: acc) t.cardinalities [];
+      String_table.fold (fun cls r acc -> (cls, !r) :: acc) t.cardinalities [];
     ck_files =
-      Hashtbl.fold
+      Int_table.fold
         (fun id hf acc -> (id, hf, Heap_file.tail hf) :: acc)
         t.files_by_id [];
     ck_btrees =
@@ -67,14 +69,14 @@ let install_ckpt t c =
   t.class_files <- c.ck_class_files;
   t.index_list <- c.ck_index_list;
   t.next_index_id <- c.ck_next_index_id;
-  Hashtbl.reset t.cardinalities;
+  String_table.reset t.cardinalities;
   List.iter
-    (fun (cls, n) -> Hashtbl.replace t.cardinalities cls (ref n))
+    (fun (cls, n) -> String_table.replace t.cardinalities cls (ref n))
     c.ck_cardinalities;
-  Hashtbl.reset t.files_by_id;
+  Int_table.reset t.files_by_id;
   List.iter
     (fun (id, hf, tail) ->
-      Hashtbl.replace t.files_by_id id hf;
+      Int_table.replace t.files_by_id id hf;
       Heap_file.set_tail hf tail)
     c.ck_files;
   List.iter (fun (tree, st) -> Btree.restore tree st) c.ck_btrees
@@ -92,11 +94,11 @@ let create sim ~schema ~server_pages ~client_pages
       handles = Handle_table.create sim ~kind:handle_kind ~zombie_limit;
       txn = Transaction.create sim txn_mode ~uncommitted_limit;
       collections = Heap_file.create stack ~name:"__collections";
-      files_by_id = Hashtbl.create 16;
+      files_by_id = Int_table.create 16;
       class_files = [];
       index_list = [];
       next_index_id = 0;
-      cardinalities = Hashtbl.create 16;
+      cardinalities = String_table.create 16;
       commit_seq = 0;
       checkpoint =
         {
@@ -133,17 +135,20 @@ let new_file t ~name = register_file t (Heap_file.create t.stack ~name)
 
 let bind_class t ~cls file =
   ignore (Schema.find_class t.schema cls);
-  t.class_files <- (cls, file) :: List.remove_assoc cls t.class_files;
-  if not (Hashtbl.mem t.cardinalities cls) then
-    Hashtbl.replace t.cardinalities cls (ref 0)
+  t.class_files <-
+    (cls, file)
+    :: List.filter (fun (c, _) -> not (String.equal c cls)) t.class_files;
+  if not (String_table.mem t.cardinalities cls) then
+    String_table.replace t.cardinalities cls (ref 0)
 
-let class_file t ~cls =
-  match List.assoc_opt cls t.class_files with
-  | Some f -> f
-  | None -> raise Not_found
+let rec find_class_file cls = function
+  | [] -> raise Not_found
+  | (c, f) :: rest -> if String.equal c cls then f else find_class_file cls rest
+
+let class_file t ~cls = find_class_file cls t.class_files
 
 let heap_of_rid t (rid : Rid.t) =
-  match Hashtbl.find t.files_by_id rid.Rid.file with
+  match Int_table.find t.files_by_id (Rid.file rid) with
   | heap -> heap
   | exception Not_found ->
       invalid_arg "Database: rid belongs to no registered file"
@@ -223,9 +228,9 @@ let insert_object t ~cls ?(indexed = false) value =
   let body = encode_object t.schema header value in
   let rid = Heap_file.insert heap body in
   Transaction.on_write t.txn ~bytes:(Bytes.length body);
-  (match Hashtbl.find_opt t.cardinalities cls with
+  (match String_table.find_opt t.cardinalities cls with
   | Some r -> incr r
-  | None -> Hashtbl.replace t.cardinalities cls (ref 1));
+  | None -> String_table.replace t.cardinalities cls (ref 1));
   List.iter
     (fun ix ->
       Btree.insert ix.Index_def.tree ~key:(key_of t value ix.Index_def.attr) ~rid)
@@ -361,7 +366,7 @@ let delete_object t rid =
     (indexes_on t cls);
   Heap_file.delete heap rid;
   Transaction.on_write t.txn ~bytes:16;
-  (match Hashtbl.find_opt t.cardinalities cls with
+  (match String_table.find_opt t.cardinalities cls with
   | Some r -> decr r
   | None -> ());
   ()
@@ -448,7 +453,7 @@ let scan_extent t ~cls f =
   go ()
 
 let cardinality t ~cls =
-  match Hashtbl.find_opt t.cardinalities cls with Some r -> !r | None -> 0
+  match String_table.find_opt t.cardinalities cls with Some r -> !r | None -> 0
 
 let extent_pages t ~cls = Heap_file.page_count (class_file t ~cls)
 

@@ -9,6 +9,8 @@ type ty =
   | TList of ty
   | TTuple of (string * ty) list
 
+module String_table = Hashtbl.Make (String)
+
 type cls = { cls_name : string; attrs : (string * ty) list }
 
 (* [attr_names]/[attr_slots] are compiled once per schema: the attribute
@@ -19,13 +21,13 @@ type t = {
   classes : cls array;
   roots : (string * ty) list;
   attr_names : string array array;
-  attr_slots : (string, int) Hashtbl.t array;
+  attr_slots : int String_table.t array;
 }
 
 let rec check_ty class_names = function
   | TInt | TReal | TBool | TChar | TString -> ()
   | TRef name ->
-      if not (List.mem name class_names) then
+      if not (List.exists (String.equal name) class_names) then
         invalid_arg ("Schema: reference to unknown class " ^ name)
   | TSet ty | TList ty -> check_ty class_names ty
   | TTuple fields -> List.iter (fun (_, ty) -> check_ty class_names ty) fields
@@ -50,8 +52,8 @@ let make ~classes ~roots =
   let attr_slots =
     Array.map
       (fun names ->
-        let tbl = Hashtbl.create (2 * Array.length names) in
-        Array.iteri (fun i n -> Hashtbl.replace tbl n i) names;
+        let tbl = String_table.create (2 * Array.length names) in
+        Array.iteri (fun i n -> String_table.replace tbl n i) names;
         tbl)
       attr_names
   in
@@ -79,13 +81,10 @@ let class_of_id t id =
 
 let attr_count t ~class_id = Array.length t.attr_names.(class_id)
 let attr_name t ~class_id slot = t.attr_names.(class_id).(slot)
-let attr_slot t ~class_id ~attr = Hashtbl.find t.attr_slots.(class_id) attr
+let attr_slot t ~class_id ~attr = String_table.find t.attr_slots.(class_id) attr
 
 let attr_type t ~cls ~attr =
-  let c = find_class t cls in
-  match List.assoc_opt attr c.attrs with
-  | Some ty -> ty
-  | None -> raise Not_found
+  Value.assoc attr (find_class t cls).attrs
 
 let rec conforms t ty v =
   match (ty, v) with

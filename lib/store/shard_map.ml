@@ -37,9 +37,20 @@ type t = {
   mutable registry : Fault.registry option;
 }
 
+(* Exchange tags a shard's file ids as [shard * disk_file_limit + file],
+   and a tagged id must still fit a Rid. *)
+let max_shards =
+  (Tb_storage.Rid.max_file + 1) / Tb_storage.Rid.disk_file_limit
+
 let create sim ~schema ~shards ?(replicas = 1) ~server_pages ~client_pages
     ?handle_kind ?zombie_limit ?txn_mode ~key_attr ~seed () =
   if shards <= 0 then invalid_arg "Shard_map.create: shards must be positive";
+  if shards > max_shards then
+    invalid_arg
+      (Printf.sprintf
+         "Shard_map.create: at most %d shards (exchange-tagged file ids must \
+          fit a Rid)"
+         max_shards);
   if replicas < 1 then invalid_arg "Shard_map.create: replicas must be >= 1";
   if replicas > shards then
     invalid_arg

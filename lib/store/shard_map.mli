@@ -21,14 +21,20 @@
 
 type t
 
+(** The largest shard count {!create} accepts (16): exchange tags each
+    key Rid's file id as [shard * Rid.disk_file_limit + file], and the
+    tagged id must fit {!Tb_storage.Rid.max_file}. *)
+val max_shards : int
+
 (** [create sim ~schema ~shards ~server_pages ~client_pages ~key_attr ~seed ()]
     builds [shards] databases over [sim].  The page budgets are one
     machine's worth and are divided evenly across shards (floor, min 2) —
     sharding partitions the cache, it does not grow it.  [key_attr] names
     the attribute whose hash places an object ("upin" for Derby).
     [replicas] (default 1) is the total copies of each shard, primary
-    included; raises [Invalid_argument] when [shards <= 0], [replicas < 1]
-    or [replicas > shards] (each copy needs its own node). *)
+    included; raises [Invalid_argument] when [shards <= 0],
+    [shards > max_shards], [replicas < 1] or [replicas > shards] (each copy
+    needs its own node). *)
 val create :
   Tb_sim.Sim.t ->
   schema:Schema.t ->

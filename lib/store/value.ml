@@ -11,19 +11,27 @@ type t =
   | List of t list
   | Big_set of Tb_storage.Rid.t
 
+(* A top-level walk with String.equal: List.assoc would compare the names
+   with the polymorphic compare_val, and a local recursive closure would
+   allocate on every row that looks up a field. *)
+let rec assoc name = function
+  | [] -> raise Not_found
+  | (n, x) :: rest -> if String.equal n name then x else assoc name rest
+
 let field v name =
   match v with
   | Tuple fields -> (
-      match List.assoc_opt name fields with
-      | Some x -> x
-      | None -> invalid_arg ("Value.field: no field " ^ name))
+      match assoc name fields with
+      | x -> x
+      | exception Not_found -> invalid_arg ("Value.field: no field " ^ name))
   | _ -> invalid_arg "Value.field: not a tuple"
 
 let set_field v name x =
   match v with
   | Tuple fields ->
-      if not (List.mem_assoc name fields) then
-        invalid_arg ("Value.set_field: no field " ^ name);
+      (match assoc name fields with
+      | _ -> ()
+      | exception Not_found -> invalid_arg ("Value.set_field: no field " ^ name));
       Tuple (List.map (fun (n, old) -> (n, if String.equal n name then x else old)) fields)
   | _ -> invalid_arg "Value.set_field: not a tuple"
 

@@ -23,6 +23,12 @@ type t =
   | Big_set of Tb_storage.Rid.t
       (** head chunk of a spilled collection — see {!Big_collection} *)
 
+(** [assoc name pairs] is the value paired with the first [name] in
+    [pairs], compared with [String.equal]; raises [Not_found].  The
+    monomorphic [List.assoc] for the name-keyed lists of the engine (tuple
+    fields, environments, stowed attributes, schema roots). *)
+val assoc : string -> (string * 'a) list -> 'a
+
 (** [field v name] extracts a tuple field.
     Raises [Invalid_argument] if [v] is not a tuple or lacks the field. *)
 val field : t -> string -> t

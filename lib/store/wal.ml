@@ -2,6 +2,7 @@ module Page_id = Tb_storage.Page_id
 module Page_layout = Tb_storage.Page_layout
 module Disk = Tb_storage.Disk
 module Fault = Tb_storage.Fault
+module Int_table = Tb_storage.Int_table
 
 (* One consolidated physical record per (transaction, page): the before-image
    captured at the first write fetch after the last checkpoint, the
@@ -19,7 +20,7 @@ type touch = {
 
 type t = {
   sim : Tb_sim.Sim.t;
-  touched : (Page_id.t, touch) Hashtbl.t;
+  touched : touch Int_table.t; (* keyed by the packed Page_id *)
   mutable order : touch list; (* reverse first-touch order = undo order *)
   mutable pending : int; (* log bytes not yet filling a whole page *)
   mutable next_lsn : int;
@@ -30,7 +31,7 @@ type t = {
 let create sim =
   {
     sim;
-    touched = Hashtbl.create 64;
+    touched = Int_table.create 64;
     order = [];
     pending = 0;
     next_lsn = 1;
@@ -41,8 +42,8 @@ let create sim =
 let set_fault t f = t.fault <- f
 let pending_bytes t = t.pending
 let commit_durable t = t.commit_durable
-let covers t pid = Hashtbl.mem t.touched pid
-let touched_pages t = Hashtbl.length t.touched
+let covers t (pid : Page_id.t) = Int_table.mem t.touched (pid :> int)
+let touched_pages t = Int_table.length t.touched
 
 let tick_write t =
   match t.fault with
@@ -62,8 +63,8 @@ let tick_write t =
    "before/after images go to the log" I/O is already priced by
    [logical_write]'s byte accounting, and a per-page physical record is a
    consolidation of those same bytes, not new ones. *)
-let note_touch t pid page =
-  match Hashtbl.find_opt t.touched pid with
+let note_touch t (pid : Page_id.t) page =
+  match Int_table.find_opt t.touched (pid :> int) with
   | Some tch -> tch.page <- page
   | None ->
       Tb_sim.Sim.charge_wal_append t.sim;
@@ -80,7 +81,7 @@ let note_touch t pid page =
         }
       in
       Page_layout.set_lsn page lsn;
-      Hashtbl.replace t.touched pid tch;
+      Int_table.replace t.touched (pid :> int) tch;
       t.order <- tch :: t.order
 
 (* One logical write record: [bytes] of before-image plus [bytes] of
@@ -121,7 +122,7 @@ let force t =
 (* Truncate the log after a completed commit: serial transactions need no
    history past the last checkpoint. *)
 let checkpoint t =
-  Hashtbl.reset t.touched;
+  Int_table.reset t.touched;
   t.order <- [];
   t.commit_durable <- false
 

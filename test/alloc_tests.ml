@@ -74,8 +74,8 @@ let join =
 (* (name, force_algo, force_seq, text, words per pinned object) *)
 let budgets =
   [
-    ("seq-scan fetch (packed)", None, Some true, scan, 34.0);
-    ("NL join", Some Plan.NL, None, join, 79.0);
+    ("seq-scan fetch (packed)", None, Some true, scan, 30.0);
+    ("NL join", Some Plan.NL, None, join, 75.0);
   ]
 
 let test_row_path_budget () =

@@ -28,6 +28,148 @@ let test_rid_order_is_physical () =
   check_bool "page order" true (Rid.compare a b < 0);
   check_bool "file order" true (Rid.compare b c < 0)
 
+(* Random Rids over several files with many repeats, nil included. *)
+let rid_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (1, return Rid.nil);
+        ( 12,
+          map3
+            (fun file page slot -> Rid.make ~file ~page ~slot)
+            (int_range 0 5) (int_range 0 40) (int_range 0 12) );
+        ( 2,
+          map3
+            (fun file page slot -> Rid.make ~file ~page ~slot)
+            (int_range 0 Rid.max_file) (int_range 0 Rid.max_page)
+            (int_range 0 Rid.max_slot) );
+      ])
+
+let rid_arb = QCheck.make ~print:Rid.to_string rid_gen
+
+let field_triple =
+  QCheck.(
+    triple (int_range 0 Rid.max_file) (int_range 0 Rid.max_page)
+      (int_range 0 Rid.max_slot))
+
+let rid_pack_roundtrip =
+  QCheck.Test.make ~name:"rid: pack/unpack round trip" ~count:500 field_triple
+    (fun (file, page, slot) ->
+      let r = Rid.make ~file ~page ~slot in
+      Rid.file r = file && Rid.page r = page && Rid.slot r = slot
+      && not (Rid.is_nil r))
+
+let lex (a : Rid.t) (b : Rid.t) =
+  let key r = (Rid.file r, Rid.page r, Rid.slot r) in
+  let (f1, p1, s1), (f2, p2, s2) = (key a, key b) in
+  let c = Int.compare f1 f2 in
+  if c <> 0 then c
+  else
+    let c = Int.compare p1 p2 in
+    if c <> 0 then c else Int.compare s1 s2
+
+let rid_compare_is_lexicographic =
+  QCheck.Test.make ~name:"rid: compare is (file, page, slot) order, nil first"
+    ~count:1000 (QCheck.pair rid_arb rid_arb) (fun (a, b) ->
+      Int.compare (Rid.compare a b) 0 = Int.compare (lex a b) 0
+      && Rid.equal a b = (Rid.compare a b = 0)
+      && (Rid.is_nil a || Rid.compare Rid.nil a < 0))
+
+let rid_encode_roundtrip =
+  QCheck.Test.make ~name:"rid: encode/decode round trip" ~count:500 rid_arb
+    (fun r ->
+      (* the on-disk file field is 16 bits; 0xffff marks nil *)
+      QCheck.assume (Rid.is_nil r || Rid.file r < Rid.disk_file_limit - 1);
+      let b = Bytes.make (Rid.on_disk_bytes + 3) 'x' in
+      Rid.encode_into r b ~pos:3;
+      Rid.equal (Rid.decode (Rid.encode r) ~pos:0) r
+      && Rid.equal (Rid.decode b ~pos:3) r)
+
+(* Literal FNV-1a values of the (file, page, slot) triple: Mem_hash and
+   Handle_table bucket order, hybrid partitioning and exchange routing all
+   depend on them staying exactly these. *)
+let test_rid_hash_values () =
+  List.iter
+    (fun ((file, page, slot), want) ->
+      check_int
+        (Printf.sprintf "hash (%d, %d, %d)" file page slot)
+        want
+        (Rid.hash (Rid.make ~file ~page ~slot)))
+    [
+      ((0, 0, 0), 4237627503871588279);
+      ((0, 5, 9), 4236220061257599141);
+      ((3, 123456, 77), 2147207615595247201);
+      ((1, 0, 0), 3897316082650334316);
+      ((7, 10000, 200), 1419892211784966590);
+      ((Rid.max_file, Rid.max_page, Rid.max_slot), 3932291615479287252);
+    ];
+  check_int "hash nil" 34028581817077204 (Rid.hash Rid.nil);
+  check_int "nil file" (-1) (Rid.file Rid.nil);
+  check_int "nil page" (-1) (Rid.page Rid.nil);
+  check_int "nil slot" (-1) (Rid.slot Rid.nil)
+
+let test_rid_make_range () =
+  let raises name f =
+    check_bool name true
+      (match f () with _ -> false | exception Invalid_argument _ -> true)
+  in
+  raises "file < 0" (fun () -> Rid.make ~file:(-1) ~page:0 ~slot:0);
+  raises "file > max" (fun () -> Rid.make ~file:(Rid.max_file + 1) ~page:0 ~slot:0);
+  raises "page < 0" (fun () -> Rid.make ~file:0 ~page:(-1) ~slot:0);
+  raises "page > max" (fun () -> Rid.make ~file:0 ~page:(Rid.max_page + 1) ~slot:0);
+  raises "slot < 0" (fun () -> Rid.make ~file:0 ~page:0 ~slot:(-1));
+  raises "slot > max" (fun () -> Rid.make ~file:0 ~page:0 ~slot:(Rid.max_slot + 1))
+
+(* Exchange tags a key's file id with its source shard; at the largest
+   shard count Shard_map accepts, the tag must still fit and come back
+   off. *)
+let test_rid_retag_max_shards () =
+  let shards = Tb_store.Shard_map.max_shards in
+  let smap n =
+    Tb_store.Shard_map.create
+      (Tb_sim.Sim.create (Tb_sim.Cost_model.scaled 100))
+      ~schema:Tb_derby.Derby.schema ~shards:n ~server_pages:64 ~client_pages:64
+      ~key_attr:"upin" ~seed:1 ()
+  in
+  check_int "max_shards" 16 shards;
+  check_int "S = max_shards accepted" shards
+    (Tb_store.Shard_map.count (smap shards));
+  check_bool "S = max_shards + 1 rejected" true
+    (match smap (shards + 1) with
+    | _ -> false
+    | exception Invalid_argument _ -> true);
+  List.iter
+    (fun (file, page, slot) ->
+      let r = Rid.make ~file ~page ~slot in
+      let shard = shards - 1 in
+      let tagged = Tb_query.Exchange.retag ~shard r in
+      check_int "tag" shard (Rid.file tagged / Rid.disk_file_limit);
+      check_int "file" file (Rid.file tagged mod Rid.disk_file_limit);
+      check_int "page" page (Rid.page tagged);
+      check_int "slot" slot (Rid.slot tagged))
+    [ (0, 0, 0); (0xfffe, Rid.max_page, Rid.max_slot); (3, 17, 5) ];
+  check_bool "nil stays nil" true
+    (Rid.is_nil (Tb_query.Exchange.retag ~shard:(shards - 1) Rid.nil))
+
+let rid_sort_matches_stdlib =
+  QCheck.Test.make ~name:"rid: sort = Array.sort Rid.compare" ~count:300
+    QCheck.(
+      make
+        ~print:(fun a -> String.concat " " (Array.to_list (Array.map Rid.to_string a)))
+        Gen.(
+          oneof
+            [
+              array_size (int_range 0 2) rid_gen;
+              array_size (int_range 3 40) rid_gen;
+              array_size (int_range 200 3000) rid_gen;
+            ]))
+    (fun a ->
+      let want = Array.copy a in
+      Array.sort Rid.compare want;
+      let got = Array.copy a in
+      Rid.sort got;
+      Array.for_all2 Rid.equal want got)
+
 (* --- Slotted page --- *)
 
 let body s = Bytes.of_string s
@@ -438,6 +580,15 @@ let suite =
   [
     Alcotest.test_case "rid: encode/decode" `Quick test_rid_roundtrip;
     Alcotest.test_case "rid: physical order" `Quick test_rid_order_is_physical;
+    QCheck_alcotest.to_alcotest rid_pack_roundtrip;
+    QCheck_alcotest.to_alcotest rid_compare_is_lexicographic;
+    QCheck_alcotest.to_alcotest rid_encode_roundtrip;
+    Alcotest.test_case "rid: hash values" `Quick test_rid_hash_values;
+    Alcotest.test_case "rid: make rejects out-of-range fields" `Quick
+      test_rid_make_range;
+    Alcotest.test_case "rid: exchange retag at max shards" `Quick
+      test_rid_retag_max_shards;
+    QCheck_alcotest.to_alcotest rid_sort_matches_stdlib;
     Alcotest.test_case "page: insert/read" `Quick test_page_insert_read;
     Alcotest.test_case "page: delete and slot reuse" `Quick
       test_page_delete_and_reuse;

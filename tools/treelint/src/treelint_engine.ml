@@ -125,6 +125,17 @@ let rec classify_type ~config env ty =
   | Types.Tpoly (t, _) -> classify_type ~config env t
   | _ -> Boxed "?"
 
+(* The key type's name as written (before expanding abbreviations), for
+   the rules that flag every key type, immediate ones included. *)
+let rec key_type_name ~config env ty =
+  match Types.get_desc ty with
+  | Types.Tconstr (p, _, _) -> short_type_name ~config p
+  | Types.Tpoly (t, _) -> key_type_name ~config env t
+  | _ -> (
+      match classify_type ~config env ty with
+      | Boxed name -> name
+      | Immediate | Specialized -> "?")
+
 let rec first_arrow_arg ty =
   match Types.get_desc ty with
   | Types.Tarrow (_, a, _, _) -> Some a
@@ -550,32 +561,29 @@ let rule_r3 (config : Config.t) m =
                 && List.exists (String.equal name) config.r3_mem_family
         then (
           match first_arrow_arg occ.o_type with
-          | Some arg -> (
-              match classify_type ~config (real_env occ) arg with
-              | Immediate | Specialized -> ()
-              | Boxed tyname ->
-                  add occ
-                    (Printf.sprintf "%s@%s" name tyname)
-                    (Printf.sprintf
-                       "%s uses polymorphic equality over %s keys — use an \
-                        explicit find with the type's own equal"
-                       name tyname))
+          | Some arg ->
+              let tyname = key_type_name ~config (real_env occ) arg in
+              add occ
+                (Printf.sprintf "%s@%s" name tyname)
+                (Printf.sprintf
+                   "%s is compiled once, polymorphically: even %s keys go \
+                    through compare_val — walk the list with the key \
+                    type's own equal"
+                   name tyname)
           | None -> ())
         else if stdlib_side
                 && List.exists (String.equal name) config.r3_hashtbl_ops
         then
           match hashtbl_key_type occ.o_type with
-          | Some k -> (
-              match classify_type ~config (real_env occ) k with
-              | Immediate | Specialized -> ()
-              | Boxed tyname ->
-                  add occ
-                    (Printf.sprintf "%s@%s" name tyname)
-                    (Printf.sprintf
-                       "generic %s with %s keys hashes and compares \
-                        structurally — use Hashtbl.Make with the key \
-                        type's hash/equal"
-                       name tyname))
+          | Some k ->
+              let tyname = key_type_name ~config (real_env occ) k in
+              add occ
+                (Printf.sprintf "%s@%s" name tyname)
+                (Printf.sprintf
+                   "generic %s hashes %s keys with caml_hash and compares \
+                    them with compare_val — use Hashtbl.Make with the key \
+                    type's hash/equal"
+                   name tyname)
           | None -> ())
       m.m_occs;
     !diags

@@ -57,6 +57,8 @@ let expected =
     ("R3", "r3_determinism.ml", 8, "=@boxed");
     ("R3", "r3_determinism.ml", 10, "Hashtbl.hash");
     ("R3", "r3_determinism.ml", 12, "Hashtbl.create@boxed");
+    ("R3", "r3_determinism.ml", 16, "Hashtbl.create@int");
+    ("R3", "r3_determinism.ml", 18, "List.assoc_opt@string");
     ("R4", "r4_state.ml", 4, "forgotten");
     ("R5", "r5_unsafe.ml", 3, "Array.unsafe_get");
     ("R5", "r5_unsafe.ml", 5, "Bytes.unsafe_get");
@@ -177,9 +179,9 @@ let test_allowlist_module_wide () =
   let result =
     run ~allow:[ ("R3 R3_determinism", "fixture-wide exception") ] ()
   in
-  check "module-wide allow suppresses all four R3 diagnostics"
-    (result.Engine.allowlisted = 4
-    && result.Engine.violations = List.length expected - 4)
+  check "module-wide allow suppresses all six R3 diagnostics"
+    (result.Engine.allowlisted = 6
+    && result.Engine.violations = List.length expected - 6)
 
 let test_baseline () =
   let all = run () in
