@@ -117,12 +117,9 @@ let fetch_for_write t id =
   (match t.write_observer with None -> () | Some obs -> obs id page);
   page
 
-(* Charge-free, recency-free client-pool membership probe: lets a caller
-   prove that a [fetch] would be a client hit without simulating anything
-   (the B+-tree's bulk-build fast path). *)
-let resident t id = Buffer_pool.mem t.client id
-
-(* The client-pool working object itself, same contract as [resident]. *)
+(* Charge-free, recency-free client-pool probe: lets a caller prove that a
+   [fetch] would be a client hit without simulating anything (the
+   B+-tree's bulk-build fast path). *)
 let peek t id = Buffer_pool.peek t.client id
 
 let flush t =
@@ -134,22 +131,17 @@ let flush t =
       end);
   Buffer_pool.iter t.server (fun id page -> write_to_disk t id page)
 
-let drop_pools t =
+(* Drop both pools without flushing: the crash/abort path.  Dirty working
+   pages are simply lost; the durable images stay whatever the last persists
+   made them.  The disk's memo of a dirty object is void by the dirty bit,
+   so the next load re-reads exactly those pages; clean ones are reused. *)
+let drop t =
   Buffer_pool.clear t.client;
   Buffer_pool.clear t.server
 
-(* Drop both pools without flushing: the crash/abort path.  Dirty working
-   pages are simply lost; the durable images stay whatever the last persists
-   made them.  The disk's working-object memos go too — with dirty objects
-   dying unpersisted, byte-equality with the images can no longer be
-   assumed for any of them. *)
-let drop t =
-  drop_pools t;
-  Disk.invalidate_cached t.disk
-
 (* Cold restart: flush, then drop.  After the flush every working object is
-   clean and byte-identical to its durable image, so the disk's memos stay
-   valid — a clean shutdown, unlike a crash, loses no decode work. *)
+   clean and byte-identical to its durable image, so every disk memo stays
+   valid. *)
 let clear t =
   flush t;
-  drop_pools t
+  drop t

@@ -33,13 +33,10 @@ val fetch : t -> Page_id.t -> Page_layout.t
     how the WAL captures before-images and tracks working objects. *)
 val fetch_for_write : t -> Page_id.t -> Page_layout.t
 
-(** [resident t id] is whether a [fetch] would be a client-cache hit.
-    Charges nothing and does not refresh recency — a host-level probe for
-    callers that replay hit charges themselves (the B+-tree bulk build). *)
-val resident : t -> Page_id.t -> bool
-
-(** The client-cached working page under the same charge-free, recency-free
-    contract as [resident]. *)
+(** [peek t id] is the client-cached working page, if any: [Some] iff a
+    [fetch] would be a client-cache hit.  Charges nothing and does not
+    refresh recency — a host-level probe for callers that replay hit
+    charges themselves (the B+-tree bulk build). *)
 val peek : t -> Page_id.t -> Page_layout.t option
 
 (** Push every dirty page down to disk, charging writes. *)

@@ -1,25 +1,24 @@
 (* The durable medium.  Each page is a byte image plus an out-of-band
    descriptor word pair: the LSN of the last persist and a checksum of the
    image as written.  Working [Page_layout.t] objects live only in the
-   buffer pools; [load_page] materializes a fresh copy from the image and
-   [persist] copies working bytes back.  Keeping the two words outside the
-   page bytes preserves the page's record capacity (the golden counter gate
-   pins every capacity-derived count); the page_fill slack is what a real
-   layout would carve them from. *)
+   buffer pools; [load_page] materializes a copy from the image (or hands
+   back the memoized one, see [durable.obj]) and [persist] copies working
+   bytes back.  Keeping the two words outside the page bytes preserves the
+   page's record capacity (the golden counter gate pins every
+   capacity-derived count); the page_fill slack is what a real layout
+   would carve them from. *)
 
 type durable = {
   mutable image : Bytes.t;
   mutable lsn : int;
   mutable checksum : int;
-  (* Host-level memo of the last working object whose bytes are known to
-     equal [image]: set by [persist] and [load_page], dropped whenever that
-     guarantee lapses (per-page on [restore_image]/[persist_torn], wholesale
-     via the epoch on [invalidate_cached] — the crash path, where pools
-     vanish with dirty objects in them).  Reusing the object keeps its
-     version counter, so decoded-node caches stay valid across a clean
-     restart exactly as far as the bytes do. *)
+  (* Host-level memo of the last working object materialized from or
+     persisted to [image].  It is valid exactly while the object is clean:
+     every page mutator sets the dirty bit and only a completed write to
+     disk clears it (after [persist]), so a clean memo's bytes equal the
+     image.  [restore_image] and [persist_torn] change the image under it
+     and drop it. *)
   mutable obj : Page_layout.t option;
-  mutable obj_epoch : int;
 }
 
 type file = {
@@ -38,10 +37,9 @@ type t = {
   (* Pristine page image and its checksum, computed once: the page size is
      fixed by the cost model, and [append_page] runs on loader hot paths. *)
   mutable empty : (Bytes.t * int) option;
-  mutable epoch : int;
 }
 
-let create sim = { sim; files = [||]; n_files = 0; empty = None; epoch = 0 }
+let create sim = { sim; files = [||]; n_files = 0; empty = None }
 let page_size t = t.sim.Tb_sim.Sim.cost.Tb_sim.Cost_model.page_size
 
 (* FNV-1a with the offset basis folded into 62 bits, so the hash stays an
@@ -104,7 +102,7 @@ let empty_template t =
 
 let fresh_durable t =
   let template, checksum = empty_template t in
-  { image = Bytes.copy template; lsn = 0; checksum; obj = None; obj_epoch = 0 }
+  { image = Bytes.copy template; lsn = 0; checksum; obj = None }
 
 let durable_of t pid =
   let f = get_file t (Page_id.file pid) in
@@ -128,11 +126,10 @@ let append_page t ~file =
 let load_page t pid =
   let d = durable_of t pid in
   match d.obj with
-  | Some page when d.obj_epoch = t.epoch -> page
-  | _ ->
+  | Some page when not (Page_layout.dirty page) -> page
+  | Some _ | None ->
       let page = Page_layout.of_bytes ~lsn:d.lsn d.image in
       d.obj <- Some page;
-      d.obj_epoch <- t.epoch;
       page
 
 let persist t pid page =
@@ -140,13 +137,7 @@ let persist t pid page =
   Bytes.blit (Page_layout.buffer page) 0 d.image 0 (Bytes.length d.image);
   d.lsn <- Page_layout.lsn page;
   d.checksum <- checksum_of d.image;
-  d.obj <- Some page;
-  d.obj_epoch <- t.epoch
-
-(* After a crash the buffer pools evaporate with dirty working objects
-   still in them; nothing proves any memoized object matches its image any
-   more, so the whole memo generation is retired at once. *)
-let invalidate_cached t = t.epoch <- t.epoch + 1
+  d.obj <- Some page
 
 (* A torn write: the crash interrupted the transfer after the first
    half-page (which, in a layout that kept the descriptor words in the page
@@ -173,7 +164,7 @@ let restore_image t pid image ~lsn =
   d.checksum <- checksum_of d.image;
   d.obj <- None
 
-let read_image t pid = Bytes.copy (durable_of t pid).image
+let image_equal t pid image = Bytes.equal (durable_of t pid).image image
 let page_lsn t pid = (durable_of t pid).lsn
 
 let verify t =

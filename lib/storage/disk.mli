@@ -7,7 +7,7 @@
     keep them outside the page bytes so record capacities — and with them
     every golden-gated simulated count — are unchanged).  Working
     {!Page_layout.t} objects live only in the buffer pools: {!load_page}
-    materializes a fresh copy, {!persist} writes one back.
+    materializes one, {!persist} writes one back.
 
     The disk charges nothing by itself — I/O costs are charged by the buffer
     layer ({!Cache_stack}) when pages actually cross the disk/server-cache
@@ -41,18 +41,14 @@ val append_page : t -> file:int -> int
 
 (** [load_page t pid] is a working copy of the durable image.  Raises
     [Invalid_argument] if the page does not exist.  As a host-level
-    optimisation the disk memoizes the last working object per page and
-    hands it back while its bytes are provably identical to the image
-    (set by {!persist} and [load_page] itself, voided by
-    {!invalidate_cached}, {!restore_image} and {!persist_torn}), so
-    decode caches keyed on the object's version survive a clean
-    restart. *)
+    optimisation the disk memoizes the last working object per page (set
+    by {!persist} and [load_page] itself) and hands it back iff it is not
+    dirty: every page mutator sets the dirty bit and only a completed
+    write to disk clears it, so a clean object's bytes equal its image.
+    {!restore_image} and {!persist_torn} change the image and drop the
+    memo.  Dropping the buffer pools without a flush (abort, crash)
+    therefore re-reads only the pages that were dirtied. *)
 val load_page : t -> Page_id.t -> Page_layout.t
-
-(** Retire every memoized working object at once — called when the buffer
-    pools are dropped without a flush (crash, abort), after which dirty
-    objects no longer match their images. *)
-val invalidate_cached : t -> unit
 
 (** [persist t pid page] makes the working bytes durable and refreshes the
     page's LSN and checksum. *)
@@ -68,8 +64,9 @@ val persist_torn : t -> Page_id.t -> Page_layout.t -> unit
     log image (recovery's redo/undo primitive). *)
 val restore_image : t -> Page_id.t -> Bytes.t -> lsn:int -> unit
 
-(** A copy of the durable image (recovery and tests). *)
-val read_image : t -> Page_id.t -> Bytes.t
+(** [image_equal t pid image] is whether the durable image of [pid] equals
+    [image] byte for byte (recovery's undo/redo test), without copying it. *)
+val image_equal : t -> Page_id.t -> Bytes.t -> bool
 
 (** LSN of the last persist of that page. *)
 val page_lsn : t -> Page_id.t -> int

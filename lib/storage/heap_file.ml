@@ -173,15 +173,18 @@ let relocate t ~(home : Rid.t) body =
   if not (Page_layout.update page (Rid.slot home) (frame_stub fresh)) then
     failwith "Heap_file: cannot write forwarding stub"
 
+(* [update] and [delete] read the home slot's tag, and a stub's forwarding
+   Rid, in place rather than through a record copy. *)
 let update t (rid : Rid.t) body =
   let page = write_for t rid in
-  let framed_old = Page_layout.read page (Rid.slot rid) in
-  match Bytes.get framed_old 0 with
+  let off = Page_layout.record_offset page (Rid.slot rid) in
+  let buf = Page_layout.buffer page in
+  match Bytes.get buf off with
   | c when c = tag_normal ->
       if not (Page_layout.update page (Rid.slot rid) (frame_normal body)) then
         relocate t ~home:rid body
   | c when c = tag_forward ->
-      let target = Rid.decode framed_old ~pos:1 in
+      let target = Rid.decode buf ~pos:(off + 1) in
       let tpage = write_for t target in
       let framed = frame_relocated ~home:rid body in
       if not (Page_layout.update tpage (Rid.slot target) framed) then begin
@@ -192,9 +195,10 @@ let update t (rid : Rid.t) body =
 
 let delete t (rid : Rid.t) =
   let page = write_for t rid in
-  let framed = Page_layout.read page (Rid.slot rid) in
-  if Bytes.get framed 0 = tag_forward then begin
-    let target = Rid.decode framed ~pos:1 in
+  let off = Page_layout.record_offset page (Rid.slot rid) in
+  let buf = Page_layout.buffer page in
+  if Bytes.get buf off = tag_forward then begin
+    let target = Rid.decode buf ~pos:(off + 1) in
     let tpage = write_for t target in
     Page_layout.delete tpage (Rid.slot target)
   end;

@@ -31,9 +31,9 @@ val set_dirty : t -> bool -> unit
 
 (** Write-version counter: bumped by every mutation of the page's contents
     ([insert], [update], [delete], internal compaction, and
-    [record_modified]).  Decoded views of a page (the B+-tree's node cache)
-    key their validity on [(page, version)]: equal version means the bytes
-    have not changed since the view was built.  Versions are globally unique
+    [record_modified]).  Views into a page (a packed Handle's cached body
+    offset) key their validity on [(page, version)]: equal version means
+    the bytes have not changed since the view was taken.  Versions are globally unique
     across page objects (one shared monotonic counter), so a page
     re-materialized from disk never revalidates a stale view. *)
 val version : t -> int

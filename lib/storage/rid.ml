@@ -129,13 +129,15 @@ let encode t =
   encode_into t b ~pos:0;
   b
 
+(* [make]'s checks, minus the two a u16 field always passes (max_file and
+   max_slot are at least 0xffff): B+-tree walks decode a Rid per entry. *)
 let decode b ~pos =
-  if Bytes.get b pos = '\xff' && Bytes.get b (pos + 1) = '\xff' then nil
+  let file = Bytes.get_uint16_le b pos in
+  if file = 0xffff then nil
   else
-    make
-      ~file:(Bytes.get_uint16_le b pos)
-      ~page:(Int32.to_int (Bytes.get_int32_le b (pos + 2)))
-      ~slot:(Bytes.get_uint16_le b (pos + 6))
+    let page = Int32.to_int (Bytes.get_int32_le b (pos + 2)) in
+    if page < 0 || page > max_page then invalid_arg "Rid.make: page out of range";
+    (file lsl file_shift) lor (page lsl page_shift) lor Bytes.get_uint16_le b (pos + 6)
 
 let pp ppf t =
   if is_nil t then Format.pp_print_string ppf "@nil"

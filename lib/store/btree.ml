@@ -15,39 +15,22 @@
    node covers entries e with sep_(i-1) <= e < sep_i.
 
    Host-side performance (none of this changes a simulated number):
-   - decoded nodes are memoized per page, keyed on the page's write-version
-     counter ([Page_layout.version]), so repeat visits skip re-decode;
-   - the hot mutations (leaf insert/remove, internal separator insert) shift
-     capacity-sized arrays in place and blit only the moved tail of the
-     record bytes; splits and delete-time rebalancing keep the simple
-     build-a-fresh-node path;
-   - [bulk_add] appends a sorted run along a remembered rightmost path,
+   - nodes are never decoded on the hot paths: descent, the binary searches,
+     the leaf walks and the non-splitting insert and remove read keys, Rids
+     and child pointers straight out of the page buffer, and in-place edits
+     blit only the bytes that move.  There is no decoded-node cache to keep
+     coherent with the pages;
+   - a leaf split encodes its new right node straight from the full
+     leaf's bytes; internal splits and delete-time rebalancing copy the
+     nodes they rebuild out as raw runs of encoded entries (a transient
+     [node]) and write fresh records — they run once per ~half-node's worth
+     of updates, so the simple code wins;
+   - [bulk_add] appends a sorted run straight to the rightmost leaf's bytes,
      replaying exactly the client-hit and comparison charges the per-entry
      descent would have emitted. *)
 
 module Rid = Tb_storage.Rid
-module Int_table = Tb_storage.Int_table
 module Page_layout = Tb_storage.Page_layout
-
-type entry = { key : int; rid : Rid.t }
-
-type leaf = {
-  mutable next : int;
-  mutable n : int;
-  entries : entry array; (* capacity [leaf_cap + 1]: one slot of split slack *)
-}
-
-type internal = {
-  mutable nk : int; (* live separators; live children = nk + 1 *)
-  children : int array; (* capacity [internal_cap + 2] *)
-  seps : entry array; (* capacity [internal_cap + 1] *)
-}
-
-type node = Leaf of leaf | Internal of internal
-
-(* Decoded-node cache entry: valid while [ver] matches the page's
-   write-version counter. *)
-type cached = { mutable ver : int; mutable node : node }
 
 type t = {
   stack : Tb_storage.Cache_stack.t;
@@ -55,56 +38,12 @@ type t = {
   name : string;
   mutable root : int;
   mutable entries : int;
-  cache : cached Int_table.t; (* page index -> decoded node *)
 }
 
 let leaf_cap = 200
 let internal_cap = 150
 
-let cmp_entry a b =
-  let c = Int.compare a.key b.key in
-  if c <> 0 then c else Rid.compare a.rid b.rid
-
-let dummy_entry = { key = 0; rid = Rid.nil }
-
-let new_leaf ~next =
-  { next; n = 0; entries = Array.make (leaf_cap + 1) dummy_entry }
-
-let new_internal () =
-  {
-    nk = 0;
-    children = Array.make (internal_cap + 2) (-1);
-    seps = Array.make (internal_cap + 1) dummy_entry;
-  }
-
-(* Build nodes from exact-length plain arrays (the rebalancing paths, which
-   construct fresh nodes piecewise the way the original code did). *)
-let mk_leaf ~next src =
-  let lf = new_leaf ~next in
-  Array.blit src 0 lf.entries 0 (Array.length src);
-  lf.n <- Array.length src;
-  Leaf lf
-
-(* [mk_leaf] over a slice of [src], without the intermediate [Array.sub]. *)
-let leaf_of_range ~next src pos len =
-  let lf = new_leaf ~next in
-  Array.blit src pos lf.entries 0 len;
-  lf.n <- len;
-  Leaf lf
-
-let mk_internal children seps =
-  let ino = new_internal () in
-  Array.blit children 0 ino.children 0 (Array.length children);
-  Array.blit seps 0 ino.seps 0 (Array.length seps);
-  ino.nk <- Array.length seps;
-  Internal ino
-
-(* Live prefixes as plain arrays. *)
-let leaf_entries (lf : leaf) = Array.sub lf.entries 0 lf.n
-let internal_children ino = Array.sub ino.children 0 (ino.nk + 1)
-let internal_seps ino = Array.sub ino.seps 0 ino.nk
-
-(* --- node serialization --- *)
+(* --- node layout --- *)
 
 let entry_bytes = 16
 let leaf_base = 7
@@ -112,67 +51,115 @@ let leaf_record_bytes = leaf_base + (entry_bytes * leaf_cap)
 let internal_seps_base = 3 + (4 * (internal_cap + 1))
 let internal_record_bytes = internal_seps_base + (entry_bytes * internal_cap)
 
-let put_entry b pos e =
-  Bytes.set_int64_le b pos (Int64.of_int e.key);
-  Rid.encode_into e.rid b ~pos:(pos + 8)
+(* Readers over a node record starting at [off] in page buffer [b]. *)
+let is_leaf b off = Bytes.get_uint8 b off = 1
+let leaf_n b off = Bytes.get_uint16_le b (off + 5)
+let leaf_next b off = Int32.to_int (Bytes.get_int32_le b (off + 1))
+let internal_n b off = Bytes.get_uint16_le b (off + 1)
+let child_pos off i = off + 3 + (4 * i)
+let child b off i = Int32.to_int (Bytes.get_int32_le b (child_pos off i))
+
+(* Byte position of leaf entry [i] / separator [i]. *)
+let leaf_entry off i = off + leaf_base + (entry_bytes * i)
+let sep_entry off i = off + internal_seps_base + (entry_bytes * i)
+let key_at b pos = Int64.to_int (Bytes.get_int64_le b pos)
+let rid_at b pos = Rid.decode b ~pos:(pos + 8)
+
+let put_entry b pos key rid =
+  Bytes.set_int64_le b pos (Int64.of_int key);
+  Rid.encode_into rid b ~pos:(pos + 8)
+
+(* Sign of the probe (key, rid) compared with the entry at [pos]. *)
+let cmp_probe b pos key rid =
+  let k = key_at b pos in
+  if key <> k then Int.compare key k else Rid.compare rid (rid_at b pos)
+
+(* --- transient nodes (internal splits, rebalancing, checks) ---
+
+   An internal split or a rebalancing copies the nodes it rebuilds out of
+   their pages as raw runs — a leaf's live entries, an internal node's live
+   child pointers and separators — still in their on-page encoding.  Runs
+   are sliced and spliced with blits and written back whole, so not even
+   these paths turn an entry into an OCaml value. *)
+
+let child_bytes = 4
+
+type node =
+  | Leaf of { next : int; entries : Bytes.t (* n * entry_bytes *) }
+  | Internal of {
+      children : Bytes.t; (* (n + 1) * child_bytes *)
+      seps : Bytes.t; (* n * entry_bytes *)
+    }
+
+(* Runs of [w]-byte items. *)
+let count run w = Bytes.length run / w
+let item run w i = Bytes.sub run (w * i) w
+let slice run w pos len = Bytes.sub run (w * pos) (w * len)
+
+let splice run w pos x =
+  let r = Bytes.create (Bytes.length run + w) in
+  Bytes.blit run 0 r 0 (w * pos);
+  Bytes.blit x 0 r (w * pos) w;
+  Bytes.blit run (w * pos) r (w * (pos + 1)) (Bytes.length run - (w * pos));
+  r
+
+let remove run w pos =
+  Bytes.cat (slice run w 0 pos) (slice run w (pos + 1) (count run w - pos - 1))
+
+let replace run w pos x =
+  let r = Bytes.copy run in
+  Bytes.blit x 0 r (w * pos) w;
+  r
+
+let child_at run i = Int32.to_int (Bytes.get_int32_le run (child_bytes * i))
+
+let child_item index =
+  let r = Bytes.create child_bytes in
+  Bytes.set_int32_le r 0 (Int32.of_int index);
+  r
+
+(* Order of the entries at byte positions [pa] of [a] and [pb] of [b]. *)
+let cmp_at a pa b pb =
+  let c = Int.compare (key_at a pa) (key_at b pb) in
+  if c <> 0 then c else Rid.compare (rid_at a pa) (rid_at b pb)
 
 let encode_node node =
   match node with
-  | Leaf lf ->
-      assert (lf.n <= leaf_cap);
+  | Leaf { next; entries } ->
+      let n = count entries entry_bytes in
+      assert (n <= leaf_cap);
       let b = Bytes.make leaf_record_bytes '\000' in
       Bytes.set_uint8 b 0 1;
-      Bytes.set_int32_le b 1 (Int32.of_int lf.next);
-      Bytes.set_uint16_le b 5 lf.n;
-      for i = 0 to lf.n - 1 do
-        put_entry b (leaf_base + (entry_bytes * i)) lf.entries.(i)
-      done;
+      Bytes.set_int32_le b 1 (Int32.of_int next);
+      Bytes.set_uint16_le b 5 n;
+      Bytes.blit entries 0 b (leaf_entry 0 0) (Bytes.length entries);
       b
-  | Internal ino ->
-      assert (ino.nk <= internal_cap);
+  | Internal { children; seps } ->
+      let n = count seps entry_bytes in
+      assert (n <= internal_cap);
       let b = Bytes.make internal_record_bytes '\000' in
       Bytes.set_uint8 b 0 0;
-      Bytes.set_uint16_le b 1 ino.nk;
-      for i = 0 to ino.nk do
-        Bytes.set_int32_le b (3 + (4 * i)) (Int32.of_int ino.children.(i))
-      done;
-      for i = 0 to ino.nk - 1 do
-        put_entry b (internal_seps_base + (entry_bytes * i)) ino.seps.(i)
-      done;
+      Bytes.set_uint16_le b 1 n;
+      Bytes.blit children 0 b (child_pos 0 0) (child_bytes * (n + 1));
+      Bytes.blit seps 0 b (sep_entry 0 0) (Bytes.length seps);
       b
 
-(* Decode record 0 straight out of the page buffer (no [Page_layout.read]
-   copy). *)
-let decode_page page =
+let decode_node page =
   let b = Page_layout.buffer page in
   let off = Page_layout.record_offset page 0 in
-  let read_entry pos =
-    {
-      key = Int64.to_int (Bytes.get_int64_le b pos);
-      rid = Rid.decode b ~pos:(pos + 8);
-    }
-  in
-  if Bytes.get_uint8 b off = 1 then begin
-    let lf = new_leaf ~next:(Int32.to_int (Bytes.get_int32_le b (off + 1))) in
-    let n = Bytes.get_uint16_le b (off + 5) in
-    for i = 0 to n - 1 do
-      lf.entries.(i) <- read_entry (off + leaf_base + (entry_bytes * i))
-    done;
-    lf.n <- n;
-    Leaf lf
-  end
-  else begin
-    let ino = new_internal () in
-    let n = Bytes.get_uint16_le b (off + 1) in
-    for i = 0 to n do
-      ino.children.(i) <- Int32.to_int (Bytes.get_int32_le b (off + 3 + (4 * i)))
-    done;
-    for i = 0 to n - 1 do
-      ino.seps.(i) <- read_entry (off + internal_seps_base + (entry_bytes * i))
-    done;
-    ino.nk <- n;
-    Internal ino
-  end
+  if is_leaf b off then
+    Leaf
+      {
+        next = leaf_next b off;
+        entries = Bytes.sub b (leaf_entry off 0) (entry_bytes * leaf_n b off);
+      }
+  else
+    let n = internal_n b off in
+    Internal
+      {
+        children = Bytes.sub b (child_pos off 0) (child_bytes * (n + 1));
+        seps = Bytes.sub b (sep_entry off 0) (entry_bytes * n);
+      }
 
 (* --- page access --- *)
 
@@ -181,57 +168,33 @@ let page_for t index writable =
   if writable then Tb_storage.Cache_stack.fetch_for_write t.stack pid
   else Tb_storage.Cache_stack.fetch t.stack pid
 
-(* Cache slot for [index], (re)decoding if the page has been written since
-   the slot was filled. *)
-let cached_for t index page =
-  let v = Page_layout.version page in
-  match Int_table.find_opt t.cache index with
-  | Some c ->
-      if c.ver <> v then begin
-        c.node <- decode_page page;
-        c.ver <- v
-      end;
-      c
-  | None ->
-      let c = { ver = v; node = decode_page page } in
-      Int_table.replace t.cache index c;
-      c
+let read_node t index = decode_node (page_for t index false)
 
-let read_node t index = (cached_for t index (page_for t index false)).node
-
-(* Re-point the cache at [node], valid as of the page's current version. *)
-let stamp t index page node =
-  match Int_table.find_opt t.cache index with
-  | Some c ->
-      c.node <- node;
-      c.ver <- Page_layout.version page
-  | None ->
-      Int_table.replace t.cache index { ver = Page_layout.version page; node }
-
-let write_node t index node =
+(* Write an encoded node record to the page at [index]. *)
+let write_record t index b =
   let page = page_for t index true in
-  let b = encode_node node in
-  (if Page_layout.slot_count page = 0 then
-     match Page_layout.insert page b with
-     | Some 0 -> ()
-     | Some _ | None -> failwith "Btree: node page corrupt"
-   else if not (Page_layout.update page 0 b) then
-     failwith "Btree: node exceeds page");
-  stamp t index page node
+  if Page_layout.slot_count page = 0 then
+    match Page_layout.insert page b with
+    | Some 0 -> ()
+    | Some _ | None -> failwith "Btree: node page corrupt"
+  else if not (Page_layout.update page 0 b) then
+    failwith "Btree: node exceeds page"
 
-let alloc_node t node =
+let write_node t index node = write_record t index (encode_node node)
+
+let alloc_record t b =
   let index =
     Tb_storage.Disk.append_page (Tb_storage.Cache_stack.disk t.stack) ~file:t.file
   in
-  write_node t index node;
+  write_record t index b;
   index
+
+let alloc_node t node = alloc_record t (encode_node node)
 
 let create stack ~name =
   let file = Tb_storage.Disk.new_file (Tb_storage.Cache_stack.disk stack) ~name in
-  let t =
-    { stack; file; name; root = 0; entries = 0; cache = Int_table.create 64 }
-  in
-  t.root <- alloc_node t (Leaf (new_leaf ~next:(-1)));
+  let t = { stack; file; name; root = 0; entries = 0 } in
+  t.root <- alloc_node t (Leaf { next = -1; entries = Bytes.empty });
   t
 
 let name t = t.name
@@ -242,239 +205,258 @@ let page_count t =
 
 let sim t = Tb_storage.Cache_stack.sim t.stack
 
-(* Binary search over the live prefix [arr.(0 .. n-1)]: index of the first
-   element strictly greater than [e]; charges the comparisons it performs. *)
-let upper_bound t arr n e =
+(* Binary search over the [n] entries whose first byte is at [base]: index
+   of the first entry strictly greater than the probe; charges the
+   comparisons it performs. *)
+let upper_bound t b base n key rid =
   let cmps = ref 0 in
   let lo = ref 0 and hi = ref n in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
     incr cmps;
-    if cmp_entry e arr.(mid) < 0 then hi := mid else lo := mid + 1
+    if cmp_probe b (base + (entry_bytes * mid)) key rid < 0 then hi := mid
+    else lo := mid + 1
   done;
   Tb_sim.Sim.charge_compare (sim t) !cmps;
   !lo
 
-(* Position of the first element >= e. *)
-let lower_bound t arr n e =
+(* Position of the first entry >= the probe. *)
+let lower_bound t b base n key rid =
   let cmps = ref 0 in
   let lo = ref 0 and hi = ref n in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
     incr cmps;
-    if cmp_entry arr.(mid) e < 0 then lo := mid + 1 else hi := mid
+    if cmp_probe b (base + (entry_bytes * mid)) key rid > 0 then lo := mid + 1
+    else hi := mid
   done;
   Tb_sim.Sim.charge_compare (sim t) !cmps;
   !lo
-
-let array_insert arr pos x =
-  let n = Array.length arr in
-  Array.init (n + 1) (fun i ->
-      if i < pos then arr.(i) else if i = pos then x else arr.(i - 1))
-
-let array_remove arr pos =
-  let n = Array.length arr in
-  Array.init (n - 1) (fun i -> if i < pos then arr.(i) else arr.(i + 1))
 
 (* --- in-place edits ---
 
-   Each helper fetches the page for writing first (the same single write
-   fetch the old encode-the-whole-node path charged), mutates the decoded
-   node's arrays, and patches only the record bytes that moved. *)
+   Each helper fetches the page for writing (the single write fetch the
+   encode-the-whole-node path charged) and patches only the record bytes
+   that move. *)
 
-let leaf_insert_inplace t index (lf : leaf) pos e =
+let leaf_insert t index pos key rid =
   let page = page_for t index true in
-  let off = Page_layout.record_offset page 0 in
-  Array.blit lf.entries pos lf.entries (pos + 1) (lf.n - pos);
-  lf.entries.(pos) <- e;
-  lf.n <- lf.n + 1;
   let b = Page_layout.buffer page in
-  let epos = off + leaf_base + (entry_bytes * pos) in
-  Bytes.blit b epos b (epos + entry_bytes) (entry_bytes * (lf.n - 1 - pos));
-  put_entry b epos e;
-  Bytes.set_uint16_le b (off + 5) lf.n;
-  Page_layout.record_modified page;
-  stamp t index page (Leaf lf)
+  let off = Page_layout.record_offset page 0 in
+  let n = leaf_n b off in
+  let epos = leaf_entry off pos in
+  Bytes.blit b epos b (epos + entry_bytes) (entry_bytes * (n - pos));
+  put_entry b epos key rid;
+  Bytes.set_uint16_le b (off + 5) (n + 1);
+  Page_layout.record_modified page
 
-let leaf_remove_inplace t index (lf : leaf) pos =
+let leaf_remove t index pos =
   let page = page_for t index true in
-  let off = Page_layout.record_offset page 0 in
-  Array.blit lf.entries (pos + 1) lf.entries pos (lf.n - pos - 1);
-  lf.n <- lf.n - 1;
   let b = Page_layout.buffer page in
-  let epos = off + leaf_base + (entry_bytes * pos) in
-  Bytes.blit b (epos + entry_bytes) b epos (entry_bytes * (lf.n - pos));
-  Bytes.set_uint16_le b (off + 5) lf.n;
-  Page_layout.record_modified page;
-  stamp t index page (Leaf lf)
+  let off = Page_layout.record_offset page 0 in
+  let n = leaf_n b off - 1 in
+  let epos = leaf_entry off pos in
+  Bytes.blit b (epos + entry_bytes) b epos (entry_bytes * (n - pos));
+  Bytes.set_uint16_le b (off + 5) n;
+  Page_layout.record_modified page
 
 (* Insert separator [sep] / right child after child [child_idx]; only for
-   non-overflowing parents (nk < internal_cap). *)
-let internal_insert_inplace t index ino child_idx sep right_page =
+   non-overflowing parents (n < internal_cap). *)
+let internal_insert t index child_idx sep right_page =
   let page = page_for t index true in
-  let off = Page_layout.record_offset page 0 in
-  let nk = ino.nk in
-  Array.blit ino.seps child_idx ino.seps (child_idx + 1) (nk - child_idx);
-  ino.seps.(child_idx) <- sep;
-  Array.blit ino.children (child_idx + 1) ino.children (child_idx + 2)
-    (nk - child_idx);
-  ino.children.(child_idx + 1) <- right_page;
-  ino.nk <- nk + 1;
   let b = Page_layout.buffer page in
-  let cpos = off + 3 + (4 * (child_idx + 1)) in
+  let off = Page_layout.record_offset page 0 in
+  let nk = internal_n b off in
+  let cpos = child_pos off (child_idx + 1) in
   Bytes.blit b cpos b (cpos + 4) (4 * (nk - child_idx));
   Bytes.set_int32_le b cpos (Int32.of_int right_page);
-  let spos = off + internal_seps_base + (entry_bytes * child_idx) in
+  let spos = sep_entry off child_idx in
   Bytes.blit b spos b (spos + entry_bytes) (entry_bytes * (nk - child_idx));
-  put_entry b spos sep;
-  Bytes.set_uint16_le b (off + 1) ino.nk;
-  Page_layout.record_modified page;
-  stamp t index page (Internal ino)
+  Bytes.blit sep 0 b spos entry_bytes;
+  Bytes.set_uint16_le b (off + 1) (nk + 1);
+  Page_layout.record_modified page
 
 (* --- insertion --- *)
 
-type split = No_split | Split of entry * int (* separator, right page *)
+type split = No_split | Split of Bytes.t * int (* separator entry, right page *)
 
-let rec ins t index e =
-  match read_node t index with
-  | Leaf lf ->
-      let pos = lower_bound t lf.entries lf.n e in
-      if pos < lf.n && cmp_entry lf.entries.(pos) e = 0 then
-        No_split (* duplicate (key, rid): ignored *)
-      else begin
-        t.entries <- t.entries + 1;
-        if lf.n < leaf_cap then begin
-          leaf_insert_inplace t index lf pos e;
+(* Split the full leaf at [index] (whose bytes [page] holds) around an
+   insert of (key, rid) at [pos].  The merged run is entries [0, n] with the
+   new entry at [pos]; the right node takes [mid, n] and is encoded
+   straight from the page bytes before its page is allocated.  The left
+   half stays on this page, where only the bytes at [pos .. mid) move (none
+   when the insert landed in the right half), plus the next pointer and
+   the count. *)
+let split_leaf t index page pos key rid =
+  let b = Page_layout.buffer page in
+  let off = Page_layout.record_offset page 0 in
+  let n = leaf_n b off in
+  let mid = (n + 1) / 2 in
+  let right = Bytes.make leaf_record_bytes '\000' in
+  Bytes.set_uint8 right 0 1;
+  Bytes.blit b (off + 1) right 1 4 (* next *);
+  Bytes.set_uint16_le right 5 (n + 1 - mid);
+  if pos < mid then
+    Bytes.blit b (leaf_entry off (mid - 1)) right (leaf_entry 0 0)
+      (entry_bytes * (n + 1 - mid))
+  else begin
+    Bytes.blit b (leaf_entry off mid) right (leaf_entry 0 0) (entry_bytes * (pos - mid));
+    put_entry right (leaf_entry 0 (pos - mid)) key rid;
+    Bytes.blit b (leaf_entry off pos) right
+      (leaf_entry 0 (pos - mid + 1))
+      (entry_bytes * (n - pos))
+  end;
+  let sep = Bytes.sub right (leaf_entry 0 0) entry_bytes in
+  let right_page = alloc_record t right in
+  let page = page_for t index true in
+  let b = Page_layout.buffer page in
+  let off = Page_layout.record_offset page 0 in
+  if pos < mid then begin
+    let epos = leaf_entry off pos in
+    Bytes.blit b epos b (epos + entry_bytes) (entry_bytes * (mid - 1 - pos));
+    put_entry b epos key rid
+  end;
+  Bytes.set_int32_le b (off + 1) (Int32.of_int right_page);
+  Bytes.set_uint16_le b (off + 5) mid;
+  Page_layout.record_modified page;
+  Split (sep, right_page)
+
+(* Split the full internal node at [index] after child [child_idx] split
+   into ([sep], [right_page]); both halves are re-encoded. *)
+let split_internal t index page child_idx sep right_page =
+  match decode_node page with
+  | Leaf _ -> failwith "Btree: expected internal node"
+  | Internal { children; seps } ->
+      let seps = splice seps entry_bytes child_idx sep in
+      let children = splice children child_bytes (child_idx + 1) (child_item right_page) in
+      let total = count seps entry_bytes in
+      let mid = total / 2 in
+      let right_page =
+        alloc_node t
+          (Internal
+             {
+               children = slice children child_bytes (mid + 1) (total - mid);
+               seps = slice seps entry_bytes (mid + 1) (total - mid - 1);
+             })
+      in
+      write_node t index
+        (Internal
+           {
+             children = slice children child_bytes 0 (mid + 1);
+             seps = slice seps entry_bytes 0 mid;
+           });
+      Split (item seps entry_bytes mid, right_page)
+
+(* The node's bytes on [page] stay current across the recursion: only child
+   subtrees change below, so the split paths may read [page] itself. *)
+let rec ins t index key rid =
+  let page = page_for t index false in
+  let b = Page_layout.buffer page in
+  let off = Page_layout.record_offset page 0 in
+  if is_leaf b off then begin
+    let n = leaf_n b off in
+    let pos = lower_bound t b (leaf_entry off 0) n key rid in
+    if pos < n && cmp_probe b (leaf_entry off pos) key rid = 0 then
+      No_split (* duplicate (key, rid): ignored *)
+    else begin
+      t.entries <- t.entries + 1;
+      if n < leaf_cap then begin
+        leaf_insert t index pos key rid;
+        No_split
+      end
+      else split_leaf t index page pos key rid
+    end
+  end
+  else
+    let child_idx = upper_bound t b (sep_entry off 0) (internal_n b off) key rid in
+    match ins t (child b off child_idx) key rid with
+    | No_split -> No_split
+    | Split (sep, right_page) ->
+        if internal_n b off < internal_cap then begin
+          internal_insert t index child_idx sep right_page;
           No_split
         end
-        else begin
-          (* Overflow into the slack slot, then split. *)
-          Array.blit lf.entries pos lf.entries (pos + 1) (lf.n - pos);
-          lf.entries.(pos) <- e;
-          lf.n <- lf.n + 1;
-          let total = lf.n in
-          let mid = total / 2 in
-          let right = leaf_of_range ~next:lf.next lf.entries mid (total - mid) in
-          let sep = lf.entries.(mid) in
-          let right_page = alloc_node t right in
-          (* The left half stays on this page: only the bytes at
-             [pos .. mid) moved (none when the insert landed in the right
-             half), plus the next pointer and the count. *)
-          let page = page_for t index true in
-          let off = Page_layout.record_offset page 0 in
-          let b = Page_layout.buffer page in
-          if pos < mid then begin
-            let epos = off + leaf_base + (entry_bytes * pos) in
-            Bytes.blit b epos b (epos + entry_bytes)
-              (entry_bytes * (mid - 1 - pos));
-            put_entry b epos e
-          end;
-          lf.n <- mid;
-          lf.next <- right_page;
-          Bytes.set_int32_le b (off + 1) (Int32.of_int right_page);
-          Bytes.set_uint16_le b (off + 5) mid;
-          Page_layout.record_modified page;
-          stamp t index page (Leaf lf);
-          Split (sep, right_page)
-        end
-      end
-  | Internal ino -> (
-      let child_idx = upper_bound t ino.seps ino.nk e in
-      match ins t ino.children.(child_idx) e with
-      | No_split -> No_split
-      | Split (sep, right_page) ->
-          if ino.nk < internal_cap then begin
-            internal_insert_inplace t index ino child_idx sep right_page;
-            No_split
-          end
-          else begin
-            Array.blit ino.seps child_idx ino.seps (child_idx + 1)
-              (ino.nk - child_idx);
-            ino.seps.(child_idx) <- sep;
-            Array.blit ino.children (child_idx + 1) ino.children (child_idx + 2)
-              (ino.nk - child_idx);
-            ino.children.(child_idx + 1) <- right_page;
-            ino.nk <- ino.nk + 1;
-            let total = ino.nk in
-            let mid = total / 2 in
-            let up = ino.seps.(mid) in
-            let right =
-              mk_internal
-                (Array.sub ino.children (mid + 1) (total - mid))
-                (Array.sub ino.seps (mid + 1) (total - mid - 1))
-            in
-            let right_page = alloc_node t right in
-            ino.nk <- mid;
-            write_node t index (Internal ino);
-            Split (up, right_page)
-          end)
+        else split_internal t index page child_idx sep right_page
 
 let insert t ~key ~rid =
-  match ins t t.root { key; rid } with
+  match ins t t.root key rid with
   | No_split -> ()
   | Split (sep, right_page) ->
-      let new_root = alloc_node t (mk_internal [| t.root; right_page |] [| sep |]) in
-      t.root <- new_root
+      t.root <-
+        alloc_node t
+          (Internal
+             { children = Bytes.cat (child_item t.root) (child_item right_page); seps = sep })
 
 (* --- lookup --- *)
 
-(* Leaf that may contain the first entry >= e, plus the in-leaf position. *)
-let rec descend t index e =
-  match read_node t index with
-  | Leaf lf -> (lf, lower_bound t lf.entries lf.n e)
-  | Internal ino -> descend t ino.children.(upper_bound t ino.seps ino.nk e) e
+(* Leaf page that may contain the first entry >= the probe, plus the
+   in-leaf position. *)
+let rec descend t index key rid =
+  let page = page_for t index false in
+  let b = Page_layout.buffer page in
+  let off = Page_layout.record_offset page 0 in
+  if is_leaf b off then (page, lower_bound t b (leaf_entry off 0) (leaf_n b off) key rid)
+  else
+    descend t
+      (child b off (upper_bound t b (sep_entry off 0) (internal_n b off) key rid))
+      key rid
 
-(* Walk entries in order starting at the first >= start, while [keep] holds.
-   The callback must not mutate the tree: it runs against the live decoded
-   nodes. *)
-let walk_from t start ~keep f =
-  let lf0, pos0 = descend t t.root start in
-  let rec leaf_loop (lf : leaf) pos =
-    if pos >= lf.n then begin
-      if lf.next >= 0 then
-        match read_node t lf.next with
-        | Leaf lf' -> leaf_loop lf' 0
-        | Internal _ -> failwith "Btree: leaf chain reaches internal node"
+let leaf_page t index =
+  let page = page_for t index false in
+  if is_leaf (Page_layout.buffer page) (Page_layout.record_offset page 0) then page
+  else failwith "Btree: leaf chain reaches internal node"
+
+(* Visit entries from position [i] of the leaf on [page] onward, along the
+   leaf chain, while their key is below [hi].  The callback must not mutate
+   the tree: the walk reads the bytes of the page objects it holds. *)
+let rec walk t page i ~hi f =
+  let b = Page_layout.buffer page in
+  let off = Page_layout.record_offset page 0 in
+  walk_leaf t b off (leaf_n b off) i ~hi f
+
+and walk_leaf t b off n i ~hi f =
+  if i >= n then begin
+    let next = leaf_next b off in
+    if next >= 0 then walk t (leaf_page t next) 0 ~hi f
+  end
+  else begin
+    let pos = leaf_entry off i in
+    let key = key_at b pos in
+    Tb_sim.Sim.charge_compare (sim t) 1;
+    if match hi with Some h -> key < h | None -> true then begin
+      f key (rid_at b pos);
+      walk_leaf t b off n (i + 1) ~hi f
     end
-    else begin
-      let e = lf.entries.(pos) in
-      Tb_sim.Sim.charge_compare (sim t) 1;
-      if keep e then begin
-        f e;
-        leaf_loop lf (pos + 1)
-      end
-    end
-  in
-  leaf_loop lf0 pos0
+  end
 
 (* Single pass: the leaf chain yields entries in ascending (key, rid) order
    already, so build the result front-to-back instead of accumulating a
    reversed list and flipping it. *)
 let search t ~key =
-  let rec collect (lf : leaf) pos =
-    if pos >= lf.n then
-      if lf.next < 0 then []
+  let rec collect b off n i =
+    if i >= n then
+      let next = leaf_next b off in
+      if next < 0 then []
       else
-        match read_node t lf.next with
-        | Leaf lf' -> collect lf' 0
-        | Internal _ -> failwith "Btree: leaf chain reaches internal node"
+        let page = leaf_page t next in
+        let b = Page_layout.buffer page in
+        let off = Page_layout.record_offset page 0 in
+        collect b off (leaf_n b off) 0
     else begin
-      let e = lf.entries.(pos) in
+      let pos = leaf_entry off i in
       Tb_sim.Sim.charge_compare (sim t) 1;
-      if e.key = key then e.rid :: collect lf (pos + 1) else []
+      if key_at b pos = key then rid_at b pos :: collect b off n (i + 1) else []
     end
   in
-  let lf, pos = descend t t.root { key; rid = Rid.nil } in
-  collect lf pos
+  let page, pos = descend t t.root key Rid.nil in
+  let b = Page_layout.buffer page in
+  let off = Page_layout.record_offset page 0 in
+  collect b off (leaf_n b off) pos
 
 let range t ?lo ?hi f =
-  let start =
-    match lo with
-    | Some k -> { key = k; rid = Rid.nil }
-    | None -> { key = min_int; rid = Rid.nil }
-  in
-  let keep e = match hi with Some h -> e.key < h | None -> true in
-  walk_from t start ~keep (fun e -> f e.key e.rid)
+  let start = match lo with Some k -> k | None -> min_int in
+  let page, pos = descend t t.root start Rid.nil in
+  walk t page pos ~hi f
 
 let iter t f = range t f
 
@@ -490,133 +472,147 @@ let iter t f = range t f
 let min_leaf = leaf_cap / 2
 let min_internal = internal_cap / 2
 
-let internal_parts = function
-  | Internal ino -> (internal_children ino, internal_seps ino)
-  | Leaf _ -> failwith "Btree: expected internal node"
-
 (* Rebalance underfull child [i] of the internal node at [index].  The
-   rebalancing paths build fresh nodes out of plain-array slices — they run
-   once per ~half-node's worth of deletions, so the simple code wins. *)
+   rebalancing paths copy the nodes they touch out as raw runs and write
+   fresh records built from slices of them. *)
 let fix_child t index i =
-  let children, seps = internal_parts (read_node t index) in
-  let child = read_node t children.(i) in
+  let e = entry_bytes and c = child_bytes in
+  let children, seps =
+    match read_node t index with
+    | Internal p -> (p.children, p.seps)
+    | Leaf _ -> failwith "Btree: expected internal node"
+  in
+  let child_page j = child_at children j in
+  let child = read_node t (child_page i) in
   let borrow_from_left () =
     if i = 0 then false
     else
-      match (read_node t children.(i - 1), child) with
-      | Leaf left, Leaf right when left.n > min_leaf ->
-          let n = left.n in
-          let moved = left.entries.(n - 1) in
-          write_node t children.(i - 1)
-            (mk_leaf ~next:left.next (Array.sub left.entries 0 (n - 1)));
-          write_node t children.(i)
-            (mk_leaf ~next:right.next (array_insert (leaf_entries right) 0 moved));
-          let seps = Array.copy seps in
-          seps.(i - 1) <- moved;
-          write_node t index (mk_internal children seps);
+      match (read_node t (child_page (i - 1)), child) with
+      | Leaf left, Leaf right when count left.entries e > min_leaf ->
+          let n = count left.entries e in
+          let moved = item left.entries e (n - 1) in
+          write_node t (child_page (i - 1))
+            (Leaf { next = left.next; entries = slice left.entries e 0 (n - 1) });
+          write_node t (child_page i)
+            (Leaf { next = right.next; entries = splice right.entries e 0 moved });
+          write_node t index (Internal { children; seps = replace seps e (i - 1) moved });
           true
-      | Internal left, Internal right when left.nk > min_internal ->
-          let n = left.nk in
+      | Internal left, Internal right when count left.seps e > min_internal ->
+          let n = count left.seps e in
           (* Rotate through the parent separator. *)
           let right' =
-            mk_internal
-              (array_insert (internal_children right) 0 left.children.(n))
-              (array_insert (internal_seps right) 0 seps.(i - 1))
+            Internal
+              {
+                children = splice right.children c 0 (item left.children c n);
+                seps = splice right.seps e 0 (item seps e (i - 1));
+              }
           in
-          let seps = Array.copy seps in
-          seps.(i - 1) <- left.seps.(n - 1);
-          write_node t children.(i - 1)
-            (mk_internal
-               (Array.sub left.children 0 n)
-               (Array.sub left.seps 0 (n - 1)));
-          write_node t children.(i) right';
-          write_node t index (mk_internal children seps);
+          write_node t (child_page (i - 1))
+            (Internal
+               {
+                 children = slice left.children c 0 n;
+                 seps = slice left.seps e 0 (n - 1);
+               });
+          write_node t (child_page i) right';
+          write_node t index
+            (Internal { children; seps = replace seps e (i - 1) (item left.seps e (n - 1)) });
           true
       | _ -> false
   in
   let borrow_from_right () =
-    if i >= Array.length children - 1 then false
+    if i >= count children c - 1 then false
     else
-      match (child, read_node t children.(i + 1)) with
-      | Leaf left, Leaf right when right.n > min_leaf ->
-          let moved = right.entries.(0) in
-          write_node t children.(i)
-            (mk_leaf ~next:left.next (array_insert (leaf_entries left) left.n moved));
+      match (child, read_node t (child_page (i + 1))) with
+      | Leaf left, Leaf right when count right.entries e > min_leaf ->
+          let moved = item right.entries e 0 in
+          write_node t (child_page i)
+            (Leaf
+               {
+                 next = left.next;
+                 entries = splice left.entries e (count left.entries e) moved;
+               });
           write_node t
-            children.(i + 1)
-            (mk_leaf ~next:right.next (array_remove (leaf_entries right) 0));
-          let seps = Array.copy seps in
-          seps.(i) <- right.entries.(1);
-          write_node t index (mk_internal children seps);
+            (child_page (i + 1))
+            (Leaf { next = right.next; entries = remove right.entries e 0 });
+          write_node t index
+            (Internal { children; seps = replace seps e i (item right.entries e 1) });
           true
-      | Internal left, Internal right when right.nk > min_internal ->
+      | Internal left, Internal right when count right.seps e > min_internal ->
+          let nk = count left.seps e in
           let left' =
-            mk_internal
-              (array_insert (internal_children left) (left.nk + 1) right.children.(0))
-              (array_insert (internal_seps left) left.nk seps.(i))
+            Internal
+              {
+                children = splice left.children c (nk + 1) (item right.children c 0);
+                seps = splice left.seps e nk (item seps e i);
+              }
           in
-          let seps = Array.copy seps in
-          seps.(i) <- right.seps.(0);
-          write_node t children.(i) left';
+          write_node t (child_page i) left';
           write_node t
-            children.(i + 1)
-            (mk_internal
-               (array_remove (internal_children right) 0)
-               (array_remove (internal_seps right) 0));
-          write_node t index (mk_internal children seps);
+            (child_page (i + 1))
+            (Internal
+               { children = remove right.children c 0; seps = remove right.seps e 0 });
+          write_node t index
+            (Internal { children; seps = replace seps e i (item right.seps e 0) });
           true
       | _ -> false
   in
   (* Merge child [l] with child [l+1]. *)
   let merge l =
-    (match (read_node t children.(l), read_node t children.(l + 1)) with
+    (match (read_node t (child_page l), read_node t (child_page (l + 1))) with
     | Leaf left, Leaf right ->
-        write_node t children.(l)
-          (mk_leaf ~next:right.next
-             (Array.append (leaf_entries left) (leaf_entries right)))
+        write_node t (child_page l)
+          (Leaf { next = right.next; entries = Bytes.cat left.entries right.entries })
     | Internal left, Internal right ->
-        write_node t children.(l)
-          (mk_internal
-             (Array.append (internal_children left) (internal_children right))
-             (Array.concat [ internal_seps left; [| seps.(l) |]; internal_seps right ]))
+        write_node t (child_page l)
+          (Internal
+             {
+               children = Bytes.cat left.children right.children;
+               seps = Bytes.concat Bytes.empty [ left.seps; item seps e l; right.seps ];
+             })
     | _ -> failwith "Btree: sibling arity mismatch");
     write_node t index
-      (mk_internal (array_remove children (l + 1)) (array_remove seps l))
+      (Internal { children = remove children c (l + 1); seps = remove seps e l })
   in
   if not (borrow_from_left () || borrow_from_right ()) then
     if i > 0 then merge (i - 1) else merge i
 
-let underfull = function
-  | Leaf lf -> lf.n < min_leaf
-  | Internal ino -> ino.nk < min_internal
+let underfull page =
+  let b = Page_layout.buffer page in
+  let off = Page_layout.record_offset page 0 in
+  if is_leaf b off then leaf_n b off < min_leaf else internal_n b off < min_internal
 
 (* Returns (found, now_underfull). *)
-let rec delete_rec t index e =
-  match read_node t index with
-  | Leaf lf ->
-      let pos = lower_bound t lf.entries lf.n e in
-      if pos < lf.n && cmp_entry lf.entries.(pos) e = 0 then begin
-        leaf_remove_inplace t index lf pos;
-        (true, lf.n < min_leaf)
-      end
-      else (false, false)
-  | Internal ino ->
-      let i = upper_bound t ino.seps ino.nk e in
-      let found, under = delete_rec t ino.children.(i) e in
-      if found && under then begin
-        fix_child t index i;
-        (true, underfull (read_node t index))
-      end
-      else (found, false)
+let rec delete_rec t index key rid =
+  let page = page_for t index false in
+  let b = Page_layout.buffer page in
+  let off = Page_layout.record_offset page 0 in
+  if is_leaf b off then begin
+    let n = leaf_n b off in
+    let pos = lower_bound t b (leaf_entry off 0) n key rid in
+    if pos < n && cmp_probe b (leaf_entry off pos) key rid = 0 then begin
+      leaf_remove t index pos;
+      (true, n - 1 < min_leaf)
+    end
+    else (false, false)
+  end
+  else
+    let i = upper_bound t b (sep_entry off 0) (internal_n b off) key rid in
+    let found, under = delete_rec t (child b off i) key rid in
+    if found && under then begin
+      fix_child t index i;
+      (true, underfull (page_for t index false))
+    end
+    else (found, false)
 
 let delete t ~key ~rid =
-  let found, _ = delete_rec t t.root { key; rid } in
+  let found, _ = delete_rec t t.root key rid in
   if found then begin
     t.entries <- t.entries - 1;
     (* Height shrink: an internal root with a single child is redundant. *)
-    match read_node t t.root with
-    | Internal ino when ino.nk = 0 -> t.root <- ino.children.(0)
-    | Internal _ | Leaf _ -> ()
+    let page = page_for t t.root false in
+    let b = Page_layout.buffer page in
+    let off = Page_layout.record_offset page 0 in
+    if (not (is_leaf b off)) && internal_n b off = 0 then t.root <- child b off 0
   end;
   found
 
@@ -716,70 +712,49 @@ let bulk_add t run =
     let live = ref false in
     (* Binary-search compare count per internal level, top-down. *)
     let spine = ref [||] in
-    (* Placeholders until the first [refresh]; [live] gates their use. *)
-    let bleaf = ref (new_leaf ~next:(-1)) in
+    (* The rightmost leaf: its page, record offset and entry count.  A
+       placeholder until the first [refresh]; [live] gates its use. *)
     let bpage = ref (Page_layout.create ~size:64) in
     let boff = ref 0 in
-    let bcache = ref { ver = -1; node = Leaf !bleaf } in
-    (* Appends mutate only the cached node; the page bytes lag behind until
-       [close] patches them in one pass.  [synced] counts the leaf entries
-       the page already reflects.  Nothing can observe the stale bytes in
-       between: the cache serves reads (the version is untouched), no flush
-       runs inside [bulk_add], and [close] runs before every real insert —
-       whose split path is the only writer that assumes current bytes —
-       and before returning. *)
-    let synced = ref 0 in
-    let bdirty = ref false in
-    let close () =
-      let lf = !bleaf in
-      if !live && lf.n > !synced then begin
-        let page = !bpage and off = !boff in
-        let b = Page_layout.buffer page in
-        for i = !synced to lf.n - 1 do
-          put_entry b (off + leaf_base + (entry_bytes * i)) lf.entries.(i)
-        done;
-        Bytes.set_uint16_le b (off + 5) lf.n;
-        Page_layout.record_modified page;
-        !bcache.ver <- Page_layout.version page;
-        synced := lf.n
-      end
-    in
+    let bn = ref 0 in
     let refresh () =
       live := true;
       let rec go index acc =
         let pid = Tb_storage.Page_id.make ~file:t.file ~index in
         match Tb_storage.Cache_stack.peek t.stack pid with
         | None -> live := false
-        | Some page -> (
-            let c = cached_for t index page in
-            match c.node with
-            | Internal ino -> go ino.children.(ino.nk) (tbl.(ino.nk) :: acc)
-            | Leaf lf ->
-                spine := Array.of_list (List.rev acc);
-                bleaf := lf;
-                bpage := page;
-                boff := Page_layout.record_offset page 0;
-                bcache := c;
-                synced := lf.n;
-                bdirty := Page_layout.dirty page)
+        | Some page ->
+            let b = Page_layout.buffer page in
+            let off = Page_layout.record_offset page 0 in
+            if is_leaf b off then begin
+              spine := Array.of_list (List.rev acc);
+              bpage := page;
+              boff := off;
+              bn := leaf_n b off
+            end
+            else
+              let nk = internal_n b off in
+              go (child b off nk) (tbl.(nk) :: acc)
       in
       go t.root []
     in
     let slow key rid =
-      close ();
       insert t ~key ~rid;
       refresh ()
     in
     for i = 0 to n - 1 do
       let key, rid = Array.unsafe_get run i in
-      let lf = !bleaf in
-      if (not !live) || lf.n = 0 || lf.n >= leaf_cap then slow key rid
+      let n = !bn in
+      if (not !live) || n = 0 || n >= leaf_cap then slow key rid
       else begin
-        let last = Array.unsafe_get lf.entries (lf.n - 1) in
+        let page = !bpage and off = !boff in
+        let b = Page_layout.buffer page in
+        let last = leaf_entry off (n - 1) in
+        let last_key = key_at b last in
         let cls =
-          if key > last.key then 1
-          else if key < last.key then -1
-          else Rid.compare rid last.rid
+          if key > last_key then 1
+          else if key < last_key then -1
+          else Rid.compare rid (rid_at b last)
         in
         if cls < 0 then slow key rid (* unreachable for a sorted run *)
         else begin
@@ -794,24 +769,19 @@ let bulk_add t run =
           if cls = 0 then
             (* Duplicate (key, rid): the descent prices its probe and stops
                before the write fetch, as [ins] does. *)
-            cmps (lb_count_last lf.n)
+            cmps (lb_count_last n)
           else begin
-            cmps (Array.unsafe_get tbl lf.n);
+            cmps (Array.unsafe_get tbl n);
             hit ();
-            (* Idempotent while no flush can intervene, so set once per
-               refreshed leaf instead of once per append. *)
-            if not !bdirty then begin
-              Page_layout.set_dirty !bpage true;
-              bdirty := true
-            end;
-            Array.unsafe_set lf.entries lf.n { key; rid };
-            lf.n <- lf.n + 1;
+            put_entry b (leaf_entry off n) key rid;
+            Bytes.set_uint16_le b (off + 5) (n + 1);
+            Page_layout.record_modified page;
+            bn := n + 1;
             t.entries <- t.entries + 1
           end
         end
       end
-    done;
-    close ()
+    done
   end
 
 let bulk_build stack ~name run =
@@ -844,42 +814,45 @@ let key_bounds t =
   !bounds
 
 let check_invariants t =
+  let e = entry_bytes in
   let rec check index lo hi =
     match read_node t index with
     | Leaf lf ->
-        for i = 0 to lf.n - 1 do
-          let e = lf.entries.(i) in
+        for i = 0 to count lf.entries e - 1 do
+          let p = e * i in
           (match lo with
-          | Some l when cmp_entry e l < 0 -> failwith "btree: entry below bound"
+          | Some l when cmp_at lf.entries p l 0 < 0 -> failwith "btree: entry below bound"
           | _ -> ());
           (match hi with
-          | Some h when cmp_entry e h >= 0 -> failwith "btree: entry above bound"
+          | Some h when cmp_at lf.entries p h 0 >= 0 -> failwith "btree: entry above bound"
           | _ -> ());
-          if i > 0 && cmp_entry lf.entries.(i - 1) e >= 0 then
+          if i > 0 && cmp_at lf.entries (p - e) lf.entries p >= 0 then
             failwith "btree: leaf out of order"
         done
     | Internal ino ->
-        for i = 1 to ino.nk - 1 do
-          if cmp_entry ino.seps.(i - 1) ino.seps.(i) >= 0 then
+        let nk = count ino.seps e in
+        for i = 1 to nk - 1 do
+          if cmp_at ino.seps (e * (i - 1)) ino.seps (e * i) >= 0 then
             failwith "btree: separators out of order"
         done;
-        for i = 0 to ino.nk do
-          let lo' = if i = 0 then lo else Some ino.seps.(i - 1) in
-          let hi' = if i = ino.nk then hi else Some ino.seps.(i) in
-          check ino.children.(i) lo' hi'
+        for i = 0 to nk do
+          let lo' = if i = 0 then lo else Some (item ino.seps e (i - 1)) in
+          let hi' = if i = nk then hi else Some (item ino.seps e i) in
+          check (child_at ino.children i) lo' hi'
         done
   in
   (* Occupancy: every non-root node is at least half full. *)
   let rec occupancy index =
     match read_node t index with
     | Leaf lf ->
-        if index <> t.root && lf.n < min_leaf then failwith "btree: underfull leaf"
+        if index <> t.root && count lf.entries e < min_leaf then
+          failwith "btree: underfull leaf"
     | Internal ino ->
-        if index <> t.root && ino.nk < min_internal then
+        if index <> t.root && count ino.seps e < min_internal then
           failwith "btree: underfull internal node"
         else
-          for i = 0 to ino.nk do
-            occupancy ino.children.(i)
+          for i = 0 to count ino.children child_bytes - 1 do
+            occupancy (child_at ino.children i)
           done
   in
   occupancy t.root;
@@ -890,9 +863,7 @@ let check_invariants t =
   if !n <> t.entries then failwith "btree: entry count mismatch"
 
 (* Checkpoint support: the tree's volatile state is the root index and the
-   entry count; everything else lives on pages (recovered by the log) or in
-   the decoded-node cache (rebuilt on demand, and cleared on restore because
-   restored page bytes must not be shadowed by stale decodes). *)
+   entry count; everything else lives on pages (recovered by the log). *)
 
 type state = { st_root : int; st_entries : int }
 
@@ -900,7 +871,4 @@ let checkpoint t = { st_root = t.root; st_entries = t.entries }
 
 let restore t s =
   t.root <- s.st_root;
-  t.entries <- s.st_entries;
-  Int_table.reset t.cache
-
-let drop_cache t = Int_table.reset t.cache
+  t.entries <- s.st_entries

@@ -74,16 +74,13 @@ val check_invariants : t -> unit
 (** {2 Checkpoint support} *)
 
 (** The tree's volatile state: root page index and entry count.  Everything
-    else is page bytes (the log's problem) or the decoded-node cache
-    (rebuilt on demand). *)
+    else is page bytes, which the log recovers; the tree keeps no decoded
+    copy of any node that could go stale. *)
 type state
 
 val checkpoint : t -> state
 
-(** [restore t s] reinstates a checkpointed state and clears the decoded-node
-    cache, so restored page bytes are never shadowed by stale decodes. *)
+(** [restore t s] reinstates a checkpointed state.  Nodes are read from
+    their pages on every visit, so the restored page bytes are all the tree
+    needs. *)
 val restore : t -> state -> unit
-
-(** Clear the decoded-node cache only (crash recovery of a winner: the
-    structure is current but durable bytes were rewritten). *)
-val drop_cache : t -> unit

@@ -59,7 +59,7 @@ let take_ckpt t =
   }
 
 (* Reinstate a checkpoint: drop files and pages created past it, rewind
-   the catalog scalars, reset tree roots and decoded-node caches. *)
+   the catalog scalars, reset tree roots. *)
 let install_ckpt t c =
   let disk = Tb_storage.Cache_stack.disk t.stack in
   Tb_storage.Disk.truncate_files disk ~keep:(Array.length c.ck_page_counts);
@@ -614,7 +614,7 @@ type recovery = {
 }
 
 (* Restart after a crash.  Volatile state (both cache tiers, client
-   handles, decoded nodes) is gone by definition; the durable images plus
+   handles) is gone by definition; the durable images plus
    the log are the whole truth.  The log holds at most one transaction
    (commits checkpoint it), so recovery is a single decision: if the
    commit record became durable, replay the after-images and install the

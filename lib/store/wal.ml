@@ -22,6 +22,10 @@ type t = {
   sim : Tb_sim.Sim.t;
   touched : touch Int_table.t; (* keyed by the packed Page_id *)
   mutable order : touch list; (* reverse first-touch order = undo order *)
+  (* The last retired interval's touches: their before-image buffers are
+     refilled by the next interval's first touches instead of allocating
+     fresh page-sized blocks. *)
+  mutable spares : touch list;
   mutable pending : int; (* log bytes not yet filling a whole page *)
   mutable next_lsn : int;
   mutable commit_durable : bool;
@@ -33,6 +37,7 @@ let create sim =
     sim;
     touched = Int_table.create 64;
     order = [];
+    spares = [];
     pending = 0;
     next_lsn = 1;
     commit_durable = false;
@@ -57,6 +62,16 @@ let tick_write t =
              durable — never happened. *)
           raise Fault.Crash)
 
+(* A copy of [page]'s bytes, in a spare buffer when one is left (every
+   page has the cost model's page size). *)
+let before_image t page =
+  match t.spares with
+  | spare :: rest ->
+      t.spares <- rest;
+      Bytes.blit (Page_layout.buffer page) 0 spare.before 0 (Bytes.length spare.before);
+      spare.before
+  | [] -> Page_layout.snapshot page
+
 (* The write observer: runs on every [Cache_stack.fetch_for_write].  A first
    touch appends the physical before-image record; repeat touches only
    re-point [page] at the current working object.  Charge-free: the paper's
@@ -74,7 +89,7 @@ let note_touch t (pid : Page_id.t) page =
         {
           pid;
           page;
-          before = Page_layout.snapshot page;
+          before = before_image t page;
           before_lsn = Page_layout.lsn page;
           lsn;
           after = None;
@@ -120,9 +135,11 @@ let force t =
   t.commit_durable <- true
 
 (* Truncate the log after a completed commit: serial transactions need no
-   history past the last checkpoint. *)
+   history past the last checkpoint.  The retired touches become the spares;
+   nothing reads their images again (undo and redo run before this). *)
 let checkpoint t =
   Int_table.reset t.touched;
+  t.spares <- t.order;
   t.order <- [];
   t.commit_durable <- false
 
@@ -140,7 +157,7 @@ let undo t disk =
   let restored = ref 0 in
   List.iter
     (fun tch ->
-      if not (Bytes.equal (Disk.read_image disk tch.pid) tch.before) then begin
+      if not (Disk.image_equal disk tch.pid tch.before) then begin
         Tb_sim.Sim.charge_undo_page t.sim;
         Disk.restore_image disk tch.pid tch.before ~lsn:tch.before_lsn;
         incr restored
@@ -157,7 +174,7 @@ let redo t disk =
       match tch.after with
       | None -> failwith "Wal.redo: commit record without after-images"
       | Some after ->
-          if not (Bytes.equal (Disk.read_image disk tch.pid) after) then begin
+          if not (Disk.image_equal disk tch.pid after) then begin
             Tb_sim.Sim.charge_redo_page t.sim;
             Disk.restore_image disk tch.pid after ~lsn:tch.lsn;
             incr restored

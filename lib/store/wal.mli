@@ -43,11 +43,13 @@ val force : t -> unit
 (** Whether the current interval's commit record reached the log. *)
 val commit_durable : t -> bool
 
-(** Truncate the log after a completed commit. *)
+(** Truncate the log after a completed commit.  The retired records'
+    before-image buffers are kept as spares: the next interval's first
+    touches refill them instead of allocating page images. *)
 val checkpoint : t -> unit
 
 (** Drop records and tail without forcing: transaction-off commits and
-    abort. *)
+    abort (after {!undo}).  Keeps spares like {!checkpoint}. *)
 val discard : t -> unit
 
 (** Whether [pid] has a physical record in the current interval. *)

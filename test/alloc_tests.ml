@@ -1,4 +1,5 @@
-(* Allocation budget of the executor's row path.
+(* Allocation budgets: the executor's row path, the B+-tree's lookups and
+   the write path's page-sized blocks.
 
    The engine is deterministic, so the host allocation of a query is
    reproducible to the word.  A cold packed seq-scan Fetch and a cold NL
@@ -100,8 +101,140 @@ let test_row_path_budget () =
         a.work_bits)
     budgets
 
+(* --- B+-tree lookups ---
+
+   [search] and [range] read entries straight out of the leaf bytes, so a
+   visited entry costs no allocation beyond its result (a list cell for
+   [search], nothing for [range]) and the one comparison it charges —
+   which boxes its float in the dev profile, so it is measured rather than
+   assumed.  The slack of one word per entry covers the per-leaf fetch
+   (about a quarter word per entry when the fetch misses both pools);
+   decoding a leaf would cost four. *)
+
+let words f =
+  let w0 = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. w0
+
+let test_btree_lookup_budget () =
+  let sim = Sim.create (Tb_sim.Cost_model.scaled 100) in
+  let disk = Tb_storage.Disk.create sim in
+  let stack =
+    Tb_storage.Cache_stack.create sim disk ~server_pages:512 ~client_pages:512
+  in
+  (* 20,000 entries over about 100 leaves; key 7 alone spans 10 leaves. *)
+  let n = 20_000 and dups = 2_000 in
+  let run =
+    Array.init n (fun i ->
+        let key = if i < dups then 7 else i in
+        (key, Tb_storage.Rid.make ~file:0 ~page:(i / 16) ~slot:(i mod 16)))
+  in
+  let tree = Tb_store.Btree.bulk_build stack ~name:"idx" run in
+  let calls = 10_000 in
+  let per_compare =
+    words (fun () ->
+        for _ = 1 to calls do
+          Sim.charge_compare sim 1
+        done)
+    /. float_of_int calls
+  in
+  let visit _ _ = () in
+  let check_pass what =
+    let found = ref [] in
+    let search_words = words (fun () -> found := Tb_store.Btree.search tree ~key:7) in
+    let range_words = words (fun () -> Tb_store.Btree.range tree visit) in
+    Alcotest.(check int) (what ^ ": search finds every duplicate") dups
+      (List.length !found);
+    let slack = 1.0 in
+    let search_per = (search_words /. float_of_int dups) -. per_compare in
+    let range_per = (range_words /. float_of_int n) -. per_compare in
+    check_bool
+      (Printf.sprintf "%s: search %.2f words per entry beyond its charge <= 3 + %.2f"
+         what search_per slack)
+      true (search_per <= 3.0 +. slack);
+    check_bool
+      (Printf.sprintf "%s: range %.2f words per entry beyond its charge <= %.2f" what
+         range_per slack)
+      true (range_per <= slack)
+  in
+  ignore (Tb_store.Btree.search tree ~key:7);
+  Tb_store.Btree.range tree visit;
+  check_pass "resident";
+  (* The abort path: pools dropped, every node page reloaded. *)
+  Tb_storage.Cache_stack.flush stack;
+  Tb_storage.Cache_stack.drop stack;
+  check_pass "after a pool drop"
+
+(* --- page-sized blocks on the write path ---
+
+   A page image is bigger than the minor heap's largest block, so every
+   page copy lands straight in the major heap.  Once a transaction has run,
+   a second one over the same pages needs none: clean working pages stay
+   pooled (and memoized across an abort), and the WAL refills the previous
+   transaction's before-image buffers. *)
+
+(* [Gc.counters], not [Gc.quick_stat]: the latter only folds in the
+   current domain's major allocations at a collection. *)
+let direct_major_words f =
+  let _, promoted0, major0 = Gc.counters () in
+  f ();
+  let _, promoted1, major1 = Gc.counters () in
+  major1 -. promoted1 -. (major0 -. promoted0)
+
+let test_txn_page_blocks () =
+  let scale = 5000 in
+  let cfg = Generator.config ~scale `Deep Generator.Class_clustered in
+  let b =
+    Generator.build
+      ~cost:(Tb_sim.Cost_model.scaled scale)
+      { cfg with Generator.txn_mode = Tb_store.Transaction.Standard }
+  in
+  let db = b.Generator.db in
+  let patients = b.Generator.patients in
+  let set name x v =
+    match v with
+    | Tb_store.Value.Tuple fields ->
+        Tb_store.Value.Tuple
+          (List.map
+             (fun (n, y) -> if n = name then (n, Tb_store.Value.Int x) else (n, y))
+             fields)
+    | _ -> Alcotest.fail "patient is not a tuple"
+  in
+  let num rid =
+    match snd (Database.read_object db rid) with
+    | Tb_store.Value.Tuple fields -> (
+        match List.assoc "num" fields with
+        | Tb_store.Value.Int k -> k
+        | _ -> Alcotest.fail "num is not an int")
+    | _ -> Alcotest.fail "patient is not a tuple"
+  in
+  (* Ten age updates across the extent plus one swap of indexed nums. *)
+  let txn round resolve =
+    let h = Database.begin_txn db in
+    for i = 0 to 9 do
+      let rid = patients.(i * 50) in
+      Database.update_object db rid
+        (set "age" (round + i) (snd (Database.read_object db rid)))
+    done;
+    let a = patients.(3) and z = patients.(400) in
+    let na = num a and nz = num z in
+    Database.update_object db a (set "num" nz (snd (Database.read_object db a)));
+    Database.update_object db z (set "num" na (snd (Database.read_object db z)));
+    resolve h
+  in
+  txn 0 Database.commit_txn;
+  let committed = direct_major_words (fun () -> txn 1 Database.commit_txn) in
+  let aborted = direct_major_words (fun () -> txn 2 Database.abort_txn) in
+  Alcotest.(check (float 0.0)) "second committed transaction: no page-sized block" 0.0
+    committed;
+  Alcotest.(check (float 0.0)) "aborted repeat: no page-sized block" 0.0 aborted
+
 let suite =
   [
     Alcotest.test_case "row path: minor words per pinned object, charges exact"
       `Quick test_row_path_budget;
+    Alcotest.test_case "btree: search and range allocate nothing per entry"
+      `Quick test_btree_lookup_budget;
+    Alcotest.test_case "txn: a repeat transaction copies no page" `Quick
+      test_txn_page_blocks;
   ]

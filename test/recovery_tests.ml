@@ -323,6 +323,176 @@ let test_crash_sweep () =
     (!winners > 0 && !losers > 0);
   check_bool "torn writes exercised in the sweep" true (!torn_seen > 0)
 
+(* --- rollback property: random update, commit and abort sequences --- *)
+
+module Derby = Tb_derby.Derby
+module Generator = Tb_derby.Generator
+module Rid = Tb_storage.Rid
+module Rid_map = Map.Make (struct
+  type t = Rid.t
+
+  let compare = Rid.compare
+end)
+
+type rb_op =
+  | Swap of int * int  (** swap the indexed nums of two live patients *)
+  | Age of int * int  (** set an unindexed attribute *)
+  | Add of int  (** insert a patient under this num (duplicates allowed) *)
+  | Remove of int
+  | Commit
+  | Abort
+
+let pp_rb_op = function
+  | Swap (i, j) -> Printf.sprintf "swap %d %d" i j
+  | Age (i, a) -> Printf.sprintf "age %d %d" i a
+  | Add k -> Printf.sprintf "add %d" k
+  | Remove i -> Printf.sprintf "remove %d" i
+  | Commit -> "commit"
+  | Abort -> "abort"
+
+let rb_ops =
+  let open QCheck.Gen in
+  let ix = int_bound 10_000 in
+  list_size (int_range 20 120)
+    (frequency
+       [
+         (3, map2 (fun i j -> Swap (i, j)) ix ix);
+         (2, map2 (fun i a -> Age (i, a)) ix (int_bound 99));
+         (3, map (fun k -> Add k) (int_bound 700));
+         (2, map (fun i -> Remove i) ix);
+         (1, return Commit);
+         (1, return Abort);
+       ])
+
+let field name v =
+  match v with
+  | Value.Tuple fields -> (
+      match List.assoc_opt name fields with
+      | Some (Value.Int n) -> n
+      | _ -> failwith ("patient without int field " ^ name))
+  | _ -> failwith "patient is not a tuple"
+
+let with_field name x v =
+  match v with
+  | Value.Tuple fields ->
+      Value.Tuple (List.map (fun (n, y) -> if n = name then (n, Value.Int x) else (n, y)) fields)
+  | _ -> failwith "patient is not a tuple"
+
+(* A small indexed Derby database (600 patients, num index bulk-built) with
+   pools of a dozen pages, so transactions steal dirty pages to disk and
+   every abort has both stolen and merely dirtied pages to put right. *)
+let rollback_prop =
+  QCheck.Test.make ~count:12
+    ~name:"rollback: index, range scans and objects follow committed state"
+    (QCheck.make rb_ops ~print:(fun l -> String.concat "; " (List.map pp_rb_op l)))
+    (fun ops ->
+      let cfg = Generator.config ~scale:5000 `Deep Generator.Class_clustered in
+      let b =
+        Generator.build ~cost:(Tb_sim.Cost_model.scaled 5000)
+          {
+            cfg with
+            Generator.txn_mode = Transaction.Standard;
+            server_pages = 4;
+            client_pages = 8;
+          }
+      in
+      let db = b.Generator.db in
+      let tree =
+        match b.Generator.num_index with
+        | Some ix -> ix.Index_def.tree
+        | None -> failwith "no num index"
+      in
+      (* rid -> (num, age) *)
+      let read rid = snd (Database.read_object db rid) in
+      let model =
+        ref
+          (Array.fold_left
+             (fun m rid ->
+               let v = read rid in
+               Rid_map.add rid (field "num" v, field "age" v) m)
+             Rid_map.empty b.Generator.patients)
+      in
+      let committed = ref !model in
+      let h = ref (Database.begin_txn db) in
+      let nth i =
+        let live = Rid_map.cardinal !model in
+        let k = i mod live in
+        fst (List.nth (Rid_map.bindings !model) k)
+      in
+      let update rid ~num ~age =
+        Database.update_object db rid
+          (with_field "age" age (with_field "num" num (read rid)));
+        model := Rid_map.add rid (num, age) !model
+      in
+      let fail step fmt =
+        Printf.ksprintf (fun s -> QCheck.Test.fail_reportf "step %d: %s" step s) fmt
+      in
+      let check step =
+        Btree.check_invariants tree;
+        let entries =
+          List.sort compare
+            (List.map (fun (rid, (num, _)) -> (num, rid)) (Rid_map.bindings !model))
+        in
+        if Btree.entry_count tree <> List.length entries then
+          fail step "entry_count %d, model %d" (Btree.entry_count tree)
+            (List.length entries);
+        let lo = 7 * step mod 700 in
+        let hi = lo + 60 in
+        let scanned = ref [] in
+        Btree.range tree ~lo ~hi (fun k rid -> scanned := (k, rid) :: !scanned);
+        if List.rev !scanned <> List.filter (fun (k, _) -> k >= lo && k < hi) entries
+        then fail step "range [%d, %d) disagrees" lo hi;
+        List.iter
+          (fun key ->
+            let got = Btree.search tree ~key in
+            let want =
+              List.filter_map (fun (k, rid) -> if k = key then Some rid else None) entries
+            in
+            if got <> want then fail step "search %d disagrees" key)
+          [ lo; lo + 1; hi - 1; 13 * step mod 700 ];
+        Rid_map.iter
+          (fun rid (num, age) ->
+            let v = read rid in
+            if field "num" v <> num || field "age" v <> age then
+              fail step "object %s reads (%d, %d), model (%d, %d)"
+                (Format.asprintf "%a" Rid.pp rid) (field "num" v)
+                (field "age" v) num age)
+          !model
+      in
+      List.iteri
+        (fun step op ->
+          (match op with
+          | Swap (i, j) ->
+              let ri = nth i and rj = nth j in
+              let ni, ai = Rid_map.find ri !model and nj, aj = Rid_map.find rj !model in
+              update ri ~num:nj ~age:ai;
+              update rj ~num:ni ~age:aj
+          | Age (i, a) ->
+              let r = nth i in
+              update r ~num:(fst (Rid_map.find r !model)) ~age:a
+          | Add k ->
+              let rid =
+                Database.insert_object db ~cls:Derby.patient_cls ~indexed:true
+                  (Derby.patient_value ~mrn:(10_000 + step) ~age:0 ~sex:'F'
+                     ~random_integer:0 ~num:k ~pcp:(Value.Ref Rid.nil))
+              in
+              model := Rid_map.add rid (k, 0) !model
+          | Remove i ->
+              let r = nth i in
+              Database.delete_object db r;
+              model := Rid_map.remove r !model
+          | Commit ->
+              Database.commit_txn !h;
+              h := Database.begin_txn db;
+              committed := !model
+          | Abort ->
+              Database.abort_txn !h;
+              h := Database.begin_txn db;
+              model := !committed);
+          check step)
+        ops;
+      true)
+
 let suite =
   [
     Alcotest.test_case "txn: transaction-off commit drops the log tail" `Quick
@@ -341,4 +511,5 @@ let suite =
       test_read_retries_charged;
     Alcotest.test_case "crash: seeded sweep recovers every point" `Slow
       test_crash_sweep;
+    QCheck_alcotest.to_alcotest rollback_prop;
   ]

@@ -475,6 +475,45 @@ let test_stack_dirty_writeback () =
   check_int "flush is idempotent" 0
     sim.Tb_sim.Sim.counters.Tb_sim.Counters.disk_writes
 
+(* The disk hands back its memoized working object iff that object is
+   clean: dropping the pools (abort, crash) re-reads only dirtied pages. *)
+let test_stack_drop_keeps_clean_memos () =
+  let sim, disk, stack = fresh_stack () in
+  let file = Disk.new_file disk ~name:"f" in
+  let clean = Page_id.make ~file ~index:(Disk.append_page disk ~file) in
+  let dirty = Page_id.make ~file ~index:(Disk.append_page disk ~file) in
+  let clean_obj = Cache_stack.fetch stack clean in
+  let dirty_obj = Cache_stack.fetch_for_write stack dirty in
+  ignore (Page_layout.insert dirty_obj (Bytes.of_string "lost"));
+  Cache_stack.drop stack;
+  Tb_sim.Sim.reset sim;
+  check_bool "clean memo reused" true (Cache_stack.fetch stack clean == clean_obj);
+  let reread = Cache_stack.fetch stack dirty in
+  check_bool "dirty memo not reused" false (reread == dirty_obj);
+  check_int "dirty page re-read from its image" 0 (Page_layout.slot_count reread);
+  check_int "both reloads still charge a disk read" 2
+    sim.Tb_sim.Sim.counters.Tb_sim.Counters.disk_reads
+
+let test_disk_image_writes_drop_memo () =
+  let _, disk, _ = fresh_stack () in
+  let file = Disk.new_file disk ~name:"f" in
+  let torn = Page_id.make ~file ~index:(Disk.append_page disk ~file) in
+  let restored = Page_id.make ~file ~index:(Disk.append_page disk ~file) in
+  let torn_obj = Disk.load_page disk torn in
+  check_bool "a clean load is memoized" true (Disk.load_page disk torn == torn_obj);
+  let written = Page_layout.create ~size:(Disk.page_size disk) in
+  ignore (Page_layout.insert written (Bytes.make 3000 'x'));
+  Disk.persist_torn disk torn written;
+  check_bool "persist_torn drops the memo" false (Disk.load_page disk torn == torn_obj);
+  let restored_obj = Disk.load_page disk restored in
+  let image = Page_layout.snapshot written in
+  Disk.restore_image disk restored image ~lsn:7;
+  let reloaded = Disk.load_page disk restored in
+  check_bool "restore_image drops the memo" false (reloaded == restored_obj);
+  check_bool "the reload carries the restored image" true
+    (Disk.image_equal disk restored (Page_layout.snapshot reloaded));
+  check_int "and its lsn" 7 (Page_layout.lsn reloaded)
+
 (* --- Heap file --- *)
 
 let test_heap_insert_read_scan () =
@@ -613,6 +652,10 @@ let suite =
       test_stack_server_hit_after_client_eviction;
     Alcotest.test_case "stack: cold after clear" `Quick test_stack_cold_after_clear;
     Alcotest.test_case "stack: dirty write-back" `Quick test_stack_dirty_writeback;
+    Alcotest.test_case "stack: drop keeps clean memos only" `Quick
+      test_stack_drop_keeps_clean_memos;
+    Alcotest.test_case "disk: torn and restored images drop the memo" `Quick
+      test_disk_image_writes_drop_memo;
     Alcotest.test_case "heap: insert/read/scan" `Quick test_heap_insert_read_scan;
     Alcotest.test_case "heap: insertion order = physical order" `Quick
       test_heap_insertion_order_is_physical_order;
