@@ -95,9 +95,9 @@ let tests () =
         let b = Lazy.force sharded_built in
         let smap = b.Tb_derby.Generator.smap in
         Tb_store.Shard_map.cold_restart smap;
-        let r =
-          Tb_query.Planner.run_sharded smap (Lazy.force sel_q) ~force_seq:true
-            ~keep:false
+        let r, _, _, _ =
+          Tb_query.Planner.run_sharded_explained smap (Lazy.force sel_q)
+            ~force_seq:true ~keep:false
         in
         let n = Tb_query.Query_result.count r in
         Tb_query.Query_result.dispose r;
@@ -117,9 +117,9 @@ let tests () =
           (Tb_storage.Fault.shard_fault reg 2)
           ~at_boundary:1;
         Tb_store.Shard_map.cold_restart smap;
-        let r =
-          Tb_query.Planner.run_sharded smap (Lazy.force sel_q) ~force_seq:true
-            ~keep:false
+        let r, _, _, _ =
+          Tb_query.Planner.run_sharded_explained smap (Lazy.force sel_q)
+            ~force_seq:true ~keep:false
         in
         let n = Tb_query.Query_result.count r in
         Tb_query.Query_result.dispose r;

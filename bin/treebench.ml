@@ -381,14 +381,22 @@ let plan_cmd =
     let organization =
       Tb_derby.Generator.estimate_organization b.Tb_derby.Generator.cfg
     in
-    let heuristic = Tb_query.Planner.plan ~mode:Tb_query.Planner.Heuristic ~organization db q in
-    let cost_based = Tb_query.Planner.plan ~mode:Tb_query.Planner.Cost_based ~organization db q in
+    (* O2's navigation-biased heuristic is the planner with the algorithm
+       and the Rid order forced. *)
+    let heuristic =
+      Tb_query.Planner.plan ~force_algo:Tb_query.Plan.NL ~force_sorted:false
+        ~organization db q
+    in
+    let cost_based = Tb_query.Planner.plan ~organization db q in
     Format.printf "parsed:     %a@." Tb_query.Oql_ast.pp_query q;
     Format.printf "heuristic:  %a@." Tb_query.Plan.pp heuristic;
     Format.printf "cost-based: %a@." Tb_query.Plan.pp cost_based;
     match Tb_query.Plan.bind db q with
     | Tb_query.Plan.B_hier _ as bound ->
-        let env = Tb_query.Planner.join_env db bound ~organization in
+        let env =
+          Tb_query.Planner.join_env (Tb_statcore.Stat_catalog.analyze db) bound
+            ~organization
+        in
         Format.printf "estimates:@.";
         List.iter
           (fun (algo, ms) ->
@@ -398,7 +406,10 @@ let plan_cmd =
           (Tb_query.Estimate.rank_joins env)
     | Tb_query.Plan.B_selection _ -> ()
   in
-  let doc = "Show the plans both optimizers pick, with cost estimates." in
+  let doc =
+    "Show the O2 heuristic plan and the cost-based plan, with join cost \
+     estimates."
+  in
   Cmd.v (Cmd.info "plan" ~doc)
     Term.(const run $ oql_arg $ scale_arg $ shape_arg $ org_arg)
 

@@ -610,8 +610,9 @@ let costmodel ctx ppf =
               (Tb_query.Oql_parser.parse (join_query b ~sel_pat ~sel_prov))
           in
           let env =
-            Tb_query.Planner.join_env b.Generator.db bound
-              ~organization:(Generator.estimate_organization b.Generator.cfg)
+            Tb_query.Planner.join_env
+              (Tb_statcore.Stat_catalog.analyze b.Generator.db)
+              bound ~organization:(Generator.estimate_organization b.Generator.cfg)
           in
           let rows =
             List.map

@@ -182,8 +182,9 @@ let sharded_selection_lines ~shards ~scale () =
   let run_cold_sharded ?force_seq ?force_sorted ~tag q =
     Tb_store.Shard_map.cold_restart smap;
     Sim.reset sim;
-    let r =
-      Tb_query.Planner.run_sharded ?force_seq ?force_sorted ~keep:false smap q
+    let r, _, _, _ =
+      Tb_query.Planner.run_sharded_explained ?force_seq ?force_sorted ~keep:false
+        smap q
     in
     let n = Tb_query.Query_result.count r in
     Tb_query.Query_result.dispose r;

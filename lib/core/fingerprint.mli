@@ -23,9 +23,9 @@
 val collect : ?per_op:bool -> scale:int -> unit -> string list
 
 (** [sharded_selection_lines ~shards ~scale ()] re-runs the selection part
-    of the workload through the sharded engine ([Planner.run_sharded] over
-    a [~shards]-way {!Tb_derby.Generator.build_sharded} database), with the
-    same tags as the unsharded lines.  At [shards = 1] the output must
+    of the workload through the sharded engine
+    ([Planner.run_sharded_explained] over a [~shards]-way
+    {!Tb_derby.Generator.build_sharded} database), with the same tags as the unsharded lines.  At [shards = 1] the output must
     equal the golden file's ["sel "] lines byte for byte — the gate that
     pins "one shard is the unsharded engine".  At higher shard counts it
     fingerprints the partitioned physics instead. *)

@@ -25,13 +25,13 @@ type t = {
   peak_working_bytes : int;
 }
 
-let run_cold ?mode ?organization ?force_algo ?force_sorted ?force_seq ~label db
+let run_cold ?organization ?force_algo ?force_sorted ?force_seq ~label db
     oql =
   let sim = Database.sim db in
   Database.cold_restart db;
   Sim.reset sim;
   let result =
-    Tb_query.Planner.run ?mode ?organization ?force_algo ?force_sorted
+    Tb_query.Planner.run ?organization ?force_algo ?force_sorted
       ?force_seq ~keep:false db oql
   in
   let result_count = Tb_query.Query_result.count result in

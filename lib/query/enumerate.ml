@@ -2,9 +2,9 @@
 
    [candidates] expands a bound query into every (join algorithm × access
    path per side × packed/handle evaluation mode) combination the lowering
-   can execute.  Pure plan surgery over catalog statistics — index lookups
-   are Database bookkeeping, selectivities come from {!Tb_statcore} — so
-   enumeration never touches a page and never charges (treelint R1).
+   can execute.  Pure plan surgery over catalog statistics — indexes and
+   selectivities both come from {!Tb_statcore} — so enumeration never
+   touches a page and never charges (treelint R1).
 
    List order encodes the tie policy: the cost stage's argmin keeps the
    FIRST candidate on equal cost, so index paths precede scans (the
@@ -12,7 +12,6 @@
    {!Estimate.all_algos} order, and packed precedes handle evaluation
    (charge-identical by construction; packed is the cheaper wallclock). *)
 
-module Database = Tb_store.Database
 module Sc = Tb_statcore.Stat_catalog
 
 type candidate = {
@@ -21,45 +20,45 @@ type candidate = {
   c_desc : string;  (* human-readable shape, e.g. "PHJ parent=index child=seq packed" *)
 }
 
-let indexable db ~cls preds =
+let indexable stats ~cls preds =
   List.filter_map
     (fun p ->
-      match
-        (Plan.key_range p, Database.find_index db ~cls ~attr:p.Plan.attr)
-      with
+      match (Plan.key_range p, Sc.index_on stats ~cls ~attr:p.Plan.attr) with
       | Some (lo, hi), Some ix -> Some (p, ix, lo, hi)
       | _ -> None)
     preds
 
-(* The most selective indexable conjunct (by catalog statistics), mirroring
-   the forced path's [choose_access]. *)
-let best_index stats db ~cls preds =
-  match indexable db ~cls preds with
+(* The most selective indexable conjunct under [sel], the first on a tie;
+   the other conjuncts stay residual. *)
+let best_index ~(sel : Plan.attr_pred -> float) stats ~cls preds =
+  match indexable stats ~cls preds with
   | [] -> None
   | first :: rest ->
-      let sel (p, _, _, _) = Estimate.stat_pred_sel stats ~cls p in
+      let sel (p, _, _, _) = sel p in
       let best =
         List.fold_left
           (fun acc c -> if sel c < sel acc then c else acc)
           first rest
       in
-      let chosen, index, lo, hi = best in
+      let chosen, ix, lo, hi = best in
       let residual = List.filter (fun p -> p != chosen) preds in
-      Some (fun ~sorted -> Plan.Index_scan { index; lo; hi; sorted; residual })
+      Some
+        (fun ~sorted ->
+          Plan.Index_scan { index = ix.Sc.i_def; lo; hi; sorted; residual })
 
 (* Selections get the full Section 4.2 menu: fetch in index order, sort the
    Rids first, or sweep the extent. *)
-let selection_accesses stats db ~cls preds =
+let selection_accesses stats ~cls preds =
   let seq = (Plan.Seq_scan { cls; preds }, "seq") in
-  match best_index stats db ~cls preds with
+  match best_index ~sel:(Estimate.pred_sel stats ~cls) stats ~cls preds with
   | None -> [ seq ]
   | Some mk ->
       [ (mk ~sorted:false, "index"); (mk ~sorted:true, "index+sort"); seq ]
 
 (* Join sides fetch through a sorted index when one applies, or scan. *)
-let side_accesses stats db ~cls preds =
+let side_accesses stats ~cls preds =
   let seq = (Plan.Seq_scan { cls; preds }, "seq") in
-  match best_index stats db ~cls preds with
+  match best_index ~sel:(Estimate.pred_sel stats ~cls) stats ~cls preds with
   | None -> [ seq ]
   | Some mk -> [ (mk ~sorted:true, "index"); seq ]
 
@@ -67,29 +66,21 @@ let packed_modes = [ (true, "packed"); (false, "handle") ]
 
 (* Estimated resident bytes of one side's hash table, for sizing hybrid
    spill partitions. *)
-let side_bytes stats ~cls ~var ~preds select =
-  let sel =
-    List.fold_left
-      (fun acc p -> acc *. Estimate.stat_pred_sel stats ~cls p)
-      1.0 preds
-  in
+let side_bytes ?floor stats ~cls ~var ~preds select =
   let attrs, _self = Plan.needed_attrs var select in
-  let payload =
-    List.fold_left
-      (fun acc a -> acc + Sc.attr_bytes stats ~cls a)
-      Tb_storage.Rid.on_disk_bytes attrs
-  in
-  let card =
-    match Sc.extent stats ~cls with Some e -> e.Sc.x_card | None -> 0
-  in
-  sel *. float_of_int card
-  *. float_of_int (payload + Mem_hash.entry_overhead + Mem_hash.group_overhead)
+  Estimate.preds_sel ?floor stats ~cls preds
+  *. float_of_int (Estimate.cat_extent stats cls).Sc.x_card
+  *. float_of_int
+       (Estimate.payload_bytes stats ~cls attrs
+       + Mem_hash.entry_overhead + Mem_hash.group_overhead)
 
+(* Hybrid hashing: enough partitions that each spilled bucket fits
+   comfortably in memory. *)
 let partitions_for stats bytes =
   let budget = 0.8 *. float_of_int (Sc.available_bytes stats) in
   if budget <= 0.0 then 8 else max 1 (int_of_float (ceil (bytes /. budget)))
 
-let candidates stats db bound =
+let candidates stats bound =
   match bound with
   | Plan.B_selection { var; cls; preds; select; aggregate } ->
       List.concat_map
@@ -102,7 +93,7 @@ let candidates stats db bound =
                 c_desc = adesc ^ " " ^ pdesc;
               })
             packed_modes)
-        (selection_accesses stats db ~cls preds)
+        (selection_accesses stats ~cls preds)
   | Plan.B_hier
       {
         parent_var;
@@ -134,7 +125,7 @@ let candidates stats db bound =
                   [ (Plan.Seq_scan { cls = parent_cls; preds = parent_preds }, "seq") ]
               | Plan.NL | Plan.PHJ | Plan.CHJ | Plan.PHHJ | Plan.CHHJ
               | Plan.SMJ ->
-                  side_accesses stats db ~cls:parent_cls parent_preds
+                  side_accesses stats ~cls:parent_cls parent_preds
             in
             let child_opts =
               match algo with
@@ -143,7 +134,7 @@ let candidates stats db bound =
                   [ (Plan.Seq_scan { cls = child_cls; preds = child_preds }, "seq") ]
               | Plan.NOJOIN | Plan.PHJ | Plan.CHJ | Plan.PHHJ | Plan.CHHJ
               | Plan.SMJ ->
-                  side_accesses stats db ~cls:child_cls child_preds
+                  side_accesses stats ~cls:child_cls child_preds
             in
             let partitions =
               match algo with

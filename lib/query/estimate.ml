@@ -330,32 +330,33 @@ let null_extent cls =
 let cat_extent stats cls =
   match Sc.extent stats ~cls with Some e -> e | None -> null_extent cls
 
-(* Predicate selectivity from catalog statistics: the indexed window when
-   an index covers the attribute, System-R magic numbers otherwise. *)
-let stat_pred_sel stats ~cls (p : Plan.attr_pred) =
+(* Fraction of an index's entries inside the key window [lo, hi), from its
+   maintained histogram.  Unfloored: each caller floors it its own way. *)
+let key_window ix ~lo ~hi =
+  let below = function Some k -> Sc.selectivity_below ix k | None -> 1.0 in
+  let above = match lo with Some k -> Sc.selectivity_below ix k | None -> 0.0 in
+  below hi -. above
+
+(* One row of the extent: a point lookup should not be costed as if it
+   returned a fixed fraction of the extent. *)
+let one_row stats cls = 1.0 /. Float.max 1.0 (fi (cat_extent stats cls).Sc.x_card)
+
+let pred_sel ?floor stats ~cls (p : Plan.attr_pred) =
   match (Plan.key_range p, Sc.index_on stats ~cls ~attr:p.Plan.attr) with
   | Some (lo, hi), Some ix ->
-      let below = function
-        | Some k -> Sc.selectivity_below ix k
-        | None -> 1.0
-      in
-      let above =
-        match lo with Some k -> Sc.selectivity_below ix k | None -> 0.0
-      in
-      (* Floor at one matching row — a point lookup should not be costed
-         as if it returned a fixed fraction of the extent. *)
-      let card = Float.max 1.0 (fi (cat_extent stats cls).Sc.x_card) in
-      Float.max (1.0 /. card) (below hi -. above)
+      let floor = match floor with Some f -> f | None -> one_row stats cls in
+      Float.max floor (key_window ix ~lo ~hi)
   | _ -> (
+      (* System-R style magic numbers when no statistics help. *)
       match p.Plan.cmp with
       | Oql_ast.Eq -> 0.01
       | Oql_ast.Ne -> 0.99
       | Oql_ast.Lt | Oql_ast.Le | Oql_ast.Gt | Oql_ast.Ge -> 1.0 /. 3.0)
 
-let stat_preds_sel stats ~cls preds =
-  List.fold_left (fun acc p -> acc *. stat_pred_sel stats ~cls p) 1.0 preds
+let preds_sel ?floor stats ~cls preds =
+  List.fold_left (fun acc p -> acc *. pred_sel ?floor stats ~cls p) 1.0 preds
 
-let stat_payload_bytes stats ~cls attrs =
+let payload_bytes stats ~cls attrs =
   List.fold_left
     (fun acc a -> acc + Sc.attr_bytes stats ~cls a)
     Tb_storage.Rid.on_disk_bytes attrs
@@ -392,33 +393,19 @@ let annotate ~stats ?(organization = Separate_files) root =
         { (null_stream cls) with s_rows = rows; s_seq = true }
     | Op.Index_scan { index; lo; hi } ->
         let cls = index.Index_def.cls in
-        let e = cat_extent stats cls in
-        let sel =
+        let sel, clustered =
           match Sc.index_on stats ~cls ~attr:index.Index_def.attr with
           | Some ix ->
-              let below = function
-                | Some k -> Sc.selectivity_below ix k
-                | None -> 1.0
-              in
-              let above =
-                match lo with Some k -> Sc.selectivity_below ix k | None -> 0.0
-              in
-              Float.max
-                (1.0 /. Float.max 1.0 (fi e.Sc.x_card))
-                (below hi -. above)
-          | None -> 1.0 /. 3.0
+              ( Float.max (one_row stats cls) (key_window ix ~lo ~hi),
+                Sc.is_clustered ix )
+          | None -> (1.0 /. 3.0, false)
         in
-        let k = sel *. fi e.Sc.x_card in
+        let k = sel *. fi (cat_extent stats cls).Sc.x_card in
         (* Leaf pages plus the root-to-leaf descent that positions the
            cursor. *)
         let leaves = leaf_pages k +. 1.0 in
         set stats n ~rows:k ~pages:leaves ~handles:0.0
           (leaves *. cold_page_ms c);
-        let clustered =
-          match Sc.index_on stats ~cls ~attr:index.Index_def.attr with
-          | Some ix -> Sc.is_clustered ix
-          | None -> false
-        in
         { (null_stream cls) with s_rows = k; s_clustered = clustered }
     | Op.Sort_rids { child } ->
         let s = go stats child in
@@ -433,7 +420,7 @@ let annotate ~stats ?(organization = Separate_files) root =
         else begin
           let e = cat_extent stats cls in
           let n_in = s.s_rows in
-          let rows = n_in *. stat_preds_sel stats ~cls preds in
+          let rows = n_in *. preds_sel stats ~cls preds in
           let pages = fi e.Sc.x_pages in
           let io_pages, io_ms =
             if s.s_seq then
@@ -479,7 +466,7 @@ let annotate ~stats ?(organization = Separate_files) root =
           else fi ce.Sc.x_card /. fi pe.Sc.x_card
         in
         let touched = s.s_rows *. fanout in
-        let rows = touched *. stat_preds_sel stats ~cls:nav_cls preds in
+        let rows = touched *. preds_sel stats ~cls:nav_cls preds in
         let cpages = fi ce.Sc.x_pages in
         let io_pages, io_ms =
           match organization with
@@ -524,7 +511,7 @@ let annotate ~stats ?(organization = Separate_files) root =
                 random_fetch_ms ~rows_per_page:pe.Sc.x_rows_per_page ~cost:c
                   ~n:nc ~pages:ppages ~cache () )
         in
-        let rows = nc *. stat_preds_sel stats ~cls:nav_cls preds in
+        let rows = nc *. preds_sel stats ~cls:nav_cls preds in
         let ms =
           io_ms
           +. (parent_handles *. handle_pair_ms c)
@@ -534,7 +521,7 @@ let annotate ~stats ?(organization = Separate_files) root =
         { (null_stream nav_cls) with s_rows = rows }
     | Op.Harvest { child; cls; attrs; _ } ->
         let s = go stats child in
-        let bytes = fi (stat_payload_bytes stats ~cls attrs) in
+        let bytes = fi (payload_bytes stats ~cls attrs) in
         set stats n ~rows:s.s_rows ~pages:0.0 ~handles:0.0
           (get_att_ms (s.s_rows *. fi (1 + List.length attrs)));
         { s with s_cls = cls; s_bytes = bytes }

@@ -42,17 +42,6 @@ type env = {
     every stored row ([rows_per_page], default infinity, sets that limit). *)
 val distinct_pages : ?rows_per_page:float -> n:float -> pages:float -> unit -> float
 
-(** Cost (ms) of [n] random record fetches against a [pages]-page file
-    behind an LRU cache of [cache] pages, cold start. *)
-val random_fetch_ms :
-  ?rows_per_page:float ->
-  cost:Tb_sim.Cost_model.t ->
-  n:float ->
-  pages:float ->
-  cache:float ->
-  unit ->
-  float
-
 (** {2 Selections} *)
 
 val selection_seq_ms : env -> float
@@ -83,10 +72,24 @@ val rank_joins : env -> (Plan.join_algo * float) list
     it works over, so the two sides of a join correct independently. *)
 val est_key : Op.t -> string
 
-(** Predicate selectivity from catalog statistics: the indexed histogram
-    window when an index covers the attribute, System-R magic numbers
-    otherwise. *)
-val stat_pred_sel : Tb_statcore.Stat_catalog.t -> cls:string -> Plan.attr_pred -> float
+(** A class's extent statistics; empty when the catalog does not know the
+    class. *)
+val cat_extent : Tb_statcore.Stat_catalog.t -> string -> Tb_statcore.Stat_catalog.extent
+
+(** Predicate selectivity from catalog statistics: the index's histogram
+    window when an index covers the attribute, never below [floor];
+    System-R magic numbers otherwise.  [floor] defaults to one row of the
+    extent ({!annotate}'s floor); the closed forms pass [0.001]. *)
+val pred_sel :
+  ?floor:float -> Tb_statcore.Stat_catalog.t -> cls:string -> Plan.attr_pred -> float
+
+(** The product of {!pred_sel} over a conjunction. *)
+val preds_sel :
+  ?floor:float -> Tb_statcore.Stat_catalog.t -> cls:string -> Plan.attr_pred list -> float
+
+(** Bytes one row carries once [attrs] are harvested: its Rid plus each
+    attribute's stored width. *)
+val payload_bytes : Tb_statcore.Stat_catalog.t -> cls:string -> string list -> int
 
 (** Write an estimate on every node of a lowered tree (bottom-up). *)
 val annotate :

@@ -86,9 +86,7 @@ val detect_failure : Tb_sim.Sim.t -> unit
     pays the fixed round-trip). *)
 val ship_partial : Tb_sim.Sim.t -> bytes:int -> unit
 
-val log2ceil : int -> int
-
 (** [merge_ordered sim ~rows ~streams] charges the comparisons of an
-    S-way tournament merge: [rows * log2ceil streams].  No-op for a single
+    S-way tournament merge: [rows * ceil (log2 streams)].  No-op for a single
     stream or an empty result. *)
 val merge_ordered : Tb_sim.Sim.t -> rows:int -> streams:int -> unit

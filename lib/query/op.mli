@@ -128,7 +128,6 @@ and est = {
 }
 
 val make : kind -> t
-val fresh_frame : unit -> frame
 
 (** Zero every frame in the tree (the executor does this before a run, so a
     tree can be executed repeatedly). *)
@@ -167,7 +166,6 @@ type totals = {
   t_ms : float;
 }
 
-val sum_frames : t -> totals
 val reconciles : global:totals -> t -> bool
 
 (** The EXPLAIN ANALYZE rendering: one row per operator plus an

@@ -1,105 +1,58 @@
 module Database = Tb_store.Database
 module Index_def = Tb_store.Index_def
-module Schema = Tb_store.Schema
+module Sc = Tb_statcore.Stat_catalog
 
-type mode = Heuristic | Cost_based
+(* --- statistics: one catalog snapshot per [plan] call --- *)
 
-(* --- statistics --- *)
-
-let pred_selectivity db ~cls (p : Plan.attr_pred) =
-  match (Plan.key_range p, Database.find_index db ~cls ~attr:p.Plan.attr) with
-  | Some (lo, hi), Some ix ->
-      let below = function
-        | Some k -> Index_def.selectivity_below ix k
-        | None -> 1.0
-      in
-      let above = match lo with Some k -> Index_def.selectivity_below ix k | None -> 0.0 in
-      Float.max 0.001 (below hi -. above)
-  | _ -> (
-      (* System-R style magic numbers when no statistics help. *)
-      match p.Plan.cmp with
-      | Oql_ast.Eq -> 0.01
-      | Oql_ast.Ne -> 0.99
-      | Oql_ast.Lt | Oql_ast.Le | Oql_ast.Gt | Oql_ast.Ge -> 1.0 /. 3.0)
-
-let side_selectivity db ~cls preds =
-  List.fold_left (fun acc p -> acc *. pred_selectivity db ~cls p) 1.0 preds
-
-(* --- access path construction --- *)
+(* The closed forms never let an index window select less than 0.1%. *)
+let sel_floor = 0.001
 
 (* Choose the most selective indexable conjunct; the rest stay residual. *)
-let choose_access db ~cls ~preds ~sorted ~force_seq =
-  let candidates =
-    if force_seq then []
+let choose_access stats ~cls ~preds ~sorted ~force_seq =
+  match
+    if force_seq then None
     else
-      List.filter_map
-        (fun p ->
-          match (Plan.key_range p, Database.find_index db ~cls ~attr:p.Plan.attr) with
-          | Some (lo, hi), Some ix -> Some (p, ix, lo, hi, pred_selectivity db ~cls p)
-          | _ -> None)
-        preds
-  in
-  match candidates with
-  | [] -> Plan.Seq_scan { cls; preds }
-  | _ :: _ ->
-      let best =
-        List.fold_left
-          (fun acc c ->
-            let _, _, _, _, sel = c and _, _, _, _, best_sel = acc in
-            if sel < best_sel then c else acc)
-          (List.hd candidates) (List.tl candidates)
-      in
-      let chosen, index, lo, hi, _ = best in
-      let residual = List.filter (fun p -> p != chosen) preds in
-      Plan.Index_scan { index; lo; hi; sorted; residual }
+      Enumerate.best_index
+        ~sel:(Estimate.pred_sel ~floor:sel_floor stats ~cls)
+        stats ~cls preds
+  with
+  | Some index_scan -> index_scan ~sorted
+  | None -> Plan.Seq_scan { cls; preds }
 
-let rough_attr_bytes schema ~cls attr =
-  match Schema.attr_type schema ~cls ~attr with
-  | Schema.TInt -> 5
-  | Schema.TString -> 21
-  | Schema.TChar | Schema.TBool -> 2
-  | Schema.TReal -> 9
-  | Schema.TRef _ -> 9
-  | Schema.TSet _ | Schema.TList _ | Schema.TTuple _ -> 16
-  | exception Not_found -> 9
-
-let payload_bytes_of db ~cls ~var select =
-  let attrs, _self = Plan.needed_attrs var select in
-  List.fold_left
-    (fun acc a -> acc + rough_attr_bytes (Database.schema db) ~cls a)
-    Tb_storage.Rid.on_disk_bytes attrs
-
-(* --- env assembly --- *)
-
-let make_side db ~cls ~preds ~payload =
-  let card = Database.cardinality db ~cls in
-  let pages = Database.extent_pages db ~cls in
-  let indexable =
-    List.filter_map
-      (fun p ->
-        match (Plan.key_range p, Database.find_index db ~cls ~attr:p.Plan.attr) with
-        | Some _, Some ix -> Some ix
-        | _ -> None)
-      preds
+let make_side stats ~cls ~preds ~payload =
+  let e = Estimate.cat_extent stats cls in
+  (* Clustering is read off the first indexable conjunct's index, which
+     need not be the one [choose_access] picks. *)
+  let has_index, index_clustered =
+    match Enumerate.indexable stats ~cls preds with
+    | (_, ix, _, _) :: _ -> (true, Sc.is_clustered ix)
+    | [] -> (false, false)
   in
   {
-    Estimate.card;
-    pages;
-    sel = side_selectivity db ~cls preds;
-    has_index = (match indexable with [] -> false | _ -> true);
-    index_clustered =
-      (match indexable with ix :: _ -> Index_def.is_clustered ix | [] -> false);
+    Estimate.card = e.Sc.x_card;
+    pages = e.Sc.x_pages;
+    sel = Estimate.preds_sel ~floor:sel_floor stats ~cls preds;
+    has_index;
+    index_clustered;
     payload_bytes = payload;
   }
 
-let default_organization db ~parent_cls ~child_cls =
-  let same =
-    Tb_storage.Heap_file.file_id (Database.class_file db ~cls:parent_cls)
-    = Tb_storage.Heap_file.file_id (Database.class_file db ~cls:child_cls)
-  in
-  if same then Estimate.Shared_random else Estimate.Separate_files
+let side_env stats ~organization ~parent ~child ~fanout ~result_bytes_per_row =
+  {
+    Estimate.cost = Sc.cost stats;
+    organization;
+    client_cache_pages = Sc.client_cache_pages stats;
+    parent;
+    child;
+    fanout;
+    result_bytes_per_row;
+  }
 
-let join_env db bound ~organization =
+let default_organization stats ~parent_cls ~child_cls =
+  if Sc.shared_file stats parent_cls child_cls then Estimate.Shared_random
+  else Estimate.Separate_files
+
+let join_env stats bound ~organization =
   match bound with
   | Plan.B_selection _ -> invalid_arg "Planner.join_env: not a join"
   | Plan.B_hier
@@ -113,87 +66,45 @@ let join_env db bound ~organization =
         select;
         _;
       } ->
-      let sim = Database.sim db in
-      let parent =
-        make_side db ~cls:parent_cls ~preds:parent_preds
-          ~payload:(payload_bytes_of db ~cls:parent_cls ~var:parent_var select)
+      let side ~cls ~var ~preds =
+        let attrs, _self = Plan.needed_attrs var select in
+        make_side stats ~cls ~preds
+          ~payload:(Estimate.payload_bytes stats ~cls attrs)
       in
-      let child =
-        make_side db ~cls:child_cls ~preds:child_preds
-          ~payload:(payload_bytes_of db ~cls:child_cls ~var:child_var select)
-      in
-      {
-        Estimate.cost = sim.Tb_sim.Sim.cost;
-        organization;
-        client_cache_pages =
-          Tb_storage.Cache_stack.client_capacity (Database.stack db);
-        parent;
-        child;
-        fanout =
+      let parent = side ~cls:parent_cls ~var:parent_var ~preds:parent_preds in
+      let child = side ~cls:child_cls ~var:child_var ~preds:child_preds in
+      side_env stats ~organization ~parent ~child
+        ~fanout:
           (if parent.Estimate.card = 0 then 0.0
-           else float_of_int child.Estimate.card /. float_of_int parent.Estimate.card);
-        result_bytes_per_row =
-          parent.Estimate.payload_bytes + child.Estimate.payload_bytes + 16;
-      }
+           else float_of_int child.Estimate.card /. float_of_int parent.Estimate.card)
+        ~result_bytes_per_row:
+          (parent.Estimate.payload_bytes + child.Estimate.payload_bytes + 16)
 
 (* --- plan construction --- *)
 
-let selection_plan db ~mode ~force_sorted ~force_seq ~var ~cls ~preds ~select
-    ~aggregate =
-  let sorted =
-    match force_sorted with
-    | Some s -> s
-    | None -> (
-        match mode with
-        | Heuristic -> false (* O2 fetched in index order, unsorted *)
-        | Cost_based ->
-            (* Sorting the Rids is the Section 4.2 win; cost it both ways. *)
-            let side = make_side db ~cls ~preds ~payload:16 in
-            let env =
-              {
-                Estimate.cost = (Database.sim db).Tb_sim.Sim.cost;
-                organization = Estimate.Separate_files;
-                client_cache_pages =
-                  Tb_storage.Cache_stack.client_capacity (Database.stack db);
-                parent = side;
-                child = side;
-                fanout = 0.0;
-                result_bytes_per_row = 24;
-              }
-            in
-            Estimate.selection_index_ms env ~sorted:true
-            <= Estimate.selection_index_ms env ~sorted:false)
-  in
-  let access = choose_access db ~cls ~preds ~sorted ~force_seq in
-  (* Cost-based planning falls back to the scan when the index loses (the
-     1%-5% crossover of Section 4.2). *)
-  let access =
-    match (mode, access) with
-    | Cost_based, Plan.Index_scan { sorted; _ } ->
-        let side = make_side db ~cls ~preds ~payload:16 in
-        let env =
-          {
-            Estimate.cost = (Database.sim db).Tb_sim.Sim.cost;
-            organization = Estimate.Separate_files;
-            client_cache_pages =
-              Tb_storage.Cache_stack.client_capacity (Database.stack db);
-            parent = side;
-            child = side;
-            fanout = 0.0;
-            result_bytes_per_row = 24;
-          }
-        in
-        if
-          Estimate.selection_seq_ms env
-          < Estimate.selection_index_ms env ~sorted
-          && not (force_seq || Option.is_some force_sorted)
-        then Plan.Seq_scan { cls; preds }
-        else access
-    | _ -> access
-  in
-  Plan.Selection { var; cls; access; select; aggregate }
+let selection_access stats ~force_sorted ~force_seq ~cls ~preds =
+  match force_sorted with
+  | Some sorted -> choose_access stats ~cls ~preds ~sorted ~force_seq
+  | None -> (
+      let side = make_side stats ~cls ~preds ~payload:16 in
+      let env =
+        side_env stats ~organization:Estimate.Separate_files ~parent:side
+          ~child:side ~fanout:0.0 ~result_bytes_per_row:24
+      in
+      (* Sorting the Rids is the Section 4.2 win; cost it both ways. *)
+      let sorted =
+        Estimate.selection_index_ms env ~sorted:true
+        <= Estimate.selection_index_ms env ~sorted:false
+      in
+      (* Fall back to the scan when the index loses (the 1%-5% crossover
+         of Section 4.2). *)
+      match choose_access stats ~cls ~preds ~sorted ~force_seq with
+      | Plan.Index_scan _
+        when Estimate.selection_seq_ms env < Estimate.selection_index_ms env ~sorted ->
+          Plan.Seq_scan { cls; preds }
+      | access -> access)
 
-let join_plan db ~mode ~organization ~force_algo ~force_sorted ~force_seq bound =
+let join_plan stats ~organization ~force_algo ~force_sorted ~force_seq bound =
   match bound with
   | Plan.B_selection _ -> assert false
   | Plan.B_hier
@@ -209,56 +120,42 @@ let join_plan db ~mode ~organization ~force_algo ~force_sorted ~force_seq bound 
         select;
         aggregate;
       } ->
-      let organization =
-        match organization with
-        | Some o -> o
-        | None -> default_organization db ~parent_cls ~child_cls
-      in
-      let env = join_env db bound ~organization in
       let algo =
         match force_algo with
         | Some a -> a
         | None -> (
-            match mode with
-            | Heuristic -> Plan.NL (* the navigation bias of Section 2 *)
-            | Cost_based ->
-                let viable (a, _) =
-                  match a with
-                  | Plan.NL -> true
-                  | Plan.NOJOIN | Plan.PHJ | Plan.CHJ | Plan.PHHJ | Plan.CHHJ
-                  | Plan.SMJ ->
-                      Option.is_some inv_attr
-                in
-                (match List.filter viable (Estimate.rank_joins env) with
-                | (a, _) :: _ -> a
-                | [] -> Plan.NL))
+            let organization =
+              match organization with
+              | Some o -> o
+              | None -> default_organization stats ~parent_cls ~child_cls
+            in
+            let viable (a, _) =
+              match a with
+              | Plan.NL -> true
+              | Plan.NOJOIN | Plan.PHJ | Plan.CHJ | Plan.PHHJ | Plan.CHHJ
+              | Plan.SMJ ->
+                  Option.is_some inv_attr
+            in
+            match
+              List.filter viable
+                (Estimate.rank_joins (join_env stats bound ~organization))
+            with
+            | (a, _) :: _ -> a
+            | [] -> Plan.NL)
       in
-      (* Hybrid hashing: enough partitions that each spilled bucket fits
-         comfortably in memory. *)
       let partitions =
-        let budget =
-          0.8 *. float_of_int (Tb_sim.Cost_model.available_bytes
-                                 (Database.sim db).Tb_sim.Sim.cost)
-        in
-        let build_side_bytes =
-          let side_bytes (s : Estimate.side) =
-            s.Estimate.sel *. float_of_int s.Estimate.card
-            *. float_of_int
-                 (s.Estimate.payload_bytes + Mem_hash.entry_overhead
-                + Mem_hash.group_overhead)
-          in
-          match algo with
-          | Plan.PHHJ -> side_bytes env.Estimate.parent
-          | Plan.CHHJ -> side_bytes env.Estimate.child
-          | Plan.NL | Plan.NOJOIN | Plan.PHJ | Plan.CHJ | Plan.SMJ -> 0.0
-        in
-        if budget <= 0.0 then 8
-        else max 1 (int_of_float (ceil (build_side_bytes /. budget)))
+        Enumerate.partitions_for stats
+          (match algo with
+          | Plan.PHHJ ->
+              Enumerate.side_bytes ~floor:sel_floor stats ~cls:parent_cls
+                ~var:parent_var ~preds:parent_preds select
+          | Plan.CHHJ ->
+              Enumerate.side_bytes ~floor:sel_floor stats ~cls:child_cls
+                ~var:child_var ~preds:child_preds select
+          | Plan.NL | Plan.NOJOIN | Plan.PHJ | Plan.CHJ | Plan.SMJ -> 0.0)
       in
-      let sorted = match force_sorted with Some s -> s | None -> mode = Cost_based in
-      let idx cls preds =
-        choose_access db ~cls ~preds ~sorted ~force_seq
-      in
+      let sorted = Option.value force_sorted ~default:true in
+      let idx cls preds = choose_access stats ~cls ~preds ~sorted ~force_seq in
       let seq cls preds = Plan.Seq_scan { cls; preds } in
       let parent_access, child_access =
         match algo with
@@ -283,14 +180,15 @@ let join_plan db ~mode ~organization ~force_algo ~force_sorted ~force_seq bound 
           aggregate;
         }
 
-let plan ?(mode = Cost_based) ?organization ?force_algo ?force_sorted
-    ?(force_seq = false) db q =
-  match Plan.bind db q with
+let plan ?organization ?force_algo ?force_sorted ?(force_seq = false) db q =
+  let bound = Plan.bind db q in
+  let stats = Sc.analyze db in
+  match bound with
   | Plan.B_selection { var; cls; preds; select; aggregate } ->
-      selection_plan db ~mode ~force_sorted ~force_seq ~var ~cls ~preds ~select
-        ~aggregate
-  | Plan.B_hier _ as bound ->
-      join_plan db ~mode ~organization ~force_algo ~force_sorted ~force_seq bound
+      let access = selection_access stats ~force_sorted ~force_seq ~cls ~preds in
+      Plan.Selection { var; cls; access; select; aggregate }
+  | Plan.B_hier _ ->
+      join_plan stats ~organization ~force_algo ~force_sorted ~force_seq bound
 
 (* --- lowering: Plan.t -> physical operator tree --- *)
 
@@ -655,16 +553,16 @@ let lower_sharded ?(packed = true) ?(batch = 256) smap plan =
     Op.make
       (Op.Gather { lanes; shards; part_key = Shard_map.key_attr smap; ordered })
 
-let run ?mode ?organization ?force_algo ?force_sorted ?force_seq ?packed ?batch
+let run ?organization ?force_algo ?force_sorted ?force_seq ?packed ?batch
     ?(keep = false) db text =
   let q = Oql_parser.parse text in
-  let p = plan ?mode ?organization ?force_algo ?force_sorted ?force_seq db q in
+  let p = plan ?organization ?force_algo ?force_sorted ?force_seq db q in
   Exec.run db (lower ?packed ?batch p) ~keep
 
-let run_explained ?mode ?organization ?force_algo ?force_sorted ?force_seq
-    ?packed ?batch ?(keep = false) db text =
+let run_explained ?organization ?force_algo ?force_sorted ?force_seq ?packed
+    ?batch ?(keep = false) db text =
   let q = Oql_parser.parse text in
-  let p = plan ?mode ?organization ?force_algo ?force_sorted ?force_seq db q in
+  let p = plan ?organization ?force_algo ?force_sorted ?force_seq db q in
   let root = lower ?packed ?batch p in
   let result, global = Exec.run_explained db root ~keep in
   (result, root, global)
@@ -672,11 +570,11 @@ let run_explained ?mode ?organization ?force_algo ?force_sorted ?force_seq
 (* Planning happens against shard 0: every shard replicates the schema and
    index set, and shard-0 statistics (1/S of the data) rank algorithms the
    same way the global statistics do for our uniform generators. *)
-let run_sharded_explained ?mode ?organization ?force_algo ?force_sorted
-    ?force_seq ?packed ?batch ?(keep = false) smap text =
+let run_sharded_explained ?organization ?force_algo ?force_sorted ?force_seq
+    ?packed ?batch ?(keep = false) smap text =
   let db0 = Shard_map.shard smap 0 in
   let q = Oql_parser.parse text in
-  let p = plan ?mode ?organization ?force_algo ?force_sorted ?force_seq db0 q in
+  let p = plan ?organization ?force_algo ?force_sorted ?force_seq db0 q in
   let root = lower_sharded ?packed ?batch smap p in
   if Shard_map.count smap = 1 then
     let result, global = Exec.run_explained db0 root ~keep in
@@ -695,22 +593,7 @@ let run_sharded_explained ?mode ?organization ?force_algo ?force_sorted
     let result, global, lanes = Exec.run_sharded_explained smap root ~keep in
     (result, root, global, lanes)
 
-let run_sharded ?mode ?organization ?force_algo ?force_sorted ?force_seq
-    ?packed ?batch ?keep smap text =
-  let result, _, _, _ =
-    run_sharded_explained ?mode ?organization ?force_algo ?force_sorted
-      ?force_seq ?packed ?batch ?keep smap text
-  in
-  result
-
 (* --- the optimizer pipeline: enumerate -> cost -> pick -> validate --- *)
-
-module Sc = Tb_statcore.Stat_catalog
-
-(* The explicit path under its pipeline name: benches and the golden
-   fingerprint lower a [plan]-chosen (or forced) plan directly, bypassing
-   enumeration.  Byte-identical to [lower] by construction. *)
-let lower_forced = lower
 
 type choice = {
   ch_desc : string;
@@ -748,7 +631,7 @@ let optimize ?stats ?organization ?(batch = 256) db text =
     | None -> (
         match bound with
         | Plan.B_hier { parent_cls; child_cls; _ } ->
-            default_organization db ~parent_cls ~child_cls
+            default_organization stats ~parent_cls ~child_cls
         | Plan.B_selection _ -> Estimate.Separate_files)
   in
   let scored =
@@ -757,7 +640,7 @@ let optimize ?stats ?organization ?(batch = 256) db text =
         let root = lower ~packed:c.Enumerate.c_packed ~batch c.Enumerate.c_plan in
         Estimate.annotate ~stats ~organization root;
         (c, root, Estimate.plan_cost_ms root))
-      (Enumerate.candidates stats db bound)
+      (Enumerate.candidates stats bound)
   in
   match scored with
   | [] -> raise (Plan.Unsupported "optimizer: empty candidate space")
@@ -801,12 +684,6 @@ let run_optimized_explained ?stats ?organization ?batch ?(keep = false) db text 
   let result, global = Exec.run_explained db d.d_root ~keep in
   let checks = Exec.validate ~stats:d.d_stats d.d_root in
   (result, d, global, checks)
-
-let run_optimized ?stats ?organization ?batch ?keep db text =
-  let result, _, _, _ =
-    run_optimized_explained ?stats ?organization ?batch ?keep db text
-  in
-  result
 
 (* --- sharded break-even from statistics alone --- *)
 

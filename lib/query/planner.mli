@@ -1,27 +1,27 @@
-(** Plan selection: the heuristic strategy O2 shipped with, and the
-    cost-based strategy the authors were working toward.
+(** Plan selection.  [plan] is the closed-form chooser the paper's
+    findings motivate: it ranks the Section 4.2 access paths and the join
+    algorithms with {!Estimate}'s whole-query formulas, including the
+    sorted-index-scan and hybrid choices.  Its [force_*] knobs pin any part
+    of the choice; O2's navigation-biased heuristic of Section 2 (always
+    the index, unsorted, and NL joins) is [~force_algo:NL
+    ~force_sorted:false].  [optimize] is the four-stage pipeline (enumerate
+    → cost → pick → validate) over per-operator estimates.
 
-    - [Heuristic] mimics the navigation-biased optimizer of Section 2: an
-      available index is always taken (unsorted — Section 4.2 shows O2 did
-      not sort Rids), and hierarchical joins are evaluated by navigation
-      (NL).
-    - [Cost_based] ranks every access path and join algorithm with
-      {!Estimate} and picks the cheapest — including the sorted-index-scan
-      and hybrid choices the paper's findings motivate. *)
+    Both choosers read one statistics source: a
+    {!Tb_statcore.Stat_catalog.analyze} snapshot, taken once per [plan]
+    call and passed to (or taken by) [optimize]. *)
 
-type mode = Heuristic | Cost_based
+(** [plan db q] chooses a physical plan from a fresh catalog snapshot.
 
-(** [plan db q] chooses a physical plan.
-
-    [organization] tells the optimizer how the database was laid out
+    [organization] tells the chooser how the database was laid out
     (defaults to [Separate_files] when the two classes live in different
     files, [Shared_random] otherwise — composition clustering cannot be
     detected from the catalog and must be declared).
     [force_algo] pins the join algorithm (the benchmarks run all four);
-    [force_sorted] pins the sorted-Rid flag of index scans.
+    [force_sorted] pins the sorted-Rid flag of index scans and turns off
+    the selection's fallback to a scan; [force_seq] pins scans.
     Raises {!Plan.Unsupported} on queries outside the subset. *)
 val plan :
-  ?mode:mode ->
   ?organization:Estimate.organization ->
   ?force_algo:Plan.join_algo ->
   ?force_sorted:bool ->
@@ -30,11 +30,16 @@ val plan :
   Oql_ast.query ->
   Plan.t
 
-(** [join_env db bound ~organization] assembles the statistics {!Estimate}
-    needs for a bound hierarchical join (exposed for benches and tests).
+(** [join_env stats bound ~organization] assembles the closed-form inputs
+    {!Estimate.join_ms} needs for a bound hierarchical join from a catalog
+    snapshot, with [plan]'s 0.1% selectivity floor (exposed for the
+    [costmodel] figure, [treebench plan] and tests).
     Raises [Invalid_argument] if [bound] is a selection. *)
 val join_env :
-  Tb_store.Database.t -> Plan.bound -> organization:Estimate.organization -> Estimate.env
+  Tb_statcore.Stat_catalog.t ->
+  Plan.bound ->
+  organization:Estimate.organization ->
+  Estimate.env
 
 (** [lower plan] assembles the physical operator tree {!Exec} runs.  Pure
     plan surgery — no database access, no charges: attribute names stay
@@ -56,7 +61,6 @@ val lower : ?packed:bool -> ?batch:int -> Plan.t -> Op.t
 
 (** Parse, plan and execute in one call (the public "just run it" API). *)
 val run :
-  ?mode:mode ->
   ?organization:Estimate.organization ->
   ?force_algo:Plan.join_algo ->
   ?force_sorted:bool ->
@@ -71,7 +75,6 @@ val run :
 (** Like {!run}, but returns the executed operator tree (frames populated)
     and the run's global counter deltas, ready for {!Op.pp_report}. *)
 val run_explained :
-  ?mode:mode ->
   ?organization:Estimate.organization ->
   ?force_algo:Plan.join_algo ->
   ?force_sorted:bool ->
@@ -95,26 +98,12 @@ val run_explained :
     unsharded engine by construction. *)
 val lower_sharded : ?packed:bool -> ?batch:int -> Tb_store.Shard_map.t -> Plan.t -> Op.t
 
-(** Parse, plan (against shard 0) and execute across the shard map. *)
-val run_sharded :
-  ?mode:mode ->
-  ?organization:Estimate.organization ->
-  ?force_algo:Plan.join_algo ->
-  ?force_sorted:bool ->
-  ?force_seq:bool ->
-  ?packed:bool ->
-  ?batch:int ->
-  ?keep:bool ->
-  Tb_store.Shard_map.t ->
-  string ->
-  Query_result.t
-
-(** Like {!run_sharded}, but also returns the executed tree (per-shard
-    frames populated), the global work totals ([Op.reconciles] holds), and
-    the {!Exec.lane_report} with per-shard elapsed and the critical-path
+(** Parse, plan (against shard 0) and execute across the shard map.
+    Returns the result, the executed tree (per-shard frames populated),
+    the global work totals ([Op.reconciles] holds), and the
+    {!Exec.lane_report} with per-shard elapsed and the critical-path
     shard.  At S=1 the report is a single lane equal to the run's total. *)
 val run_sharded_explained :
-  ?mode:mode ->
   ?organization:Estimate.organization ->
   ?force_algo:Plan.join_algo ->
   ?force_sorted:bool ->
@@ -131,10 +120,6 @@ val run_sharded_explained :
     The explicit path above ([plan] + [lower], with its [force_*] knobs)
     survives as the forced path; the pipeline below searches the whole
     candidate space instead. *)
-
-(** [lower_forced] is {!lower} under its pipeline name: the forced path
-    benches and the golden fingerprint use, bypassing enumeration. *)
-val lower_forced : ?packed:bool -> ?batch:int -> Plan.t -> Op.t
 
 (** One costed candidate, for explain output and snapshots. *)
 type choice = {
@@ -184,15 +169,6 @@ val run_optimized_explained :
   Tb_store.Database.t ->
   string ->
   Query_result.t * decision * Op.totals * Exec.est_check list
-
-val run_optimized :
-  ?stats:Tb_statcore.Stat_catalog.t ->
-  ?organization:Estimate.organization ->
-  ?batch:int ->
-  ?keep:bool ->
-  Tb_store.Database.t ->
-  string ->
-  Query_result.t
 
 (** The sharded-vs-unsharded break-even, decided from statistics alone. *)
 type shard_decision = {

@@ -17,7 +17,6 @@ let create sim disk ~server_pages ~client_pages =
     write_observer = None;
   }
 
-let server_capacity t = Buffer_pool.capacity t.server
 let client_capacity t = Buffer_pool.capacity t.client
 let disk t = t.disk
 let sim t = t.sim

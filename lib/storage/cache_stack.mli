@@ -19,9 +19,7 @@ type t
 val create :
   Tb_sim.Sim.t -> Disk.t -> server_pages:int -> client_pages:int -> t
 
-(** Capacities, in pages. *)
-val server_capacity : t -> int
-
+(** The client cache's capacity, in pages. *)
 val client_capacity : t -> int
 
 (** [fetch t id] brings the page to the client cache (charging whatever

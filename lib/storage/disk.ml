@@ -79,16 +79,6 @@ let get_file t id =
   if id < 0 || id >= t.n_files then invalid_arg "Disk: bad file id";
   t.files.(id)
 
-let file_name t id = (get_file t id).name
-
-let find_file t ~name =
-  let rec go i =
-    if i >= t.n_files then None
-    else if String.equal t.files.(i).name name then Some i
-    else go (i + 1)
-  in
-  go 0
-
 let page_count t id = (get_file t id).n_pages
 
 let empty_template t =
@@ -165,7 +155,6 @@ let restore_image t pid image ~lsn =
   d.obj <- None
 
 let image_equal t pid image = Bytes.equal (durable_of t pid).image image
-let page_lsn t pid = (durable_of t pid).lsn
 
 let verify t =
   let torn = ref [] in
@@ -198,7 +187,6 @@ let total_pages t =
     n := !n + t.files.(i).n_pages
   done;
   !n
-let total_bytes t = total_pages t * page_size t
 
 (* Digest of the durable state: file names, page counts and image bytes.
    LSNs and checksums are excluded — the LSN is advisory and the checksum a

@@ -24,10 +24,6 @@ val page_size : t -> int
 val new_file : t -> name:string -> int
 
 val file_count : t -> int
-val file_name : t -> int -> string
-
-(** [find_file t ~name] is the id of the file named [name], if any. *)
-val find_file : t -> name:string -> int option
 
 (** Number of pages currently allocated to a file. *)
 val page_count : t -> int -> int
@@ -68,9 +64,6 @@ val restore_image : t -> Page_id.t -> Bytes.t -> lsn:int -> unit
     [image] byte for byte (recovery's undo/redo test), without copying it. *)
 val image_equal : t -> Page_id.t -> Bytes.t -> bool
 
-(** LSN of the last persist of that page. *)
-val page_lsn : t -> Page_id.t -> int
-
 (** [verify t] recomputes every page checksum and returns the mismatching
     (torn) pages. *)
 val verify : t -> Page_id.t list
@@ -88,9 +81,6 @@ val page_counts : t -> int array
 
 (** Total pages across all files (the "buy big!" arithmetic of §3.1). *)
 val total_pages : t -> int
-
-(** Total bytes of allocated pages. *)
-val total_bytes : t -> int
 
 (** Hex digest of the durable state (file names, page counts, image bytes;
     LSNs and checksums excluded).  Equal digests mean a restart would

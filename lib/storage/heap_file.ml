@@ -33,9 +33,6 @@ let create_temp stack =
   in
   create stack ~name
 
-let of_file stack ~file =
-  make stack ~file ~tail:(Disk.page_count (Cache_stack.disk stack) file - 1)
-
 let file_id t = t.file
 let page_count t = Disk.page_count (Cache_stack.disk t.stack) t.file
 let cache t = t.stack

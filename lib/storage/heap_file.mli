@@ -22,9 +22,6 @@ val create : Cache_stack.t -> name:string -> t
     caller-side counter — and no process-global state — is needed. *)
 val create_temp : Cache_stack.t -> t
 
-(** [of_file stack ~file] wraps an existing disk file id. *)
-val of_file : Cache_stack.t -> file:int -> t
-
 val file_id : t -> int
 val page_count : t -> int
 
@@ -66,13 +63,10 @@ val delete : t -> Rid.t -> unit
     access path. Forwarded bodies are visited at their *original* Rid. *)
 val scan : t -> (Rid.t -> bytes -> unit) -> unit
 
-(** [iter_page_records t ~page f] visits the live records of one page. *)
-val iter_page_records : t -> page:int -> (Rid.t -> bytes -> unit) -> unit
-
-(** [iter_page_spans t ~page f] visits the live records of one page without
-    copying: [f rid buf pos len] sees each body in place in the page
-    buffer.  Same visiting order and Rid presentation as
-    {!iter_page_records}; [f] must not mutate the buffer. *)
+(** [iter_page_spans t ~page f] visits the live records of one page
+    without copying: [f rid buf pos len] sees each body in place in the
+    page buffer, in slot order, forwarded bodies at their original Rid;
+    [f] must not mutate the buffer. *)
 val iter_page_spans :
   t -> page:int -> (Rid.t -> bytes -> int -> int -> unit) -> unit
 

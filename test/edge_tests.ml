@@ -217,9 +217,9 @@ let forest_db () =
 let test_no_inverse_falls_back_to_nl () =
   let db = forest_db () in
   let q = Oql_parser.parse "select k from p in ParentsExt, k in p.kids" in
-  (* Cost-based planning must not pick an algorithm that needs the missing
-     inverse. *)
-  (match Planner.plan ~mode:Planner.Cost_based db q with
+  (* Unforced (cost-based) planning must not pick an algorithm that needs
+     the missing inverse. *)
+  (match Planner.plan db q with
   | Plan.Hier_join { algo = Plan.NL; inv_attr = None; _ } -> ()
   | p -> Alcotest.failf "expected NL, got %a" Plan.pp p);
   let r = Exec.run db (Planner.lower (Planner.plan db q)) ~keep:true in

@@ -62,7 +62,7 @@ let forced_q b ?force_algo ?force_sorted ?force_seq oql =
   let organization = Generator.estimate_organization b.Generator.cfg in
   let ast = Oql_parser.parse oql in
   let plan = Planner.plan ~organization ?force_algo ?force_sorted ?force_seq db ast in
-  let root = Planner.lower_forced plan in
+  let root = Planner.lower plan in
   Estimate.annotate ~stats ~organization root;
   Database.cold_restart db;
   let r, _totals = Exec.run_explained db root ~keep:false in

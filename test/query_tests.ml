@@ -4,6 +4,7 @@
 open Tb_query
 module Value = Tb_store.Value
 module Database = Tb_store.Database
+module Sc = Tb_statcore.Stat_catalog
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -255,7 +256,10 @@ let test_bind_infers_inverse () =
 let test_heuristic_planner_is_navigation_biased () =
   let built = small_built () in
   let db = built.Tb_derby.Generator.db in
-  match Planner.plan ~mode:Planner.Heuristic db (Oql_parser.parse (paper_query 50 10)) with
+  match
+    Planner.plan ~force_algo:Plan.NL ~force_sorted:false db
+      (Oql_parser.parse (paper_query 50 10))
+  with
   | Plan.Hier_join { algo = Plan.NL; _ } -> ()
   | p -> Alcotest.fail (Format.asprintf "expected NL, got %a" Plan.pp p)
 
@@ -263,7 +267,7 @@ let test_heuristic_selection_takes_index_unsorted () =
   let built = small_built () in
   let db = built.Tb_derby.Generator.db in
   match
-    Planner.plan ~mode:Planner.Heuristic db
+    Planner.plan ~force_algo:Plan.NL ~force_sorted:false db
       (Oql_parser.parse "select pa.age from pa in Patients where pa.num < 10")
   with
   | Plan.Selection { access = Plan.Index_scan { sorted = false; _ }; _ } -> ()
@@ -276,7 +280,7 @@ let test_cost_based_selection_sorts () =
   let built = small_built ~n_providers:400 ~fanout:3 () in
   let db = built.Tb_derby.Generator.db in
   match
-    Planner.plan ~mode:Planner.Cost_based db
+    Planner.plan db
       (Oql_parser.parse "select pa.age from pa in Patients where pa.num < 480")
   with
   | Plan.Selection { access = Plan.Index_scan { sorted = true; _ }; _ } -> ()
@@ -289,7 +293,8 @@ let test_cost_based_join_prefers_navigation_under_composition () =
   let db = built.Tb_derby.Generator.db in
   let bound = Plan.bind db (Oql_parser.parse (paper_query 1000 1000)) in
   let env =
-    Planner.join_env db bound ~organization:Estimate.Shared_composition
+    Planner.join_env (Sc.analyze db) bound
+      ~organization:Estimate.Shared_composition
   in
   let env =
     {
@@ -328,7 +333,9 @@ let test_cost_based_join_prefers_hash_on_deep_class_clusters () =
   let built = small_built () in
   let db = built.Tb_derby.Generator.db in
   let bound = Plan.bind db (Oql_parser.parse (paper_query 10 3)) in
-  let env = Planner.join_env db bound ~organization:Estimate.Separate_files in
+  let env =
+    Planner.join_env (Sc.analyze db) bound ~organization:Estimate.Separate_files
+  in
   (* Force paper-scale statistics: 1M providers, 3M patients, 10%/10%. *)
   let env =
     {

@@ -2,7 +2,7 @@
 
    Usage:
      treelint --config treelint.toml [--baseline FILE] [--json FILE]
-              [--sarif FILE] [--cache FILE] [--explain RULE]
+              [--sarif FILE] [--explain RULE]
               [--cmi FILE]... [--verbose] [--update-baseline] DIR...
 
    Each DIR is searched recursively for .cmt files.  When a DIR holds no
@@ -12,9 +12,6 @@
    as the @lint rule.
 
    --sarif emits a SARIF 2.1.0 report (validated before writing).
-   --cache keys the whole run on the digests of every scanned cmt plus the
-   config and baseline files; a full hit replays the previous findings
-   without opening a single cmt.
    --explain RULE prints the dataflow trace under each of RULE's
    diagnostics, including allowlisted/baselined ones.
    Exit status is 1 only when an error-severity violation remains;
@@ -41,16 +38,6 @@ let read_baseline path =
     go []
   end
 
-let read_file path =
-  if not (Sys.file_exists path) then ""
-  else begin
-    let ic = open_in_bin path in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    s
-  end
-
 let write_file path contents =
   let oc = open_out path in
   output_string oc contents;
@@ -59,7 +46,7 @@ let write_file path contents =
 let usage () =
   prerr_endline
     "usage: treelint --config FILE [--baseline FILE] [--json FILE] [--sarif \
-     FILE] [--cache FILE] [--explain RULE] [--cmi FILE]... [--verbose] \
+     FILE] [--explain RULE] [--cmi FILE]... [--verbose] \
      [--update-baseline] DIR...";
   exit 2
 
@@ -68,7 +55,6 @@ let () =
   let baseline_path = ref "" in
   let json_path = ref "" in
   let sarif_path = ref "" in
-  let cache_path = ref "" in
   let explain = ref [] in
   let cmi_files = ref [] in
   let dirs = ref [] in
@@ -87,9 +73,6 @@ let () =
         parse rest
     | "--sarif" :: v :: rest ->
         sarif_path := v;
-        parse rest
-    | "--cache" :: v :: rest ->
-        cache_path := v;
         parse rest
     | "--explain" :: v :: rest ->
         explain := v :: !explain;
@@ -129,18 +112,7 @@ let () =
   in
   let dirs = List.map resolve (List.rev !dirs) in
   let extra_dirs = List.map Filename.dirname !cmi_files in
-  let cache =
-    if !cache_path = "" then None
-    else
-      (* everything besides the cmts that shapes the result feeds the salt *)
-      let salt =
-        Treelint_cache.digest_string
-          (String.concat "\x00"
-             [ read_file !config_path; read_file !baseline_path ])
-      in
-      Some (!cache_path, salt)
-  in
-  let result = Engine.run ?cache ~config ~baseline ~extra_dirs ~dirs () in
+  let result = Engine.run ~config ~baseline ~extra_dirs ~dirs () in
   let explain_wanted d = List.mem d.Diag.rule !explain in
   List.iter
     (fun d ->

@@ -753,21 +753,10 @@ let result_of_diags diagnostics ~files_scanned =
     baselined = count "baselined";
   }
 
-let run ?cache ~(config : Config.t) ~baseline ~extra_dirs ~dirs () =
+let run ~(config : Config.t) ~baseline ~extra_dirs ~dirs () =
   (* Load path: the stdlib plus every directory that holds a scanned cmt
      (their cmis live alongside), so Envaux can rebuild typing envs. *)
   let cmts = List.concat_map (fun d -> find_cmts d []) dirs in
-  (* Incremental cache: a full digest hit skips reading any cmt at all. *)
-  let cache_key =
-    match cache with
-    | None -> None
-    | Some (path, salt) -> Some (path, Treelint_cache.key ~salt cmts)
-  in
-  match
-    Option.bind cache_key (fun (path, k) -> Treelint_cache.load ~path k)
-  with
-  | Some (diags, files_scanned) -> result_of_diags diags ~files_scanned
-  | None ->
   let cmt_dirs =
     List.sort_uniq String.compare (List.map Filename.dirname cmts)
   in
@@ -804,9 +793,4 @@ let run ?cache ~(config : Config.t) ~baseline ~extra_dirs ~dirs () =
           if List.exists (String.equal (Diag.fingerprint d)) baseline then
             d.Diag.status <- Diag.Baselined)
     diagnostics;
-  (match cache_key with
-  | Some (path, k) ->
-      Treelint_cache.store ~path k diagnostics
-        ~files_scanned:(List.length modules)
-  | None -> ());
   result_of_diags diagnostics ~files_scanned:(List.length modules)

@@ -358,42 +358,6 @@ let test_sarif_roundtrip_qcheck () =
         print_endline ("  " ^ Printexc.to_string e);
         false)
 
-(* --- incremental cache --- *)
-
-let diag_key d =
-  ( d.Diag.rule,
-    d.Diag.file,
-    d.Diag.line,
-    d.Diag.col,
-    d.Diag.offender,
-    d.Diag.severity,
-    d.Diag.trace,
-    Diag.status_string d.Diag.status )
-
-let test_cache_identity () =
-  let config = Config.load "treelint_test.toml" in
-  let path = Filename.temp_file ~temp_dir:"." "treelint_cache" ".bin" in
-  Sys.remove path;
-  let go ~salt =
-    Engine.run ~cache:(path, salt) ~config ~baseline:[] ~extra_dirs
-      ~dirs:[ fixtures_dir ] ()
-  in
-  let cold = go ~salt:"salt0" in
-  check "cache file written on a cold run" (Sys.file_exists path);
-  let warm = go ~salt:"salt0" in
-  check "warm cache replays identical findings"
-    (List.map diag_key cold.Engine.diagnostics
-     = List.map diag_key warm.Engine.diagnostics
-    && cold.Engine.files_scanned = warm.Engine.files_scanned
-    && cold.Engine.violations = warm.Engine.violations);
-  (* a config/baseline change (new salt) must invalidate, and the re-scan
-     must land on the same findings *)
-  let rescan = go ~salt:"salt1" in
-  check "salt change rescans to the same findings"
-    (List.map diag_key cold.Engine.diagnostics
-    = List.map diag_key rescan.Engine.diagnostics);
-  if Sys.file_exists path then Sys.remove path
-
 (* --- the CLI: --update-baseline rewrite order, baseline gating --- *)
 
 let treelint_bin = "../bin/treelint_main.exe"
@@ -484,7 +448,6 @@ let () =
   test_baseline ();
   test_sarif_fixture_report ();
   test_sarif_roundtrip_qcheck ();
-  test_cache_identity ();
   test_update_baseline ();
   test_toml_multiline_list ();
   test_toml_quoted_keys_and_types ();
