@@ -1,0 +1,253 @@
+(* Wall-clock hot spots by source line.
+
+     dune exec --profile release bench/hotspots.exe -- [--seconds S]
+       [--scale N] [--top K] [cold | update | all]
+
+   A [Unix.setitimer] SIGALRM fires every millisecond of wall time and its
+   handler records [Printexc.get_callstack].  Each workload is built first
+   and sampled only while it runs, then source lines are ranked by self
+   samples (the innermost engine frame) and by inclusive samples (the line
+   is anywhere on the stack, counted once per sample).  Executables are
+   built with [-g], so the stacks carry file and line, inlined frames
+   included.
+
+   - [cold]: the paper-cold query mix — selections at 1..90% by scan,
+     unsorted and sorted index, a 50% count, and the Fig 11-14 joins at
+     10/50/90% under each algorithm — each query after a cold restart;
+   - [update]: a warm standard-mode loop of ten-write transactions (half
+     swap two patients' indexed nums, half set an age), every tenth one
+     aborted, the rest committed.
+
+   Where a sample lands: OCaml runs a signal handler only at its next poll
+   point (an allocation, a function entry or a loop back-edge), so each
+   sample is credited to the code at that poll point.  An allocation site
+   therefore collects the time of the non-allocating work just before it —
+   a long blit or a C call — and a tight loop that never polls hands its
+   time to whatever polls after it.  Read the ranking as "time spent on the
+   way to this line". *)
+
+open Tb_store
+module Generator = Tb_derby.Generator
+module Planner = Tb_query.Planner
+module Plan = Tb_query.Plan
+
+let usage () =
+  prerr_endline
+    "usage: hotspots.exe [--seconds S] [--scale N] [--top K] [cold | update | all]";
+  exit 2
+
+(* --- the sampler --- *)
+
+let samples : Printexc.raw_backtrace list ref = ref []
+
+let sampled seconds f =
+  samples := [];
+  Sys.set_signal Sys.sigalrm
+    (Sys.Signal_handle
+       (fun _ -> samples := Printexc.get_callstack 64 :: !samples));
+  let tick = { Unix.it_interval = 0.001; it_value = 0.001 } in
+  ignore (Unix.setitimer Unix.ITIMER_REAL tick : Unix.interval_timer_status);
+  let stop = Unix.gettimeofday () +. seconds in
+  while Unix.gettimeofday () < stop do
+    f ()
+  done;
+  let off = { Unix.it_interval = 0.0; it_value = 0.0 } in
+  ignore (Unix.setitimer Unix.ITIMER_REAL off : Unix.interval_timer_status);
+  Sys.set_signal Sys.sigalrm Sys.Signal_default;
+  !samples
+
+(* The located frames of one sample, innermost first, without this file's
+   own (the handler on top, the driving loop below). *)
+let frames raw =
+  match Printexc.backtrace_slots raw with
+  | None -> []
+  | Some slots ->
+      let located =
+        List.filter_map
+          (fun slot ->
+            match Printexc.Slot.location slot with
+            | Some l ->
+                Some (Printf.sprintf "%s:%d" l.Printexc.filename l.Printexc.line_number)
+            | None -> None)
+          (Array.to_list slots)
+      in
+      List.filter
+        (fun loc -> not (String.starts_with ~prefix:"bench/hotspots.ml" loc))
+        located
+
+let report ~name ~top raws =
+  let self = Hashtbl.create 256 and incl = Hashtbl.create 1024 in
+  (* Per self line, its callers' lines: a stdlib line on top of the self
+     ranking (a hash, a list walk) is read through its commonest caller. *)
+  let callers = Hashtbl.create 256 in
+  let bump tbl k =
+    Hashtbl.replace tbl k (1 + Option.value ~default:0 (Hashtbl.find_opt tbl k))
+  in
+  let n = ref 0 in
+  List.iter
+    (fun raw ->
+      match frames raw with
+      | [] -> ()
+      | inner :: rest as fs ->
+          incr n;
+          bump self inner;
+          (match rest with
+          | caller :: _ ->
+              let tbl =
+                match Hashtbl.find_opt callers inner with
+                | Some tbl -> tbl
+                | None ->
+                    let tbl = Hashtbl.create 8 in
+                    Hashtbl.replace callers inner tbl;
+                    tbl
+              in
+              bump tbl caller
+          | [] -> ());
+          List.iter (bump incl) (List.sort_uniq String.compare fs))
+    raws;
+  let ranked tbl =
+    List.sort
+      (fun (a, x) (b, y) -> match Int.compare y x with 0 -> String.compare a b | c -> c)
+      (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
+  in
+  let pct c = 100.0 *. float_of_int c /. float_of_int (max 1 !n) in
+  let print title tbl ~with_caller =
+    Printf.printf "  %s\n" title;
+    List.iteri
+      (fun i (loc, c) ->
+        if i < top then begin
+          Printf.printf "    %6d %5.1f%%  %s" c (pct c) loc;
+          (match Hashtbl.find_opt callers loc with
+          | Some tbl when with_caller -> (
+              match ranked tbl with
+              | (caller, k) :: _ -> Printf.printf "  <- %s (%d)" caller k
+              | [] -> ())
+          | _ -> ());
+          print_newline ()
+        end)
+      (ranked tbl)
+  in
+  Printf.printf "%s: %d samples\n" name !n;
+  print "self (commonest caller)" self ~with_caller:true;
+  print "inclusive" incl ~with_caller:false;
+  print_newline ()
+
+(* --- the workloads --- *)
+
+let cold_mix db ~n_patients ~n_providers =
+  let pct n q = max 1 (n * q / 100) in
+  let sel k = Printf.sprintf "select pa.age from pa in Patients where pa.num < %d" k in
+  let sels =
+    List.concat_map
+      (fun q ->
+        let text = sel (pct n_patients q) in
+        [
+          (fun () -> Planner.run ~force_seq:true db text);
+          (fun () -> Planner.run ~force_sorted:false db text);
+          (fun () -> Planner.run ~force_sorted:true db text);
+        ])
+      [ 1; 5; 10; 50; 90 ]
+  in
+  let count =
+    Printf.sprintf "select count(pa) from pa in Patients where pa.num < %d"
+      (n_patients / 2)
+  in
+  let joins =
+    List.concat_map
+      (fun q ->
+        let text =
+          Printf.sprintf
+            "select [p.name, pa.age] from p in Providers, pa in p.clients where \
+             pa.mrn < %d and p.upin < %d"
+            (pct n_patients q) (pct n_providers q)
+        in
+        List.map
+          (fun algo () -> Planner.run ~force_algo:algo db text)
+          Plan.[ NL; NOJOIN; PHJ; CHJ; PHHJ; SMJ ])
+      [ 10; 50; 90 ]
+  in
+  let queries = Array.of_list (((fun () -> Planner.run db count) :: sels) @ joins) in
+  let next = ref 0 in
+  fun () ->
+    Database.cold_restart db;
+    let r = queries.(!next mod Array.length queries) () in
+    Tb_query.Query_result.dispose r;
+    incr next
+
+let update_loop db patients =
+  let rng = Random.State.make [| 19 |] in
+  let n = Array.length patients in
+  let set name x v =
+    match v with
+    | Value.Tuple fields ->
+        Value.Tuple
+          (List.map (fun (f, y) -> if f = name then (f, Value.Int x) else (f, y)) fields)
+    | _ -> failwith "hotspots: patient is not a tuple"
+  in
+  let get name v =
+    match v with
+    | Value.Tuple fields -> (
+        match List.assoc name fields with
+        | Value.Int k -> k
+        | _ -> failwith "hotspots: not an int")
+    | _ -> failwith "hotspots: patient is not a tuple"
+  in
+  let round = ref 0 in
+  fun () ->
+    let h = Database.begin_txn db in
+    for c = 0 to 9 do
+      let a = patients.(Random.State.int rng n) in
+      let va = snd (Database.read_object db a) in
+      if c mod 2 = 0 then begin
+        let z = patients.(Random.State.int rng n) in
+        let vz = snd (Database.read_object db z) in
+        Database.update_object db a (set "num" (get "num" vz) va);
+        Database.update_object db z (set "num" (get "num" va) vz)
+      end
+      else Database.update_object db a (set "age" (Random.State.int rng 100) va)
+    done;
+    incr round;
+    if !round mod 10 = 0 then Database.abort_txn h else Database.commit_txn h
+
+let build ~scale txn_mode =
+  let cfg = Generator.config ~scale `Deep Generator.Class_clustered in
+  Generator.build
+    ~cost:(Tb_sim.Cost_model.scaled scale)
+    { cfg with Generator.txn_mode }
+
+let () =
+  let seconds = ref 4.0 and scale = ref 40 and top = ref 25 and which = ref "all" in
+  let rec parse = function
+    | [] -> ()
+    | "--seconds" :: s :: rest ->
+        (match float_of_string_opt s with
+        | Some v when v > 0.0 -> seconds := v
+        | _ -> usage ());
+        parse rest
+    | "--scale" :: s :: rest ->
+        (match int_of_string_opt s with Some v when v > 0 -> scale := v | _ -> usage ());
+        parse rest
+    | "--top" :: s :: rest ->
+        (match int_of_string_opt s with Some v when v > 0 -> top := v | _ -> usage ());
+        parse rest
+    | ("cold" | "update" | "all") as w :: rest ->
+        which := w;
+        parse rest
+    | _ -> usage ()
+  in
+  parse (List.tl (Array.to_list Sys.argv));
+  let want w = !which = "all" || !which = w in
+  if want "cold" then begin
+    let b = build ~scale:!scale Transaction.Load_off in
+    let run =
+      cold_mix b.Generator.db
+        ~n_patients:(Array.length b.Generator.patients)
+        ~n_providers:(Array.length b.Generator.providers)
+    in
+    report ~name:"paper-cold query mix" ~top:!top (sampled !seconds run)
+  end;
+  if want "update" then begin
+    let b = build ~scale:!scale Transaction.Standard in
+    let run = update_loop b.Generator.db b.Generator.patients in
+    report ~name:"standard-mode update/commit loop" ~top:!top (sampled !seconds run)
+  end

@@ -1024,7 +1024,7 @@ let validate ?(threshold = 2.0) ~stats root =
       match Op.Est.get n with
       | None -> ()
       | Some e ->
-          let actual = n.Op.frame.Op.ms in
+          let actual = n.Op.frame.Op.clock.Op.ms in
           let q = Op.Est.q ~est:e.Op.est_ms ~actual in
           let fed = q > threshold in
           if fed then

@@ -22,6 +22,11 @@ type key_spec = K_self | K_inverse of string
    predicates are packed-compilable. *)
 type mode = Packed | Handle
 
+(* A float-only record: OCaml stores its field unboxed, so adding to it
+   allocates nothing (a float field of the mixed [frame] would be boxed
+   afresh on every store). *)
+type ms_cell = { mutable ms : float }
+
 (* Per-operator instrumentation.  Counters are attributed by reading the
    global Tb_sim deltas between frame switches (see {!Acct}); the frame
    itself never charges anything, so execution stays bit-identical whether
@@ -37,7 +42,7 @@ type frame = {
   mutable hash_ops : int;  (** hash inserts + probes *)
   mutable sort_cmps : int;
   mutable bytes : int;  (** simulated bytes claimed (hash/sort/result) *)
-  mutable ms : float;  (** simulated clock advanced while live *)
+  clock : ms_cell;  (** simulated clock advanced while live *)
 }
 
 (* The cost stage's per-operator prediction, written by Estimate.annotate
@@ -130,7 +135,7 @@ let fresh_frame () =
     hash_ops = 0;
     sort_cmps = 0;
     bytes = 0;
-    ms = 0.0;
+    clock = { ms = 0.0 };
   }
 
 let make kind = { kind; frame = fresh_frame (); est = None }
@@ -173,7 +178,7 @@ let reset_frames node =
       fr.hash_ops <- 0;
       fr.sort_cmps <- 0;
       fr.bytes <- 0;
-      fr.ms <- 0.0)
+      fr.clock.ms <- 0.0)
     node
 
 let opcode node =
@@ -293,7 +298,7 @@ let sum_frames node =
           t_cmps = a.t_cmps + f.cmps;
           t_hash_ops = a.t_hash_ops + f.hash_ops;
           t_sort_cmps = a.t_sort_cmps + f.sort_cmps;
-          t_ms = a.t_ms +. f.ms;
+          t_ms = a.t_ms +. f.clock.ms;
         })
     node;
   !acc
@@ -315,7 +320,7 @@ let report_line ppf ~name ~depth fr =
   Format.fprintf ppf "%-46s %9d %9d %7d %6d %6d %8d %9d %8d %9d %10d %11.3f@."
     (String.make (2 * depth) ' ' ^ name)
     fr.rows_in fr.rows_out fr.handles fr.pages_read fr.pages_written
-    fr.get_atts fr.cmps fr.hash_ops fr.sort_cmps fr.bytes fr.ms
+    fr.get_atts fr.cmps fr.hash_ops fr.sort_cmps fr.bytes fr.clock.ms
 
 let pp_report ~global ppf node =
   Format.fprintf ppf "%-46s %9s %9s %7s %6s %6s %8s %9s %8s %9s %10s %11s@."
@@ -345,15 +350,10 @@ let pp_report ~global ppf node =
    current.  Read-only: attribution never touches the counters themselves,
    so the charge stream is identical with or without instrumentation. *)
 module Acct = struct
-  (* The clock snapshot lives in a float-only record: OCaml stores its
-     field unboxed, so re-taking the snapshot at every frame switch
-     allocates nothing (a float field of [acct] itself would be boxed). *)
-  type mark = { mutable mark_ms : float }
-
   type acct = {
     sim : Sim.t;
     mutable cur : frame;
-    s_ms : mark;
+    s_ms : ms_cell; (* unboxed, like the frames' clocks *)
     mutable s_dr : int;
     mutable s_dw : int;
     mutable s_ha : int;
@@ -376,7 +376,7 @@ module Acct = struct
     {
       sim;
       cur = frame;
-      s_ms = { mark_ms = now_ms sim };
+      s_ms = { ms = now_ms sim };
       s_dr = c.Counters.disk_reads;
       s_dw = c.Counters.disk_writes;
       s_ha = c.Counters.handle_allocs;
@@ -400,8 +400,8 @@ module Acct = struct
       - t.s_hp;
     f.sort_cmps <- f.sort_cmps + c.Counters.sort_comparisons - t.s_sc;
     let ms = now_ms t.sim in
-    f.ms <- f.ms +. (ms -. t.s_ms.mark_ms);
-    t.s_ms.mark_ms <- ms;
+    f.clock.ms <- f.clock.ms +. (ms -. t.s_ms.ms);
+    t.s_ms.ms <- ms;
     t.s_dr <- c.Counters.disk_reads;
     t.s_dw <- c.Counters.disk_writes;
     t.s_ha <- c.Counters.handle_allocs;
@@ -449,12 +449,12 @@ module Est = struct
     | Some e ->
         Format.fprintf ppf "%-46s %10.0f %9d %8.0f %6d %12.3f %12.3f %8.2f@."
           (String.make (2 * depth) ' ' ^ name)
-          e.est_rows fr.rows_out e.est_pages fr.pages_read e.est_ms fr.ms
-          (q ~est:e.est_ms ~actual:fr.ms)
+          e.est_rows fr.rows_out e.est_pages fr.pages_read e.est_ms fr.clock.ms
+          (q ~est:e.est_ms ~actual:fr.clock.ms)
     | None ->
         Format.fprintf ppf "%-46s %10s %9d %8s %6d %12s %12.3f %8s@."
           (String.make (2 * depth) ' ' ^ name)
-          "-" fr.rows_out "-" fr.pages_read "-" fr.ms "-"
+          "-" fr.rows_out "-" fr.pages_read "-" fr.clock.ms "-"
 
   (* Estimated-vs-actual rendering: one row per operator with the
      prediction next to the accounted frame, closing with plan-level
@@ -472,7 +472,7 @@ module Est = struct
     iter
       (fun n ->
         match n.est with
-        | Some e -> worst := Float.max !worst (q ~est:e.est_ms ~actual:n.frame.ms)
+        | Some e -> worst := Float.max !worst (q ~est:e.est_ms ~actual:n.frame.clock.ms)
         | None -> ())
       node;
     Format.fprintf ppf "%-46s %10s %9s %8s %6s %12.3f %12.3f %8.2f@."

@@ -33,6 +33,10 @@ type mode =
   | Packed  (** offset program straight on the record's page bytes *)
   | Handle  (** attribute decode through {!Tb_store.Database.get_att_slot} *)
 
+(** Simulated ms, in a float-only record so that the executor's updates
+    store the float unboxed. *)
+type ms_cell = { mutable ms : float }
+
 (** Per-operator instrumentation, mutated by the executor only. *)
 type frame = {
   mutable rows_in : int;
@@ -45,7 +49,7 @@ type frame = {
   mutable hash_ops : int;
   mutable sort_cmps : int;
   mutable bytes : int;
-  mutable ms : float;
+  clock : ms_cell;  (** simulated clock advanced while live *)
 }
 
 type kind =

@@ -5,6 +5,7 @@ type t = {
   client : Buffer_pool.t;
   mutable fault : Fault.t option;
   mutable write_observer : (Page_id.t -> Page_layout.t -> unit) option;
+  mutable persist_observer : (Page_id.t -> unit) option;
 }
 
 let create sim disk ~server_pages ~client_pages =
@@ -15,6 +16,7 @@ let create sim disk ~server_pages ~client_pages =
     client = Buffer_pool.create ~capacity_pages:client_pages;
     fault = None;
     write_observer = None;
+    persist_observer = None;
   }
 
 let client_capacity t = Buffer_pool.capacity t.client
@@ -23,14 +25,17 @@ let sim t = t.sim
 let set_fault t f = t.fault <- f
 let fault t = t.fault
 let set_write_observer t obs = t.write_observer <- obs
+let set_persist_observer t obs = t.persist_observer <- obs
 
 (* Writing a page to disk: charge the I/O, copy the working bytes into the
-   durable image, clear the dirty bit.  The fault layer decides whether the
-   machine survives the write; a crashing write is not charged (the charge
-   models a completed transfer) and leaves the image untouched — or, torn,
+   durable image, clear the dirty bit.  The persist observer (the WAL) sees
+   the image first, before the fault layer decides whether the machine
+   survives the write; a crashing write is not charged (the charge models a
+   completed transfer) and leaves the image untouched — or, torn,
    half-updated under the wrong checksum. *)
 let write_to_disk t id page =
   if Page_layout.dirty page then begin
+    (match t.persist_observer with None -> () | Some obs -> obs id);
     (match t.fault with
     | None -> ()
     | Some f -> (
@@ -110,9 +115,8 @@ let fetch_for_write t id =
   let page = fetch t id in
   Page_layout.set_dirty page true;
   (* The observer (the WAL) runs after the fetch but before the caller can
-     mutate: a first touch captures the page's pre-transaction image, and
-     every touch refreshes the WAL's reference to the current working
-     object.  Charge-free. *)
+     mutate: a first touch logs the page, and every touch refreshes the
+     WAL's reference to the current working object.  Charge-free. *)
   (match t.write_observer with None -> () | Some obs -> obs id page);
   page
 

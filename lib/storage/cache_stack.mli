@@ -28,7 +28,8 @@ val fetch : t -> Page_id.t -> Page_layout.t
 
 (** Like [fetch], and marks the page dirty.  Every call is reported to the
     write observer (after the fetch, before the caller can mutate), which is
-    how the WAL captures before-images and tracks working objects. *)
+    how the WAL learns which pages a transaction touches and tracks their
+    working objects. *)
 val fetch_for_write : t -> Page_id.t -> Page_layout.t
 
 (** [peek t id] is the client-cached working page, if any: [Some] iff a
@@ -51,8 +52,14 @@ val clear : t -> unit
 (** {2 Logging and fault hooks} *)
 
 (** [set_write_observer t obs] installs the callback run on every
-    [fetch_for_write] (the WAL's page-image capture); [None] removes it. *)
+    [fetch_for_write] (the WAL's touch record); [None] removes it. *)
 val set_write_observer : t -> (Page_id.t -> Page_layout.t -> unit) option -> unit
+
+(** [set_persist_observer t obs] installs the callback run before every
+    write of a dirty page to disk, ahead of the fault layer's verdict, while
+    the durable image still holds its old bytes (the WAL's before-image
+    capture on a steal); [None] removes it. *)
+val set_persist_observer : t -> (Page_id.t -> unit) option -> unit
 
 (** [set_fault t f] installs a fault-injection layer under the stack: every
     page persist ticks its crash countdown, every physical read rolls its

@@ -2,11 +2,11 @@
    descriptor word pair: the LSN of the last persist and a checksum of the
    image as written.  Working [Page_layout.t] objects live only in the
    buffer pools; [load_page] materializes a copy from the image (or hands
-   back the memoized one, see [durable.obj]) and [persist] copies working
-   bytes back.  Keeping the two words outside the page bytes preserves the
-   page's record capacity (the golden counter gate pins every
-   capacity-derived count); the page_fill slack is what a real layout
-   would carve them from. *)
+   back the memoized one, see [durable.obj]) and [persist] copies the
+   working page's dirty blocks back.  Keeping the two words outside the
+   page bytes preserves the page's record capacity (the golden counter
+   gate pins every capacity-derived count); the page_fill slack is what a
+   real layout would carve them from. *)
 
 type durable = {
   mutable image : Bytes.t;
@@ -42,24 +42,74 @@ type t = {
 let create sim = { sim; files = [||]; n_files = 0; empty = None }
 let page_size t = t.sim.Tb_sim.Sim.cost.Tb_sim.Cost_model.page_size
 
-(* FNV-1a with the offset basis folded into 62 bits, so the hash stays an
-   immediate int on 64-bit OCaml.  Mixes a word at a time — this runs over
-   the full page on every persist. *)
-let fnv_basis = 0x0bf29ce484222325
+(* The page checksum: a sum, modulo 2^63, of one term per 8-byte word (and
+   one per byte of a final partial word).  Word [i], folded to 63 bits by
+   xoring its bit 63 into bit 0, is weighted by the odd multiplier
+   [(2i + 1) * mult], so flipping any single bit of the page, bit 63 of a
+   word included, moves the sum, and a word's term depends on where it
+   sits.  Being a sum, a page's checksum is the sum of its blocks' terms:
+   [persist] moves the stored one by the old and new terms of just the
+   blocks it copies.  The terms do not depend on each other, so two lanes
+   run side by side and a full page costs less than a word-serial hash. *)
+let mult = 0x1b873593_cc9e2d51
 
-let checksum_of bytes =
-  let n = Bytes.length bytes in
-  let h = ref fnv_basis in
-  let words = n lsr 3 in
-  for i = 0 to words - 1 do
-    h :=
-      (!h lxor Int64.to_int (Bytes.get_int64_le bytes (i lsl 3)))
-      * 0x100000001b3
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external swap64 : int64 -> int64 = "%bswap_int64"
+
+let[@inline] word bytes pos =
+  let w = get64u bytes pos in
+  let w = if Sys.big_endian then swap64 w else w in
+  Int64.to_int w lxor Int64.to_int (Int64.shift_right_logical w 63)
+
+(* Checksum terms of the [len] bytes at [off]; [off] is a multiple of 8
+   and [off + len] a multiple of 8 or the end of [bytes]. *)
+let checksum_range bytes off len =
+  let stop = off + len in
+  if off < 0 || off land 7 <> 0 || len < 0 || stop > Bytes.length bytes then
+    invalid_arg "Disk.checksum_range";
+  let step = 2 * mult in
+  let h1 = ref 0 and h2 = ref 0 in
+  let k = ref (((off lsr 2) + 1) * mult) in
+  let p = ref off in
+  while !p + 16 <= stop do
+    h1 := !h1 + (word bytes !p * !k);
+    h2 := !h2 + (word bytes (!p + 8) * (!k + step));
+    k := !k + (2 * step);
+    p := !p + 16
   done;
-  for i = words lsl 3 to n - 1 do
-    h := (!h lxor Char.code (Bytes.unsafe_get bytes i)) * 0x100000001b3
+  if !p + 8 <= stop then begin
+    h1 := !h1 + (word bytes !p * !k);
+    p := !p + 8
+  end;
+  while !p < stop do
+    h1 := !h1 + (Char.code (Bytes.unsafe_get bytes !p) * ((!p lsl 1) + 1) * mult);
+    incr p
   done;
-  !h land max_int
+  !h1 + !h2
+
+let checksum bytes = checksum_range bytes 0 (Bytes.length bytes)
+
+(* [checksum_range src off len - checksum_range image off len], with terms
+   only for the words that differ: a B+-tree leaf's shifted entries mark
+   whole runs of blocks that a remove and an insert mostly put back. *)
+let checksum_delta image src off len =
+  let stop = off + len in
+  if off < 0 || off land 7 <> 0 || len < 0
+     || stop > Bytes.length image || stop > Bytes.length src
+  then invalid_arg "Disk.checksum_delta";
+  let step = 2 * mult in
+  let h = ref 0 in
+  let k = ref (((off lsr 2) + 1) * mult) in
+  let p = ref off in
+  while !p + 8 <= stop do
+    if get64u image !p <> get64u src !p then
+      h := !h + ((word src !p - word image !p) * !k);
+    k := !k + step;
+    p := !p + 8
+  done;
+  if !p < stop then
+    h := !h + checksum_range src !p (stop - !p) - checksum_range image !p (stop - !p);
+  !h
 
 let new_file t ~name =
   let id = t.n_files in
@@ -86,7 +136,7 @@ let empty_template t =
   | Some e -> e
   | None ->
       let image = Page_layout.snapshot (Page_layout.create ~size:(page_size t)) in
-      let e = (image, checksum_of image) in
+      let e = (image, checksum image) in
       t.empty <- Some e;
       e
 
@@ -122,11 +172,37 @@ let load_page t pid =
       d.obj <- Some page;
       page
 
+(* Copy only the page's dirty blocks, a run of adjacent ones at a time:
+   outside them a working page equals the image it was loaded from or last
+   persisted to (see [Page_layout.dirty_blocks]), and that image is this
+   one — the memo makes one working object per page current at a time,
+   and nothing else writes an image under a live dirty object.  The
+   checksum moves by the difference of the copied runs' terms. *)
 let persist t pid page =
   let d = durable_of t pid in
-  Bytes.blit (Page_layout.buffer page) 0 d.image 0 (Bytes.length d.image);
+  let src = Page_layout.buffer page in
+  let size = Bytes.length d.image in
+  let bb = Page_layout.block_bytes page in
+  let blocks = ref (Page_layout.dirty_blocks page) in
+  let off = ref 0 in
+  while !blocks <> 0 do
+    if !blocks land 1 = 0 then begin
+      blocks := !blocks lsr 1;
+      off := !off + bb
+    end
+    else begin
+      let stop = ref !off in
+      while !blocks land 1 = 1 do
+        blocks := !blocks lsr 1;
+        stop := !stop + bb
+      done;
+      let len = (if !stop <= size then !stop else size) - !off in
+      d.checksum <- d.checksum + checksum_delta d.image src !off len;
+      Bytes.blit src !off d.image !off len;
+      off := !stop
+    end
+  done;
   d.lsn <- Page_layout.lsn page;
-  d.checksum <- checksum_of d.image;
   d.obj <- Some page
 
 (* A torn write: the crash interrupted the transfer after the first
@@ -138,7 +214,7 @@ let persist_torn t pid page =
   let d = durable_of t pid in
   let half = Bytes.length d.image / 2 in
   let full = Page_layout.buffer page in
-  let new_checksum = checksum_of full in
+  let new_checksum = checksum full in
   Bytes.blit full 0 d.image 0 half;
   d.lsn <- Page_layout.lsn page;
   d.obj <- None;
@@ -151,10 +227,15 @@ let restore_image t pid image ~lsn =
   let d = durable_of t pid in
   Bytes.blit image 0 d.image 0 (Bytes.length d.image);
   d.lsn <- lsn;
-  d.checksum <- checksum_of d.image;
+  d.checksum <- checksum d.image;
   d.obj <- None
 
 let image_equal t pid image = Bytes.equal (durable_of t pid).image image
+
+let copy_image t pid dst =
+  let d = durable_of t pid in
+  Bytes.blit d.image 0 dst 0 (Bytes.length d.image);
+  d.lsn
 
 let verify t =
   let torn = ref [] in
@@ -162,7 +243,7 @@ let verify t =
     let f = t.files.(file) in
     for index = f.n_pages - 1 downto 0 do
       let d = f.pages.(index) in
-      if checksum_of d.image <> d.checksum then
+      if checksum d.image <> d.checksum then
         torn := Page_id.make ~file ~index :: !torn
     done
   done;
@@ -187,6 +268,8 @@ let total_pages t =
     n := !n + t.files.(i).n_pages
   done;
   !n
+
+let fnv_basis = 0x0bf29ce484222325
 
 (* Digest of the durable state: file names, page counts and image bytes.
    LSNs and checksums are excluded — the LSN is advisory and the checksum a

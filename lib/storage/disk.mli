@@ -47,7 +47,11 @@ val append_page : t -> file:int -> int
 val load_page : t -> Page_id.t -> Page_layout.t
 
 (** [persist t pid page] makes the working bytes durable and refreshes the
-    page's LSN and checksum. *)
+    page's LSN and checksum.  It copies only [page]'s dirty blocks
+    ({!Page_layout.dirty_blocks}) and moves the checksum by their old and
+    new terms, so [page] must be the current working copy of [pid]: read
+    from its image by {!load_page} or last written to it, with every
+    change since covered by its dirty blocks. *)
 val persist : t -> Page_id.t -> Page_layout.t -> unit
 
 (** [persist_torn t pid page] models a write interrupted by a crash: only
@@ -64,8 +68,19 @@ val restore_image : t -> Page_id.t -> Bytes.t -> lsn:int -> unit
     [image] byte for byte (recovery's undo/redo test), without copying it. *)
 val image_equal : t -> Page_id.t -> Bytes.t -> bool
 
-(** [verify t] recomputes every page checksum and returns the mismatching
-    (torn) pages. *)
+(** [copy_image t pid dst] copies the durable image of [pid] into [dst]
+    (one page size) and returns the image's LSN: the WAL's before-image of
+    a page about to be overwritten. *)
+val copy_image : t -> Page_id.t -> Bytes.t -> int
+
+(** [checksum image] is the page checksum {!verify} recomputes: a sum of
+    position-weighted terms of the image's words that folds all 64 bits
+    of each, so any single flipped bit changes it.  {!persist} keeps the
+    stored one up to date block by block. *)
+val checksum : Bytes.t -> int
+
+(** [verify t] recomputes every page checksum over the whole image and
+    returns the mismatching (torn) pages. *)
 val verify : t -> Page_id.t list
 
 (** [truncate_file t ~file ~pages] drops pages beyond [pages] (recovery of a

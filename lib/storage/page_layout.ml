@@ -11,6 +11,14 @@ type t = {
   buf : Bytes.t;
   size : int;
   mutable dirty : bool;
+  (* The bytes changed since the page was last clean, as a bit set of
+     fixed-size blocks: bit [i] covers bytes [i lsl block_shift] up to the
+     next block (at most 32 blocks, see [block_shift_of]).  Every mutator
+     adds to it, and it is emptied when the page goes clean, so a clean
+     page and the image it was read from or written to differ nowhere, and
+     a dirty one differs only inside these blocks. *)
+  mutable blocks : int;
+  block_shift : int;
   mutable version : int;
   mutable lsn : int;
 }
@@ -28,45 +36,83 @@ let next_version () =
 let header_size = 4
 let dir_entry = 4
 
+(* The smallest power-of-two block, of at least one 8-byte word, that
+   splits a page into at most 32 blocks: 128 bytes on a 4K page. *)
+let block_shift_of size =
+  let rec go s = if (size + (1 lsl s) - 1) lsr s <= 32 then s else go (s + 1) in
+  go 3
+
+let make buf =
+  let size = Bytes.length buf in
+  {
+    buf;
+    size;
+    dirty = false;
+    blocks = 0;
+    block_shift = block_shift_of size;
+    version = next_version ();
+    lsn = 0;
+  }
+
 let create ~size =
   if size < 64 || size > 65528 then invalid_arg "Page_layout.create: size";
   let buf = Bytes.make size '\000' in
   Bytes.set_uint16_le buf 2 header_size;
-  { buf; size; dirty = false; version = next_version (); lsn = 0 }
+  make buf
 
 (* A working copy of a durable page image.  The LSN and checksum live in the
    disk's per-page descriptor, not in the page bytes: growing the header
    would change every capacity-derived simulated count, and the page_fill
    slack already reserves more space than the two words need. *)
 let of_bytes ?(lsn = 0) image =
-  {
-    buf = Bytes.copy image;
-    size = Bytes.length image;
-    dirty = false;
-    version = next_version ();
-    lsn;
-  }
+  let t = make (Bytes.copy image) in
+  t.lsn <- lsn;
+  t
 
-(* Full-page physical image, the WAL's before/after unit. *)
+(* Full-page physical image, the WAL's after-image unit. *)
 let snapshot t = Bytes.copy t.buf
 
 let size t = t.size
 let dirty t = t.dirty
-let set_dirty t d = t.dirty <- d
+
+let set_dirty t d =
+  t.dirty <- d;
+  if not d then t.blocks <- 0
+
+let dirty_blocks t = t.blocks
+let block_bytes t = 1 lsl t.block_shift
+
+(* Add the blocks overlapping bytes [off, off + len) to the dirty set. *)
+let mark t off len =
+  if len > 0 then begin
+    let lo = off lsr t.block_shift in
+    let hi = (off + len - 1) lsr t.block_shift in
+    t.blocks <- t.blocks lor (((1 lsl (hi - lo + 1)) - 1) lsl lo)
+  end
+
 let version t = t.version
 let lsn t = t.lsn
 let set_lsn t l = t.lsn <- l
 let slot_count t = Bytes.get_uint16_le t.buf 0
 let free_off t = Bytes.get_uint16_le t.buf 2
-let set_slot_count t n = Bytes.set_uint16_le t.buf 0 n
-let set_free_off t off = Bytes.set_uint16_le t.buf 2 off
+
+let set_slot_count t n =
+  Bytes.set_uint16_le t.buf 0 n;
+  mark t 0 2
+
+let set_free_off t off =
+  Bytes.set_uint16_le t.buf 2 off;
+  mark t 2 2
+
 let dir_pos t slot = t.size - (dir_entry * (slot + 1))
 let slot_offset t slot = Bytes.get_uint16_le t.buf (dir_pos t slot)
 let slot_length t slot = Bytes.get_uint16_le t.buf (dir_pos t slot + 2)
 
 let set_slot t slot ~off ~len =
-  Bytes.set_uint16_le t.buf (dir_pos t slot) off;
-  Bytes.set_uint16_le t.buf (dir_pos t slot + 2) len
+  let pos = dir_pos t slot in
+  Bytes.set_uint16_le t.buf pos off;
+  Bytes.set_uint16_le t.buf (pos + 2) len;
+  mark t pos dir_entry
 
 let live_count t =
   let n = ref 0 in
@@ -121,6 +167,7 @@ let compact t =
       let len = slot_length t slot in
       if off <> !cursor then begin
         Bytes.blit t.buf off t.buf !cursor len;
+        mark t !cursor len;
         set_slot t slot ~off:!cursor ~len
       end;
       cursor := !cursor + len)
@@ -147,6 +194,7 @@ let insert t body =
     if new_slot then set_slot_count t (slot + 1);
     let off = free_off t in
     Bytes.blit body 0 t.buf off len;
+    mark t off len;
     set_slot t slot ~off ~len;
     set_free_off t (off + len);
     t.dirty <- true;
@@ -165,8 +213,9 @@ let read t slot =
 
 (* Zero-copy access for owners that patch a record's bytes in place (the
    B+-tree's node editing): the backing buffer plus a live record's span.
-   A caller that writes through [buffer] must call [record_modified] so the
-   dirty bit and the version counter stay truthful. *)
+   A caller that writes through [buffer] must call [record_modified] with
+   the range it wrote, so the dirty bit, the dirty blocks and the version
+   counter stay truthful. *)
 let buffer t = t.buf
 
 let record_offset t slot =
@@ -175,7 +224,8 @@ let record_offset t slot =
   if off = 0 then raise Not_found;
   off
 
-let record_modified t =
+let record_modified t ~off ~len =
+  mark t off len;
   t.dirty <- true;
   t.version <- next_version ()
 
@@ -197,6 +247,7 @@ let update t slot body =
     invalid_arg "Page_layout.update: body size";
   if len <= old_len then begin
     Bytes.blit body 0 t.buf off len;
+    mark t off len;
     set_slot t slot ~off ~len;
     t.dirty <- true;
     t.version <- next_version ();
@@ -208,6 +259,7 @@ let update t slot body =
     compact t;
     let off = free_off t in
     Bytes.blit body 0 t.buf off len;
+    mark t off len;
     set_slot t slot ~off ~len;
     set_free_off t (off + len);
     t.dirty <- true;

@@ -22,16 +22,34 @@ val create : size:int -> t
     log sequence number. *)
 val of_bytes : ?lsn:int -> Bytes.t -> t
 
-(** A copy of the full page bytes — the WAL's before/after-image unit. *)
+(** A copy of the full page bytes (the WAL's after-image unit). *)
 val snapshot : t -> Bytes.t
 
 val size : t -> int
 val dirty : t -> bool
+
+(** [set_dirty t false] also empties the dirty-block set: the page now
+    equals the durable image it was written to. *)
 val set_dirty : t -> bool -> unit
+
+(** {2 Dirty blocks}
+
+    A page is split into at most 32 fixed-size blocks of {!block_bytes}
+    bytes (128 on a 4K page; the last may be shorter).  Every mutator adds
+    the blocks it wrote to a set that empties when the page goes clean, so
+    a dirty page differs from the image it was last clean against only
+    inside its dirty blocks.  {!Disk.persist} copies just those. *)
+
+(** Bit [i] is set iff block [i] was written since the page was last
+    clean. *)
+val dirty_blocks : t -> int
+
+(** Bytes per block, a power of two (at least 8). *)
+val block_bytes : t -> int
 
 (** Write-version counter: bumped by every mutation of the page's contents
     ([insert], [update], [delete], internal compaction, and
-    [record_modified]).  Views into a page (a packed Handle's cached body
+    {!record_modified}).  Views into a page (a packed Handle's cached body
     offset) key their validity on [(page, version)]: equal version means
     the bytes have not changed since the view was taken.  Versions are globally unique
     across page objects (one shared monotonic counter), so a page
@@ -89,9 +107,10 @@ val buffer : t -> Bytes.t
     Raises [Not_found] for dead or out-of-range slots. *)
 val record_offset : t -> int -> int
 
-(** Declare that record bytes were patched through [buffer]: marks the page
-    dirty and bumps [version]. *)
-val record_modified : t -> unit
+(** [record_modified t ~off ~len] declares that bytes [off, off + len) were
+    patched through [buffer]: marks the page dirty, adds the range to its
+    dirty blocks and bumps [version]. *)
+val record_modified : t -> off:int -> len:int -> unit
 
 (** [delete t slot] frees the slot (idempotent on dead slots within range).
     Raises [Not_found] if out of range. *)

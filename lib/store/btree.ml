@@ -248,7 +248,8 @@ let leaf_insert t index pos key rid =
   Bytes.blit b epos b (epos + entry_bytes) (entry_bytes * (n - pos));
   put_entry b epos key rid;
   Bytes.set_uint16_le b (off + 5) (n + 1);
-  Page_layout.record_modified page
+  Page_layout.record_modified page ~off:epos ~len:(entry_bytes * (n - pos + 1));
+  Page_layout.record_modified page ~off:(off + 5) ~len:2
 
 let leaf_remove t index pos =
   let page = page_for t index true in
@@ -258,7 +259,8 @@ let leaf_remove t index pos =
   let epos = leaf_entry off pos in
   Bytes.blit b (epos + entry_bytes) b epos (entry_bytes * (n - pos));
   Bytes.set_uint16_le b (off + 5) n;
-  Page_layout.record_modified page
+  Page_layout.record_modified page ~off:epos ~len:(entry_bytes * (n - pos));
+  Page_layout.record_modified page ~off:(off + 5) ~len:2
 
 (* Insert separator [sep] / right child after child [child_idx]; only for
    non-overflowing parents (n < internal_cap). *)
@@ -274,7 +276,10 @@ let internal_insert t index child_idx sep right_page =
   Bytes.blit b spos b (spos + entry_bytes) (entry_bytes * (nk - child_idx));
   Bytes.blit sep 0 b spos entry_bytes;
   Bytes.set_uint16_le b (off + 1) (nk + 1);
-  Page_layout.record_modified page
+  Page_layout.record_modified page ~off:(off + 1) ~len:2;
+  Page_layout.record_modified page ~off:cpos ~len:(4 * (nk - child_idx + 1));
+  Page_layout.record_modified page ~off:spos
+    ~len:(entry_bytes * (nk - child_idx + 1))
 
 (* --- insertion --- *)
 
@@ -314,11 +319,12 @@ let split_leaf t index page pos key rid =
   if pos < mid then begin
     let epos = leaf_entry off pos in
     Bytes.blit b epos b (epos + entry_bytes) (entry_bytes * (mid - 1 - pos));
-    put_entry b epos key rid
+    put_entry b epos key rid;
+    Page_layout.record_modified page ~off:epos ~len:(entry_bytes * (mid - pos))
   end;
   Bytes.set_int32_le b (off + 1) (Int32.of_int right_page);
   Bytes.set_uint16_le b (off + 5) mid;
-  Page_layout.record_modified page;
+  Page_layout.record_modified page ~off:(off + 1) ~len:6;
   Split (sep, right_page)
 
 (* Split the full internal node at [index] after child [child_idx] split
@@ -775,7 +781,9 @@ let bulk_add t run =
             hit ();
             put_entry b (leaf_entry off n) key rid;
             Bytes.set_uint16_le b (off + 5) (n + 1);
-            Page_layout.record_modified page;
+            Page_layout.record_modified page ~off:(leaf_entry off n)
+              ~len:entry_bytes;
+            Page_layout.record_modified page ~off:(off + 5) ~len:2;
             bn := n + 1;
             t.entries <- t.entries + 1
           end

@@ -122,6 +122,8 @@ let create sim ~schema ~server_pages ~client_pages
        (fun pid page ->
          if Transaction.mode t.txn = Transaction.Standard then
            Wal.note_touch (Transaction.wal t.txn) pid page));
+  Tb_storage.Cache_stack.set_persist_observer stack
+    (Some (Wal.note_persist (Transaction.wal t.txn) (Tb_storage.Cache_stack.disk stack)));
   t.checkpoint <- take_ckpt t;
   t
 

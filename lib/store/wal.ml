@@ -4,16 +4,22 @@ module Disk = Tb_storage.Disk
 module Fault = Tb_storage.Fault
 module Int_table = Tb_storage.Int_table
 
-(* One consolidated physical record per (transaction, page): the before-image
-   captured at the first write fetch after the last checkpoint, the
-   after-image captured when the commit record is forced.  [page] is
-   refreshed on every write fetch so the after-image is always read from the
-   live working object, never from a copy that eviction already replaced. *)
+(* One consolidated physical record per (transaction, page): the
+   before-image captured when a write first reaches the page's durable
+   image before the commit record does (a steal), the after-image captured
+   when the commit record is forced.  [page] is refreshed on every write
+   fetch so the after-image is always read from the live working object,
+   never from a copy that eviction already replaced.
+
+   A page that is never stolen needs no before-image: a first touch finds
+   the page clean (a commit flushes every page, an abort or crash drops
+   them), so its durable image holds the pre-transaction bytes until the
+   first steal, which is where the copy is taken. *)
 type touch = {
   pid : Page_id.t;
   mutable page : Page_layout.t;
-  before : Bytes.t;
-  before_lsn : int;
+  mutable before : Bytes.t option;
+  mutable before_lsn : int;
   lsn : int;
   mutable after : Bytes.t option;
 }
@@ -22,10 +28,9 @@ type t = {
   sim : Tb_sim.Sim.t;
   touched : touch Int_table.t; (* keyed by the packed Page_id *)
   mutable order : touch list; (* reverse first-touch order = undo order *)
-  (* The last retired interval's touches: their before-image buffers are
-     refilled by the next interval's first touches instead of allocating
-     fresh page-sized blocks. *)
-  mutable spares : touch list;
+  (* Before-image buffers of retired intervals: the next steals refill
+     them instead of allocating fresh page-sized blocks. *)
+  mutable spares : Bytes.t list;
   mutable pending : int; (* log bytes not yet filling a whole page *)
   mutable next_lsn : int;
   mutable commit_durable : bool;
@@ -47,8 +52,10 @@ let create sim =
 let set_fault t f = t.fault <- f
 let pending_bytes t = t.pending
 let commit_durable t = t.commit_durable
-let covers t (pid : Page_id.t) = Int_table.mem t.touched (pid :> int)
 let touched_pages t = Int_table.length t.touched
+
+let stolen_pages t =
+  List.fold_left (fun n tch -> if Option.is_some tch.before then n + 1 else n) 0 t.order
 
 let tick_write t =
   match t.fault with
@@ -62,19 +69,9 @@ let tick_write t =
              durable — never happened. *)
           raise Fault.Crash)
 
-(* A copy of [page]'s bytes, in a spare buffer when one is left (every
-   page has the cost model's page size). *)
-let before_image t page =
-  match t.spares with
-  | spare :: rest ->
-      t.spares <- rest;
-      Bytes.blit (Page_layout.buffer page) 0 spare.before 0 (Bytes.length spare.before);
-      spare.before
-  | [] -> Page_layout.snapshot page
-
 (* The write observer: runs on every [Cache_stack.fetch_for_write].  A first
-   touch appends the physical before-image record; repeat touches only
-   re-point [page] at the current working object.  Charge-free: the paper's
+   touch appends the page's physical record; repeat touches only re-point
+   [page] at the current working object.  Charge-free: the paper's
    "before/after images go to the log" I/O is already priced by
    [logical_write]'s byte accounting, and a per-page physical record is a
    consolidation of those same bytes, not new ones. *)
@@ -86,18 +83,30 @@ let note_touch t (pid : Page_id.t) page =
       let lsn = t.next_lsn in
       t.next_lsn <- lsn + 1;
       let tch =
-        {
-          pid;
-          page;
-          before = before_image t page;
-          before_lsn = Page_layout.lsn page;
-          lsn;
-          after = None;
-        }
+        { pid; page; before = None; before_lsn = 0; lsn; after = None }
       in
       Page_layout.set_lsn page lsn;
       Int_table.replace t.touched (pid :> int) tch;
       t.order <- tch :: t.order
+
+(* The persist observer: runs before every write of a dirty page to disk.
+   The first write of a touched page while the commit record is not yet
+   durable is a steal; copy the durable image it is about to overwrite (in
+   a spare buffer when one is left) as the page's before-image. *)
+let note_persist t disk (pid : Page_id.t) =
+  if not t.commit_durable then
+    match Int_table.find_opt t.touched (pid :> int) with
+    | Some ({ before = None; _ } as tch) ->
+        let buf =
+          match t.spares with
+          | spare :: rest ->
+              t.spares <- rest;
+              spare
+          | [] -> Bytes.create (Disk.page_size disk)
+        in
+        tch.before_lsn <- Disk.copy_image disk pid buf;
+        tch.before <- Some buf
+    | Some _ | None -> ()
 
 (* One logical write record: [bytes] of before-image plus [bytes] of
    after-image join the log, and every filled log page costs one disk
@@ -134,12 +143,23 @@ let force t =
       t.order;
   t.commit_durable <- true
 
+(* At most this many spare before-image buffers outlive a checkpoint: a
+   bulk load's thousands of steals are not kept alive for good, and a run
+   of small transactions stealing a page now and then never allocates. *)
+let max_spares = 16
+
 (* Truncate the log after a completed commit: serial transactions need no
-   history past the last checkpoint.  The retired touches become the spares;
-   nothing reads their images again (undo and redo run before this). *)
+   history past the last checkpoint.  The retired before-images join the
+   spares; nothing reads them again (undo and redo run before this). *)
 let checkpoint t =
   Int_table.reset t.touched;
-  t.spares <- t.order;
+  List.iter
+    (fun tch ->
+      match tch.before with
+      | Some b when List.compare_length_with t.spares max_spares < 0 ->
+          t.spares <- b :: t.spares
+      | Some _ | None -> ())
+    t.order;
   t.order <- [];
   t.commit_durable <- false
 
@@ -149,19 +169,21 @@ let discard t =
   checkpoint t;
   t.pending <- 0
 
-(* Roll back: restore every touched page's durable image to its
-   before-image, newest touch first.  Restores only pages whose image
-   actually diverged (an untouched-on-disk page costs nothing), charging one
+(* Roll back: restore every stolen page's durable image to its
+   before-image, newest touch first.  A page never stolen still holds its
+   pre-transaction image.  Restores only pages whose image actually
+   diverged (a steal may have written back unchanged bytes), charging one
    undo write each. *)
 let undo t disk =
   let restored = ref 0 in
   List.iter
     (fun tch ->
-      if not (Disk.image_equal disk tch.pid tch.before) then begin
-        Tb_sim.Sim.charge_undo_page t.sim;
-        Disk.restore_image disk tch.pid tch.before ~lsn:tch.before_lsn;
-        incr restored
-      end)
+      match tch.before with
+      | Some before when not (Disk.image_equal disk tch.pid before) ->
+          Tb_sim.Sim.charge_undo_page t.sim;
+          Disk.restore_image disk tch.pid before ~lsn:tch.before_lsn;
+          incr restored
+      | Some _ | None -> ())
     t.order;
   !restored
 

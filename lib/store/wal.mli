@@ -3,8 +3,9 @@
     O2's EWS logs before- and after-images of modified objects (Section 2:
     the "log file" the benchmark pays for in transaction mode).  This module
     makes that log real enough to recover from: it consolidates the images
-    into one physical record per touched page (before-image at first write
-    fetch, after-image at commit force), while the {e cost} of logging is
+    into one physical record per touched page (before-image when an
+    uncommitted write first reaches the page's durable image, after-image
+    at commit force), while the {e cost} of logging is
     still charged per logical object write — two images' worth of bytes, one
     simulated disk write per filled log page — exactly the arithmetic the
     pre-WAL accounting used, so fault-free runs are bit-identical.
@@ -21,10 +22,19 @@ val create : Tb_sim.Sim.t -> t
 val set_fault : t -> Tb_storage.Fault.t option -> unit
 
 (** [note_touch t pid page] records a write fetch of [pid].  First touch
-    per checkpoint interval captures the before-image and stamps the page
+    per checkpoint interval appends the page's record and stamps the page
     with a fresh LSN; every touch re-points the log at the current working
-    object.  Installed as the {!Tb_storage.Cache_stack} write observer. *)
+    object.  A first-touched page must be clean, so that its durable image
+    still holds the pre-transaction bytes.  Installed as the
+    {!Tb_storage.Cache_stack} write observer. *)
 val note_touch : t -> Tb_storage.Page_id.t -> Tb_storage.Page_layout.t -> unit
+
+(** [note_persist t disk pid] runs before [pid] is written to disk.  The
+    first write of a touched page before the commit record is durable (a
+    steal) copies the durable image it will overwrite as the page's
+    before-image, with that image's LSN.  Installed as the
+    {!Tb_storage.Cache_stack} persist observer. *)
+val note_persist : t -> Tb_storage.Disk.t -> Tb_storage.Page_id.t -> unit
 
 (** [logical_write t ~bytes] appends one logical write record ([bytes] of
     before- plus [bytes] of after-image) and charges one simulated disk
@@ -44,22 +54,23 @@ val force : t -> unit
 val commit_durable : t -> bool
 
 (** Truncate the log after a completed commit.  The retired records'
-    before-image buffers are kept as spares: the next interval's first
-    touches refill them instead of allocating page images. *)
+    before-image buffers are kept as spares (a bounded number): the next
+    steals refill them instead of allocating page images. *)
 val checkpoint : t -> unit
 
 (** Drop records and tail without forcing: transaction-off commits and
     abort (after {!undo}).  Keeps spares like {!checkpoint}. *)
 val discard : t -> unit
 
-(** Whether [pid] has a physical record in the current interval. *)
-val covers : t -> Tb_storage.Page_id.t -> bool
-
 val touched_pages : t -> int
 
-(** [undo t disk] restores diverged durable images to their before-images,
-    newest touch first, charging one undo write each.  Returns the number
-    of pages restored. *)
+(** Touched pages of the current interval that were stolen (written to
+    disk before the commit record), and so hold a before-image. *)
+val stolen_pages : t -> int
+
+(** [undo t disk] restores the stolen pages' diverged durable images to
+    their before-images, newest touch first, charging one undo write each.
+    Returns the number of pages restored. *)
 val undo : t -> Tb_storage.Disk.t -> int
 
 (** [redo t disk] restores diverged durable images to their after-images,

@@ -227,7 +227,48 @@ let test_txn_page_blocks () =
   let aborted = direct_major_words (fun () -> txn 2 Database.abort_txn) in
   Alcotest.(check (float 0.0)) "second committed transaction: no page-sized block" 0.0
     committed;
-  Alcotest.(check (float 0.0)) "aborted repeat: no page-sized block" 0.0 aborted
+  Alcotest.(check (float 0.0)) "aborted repeat: no page-sized block" 0.0 aborted;
+  (* With pools that hold every page it touches, a transaction steals
+     nothing, so its log takes no before-image at all: the durable images
+     already are the before-images. *)
+  let b =
+    Generator.build
+      ~cost:(Tb_sim.Cost_model.scaled scale)
+      {
+        cfg with
+        Generator.txn_mode = Tb_store.Transaction.Standard;
+        server_pages = 256;
+        client_pages = 256;
+      }
+  in
+  let db = b.Generator.db in
+  let wal = Tb_store.Transaction.wal (Database.txn db) in
+  let images = ref [] in
+  let resolve_noting f h =
+    images :=
+      (Tb_store.Wal.touched_pages wal, Tb_store.Wal.stolen_pages wal) :: !images;
+    f h
+  in
+  let txn round resolve =
+    let h = Database.begin_txn db in
+    for i = 0 to 9 do
+      let rid = b.Generator.patients.(i * 50) in
+      Database.update_object db rid
+        (set "age" (round + i) (snd (Database.read_object db rid)))
+    done;
+    resolve h
+  in
+  txn 0 Database.commit_txn;
+  let undo0 = (Database.sim db).Sim.counters.Counters.undo_pages in
+  txn 1 (resolve_noting Database.commit_txn);
+  txn 2 (resolve_noting Database.abort_txn);
+  List.iter
+    (fun (touched, stolen) ->
+      check_bool "the transaction touched pages" true (touched > 0);
+      Alcotest.(check int) "no steal, no before-image" 0 stolen)
+    !images;
+  Alcotest.(check int) "the abort restores nothing" undo0
+    (Database.sim db).Sim.counters.Counters.undo_pages
 
 let suite =
   [

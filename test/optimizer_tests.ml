@@ -49,7 +49,7 @@ let built org =
 
 let actual_ms root =
   let t = ref 0.0 in
-  Op.iter (fun n -> t := !t +. n.Op.frame.Op.ms) root;
+  Op.iter (fun n -> t := !t +. n.Op.frame.Op.clock.Op.ms) root;
   !t
 
 let plan_q root =

@@ -138,6 +138,70 @@ let test_abort_after_out_of_memory () =
     | _ -> false);
   check_string "rolled back to last commit" fp (Database.durable_fingerprint db)
 
+(* A loser that stole only some of the pages it touched: the log holds
+   before-images for exactly those, and rollback — or crash recovery —
+   restores exactly the stolen pages whose image diverged, one undo charge
+   each.  The oracle is every page's committed image, taken before the
+   loser ran. *)
+let test_partly_stolen_loser () =
+  let module Disk = Tb_storage.Disk in
+  let loser () =
+    let db = mk_db () in
+    bind_patients db;
+    for i = 0 to 5_999 do
+      ignore (insert_patient db i)
+    done;
+    Database.commit db;
+    let disk = Tb_storage.Cache_stack.disk (Database.stack db) in
+    let committed =
+      List.concat_map
+        (fun file ->
+          List.init (Disk.page_count disk file) (fun index ->
+              let pid = Tb_storage.Page_id.make ~file ~index in
+              let image = Bytes.create (Disk.page_size disk) in
+              ignore (Disk.copy_image disk pid image : int);
+              (pid, image)))
+        (List.init (Disk.file_count disk) Fun.id)
+    in
+    let rids = ref [] in
+    Database.scan_extent db ~cls:"Patient" (fun rid -> rids := rid :: !rids);
+    List.iteri
+      (fun i rid ->
+        if i mod 3 = 0 then
+          let _, v = Database.read_object db rid in
+          Database.update_object db rid (Value.set_field v "age" (Value.Int 99)))
+      !rids;
+    let wal = Transaction.wal (Database.txn db) in
+    let touched = Wal.touched_pages wal and stolen = Wal.stolen_pages wal in
+    check_bool "some touched pages were stolen" true (stolen > 0);
+    check_bool "some were not" true (stolen < touched);
+    let diverged =
+      List.length
+        (List.filter
+           (fun (pid, image) -> not (Disk.image_equal disk pid image))
+           committed)
+    in
+    check_bool "stolen pages diverged" true (diverged > 0 && diverged <= stolen);
+    let undo0 = (Database.sim db).Tb_sim.Sim.counters.Counters.undo_pages in
+    let check_undone what undone =
+      check_int (what ^ ": restores exactly the diverged pages") diverged undone;
+      check_int (what ^ ": one undo charge each") diverged
+        ((Database.sim db).Tb_sim.Sim.counters.Counters.undo_pages - undo0);
+      List.iter
+        (fun (pid, image) ->
+          check_bool (what ^ ": committed image back") true
+            (Disk.image_equal disk pid image))
+        committed
+    in
+    (db, check_undone)
+  in
+  let db, check_undone = loser () in
+  check_undone "rollback" (Database.rollback db);
+  let db, check_undone = loser () in
+  let r = Database.crash_and_recover db in
+  check_bool "crash: a loser" true (r.Database.outcome = `Loser);
+  check_undone "crash" r.Database.undone
+
 let test_double_resolve_raises () =
   let db = mk_db () in
   bind_patients db;
@@ -503,6 +567,8 @@ let suite =
       test_abort_restores_state;
     Alcotest.test_case "abort: recovers from out of memory" `Quick
       test_abort_after_out_of_memory;
+    Alcotest.test_case "abort: a partly stolen loser restores the stolen pages"
+      `Quick test_partly_stolen_loser;
     Alcotest.test_case "txn handles: double resolve raises" `Quick
       test_double_resolve_raises;
     Alcotest.test_case "crash: torn write detected and replayed" `Quick

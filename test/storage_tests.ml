@@ -514,6 +514,175 @@ let test_disk_image_writes_drop_memo () =
     (Disk.image_equal disk restored (Page_layout.snapshot reloaded));
   check_int "and its lsn" 7 (Page_layout.lsn reloaded)
 
+(* --- Dirty-block persist and the page checksum --- *)
+
+(* Every single-bit flip must change the checksum.  A tear loses the second
+   half-page, so flips there are checked end to end: the durable image
+   keeps the old bit under the checksum of the flipped page, and [verify]
+   must flag it.  Flips in the first half are checked on the checksum
+   itself. *)
+let test_checksum_catches_every_bit_flip () =
+  let _, disk, _ = fresh_stack () in
+  let file = Disk.new_file disk ~name:"f" in
+  let size = Disk.page_size disk in
+  let pid = Page_id.make ~file ~index:(Disk.append_page disk ~file) in
+  let base = Bytes.init size (fun i -> Char.chr ((i * 7919) land 0xff)) in
+  let flipped ~word ~bit =
+    let b = Bytes.copy base in
+    let pos = (8 * word) + (bit / 8) in
+    Bytes.set_uint8 b pos (Bytes.get_uint8 b pos lxor (1 lsl (bit mod 8)));
+    b
+  in
+  let torn_flip_flagged ~word ~bit =
+    Disk.restore_image disk pid base ~lsn:0;
+    Disk.persist_torn disk pid (Page_layout.of_bytes (flipped ~word ~bit));
+    Disk.verify disk = [ pid ]
+  in
+  let words = size / 8 in
+  let last = words - 1 in
+  for bit = 0 to 63 do
+    check_bool
+      (Printf.sprintf "bit %d of the last word flagged" bit)
+      true (torn_flip_flagged ~word:last ~bit);
+    check_bool
+      (Printf.sprintf "bit %d of word 0 moves the checksum" bit)
+      true
+      (Disk.checksum (flipped ~word:0 ~bit) <> Disk.checksum base)
+  done;
+  for word = 0 to last do
+    if word >= words / 2 then
+      check_bool
+        (Printf.sprintf "bit 63 of word %d flagged" word)
+        true (torn_flip_flagged ~word ~bit:63)
+    else
+      check_bool
+        (Printf.sprintf "bit 63 of word %d moves the checksum" word)
+        true
+        (Disk.checksum (flipped ~word ~bit:63) <> Disk.checksum base)
+  done;
+  Disk.restore_image disk pid base ~lsn:0;
+  check_bool "a restored image verifies" true (Disk.verify disk = [])
+
+(* Random page mutations — inserts, updates, deletes, the compactions they
+   trigger, and B+-tree-style patches through [buffer] — with persists and
+   torn persists at random points.  The disk copies only dirty blocks and
+   moves each checksum incrementally, yet every surviving image must equal
+   its page's bytes and verify against a full recomputation, and [verify]
+   must flag exactly the torn pages whose lost half differed. *)
+let dirty_block_persist_prop =
+  let open QCheck in
+  let n_pages = 4 in
+  let op_gen =
+    Gen.(
+      frequency
+        [
+          (5, map2 (fun p n -> `Insert (p, 1 + (n mod 300))) nat nat);
+          (2, map2 (fun p i -> `Delete (p, i)) nat nat);
+          (3, map3 (fun p i n -> `Update (p, i, 1 + (n mod 400))) nat nat nat);
+          (3, map3 (fun p i n -> `Patch (p, i, n)) nat nat nat);
+          (2, map (fun p -> `Persist p) nat);
+          (1, map (fun p -> `Torn p) nat);
+        ])
+  in
+  let print = function
+    | `Insert (p, n) -> Printf.sprintf "insert %d %d" p n
+    | `Delete (p, i) -> Printf.sprintf "delete %d %d" p i
+    | `Update (p, i, n) -> Printf.sprintf "update %d %d %d" p i n
+    | `Patch (p, i, n) -> Printf.sprintf "patch %d %d %d" p i n
+    | `Persist p -> Printf.sprintf "persist %d" p
+    | `Torn p -> Printf.sprintf "torn %d" p
+  in
+  Test.make ~name:"disk: dirty-block persist keeps images and checksums exact"
+    ~count:150
+    (make ~print:(Print.list print) Gen.(list_size (int_range 1 150) op_gen))
+    (fun ops ->
+      let _, disk, _ = fresh_stack () in
+      let file = Disk.new_file disk ~name:"f" in
+      let pids =
+        Array.init n_pages (fun _ ->
+            Page_id.make ~file ~index:(Disk.append_page disk ~file))
+      in
+      let pages = Array.map (Disk.load_page disk) pids in
+      (* A torn page is dead: the crash that tore it lost its working copy. *)
+      let torn = Array.make n_pages None in
+      let fill = ref 0 in
+      let bytes n =
+        incr fill;
+        Bytes.init n (fun i -> Char.chr ((!fill + (31 * i)) land 0xff))
+      in
+      let live_slot page i =
+        let slots = ref [] in
+        Page_layout.iter_spans page (fun slot _ _ -> slots := slot :: !slots);
+        match !slots with
+        | [] -> None
+        | l -> Some (List.nth l (i mod List.length l))
+      in
+      List.iter
+        (fun op ->
+          let p =
+            match op with
+            | `Insert (p, _) | `Delete (p, _) | `Update (p, _, _)
+            | `Patch (p, _, _) | `Persist p | `Torn p ->
+                p mod n_pages
+          in
+          let page = pages.(p) in
+          if torn.(p) = None then begin
+            match op with
+            | `Insert (_, n) -> ignore (Page_layout.insert page (bytes n))
+            | `Delete (_, i) -> (
+                match live_slot page i with
+                | Some slot -> Page_layout.delete page slot
+                | None -> ())
+            | `Update (_, i, n) -> (
+                match live_slot page i with
+                | Some slot -> ignore (Page_layout.update page slot (bytes n))
+                | None -> ())
+            | `Patch (_, i, n) -> (
+                match live_slot page i with
+                | Some slot ->
+                    let off = Page_layout.record_offset page slot in
+                    let len = Bytes.length (Page_layout.read page slot) in
+                    let at = n mod len in
+                    let span = 1 + (n / 7 mod (len - at)) in
+                    Bytes.blit (bytes span) 0 (Page_layout.buffer page) (off + at)
+                      span;
+                    Page_layout.record_modified page ~off:(off + at) ~len:span
+                | None -> ())
+            | `Persist _ ->
+                Disk.persist disk pids.(p) page;
+                Page_layout.set_dirty page false
+            | `Torn _ ->
+                let old = Bytes.create (Page_layout.size page) in
+                ignore (Disk.copy_image disk pids.(p) old : int);
+                let half = Bytes.length old / 2 in
+                let lost b = Bytes.sub b half (Bytes.length b - half) in
+                Disk.persist_torn disk pids.(p) page;
+                torn.(p) <-
+                  Some
+                    (not (Bytes.equal (lost old) (lost (Page_layout.buffer page))))
+          end)
+        ops;
+      Array.iteri
+        (fun p page ->
+          if torn.(p) = None then begin
+            Disk.persist disk pids.(p) page;
+            Page_layout.set_dirty page false;
+            if not (Disk.image_equal disk pids.(p) (Page_layout.snapshot page))
+            then Test.fail_reportf "page %d: image differs from its page" p
+          end)
+        pages;
+      let expect =
+        List.filter (fun p -> torn.(p) = Some true) (List.init n_pages Fun.id)
+      in
+      let flagged =
+        List.map
+          (fun pid ->
+            let rec find p = if Page_id.equal pids.(p) pid then p else find (p + 1) in
+            find 0)
+          (Disk.verify disk)
+      in
+      List.sort compare flagged = expect)
+
 (* --- Heap file --- *)
 
 let test_heap_insert_read_scan () =
@@ -654,6 +823,9 @@ let suite =
     Alcotest.test_case "stack: dirty write-back" `Quick test_stack_dirty_writeback;
     Alcotest.test_case "stack: drop keeps clean memos only" `Quick
       test_stack_drop_keeps_clean_memos;
+    Alcotest.test_case "disk: checksum catches every bit flip" `Quick
+      test_checksum_catches_every_bit_flip;
+    QCheck_alcotest.to_alcotest dirty_block_persist_prop;
     Alcotest.test_case "disk: torn and restored images drop the memo" `Quick
       test_disk_image_writes_drop_memo;
     Alcotest.test_case "heap: insert/read/scan" `Quick test_heap_insert_read_scan;
