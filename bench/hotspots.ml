@@ -9,7 +9,9 @@
    samples (the innermost engine frame) and by inclusive samples (the line
    is anywhere on the stack, counted once per sample).  Executables are
    built with [-g], so the stacks carry file and line, inlined frames
-   included.
+   included.  A stdlib self line (a hash, a list walk) serves many callers,
+   so it is listed with its three commonest chains of five engine ([lib/])
+   frames; any other self line with its commonest caller.
 
    - [cold]: the paper-cold query mix — selections at 1..90% by scan,
      unsorted and sorted index, a 50% count, and the Fig 11-14 joins at
@@ -75,11 +77,18 @@ let frames raw =
         (fun loc -> not (String.starts_with ~prefix:"bench/hotspots.ml" loc))
         located
 
+let is_engine loc = String.starts_with ~prefix:"lib/" loc
+let is_stdlib loc = not (String.contains loc '/')
+
+(* The first [n] elements of [l]. *)
+let rec take n = function x :: l when n > 0 -> x :: take (n - 1) l | _ -> []
+
 let report ~name ~top raws =
   let self = Hashtbl.create 256 and incl = Hashtbl.create 1024 in
-  (* Per self line, its callers' lines: a stdlib line on top of the self
-     ranking (a hash, a list walk) is read through its commonest caller. *)
-  let callers = Hashtbl.create 256 in
+  (* Per self line, how often each context led to it: for a stdlib line the
+     chain of the five innermost engine frames below it, for any other
+     line its caller. *)
+  let contexts = Hashtbl.create 256 in
   let bump tbl k =
     Hashtbl.replace tbl k (1 + Option.value ~default:0 (Hashtbl.find_opt tbl k))
   in
@@ -91,18 +100,25 @@ let report ~name ~top raws =
       | inner :: rest as fs ->
           incr n;
           bump self inner;
-          (match rest with
-          | caller :: _ ->
+          let context =
+            if is_stdlib inner then
+              match take 5 (List.filter is_engine rest) with
+              | [] -> None
+              | chain -> Some (String.concat " <- " chain)
+            else match rest with caller :: _ -> Some caller | [] -> None
+          in
+          (match context with
+          | Some c ->
               let tbl =
-                match Hashtbl.find_opt callers inner with
+                match Hashtbl.find_opt contexts inner with
                 | Some tbl -> tbl
                 | None ->
                     let tbl = Hashtbl.create 8 in
-                    Hashtbl.replace callers inner tbl;
+                    Hashtbl.replace contexts inner tbl;
                     tbl
               in
-              bump tbl caller
-          | [] -> ());
+              bump tbl c
+          | None -> ());
           List.iter (bump incl) (List.sort_uniq String.compare fs))
     raws;
   let ranked tbl =
@@ -111,25 +127,31 @@ let report ~name ~top raws =
       (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
   in
   let pct c = 100.0 *. float_of_int c /. float_of_int (max 1 !n) in
-  let print title tbl ~with_caller =
+  let print title tbl ~with_context =
     Printf.printf "  %s\n" title;
     List.iteri
       (fun i (loc, c) ->
         if i < top then begin
           Printf.printf "    %6d %5.1f%%  %s" c (pct c) loc;
-          (match Hashtbl.find_opt callers loc with
-          | Some tbl when with_caller -> (
-              match ranked tbl with
-              | (caller, k) :: _ -> Printf.printf "  <- %s (%d)" caller k
-              | [] -> ())
+          (match Hashtbl.find_opt contexts loc with
+          | Some tbl when with_context ->
+              if is_stdlib loc then
+                List.iter
+                  (fun (chain, k) -> Printf.printf "\n      %6d  <- %s" k chain)
+                  (take 3 (ranked tbl))
+              else (
+                match ranked tbl with
+                | (caller, k) :: _ -> Printf.printf "  <- %s (%d)" caller k
+                | [] -> ())
           | _ -> ());
           print_newline ()
         end)
       (ranked tbl)
   in
   Printf.printf "%s: %d samples\n" name !n;
-  print "self (commonest caller)" self ~with_caller:true;
-  print "inclusive" incl ~with_caller:false;
+  print "self (stdlib: three commonest engine chains; else commonest caller)" self
+    ~with_context:true;
+  print "inclusive" incl ~with_context:false;
   print_newline ()
 
 (* --- the workloads --- *)

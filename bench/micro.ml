@@ -148,11 +148,10 @@ let tests () =
         Array.iter
           (fun rid ->
             let h = Tb_store.Database.acquire db rid in
-            (match h.Tb_store.Handle.repr with
-            | Tb_store.Handle.Packed p ->
-                let buf = Tb_query.Packed.seek prog p in
-                if Tb_query.Packed.eval_preds db prog buf then incr n
-            | Tb_store.Handle.Whole _ -> ());
+            if Tb_store.Database.is_packed db h then begin
+              let buf = Tb_query.Packed.seek db prog h in
+              if Tb_query.Packed.eval_preds db prog buf then incr n
+            end;
             Tb_store.Database.unref db h)
           b.Tb_derby.Generator.patients;
         !n);

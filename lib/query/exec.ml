@@ -16,7 +16,6 @@
 
 module Value = Tb_store.Value
 module Database = Tb_store.Database
-module Handle = Tb_store.Handle
 module Heap_file = Tb_storage.Heap_file
 module Rid = Tb_storage.Rid
 module Counters = Tb_sim.Counters
@@ -191,11 +190,10 @@ and iter_envs st node emit =
               (* A resident handle materialized by an update has no packed
                  body; those rows take the Handle kernel (same charges). *)
               let cpreds = lazy (Operators.compile_preds db ~cls preds) in
-              fun h -> (
-                match h.Handle.repr with
-                | Handle.Packed p -> Packed.eval_preds db prog (Packed.seek prog p)
-                | Handle.Whole _ ->
-                    Operators.eval_preds db h (Lazy.force cpreds))
+              fun h ->
+                if Database.is_packed db h then
+                  Packed.eval_preds db prog (Packed.seek db prog h)
+                else Operators.eval_preds db h (Lazy.force cpreds)
         in
         iter_rid_batches st ~batch child (fun rids ~pos ~len ->
             for i = pos to pos + len - 1 do
@@ -265,28 +263,28 @@ and iter_kvs st node emit =
           Op.Acct.enter st.acct fr;
           fr.Op.rows_in <- fr.Op.rows_in + 1;
           let h = live_of_env env in
-          let self = h.Handle.rid in
-          match h.Handle.repr with
-          | Handle.Packed p -> (
-              let buf = Packed.seek prog p in
-              match Packed.eval_key st.db prog buf ~self with
-              | Some k ->
-                  let payload = Packed.make_payload st.db prog buf ~self in
-                  fr.Op.rows_out <- fr.Op.rows_out + 1;
-                  emit (k, payload);
-                  Op.Acct.enter st.acct fr
-              | None -> ())
-          | Handle.Whole _ -> (
-              (* Materialized resident: Handle kernel, identical charges. *)
-              match (Lazy.force keyf) h with
-              | Some k ->
-                  let payload =
-                    Operators.make_payload st.db h ~slots:(Lazy.force slots)
-                  in
-                  fr.Op.rows_out <- fr.Op.rows_out + 1;
-                  emit (k, payload);
-                  Op.Acct.enter st.acct fr
-              | None -> ()))
+          if Database.is_packed st.db h then begin
+            let self = Database.handle_rid st.db h in
+            let buf = Packed.seek st.db prog h in
+            match Packed.eval_key st.db prog buf ~self with
+            | Some k ->
+                let payload = Packed.make_payload st.db prog buf ~self in
+                fr.Op.rows_out <- fr.Op.rows_out + 1;
+                emit (k, payload);
+                Op.Acct.enter st.acct fr
+            | None -> ()
+          end
+          else
+            (* Materialized resident: Handle kernel, identical charges. *)
+            match (Lazy.force keyf) h with
+            | Some k ->
+                let payload =
+                  Operators.make_payload st.db h ~slots:(Lazy.force slots)
+                in
+                fr.Op.rows_out <- fr.Op.rows_out + 1;
+                emit (k, payload);
+                Op.Acct.enter st.acct fr
+            | None -> ())
   | _ -> invalid_arg "Exec: operator does not produce key/value pairs"
 
 (* --- hash joins --- *)

@@ -9,7 +9,6 @@
 
 module Value = Tb_store.Value
 module Database = Tb_store.Database
-module Handle = Tb_store.Handle
 module Rid = Tb_storage.Rid
 module Sim = Tb_sim.Sim
 
@@ -37,7 +36,7 @@ let compile_attrs db ~cls attrs =
 (* Harvest exactly the attributes [select] needs from a live Handle. *)
 let make_payload db h ~slots =
   {
-    Op.self = h.Handle.rid;
+    Op.self = Database.handle_rid db h;
     attrs = List.map (fun (a, slot) -> (a, Database.get_att_slot db h slot)) slots;
   }
 
@@ -46,7 +45,7 @@ let eval_select db select ~lookup =
     | Oql_ast.Const lit -> Oql_ast.literal_to_value lit
     | Oql_ast.Var v -> (
         match lookup v with
-        | Op.Live h -> Value.Ref h.Handle.rid
+        | Op.Live h -> Value.Ref (Database.handle_rid db h)
         | Op.Stored p -> Value.Ref p.Op.self)
     | Oql_ast.Path (v, attr) -> (
         match lookup v with
@@ -77,7 +76,7 @@ let key_of_inverse db inv_slot h =
   | _ -> invalid_arg "Exec: inverse attribute is not a reference"
 
 let compile_key db ~cls = function
-  | Op.K_self -> fun h -> Some h.Handle.rid
+  | Op.K_self -> fun h -> Some (Database.handle_rid db h)
   | Op.K_inverse attr ->
       let slot = Database.attr_slot db ~cls attr in
       key_of_inverse db slot

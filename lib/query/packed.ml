@@ -125,9 +125,9 @@ let compile db ~cls ?(preds = []) ?(key = Op.K_self) ?(attrs = []) () =
    recording where each needed slot's encoding starts.  Returns the page
    buffer the recorded positions index into.  Plain loops: nothing here
    allocates. *)
-let seek prog (p : Tb_store.Handle.packed) =
-  let buf = Database.packed_buf p in
-  let cursor = ref p.Tb_store.Handle.p_body in
+let seek db prog h =
+  let buf = Database.packed_buf db h in
+  let cursor = ref (Database.packed_body db h) in
   for i = 0 to Array.length prog.seeks - 1 do
     let { skips; dst } = prog.seeks.(i) in
     for _ = 1 to skips do
@@ -183,7 +183,7 @@ let eval_preds db prog buf =
            apply_cmp p.pcmp
              (cmp_str buf (pos + 3) (Bytes.get_uint16_le buf (pos + 1)) s)
        | C_int _ | C_string _ ->
-           Oql_ast.eval_cmp p.pcmp (fst (Codec.decode buf ~pos)) p.pfallback);
+           Oql_ast.eval_cmp p.pcmp (Codec.decode_value buf ~pos) p.pfallback);
     incr i
   done;
   !pass
@@ -215,6 +215,6 @@ let make_payload db prog buf ~self =
         (Array.map
            (fun (name, reg) ->
              Sim.charge_get_att sim;
-             (name, fst (Codec.decode buf ~pos:prog.scratch.(reg))))
+             (name, Codec.decode_value buf ~pos:prog.scratch.(reg)))
            prog.payload);
   }

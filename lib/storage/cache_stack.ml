@@ -111,13 +111,16 @@ let fetch t id =
       client_add t id page;
       page
 
+(* The observer (the WAL) runs after the fetch but before the caller can
+   mutate: a first touch logs the page, and every touch refreshes the
+   WAL's reference to the current working object.  Charge-free. *)
+let note_write t id page =
+  Page_layout.set_dirty page true;
+  match t.write_observer with None -> () | Some obs -> obs id page
+
 let fetch_for_write t id =
   let page = fetch t id in
-  Page_layout.set_dirty page true;
-  (* The observer (the WAL) runs after the fetch but before the caller can
-     mutate: a first touch logs the page, and every touch refreshes the
-     WAL's reference to the current working object.  Charge-free. *)
-  (match t.write_observer with None -> () | Some obs -> obs id page);
+  note_write t id page;
   page
 
 (* Charge-free, recency-free client-pool probe: lets a caller prove that a

@@ -32,6 +32,12 @@ val fetch : t -> Page_id.t -> Page_layout.t
     working objects. *)
 val fetch_for_write : t -> Page_id.t -> Page_layout.t
 
+(** [note_write t id page] is what {!fetch_for_write} does after its
+    fetch, for a client-cached [page] the caller fetched and charged
+    itself (the B+-tree's bulk-build fast path): mark it dirty and report
+    it to the write observer.  Charges nothing itself. *)
+val note_write : t -> Page_id.t -> Page_layout.t -> unit
+
 (** [peek t id] is the client-cached working page, if any: [Some] iff a
     [fetch] would be a client-cache hit.  Charges nothing and does not
     refresh recency — a host-level probe for callers that replay hit

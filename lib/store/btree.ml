@@ -718,13 +718,18 @@ let bulk_add t run =
     let live = ref false in
     (* Binary-search compare count per internal level, top-down. *)
     let spine = ref [||] in
-    (* The rightmost leaf: its page, record offset and entry count.  A
-       placeholder until the first [refresh]; [live] gates its use. *)
+    (* The rightmost leaf: its page id, page, record offset and entry
+       count.  A placeholder until the first [refresh]; [live] gates its
+       use.  [logged] tells whether an append has reported the leaf to the
+       write observer since the last [refresh]. *)
+    let bpid = ref (Tb_storage.Page_id.make ~file:t.file ~index:t.root) in
     let bpage = ref (Page_layout.create ~size:64) in
     let boff = ref 0 in
     let bn = ref 0 in
+    let logged = ref false in
     let refresh () =
       live := true;
+      logged := false;
       let rec go index acc =
         let pid = Tb_storage.Page_id.make ~file:t.file ~index in
         match Tb_storage.Cache_stack.peek t.stack pid with
@@ -734,6 +739,7 @@ let bulk_add t run =
             let off = Page_layout.record_offset page 0 in
             if is_leaf b off then begin
               spine := Array.of_list (List.rev acc);
+              bpid := pid;
               bpage := page;
               boff := off;
               bn := leaf_n b off
@@ -779,6 +785,15 @@ let bulk_add t run =
           else begin
             cmps (Array.unsafe_get tbl n);
             hit ();
+            (* The replayed hit stands for the per-entry insert's write
+               fetch; report the leaf to the write observer as that fetch
+               would.  The slow path may have fetched it read-only (a
+               duplicate entry), or a pool eviction may have written it to
+               disk since, so the WAL must not rely on an earlier touch. *)
+            if not !logged then begin
+              Tb_storage.Cache_stack.note_write t.stack !bpid page;
+              logged := true
+            end;
             put_entry b (leaf_entry off n) key rid;
             Bytes.set_uint16_le b (off + 5) (n + 1);
             Page_layout.record_modified page ~off:(leaf_entry off n)

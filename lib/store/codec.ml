@@ -139,6 +139,23 @@ let decode b ~pos =
   in
   read pos
 
+(* [decode] without the [(value, pos)] pair: a scalar is built straight
+   off the bytes, so an attribute read allocates only its value. *)
+let decode_value b ~pos =
+  if pos >= Bytes.length b then invalid_arg "Codec.decode: truncated";
+  let tag = Bytes.get_uint8 b pos in
+  let pos = pos + 1 in
+  if tag = tag_nil then Value.Nil
+  else if tag = tag_int then Value.Int (Int32.to_int (Bytes.get_int32_le b pos))
+  else if tag = tag_real then Value.Real (Int64.float_of_bits (Bytes.get_int64_le b pos))
+  else if tag = tag_bool then Value.Bool (Bytes.get_uint8 b pos <> 0)
+  else if tag = tag_char then Value.Char (Bytes.get b pos)
+  else if tag = tag_string then
+    Value.String (Bytes.sub_string b (pos + 2) (Bytes.get_uint16_le b pos))
+  else if tag = tag_ref then Value.Ref (Tb_storage.Rid.decode b ~pos)
+  else if tag = tag_big_set then Value.Big_set (Tb_storage.Rid.decode b ~pos)
+  else fst (decode b ~pos:(pos - 1))
+
 (* Walk over one encoded value without materializing it: the backbone of
    the lazy record view, which only needs the *positions* of a record's
    fields until an attribute is actually read. *)

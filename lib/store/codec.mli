@@ -15,6 +15,10 @@ val encode : Value.t -> bytes
     Raises [Invalid_argument] on malformed input. *)
 val decode : bytes -> pos:int -> Value.t * int
 
+(** [decode_value b ~pos] is [fst (decode b ~pos)]; a scalar is decoded
+    without the pair.  Raises [Invalid_argument] on malformed input. *)
+val decode_value : bytes -> pos:int -> Value.t
+
 (** [skip b ~pos] returns the position one past the value starting at
     [pos] without allocating it — how the lazy record view finds field
     offsets.  Raises [Invalid_argument] on malformed input. *)

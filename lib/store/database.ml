@@ -1,6 +1,5 @@
 module Rid = Tb_storage.Rid
 module Heap_file = Tb_storage.Heap_file
-module Int_table = Tb_storage.Int_table
 module String_table = Hashtbl.Make (String)
 
 (* A catalog checkpoint: the volatile state that pages alone cannot
@@ -13,7 +12,7 @@ type ckpt = {
   ck_index_list : Index_def.t list;
   ck_next_index_id : int;
   ck_cardinalities : (string * int) list;
-  ck_files : (int * Heap_file.t * int) list; (* id, heap, tail page *)
+  ck_files : (Heap_file.t * int) list; (* heap, tail page *)
   ck_btrees : (Btree.t * Btree.state) list;
   ck_page_counts : int array; (* per disk file, in file-id order *)
 }
@@ -25,7 +24,7 @@ type t = {
   handles : Handle_table.t;
   txn : Transaction.t;
   collections : Heap_file.t;
-  files_by_id : Heap_file.t Int_table.t;
+  mutable files_by_id : Heap_file.t option array;  (* by disk file id *)
   mutable class_files : (string * Heap_file.t) list;
   mutable index_list : Index_def.t list;
   mutable next_index_id : int;
@@ -37,7 +36,13 @@ type t = {
 }
 
 let register_file t heap =
-  Int_table.replace t.files_by_id (Heap_file.file_id heap) heap;
+  let id = Heap_file.file_id heap in
+  if id >= Array.length t.files_by_id then begin
+    let grown = Array.make (max (id + 1) (2 * Array.length t.files_by_id)) None in
+    Array.blit t.files_by_id 0 grown 0 (Array.length t.files_by_id);
+    t.files_by_id <- grown
+  end;
+  t.files_by_id.(id) <- Some heap;
   heap
 
 let take_ckpt t =
@@ -48,9 +53,11 @@ let take_ckpt t =
     ck_cardinalities =
       String_table.fold (fun cls r acc -> (cls, !r) :: acc) t.cardinalities [];
     ck_files =
-      Int_table.fold
-        (fun id hf acc -> (id, hf, Heap_file.tail hf) :: acc)
-        t.files_by_id [];
+      Array.fold_left
+        (fun acc -> function
+          | Some hf -> (hf, Heap_file.tail hf) :: acc
+          | None -> acc)
+        [] t.files_by_id;
     ck_btrees =
       List.map
         (fun ix -> (ix.Index_def.tree, Btree.checkpoint ix.Index_def.tree))
@@ -73,10 +80,10 @@ let install_ckpt t c =
   List.iter
     (fun (cls, n) -> String_table.replace t.cardinalities cls (ref n))
     c.ck_cardinalities;
-  Int_table.reset t.files_by_id;
+  Array.fill t.files_by_id 0 (Array.length t.files_by_id) None;
   List.iter
-    (fun (id, hf, tail) ->
-      Int_table.replace t.files_by_id id hf;
+    (fun (hf, tail) ->
+      ignore (register_file t hf);
       Heap_file.set_tail hf tail)
     c.ck_files;
   List.iter (fun (tree, st) -> Btree.restore tree st) c.ck_btrees
@@ -94,7 +101,7 @@ let create sim ~schema ~server_pages ~client_pages
       handles = Handle_table.create sim ~kind:handle_kind ~zombie_limit;
       txn = Transaction.create sim txn_mode ~uncommitted_limit;
       collections = Heap_file.create stack ~name:"__collections";
-      files_by_id = Int_table.create 16;
+      files_by_id = Array.make 16 None;
       class_files = [];
       index_list = [];
       next_index_id = 0;
@@ -150,10 +157,10 @@ let rec find_class_file cls = function
 let class_file t ~cls = find_class_file cls t.class_files
 
 let heap_of_rid t (rid : Rid.t) =
-  match Int_table.find t.files_by_id (Rid.file rid) with
-  | heap -> heap
-  | exception Not_found ->
-      invalid_arg "Database: rid belongs to no registered file"
+  let files = t.files_by_id and id = Rid.file rid in
+  match if id >= 0 && id < Array.length files then files.(id) else None with
+  | Some heap -> heap
+  | None -> invalid_arg "Database: rid belongs to no registered file"
 
 (* Spill oversized inline collections into the collection file. *)
 let rec spill t v =
@@ -243,14 +250,15 @@ let read_object t rid = decode_object t.schema (Heap_file.read (heap_of_rid t ri
 
 (* Packed load: locate the record in the buffer pool and note where its
    attributes start — no body copy, no offsets table, no header slots array.
-   Attribute reads skip-walk the page bytes from [p_body] on demand.  The
-   charge sequence is identical to the old copy-out load (locate fetches
-   the same pages [Heap_file.read] did); only host work changes.  A hit
-   allocates nothing; a miss allocates just the Handle. *)
+   Attribute reads skip-walk the page bytes from the slot's body offset on
+   demand.  The charge sequence is identical to the old copy-out load
+   (locate fetches the same pages [Heap_file.read] did); only host work
+   changes.  Neither a hit nor a miss allocates: a Handle is a slab slot. *)
 let acquire t rid =
-  if Handle_table.resident t.handles rid then Handle_table.acquire t.handles rid
+  let h = Handle_table.find_resident t.handles rid in
+  if (h :> int) >= 0 then Handle_table.acquire t.handles h
   else begin
-    let mem_bytes = Handle_table.reserve t.handles in
+    Handle_table.reserve t.handles;
     let heap = heap_of_rid t rid in
     let page = Heap_file.locate heap rid in
     let slot = Heap_file.located_slot heap in
@@ -258,51 +266,35 @@ let acquire t rid =
     let buf = Tb_storage.Page_layout.buffer page in
     let body = Obj_header.skip buf ~pos in
     Handle_table.install t.handles
-      (Handle.make ~rid
+      (Handle.alloc_packed (Handle_table.slab t.handles) ~rid
          ~class_id:(Obj_header.peek_class_id buf ~pos)
-         ~repr:
-           (Handle.Packed
-              {
-                Handle.p_page = page;
-                p_slot = slot;
-                p_delta = body - Tb_storage.Page_layout.record_offset page slot;
-                p_version = Tb_storage.Page_layout.version page;
-                p_body = body;
-              })
-         ~mem_bytes)
+         ~page ~slot
+         ~delta:(body - Tb_storage.Page_layout.record_offset page slot)
+         ~body)
   end
 
 let unref t h = Handle_table.unreference t.handles h
-
-(* Revalidate a packed handle against its page and return the buffer, with
-   [p_body] current.  The page object stays GC-alive (the handle references
-   it) with frozen bytes even if evicted from the pool; the only way its
-   contents move is in-page compaction, which record_offset re-resolves.  A
-   same-rid update installs a Whole repr via [update_object]'s
-   resident-coherence hook before it could be observed here, so the record
-   body itself is unchanged whenever this runs. *)
-let packed_buf (p : Handle.packed) =
-  let v = Tb_storage.Page_layout.version p.Handle.p_page in
-  if v <> p.Handle.p_version then begin
-    p.Handle.p_body <-
-      Tb_storage.Page_layout.record_offset p.Handle.p_page p.Handle.p_slot
-      + p.Handle.p_delta;
-    p.Handle.p_version <- v
-  end;
-  Tb_storage.Page_layout.buffer p.Handle.p_page
+let slab t = Handle_table.slab t.handles
+let handle_rid t h = Handle.rid (slab t) h
+let is_packed t h = Handle.is_packed (slab t) h
+let packed_buf t h = Handle.packed_buf (slab t) h
+let packed_body t h = Handle.packed_body (slab t) h
 
 let get_att_slot t h slot =
   Tb_sim.Sim.charge_get_att t.sim;
-  match h.Handle.repr with
-  | Handle.Packed p ->
-      let buf = packed_buf p in
-      let pos = ref p.Handle.p_body in
-      for _ = 1 to slot do
-        pos := Codec.skip buf ~pos:!pos
-      done;
-      fst (Codec.decode buf ~pos:!pos)
-  | Handle.Whole (Value.Tuple fields) -> snd (List.nth fields slot)
-  | Handle.Whole _ -> invalid_arg "Database.get_att_slot: not a tuple"
+  let s = slab t in
+  if Handle.is_packed s h then begin
+    let buf = Handle.packed_buf s h in
+    let pos = ref (Handle.packed_body s h) in
+    for _ = 1 to slot do
+      pos := Codec.skip buf ~pos:!pos
+    done;
+    Codec.decode_value buf ~pos:!pos
+  end
+  else
+    match Handle.whole s h with
+    | Value.Tuple fields -> snd (List.nth fields slot)
+    | _ -> invalid_arg "Database.get_att_slot: not a tuple"
 
 let attr_slot t ~cls attr =
   match Schema.attr_slot t.schema ~class_id:(Schema.class_id t.schema cls) ~attr with
@@ -310,7 +302,7 @@ let attr_slot t ~cls attr =
   | exception Not_found -> invalid_arg ("Database.attr_slot: no field " ^ attr)
 
 let get_att t h attr =
-  match Schema.attr_slot t.schema ~class_id:h.Handle.class_id ~attr with
+  match Schema.attr_slot t.schema ~class_id:(Handle.class_id (slab t) h) ~attr with
   | slot -> get_att_slot t h slot
   | exception Not_found ->
       Tb_sim.Sim.charge_get_att t.sim;
@@ -318,21 +310,23 @@ let get_att t h attr =
 
 (* Materialize a Handle's full value (slow path: updates, tests). *)
 let handle_value t h =
-  match h.Handle.repr with
-  | Handle.Whole v -> v
-  | Handle.Packed p ->
-      let cls = Schema.class_of_id t.schema h.Handle.class_id in
-      let buf = packed_buf p in
-      let pos = ref p.Handle.p_body in
-      Value.Tuple
-        (List.map
-           (fun (name, _) ->
-             let v, pos' = Codec.decode buf ~pos:!pos in
-             pos := pos';
-             (name, v))
-           cls.Schema.attrs)
+  let s = slab t in
+  if not (Handle.is_packed s h) then Handle.whole s h
+  else begin
+    let cls = Schema.class_of_id t.schema (Handle.class_id s h) in
+    let buf = Handle.packed_buf s h in
+    let pos = ref (Handle.packed_body s h) in
+    Value.Tuple
+      (List.map
+         (fun (name, _) ->
+           let v, pos' = Codec.decode buf ~pos:!pos in
+           pos := pos';
+           (name, v))
+         cls.Schema.attrs)
+  end
 
-let class_name t h = (Schema.class_of_id t.schema h.Handle.class_id).Schema.cls_name
+let class_name t h =
+  (Schema.class_of_id t.schema (Handle.class_id (slab t) h)).Schema.cls_name
 
 let update_object t rid value =
   let heap = heap_of_rid t rid in
@@ -354,9 +348,8 @@ let update_object t rid value =
   Heap_file.update heap rid body;
   Transaction.on_write t.txn ~bytes:(Bytes.length body);
   (* Keep any resident handle coherent. *)
-  match Handle_table.find_resident t.handles rid with
-  | Some h -> Handle.set_value h value
-  | None -> ()
+  let h = Handle_table.find_resident t.handles rid in
+  if (h :> int) >= 0 then Handle.set_whole (slab t) h value
 
 let delete_object t rid =
   let heap = heap_of_rid t rid in

@@ -75,13 +75,24 @@ val attr_slot : t -> cls:string -> string -> int
     page bytes. *)
 val get_att_slot : t -> Handle.t -> int -> Value.t
 
-(** [packed_buf p] is the page buffer holding a packed handle's record,
-    with [p.p_body] revalidated to the offset of its first attribute (the
-    page may have compacted since the handle was loaded).  Charge-free; the
-    packed execution path ({!Tb_query.Packed}) evaluates on these bytes.
-    A materialized ({!Handle.Whole}) handle has no bytes: callers take
-    {!get_att_slot} instead. *)
-val packed_buf : Handle.packed -> bytes
+(** [handle_rid t h] is the Rid the Handle represents. *)
+val handle_rid : t -> Handle.t -> Tb_storage.Rid.t
+
+(** [is_packed t h]: the Handle's attributes live in page bytes
+    ({!packed_buf}).  A Handle materialized by an update has no bytes:
+    callers take {!get_att_slot} instead. *)
+val is_packed : t -> Handle.t -> bool
+
+(** [packed_buf t h] is the page buffer holding a packed Handle's record,
+    with {!packed_body} revalidated to the offset of its first attribute
+    (the page may have compacted since the Handle was loaded).
+    Charge-free; the packed execution path ({!Tb_query.Packed}) evaluates
+    on these bytes.  Raises [Invalid_argument] unless {!is_packed}. *)
+val packed_buf : t -> Handle.t -> bytes
+
+(** [packed_body t h] is the offset of the first attribute in
+    {!packed_buf}'s buffer, as of the last [packed_buf t h]. *)
+val packed_body : t -> Handle.t -> int
 
 (** [handle_value t h] materializes the Handle's full value (slow path —
     tests and updates; queries should use {!get_att_slot}). *)

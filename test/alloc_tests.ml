@@ -75,8 +75,8 @@ let join =
 (* (name, force_algo, force_seq, text, words per pinned object) *)
 let budgets =
   [
-    ("seq-scan fetch (packed)", None, Some true, scan, 30.0);
-    ("NL join", Some Plan.NL, None, join, 75.0);
+    ("seq-scan fetch (packed)", None, Some true, scan, 10.0);
+    ("NL join", Some Plan.NL, None, join, 47.0);
   ]
 
 let test_row_path_budget () =
@@ -101,6 +101,62 @@ let test_row_path_budget () =
         a.work_bits)
     budgets
 
+(* --- Handle churn ---
+
+   A Handle is a slab slot, and the table's index and zombie FIFO are flat
+   arrays, so pinning and releasing an object cold allocates nothing of its
+   own.  What remains is the page fetches' share (a page per fifty-odd
+   objects) and the miss's own charges, which box their floats in the dev
+   profile and so are measured rather than assumed, as for the B+-tree
+   below. *)
+
+let words f =
+  let w0 = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. w0
+
+let test_cold_acquire_budget () =
+  let b = built () in
+  let db = b.Generator.db in
+  let patients = b.Generator.patients in
+  let n = Array.length patients in
+  let churn () =
+    Array.iter (fun rid -> Database.unref db (Database.acquire db rid)) patients
+  in
+  (* Warm the slab, the index and the pools' tables to their working size. *)
+  Database.cold_restart db;
+  churn ();
+  Database.cold_restart db;
+  let c = (Database.sim db).Sim.counters in
+  let allocs0 = c.Counters.handle_allocs and frees0 = c.Counters.handle_frees in
+  let per_object = words churn /. float_of_int n in
+  Alcotest.(check int) "every patient is a Handle miss" n
+    (c.Counters.handle_allocs - allocs0);
+  (* The charges a miss makes, on a separate simulator: one allocation and
+     its memory claim (and a free if the zombie pool overflowed). *)
+  let sim = Sim.create (Database.sim db).Sim.cost in
+  let kind = Tb_sim.Cost_model.Fat in
+  let bytes = Tb_sim.Cost_model.handle_bytes sim.Sim.cost kind in
+  let frees = c.Counters.handle_frees - frees0 in
+  let charges =
+    words (fun () ->
+        for i = 1 to n do
+          Sim.charge_handle_alloc sim kind;
+          Sim.claim_bytes sim bytes;
+          if i <= frees then begin
+            Sim.charge_handle_free sim kind;
+            Sim.release_bytes sim bytes
+          end
+        done)
+    /. float_of_int n
+  in
+  check_bool
+    (Printf.sprintf
+       "cold acquire/unref: %.2f minor words per object beyond its charges' %.2f < 1"
+       (per_object -. charges) charges)
+    true
+    (per_object -. charges < 1.0)
+
 (* --- B+-tree lookups ---
 
    [search] and [range] read entries straight out of the leaf bytes, so a
@@ -110,11 +166,6 @@ let test_row_path_budget () =
    assumed.  The slack of one word per entry covers the per-leaf fetch
    (about a quarter word per entry when the fetch misses both pools);
    decoding a leaf would cost four. *)
-
-let words f =
-  let w0 = Gc.minor_words () in
-  f ();
-  Gc.minor_words () -. w0
 
 let test_btree_lookup_budget () =
   let sim = Sim.create (Tb_sim.Cost_model.scaled 100) in
@@ -274,6 +325,8 @@ let suite =
   [
     Alcotest.test_case "row path: minor words per pinned object, charges exact"
       `Quick test_row_path_budget;
+    Alcotest.test_case "handles: cold acquire/unref allocates under a word per object"
+      `Quick test_cold_acquire_budget;
     Alcotest.test_case "btree: search and range allocate nothing per entry"
       `Quick test_btree_lookup_budget;
     Alcotest.test_case "txn: a repeat transaction copies no page" `Quick

@@ -557,6 +557,43 @@ let rollback_prop =
         ops;
       true)
 
+(* --- the B+-tree bulk path and the log's write set ---
+
+   [Btree.bulk_add] appends to the rightmost leaf's bytes without fetching
+   it, replaying the per-entry insert's charges.  The write observer is
+   the WAL's only view of a transaction's writes (DESIGN.md 4e), so every
+   page the bulk path dirties must be reported to it after the page was
+   last written to disk.  With pools this small, a duplicate entry takes
+   the slow path just after the rightmost leaf went to disk: the insert
+   reads the leaf back read-only and finds the duplicate, and the appends
+   that follow must still report the leaf. *)
+let test_bulk_add_reports_leaf_writes () =
+  let sim = fresh_sim () in
+  let disk = Tb_storage.Disk.create sim in
+  let stack = Tb_storage.Cache_stack.create sim disk ~server_pages:1 ~client_pages:2 in
+  let reported = Hashtbl.create 64 in
+  let unreported = ref 0 in
+  Tb_storage.Cache_stack.set_write_observer stack
+    (Some (fun pid _ -> Hashtbl.replace reported (pid :> int) true));
+  Tb_storage.Cache_stack.set_persist_observer stack
+    (Some
+       (fun pid ->
+         if not (Option.value ~default:false (Hashtbl.find_opt reported (pid :> int)))
+         then incr unreported;
+         Hashtbl.replace reported (pid :> int) false));
+  let tree = Btree.create stack ~name:"idx" in
+  (* Every (key, rid) twice: the second copy is a duplicate. *)
+  let run =
+    Array.init 4000 (fun i ->
+        let j = i / 2 in
+        (j, Tb_storage.Rid.make ~file:0 ~page:(j / 16) ~slot:(j mod 16)))
+  in
+  Btree.bulk_add tree run;
+  Tb_storage.Cache_stack.flush stack;
+  check_int "entries" 2000 (Btree.entry_count tree);
+  check_int "pages written to disk without a write report since their last write" 0
+    !unreported
+
 let suite =
   [
     Alcotest.test_case "txn: transaction-off commit drops the log tail" `Quick
@@ -575,6 +612,8 @@ let suite =
       test_torn_write_detected;
     Alcotest.test_case "faults: read retries charged to the clock" `Quick
       test_read_retries_charged;
+    Alcotest.test_case "wal: bulk_add reports every leaf it dirties" `Quick
+      test_bulk_add_reports_leaf_writes;
     Alcotest.test_case "crash: seeded sweep recovers every point" `Slow
       test_crash_sweep;
     QCheck_alcotest.to_alcotest rollback_prop;

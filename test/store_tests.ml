@@ -214,13 +214,23 @@ let test_header_slot_growth () =
 
 (* --- Handle table --- *)
 
-(* A miss goes reserve -> load -> install; the dummy loads a constant. *)
+(* A miss goes reserve -> load -> install; the dummy loads a constant
+   (a slot on a blank page, materialized at once). *)
+let blank_page = Tb_storage.Page_layout.create ~size:64
+
 let acquire_dummy tbl rid =
-  if Handle_table.resident tbl rid then Handle_table.acquire tbl rid
-  else
-    let mem_bytes = Handle_table.reserve tbl in
-    Handle_table.install tbl
-      (Handle.make ~rid ~class_id:0 ~repr:(Handle.Whole (Value.Int 1)) ~mem_bytes)
+  let h = Handle_table.find_resident tbl rid in
+  if (h :> int) >= 0 then Handle_table.acquire tbl h
+  else begin
+    Handle_table.reserve tbl;
+    let slab = Handle_table.slab tbl in
+    let h =
+      Handle.alloc_packed slab ~rid ~class_id:0 ~page:blank_page ~slot:0 ~delta:0
+        ~body:0
+    in
+    Handle.set_whole slab h (Value.Int 1);
+    Handle_table.install tbl h
+  end
 
 let test_handles_refcount_and_zombies () =
   let sim = fresh_sim () in
@@ -228,13 +238,13 @@ let test_handles_refcount_and_zombies () =
   let rid i = Rid.make ~file:0 ~page:i ~slot:0 in
   let h0 = acquire_dummy tbl (rid 0) in
   check_int "one alloc" 1 sim.Tb_sim.Sim.counters.Tb_sim.Counters.handle_allocs;
-  let h0' = Handle_table.acquire tbl (rid 0) in
-  check_bool "same handle" true (h0 == h0');
+  let h0' = acquire_dummy tbl (rid 0) in
+  check_bool "same handle" true (h0 = h0');
   check_int "hit counted" 1 sim.Tb_sim.Sim.counters.Tb_sim.Counters.handle_hits;
   Handle_table.unreference tbl h0;
   Handle_table.unreference tbl h0';
   (* Zombie: resurrecting is free. *)
-  let h0'' = Handle_table.acquire tbl (rid 0) in
+  let h0'' = acquire_dummy tbl (rid 0) in
   check_int "still one alloc" 1 sim.Tb_sim.Sim.counters.Tb_sim.Counters.handle_allocs;
   Handle_table.unreference tbl h0'';
   (* Push enough zombies to force real frees. *)
@@ -283,6 +293,244 @@ let test_compact_handles_cheaper () =
   in
   check_bool "fat handles dominate CPU" true
     (run Tb_sim.Cost_model.Fat > 5.0 *. run Tb_sim.Cost_model.Compact)
+
+(* --- Handle table against a model ---
+
+   The model is the table's earlier implementation: a hash table from Rid
+   to a refcounted record plus a FIFO queue of zombies that keeps stale
+   entries, charging a second simulator in the same order.  After every
+   step the counters, simulated memory, clock bits and resident set
+   ([find_resident] of every Rid in the pool) of the two must agree. *)
+
+module Model = struct
+  type h = { rid : Rid.t; mutable rc : int; mutable value : int }
+
+  type t = {
+    sim : Tb_sim.Sim.t;
+    tbl : (int, h) Hashtbl.t;
+    zombies : Rid.t Queue.t;
+    limit : int;
+  }
+
+  let kind = Tb_sim.Cost_model.Fat
+  let bytes t = Tb_sim.Cost_model.handle_bytes t.sim.Tb_sim.Sim.cost kind
+
+  let create sim ~limit =
+    { sim; tbl = Hashtbl.create 16; zombies = Queue.create (); limit }
+
+  let acquire t (rid : Rid.t) =
+    match Hashtbl.find_opt t.tbl (rid :> int) with
+    | Some h ->
+        Tb_sim.Sim.charge_handle_hit t.sim;
+        h.rc <- h.rc + 1;
+        h
+    | None ->
+        Tb_sim.Sim.charge_handle_alloc t.sim kind;
+        Tb_sim.Sim.claim_bytes t.sim (bytes t);
+        let h = { rid; rc = 1; value = 1 } in
+        Hashtbl.replace t.tbl (rid :> int) h;
+        h
+
+  let unreference t h =
+    h.rc <- h.rc - 1;
+    if h.rc = 0 then begin
+      Queue.push h.rid t.zombies;
+      while Queue.length t.zombies > t.limit do
+        let rid : Rid.t = Queue.pop t.zombies in
+        match Hashtbl.find_opt t.tbl (rid :> int) with
+        | Some z when z.rc = 0 ->
+            Tb_sim.Sim.charge_handle_free t.sim kind;
+            Tb_sim.Sim.release_bytes t.sim (bytes t);
+            Hashtbl.remove t.tbl (rid :> int)
+        | Some _ | None -> ()
+      done
+    end
+
+  let drop t ~charge =
+    Hashtbl.iter
+      (fun _ _ ->
+        if charge then Tb_sim.Sim.charge_handle_free t.sim kind;
+        Tb_sim.Sim.release_bytes t.sim (bytes t))
+      t.tbl;
+    Hashtbl.reset t.tbl;
+    Queue.clear t.zombies
+end
+
+type handle_op =
+  | Acquire of int  (* index into the Rid pool *)
+  | Unref of int  (* index into the held pins, modulo their number *)
+  | Update of int * int
+  | Flush
+  | Discard
+
+(* [count] Rids whose lookups in a fresh table start probing at [cell]. *)
+let colliding_rids ~count ~cell =
+  let fresh = Handle_table.create (fresh_sim ()) ~kind:Model.kind ~zombie_limit:0 in
+  let rec go i acc n =
+    if n = 0 then List.rev acc
+    else
+      let rid = Rid.make ~file:(i / 60_000) ~page:(i mod 60_000) ~slot:(i mod 7) in
+      if Handle_table.probe_start fresh rid = cell then go (i + 1) (rid :: acc) (n - 1)
+      else go (i + 1) acc n
+  in
+  go 0 [] count
+
+(* Most of the pool collides: a run homed on one cell, and a run homed on
+   the last cell, whose probes wrap around to the first. *)
+let rid_pool =
+  lazy
+    (Array.of_list
+       (colliding_rids ~count:6 ~cell:17
+       @ colliding_rids ~count:6 ~cell:4095
+       @ List.init 6 (fun i -> Rid.make ~file:2 ~page:i ~slot:i)))
+
+let handle_op_gen =
+  let open QCheck.Gen in
+  frequency
+    [
+      (6, map (fun i -> Acquire i) (int_bound 17));
+      (5, map (fun i -> Unref i) (int_bound 100));
+      (2, map2 (fun i v -> Update (i, v)) (int_bound 17) (int_bound 1000));
+      (1, return Flush);
+      (1, return Discard);
+    ]
+
+let show_handle_op = function
+  | Acquire i -> Printf.sprintf "acquire %d" i
+  | Unref i -> Printf.sprintf "unref %d" i
+  | Update (i, v) -> Printf.sprintf "update %d %d" i v
+  | Flush -> "flush"
+  | Discard -> "discard"
+
+let run_against_model ~limit ops =
+  let pool = Lazy.force rid_pool in
+  let sim = fresh_sim () and msim = fresh_sim () in
+  let tbl = Handle_table.create sim ~kind:Model.kind ~zombie_limit:limit in
+  let model = Model.create msim ~limit in
+  let slab = Handle_table.slab tbl in
+  let held = ref [] in
+  let fail fmt = QCheck.Test.fail_reportf fmt in
+  let check step =
+    let pp s = Format.asprintf "%a" Tb_sim.Counters.pp s.Tb_sim.Sim.counters in
+    if pp sim <> pp msim then fail "%s: counters differ" step;
+    if Tb_sim.Sim.working_bytes sim <> Tb_sim.Sim.working_bytes msim then
+      fail "%s: working bytes differ" step;
+    let bits f s = Int64.bits_of_float (f s.Tb_sim.Sim.clock) in
+    if bits Tb_sim.Clock.now_ms sim <> bits Tb_sim.Clock.now_ms msim
+       || bits Tb_sim.Clock.work_ms sim <> bits Tb_sim.Clock.work_ms msim
+    then fail "%s: clock bits differ" step;
+    if Handle_table.resident_count tbl <> Hashtbl.length model.Model.tbl then
+      fail "%s: resident count differs" step;
+    Array.iter
+      (fun rid ->
+        let h = Handle_table.find_resident tbl rid in
+        match Hashtbl.find_opt model.Model.tbl (rid :> int) with
+        | None -> if (h :> int) >= 0 then fail "%s: %a resident" step Rid.pp rid
+        | Some m ->
+            if (h :> int) < 0 then fail "%s: %a not resident" step Rid.pp rid;
+            if not (Rid.equal (Handle.rid slab h) rid) then fail "%s: wrong rid" step;
+            if Handle.refcount slab h <> m.Model.rc then fail "%s: refcount" step;
+            if not (Value.equal (Handle.whole slab h) (Value.Int m.Model.value)) then
+              fail "%s: value" step)
+      pool
+  in
+  List.iter
+    (fun op ->
+      (match op with
+      | Acquire i ->
+          let h = acquire_dummy tbl pool.(i) in
+          let m = Model.acquire model pool.(i) in
+          (* A fresh dummy holds 1; a resident one keeps its value. *)
+          held := (h, m) :: !held
+      | Unref i -> (
+          match !held with
+          | [] -> ()
+          | l ->
+              let k = i mod List.length l in
+              let h, m = List.nth l k in
+              held := List.filteri (fun j _ -> j <> k) l;
+              Handle_table.unreference tbl h;
+              Model.unreference model m)
+      | Update (i, v) -> (
+          let h = Handle_table.find_resident tbl pool.(i) in
+          match Hashtbl.find_opt model.Model.tbl (pool.(i) :> int) with
+          | Some m ->
+              Handle.set_whole slab h (Value.Int v);
+              m.Model.value <- v
+          | None -> if (h :> int) >= 0 then fail "update: resident only in the table")
+      | Flush ->
+          Handle_table.flush tbl;
+          Model.drop model ~charge:true;
+          held := []
+      | Discard ->
+          Handle_table.discard tbl;
+          Model.drop model ~charge:false;
+          held := []);
+      check (show_handle_op op))
+    ops;
+  true
+
+let handles_vs_model limit =
+  QCheck.Test.make ~count:200
+    ~name:(Printf.sprintf "handles: table agrees with the model, zombie limit %d" limit)
+    QCheck.(make ~print:(Print.list show_handle_op) Gen.(list_size (int_range 1 120) handle_op_gen))
+    (run_against_model ~limit)
+
+(* Rids homed on two neighbouring cells, and on the first two cells and
+   the last two, inserted in that order so that the last cells' runs wrap
+   around past the first cells' entries, then deleted in a shuffled
+   order: every deletion shifts a probe run back, across the wrap too,
+   and every survivor must still be found. *)
+let test_handles_collision_stress () =
+  let sim = fresh_sim () in
+  let tbl = Handle_table.create sim ~kind:Model.kind ~zombie_limit:0 in
+  let rids =
+    Array.of_list
+      (List.concat_map
+         (fun cell -> colliding_rids ~count:30 ~cell)
+         [ 100; 101; 0; 1; 4094; 4095 ])
+  in
+  let hs = Array.map (acquire_dummy tbl) rids in
+  let n = Array.length rids in
+  let order = Array.init n Fun.id in
+  let rng = Random.State.make [| 7 |] in
+  for i = n - 1 downto 1 do
+    let j = Random.State.int rng (i + 1) in
+    let x = order.(i) in
+    order.(i) <- order.(j);
+    order.(j) <- x
+  done;
+  let gone = Array.make n false in
+  Array.iteri
+    (fun step k ->
+      Handle_table.unreference tbl hs.(k);
+      gone.(k) <- true;
+      check_int "resident count" (n - step - 1) (Handle_table.resident_count tbl);
+      Array.iteri
+        (fun i rid ->
+          let h = Handle_table.find_resident tbl rid in
+          if gone.(i) then check_bool "deleted rid absent" true ((h :> int) < 0)
+          else
+            check_bool "survivor found" true
+              ((h :> int) >= 0 && Rid.equal (Handle.rid (Handle_table.slab tbl) h) rid))
+        rids)
+    order;
+  check_int "every handle freed" n
+    sim.Tb_sim.Sim.counters.Tb_sim.Counters.handle_frees
+
+let test_handles_freed_slot_rejected () =
+  let tbl = Handle_table.create (fresh_sim ()) ~kind:Model.kind ~zombie_limit:0 in
+  let slab = Handle_table.slab tbl in
+  let h = acquire_dummy tbl (Rid.make ~file:0 ~page:3 ~slot:1) in
+  Handle_table.unreference tbl h;
+  let raises f = match f () with exception Invalid_argument _ -> true | _ -> false in
+  check_bool "rid of a freed slot raises" true (raises (fun () -> ignore (Handle.rid slab h)));
+  check_bool "value of a freed slot raises" true
+    (raises (fun () -> ignore (Handle.whole slab h)));
+  check_bool "unreferencing a freed slot raises" true
+    (raises (fun () -> Handle_table.unreference tbl h));
+  check_bool "Handle.none is rejected" true
+    (raises (fun () -> ignore (Handle.rid slab Handle.none)))
 
 (* --- Big collections --- *)
 
@@ -774,6 +1022,14 @@ let suite =
       test_handles_memory_accounting;
     Alcotest.test_case "handles: compact kind is cheaper" `Quick
       test_compact_handles_cheaper;
+    QCheck_alcotest.to_alcotest (handles_vs_model 0);
+    QCheck_alcotest.to_alcotest (handles_vs_model 1);
+    QCheck_alcotest.to_alcotest (handles_vs_model 2);
+    QCheck_alcotest.to_alcotest (handles_vs_model 8);
+    Alcotest.test_case "handles: colliding rids survive backward shifts" `Quick
+      test_handles_collision_stress;
+    Alcotest.test_case "handles: a freed slot is rejected" `Quick
+      test_handles_freed_slot_rejected;
     Alcotest.test_case "big collection: roundtrip" `Quick
       test_big_collection_roundtrip;
     Alcotest.test_case "big collection: empty" `Quick test_big_collection_empty;
