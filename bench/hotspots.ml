@@ -26,7 +26,9 @@
    therefore collects the time of the non-allocating work just before it —
    a long blit or a C call — and a tight loop that never polls hands its
    time to whatever polls after it.  Read the ranking as "time spent on the
-   way to this line". *)
+   way to this line".  Each workload's header also gives the iterations it
+   completed and their rate: the sample count is fixed by the wall time,
+   so only the rate shows whether a change made the workload faster. *)
 
 open Tb_store
 module Generator = Tb_derby.Generator
@@ -42,6 +44,16 @@ let usage () =
 
 let samples : Printexc.raw_backtrace list ref = ref []
 
+(* What a sampled run did: its stacks, and how many iterations of the
+   workload completed in how much wall time.  Samples cover a fixed wall
+   time, so a line's share alone cannot show whether anything got faster;
+   the iteration rate is the denominator that can. *)
+type sampling = {
+  stacks : Printexc.raw_backtrace list;
+  iterations : int;
+  wall_s : float;
+}
+
 let sampled seconds f =
   samples := [];
   Sys.set_signal Sys.sigalrm
@@ -49,14 +61,18 @@ let sampled seconds f =
        (fun _ -> samples := Printexc.get_callstack 64 :: !samples));
   let tick = { Unix.it_interval = 0.001; it_value = 0.001 } in
   ignore (Unix.setitimer Unix.ITIMER_REAL tick : Unix.interval_timer_status);
-  let stop = Unix.gettimeofday () +. seconds in
+  let start = Unix.gettimeofday () in
+  let stop = start +. seconds in
+  let iterations = ref 0 in
   while Unix.gettimeofday () < stop do
-    f ()
+    f ();
+    incr iterations
   done;
+  let wall_s = Unix.gettimeofday () -. start in
   let off = { Unix.it_interval = 0.0; it_value = 0.0 } in
   ignore (Unix.setitimer Unix.ITIMER_REAL off : Unix.interval_timer_status);
   Sys.set_signal Sys.sigalrm Sys.Signal_default;
-  !samples
+  { stacks = !samples; iterations = !iterations; wall_s }
 
 (* The located frames of one sample, innermost first, without this file's
    own (the handler on top, the driving loop below). *)
@@ -83,7 +99,7 @@ let is_stdlib loc = not (String.contains loc '/')
 (* The first [n] elements of [l]. *)
 let rec take n = function x :: l when n > 0 -> x :: take (n - 1) l | _ -> []
 
-let report ~name ~top raws =
+let report ~name ~top { stacks = raws; iterations; wall_s } =
   let self = Hashtbl.create 256 and incl = Hashtbl.create 1024 in
   (* Per self line, how often each context led to it: for a stdlib line the
      chain of the five innermost engine frames below it, for any other
@@ -148,7 +164,9 @@ let report ~name ~top raws =
         end)
       (ranked tbl)
   in
-  Printf.printf "%s: %d samples\n" name !n;
+  Printf.printf "%s: %d samples, %d iterations in %.2f s (%.2f iterations/s)\n"
+    name !n iterations wall_s
+    (float_of_int iterations /. Float.max wall_s 1e-9);
   print "self (stdlib: three commonest engine chains; else commonest caller)" self
     ~with_context:true;
   print "inclusive" incl ~with_context:false;

@@ -37,6 +37,22 @@ let org_arg =
     & opt org_conv Tb_derby.Generator.Class_clustered
     & info [ "o"; "organization" ] ~docv:"ORG" ~doc)
 
+(* The documented failures of an OQL text — a lexical or syntax error, or a
+   query outside the supported subset (unknown names included) — are usage
+   errors: one line on stderr and exit 2, like a bad flag.  The text is
+   parsed before the database is built, so a malformed one fails at once;
+   [f] gets the parsed query. *)
+let with_oql_errors oql f =
+  let fail kind msg =
+    Printf.eprintf "treebench: %s: %s\n" kind msg;
+    exit 2
+  in
+  match f (Tb_query.Oql_parser.parse oql) with
+  | () -> ()
+  | exception Tb_query.Oql_lexer.Lex_error msg -> fail "lexical error" msg
+  | exception Tb_query.Oql_parser.Parse_error msg -> fail "parse error" msg
+  | exception Tb_query.Plan.Unsupported msg -> fail "unsupported query" msg
+
 let build_db ~scale ~shape ~org =
   let cfg = Tb_derby.Generator.config ~scale shape org in
   Tb_derby.Generator.build ~cost:(Tb_sim.Cost_model.scaled scale) cfg
@@ -323,6 +339,7 @@ let query_cmd =
            killed shard must have a replica to fail over to)\n";
         exit 2
     | _ -> ());
+    with_oql_errors oql @@ fun _ ->
     if shards > 1 then
       run_sharded oql ~scale ~shape ~org ~shards ~replicas ~chaos_seed ~algo
         ~seq ~sorted ~show ~explain
@@ -375,9 +392,9 @@ let plan_cmd =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"OQL" ~doc)
   in
   let run oql scale shape org =
+    with_oql_errors oql @@ fun q ->
     let b = build_db ~scale ~shape ~org in
     let db = b.Tb_derby.Generator.db in
-    let q = Tb_query.Oql_parser.parse oql in
     let organization =
       Tb_derby.Generator.estimate_organization b.Tb_derby.Generator.cfg
     in

@@ -7,6 +7,12 @@
    the charge order — Handle lifetimes, page-fetch interleaving, hash and
    sort traffic — identical to the monolithic drivers this replaced.
 
+   A row is not a value but the run's register file ({!Op.regs}): each
+   operator resolves the registers and slots it reads and writes when it
+   starts, and per row it only writes its cell and calls downstream.  Because
+   emission is a depth-first push, no operator sees a row after its emit
+   call returns, so the one register file is reused for every row.
+
    Charge discipline (treelint R1): this module never charges the cost
    model itself.  All Sim charges happen inside the engine components it
    calls (Database, Btree, Heap_file, Mem_hash, Query_result) and the
@@ -20,29 +26,107 @@ module Heap_file = Tb_storage.Heap_file
 module Rid = Tb_storage.Rid
 module Counters = Tb_sim.Counters
 
-type state = { db : Database.t; acct : Op.Acct.acct }
+(* The run's state: the register file its rows live in, and the plan
+   variable each register holds.  Registers are handed out as operators
+   set up, in the order they first name a variable. *)
+type state = {
+  db : Database.t;
+  acct : Op.Acct.acct;
+  vars : string array;
+  mutable nvars : int;
+  regs : Op.regs;
+}
 
-let lookup_env env v =
-  match Value.assoc v env with
-  | s -> s
-  | exception Not_found -> invalid_arg ("Exec: unknown var " ^ v)
+(* How many variables a tree binds at most: one per binding operator, two
+   per join that binds both sides.  Counted without allocating, since a
+   one-row query pays for its state as much as for its row. *)
+let rec binders node =
+  match node.Op.kind with
+  | Op.Fetch _ -> 1
+  | Op.Nav_set { child; _ } | Op.Nav_inverse { child; _ } -> 1 + binders child
+  | Op.Hash_probe { build = a; probe = b; _ } | Op.Merge { left = a; right = b; _ }
+    ->
+      2 + binders a + binders b
+  | Op.Harvest { child; _ }
+  | Op.Hash_build { child }
+  | Op.Spill_partition { child; _ }
+  | Op.Sort { child }
+  | Op.Exchange { child; _ }
+  | Op.Project { child; _ }
+  | Op.Materialize { child; _ } ->
+      binders child
+  | Op.Seq_scan _ | Op.Index_scan _ | Op.Sort_rids _ | Op.Shard_lane _
+  | Op.Gather _ ->
+      0
 
-(* The single live Handle a Fetch put in scope — what navigation, harvest
-   and probe operators consume. *)
-let live_of_env = function
-  | [ (_, Op.Live h) ] -> h
+let state db acct root =
+  let n = binders root in
+  { db; acct; vars = Array.make n ""; nvars = 0; regs = Op.make_regs n }
+
+let reg st v =
+  let rec go i =
+    if i = st.nvars then begin
+      if i = Array.length st.vars then invalid_arg ("Exec: unbound var " ^ v);
+      st.vars.(i) <- v;
+      st.nvars <- i + 1;
+      i
+    end
+    else if String.equal st.vars.(i) v then i
+    else go (i + 1)
+  in
+  go 0
+
+(* The attribute names a (key, payload) stream's payloads carry, in order. *)
+let rec payload_attrs node =
+  match node.Op.kind with
+  | Op.Harvest { attrs; _ } -> attrs
+  | Op.Hash_build { child }
+  | Op.Spill_partition { child; _ }
+  | Op.Sort { child }
+  | Op.Exchange { child; _ } ->
+      payload_attrs child
+  | _ -> invalid_arg "Exec: operator does not produce payloads"
+
+(* The row layout a binding stream emits: how each variable in scope is
+   held.  Static per operator, so projections and probes resolve it once. *)
+let rec sources node =
+  match node.Op.kind with
+  | Op.Fetch { var; cls; covering; _ } ->
+      [ (var, if covering then Op.Ident else Op.Live cls) ]
+  | Op.Nav_set { child; nav_var; nav_cls; _ }
+  | Op.Nav_inverse { child; nav_var; nav_cls; _ } ->
+      sources child @ [ (nav_var, Op.Live nav_cls) ]
+  | Op.Hash_probe { build; probe; build_var; probe_var; _ } -> (
+      let b = (build_var, Op.Stored (payload_attrs build)) in
+      match probe.Op.kind with
+      | Op.Spill_partition _ | Op.Exchange _ ->
+          [ b; (probe_var, Op.Stored (payload_attrs probe)) ]
+      | _ -> sources probe @ [ b ])
+  | Op.Merge { left; right; left_var; right_var } ->
+      [
+        (left_var, Op.Stored (payload_attrs left));
+        (right_var, Op.Stored (payload_attrs right));
+      ]
+  | _ -> invalid_arg "Exec: operator does not produce bindings"
+
+(* The register of the single live Handle a binding stream puts in scope —
+   what navigation, harvest and probe operators consume. *)
+let live_reg st node =
+  match node.Op.kind with
+  | Op.Fetch { var; covering = false; _ } -> reg st var
   | _ -> invalid_arg "Exec: operator expects one Handle-backed variable"
 
-(* Pin [rid] and, when [pass] accepts its Handle, emit the Handle bound to
-   [var] in front of [env].  The pin is released on both paths out of the
+(* Pin [rid] and, when [pass] accepts its Handle, write it to register
+   [r] and emit the row.  The pin is released on both paths out of the
    row; a match with an exception case, not [Fun.protect], so the per-row
    work builds no closure. *)
-let pin_row st fr ~pass ~var env rid emit =
+let pin_row st fr ~pass ~r rid emit =
   let h = Database.acquire st.db rid in
   match
     if pass h then begin
       fr.Op.rows_out <- fr.Op.rows_out + 1;
-      emit ((var, Op.Live h) :: env);
+      st.regs.Op.live.(r) <- h;
+      emit ();
       Op.Acct.enter st.acct fr
     end
   with
@@ -157,13 +241,14 @@ and iter_rid_batches st ~batch node emit =
         (fun arr -> emit_rid_chunks st fr ~batch arr (Array.length arr) emit)
   | _ -> invalid_arg "Exec: operator does not produce Rids"
 
-(* --- binding streams: (var, source) environments --- *)
+(* --- binding streams: rows in the register file --- *)
 
-and iter_envs st node emit =
-  let db = st.db in
+and iter_rows st node emit =
+  let db = st.db and regs = st.regs in
   let fr = node.Op.frame in
   match node.Op.kind with
   | Op.Fetch { child; cls; var; preds; covering; mode; batch } ->
+      let r = reg st var in
       if covering then
         (* Identity-only projection with no residual predicates: no
            Handle traffic at all (Section 5's remark that navigation need
@@ -173,7 +258,8 @@ and iter_envs st node emit =
               Op.Acct.enter st.acct fr;
               fr.Op.rows_in <- fr.Op.rows_in + 1;
               fr.Op.rows_out <- fr.Op.rows_out + 1;
-              emit [ (var, Op.Stored { Op.self = rids.(i); attrs = [] }) ];
+              regs.Op.ident.(r) <- rids.(i);
+              emit ();
               Op.Acct.enter st.acct fr
             done)
       else begin
@@ -199,33 +285,35 @@ and iter_envs st node emit =
             for i = pos to pos + len - 1 do
               Op.Acct.enter st.acct fr;
               fr.Op.rows_in <- fr.Op.rows_in + 1;
-              pin_row st fr ~pass ~var [] rids.(i) emit
+              pin_row st fr ~pass ~r rids.(i) emit
             done)
       end
   | Op.Nav_set { child; set_attr; owner_cls; nav_var; nav_cls; preds } ->
+      let owner = live_reg st child and r = reg st nav_var in
       let set_slot = Database.attr_slot db ~cls:owner_cls set_attr in
       let cpreds = Operators.compile_preds db ~cls:nav_cls preds in
       let pass h = Operators.eval_preds db h cpreds in
-      iter_envs st child (fun env ->
+      let visit = function
+        | Value.Ref crid -> pin_row st fr ~pass ~r crid emit
+        | Value.Nil -> ()
+        | _ -> invalid_arg "Exec: collection element is not a reference"
+      in
+      iter_rows st child (fun () ->
           Op.Acct.enter st.acct fr;
           fr.Op.rows_in <- fr.Op.rows_in + 1;
-          let ph = live_of_env env in
-          let clients = Database.get_att_slot db ph set_slot in
-          Database.iter_set db clients (fun elt ->
-              match elt with
-              | Value.Ref crid -> pin_row st fr ~pass ~var:nav_var env crid emit
-              | Value.Nil -> ()
-              | _ -> invalid_arg "Exec: collection element is not a reference"))
+          Database.iter_set db
+            (Database.get_att_slot db regs.Op.live.(owner) set_slot)
+            visit)
   | Op.Nav_inverse { child; inv_attr; owner_cls; nav_var; nav_cls; preds } ->
+      let owner = live_reg st child and r = reg st nav_var in
       let inv_slot = Database.attr_slot db ~cls:owner_cls inv_attr in
       let cpreds = Operators.compile_preds db ~cls:nav_cls preds in
       let pass h = Operators.eval_preds db h cpreds in
-      iter_envs st child (fun env ->
+      iter_rows st child (fun () ->
           Op.Acct.enter st.acct fr;
           fr.Op.rows_in <- fr.Op.rows_in + 1;
-          let ch = live_of_env env in
-          match Database.get_att_slot db ch inv_slot with
-          | Value.Ref prid -> pin_row st fr ~pass ~var:nav_var env prid emit
+          match Database.get_att_slot db regs.Op.live.(owner) inv_slot with
+          | Value.Ref prid -> pin_row st fr ~pass ~r prid emit
           | Value.Nil -> ()
           | _ -> invalid_arg "Exec: inverse attribute is not a reference")
   | Op.Hash_probe { build; probe; probe_key; probe_cls; build_var; probe_var }
@@ -239,94 +327,95 @@ and iter_envs st node emit =
 (* --- (key, payload) streams --- *)
 
 and iter_kvs st node emit =
+  let db = st.db in
   let fr = node.Op.frame in
   match node.Op.kind with
   | Op.Harvest { child; key; cls; attrs; mode = Op.Handle } ->
-      let slots = Operators.compile_attrs st.db ~cls attrs in
-      let keyf = Operators.compile_key st.db ~cls key in
-      iter_envs st child (fun env ->
+      let h_reg = live_reg st child in
+      let slots = Operators.compile_attrs db ~cls attrs in
+      let keyf = Operators.compile_key db ~cls key in
+      iter_rows st child (fun () ->
           Op.Acct.enter st.acct fr;
           fr.Op.rows_in <- fr.Op.rows_in + 1;
-          let h = live_of_env env in
-          match keyf h with
-          | Some k ->
-              let payload = Operators.make_payload st.db h ~slots in
-              fr.Op.rows_out <- fr.Op.rows_out + 1;
-              emit (k, payload);
-              Op.Acct.enter st.acct fr
-          | None -> ())
+          let h = st.regs.Op.live.(h_reg) in
+          let k = keyf h in
+          if not (Rid.is_nil k) then begin
+            let payload = Operators.make_payload db h ~slots in
+            fr.Op.rows_out <- fr.Op.rows_out + 1;
+            emit k payload;
+            Op.Acct.enter st.acct fr
+          end)
   | Op.Harvest { child; key; cls; attrs; mode = Op.Packed } ->
-      let prog = Packed.compile st.db ~cls ~key ~attrs () in
-      let slots = lazy (Operators.compile_attrs st.db ~cls attrs) in
-      let keyf = lazy (Operators.compile_key st.db ~cls key) in
-      iter_envs st child (fun env ->
+      let h_reg = live_reg st child in
+      let prog = Packed.compile db ~cls ~key ~attrs () in
+      let slots = lazy (Operators.compile_attrs db ~cls attrs) in
+      let keyf = lazy (Operators.compile_key db ~cls key) in
+      iter_rows st child (fun () ->
           Op.Acct.enter st.acct fr;
           fr.Op.rows_in <- fr.Op.rows_in + 1;
-          let h = live_of_env env in
-          if Database.is_packed st.db h then begin
-            let self = Database.handle_rid st.db h in
-            let buf = Packed.seek st.db prog h in
-            match Packed.eval_key st.db prog buf ~self with
-            | Some k ->
-                let payload = Packed.make_payload st.db prog buf ~self in
-                fr.Op.rows_out <- fr.Op.rows_out + 1;
-                emit (k, payload);
-                Op.Acct.enter st.acct fr
-            | None -> ()
+          let h = st.regs.Op.live.(h_reg) in
+          if Database.is_packed db h then begin
+            let self = Database.handle_rid db h in
+            let buf = Packed.seek db prog h in
+            let k = Packed.eval_key db prog buf ~self in
+            if not (Rid.is_nil k) then begin
+              let payload = Packed.make_payload db prog buf ~self in
+              fr.Op.rows_out <- fr.Op.rows_out + 1;
+              emit k payload;
+              Op.Acct.enter st.acct fr
+            end
           end
           else
             (* Materialized resident: Handle kernel, identical charges. *)
-            match (Lazy.force keyf) h with
-            | Some k ->
-                let payload =
-                  Operators.make_payload st.db h ~slots:(Lazy.force slots)
-                in
-                fr.Op.rows_out <- fr.Op.rows_out + 1;
-                emit (k, payload);
-                Op.Acct.enter st.acct fr
-            | None -> ())
+            let k = (Lazy.force keyf) h in
+            if not (Rid.is_nil k) then begin
+              let payload = Operators.make_payload db h ~slots:(Lazy.force slots) in
+              fr.Op.rows_out <- fr.Op.rows_out + 1;
+              emit k payload;
+              Op.Acct.enter st.acct fr
+            end)
   | _ -> invalid_arg "Exec: operator does not produce key/value pairs"
 
 (* --- hash joins --- *)
 
 (* In-memory build: PHJ hashes the parents, CHJ the children (keyed by the
-   parent reference).  The probe side stays live; matches extend its
-   binding environment with the stowed build payload. *)
+   parent reference).  The probe side stays live in its register; each
+   match writes the stowed build payload to the build variable's. *)
 and run_hash_probe st fr ~build ~probe ~probe_key ~probe_cls ~build_var
     ~probe_var emit =
-  let db = st.db in
+  let db = st.db and regs = st.regs in
   let sim = Database.sim db in
   match (probe.Op.kind, build.Op.kind) with
   | Op.Spill_partition _, _ ->
       run_hybrid st fr ~build ~probe ~build_var ~probe_var emit
   | _, Op.Hash_build { child = bharv } ->
       let bfr = build.Op.frame in
+      let p_reg = live_reg st probe and b_reg = reg st build_var in
       let table : Op.payload Mem_hash.t = Mem_hash.create sim in
       Fun.protect
         ~finally:(fun () ->
           bfr.Op.bytes <- max bfr.Op.bytes (Mem_hash.size_bytes table);
           Mem_hash.dispose table)
         (fun () ->
-          iter_kvs st bharv (fun (key, payload) ->
+          iter_kvs st bharv (fun key payload ->
               Op.Acct.enter st.acct bfr;
               bfr.Op.rows_in <- bfr.Op.rows_in + 1;
               Mem_hash.add table ~key
                 ~payload_bytes:(Operators.payload_bytes payload)
                 payload);
           let keyf = Operators.compile_key db ~cls:probe_cls probe_key in
-          iter_envs st probe (fun env ->
+          let matched bp =
+            regs.Op.stored.(b_reg) <- bp;
+            fr.Op.rows_out <- fr.Op.rows_out + 1;
+            emit ();
+            Op.Acct.enter st.acct fr
+          in
+          iter_rows st probe (fun () ->
               Op.Acct.enter st.acct fr;
               fr.Op.rows_in <- fr.Op.rows_in + 1;
-              let h = live_of_env env in
-              match keyf h with
-              | Some key ->
-                  List.iter
-                    (fun bp ->
-                      fr.Op.rows_out <- fr.Op.rows_out + 1;
-                      emit ((build_var, Op.Stored bp) :: env);
-                      Op.Acct.enter st.acct fr)
-                    (Mem_hash.find table ~key)
-              | None -> ()))
+              let key = keyf regs.Op.live.(p_reg) in
+              if not (Rid.is_nil key) then
+                List.iter matched (Mem_hash.find table ~key)))
   | _ -> invalid_arg "Exec: Hash_probe expects a Hash_build build side"
 
 (* Hybrid hash join.  The build side is split into [partitions] buckets by
@@ -334,9 +423,9 @@ and run_hash_probe st fr ~build ~probe ~probe_key ~probe_cls ~build_var
    written to temporary files on both sides and joined bucket by bucket.
    Disk traffic replaces the swap thrash of the in-memory algorithms: the
    fix the paper points at ("the need for hybrid hashing") but never
-   measured. *)
+   measured.  Both sides reach the projection as payloads. *)
 and run_hybrid st fr ~build ~probe ~build_var ~probe_var emit =
-  let db = st.db in
+  let db = st.db and regs = st.regs in
   let sim = Database.sim db in
   let hb_fr, bspill_node, bharv =
     match build.Op.kind with
@@ -358,7 +447,17 @@ and run_hybrid st fr ~build ~probe ~build_var ~probe_var emit =
     | Op.Harvest { child; key; cls; attrs; _ } -> (child, key, cls, attrs)
     | _ -> invalid_arg "Exec: hybrid probe side must harvest"
   in
+  let battrs = payload_attrs bharv in
+  let b_reg = reg st build_var and p_reg = reg st probe_var in
+  let h_reg = live_reg st probe_fetch in
   let bucket key = Rid.hash key mod partitions in
+  let emit_pair bp pl =
+    regs.Op.stored.(b_reg) <- bp;
+    regs.Op.stored.(p_reg) <- pl;
+    fr.Op.rows_out <- fr.Op.rows_out + 1;
+    emit ();
+    Op.Acct.enter st.acct fr
+  in
   let live = ref None in
   let dispose_live () =
     match !live with
@@ -374,7 +473,7 @@ and run_hybrid st fr ~build ~probe ~build_var ~probe_var emit =
   let build_spill = Operators.new_spill_files db (max 0 (partitions - 1)) in
   let probe_spill = Operators.new_spill_files db (max 0 (partitions - 1)) in
   (* Build pass. *)
-  iter_kvs st bharv (fun (key, payload) ->
+  iter_kvs st bharv (fun key payload ->
       Op.Acct.enter st.acct bsp_fr;
       bsp_fr.Op.rows_in <- bsp_fr.Op.rows_in + 1;
       if bucket key = 0 then begin
@@ -385,39 +484,45 @@ and run_hybrid st fr ~build ~probe ~build_var ~probe_var emit =
           ~payload_bytes:(Operators.payload_bytes payload)
           payload
       end
-      else Operators.spill build_spill.(bucket key - 1) ~key payload);
+      else Operators.spill build_spill.(bucket key - 1) ~names:battrs ~key payload);
   (* Probe pass: bucket 0 joins immediately, the rest spill.  Bucket-0
      probe payloads are harvested lazily, once per match. *)
   let pslots = Operators.compile_attrs db ~cls:pcls pattrs in
   let pkeyf = Operators.compile_key db ~cls:pcls pkey in
-  iter_envs st probe_fetch (fun env ->
+  let harvest h =
+    Op.Acct.enter st.acct ph_fr;
+    ph_fr.Op.rows_in <- ph_fr.Op.rows_in + 1;
+    let pl = Operators.make_payload db h ~slots:pslots in
+    ph_fr.Op.rows_out <- ph_fr.Op.rows_out + 1;
+    pl
+  in
+  let rec matches h = function
+    | [] -> ()
+    | bp :: rest ->
+        let pl = harvest h in
+        Op.Acct.enter st.acct fr;
+        emit_pair bp pl;
+        matches h rest
+  in
+  let rec pairs pl = function
+    | [] -> ()
+    | bp :: rest ->
+        emit_pair bp pl;
+        pairs pl rest
+  in
+  iter_rows st probe_fetch (fun () ->
       Op.Acct.enter st.acct fr;
       fr.Op.rows_in <- fr.Op.rows_in + 1;
-      let h = live_of_env env in
-      match pkeyf h with
-      | Some key ->
-          if bucket key = 0 then
-            List.iter
-              (fun bp ->
-                Op.Acct.enter st.acct ph_fr;
-                ph_fr.Op.rows_in <- ph_fr.Op.rows_in + 1;
-                let pl = Operators.make_payload db h ~slots:pslots in
-                ph_fr.Op.rows_out <- ph_fr.Op.rows_out + 1;
-                Op.Acct.enter st.acct fr;
-                fr.Op.rows_out <- fr.Op.rows_out + 1;
-                emit [ (build_var, Op.Stored bp); (probe_var, Op.Stored pl) ];
-                Op.Acct.enter st.acct fr)
-              (Mem_hash.find table ~key)
-          else begin
-            Op.Acct.enter st.acct ph_fr;
-            ph_fr.Op.rows_in <- ph_fr.Op.rows_in + 1;
-            let pl = Operators.make_payload db h ~slots:pslots in
-            ph_fr.Op.rows_out <- ph_fr.Op.rows_out + 1;
-            Op.Acct.enter st.acct psp_fr;
-            psp_fr.Op.rows_in <- psp_fr.Op.rows_in + 1;
-            Operators.spill probe_spill.(bucket key - 1) ~key pl
-          end
-      | None -> ());
+      let h = regs.Op.live.(h_reg) in
+      let key = pkeyf h in
+      if not (Rid.is_nil key) then
+        if bucket key = 0 then matches h (Mem_hash.find table ~key)
+        else begin
+          let pl = harvest h in
+          Op.Acct.enter st.acct psp_fr;
+          psp_fr.Op.rows_in <- psp_fr.Op.rows_in + 1;
+          Operators.spill probe_spill.(bucket key - 1) ~names:pattrs ~key pl
+        end);
   dispose_live ();
   (* Spilled buckets, one at a time: each fits memory by construction. *)
   for b = 0 to partitions - 2 do
@@ -436,12 +541,7 @@ and run_hybrid st fr ~build ~probe ~build_var ~probe_var emit =
     Heap_file.scan probe_spill.(b) (fun _ body ->
         Op.Acct.enter st.acct fr;
         let key, pl = Operators.unspill_record body in
-        List.iter
-          (fun bp ->
-            fr.Op.rows_out <- fr.Op.rows_out + 1;
-            emit [ (build_var, Op.Stored bp); (probe_var, Op.Stored pl) ];
-            Op.Acct.enter st.acct fr)
-          (Mem_hash.find tb ~key);
+        pairs pl (Mem_hash.find tb ~key);
         Op.Acct.enter st.acct psp_fr);
     dispose_live ()
   done
@@ -449,14 +549,15 @@ and run_hybrid st fr ~build ~probe ~build_var ~probe_var emit =
 (* --- pointer-based sort-merge join --- *)
 
 and run_merge st fr ~left ~right ~left_var ~right_var emit =
-  let sim = Database.sim st.db in
+  let sim = Database.sim st.db and regs = st.regs in
+  let l_reg = reg st left_var and r_reg = reg st right_var in
   let run_sort node =
     match node.Op.kind with
     | Op.Sort { child } ->
         let sfr = node.Op.frame in
         let acc = ref [] in
         let bytes = ref 0 in
-        iter_kvs st child (fun (k, p) ->
+        iter_kvs st child (fun k p ->
             Op.Acct.enter st.acct sfr;
             sfr.Op.rows_in <- sfr.Op.rows_in + 1;
             acc := (k, p) :: !acc;
@@ -481,8 +582,10 @@ and run_merge st fr ~left ~right ~left_var ~right_var emit =
   fr.Op.rows_in <- Array.length parents + Array.length children;
   Operators.merge_join sim ~bytes:(p_bytes + c_bytes) ~parents ~children
     (fun pp cp ->
+      regs.Op.stored.(l_reg) <- pp;
+      regs.Op.stored.(r_reg) <- cp;
       fr.Op.rows_out <- fr.Op.rows_out + 1;
-      emit [ (left_var, Op.Stored pp); (right_var, Op.Stored cp) ];
+      emit ();
       Op.Acct.enter st.acct fr)
 
 (* --- value streams and the sink --- *)
@@ -491,10 +594,14 @@ let iter_values st node emit =
   match node.Op.kind with
   | Op.Project { child; select } ->
       let fr = node.Op.frame in
-      iter_envs st child (fun env ->
+      let project =
+        Operators.compile_select st.db ~reg:(reg st) ~sources:(sources child)
+          select
+      in
+      iter_rows st child (fun () ->
           Op.Acct.enter st.acct fr;
           fr.Op.rows_in <- fr.Op.rows_in + 1;
-          let v = Operators.eval_select st.db select ~lookup:(lookup_env env) in
+          let v = Operators.eval_select st.db st.regs project in
           fr.Op.rows_out <- fr.Op.rows_out + 1;
           emit v;
           Op.Acct.enter st.acct fr)
@@ -565,7 +672,7 @@ let run_explained db root ~keep =
   let sim = Database.sim db in
   Op.reset_frames root;
   let acct = Op.Acct.create sim root.Op.frame in
-  let st = { db; acct } in
+  let st = state db acct root in
   let s0 = snapshot sim in
   let result = drive_materialize st root ~keep in
   Op.Acct.flush acct;
@@ -739,6 +846,12 @@ let run_exchange_dest acct db xl ~keep ~(bx : (Rid.t * Op.payload) Exchange.t)
         (select, aggregate)
     | _ -> assert false
   in
+  let st = state db acct xl.xl_hp in
+  let regs = st.regs in
+  let b_reg = reg st xl.xl_build_var and p_reg = reg st xl.xl_probe_var in
+  let project =
+    Operators.compile_select db ~reg:(reg st) ~sources:(sources xl.xl_hp) select
+  in
   let table : Op.payload Mem_hash.t = Mem_hash.create sim in
   Fun.protect
     ~finally:(fun () ->
@@ -755,6 +868,19 @@ let run_exchange_dest acct db xl ~keep ~(bx : (Rid.t * Op.payload) Exchange.t)
         (Exchange.take bx ~dest:xl.xl_shard);
       Exchange.release_dest bx ~dest:xl.xl_shard;
       let result = Query_result.create ?aggregate sim ~keep in
+      let matched bp =
+        regs.Op.stored.(b_reg) <- bp;
+        hp_fr.Op.rows_out <- hp_fr.Op.rows_out + 1;
+        Op.Acct.enter acct proj_fr;
+        proj_fr.Op.rows_in <- proj_fr.Op.rows_in + 1;
+        let v = Operators.eval_select db regs project in
+        proj_fr.Op.rows_out <- proj_fr.Op.rows_out + 1;
+        Op.Acct.enter acct mat_fr;
+        mat_fr.Op.rows_in <- mat_fr.Op.rows_in + 1;
+        Query_result.append result v;
+        mat_fr.Op.rows_out <- mat_fr.Op.rows_out + 1;
+        Op.Acct.enter acct hp_fr
+      in
       (* The result survives the return — the gather owns it — but a raise
          while probing must not leak its claimed bytes: dispose on the
          unwind (the failover path then rebuilds on the replica). *)
@@ -763,24 +889,8 @@ let run_exchange_dest acct db xl ~keep ~(bx : (Rid.t * Op.payload) Exchange.t)
          List.iter
            (fun (key, pl) ->
              hp_fr.Op.rows_in <- hp_fr.Op.rows_in + 1;
-             List.iter
-               (fun bp ->
-                 hp_fr.Op.rows_out <- hp_fr.Op.rows_out + 1;
-                 Op.Acct.enter acct proj_fr;
-                 proj_fr.Op.rows_in <- proj_fr.Op.rows_in + 1;
-                 let lookup v =
-                   if String.equal v xl.xl_build_var then Op.Stored bp
-                   else if String.equal v xl.xl_probe_var then Op.Stored pl
-                   else invalid_arg ("Exec: unknown var " ^ v)
-                 in
-                 let v = Operators.eval_select db select ~lookup in
-                 proj_fr.Op.rows_out <- proj_fr.Op.rows_out + 1;
-                 Op.Acct.enter acct mat_fr;
-                 mat_fr.Op.rows_in <- mat_fr.Op.rows_in + 1;
-                 Query_result.append result v;
-                 mat_fr.Op.rows_out <- mat_fr.Op.rows_out + 1;
-                 Op.Acct.enter acct hp_fr)
-               (Mem_hash.find table ~key))
+             regs.Op.stored.(p_reg) <- pl;
+             List.iter matched (Mem_hash.find table ~key))
            (Exchange.take px ~dest:xl.xl_shard);
          Exchange.release_dest px ~dest:xl.xl_shard;
          Op.Acct.enter acct mat_fr;
@@ -863,8 +973,8 @@ let run_sharded_explained smap root ~keep =
               Tb_sim.Clock.enter_lane scope_a i;
               let shard = xl.xl_shard in
               let route db (ex_fr : Op.frame) buf harv =
-                let st = { db; acct } in
-                iter_kvs st harv (fun (key, payload) ->
+                let st = state db acct harv in
+                iter_kvs st harv (fun key payload ->
                     Op.Acct.enter acct ex_fr;
                     ex_fr.Op.rows_in <- ex_fr.Op.rows_in + 1;
                     let key = Exchange.retag ~shard key in
@@ -939,8 +1049,7 @@ let run_sharded_explained smap root ~keep =
                   r
                 in
                 let drive db node =
-                  let st = { db; acct } in
-                  drive_materialize st node ~keep
+                  drive_materialize (state db acct node) node ~keep
                 in
                 (try
                    Exchange.boundary sim (fault_of shard);

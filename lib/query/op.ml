@@ -7,9 +7,30 @@ module Counters = Tb_sim.Counters
 
 (* A join side is visible either as a live Handle or as information stowed
    in a hash table: "We always store in the hash tables the elements needed
-   to construct f(p, pa)" (Section 5). *)
-type source = Live of Handle.t | Stored of payload
-and payload = { self : Rid.t; attrs : (string * Value.t) list }
+   to construct f(p, pa)" (Section 5).  A stowed payload keeps its values
+   in the harvesting operator's [attrs] order; the names live once on that
+   operator, not in every payload. *)
+type payload = { self : Rid.t; vals : Value.t array }
+
+(* How a row binds one plan variable, fixed per operator when the plan is
+   run: which register cell holds it and, for a payload, where each
+   attribute sits in [vals]. *)
+type source = Live of string | Stored of string list | Ident
+
+(* One row: a cell per plan variable in each array, indexed by the
+   variable's register.  Emission is a depth-first push, so an operator
+   writes its cell, calls downstream and is done with the row before it
+   writes the next: one register file serves the whole run. *)
+type regs = { live : Handle.t array; stored : payload array; ident : Rid.t array }
+
+let no_payload = { self = Rid.nil; vals = [||] }
+
+let make_regs n =
+  {
+    live = Array.make n Handle.none;
+    stored = Array.make n no_payload;
+    ident = Array.make n Rid.nil;
+  }
 
 (* How an operator derives the join key from a live Handle: the object's
    own identity (parents) or the inverse reference it stores (children). *)

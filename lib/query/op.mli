@@ -11,15 +11,38 @@
     looks at the explain output. *)
 
 (** A join side is visible either as a live Handle or as information stowed
-    in a hash table / sort run (Section 5). *)
-type source =
-  | Live of Tb_store.Handle.t
-  | Stored of payload
-
-and payload = {
+    in a hash table / sort run (Section 5).  The stowed information is a
+    payload: the object's identity and the values of the attributes the
+    projection reads, in the order of the harvesting operator's [attrs]
+    (the {!Harvest} node keeps the names, once). *)
+type payload = {
   self : Tb_storage.Rid.t;
-  attrs : (string * Tb_store.Value.t) list;
+  vals : Tb_store.Value.t array;  (** slot-ordered: [vals.(i)] is [attrs.(i)] *)
 }
+
+(** How a row binds one plan variable.  Which source each variable has is
+    fixed by the operator that emits the row, so the executor resolves it
+    once per query, never per row. *)
+type source =
+  | Live of string
+      (** a pinned Handle of this class, in the [live] register cell *)
+  | Stored of string list
+      (** a payload in the [stored] cell, its [vals] in this attribute
+          order *)
+  | Ident  (** the object's Rid only, in the [ident] cell (covering Fetch) *)
+
+(** A row as a register file: one cell per plan variable in each array,
+    indexed by the variable's register.  Operators write their cells and
+    push downstream depth-first, so nothing keeps a row past the emit
+    call and one register file is reused for every row of a run. *)
+type regs = {
+  live : Tb_store.Handle.t array;
+  stored : payload array;
+  ident : Tb_storage.Rid.t array;
+}
+
+(** [make_regs n] — a register file for [n] plan variables. *)
+val make_regs : int -> regs
 
 (** How an operator derives the join key from a live Handle. *)
 type key_spec =

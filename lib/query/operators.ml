@@ -13,9 +13,12 @@ module Rid = Tb_storage.Rid
 module Sim = Tb_sim.Sim
 
 let payload_bytes (p : Op.payload) =
-  List.fold_left
-    (fun acc (_, v) -> acc + 4 + Tb_store.Codec.encoded_size v)
-    Rid.on_disk_bytes p.Op.attrs
+  let vals = p.Op.vals in
+  let acc = ref Rid.on_disk_bytes in
+  for i = 0 to Array.length vals - 1 do
+    acc := !acc + 4 + Tb_store.Codec.encoded_size vals.(i)
+  done;
+  !acc
 
 (* Attribute names are resolved to schema slots once per operator; the
    per-row work below (predicate evaluation, payload harvest, inverse
@@ -29,36 +32,75 @@ let compile_preds db ~cls preds =
       { pslot = Database.attr_slot db ~cls attr; pcmp = cmp; pconst = const })
     preds
 
-(* [(name, slot)] for the attributes [select] needs from a side. *)
+(* The schema slot of each attribute [select] needs from a side, in the
+   harvest's order. *)
 let compile_attrs db ~cls attrs =
-  List.map (fun a -> (a, Database.attr_slot db ~cls a)) attrs
+  Array.of_list (List.map (fun a -> Database.attr_slot db ~cls a) attrs)
 
-(* Harvest exactly the attributes [select] needs from a live Handle. *)
+(* Harvest exactly the attributes [select] needs from a live Handle, one
+   charged access per slot, in slot-array order. *)
 let make_payload db h ~slots =
-  {
-    Op.self = Database.handle_rid db h;
-    attrs = List.map (fun (a, slot) -> (a, Database.get_att_slot db h slot)) slots;
-  }
+  let n = Array.length slots in
+  let vals = Array.make n Value.Nil in
+  for i = 0 to n - 1 do
+    vals.(i) <- Database.get_att_slot db h slots.(i)
+  done;
+  { Op.self = Database.handle_rid db h; vals }
 
-let eval_select db select ~lookup =
-  let rec ev = function
-    | Oql_ast.Const lit -> Oql_ast.literal_to_value lit
+let rec index_of attr i = function
+  | [] -> invalid_arg ("Exec: attribute " ^ attr ^ " not stowed")
+  | a :: rest -> if String.equal a attr then i else index_of attr (i + 1) rest
+
+(* The projection with every name resolved: variables to registers,
+   attributes to schema slots (Handle-backed) or payload indexes (stowed).
+   Built once per Project, so a row pays only for the value it builds and
+   one get_att charge per Handle-backed attribute.  A data tree rather
+   than closures: a one-row query pays for building it as much as for its
+   row, and the tree is the smaller of the two. *)
+type projection =
+  | P_const of Value.t
+  | P_live_self of int  (** register *)
+  | P_stored_self of int
+  | P_ident of int
+  | P_live_att of int * int  (** register, schema slot *)
+  | P_stored_att of int * int  (** register, payload index *)
+  | P_tuple of (string * projection) list
+
+let compile_select db ~reg ~sources select =
+  let rec comp = function
+    | Oql_ast.Const lit -> P_const (Oql_ast.literal_to_value lit)
     | Oql_ast.Var v -> (
-        match lookup v with
-        | Op.Live h -> Value.Ref (Database.handle_rid db h)
-        | Op.Stored p -> Value.Ref p.Op.self)
+        match source v sources with
+        | Op.Live _ -> P_live_self (reg v)
+        | Op.Stored _ -> P_stored_self (reg v)
+        | Op.Ident -> P_ident (reg v))
     | Oql_ast.Path (v, attr) -> (
-        match lookup v with
-        | Op.Live h -> Database.get_att db h attr
-        | Op.Stored p -> (
-            match Value.assoc attr p.Op.attrs with
-            | x -> x
-            | exception Not_found ->
-                invalid_arg ("Exec: attribute " ^ attr ^ " not stowed")))
-    | Oql_ast.Mk_tuple fields ->
-        Value.Tuple (List.map (fun (n, e) -> (n, ev e)) fields)
+        match source v sources with
+        | Op.Live cls -> P_live_att (reg v, Database.attr_slot db ~cls attr)
+        | Op.Stored attrs -> P_stored_att (reg v, index_of attr 0 attrs)
+        | Op.Ident -> invalid_arg ("Exec: attribute " ^ attr ^ " not stowed"))
+    | Oql_ast.Mk_tuple fields -> P_tuple (List.map (fun (n, e) -> (n, comp e)) fields)
+  and source v = function
+    | [] -> invalid_arg ("Exec: unknown var " ^ v)
+    | (n, s) :: rest -> if String.equal n v then s else source v rest
   in
-  ev select
+  comp select
+
+let rec eval_select db (regs : Op.regs) = function
+  | P_const v -> v
+  | P_live_self r -> Value.Ref (Database.handle_rid db regs.Op.live.(r))
+  | P_stored_self r -> Value.Ref regs.Op.stored.(r).Op.self
+  | P_ident r -> Value.Ref regs.Op.ident.(r)
+  | P_live_att (r, slot) -> Database.get_att_slot db regs.Op.live.(r) slot
+  | P_stored_att (r, i) -> regs.Op.stored.(r).Op.vals.(i)
+  | P_tuple fields -> Value.Tuple (eval_fields db regs fields)
+
+(* Left to right, as the fields are written. *)
+and eval_fields db regs = function
+  | [] -> []
+  | (n, p) :: rest ->
+      let x = eval_select db regs p in
+      (n, x) :: eval_fields db regs rest
 
 (* A direct recursion rather than [List.for_all] over a closure: this runs
    once per navigated object, and must not allocate to do it. *)
@@ -71,12 +113,12 @@ let rec eval_preds db h = function
 
 let key_of_inverse db inv_slot h =
   match Database.get_att_slot db h inv_slot with
-  | Value.Ref prid -> Some prid
-  | Value.Nil -> None
+  | Value.Ref prid -> prid
+  | Value.Nil -> Rid.nil
   | _ -> invalid_arg "Exec: inverse attribute is not a reference"
 
 let compile_key db ~cls = function
-  | Op.K_self -> fun h -> Some (Database.handle_rid db h)
+  | Op.K_self -> Database.handle_rid db
   | Op.K_inverse attr ->
       let slot = Database.attr_slot db ~cls attr in
       key_of_inverse db slot
@@ -168,23 +210,29 @@ let merge_join sim ~bytes ~parents ~children emit =
 (* --- spilled partitions (hybrid hashing, DeWitt/Katz/Olken-style) --- *)
 
 (* A spilled payload travels as an encoded tuple whose first field is the
-   join key. *)
-let spill_record ~key (payload : Op.payload) =
+   join key; the attribute names come from the harvesting operator, so the
+   record is byte for byte what a named payload would encode to. *)
+let spill_record ~names ~key (payload : Op.payload) =
+  let vals = payload.Op.vals in
+  let rec fields i = function
+    | [] -> []
+    | n :: rest -> (n, vals.(i)) :: fields (i + 1) rest
+  in
   Tb_store.Codec.encode
     (Value.Tuple
        (("@key", Value.Ref key)
        :: ("@self", Value.Ref payload.Op.self)
-       :: payload.Op.attrs))
+       :: fields 0 names))
 
 let unspill_record body =
   match Tb_store.Codec.decode_exn body with
   | Value.Tuple (("@key", Value.Ref key) :: ("@self", Value.Ref self) :: attrs)
     ->
-      (key, { Op.self; attrs })
+      (key, { Op.self; vals = Array.of_list (List.map snd attrs) })
   | _ -> invalid_arg "Exec: corrupt spill record"
 
 let new_spill_files db n =
   Array.init n (fun _ -> Tb_storage.Heap_file.create_temp (Database.stack db))
 
-let spill file ~key payload =
-  ignore (Tb_storage.Heap_file.insert file (spill_record ~key payload))
+let spill file ~names ~key payload =
+  ignore (Tb_storage.Heap_file.insert file (spill_record ~names ~key payload))

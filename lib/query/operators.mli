@@ -7,7 +7,8 @@
     order of the pre-operator monolithic drivers verbatim — the golden
     counter fingerprint depends on the sequence, not just the totals. *)
 
-(** Simulated size of a stowed payload (Rid + encoded attributes). *)
+(** Simulated size of a stowed payload: its Rid plus, per value, 4 bytes
+    and the value's encoded size. *)
 val payload_bytes : Op.payload -> int
 
 (** A predicate with its attribute resolved to a schema slot. *)
@@ -20,37 +21,49 @@ type compiled_pred = {
 val compile_preds :
   Tb_store.Database.t -> cls:string -> Plan.attr_pred list -> compiled_pred list
 
-(** [(name, slot)] pairs for a side's harvested attributes. *)
-val compile_attrs :
-  Tb_store.Database.t -> cls:string -> string list -> (string * int) list
+(** The schema slots of a side's harvested attributes, in order. *)
+val compile_attrs : Tb_store.Database.t -> cls:string -> string list -> int array
 
-(** Harvest exactly the listed attributes from a live Handle (one charged
-    attribute access per slot). *)
+(** Harvest exactly the given slots from a live Handle into a payload whose
+    [vals] follow the slot array (one charged attribute access per slot). *)
 val make_payload :
-  Tb_store.Database.t -> Tb_store.Handle.t -> slots:(string * int) list -> Op.payload
+  Tb_store.Database.t -> Tb_store.Handle.t -> slots:int array -> Op.payload
 
-(** Evaluate the projection; Handle-backed variables charge attribute
-    accesses, stowed ones read the harvested payload. *)
-val eval_select :
+(** A projection with every name resolved: variables to registers,
+    attributes to schema slots (Handle-backed variables) or payload
+    indexes (stowed ones). *)
+type projection
+
+(** [compile_select db ~reg ~sources select] resolves the projection
+    against the row layout [sources], giving each variable its register
+    ([reg]).  Charge-free.  Raises [Invalid_argument] on a variable missing
+    from [sources] or an attribute its payload does not carry. *)
+val compile_select :
   Tb_store.Database.t ->
+  reg:(string -> int) ->
+  sources:(string * Op.source) list ->
   Oql_ast.expr ->
-  lookup:(string -> Op.source) ->
-  Tb_store.Value.t
+  projection
+
+(** [eval_select db regs p] builds one result value from the row in
+    [regs]: a Handle-backed attribute charges one attribute access, a
+    stowed one nothing. *)
+val eval_select : Tb_store.Database.t -> Op.regs -> projection -> Tb_store.Value.t
 
 (** Short-circuit conjunction; one charged comparison and one charged
     attribute access per evaluated predicate. *)
 val eval_preds : Tb_store.Database.t -> Tb_store.Handle.t -> compiled_pred list -> bool
 
 (** Resolve a {!Op.key_spec} against a side's class: [K_self] is free,
-    [K_inverse] charges one attribute access per row and yields [None] on
-    [Nil].  Raises [Invalid_argument] when the inverse attribute is not a
-    reference. *)
+    [K_inverse] charges one attribute access per row and yields
+    {!Tb_storage.Rid.nil} ("no key") on [Nil].  Raises [Invalid_argument]
+    when the inverse attribute is not a reference. *)
 val compile_key :
   Tb_store.Database.t ->
   cls:string ->
   Op.key_spec ->
   Tb_store.Handle.t ->
-  Tb_storage.Rid.t option
+  Tb_storage.Rid.t
 
 (** [with_sorted_rids sim ~rids ~count f] claims the Rid buffer, charges
     the sort, hands [f] the sorted array inside the claim window and
@@ -103,5 +116,12 @@ val unspill_record : bytes -> Tb_storage.Rid.t * Op.payload
 val new_spill_files : Tb_store.Database.t -> int -> Tb_storage.Heap_file.t array
 
 (** Append one (key, payload) record to a spill file (charged as ordinary
-    heap-page traffic). *)
-val spill : Tb_storage.Heap_file.t -> key:Tb_storage.Rid.t -> Op.payload -> unit
+    heap-page traffic).  [names] are the harvesting operator's attributes,
+    one per payload value: the record is the tuple
+    [\[@key; @self; names...\]]. *)
+val spill :
+  Tb_storage.Heap_file.t ->
+  names:string list ->
+  key:Tb_storage.Rid.t ->
+  Op.payload ->
+  unit

@@ -44,7 +44,7 @@ type prog = {
   seeks : seek array;
   scratch : int array;  (* absolute attribute offsets, filled per record *)
   preds : pinstr array;  (* in predicate order *)
-  payload : (string * int) array;  (* (attr, register), in select order *)
+  payload : int array;  (* register of each payload attribute, in harvest order *)
   inverse : int;  (* register of the inverse reference; -1 for K_self *)
 }
 
@@ -115,8 +115,7 @@ let compile db ~cls ?(preds = []) ?(key = Op.K_self) ?(attrs = []) () =
     seeks;
     scratch = Array.make (List.length needed) 0;
     preds;
-    payload =
-      Array.of_list (List.map2 (fun a slot -> (a, reg_of_slot slot)) attrs payload_slots);
+    payload = Array.of_list (List.map reg_of_slot payload_slots);
     inverse = (match inverse_slot with Some s -> reg_of_slot s | None -> -1);
   }
 
@@ -190,31 +189,28 @@ let eval_preds db prog buf =
 
 (* Join key off the record bytes: the object's own identity (free, as in
    [Operators.compile_key]) or the stored inverse reference (one get_att
-   charge, Rid decoded straight from the encoding). *)
+   charge, Rid decoded straight from the encoding; [Rid.nil] on Nil). *)
 let eval_key db prog buf ~self =
-  if prog.inverse < 0 then Some self
+  if prog.inverse < 0 then self
   else begin
     Sim.charge_get_att (Database.sim db);
     let pos = prog.scratch.(prog.inverse) in
     let tag = Char.code (Bytes.unsafe_get buf pos) in
-    if tag = Codec.tag_ref then Some (Rid.decode buf ~pos:(pos + 1))
-    else if tag = Codec.tag_nil then None
+    if tag = Codec.tag_ref then Rid.decode buf ~pos:(pos + 1)
+    else if tag = Codec.tag_nil then Rid.nil
     else invalid_arg "Exec: inverse attribute is not a reference"
   end
 
-(* Harvest the payload attributes in select order: per attribute the
+(* Harvest the payload attributes in harvest order: per attribute the
    Handle path's get_att charge, then one decode at the recorded position
-   (the packed path's only per-row [Value.t] allocation, for rows that
-   survived the predicates). *)
+   (with the payload's record and array, the packed path's only per-row
+   allocation, for rows that survived the predicates). *)
 let make_payload db prog buf ~self =
   let sim = Database.sim db in
-  {
-    Op.self;
-    attrs =
-      Array.to_list
-        (Array.map
-           (fun (name, reg) ->
-             Sim.charge_get_att sim;
-             (name, Codec.decode_value buf ~pos:prog.scratch.(reg)))
-           prog.payload);
-  }
+  let n = Array.length prog.payload in
+  let vals = Array.make n Value.Nil in
+  for i = 0 to n - 1 do
+    Sim.charge_get_att sim;
+    vals.(i) <- Codec.decode_value buf ~pos:prog.scratch.(prog.payload.(i))
+  done;
+  { Op.self; vals }

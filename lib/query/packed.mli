@@ -46,15 +46,16 @@ val seek : Tb_store.Database.t -> prog -> Tb_store.Handle.t -> bytes
     evaluated — exactly the Handle path's sequence. *)
 val eval_preds : Tb_store.Database.t -> prog -> bytes -> bool
 
-(** [eval_key db prog buf ~self] is the join key: [Some self] (charge-free)
+(** [eval_key db prog buf ~self] is the join key: [self] (charge-free)
     when the program was compiled with [K_self], otherwise the stored
-    inverse reference (one get_att charge; [None] on Nil; raises
-    [Invalid_argument] when the attribute is not a reference — the Handle
-    path's exact behaviour). *)
+    inverse reference (one get_att charge; {!Tb_storage.Rid.nil} on Nil;
+    raises [Invalid_argument] when the attribute is not a reference — the
+    Handle path's exact behaviour). *)
 val eval_key :
-  Tb_store.Database.t -> prog -> bytes -> self:Tb_storage.Rid.t -> Tb_storage.Rid.t option
+  Tb_store.Database.t -> prog -> bytes -> self:Tb_storage.Rid.t -> Tb_storage.Rid.t
 
 (** [make_payload db prog buf ~self] harvests the payload attributes in
-    select order, one get_att charge per attribute. *)
+    [attrs] order into a slot-ordered payload, one get_att charge per
+    attribute. *)
 val make_payload :
   Tb_store.Database.t -> prog -> bytes -> self:Tb_storage.Rid.t -> Op.payload

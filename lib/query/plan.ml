@@ -76,13 +76,13 @@ let extent_class schema name =
   match Value.assoc name (Schema.roots schema) with
   | Schema.TSet (Schema.TRef cls) | Schema.TList (Schema.TRef cls) -> cls
   | _ -> raise (Unsupported ("root " ^ name ^ " is not an object extent"))
-  | exception Not_found -> invalid_arg ("unknown extent " ^ name)
+  | exception Not_found -> raise (Unsupported ("unknown extent " ^ name))
 
 let check_attr schema ~cls ~attr =
   match Schema.attr_type schema ~cls ~attr with
   | _ -> ()
   | exception Not_found ->
-      invalid_arg (Printf.sprintf "class %s has no attribute %s" cls attr)
+      raise (Unsupported (Printf.sprintf "class %s has no attribute %s" cls attr))
 
 (* Normalize one conjunct into (var, attr_pred). *)
 let normalize_conjunct vars = function
@@ -98,12 +98,19 @@ let normalize_conjunct vars = function
            (Format.asprintf "predicate %a is not of the form var.attr CMP const"
               Oql_ast.pp_pred p))
 
-let check_select_vars vars select =
+(* Every variable the projection names is in scope, and every attribute it
+   reads exists on that variable's class: the executor resolves both to
+   registers and slots before the first charge. *)
+let check_select schema scope select =
+  let cls_of v =
+    match List.find_opt (fun (var, _) -> String.equal var v) scope with
+    | Some (_, cls) -> cls
+    | None -> raise (Unsupported ("unknown variable " ^ v))
+  in
   let rec go = function
     | Oql_ast.Const _ -> ()
-    | Oql_ast.Var v | Oql_ast.Path (v, _) ->
-        if not (List.exists (String.equal v) vars) then
-          invalid_arg ("unknown variable " ^ v)
+    | Oql_ast.Var v -> ignore (cls_of v)
+    | Oql_ast.Path (v, attr) -> check_attr schema ~cls:(cls_of v) ~attr
     | Oql_ast.Mk_tuple fields -> List.iter (fun (_, e) -> go e) fields
   in
   go select
@@ -129,7 +136,7 @@ let bind db (q : Oql_ast.query) =
   match q.Oql_ast.from with
   | [ { var; source = Oql_ast.Extent root } ] ->
       let cls = extent_class schema root in
-      check_select_vars [ var ] select;
+      check_select schema [ (var, cls) ] select;
       let preds =
         List.map (normalize_conjunct [ var ]) (Oql_ast.conjuncts q.Oql_ast.where)
       in
@@ -158,11 +165,15 @@ let bind db (q : Oql_ast.query) =
                  (Printf.sprintf "%s.%s is not a collection of objects"
                     parent_cls set_attr))
         | exception Not_found ->
-            invalid_arg
-              (Printf.sprintf "class %s has no attribute %s" parent_cls set_attr)
+            raise
+              (Unsupported
+                 (Printf.sprintf "class %s has no attribute %s" parent_cls
+                    set_attr))
       in
+      if String.equal parent_var child_var then
+        raise (Unsupported ("variable " ^ child_var ^ " is bound twice"));
       let vars = [ parent_var; child_var ] in
-      check_select_vars vars select;
+      check_select schema [ (parent_var, parent_cls); (child_var, child_cls) ] select;
       let preds =
         List.map (normalize_conjunct vars) (Oql_ast.conjuncts q.Oql_ast.where)
       in

@@ -91,8 +91,10 @@ type bound =
 (** [bind db q] resolves extents against the schema roots, splits the
     predicate per range variable, and infers the child→parent inverse
     attribute from the schema when one exists.
-    Raises {!Unsupported} on queries outside the subset, [Invalid_argument]
-    on unknown names/attributes. *)
+    Raises {!Unsupported} on queries outside the subset and on every name
+    that does not resolve — an unknown extent, variable or attribute, in
+    the predicate or the projection — so a bad name fails before any
+    charge. *)
 val bind : Tb_store.Database.t -> Oql_ast.query -> bound
 
 (** {2 Helpers shared with the executor and planner} *)

@@ -170,6 +170,49 @@ let test_select_constant_and_nil () =
     (List.map (fun v -> Value.equal v (Value.Int 7)) (Query_result.values r));
   Query_result.dispose r
 
+(* A name that does not resolve is a planning error: [Plan.Unsupported]
+   before any charge, on every algorithm, however wide the bounds.  The
+   projection cases matter most: under narrow bounds no row reaches the
+   projection, so only planning can catch them. *)
+let test_name_errors_fail_at_planning () =
+  let b = small_db () in
+  let db = b.Tb_derby.Generator.db in
+  let sim = Database.sim db in
+  let counters () = Format.asprintf "%a" Tb_sim.Counters.pp sim.Tb_sim.Sim.counters in
+  let fails name ?force_algo text =
+    Database.cold_restart db;
+    let before = counters () in
+    let clock = Tb_sim.Clock.now_ms sim.Tb_sim.Sim.clock in
+    (match Planner.run db ?force_algo text ~keep:false with
+    | exception Plan.Unsupported _ -> ()
+    | r ->
+        Query_result.dispose r;
+        Alcotest.failf "%s: expected Plan.Unsupported" name);
+    Alcotest.(check string) (name ^ ": no charge") before (counters ());
+    Alcotest.(check (float 0.0)) (name ^ ": clock unmoved") clock
+      (Tb_sim.Clock.now_ms sim.Tb_sim.Sim.clock)
+  in
+  fails "unknown extent" "select x from x in Nowhere";
+  fails "unknown variable" "select [p.name, q.age] from p in Providers, pa in p.clients";
+  fails "unknown predicate attribute"
+    "select pa.name from pa in Patients where pa.zzz < 10";
+  fails "variable bound twice" "select p.name from p in Providers, p in p.clients";
+  List.iter
+    (fun (algo, bound) ->
+      fails
+        (Printf.sprintf "unknown projection attribute (%s, bound %d)"
+           (Plan.algo_name algo) bound)
+        ~force_algo:algo
+        (Printf.sprintf
+           "select [p.name, pa.zzz] from p in Providers, pa in p.clients where \
+            pa.mrn < %d and p.upin < %d"
+           bound bound))
+    [ (Plan.NL, 10); (Plan.NL, 1000); (Plan.PHJ, 1000); (Plan.SMJ, 1000) ];
+  check_bool "the optimizer path rejects it too" true
+    (match Planner.optimize db "select pa.zzz from pa in Patients" with
+    | exception Plan.Unsupported _ -> true
+    | _ -> false)
+
 (* --- schemas without an inverse reference --- *)
 
 let forest_schema =
@@ -298,6 +341,8 @@ let suite =
       test_gt_and_multi_predicates;
     Alcotest.test_case "exec: constant projection" `Quick
       test_select_constant_and_nil;
+    Alcotest.test_case "planner: unknown names fail before any charge" `Quick
+      test_name_errors_fail_at_planning;
     Alcotest.test_case "no inverse: NL fallback, NOJOIN rejected" `Quick
       test_no_inverse_falls_back_to_nl;
     Alcotest.test_case "joins over spilled collections" `Quick

@@ -72,22 +72,36 @@ let test_spill_roundtrip () =
   let payload =
     {
       Op.self = b.Generator.patients.(7);
-      attrs = [ ("age", Value.Int 42); ("name", Value.String "pp0007") ];
+      vals = [| Value.Int 42; Value.String "pp0007" |];
     }
   in
-  Operators.spill file ~key payload;
-  Operators.spill file ~key:b.Generator.providers.(1)
-    { Op.self = b.Generator.patients.(1); attrs = [] };
-  let got = ref [] in
+  let names = [ "age"; "name" ] in
+  Operators.spill file ~names ~key payload;
+  Operators.spill file ~names:[] ~key:b.Generator.providers.(1)
+    { Op.self = b.Generator.patients.(1); vals = [||] };
+  let got = ref [] and bodies = ref [] in
   Tb_storage.Heap_file.scan file (fun _ body ->
+      bodies := body :: !bodies;
       got := Operators.unspill_record body :: !got);
+  (* The record is the named tuple, byte for byte: the names come from
+     the operator, not the payload. *)
+  check_bool "record encodes the named tuple" true
+    (List.nth (List.rev !bodies) 0
+    = Tb_store.Codec.encode
+        (Value.Tuple
+           [
+             ("@key", Value.Ref key);
+             ("@self", Value.Ref payload.Op.self);
+             ("age", Value.Int 42);
+             ("name", Value.String "pp0007");
+           ]));
   match List.rev !got with
   | [ (k1, p1); (k2, p2) ] ->
       check_bool "key 1" true (Rid.equal k1 key);
       check_bool "self 1" true (Rid.equal p1.Op.self payload.Op.self);
-      check_bool "attrs survive" true (p1.Op.attrs = payload.Op.attrs);
+      check_bool "values survive" true (p1.Op.vals = payload.Op.vals);
       check_bool "key 2" true (Rid.equal k2 b.Generator.providers.(1));
-      check_bool "empty attrs survive" true (p2.Op.attrs = []);
+      check_bool "empty payload survives" true (p2.Op.vals = [||]);
   | other -> Alcotest.failf "expected 2 records, got %d" (List.length other)
 
 (* --- Spill_partition: bucket 0 never touches disk --- *)

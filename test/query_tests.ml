@@ -221,18 +221,14 @@ let test_identity_projection_skips_handles () =
 let test_bind_errors () =
   let built = small_built () in
   let db = built.Tb_derby.Generator.db in
-  let bad_invalid s =
-    match Plan.bind db (Oql_parser.parse s) with
-    | exception Invalid_argument _ -> true
-    | _ -> false
-  and bad_unsupported s =
+  let bad_unsupported s =
     match Plan.bind db (Oql_parser.parse s) with
     | exception Plan.Unsupported _ -> true
     | _ -> false
   in
-  check_bool "unknown extent" true (bad_invalid "select x from x in Nowhere");
+  check_bool "unknown extent" true (bad_unsupported "select x from x in Nowhere");
   check_bool "unknown attribute" true
-    (bad_invalid "select x.zzz from x in Patients where x.zzz < 1");
+    (bad_unsupported "select x.zzz from x in Patients where x.zzz < 1");
   check_bool "var-to-var predicate unsupported" true
     (bad_unsupported
        "select [p.name, pa.age] from p in Providers, pa in p.clients where \
