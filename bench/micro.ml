@@ -148,10 +148,8 @@ let tests () =
         Array.iter
           (fun rid ->
             let h = Tb_store.Database.acquire db rid in
-            if Tb_store.Database.is_packed db h then begin
-              let buf = Tb_query.Packed.seek db prog h in
-              if Tb_query.Packed.eval_preds db prog buf then incr n
-            end;
+            let buf = Tb_query.Packed.seek db prog h in
+            if Tb_query.Packed.eval_preds db prog buf then incr n;
             Tb_store.Database.unref db h)
           b.Tb_derby.Generator.patients;
         !n);

@@ -40,14 +40,20 @@ let org_arg =
 (* The documented failures of an OQL text — a lexical or syntax error, or a
    query outside the supported subset (unknown names included) — are usage
    errors: one line on stderr and exit 2, like a bad flag.  The text is
-   parsed before the database is built, so a malformed one fails at once;
-   [f] gets the parsed query. *)
+   parsed and its names checked against the Derby schema before the
+   database is built, so a bad one fails at once; [f] gets the parsed
+   query. *)
 let with_oql_errors oql f =
   let fail kind msg =
     Printf.eprintf "treebench: %s: %s\n" kind msg;
     exit 2
   in
-  match f (Tb_query.Oql_parser.parse oql) with
+  let checked oql =
+    let q = Tb_query.Oql_parser.parse oql in
+    Tb_query.Plan.check Tb_derby.Derby.schema q;
+    q
+  in
+  match f (checked oql) with
   | () -> ()
   | exception Tb_query.Oql_lexer.Lex_error msg -> fail "lexical error" msg
   | exception Tb_query.Oql_parser.Parse_error msg -> fail "parse error" msg

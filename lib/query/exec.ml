@@ -273,13 +273,7 @@ and iter_rows st node emit =
               fun h -> Operators.eval_preds db h cpreds
           | Op.Packed ->
               let prog = Packed.compile db ~cls ~preds () in
-              (* A resident handle materialized by an update has no packed
-                 body; those rows take the Handle kernel (same charges). *)
-              let cpreds = lazy (Operators.compile_preds db ~cls preds) in
-              fun h ->
-                if Database.is_packed db h then
-                  Packed.eval_preds db prog (Packed.seek db prog h)
-                else Operators.eval_preds db h (Lazy.force cpreds)
+              fun h -> Packed.eval_preds db prog (Packed.seek db prog h)
         in
         iter_rid_batches st ~batch child (fun rids ~pos ~len ->
             for i = pos to pos + len - 1 do
@@ -348,32 +342,19 @@ and iter_kvs st node emit =
   | Op.Harvest { child; key; cls; attrs; mode = Op.Packed } ->
       let h_reg = live_reg st child in
       let prog = Packed.compile db ~cls ~key ~attrs () in
-      let slots = lazy (Operators.compile_attrs db ~cls attrs) in
-      let keyf = lazy (Operators.compile_key db ~cls key) in
       iter_rows st child (fun () ->
           Op.Acct.enter st.acct fr;
           fr.Op.rows_in <- fr.Op.rows_in + 1;
           let h = st.regs.Op.live.(h_reg) in
-          if Database.is_packed db h then begin
-            let self = Database.handle_rid db h in
-            let buf = Packed.seek db prog h in
-            let k = Packed.eval_key db prog buf ~self in
-            if not (Rid.is_nil k) then begin
-              let payload = Packed.make_payload db prog buf ~self in
-              fr.Op.rows_out <- fr.Op.rows_out + 1;
-              emit k payload;
-              Op.Acct.enter st.acct fr
-            end
-          end
-          else
-            (* Materialized resident: Handle kernel, identical charges. *)
-            let k = (Lazy.force keyf) h in
-            if not (Rid.is_nil k) then begin
-              let payload = Operators.make_payload db h ~slots:(Lazy.force slots) in
-              fr.Op.rows_out <- fr.Op.rows_out + 1;
-              emit k payload;
-              Op.Acct.enter st.acct fr
-            end)
+          let self = Database.handle_rid db h in
+          let buf = Packed.seek db prog h in
+          let k = Packed.eval_key db prog buf ~self in
+          if not (Rid.is_nil k) then begin
+            let payload = Packed.make_payload db prog buf ~self in
+            fr.Op.rows_out <- fr.Op.rows_out + 1;
+            emit k payload;
+            Op.Acct.enter st.acct fr
+          end)
   | _ -> invalid_arg "Exec: operator does not produce key/value pairs"
 
 (* --- hash joins --- *)

@@ -34,11 +34,10 @@ val compile :
   prog
 
 (** [seek db prog h] records the byte position of every attribute the
-    program needs, walking once from the packed Handle's first attribute,
+    program needs, walking once from the Handle's first attribute,
     and returns the page buffer those positions index into — the [buf] the
     evaluators take.  Charge-free and allocation-free; must precede the
-    evaluators for each row.  Raises [Invalid_argument] unless
-    {!Tb_store.Database.is_packed}. *)
+    evaluators for each row. *)
 val seek : Tb_store.Database.t -> prog -> Tb_store.Handle.t -> bytes
 
 (** [eval_preds db prog buf] evaluates the conjunction left to right with

@@ -126,8 +126,9 @@ let infer_inverse schema ~parent_cls ~child_cls =
       | _ -> None)
     child.Schema.attrs
 
-let bind db (q : Oql_ast.query) =
-  let schema = Database.schema db in
+(* Binding reads the schema alone, so a query's names can be checked
+   before any database exists. *)
+let resolve schema (q : Oql_ast.query) =
   let select, aggregate =
     match q.Oql_ast.select with
     | Oql_ast.Rows e -> (e, None)
@@ -207,6 +208,9 @@ let bind db (q : Oql_ast.query) =
         (Unsupported
            "only single-extent queries and extent + sub-collection joins are \
             supported")
+
+let check schema q = ignore (resolve schema q : bound)
+let bind db q = resolve (Database.schema db) q
 
 let key_range p =
   match p.const with

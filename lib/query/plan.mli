@@ -97,6 +97,11 @@ type bound =
     charge. *)
 val bind : Tb_store.Database.t -> Oql_ast.query -> bound
 
+(** [check schema q] makes {!bind}'s checks against [schema] alone, with
+    the same {!Unsupported} errors, so a front end can reject a bad name
+    before it builds a database. *)
+val check : Tb_store.Schema.t -> Oql_ast.query -> unit
+
 (** {2 Helpers shared with the executor and planner} *)
 
 (** [key_range pred] is the (lo, hi) window (inclusive, exclusive) an

@@ -15,13 +15,16 @@ type t = {
   stack : Cache_stack.t;
   file : int;
   mutable tail : int; (* page currently receiving inserts; -1 when empty *)
-  (* [locate]'s answer beside the page it returns: the physical slot and
-     body offset of the last resolution.  Per heap, so no module state. *)
+  (* Where the last [locate], insert or [update] found or put a body,
+     beside the page it returns: the page index, the physical slot and the
+     body's offset.  Per heap, so no module state. *)
+  mutable loc_index : int;
   mutable loc_slot : int;
   mutable loc_pos : int;
 }
 
-let make stack ~file ~tail = { stack; file; tail; loc_slot = -1; loc_pos = -1 }
+let make stack ~file ~tail =
+  { stack; file; tail; loc_index = -1; loc_slot = -1; loc_pos = -1 }
 
 let create stack ~name =
   let file = Disk.new_file (Cache_stack.disk stack) ~name in
@@ -48,24 +51,20 @@ let fill_limit t =
     (float_of_int cost.Tb_sim.Cost_model.page_size
     *. cost.Tb_sim.Cost_model.page_fill)
 
-let frame_normal body =
-  let b = Bytes.create (1 + Bytes.length body) in
-  Bytes.set b 0 tag_normal;
-  Bytes.blit body 0 b 1 (Bytes.length body);
-  b
+(* A caller's record buffer leaves [frame_room] bytes in front of the body,
+   and the framing is written there in place: a normal record is the tag
+   byte just before the body, a relocated one fills the whole room. *)
+let frame_room = 1 + Rid.on_disk_bytes
 
 let frame_stub target =
   let b = Bytes.create (1 + Rid.on_disk_bytes) in
   Bytes.set b 0 tag_forward;
-  Bytes.blit (Rid.encode target) 0 b 1 Rid.on_disk_bytes;
+  Rid.encode_into target b ~pos:1;
   b
 
-let frame_relocated ~home body =
-  let b = Bytes.create (1 + Rid.on_disk_bytes + Bytes.length body) in
-  Bytes.set b 0 tag_relocated;
-  Bytes.blit (Rid.encode home) 0 b 1 Rid.on_disk_bytes;
-  Bytes.blit body 0 b (1 + Rid.on_disk_bytes) (Bytes.length body);
-  b
+let frame_relocated buf ~home =
+  Bytes.set buf 0 tag_relocated;
+  Rid.encode_into home buf ~pos:1
 
 let body_of framed =
   match Bytes.get framed 0 with
@@ -81,33 +80,55 @@ let fresh_page t =
   let pid = Page_id.make ~file:t.file ~index in
   (index, Cache_stack.fetch_for_write t.stack pid)
 
-(* Insert a framed record, preferring the tail page below the fill target. *)
-let insert_framed t framed =
-  let len = Bytes.length framed in
-  let try_page index =
-    let pid = Page_id.make ~file:t.file ~index in
-    let page = Cache_stack.fetch_for_write t.stack pid in
+(* Note where a body landed: [slot] on [page], the body [skip] bytes into
+   its record. *)
+let placed t page slot ~skip =
+  t.loc_slot <- slot;
+  t.loc_pos <- Page_layout.record_offset page slot + skip;
+  page
+
+(* Insert the framed record [buf.[off .. off + len)] on a fresh tail
+   page; returns the page. *)
+let insert_fresh t buf ~off ~len =
+  let _, page = fresh_page t in
+  match Page_layout.insert_sub page buf ~off ~len with
+  | Some slot ->
+      t.loc_index <- t.tail;
+      placed t page slot ~skip:(frame_room - off)
+  | None -> failwith "Heap_file.insert: record larger than a page"
+
+(* Insert a framed record, preferring the tail page below the fill
+   target; returns the page it went to. *)
+let insert_framed t buf ~off ~len =
+  if t.tail < 0 then insert_fresh t buf ~off ~len
+  else begin
+    let page =
+      Cache_stack.fetch_for_write t.stack (Page_id.make ~file:t.file ~index:t.tail)
+    in
     let used =
       Page_layout.live_bytes page + (4 * Page_layout.slot_count page)
     in
-    if used + len + 4 <= fill_limit t then Page_layout.insert page framed
-    else None
-  in
-  let index, slot =
-    match if t.tail >= 0 then try_page t.tail else None with
-    | Some slot -> (t.tail, slot)
-    | None ->
-        let index, page = fresh_page t in
-        let slot =
-          match Page_layout.insert page framed with
-          | Some s -> s
-          | None -> failwith "Heap_file.insert: record larger than a page"
-        in
-        (index, slot)
-  in
-  Rid.make ~file:t.file ~page:index ~slot
+    if used + len + 4 > fill_limit t then insert_fresh t buf ~off ~len
+    else
+      match Page_layout.insert_sub page buf ~off ~len with
+      | Some slot ->
+          t.loc_index <- t.tail;
+          placed t page slot ~skip:(frame_room - off)
+      | None -> insert_fresh t buf ~off ~len
+  end
 
-let insert t body = insert_framed t (frame_normal body)
+let located_rid t = Rid.make ~file:t.file ~page:t.loc_index ~slot:t.loc_slot
+
+let insert_body t buf ~len =
+  Bytes.set buf (frame_room - 1) tag_normal;
+  insert_framed t buf ~off:(frame_room - 1) ~len:(len + 1)
+
+let insert t body =
+  let len = Bytes.length body in
+  let buf = Bytes.create (frame_room + len) in
+  Bytes.blit body 0 buf frame_room len;
+  ignore (insert_body t buf ~len : Page_layout.t);
+  located_rid t
 
 let fetch_slot t (rid : Rid.t) =
   let pid = Page_id.make ~file:(Rid.file rid) ~index:(Rid.page rid) in
@@ -163,30 +184,41 @@ let write_for t (rid : Rid.t) =
   let pid = Page_id.make ~file:(Rid.file rid) ~index:(Rid.page rid) in
   Cache_stack.fetch_for_write t.stack pid
 
-(* Relocate [body] elsewhere and point [home]'s slot at it. *)
-let relocate t ~(home : Rid.t) body =
-  let fresh = insert_framed t (frame_relocated ~home body) in
-  let page = write_for t home in
-  if not (Page_layout.update page (Rid.slot home) (frame_stub fresh)) then
-    failwith "Heap_file: cannot write forwarding stub"
+(* Relocate the body in [buf] elsewhere and point [home]'s slot at it. *)
+let relocate t ~(home : Rid.t) buf ~len =
+  frame_relocated buf ~home;
+  let page = insert_framed t buf ~off:0 ~len:(frame_room + len) in
+  let slot = t.loc_slot and fresh = located_rid t in
+  let hpage = write_for t home in
+  if not (Page_layout.update hpage (Rid.slot home) (frame_stub fresh)) then
+    failwith "Heap_file: cannot write forwarding stub";
+  (* The stub may have compacted its page, and that may be this one. *)
+  placed t page slot ~skip:frame_room
 
 (* [update] and [delete] read the home slot's tag, and a stub's forwarding
-   Rid, in place rather than through a record copy. *)
-let update t (rid : Rid.t) body =
+   Rid, in place rather than through a record copy.  The new body is
+   framed in [buf]'s room and copied once, into the page. *)
+let update t (rid : Rid.t) buf ~len =
   let page = write_for t rid in
-  let off = Page_layout.record_offset page (Rid.slot rid) in
-  let buf = Page_layout.buffer page in
-  match Bytes.get buf off with
+  let slot = Rid.slot rid in
+  let off = Page_layout.record_offset page slot in
+  let pbuf = Page_layout.buffer page in
+  match Bytes.get pbuf off with
   | c when c = tag_normal ->
-      if not (Page_layout.update page (Rid.slot rid) (frame_normal body)) then
-        relocate t ~home:rid body
+      Bytes.set buf (frame_room - 1) tag_normal;
+      if Page_layout.update_sub page slot buf ~off:(frame_room - 1) ~len:(len + 1)
+      then placed t page slot ~skip:1
+      else relocate t ~home:rid buf ~len
   | c when c = tag_forward ->
-      let target = Rid.decode buf ~pos:(off + 1) in
+      let target = Rid.decode pbuf ~pos:(off + 1) in
       let tpage = write_for t target in
-      let framed = frame_relocated ~home:rid body in
-      if not (Page_layout.update tpage (Rid.slot target) framed) then begin
-        Page_layout.delete tpage (Rid.slot target);
-        relocate t ~home:rid body
+      let tslot = Rid.slot target in
+      frame_relocated buf ~home:rid;
+      if Page_layout.update_sub tpage tslot buf ~off:0 ~len:(frame_room + len) then
+        placed t tpage tslot ~skip:frame_room
+      else begin
+        Page_layout.delete tpage tslot;
+        relocate t ~home:rid buf ~len
       end
   | _ -> invalid_arg "Heap_file.update: rid addresses a relocated body"
 

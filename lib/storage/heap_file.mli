@@ -31,6 +31,20 @@ val record_count : t -> int
 (** [insert t body] appends a record, returns its Rid. *)
 val insert : t -> bytes -> Rid.t
 
+(** Bytes a record buffer leaves free in front of the body it hands to
+    {!insert_body} or {!update}: the record's framing is written there,
+    so the body is copied once, into the page. *)
+val frame_room : int
+
+(** [insert_body t buf ~len] is {!insert} of the [len]-byte body at
+    [buf.[frame_room]]; it overwrites [buf]'s first [frame_room] bytes.
+    Returns the page the record went to; {!located_rid} is its Rid, and
+    {!located_slot} and {!located_pos} place the body on the page. *)
+val insert_body : t -> bytes -> len:int -> Page_layout.t
+
+(** The Rid of the record the last {!insert_body} created. *)
+val located_rid : t -> Rid.t
+
 (** [read t rid] fetches the record body, following at most one forwarding
     hop. Raises [Not_found] on a dead Rid. *)
 val read : t -> Rid.t -> bytes
@@ -43,18 +57,23 @@ val read : t -> Rid.t -> bytes
     [t]. Raises [Not_found] on a dead Rid. *)
 val locate : t -> Rid.t -> Page_layout.t
 
-(** The physical slot of the last {!locate}'s body on its page (it differs
-    from [rid.slot] for relocated bodies). *)
+(** The physical slot, on the page it returned, of the body the last
+    {!locate}, {!insert_body} or {!update} found or wrote (it differs from
+    [rid.slot] for relocated bodies). *)
 val located_slot : t -> int
 
-(** The offset of the last {!locate}'s body in its page's buffer.  It is
-    valid until the page next compacts; {!Page_layout.record_offset} on
-    {!located_slot} re-derives it. *)
+(** The offset of that body in its page's buffer.  It is valid until the
+    page next compacts; {!Page_layout.record_offset} on {!located_slot}
+    re-derives it. *)
 val located_pos : t -> int
 
-(** [update t rid body] rewrites the record; relocates and leaves a
-    forwarding stub when the body no longer fits near its page. *)
-val update : t -> Rid.t -> bytes -> unit
+(** [update t rid buf ~len] rewrites the record with the [len]-byte body
+    at [buf.[frame_room]], overwriting [buf]'s first [frame_room] bytes;
+    relocates and leaves a forwarding stub when the body no longer fits
+    near its page.  Returns the page that now holds the body, which
+    {!located_slot} and {!located_pos} place on it; noting that charges
+    nothing. *)
+val update : t -> Rid.t -> bytes -> len:int -> Page_layout.t
 
 (** [delete t rid] removes the record (and its relocated body if any). *)
 val delete : t -> Rid.t -> unit

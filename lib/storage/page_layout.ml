@@ -178,8 +178,7 @@ let compact t =
 
 let contiguous_free t = dir_start t - free_off t
 
-let insert t body =
-  let len = Bytes.length body in
+let insert_sub t src ~off:src_off ~len =
   if len <= 0 || len > t.size - header_size - dir_entry then
     invalid_arg "Page_layout.insert: body size";
   if not (fits t len) then None
@@ -193,7 +192,7 @@ let insert t body =
     if contiguous_free t < needed then compact t;
     if new_slot then set_slot_count t (slot + 1);
     let off = free_off t in
-    Bytes.blit body 0 t.buf off len;
+    Bytes.blit src src_off t.buf off len;
     mark t off len;
     set_slot t slot ~off ~len;
     set_free_off t (off + len);
@@ -201,6 +200,8 @@ let insert t body =
     t.version <- next_version ();
     Some slot
   end
+
+let insert t body = insert_sub t body ~off:0 ~len:(Bytes.length body)
 
 let check_slot t slot =
   if slot < 0 || slot >= slot_count t then raise Not_found
@@ -237,16 +238,15 @@ let delete t slot =
     t.version <- next_version ()
   end
 
-let update t slot body =
+let update_sub t slot src ~off:src_off ~len =
   check_slot t slot;
   let off = slot_offset t slot in
   if off = 0 then raise Not_found;
   let old_len = slot_length t slot in
-  let len = Bytes.length body in
   if len <= 0 || len > t.size - header_size - dir_entry then
     invalid_arg "Page_layout.update: body size";
   if len <= old_len then begin
-    Bytes.blit body 0 t.buf off len;
+    Bytes.blit src src_off t.buf off len;
     mark t off len;
     set_slot t slot ~off ~len;
     t.dirty <- true;
@@ -258,7 +258,7 @@ let update t slot body =
     set_slot t slot ~off:0 ~len:0;
     compact t;
     let off = free_off t in
-    Bytes.blit body 0 t.buf off len;
+    Bytes.blit src src_off t.buf off len;
     mark t off len;
     set_slot t slot ~off ~len;
     set_free_off t (off + len);
@@ -267,6 +267,8 @@ let update t slot body =
     true
   end
   else false
+
+let update t slot body = update_sub t slot body ~off:0 ~len:(Bytes.length body)
 
 let iter t f =
   for slot = 0 to slot_count t - 1 do

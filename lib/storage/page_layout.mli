@@ -85,6 +85,10 @@ val live_bytes : t -> int
     obstacle. Raises [Invalid_argument] on an empty or oversized body. *)
 val insert : t -> bytes -> int option
 
+(** [insert_sub t src ~off ~len] is [insert] of the [len] bytes of [src]
+    from [off], without a copy of them. *)
+val insert_sub : t -> bytes -> off:int -> len:int -> int option
+
 (** [read t slot] is a copy of the record body.
     Raises [Not_found] for dead or out-of-range slots. *)
 val read : t -> int -> bytes
@@ -121,6 +125,10 @@ val delete : t -> int -> unit
     slot is left unchanged in that case).
     Raises [Not_found] for dead or out-of-range slots. *)
 val update : t -> int -> bytes -> bool
+
+(** [update_sub t slot src ~off ~len] is [update] with the [len] bytes of
+    [src] from [off], without a copy of them. *)
+val update_sub : t -> int -> bytes -> off:int -> len:int -> bool
 
 (** [iter t f] applies [f slot body] to every live record in slot order. *)
 val iter : t -> (int -> bytes -> unit) -> unit

@@ -28,65 +28,71 @@ let rec encoded_size = function
   | Value.Set xs | Value.List xs ->
       List.fold_left (fun acc v -> acc + encoded_size v) 5 xs
 
+let rec encode_into v buf ~pos =
+  let tag t =
+    Bytes.set_uint8 buf pos t;
+    pos + 1
+  in
+  match v with
+  | Value.Nil -> tag tag_nil
+  | Value.Int i ->
+      let pos = tag tag_int in
+      Bytes.set_int32_le buf pos (Int32.of_int i);
+      pos + 4
+  | Value.Real r ->
+      let pos = tag tag_real in
+      Bytes.set_int64_le buf pos (Int64.bits_of_float r);
+      pos + 8
+  | Value.Bool b ->
+      let pos = tag tag_bool in
+      Bytes.set_uint8 buf pos (if b then 1 else 0);
+      pos + 1
+  | Value.Char c ->
+      let pos = tag tag_char in
+      Bytes.set buf pos c;
+      pos + 1
+  | Value.String s ->
+      let pos = tag tag_string in
+      Bytes.set_uint16_le buf pos (String.length s);
+      Bytes.blit_string s 0 buf (pos + 2) (String.length s);
+      pos + 2 + String.length s
+  | Value.Ref rid ->
+      let pos = tag tag_ref in
+      Tb_storage.Rid.encode_into rid buf ~pos;
+      pos + Tb_storage.Rid.on_disk_bytes
+  | Value.Big_set rid ->
+      let pos = tag tag_big_set in
+      Tb_storage.Rid.encode_into rid buf ~pos;
+      pos + Tb_storage.Rid.on_disk_bytes
+  | Value.Tuple fields ->
+      let pos = tag tag_tuple in
+      Bytes.set_uint16_le buf pos (List.length fields);
+      encode_fields fields buf ~pos:(pos + 2)
+  | Value.Set xs ->
+      let pos = tag tag_set in
+      Bytes.set_int32_le buf pos (Int32.of_int (List.length xs));
+      encode_elems xs buf ~pos:(pos + 4)
+  | Value.List xs ->
+      let pos = tag tag_list in
+      Bytes.set_int32_le buf pos (Int32.of_int (List.length xs));
+      encode_elems xs buf ~pos:(pos + 4)
+
+and encode_fields fields buf ~pos =
+  match fields with
+  | [] -> pos
+  | (n, v) :: rest ->
+      Bytes.set_uint16_le buf pos (String.length n);
+      Bytes.blit_string n 0 buf (pos + 2) (String.length n);
+      encode_fields rest buf ~pos:(encode_into v buf ~pos:(pos + 2 + String.length n))
+
+and encode_elems xs buf ~pos =
+  match xs with
+  | [] -> pos
+  | x :: rest -> encode_elems rest buf ~pos:(encode_into x buf ~pos)
+
 let encode v =
   let buf = Bytes.create (encoded_size v) in
-  let rec write pos v =
-    let tag t =
-      Bytes.set_uint8 buf pos t;
-      pos + 1
-    in
-    match v with
-    | Value.Nil -> tag tag_nil
-    | Value.Int i ->
-        let pos = tag tag_int in
-        Bytes.set_int32_le buf pos (Int32.of_int i);
-        pos + 4
-    | Value.Real r ->
-        let pos = tag tag_real in
-        Bytes.set_int64_le buf pos (Int64.bits_of_float r);
-        pos + 8
-    | Value.Bool b ->
-        let pos = tag tag_bool in
-        Bytes.set_uint8 buf pos (if b then 1 else 0);
-        pos + 1
-    | Value.Char c ->
-        let pos = tag tag_char in
-        Bytes.set buf pos c;
-        pos + 1
-    | Value.String s ->
-        let pos = tag tag_string in
-        Bytes.set_uint16_le buf pos (String.length s);
-        Bytes.blit_string s 0 buf (pos + 2) (String.length s);
-        pos + 2 + String.length s
-    | Value.Ref rid ->
-        let pos = tag tag_ref in
-        Bytes.blit (Tb_storage.Rid.encode rid) 0 buf pos
-          Tb_storage.Rid.on_disk_bytes;
-        pos + Tb_storage.Rid.on_disk_bytes
-    | Value.Big_set rid ->
-        let pos = tag tag_big_set in
-        Bytes.blit (Tb_storage.Rid.encode rid) 0 buf pos
-          Tb_storage.Rid.on_disk_bytes;
-        pos + Tb_storage.Rid.on_disk_bytes
-    | Value.Tuple fields ->
-        let pos = tag tag_tuple in
-        Bytes.set_uint16_le buf pos (List.length fields);
-        List.fold_left
-          (fun pos (n, v) ->
-            Bytes.set_uint16_le buf pos (String.length n);
-            Bytes.blit_string n 0 buf (pos + 2) (String.length n);
-            write (pos + 2 + String.length n) v)
-          (pos + 2) fields
-    | Value.Set xs ->
-        let pos = tag tag_set in
-        Bytes.set_int32_le buf pos (Int32.of_int (List.length xs));
-        List.fold_left write (pos + 4) xs
-    | Value.List xs ->
-        let pos = tag tag_list in
-        Bytes.set_int32_le buf pos (Int32.of_int (List.length xs));
-        List.fold_left write (pos + 4) xs
-  in
-  let final = write 0 v in
+  let final = encode_into v buf ~pos:0 in
   assert (final = Bytes.length buf);
   buf
 
@@ -155,6 +161,11 @@ let decode_value b ~pos =
   else if tag = tag_ref then Value.Ref (Tb_storage.Rid.decode b ~pos)
   else if tag = tag_big_set then Value.Big_set (Tb_storage.Rid.decode b ~pos)
   else fst (decode b ~pos:(pos - 1))
+
+let int_at b ~pos =
+  if pos >= Bytes.length b || Bytes.get_uint8 b pos <> tag_int then
+    invalid_arg "Codec.int_at: not an integer";
+  Int32.to_int (Bytes.get_int32_le b (pos + 1))
 
 (* Walk over one encoded value without materializing it: the backbone of
    the lazy record view, which only needs the *positions* of a record's

@@ -10,6 +10,11 @@ val encoded_size : Value.t -> int
 
 val encode : Value.t -> bytes
 
+(** [encode_into v buf ~pos] writes [encode v] at [pos] and returns the
+    position one past it, allocating nothing.  [buf] must have
+    [encoded_size v] bytes of room from [pos]. *)
+val encode_into : Value.t -> bytes -> pos:int -> int
+
 (** [decode b ~pos] reads one value starting at [pos] and returns it with
     the position one past its encoding.
     Raises [Invalid_argument] on malformed input. *)
@@ -18,6 +23,10 @@ val decode : bytes -> pos:int -> Value.t * int
 (** [decode_value b ~pos] is [fst (decode b ~pos)]; a scalar is decoded
     without the pair.  Raises [Invalid_argument] on malformed input. *)
 val decode_value : bytes -> pos:int -> Value.t
+
+(** [int_at b ~pos] is the integer encoded at [pos], read in place.
+    Raises [Invalid_argument] unless an [Int] is encoded there. *)
+val int_at : bytes -> pos:int -> int
 
 (** [skip b ~pos] returns the position one past the value starting at
     [pos] without allocating it — how the lazy record view finds field

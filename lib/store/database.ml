@@ -1,5 +1,6 @@
 module Rid = Tb_storage.Rid
 module Heap_file = Tb_storage.Heap_file
+module Page_layout = Tb_storage.Page_layout
 module String_table = Hashtbl.Make (String)
 
 (* A catalog checkpoint: the volatile state that pages alone cannot
@@ -33,6 +34,14 @@ type t = {
   mutable checkpoint : ckpt;
   mutable pending_ckpt : ckpt option;
   mutable on_commit : (seq:int -> unit) option;
+  (* The write path's scratch, reused by every write (see "Writes"
+     below): the record buffer, with [Heap_file.frame_room] bytes in front
+     of the body; the old and new key of each index on the written class,
+     in index order; the sets the last [body_size] walk found to spill. *)
+  mutable wbuf : bytes;
+  mutable old_keys : int array;
+  mutable new_keys : int array;
+  mutable spills : int;
 }
 
 let register_file t heap =
@@ -119,6 +128,10 @@ let create sim ~schema ~server_pages ~client_pages
         };
       pending_ckpt = None;
       on_commit = None;
+      wbuf = Bytes.create 256;
+      old_keys = Array.make 4 0;
+      new_keys = Array.make 4 0;
+      spills = 0;
     }
   in
   ignore (register_file t t.collections);
@@ -162,39 +175,10 @@ let heap_of_rid t (rid : Rid.t) =
   | Some heap -> heap
   | None -> invalid_arg "Database: rid belongs to no registered file"
 
-(* Spill oversized inline collections into the collection file. *)
-let rec spill t v =
-  match v with
-  | Value.Tuple fields ->
-      Value.Tuple (List.map (fun (n, x) -> (n, spill t x)) fields)
-  | Value.Set xs when Codec.encoded_size v > Big_collection.spill_threshold ->
-      Value.Big_set (Big_collection.create t.collections xs)
-  | Value.Nil | Value.Int _ | Value.Real _ | Value.Bool _ | Value.Char _
-  | Value.String _ | Value.Ref _ | Value.Set _ | Value.List _
-  | Value.Big_set _ ->
-      v
-
 (* Objects are encoded schema-positionally: the header carries the class
    id, and attribute values follow in schema order with no field names —
    which is how a 60-byte Patient stays 60 bytes (the paper's size
    arithmetic, Section 2). *)
-let encode_object schema header value =
-  let cls = Schema.class_of_id schema (Obj_header.class_id header) in
-  let hb = Obj_header.encode header in
-  let fields =
-    List.map (fun (attr, _) -> Codec.encode (Value.field value attr)) cls.Schema.attrs
-  in
-  let size = List.fold_left (fun acc b -> acc + Bytes.length b) (Bytes.length hb) fields in
-  let b = Bytes.create size in
-  Bytes.blit hb 0 b 0 (Bytes.length hb);
-  let pos = ref (Bytes.length hb) in
-  List.iter
-    (fun fb ->
-      Bytes.blit fb 0 b !pos (Bytes.length fb);
-      pos := !pos + Bytes.length fb)
-    fields;
-  b
-
 let decode_object schema body =
   let header, pos = Obj_header.decode body ~pos:0 in
   let cls = Schema.class_of_id schema (Obj_header.class_id header) in
@@ -209,41 +193,252 @@ let decode_object schema body =
   in
   (header, Value.Tuple fields)
 
-let class_ty t cls =
-  Schema.TTuple (Schema.find_class t.schema cls).Schema.attrs
+(* {2 Writes}
 
-let indexes_on t cls =
-  List.filter (fun ix -> String.equal ix.Index_def.cls cls) t.index_list
+   Every write of an object record goes through bytes.  The old record is
+   read where it lies in the page ([Heap_file.locate]): its class id and
+   old index keys are integers read in place.  The new value is walked
+   once against the class's attributes, positionally, which checks it
+   ([Schema.conforms]) and sizes it as it will be stored, spills
+   included; it is then encoded, header and framing room included, into
+   [t.wbuf], which [Heap_file.update] or [insert_body] copies into the
+   page.  The buffer is reused by the next write, and its contents are
+   dead once that copy is made.  A resident Handle of the record is
+   re-pointed at the bytes just written.
 
-let key_of t value attr =
-  ignore t;
-  match Value.field value attr with
-  | Value.Int k -> k
+   None of this charges: the charges are those of the calls it makes, in
+   the order the value-building path made them — the read fetch, the
+   spill of oversized sets, the B+-tree deletes and inserts in index
+   order, then the write fetch with its WAL touch — and
+   [Transaction.on_write] sees the body's byte count.  Every check that
+   can fail (conformance, integer index keys) runs before the first of
+   those mutations. *)
+
+(* The bytes [v] takes in its record, or -1 when it does not conform to
+   [ty] (the cases of [Schema.conforms]).  Outside collections ([top]) a
+   set whose encoding exceeds the spill threshold is stored as a
+   [Big_set] reference: it counts as one, and in [t.spills]. *)
+let rec stored_size t ~top (ty : Schema.ty) (v : Value.t) =
+  match (ty, v) with
+  | _, Value.Nil -> 1
+  | Schema.TInt, Value.Int _ -> 5
+  | Schema.TReal, Value.Real _ -> 9
+  | Schema.TBool, Value.Bool _ | Schema.TChar, Value.Char _ -> 2
+  | Schema.TString, Value.String s -> 3 + String.length s
+  | Schema.TRef _, Value.Ref _
+  | (Schema.TSet _ | Schema.TList _), Value.Big_set _ ->
+      1 + Rid.on_disk_bytes
+  | Schema.TSet ety, Value.Set xs ->
+      let n = elems_size t ety xs 5 in
+      if top && n > Big_collection.spill_threshold then begin
+        t.spills <- t.spills + 1;
+        1 + Rid.on_disk_bytes
+      end
+      else n
+  | Schema.TList ety, Value.List xs -> elems_size t ety xs 5
+  | Schema.TTuple tys, Value.Tuple fields -> fields_size t ~top ~named:true tys fields 3
+  | ( ( Schema.TInt | Schema.TReal | Schema.TBool | Schema.TChar | Schema.TString
+      | Schema.TRef _ | Schema.TSet _ | Schema.TList _ | Schema.TTuple _ ),
+      _ ) ->
+      -1
+
+and elems_size t ety xs acc =
+  match xs with
+  | [] -> acc
+  | x :: rest ->
+      let n = stored_size t ~top:false ety x in
+      if n < 0 then -1 else elems_size t ety rest (acc + n)
+
+(* [named]: a nested tuple's fields carry their names; an object's
+   attributes do not. *)
+and fields_size t ~top ~named tys fields acc =
+  match (tys, fields) with
+  | [], [] -> acc
+  | (name, ty) :: tys, (name', v) :: fields when String.equal name name' ->
+      let n = stored_size t ~top ty v in
+      if n < 0 then -1
+      else
+        let label = if named then 2 + String.length name else 0 in
+        fields_size t ~top ~named tys fields (acc + label + n)
+  | _ -> -1
+
+(* The stored size of an object value's attributes, -1 if it does not
+   conform to [cls]. *)
+let body_size t (cls : Schema.cls) value =
+  t.spills <- 0;
+  match value with
+  | Value.Tuple fields -> fields_size t ~top:true ~named:false cls.Schema.attrs fields 0
+  | _ -> -1
+
+(* Spill oversized inline collections into the collection file. *)
+let rec spill t v =
+  match v with
+  | Value.Tuple fields ->
+      Value.Tuple (List.map (fun (n, x) -> (n, spill t x)) fields)
+  | Value.Set xs when Codec.encoded_size v > Big_collection.spill_threshold ->
+      Value.Big_set (Big_collection.create t.collections xs)
+  | Value.Nil | Value.Int _ | Value.Real _ | Value.Bool _ | Value.Char _
+  | Value.String _ | Value.Ref _ | Value.Set _ | Value.List _
+  | Value.Big_set _ ->
+      v
+
+(* [t.wbuf] with room for a [len]-byte body behind its framing room. *)
+let wbuf t ~len =
+  let need = Heap_file.frame_room + len in
+  if Bytes.length t.wbuf < need then
+    t.wbuf <- Bytes.create (max need (2 * Bytes.length t.wbuf));
+  t.wbuf
+
+let rec put_attrs fields buf ~pos =
+  match fields with
+  | [] -> pos
+  | (_, v) :: rest -> put_attrs rest buf ~pos:(Codec.encode_into v buf ~pos)
+
+(* Encode a conforming value's attributes from [pos]; the position past
+   them.  Spills its oversized sets first, when [body_size] found any. *)
+let encode_attrs t value buf ~pos =
+  match if t.spills > 0 then spill t value else value with
+  | Value.Tuple fields -> put_attrs fields buf ~pos
+  | _ -> invalid_arg "Database: object value is not a tuple"
+
+let rec nth_int fields slot =
+  match fields with
+  | (_, Value.Int k) :: _ when slot = 0 -> k
+  | _ :: rest when slot > 0 -> nth_int rest (slot - 1)
   | _ -> invalid_arg "Database: indexed attribute is not an integer"
+
+(* The integer attribute [slot] of the record whose attributes start at
+   [body], read in place. *)
+let key_at buf ~body slot =
+  let pos = ref body in
+  for _ = 1 to slot do
+    pos := Codec.skip buf ~pos:!pos
+  done;
+  match Codec.int_at buf ~pos:!pos with
+  | k -> k
+  | exception Invalid_argument _ ->
+      invalid_arg "Database: indexed attribute is not an integer"
+
+let key_room t i =
+  if i >= Array.length t.old_keys then begin
+    let grow a =
+      let b = Array.make (2 * Array.length a) 0 in
+      Array.blit a 0 b 0 (Array.length a);
+      b
+    in
+    t.old_keys <- grow t.old_keys;
+    t.new_keys <- grow t.new_keys
+  end
+
+(* The key loops walk the catalog's index list, keeping those on [cls]:
+   plain recursion, so a write allocates no filtered list or closure. *)
+
+(* Old keys off a record in place, from index [i] on; the count. *)
+let rec old_keys t ~class_id (cls : Schema.cls) buf ~body ixs i =
+  match ixs with
+  | [] -> i
+  | ix :: rest when String.equal ix.Index_def.cls cls.Schema.cls_name ->
+      key_room t i;
+      t.old_keys.(i) <-
+        key_at buf ~body (Schema.attr_slot t.schema ~class_id ~attr:ix.Index_def.attr);
+      old_keys t ~class_id cls buf ~body rest (i + 1)
+  | _ :: rest -> old_keys t ~class_id cls buf ~body rest i
+
+(* New keys off a conforming value's attribute list. *)
+let rec new_keys t ~class_id (cls : Schema.cls) fields ixs i =
+  match ixs with
+  | [] -> i
+  | ix :: rest when String.equal ix.Index_def.cls cls.Schema.cls_name ->
+      key_room t i;
+      t.new_keys.(i) <-
+        nth_int fields (Schema.attr_slot t.schema ~class_id ~attr:ix.Index_def.attr);
+      new_keys t ~class_id cls fields rest (i + 1)
+  | _ :: rest -> new_keys t ~class_id cls fields rest i
+
+let value_fields = function
+  | Value.Tuple fields -> fields
+  | _ -> invalid_arg "Database: object value is not a tuple"
+
+(* Index maintenance in index order: [`Insert] the new keys, [`Delete]
+   the old ones, or [`Move] each entry whose key changed. *)
+let rec edit_indexes t (cls : Schema.cls) rid edit ixs i =
+  match ixs with
+  | [] -> ()
+  | ix :: rest when String.equal ix.Index_def.cls cls.Schema.cls_name ->
+      let tree = ix.Index_def.tree in
+      (match edit with
+      | `Insert -> Btree.insert tree ~key:t.new_keys.(i) ~rid
+      | `Delete -> ignore (Btree.delete tree ~key:t.old_keys.(i) ~rid : bool)
+      | `Move ->
+          let old_key = t.old_keys.(i) and new_key = t.new_keys.(i) in
+          if not (Int.equal old_key new_key) then begin
+            ignore (Btree.delete tree ~key:old_key ~rid : bool);
+            Btree.insert tree ~key:new_key ~rid
+          end);
+      edit_indexes t cls rid edit rest (i + 1)
+  | _ :: rest -> edit_indexes t cls rid edit rest i
+
+(* Point [rid]'s resident Handle, if any, at the body the last write of
+   [heap] put on [page]. *)
+let repoint t heap rid page =
+  let h = Handle_table.find_resident t.handles rid in
+  if (h :> int) >= 0 then begin
+    let slot = Heap_file.located_slot heap and pos = Heap_file.located_pos heap in
+    let buf = Page_layout.buffer page in
+    let body = Obj_header.skip buf ~pos in
+    Handle.repoint (Handle_table.slab t.handles) h
+      ~class_id:(Obj_header.peek_class_id buf ~pos)
+      ~page ~slot
+      ~delta:(body - Page_layout.record_offset page slot)
+      ~body
+  end
+
+(* Rewrite [rid] with the [len]-byte body in [t.wbuf]. *)
+let write_record t heap rid ~len =
+  repoint t heap rid (Heap_file.update heap rid t.wbuf ~len);
+  Transaction.on_write t.txn ~bytes:len
+
+let rec add_memberships buf ~pos cls ixs =
+  match ixs with
+  | [] -> ()
+  | ix :: rest ->
+      if String.equal ix.Index_def.cls cls then
+        Obj_header.add_index_at buf ~pos ix.Index_def.id;
+      add_memberships buf ~pos cls rest
+
+let non_conforming fn (cls : Schema.cls) =
+  invalid_arg ("Database." ^ fn ^ ": value does not conform to " ^ cls.Schema.cls_name)
 
 let insert_object t ~cls ?(indexed = false) value =
   let heap = class_file t ~cls in
-  if not (Schema.conforms t.schema (class_ty t cls) value) then
-    invalid_arg ("Database.insert_object: value does not conform to " ^ cls);
-  let value = spill t value in
-  let member_of = indexes_on t cls in
-  let slotted = indexed || (match member_of with [] -> false | _ -> true) in
-  let header =
-    List.fold_left
-      (fun h ix -> Obj_header.add_index h ix.Index_def.id)
-      (Obj_header.create ~class_id:(Schema.class_id t.schema cls) ~indexed:slotted)
-      member_of
+  let class_id = Schema.class_id t.schema cls in
+  let c = Schema.class_of_id t.schema class_id in
+  let size = body_size t c value in
+  if size < 0 then non_conforming "insert_object" c;
+  let n = new_keys t ~class_id c (value_fields value) t.index_list 0 in
+  let slots =
+    if indexed || n > 0 then
+      let d = Obj_header.default_slot_count in
+      d * max 1 ((n + d - 1) / d)
+    else 0
   in
-  let body = encode_object t.schema header value in
-  let rid = Heap_file.insert heap body in
-  Transaction.on_write t.txn ~bytes:(Bytes.length body);
-  (match String_table.find_opt t.cardinalities cls with
-  | Some r -> incr r
-  | None -> String_table.replace t.cardinalities cls (ref 1));
-  List.iter
-    (fun ix ->
-      Btree.insert ix.Index_def.tree ~key:(key_of t value ix.Index_def.attr) ~rid)
-    member_of;
+  let pos = Heap_file.frame_room in
+  let buf = wbuf t ~len:(4 + (2 * slots) + size) in
+  let body = Obj_header.write_fresh buf ~pos ~class_id ~slots in
+  add_memberships buf ~pos cls t.index_list;
+  let len = body - pos + size in
+  let fin = encode_attrs t value buf ~pos:body in
+  assert (fin = pos + len);
+  let page = Heap_file.insert_body heap buf ~len in
+  let rid = Heap_file.located_rid heap in
+  (* A freed slot is reused: a Handle left resident on a deleted object's
+     Rid must see this one. *)
+  repoint t heap rid page;
+  Transaction.on_write t.txn ~bytes:len;
+  (match String_table.find t.cardinalities cls with
+  | r -> incr r
+  | exception Not_found -> String_table.replace t.cardinalities cls (ref 1));
+  edit_indexes t c rid `Insert t.index_list 0;
   rid
 
 let read_object t rid = decode_object t.schema (Heap_file.read (heap_of_rid t rid) rid)
@@ -276,25 +471,18 @@ let acquire t rid =
 let unref t h = Handle_table.unreference t.handles h
 let slab t = Handle_table.slab t.handles
 let handle_rid t h = Handle.rid (slab t) h
-let is_packed t h = Handle.is_packed (slab t) h
 let packed_buf t h = Handle.packed_buf (slab t) h
 let packed_body t h = Handle.packed_body (slab t) h
 
 let get_att_slot t h slot =
   Tb_sim.Sim.charge_get_att t.sim;
   let s = slab t in
-  if Handle.is_packed s h then begin
-    let buf = Handle.packed_buf s h in
-    let pos = ref (Handle.packed_body s h) in
-    for _ = 1 to slot do
-      pos := Codec.skip buf ~pos:!pos
-    done;
-    Codec.decode_value buf ~pos:!pos
-  end
-  else
-    match Handle.whole s h with
-    | Value.Tuple fields -> snd (List.nth fields slot)
-    | _ -> invalid_arg "Database.get_att_slot: not a tuple"
+  let buf = Handle.packed_buf s h in
+  let pos = ref (Handle.packed_body s h) in
+  for _ = 1 to slot do
+    pos := Codec.skip buf ~pos:!pos
+  done;
+  Codec.decode_value buf ~pos:!pos
 
 let attr_slot t ~cls attr =
   match Schema.attr_slot t.schema ~class_id:(Schema.class_id t.schema cls) ~attr with
@@ -308,63 +496,58 @@ let get_att t h attr =
       Tb_sim.Sim.charge_get_att t.sim;
       invalid_arg ("Value.field: no field " ^ attr)
 
-(* Materialize a Handle's full value (slow path: updates, tests). *)
+(* Materialize a Handle's full value (slow path: tests). *)
 let handle_value t h =
   let s = slab t in
-  if not (Handle.is_packed s h) then Handle.whole s h
-  else begin
-    let cls = Schema.class_of_id t.schema (Handle.class_id s h) in
-    let buf = Handle.packed_buf s h in
-    let pos = ref (Handle.packed_body s h) in
-    Value.Tuple
-      (List.map
-         (fun (name, _) ->
-           let v, pos' = Codec.decode buf ~pos:!pos in
-           pos := pos';
-           (name, v))
-         cls.Schema.attrs)
-  end
+  let cls = Schema.class_of_id t.schema (Handle.class_id s h) in
+  let buf = Handle.packed_buf s h in
+  let pos = ref (Handle.packed_body s h) in
+  Value.Tuple
+    (List.map
+       (fun (name, _) ->
+         let v, pos' = Codec.decode buf ~pos:!pos in
+         pos := pos';
+         (name, v))
+       cls.Schema.attrs)
 
 let class_name t h =
   (Schema.class_of_id t.schema (Handle.class_id (slab t) h)).Schema.cls_name
 
 let update_object t rid value =
   let heap = heap_of_rid t rid in
-  let header, old_value = decode_object t.schema (Heap_file.read heap rid) in
-  let cls = (Schema.class_of_id t.schema (Obj_header.class_id header)).Schema.cls_name in
-  if not (Schema.conforms t.schema (class_ty t cls) value) then
-    invalid_arg ("Database.update_object: value does not conform to " ^ cls);
-  let value = spill t value in
-  List.iter
-    (fun ix ->
-      let old_key = key_of t old_value ix.Index_def.attr in
-      let new_key = key_of t value ix.Index_def.attr in
-      if old_key <> new_key then begin
-        ignore (Btree.delete ix.Index_def.tree ~key:old_key ~rid);
-        Btree.insert ix.Index_def.tree ~key:new_key ~rid
-      end)
-    (indexes_on t cls);
-  let body = encode_object t.schema header value in
-  Heap_file.update heap rid body;
-  Transaction.on_write t.txn ~bytes:(Bytes.length body);
-  (* Keep any resident handle coherent. *)
-  let h = Handle_table.find_resident t.handles rid in
-  if (h :> int) >= 0 then Handle.set_whole (slab t) h value
+  let page = Heap_file.locate heap rid in
+  let buf = Page_layout.buffer page and pos = Heap_file.located_pos heap in
+  let class_id = Obj_header.peek_class_id buf ~pos in
+  let c = Schema.class_of_id t.schema class_id in
+  let size = body_size t c value in
+  if size < 0 then non_conforming "update_object" c;
+  let body = Obj_header.skip buf ~pos in
+  ignore (old_keys t ~class_id c buf ~body t.index_list 0 : int);
+  ignore (new_keys t ~class_id c (value_fields value) t.index_list 0 : int);
+  (* The header is kept byte for byte; copy it before anything else runs. *)
+  let hlen = body - pos in
+  let len = hlen + size in
+  let wb = wbuf t ~len in
+  Bytes.blit buf pos wb Heap_file.frame_room hlen;
+  let fin = encode_attrs t value wb ~pos:(Heap_file.frame_room + hlen) in
+  assert (fin = Heap_file.frame_room + len);
+  edit_indexes t c rid `Move t.index_list 0;
+  write_record t heap rid ~len
 
 let delete_object t rid =
   let heap = heap_of_rid t rid in
-  let header, value = decode_object t.schema (Heap_file.read heap rid) in
-  let cls = (Schema.class_of_id t.schema (Obj_header.class_id header)).Schema.cls_name in
-  List.iter
-    (fun ix ->
-      ignore (Btree.delete ix.Index_def.tree ~key:(key_of t value ix.Index_def.attr) ~rid))
-    (indexes_on t cls);
+  let page = Heap_file.locate heap rid in
+  let buf = Page_layout.buffer page and pos = Heap_file.located_pos heap in
+  let class_id = Obj_header.peek_class_id buf ~pos in
+  let c = Schema.class_of_id t.schema class_id in
+  let body = Obj_header.skip buf ~pos in
+  ignore (old_keys t ~class_id c buf ~body t.index_list 0 : int);
+  edit_indexes t c rid `Delete t.index_list 0;
   Heap_file.delete heap rid;
   Transaction.on_write t.txn ~bytes:16;
-  (match String_table.find_opt t.cardinalities cls with
-  | Some r -> decr r
-  | None -> ());
-  ()
+  match String_table.find t.cardinalities c.Schema.cls_name with
+  | r -> decr r
+  | exception Not_found -> ()
 
 let iter_set t v f =
   match v with
@@ -480,23 +663,34 @@ let create_index t ~name ~cls ~attr =
   let tree = Btree.create t.stack ~name:("__idx_" ^ name) in
   let ix = Index_def.make ~id ~name ~cls ~attr ~tree in
   let heap = class_file t ~cls in
+  let class_id = Schema.class_id t.schema cls in
+  let slot = Schema.attr_slot t.schema ~class_id ~attr in
   let since_commit = ref 0 in
   (* Pass 1: rewrite every object header and collect the (key, rid) run in
      scan order. *)
   let run = ref [] in
   scan_extent t ~cls (fun rid ->
-      let header, value = decode_object t.schema (Heap_file.read heap rid) in
-      run := (key_of t value attr, rid) :: !run;
+      let page = Heap_file.locate heap rid in
+      let buf = Page_layout.buffer page and pos = Heap_file.located_pos heap in
+      let body = Obj_header.skip buf ~pos in
+      run := (key_at buf ~body slot, rid) :: !run;
       (* Record membership in the object header.  Objects created without
          slot space must be rewritten with a bigger header — which is what
          made the authors' first post-load index build take hours and
-         destroyed their physical organizations. *)
-      let header' =
-        Obj_header.add_index (Obj_header.with_slots header) id
-      in
-      let body = encode_object t.schema header' value in
-      Heap_file.update heap rid body;
-      Transaction.on_write t.txn ~bytes:(Bytes.length body);
+         destroyed their physical organizations.  The attributes are
+         copied as they lie. *)
+      let fin = ref body in
+      for _ = 1 to Schema.attr_count t.schema ~class_id do
+        fin := Codec.skip buf ~pos:!fin
+      done;
+      let attrs = !fin - body in
+      (* The header gains at most a slot count and a run of slots. *)
+      let grown = 1 + (2 * Obj_header.default_slot_count) in
+      let wb = wbuf t ~len:(body - pos + grown + attrs) in
+      let room = Heap_file.frame_room in
+      let wbody = Obj_header.copy_adding buf ~pos wb ~dpos:room id in
+      Bytes.blit buf body wb wbody attrs;
+      write_record t heap rid ~len:(wbody - room + attrs);
       (* An index build touches every object; under standard transactions
          it must commit periodically or hit the Section 3.2 "out of
          memory". *)

@@ -78,16 +78,12 @@ val get_att_slot : t -> Handle.t -> int -> Value.t
 (** [handle_rid t h] is the Rid the Handle represents. *)
 val handle_rid : t -> Handle.t -> Tb_storage.Rid.t
 
-(** [is_packed t h]: the Handle's attributes live in page bytes
-    ({!packed_buf}).  A Handle materialized by an update has no bytes:
-    callers take {!get_att_slot} instead. *)
-val is_packed : t -> Handle.t -> bool
-
-(** [packed_buf t h] is the page buffer holding a packed Handle's record,
-    with {!packed_body} revalidated to the offset of its first attribute
-    (the page may have compacted since the Handle was loaded).
+(** [packed_buf t h] is the page buffer holding the Handle's record, with
+    {!packed_body} revalidated to the offset of its first attribute (the
+    page may have compacted since the Handle was loaded, and a write to
+    the record re-points its resident Handle at the new bytes).
     Charge-free; the packed execution path ({!Tb_query.Packed}) evaluates
-    on these bytes.  Raises [Invalid_argument] unless {!is_packed}. *)
+    on these bytes. *)
 val packed_buf : t -> Handle.t -> bytes
 
 (** [packed_body t h] is the offset of the first attribute in
@@ -95,15 +91,20 @@ val packed_buf : t -> Handle.t -> bytes
 val packed_body : t -> Handle.t -> int
 
 (** [handle_value t h] materializes the Handle's full value (slow path —
-    tests and updates; queries should use {!get_att_slot}). *)
+    tests; queries should use {!get_att_slot}). *)
 val handle_value : t -> Handle.t -> Value.t
 
 val class_name : t -> Handle.t -> string
 
-(** [update_object t rid value] rewrites the object and maintains its
-    indexes. *)
+(** [update_object t rid value] rewrites the object in place and
+    maintains its indexes; a resident Handle of [rid] reads the new value.
+    Sets too large for a page are spilled.  Raises [Invalid_argument],
+    after the read fetch and before any change, if [value] does not
+    conform to the object's class or gives an indexed attribute no
+    integer. *)
 val update_object : t -> Tb_storage.Rid.t -> Value.t -> unit
 
+(** [delete_object t rid] removes the object and its index entries. *)
 val delete_object : t -> Tb_storage.Rid.t -> unit
 
 (** {2 Collections} *)

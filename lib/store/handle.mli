@@ -13,9 +13,9 @@
     Handle is packed: it records where the object's attributes live inside
     the buffer-pool page, and attribute reads skip-walk those bytes in
     place, so acquiring an object copies nothing and never pays for
-    attributes the query ignores.  An update materializes the value
-    ({!set_whole}) so resident Handles stay coherent with the store.  All
-    of this is real-time machinery only: the simulated costs (handle
+    attributes the query ignores.  A write to the record re-points its
+    resident Handle at the bytes it wrote ({!repoint}), so the Handle
+    stays packed and coherent with the store.  All of this is real-time machinery only: the simulated costs (handle
     alloc/free, get_att) do not depend on it.
 
     Every accessor raises [Invalid_argument] on a freed slot (its rid is
@@ -49,7 +49,20 @@ val alloc_packed :
   body:int ->
   t
 
-(** [free s h] returns the slot to the slab, dropping its page and value. *)
+(** [repoint s h ~class_id ~page ~slot ~delta ~body] moves a live Handle
+    to the record a write just put on [page], with {!alloc_packed}'s
+    meaning of the position arguments.  The rid and refcount stay. *)
+val repoint :
+  slab ->
+  t ->
+  class_id:int ->
+  page:Tb_storage.Page_layout.t ->
+  slot:int ->
+  delta:int ->
+  body:int ->
+  unit
+
+(** [free s h] returns the slot to the slab, dropping its page. *)
 val free : slab -> t -> unit
 
 val rid : slab -> t -> Tb_storage.Rid.t
@@ -57,20 +70,9 @@ val class_id : slab -> t -> int
 val refcount : slab -> t -> int
 val set_refcount : slab -> t -> int -> unit
 
-(** Whether attributes are read off page bytes ({!packed_buf}) rather than
-    a materialized value ({!whole}). *)
-val is_packed : slab -> t -> bool
-
-(** The materialized value.  Raises [Invalid_argument] when packed. *)
-val whole : slab -> t -> Value.t
-
-(** [set_whole s h v] installs a materialized value (update coherence). *)
-val set_whole : slab -> t -> Value.t -> unit
-
-(** [packed_buf s h] is the page buffer holding a packed Handle's record,
-    with {!packed_body} revalidated to the offset of its first attribute
-    (the page may have compacted since the Handle was loaded).  Raises
-    [Invalid_argument] when materialized. *)
+(** [packed_buf s h] is the page buffer holding the Handle's record, with
+    {!packed_body} revalidated to the offset of its first attribute (the
+    page may have compacted since the Handle was loaded). *)
 val packed_buf : slab -> t -> bytes
 
 (** Absolute offset of the first attribute in {!packed_buf}'s buffer, as of

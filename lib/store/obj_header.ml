@@ -95,6 +95,56 @@ let skip b ~pos =
   if Bytes.get_uint8 b (pos + 2) land 1 = 0 then pos + 3
   else pos + 4 + (2 * Bytes.get_uint8 b (pos + 3))
 
+(* In-place header writes for the byte-level write path: the same
+   encodings [encode] produces for [create] and [add_index], written
+   straight into a record buffer. *)
+let write_fresh b ~pos ~class_id ~slots =
+  Bytes.set_uint16_le b pos class_id;
+  if slots = 0 then begin
+    Bytes.set_uint8 b (pos + 2) 0;
+    pos + 3
+  end
+  else begin
+    Bytes.set_uint8 b (pos + 2) 1;
+    Bytes.set_uint8 b (pos + 3) slots;
+    for i = 0 to slots - 1 do
+      Bytes.set_uint16_le b (pos + 4 + (2 * i)) empty_slot
+    done;
+    pos + 4 + (2 * slots)
+  end
+
+(* The first slot at or after [i] of the [n] at [at] holding [want], or
+   [n]. *)
+let rec find_slot b ~at n want i =
+  if i >= n || Bytes.get_uint16_le b (at + (2 * i)) = want then i
+  else find_slot b ~at n want (i + 1)
+
+let add_index_at b ~pos idx =
+  if idx < 0 || idx >= empty_slot then invalid_arg "Obj_header.add_index_at: id";
+  let n = Bytes.get_uint8 b (pos + 3) in
+  if find_slot b ~at:(pos + 4) n idx 0 = n then begin
+    let free = find_slot b ~at:(pos + 4) n empty_slot 0 in
+    if free = n then invalid_arg "Obj_header.add_index_at: no free slot";
+    Bytes.set_uint16_le b (pos + 4 + (2 * free)) idx
+  end
+
+let copy_adding src ~pos dst ~dpos idx =
+  if idx < 0 || idx >= empty_slot then invalid_arg "Obj_header.copy_adding: id";
+  let flags = Bytes.get_uint8 src (pos + 2) in
+  let n = if flags land 1 = 0 then 0 else Bytes.get_uint8 src (pos + 3) in
+  let present = find_slot src ~at:(pos + 4) n idx 0 < n in
+  let roomy = present || find_slot src ~at:(pos + 4) n empty_slot 0 < n in
+  let n' = if roomy then n else n + default_slot_count in
+  Bytes.set_uint16_le dst dpos (Bytes.get_uint16_le src pos);
+  Bytes.set_uint8 dst (dpos + 2) (flags lor 1);
+  Bytes.set_uint8 dst (dpos + 3) n';
+  if n > 0 then Bytes.blit src (pos + 4) dst (dpos + 4) (2 * n);
+  for i = n to n' - 1 do
+    Bytes.set_uint16_le dst (dpos + 4 + (2 * i)) empty_slot
+  done;
+  if not present then add_index_at dst ~pos:dpos idx;
+  dpos + 4 + (2 * n')
+
 let decode b ~pos =
   let class_id = Bytes.get_uint16_le b pos in
   let flags = Bytes.get_uint8 b (pos + 2) in

@@ -57,3 +57,23 @@ val peek_deleted : bytes -> pos:int -> bool
 (** [skip b ~pos] is the offset just past the header encoded at [pos]
     (i.e. where the attribute values begin), without decoding it. *)
 val skip : bytes -> pos:int -> int
+
+(** {2 In place}
+
+    The byte-level write path builds headers straight into a record
+    buffer, with the encodings {!encode} gives the equivalent [t]. *)
+
+(** [write_fresh b ~pos ~class_id ~slots] writes [encode (create ~class_id
+    ~indexed)] at [pos], with [slots] empty index slots ([0]: no slot
+    space, as [~indexed:false]), and returns the offset just past it. *)
+val write_fresh : bytes -> pos:int -> class_id:int -> slots:int -> int
+
+(** [add_index_at b ~pos idx] is {!add_index} on the slotted header
+    encoded at [pos], in place.  Raises [Invalid_argument] when every slot
+    is taken (growing would move the attributes behind it). *)
+val add_index_at : bytes -> pos:int -> int -> unit
+
+(** [copy_adding src ~pos dst ~dpos idx] writes at [dpos] the encoding of
+    [add_index (with_slots h) idx], where [h] is the header encoded at
+    [src.[pos]], and returns the offset just past it. *)
+val copy_adding : bytes -> pos:int -> bytes -> dpos:int -> int -> int

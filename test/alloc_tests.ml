@@ -1,5 +1,5 @@
-(* Allocation budgets: the executor's row path, the B+-tree's lookups and
-   the write path's page-sized blocks.
+(* Allocation budgets: the executor's row path, the B+-tree's lookups,
+   the words per object write, and the write path's page-sized blocks.
 
    The engine is deterministic, so the host allocation of a query is
    reproducible to the word.  Cold queries at scale 500 must stay within
@@ -243,6 +243,111 @@ let test_btree_lookup_budget () =
   Tb_storage.Cache_stack.drop stack;
   check_pass "after a pool drop"
 
+(* --- The write path ---
+
+   [update_object] and [delete_object] read the old record where it lies
+   in its page and encode the new one straight into a reused buffer, so a
+   write allocates only what its B+-tree edits, its charges and its WAL
+   accounting do.  Each budget is minor words per call, net of the
+   caller's value (built before the measured pass), measured in a
+   standard-mode transaction with pools that hold the working set, after
+   a first pass over the same records so that no buffer grows during the
+   measured one.  The twin database runs the same calls unmeasured and
+   must end with bit-identical charges. *)
+
+let write_db () =
+  let scale = 500 in
+  let cfg = Generator.config ~scale `Deep Generator.Class_clustered in
+  Generator.build
+    ~cost:(Tb_sim.Cost_model.scaled scale)
+    {
+      cfg with
+      Generator.txn_mode = Tb_store.Transaction.Standard;
+      server_pages = 256;
+      client_pages = 256;
+    }
+
+let set_int name x = function
+  | Tb_store.Value.Tuple fields ->
+      Tb_store.Value.Tuple
+        (List.map
+           (fun (n, y) -> if String.equal n name then (n, Tb_store.Value.Int x) else (n, y))
+           fields)
+  | _ -> Alcotest.fail "patient is not a tuple"
+
+let int_attr name = function
+  | Tb_store.Value.Tuple fields -> (
+      match Tb_store.Value.assoc name fields with
+      | Tb_store.Value.Int k -> k
+      | _ -> Alcotest.fail (name ^ " is not an int"))
+  | _ -> Alcotest.fail "patient is not a tuple"
+
+type write_run = {
+  age_words : float;  (** per same-size [age] update *)
+  swap_words : float;  (** per [num] update of a swap, index edits included *)
+  delete_words : float;  (** per [delete_object] *)
+  w_counters : string;
+  w_now_bits : int64;
+}
+
+let write_calls = 200
+
+let run_writes (b : Generator.built) =
+  let db = b.Generator.db in
+  let rid i = b.Generator.patients.(i * 9) in
+  let read i = snd (Database.read_object db (rid i)) in
+  let n = write_calls in
+  let h = Database.begin_txn db in
+  let per f = words f /. float_of_int n in
+  let ages round = Array.init n (fun i -> set_int "age" ((round * 7) + i) (read i)) in
+  let update_all vals = Array.iteri (fun i v -> Database.update_object db (rid i) v) vals in
+  update_all (ages 1);
+  let vals = ages 2 in
+  let age_words = per (fun () -> update_all vals) in
+  (* Swap the nums of records 2k and 2k+1: two updates, each moving one
+     index entry. *)
+  let swaps () =
+    Array.init n (fun i ->
+        let mate = i lxor 1 in
+        set_int "num" (int_attr "num" (read mate)) (read i))
+  in
+  update_all (swaps ());
+  let vals = swaps () in
+  let swap_words = per (fun () -> update_all vals) in
+  let delete_from first =
+    for i = first to first + n - 1 do
+      Database.delete_object db (rid i)
+    done
+  in
+  delete_from n;
+  let delete_words = per (fun () -> delete_from (2 * n)) in
+  Database.abort_txn h;
+  let sim = Database.sim db in
+  {
+    age_words;
+    swap_words;
+    delete_words;
+    w_counters = Format.asprintf "%a" Counters.pp sim.Sim.counters;
+    w_now_bits = Int64.bits_of_float (Tb_sim.Clock.now_ms sim.Sim.clock);
+  }
+
+let test_write_budget () =
+  let a = run_writes (write_db ()) in
+  let b = run_writes (write_db ()) in
+  let gate what x budget =
+    check_bool
+      (Printf.sprintf "%s: %.2f minor words per call <= %.0f" what x budget)
+      true (x <= budget)
+  in
+  (* Before the byte-level write path: 409.03, 427.03 and 681.59.  A
+     delete's figure is mostly the B+-tree's: these deletes empty leaves,
+     and each merge copies its nodes out. *)
+  gate "same-size update (age)" a.age_words 38.0;
+  gate "num swap update, index edits included" a.swap_words 56.0;
+  gate "delete_object" a.delete_words 496.0;
+  Alcotest.(check string) "writes: counters match the twin" b.w_counters a.w_counters;
+  Alcotest.(check int64) "writes: elapsed bits match the twin" b.w_now_bits a.w_now_bits
+
 (* --- page-sized blocks on the write path ---
 
    A page image is bigger than the minor heap's largest block, so every
@@ -358,4 +463,6 @@ let suite =
       `Quick test_btree_lookup_budget;
     Alcotest.test_case "txn: a repeat transaction copies no page" `Quick
       test_txn_page_blocks;
+    Alcotest.test_case "writes: minor words per update and delete, charges exact"
+      `Quick test_write_budget;
   ]

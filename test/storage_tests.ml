@@ -710,6 +710,19 @@ let test_heap_insertion_order_is_physical_order () =
   Array.sort Rid.compare sorted;
   check_bool "rids already in physical order" true (rids = sorted)
 
+(* [Heap_file.update] takes the body behind its framing room; the page,
+   slot and offset it then reports must hold exactly that body. *)
+let heap_update hf rid b =
+  let len = Bytes.length b in
+  let buf = Bytes.make (Heap_file.frame_room + len) '?' in
+  Bytes.blit b 0 buf Heap_file.frame_room len;
+  let page = Heap_file.update hf rid buf ~len in
+  let pos = Heap_file.located_pos hf in
+  check_string "located body" (Bytes.to_string b)
+    (Bytes.sub_string (Page_layout.buffer page) pos len);
+  check_bool "located slot holds it" true
+    (Page_layout.record_offset page (Heap_file.located_slot hf) < pos)
+
 let test_heap_update_relocation () =
   let sim, _, stack = fresh_stack () in
   let hf = Heap_file.create stack ~name:"heap" in
@@ -718,7 +731,7 @@ let test_heap_update_relocation () =
   let page_size = sim.Tb_sim.Sim.cost.Tb_sim.Cost_model.page_size in
   let filler_count = (page_size / 60) + 2 in
   let _ = List.init filler_count (fun _ -> Heap_file.insert hf (Bytes.make 50 'f')) in
-  Heap_file.update hf first (Bytes.make 600 'B');
+  heap_update hf first (Bytes.make 600 'B');
   check_int "reads back the grown body" 600
     (Bytes.length (Heap_file.read hf first));
   (* The scan still presents the record at its home Rid. *)
@@ -739,10 +752,10 @@ let test_heap_update_after_relocation_again () =
   let hf = Heap_file.create stack ~name:"heap" in
   let first = Heap_file.insert hf (Bytes.make 50 'a') in
   let _ = List.init 80 (fun _ -> Heap_file.insert hf (Bytes.make 50 'f')) in
-  Heap_file.update hf first (Bytes.make 900 'B');
-  Heap_file.update hf first (Bytes.make 1200 'C');
+  heap_update hf first (Bytes.make 900 'B');
+  heap_update hf first (Bytes.make 1200 'C');
   check_int "second growth" 1200 (Bytes.length (Heap_file.read hf first));
-  Heap_file.update hf first (Bytes.make 10 'd');
+  heap_update hf first (Bytes.make 10 'd');
   check_string "shrink after forwarding" (String.make 10 'd')
     (Bytes.to_string (Heap_file.read hf first))
 

@@ -212,24 +212,74 @@ let test_header_slot_growth () =
   let h = Obj_header.add_index h 5 in
   check_int "re-add is idempotent" 9 (List.length (Obj_header.indexes h))
 
+(* The write path builds headers in place (Obj_header.write_fresh,
+   add_index_at, copy_adding): their bytes must be exactly the encoding
+   of the header values they stand for.  [ids] become memberships, every
+   third one removed again to leave holes; [idx] is the index added. *)
+let header_in_place_prop =
+  QCheck.Test.make ~count:300 ~name:"header: in-place writes encode as header values"
+    QCheck.(
+      make
+        ~print:Print.(quad int (list int) int bool)
+        Gen.(
+          quad (int_range 0 40) (list_size (int_range 0 20) (int_range 0 30))
+            (int_range 0 30) bool))
+    (fun (class_id, ids, idx, deleted) ->
+      let ids = List.sort_uniq Int.compare ids in
+      let n = List.length ids in
+      let slotted = n > 0 || deleted in
+      let slots = if slotted then 8 * max 1 ((n + 7) / 8) else 0 in
+      let expected =
+        List.fold_left Obj_header.add_index
+          (Obj_header.create ~class_id ~indexed:slotted)
+          ids
+      in
+      let b = Bytes.make 128 '?' in
+      let fin = Obj_header.write_fresh b ~pos:5 ~class_id ~slots in
+      List.iter (Obj_header.add_index_at b ~pos:5) ids;
+      let fresh_ok =
+        Bytes.equal (Bytes.sub b 5 (fin - 5)) (Obj_header.encode expected)
+      in
+      let h =
+        List.fold_left
+          (fun h (i, id) -> if i mod 3 = 2 then Obj_header.remove_index h id else h)
+          expected
+          (List.mapi (fun i id -> (i, id)) ids)
+      in
+      let h = Obj_header.set_deleted h deleted in
+      let src = Obj_header.encode h in
+      let dst = Bytes.make 128 '?' in
+      let fin = Obj_header.copy_adding src ~pos:0 dst ~dpos:3 idx in
+      let grown = Obj_header.encode (Obj_header.add_index (Obj_header.with_slots h) idx) in
+      fresh_ok && Bytes.equal (Bytes.sub dst 3 (fin - 3)) grown)
+
 (* --- Handle table --- *)
 
-(* A miss goes reserve -> load -> install; the dummy loads a constant
-   (a slot on a blank page, materialized at once). *)
-let blank_page = Tb_storage.Page_layout.create ~size:64
+(* A miss goes reserve -> load -> install; the dummy loads an integer
+   record alone on a blank page, and an update re-points it at another. *)
+let int_page v =
+  let p = Tb_storage.Page_layout.create ~size:64 in
+  ignore (Tb_storage.Page_layout.insert p (Codec.encode (Value.Int v)));
+  p
+
+let point_dummy slab h v =
+  let page = int_page v in
+  Handle.repoint slab h ~class_id:0 ~page ~slot:0 ~delta:0
+    ~body:(Tb_storage.Page_layout.record_offset page 0)
+
+let dummy_value slab h =
+  let buf = Handle.packed_buf slab h in
+  Codec.decode_value buf ~pos:(Handle.packed_body slab h)
 
 let acquire_dummy tbl rid =
   let h = Handle_table.find_resident tbl rid in
   if (h :> int) >= 0 then Handle_table.acquire tbl h
   else begin
     Handle_table.reserve tbl;
-    let slab = Handle_table.slab tbl in
-    let h =
-      Handle.alloc_packed slab ~rid ~class_id:0 ~page:blank_page ~slot:0 ~delta:0
-        ~body:0
-    in
-    Handle.set_whole slab h (Value.Int 1);
-    Handle_table.install tbl h
+    let page = int_page 1 in
+    Handle_table.install tbl
+      (Handle.alloc_packed (Handle_table.slab tbl) ~rid ~class_id:0 ~page ~slot:0
+         ~delta:0 ~body:(Tb_storage.Page_layout.record_offset page 0))
   end
 
 let test_handles_refcount_and_zombies () =
@@ -430,7 +480,7 @@ let run_against_model ~limit ops =
             if (h :> int) < 0 then fail "%s: %a not resident" step Rid.pp rid;
             if not (Rid.equal (Handle.rid slab h) rid) then fail "%s: wrong rid" step;
             if Handle.refcount slab h <> m.Model.rc then fail "%s: refcount" step;
-            if not (Value.equal (Handle.whole slab h) (Value.Int m.Model.value)) then
+            if not (Value.equal (dummy_value slab h) (Value.Int m.Model.value)) then
               fail "%s: value" step)
       pool
   in
@@ -455,7 +505,7 @@ let run_against_model ~limit ops =
           let h = Handle_table.find_resident tbl pool.(i) in
           match Hashtbl.find_opt model.Model.tbl (pool.(i) :> int) with
           | Some m ->
-              Handle.set_whole slab h (Value.Int v);
+              point_dummy slab h v;
               m.Model.value <- v
           | None -> if (h :> int) >= 0 then fail "update: resident only in the table")
       | Flush ->
@@ -526,7 +576,7 @@ let test_handles_freed_slot_rejected () =
   let raises f = match f () with exception Invalid_argument _ -> true | _ -> false in
   check_bool "rid of a freed slot raises" true (raises (fun () -> ignore (Handle.rid slab h)));
   check_bool "value of a freed slot raises" true
-    (raises (fun () -> ignore (Handle.whole slab h)));
+    (raises (fun () -> ignore (Handle.packed_buf slab h)));
   check_bool "unreferencing a freed slot raises" true
     (raises (fun () -> Handle_table.unreference tbl h));
   check_bool "Handle.none is rejected" true
@@ -1022,6 +1072,7 @@ let suite =
       test_handles_memory_accounting;
     Alcotest.test_case "handles: compact kind is cheaper" `Quick
       test_compact_handles_cheaper;
+    QCheck_alcotest.to_alcotest header_in_place_prop;
     QCheck_alcotest.to_alcotest (handles_vs_model 0);
     QCheck_alcotest.to_alcotest (handles_vs_model 1);
     QCheck_alcotest.to_alcotest (handles_vs_model 2);
