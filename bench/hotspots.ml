@@ -1,7 +1,7 @@
 (* Wall-clock hot spots by source line.
 
      dune exec --profile release bench/hotspots.exe -- [--seconds S]
-       [--scale N] [--top K] [cold | update | all]
+       [--scale N] [--top K] [cold | update | lookup | all]
 
    A [Unix.setitimer] SIGALRM fires every millisecond of wall time and its
    handler records [Printexc.get_callstack].  Each workload is built first
@@ -18,7 +18,13 @@
      10/50/90% under each algorithm — each query after a cold restart;
    - [update]: a warm standard-mode loop of ten-write transactions (half
      swap two patients' indexed nums, half set an age), every tenth one
-     aborted, the rest committed.
+     aborted, the rest committed;
+   - [lookup]: e2ebench point-lookup's five query classes (a point
+     selection, a narrow and a two-sided range, a conjunctive count and
+     the point join), each through the whole optimize → execute → validate
+     pipeline against one retained catalog, on caches that hold the whole
+     database.  Its header also gives the share of samples taken inside
+     [Planner.optimize].
 
    Where a sample lands: OCaml runs a signal handler only at its next poll
    point (an allocation, a function entry or a loop back-edge), so each
@@ -37,7 +43,7 @@ module Plan = Tb_query.Plan
 
 let usage () =
   prerr_endline
-    "usage: hotspots.exe [--seconds S] [--scale N] [--top K] [cold | update | all]";
+    "usage: hotspots.exe [--seconds S] [--scale N] [--top K] [cold | update | lookup | all]";
   exit 2
 
 (* --- the sampler --- *)
@@ -99,7 +105,19 @@ let is_stdlib loc = not (String.contains loc '/')
 (* The first [n] elements of [l]. *)
 let rec take n = function x :: l when n > 0 -> x :: take (n - 1) l | _ -> []
 
-let report ~name ~top { stacks = raws; iterations; wall_s } =
+(* Whether a function whose name starts with [prefix] is on the stack. *)
+let under prefix raw =
+  match Printexc.backtrace_slots raw with
+  | None -> false
+  | Some slots ->
+      Array.exists
+        (fun slot ->
+          match Printexc.Slot.name slot with
+          | Some name -> String.starts_with ~prefix name
+          | None -> false)
+        slots
+
+let report ~name ~top ?focus { stacks = raws; iterations; wall_s } =
   let self = Hashtbl.create 256 and incl = Hashtbl.create 1024 in
   (* Per self line, how often each context led to it: for a stdlib line the
      chain of the five innermost engine frames below it, for any other
@@ -167,6 +185,12 @@ let report ~name ~top { stacks = raws; iterations; wall_s } =
   Printf.printf "%s: %d samples, %d iterations in %.2f s (%.2f iterations/s)\n"
     name !n iterations wall_s
     (float_of_int iterations /. Float.max wall_s 1e-9);
+  Option.iter
+    (fun (label, prefix) ->
+      let k = List.length (List.filter (under prefix) raws) in
+      Printf.printf "  %s on the stack: %d samples (%.1f%%)\n" label k
+        (100.0 *. float_of_int k /. float_of_int (max 1 (List.length raws))))
+    focus;
   print "self (stdlib: three commonest engine chains; else commonest caller)" self
     ~with_context:true;
   print "inclusive" incl ~with_context:false;
@@ -278,11 +302,59 @@ let update_loop db patients =
     else Database.commit_txn h;
     undo := []
 
-let build ~scale txn_mode =
-  let cfg = Generator.config ~scale `Deep Generator.Class_clustered in
+(* A hundred seeded texts, each point-lookup class in e2ebench's share
+   (30/15/10/25/20), cycled in a fixed order; the catalog is analyzed once
+   and keeps the validate stage's feedback, as e2ebench's point-lookup
+   does. *)
+let lookup_mix db ~n_patients ~n_providers =
+  let rng = Random.State.make [| 23 |] in
+  let small = max 1 (n_patients / 1000) in
+  let classes =
+    [|
+      (fun () ->
+        Printf.sprintf "select pa.mrn from pa in Patients where pa.num = %d"
+          (Random.State.int rng n_patients));
+      (fun () ->
+        Printf.sprintf "select pa.age from pa in Patients where pa.mrn < %d"
+          (1 + Random.State.int rng small));
+      (fun () ->
+        let w = 1 + Random.State.int rng 40 in
+        let a = min (n_patients - w) ((n_patients / 10) + Random.State.int rng 400) in
+        Printf.sprintf
+          "select pa.age from pa in Patients where pa.mrn >= %d and pa.mrn < %d" a
+          (a + w));
+      (fun () ->
+        Printf.sprintf
+          "select count(pa) from pa in Patients where pa.num < %d and pa.age = %d"
+          (1 + Random.State.int rng small)
+          (Random.State.int rng 100));
+      (fun () ->
+        Printf.sprintf
+          "select pa.mrn from p in Providers, pa in p.clients where p.upin = %d"
+          (Random.State.int rng n_providers));
+    |]
+  in
+  let texts =
+    Array.concat
+      (List.mapi
+         (fun c share -> Array.init share (fun _ -> classes.(c) ()))
+         [ 30; 15; 10; 25; 20 ])
+  in
+  Database.analyze db;
+  let stats = Tb_statcore.Stat_catalog.analyze db in
+  let next = ref 0 in
+  fun () ->
+    let r, _, _, _ =
+      Planner.run_optimized_explained ~stats db texts.(!next mod Array.length texts)
+    in
+    Tb_query.Query_result.dispose r;
+    incr next
+
+let build ?(cfg = fun c -> c) ~scale txn_mode =
+  let base = Generator.config ~scale `Deep Generator.Class_clustered in
   Generator.build
     ~cost:(Tb_sim.Cost_model.scaled scale)
-    { cfg with Generator.txn_mode }
+    (cfg { base with Generator.txn_mode })
 
 let () =
   let seconds = ref 4.0 and scale = ref 40 and top = ref 25 and which = ref "all" in
@@ -299,7 +371,7 @@ let () =
     | "--top" :: s :: rest ->
         (match int_of_string_opt s with Some v when v > 0 -> top := v | _ -> usage ());
         parse rest
-    | ("cold" | "update" | "all") as w :: rest ->
+    | ("cold" | "update" | "lookup" | "all") as w :: rest ->
         which := w;
         parse rest
     | _ -> usage ()
@@ -319,4 +391,17 @@ let () =
     let b = build ~scale:!scale Transaction.Standard in
     let run = update_loop b.Generator.db b.Generator.patients in
     report ~name:"standard-mode update/commit loop" ~top:!top (sampled !seconds run)
+  end;
+  if want "lookup" then begin
+    (* Both caches hold the whole database: the hit path. *)
+    let cfg c = { c with Generator.server_pages = 8192; client_pages = 8192 } in
+    let b = build ~cfg ~scale:!scale Transaction.Load_off in
+    let run =
+      lookup_mix b.Generator.db
+        ~n_patients:(Array.length b.Generator.patients)
+        ~n_providers:(Array.length b.Generator.providers)
+    in
+    report ~name:"point-lookup pipeline" ~top:!top
+      ~focus:("Planner.optimize", "Tb_query__Planner.optimize")
+      (sampled !seconds run)
   end

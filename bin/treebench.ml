@@ -272,12 +272,12 @@ let query_cmd =
     in
     Format.printf "optimizer: %d candidates, chose %s (est %.3f ms)@."
       (List.length d.Tb_query.Planner.d_candidates)
-      d.Tb_query.Planner.d_desc d.Tb_query.Planner.d_cost_ms;
+      (Tb_query.Planner.d_desc d) d.Tb_query.Planner.d_cost_ms;
     List.iteri
       (fun i ch ->
         if i < 3 then
           Format.printf "  #%d %-44s %12.3f ms@." (i + 1)
-            ch.Tb_query.Planner.ch_desc ch.Tb_query.Planner.ch_cost_ms)
+            (Tb_query.Planner.ch_desc ch) ch.Tb_query.Planner.ch_cost_ms)
       d.Tb_query.Planner.d_candidates;
     Format.printf "plan: %a@." Tb_query.Plan.pp d.Tb_query.Planner.d_plan;
     Format.printf "rows=%d  actual=%.3f ms@."

@@ -1,31 +1,28 @@
 (* Stage one of the optimizer pipeline: the candidate space.
 
    [candidates] expands a bound query into every (join algorithm × access
-   path per side × packed/handle evaluation mode) combination the lowering
-   can execute.  Pure plan surgery over catalog statistics — indexes and
-   selectivities both come from {!Tb_statcore} — so enumeration never
-   touches a page and never charges (treelint R1).
+   path per side) plan the lowering can execute.  Pure plan surgery over
+   catalog statistics — indexes and selectivities both come from
+   {!Tb_statcore} — so enumeration never touches a page and never charges
+   (treelint R1).  The packed/handle evaluation mode is not a plan choice
+   here: the cost stage costs each plan once and ranks both modes of it.
 
    List order encodes the tie policy: the cost stage's argmin keeps the
    FIRST candidate on equal cost, so index paths precede scans (the
-   Section 4.2 preference at low selectivity), the paper's algorithms keep
-   {!Estimate.all_algos} order, and packed precedes handle evaluation
-   (charge-identical by construction; packed is the cheaper wallclock). *)
+   Section 4.2 preference at low selectivity) and the paper's algorithms
+   keep {!Estimate.all_algos} order. *)
 
 module Sc = Tb_statcore.Stat_catalog
-
-type candidate = {
-  c_plan : Plan.t;
-  c_packed : bool;
-  c_desc : string;  (* human-readable shape, e.g. "PHJ parent=index child=seq packed" *)
-}
 
 let indexable stats ~cls preds =
   List.filter_map
     (fun p ->
-      match (Plan.key_range p, Sc.index_on stats ~cls ~attr:p.Plan.attr) with
-      | Some (lo, hi), Some ix -> Some (p, ix, lo, hi)
-      | _ -> None)
+      match Plan.key_range p with
+      | None -> None
+      | Some (lo, hi) -> (
+          match Sc.find_index stats ~cls ~attr:p.Plan.attr with
+          | ix -> Some (p, ix, lo, hi)
+          | exception Not_found -> None))
     preds
 
 (* The most selective indexable conjunct under [sel], the first on a tie;
@@ -49,20 +46,36 @@ let best_index ~(sel : Plan.attr_pred -> float) stats ~cls preds =
 (* Selections get the full Section 4.2 menu: fetch in index order, sort the
    Rids first, or sweep the extent. *)
 let selection_accesses stats ~cls preds =
-  let seq = (Plan.Seq_scan { cls; preds }, "seq") in
+  let seq = Plan.Seq_scan { cls; preds } in
   match best_index ~sel:(Estimate.pred_sel stats ~cls) stats ~cls preds with
   | None -> [ seq ]
-  | Some mk ->
-      [ (mk ~sorted:false, "index"); (mk ~sorted:true, "index+sort"); seq ]
+  | Some mk -> [ mk ~sorted:false; mk ~sorted:true; seq ]
 
 (* Join sides fetch through a sorted index when one applies, or scan. *)
 let side_accesses stats ~cls preds =
-  let seq = (Plan.Seq_scan { cls; preds }, "seq") in
+  let seq = Plan.Seq_scan { cls; preds } in
   match best_index ~sel:(Estimate.pred_sel stats ~cls) stats ~cls preds with
   | None -> [ seq ]
-  | Some mk -> [ (mk ~sorted:true, "index"); seq ]
+  | Some mk -> [ mk ~sorted:true; seq ]
 
-let packed_modes = [ (true, "packed"); (false, "handle") ]
+(* The shape of an enumerated plan, e.g. "PHJ parent=index child=seq
+   packed".  Join sides only ever take the sorted index, so "index+sort"
+   names a selection's access alone.  Built only when printed. *)
+let describe plan ~packed =
+  let mode = if packed then "packed" else "handle" in
+  match plan with
+  | Plan.Selection { access; _ } ->
+      let a =
+        match access with
+        | Plan.Seq_scan _ -> "seq"
+        | Plan.Index_scan { sorted = false; _ } -> "index"
+        | Plan.Index_scan { sorted = true; _ } -> "index+sort"
+      in
+      a ^ " " ^ mode
+  | Plan.Hier_join { algo; parent_access; child_access; _ } ->
+      let side = function Plan.Seq_scan _ -> "seq" | Plan.Index_scan _ -> "index" in
+      Printf.sprintf "%s parent=%s child=%s %s" (Plan.algo_name algo)
+        (side parent_access) (side child_access) mode
 
 (* Estimated resident bytes of one side's hash table, for sizing hybrid
    spill partitions. *)
@@ -83,16 +96,8 @@ let partitions_for stats bytes =
 let candidates stats bound =
   match bound with
   | Plan.B_selection { var; cls; preds; select; aggregate } ->
-      List.concat_map
-        (fun (access, adesc) ->
-          List.map
-            (fun (packed, pdesc) ->
-              {
-                c_plan = Plan.Selection { var; cls; access; select; aggregate };
-                c_packed = packed;
-                c_desc = adesc ^ " " ^ pdesc;
-              })
-            packed_modes)
+      List.map
+        (fun access -> Plan.Selection { var; cls; access; select; aggregate })
         (selection_accesses stats ~cls preds)
   | Plan.B_hier
       {
@@ -122,7 +127,7 @@ let candidates stats bound =
               match algo with
               | Plan.NOJOIN ->
                   (* NOJOIN reaches parents by navigation: scan semantics. *)
-                  [ (Plan.Seq_scan { cls = parent_cls; preds = parent_preds }, "seq") ]
+                  [ Plan.Seq_scan { cls = parent_cls; preds = parent_preds } ]
               | Plan.NL | Plan.PHJ | Plan.CHJ | Plan.PHHJ | Plan.CHHJ
               | Plan.SMJ ->
                   side_accesses stats ~cls:parent_cls parent_preds
@@ -131,7 +136,7 @@ let candidates stats bound =
               match algo with
               | Plan.NL ->
                   (* NL evaluates child predicates during navigation. *)
-                  [ (Plan.Seq_scan { cls = child_cls; preds = child_preds }, "seq") ]
+                  [ Plan.Seq_scan { cls = child_cls; preds = child_preds } ]
               | Plan.NOJOIN | Plan.PHJ | Plan.CHJ | Plan.PHHJ | Plan.CHHJ
               | Plan.SMJ ->
                   side_accesses stats ~cls:child_cls child_preds
@@ -149,34 +154,24 @@ let candidates stats bound =
               | Plan.NL | Plan.NOJOIN | Plan.PHJ | Plan.CHJ | Plan.SMJ -> 1
             in
             List.concat_map
-              (fun (parent_access, pad) ->
-                List.concat_map
-                  (fun (child_access, cad) ->
-                    List.map
-                      (fun (packed, pkd) ->
-                        {
-                          c_plan =
-                            Plan.Hier_join
-                              {
-                                algo;
-                                parent_var;
-                                parent_cls;
-                                child_var;
-                                child_cls;
-                                set_attr;
-                                inv_attr;
-                                parent_access;
-                                child_access;
-                                partitions;
-                                select;
-                                aggregate;
-                              };
-                          c_packed = packed;
-                          c_desc =
-                            Printf.sprintf "%s parent=%s child=%s %s"
-                              (Plan.algo_name algo) pad cad pkd;
-                        })
-                      packed_modes)
+              (fun parent_access ->
+                List.map
+                  (fun child_access ->
+                    Plan.Hier_join
+                      {
+                        algo;
+                        parent_var;
+                        parent_cls;
+                        child_var;
+                        child_cls;
+                        set_attr;
+                        inv_attr;
+                        parent_access;
+                        child_access;
+                        partitions;
+                        select;
+                        aggregate;
+                      })
                   child_opts)
               parent_opts)
         Estimate.all_algos

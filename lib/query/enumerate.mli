@@ -1,25 +1,23 @@
 (** Stage one of the optimizer pipeline: the candidate space.
 
     Expands a bound query into every (join algorithm × access path per
-    side × packed/handle mode) plan the lowering can execute, in an order
-    that encodes the tie policy — the cost stage's argmin keeps the first
-    candidate on equal cost, so index paths precede scans, the paper's
-    algorithms keep {!Estimate.all_algos} order, and packed precedes
-    handle evaluation.  Pure catalog arithmetic: no page access, no
-    charges. *)
+    side) plan the lowering can execute, in an order that encodes the tie
+    policy — the cost stage's argmin keeps the first candidate on equal
+    cost, so index paths precede scans and the paper's algorithms keep
+    {!Estimate.all_algos} order.  The evaluation mode is expanded by the
+    cost stage, which costs each plan once.  Pure catalog arithmetic: no
+    page access, no charges. *)
 
-type candidate = {
-  c_plan : Plan.t;
-  c_packed : bool;  (** lower with packed-bytes evaluation *)
-  c_desc : string;
-      (** human-readable shape, e.g. ["PHJ parent=index child=seq packed"] *)
-}
+(** The full plan list for a bound query.  Inverse-requiring algorithms
+    are dropped when the schema declares no back-reference; NL's child
+    side and NOJOIN's parent side stay scans (their predicates are
+    evaluated during navigation). *)
+val candidates : Tb_statcore.Stat_catalog.t -> Plan.bound -> Plan.t list
 
-(** The full candidate list for a bound query.  Inverse-requiring
-    algorithms are dropped when the schema declares no back-reference;
-    NL's child side and NOJOIN's parent side stay scans (their predicates
-    are evaluated during navigation). *)
-val candidates : Tb_statcore.Stat_catalog.t -> Plan.bound -> candidate list
+(** Human-readable shape of an enumerated plan evaluated packed or
+    through Handles, e.g. ["PHJ parent=index child=seq packed"] or
+    ["index+sort handle"]. *)
+val describe : Plan.t -> packed:bool -> string
 
 (** {2 Shared with the closed-form planner} *)
 

@@ -318,6 +318,18 @@ type stream = {
   s_spill : float;  (** spill fraction applied below (hybrid hashing) *)
 }
 
+(* A fresh stream, no spill below it: one record per operator. *)
+let stream ~cls ~rows ~sorted ~seq ~clustered ~bytes =
+  {
+    s_rows = rows;
+    s_cls = cls;
+    s_sorted = sorted;
+    s_seq = seq;
+    s_clustered = clustered;
+    s_bytes = bytes;
+    s_spill = 0.0;
+  }
+
 let null_extent cls =
   {
     Sc.x_cls = cls;
@@ -328,7 +340,9 @@ let null_extent cls =
   }
 
 let cat_extent stats cls =
-  match Sc.extent stats ~cls with Some e -> e | None -> null_extent cls
+  match Sc.find_extent stats ~cls with
+  | e -> e
+  | exception Not_found -> null_extent cls
 
 (* Fraction of an index's entries inside the key window [lo, hi), from its
    maintained histogram.  Unfloored: each caller floors it its own way. *)
@@ -341,17 +355,22 @@ let key_window ix ~lo ~hi =
    returned a fixed fraction of the extent. *)
 let one_row stats cls = 1.0 /. Float.max 1.0 (fi (cat_extent stats cls).Sc.x_card)
 
+(* System-R style magic numbers when no statistics help. *)
+let magic_sel (p : Plan.attr_pred) =
+  match p.Plan.cmp with
+  | Oql_ast.Eq -> 0.01
+  | Oql_ast.Ne -> 0.99
+  | Oql_ast.Lt | Oql_ast.Le | Oql_ast.Gt | Oql_ast.Ge -> 1.0 /. 3.0
+
 let pred_sel ?floor stats ~cls (p : Plan.attr_pred) =
-  match (Plan.key_range p, Sc.index_on stats ~cls ~attr:p.Plan.attr) with
-  | Some (lo, hi), Some ix ->
-      let floor = match floor with Some f -> f | None -> one_row stats cls in
-      Float.max floor (key_window ix ~lo ~hi)
-  | _ -> (
-      (* System-R style magic numbers when no statistics help. *)
-      match p.Plan.cmp with
-      | Oql_ast.Eq -> 0.01
-      | Oql_ast.Ne -> 0.99
-      | Oql_ast.Lt | Oql_ast.Le | Oql_ast.Gt | Oql_ast.Ge -> 1.0 /. 3.0)
+  match Plan.key_range p with
+  | None -> magic_sel p
+  | Some (lo, hi) -> (
+      match Sc.find_index stats ~cls ~attr:p.Plan.attr with
+      | ix ->
+          let floor = match floor with Some f -> f | None -> one_row stats cls in
+          Float.max floor (key_window ix ~lo ~hi)
+      | exception Not_found -> magic_sel p)
 
 let preds_sel ?floor stats ~cls preds =
   List.fold_left (fun acc p -> acc *. pred_sel ?floor stats ~cls p) 1.0 preds
@@ -368,37 +387,31 @@ let annotate ~stats ?(organization = Separate_files) root =
   let page_sz = fi c.Tb_sim.Cost_model.page_size in
   let get_att_ms n = n *. c.Tb_sim.Cost_model.get_att_us /. 1000.0 in
   let set stats n ~rows ~pages ~handles raw_ms =
-    let ms = Sc.corrected_ms stats ~key:(est_key n) raw_ms in
+    let corr = Sc.correction stats ~op:(Op.opcode n) ~cls:(est_cls n) in
     Op.Est.set n
-      { Op.est_rows = rows; est_pages = pages; est_handles = handles; est_ms = ms }
+      {
+        Op.est_rows = rows;
+        est_pages = pages;
+        est_handles = handles;
+        est_ms = (raw_ms *. corr.Sc.c_mul) +. corr.Sc.c_add;
+      }
   in
   let rec go (stats : Sc.t) (n : Op.t) : stream =
-    let null_stream cls =
-      {
-        s_rows = 0.0;
-        s_cls = cls;
-        s_sorted = false;
-        s_seq = false;
-        s_clustered = false;
-        s_bytes = 0.0;
-        s_spill = 0.0;
-      }
-    in
     match n.Op.kind with
     | Op.Seq_scan { cls } ->
         let e = cat_extent stats cls in
         let rows = fi e.Sc.x_card in
         set stats n ~rows ~pages:(fi e.Sc.x_pages) ~handles:0.0
           (seq_ms c e.Sc.x_pages);
-        { (null_stream cls) with s_rows = rows; s_seq = true }
+        stream ~cls ~rows ~sorted:false ~seq:true ~clustered:false ~bytes:0.0
     | Op.Index_scan { index; lo; hi } ->
         let cls = index.Index_def.cls in
         let sel, clustered =
-          match Sc.index_on stats ~cls ~attr:index.Index_def.attr with
-          | Some ix ->
+          match Sc.find_index stats ~cls ~attr:index.Index_def.attr with
+          | ix ->
               ( Float.max (one_row stats cls) (key_window ix ~lo ~hi),
                 Sc.is_clustered ix )
-          | None -> (1.0 /. 3.0, false)
+          | exception Not_found -> (1.0 /. 3.0, false)
         in
         let k = sel *. fi (cat_extent stats cls).Sc.x_card in
         (* Leaf pages plus the root-to-leaf descent that positions the
@@ -406,7 +419,7 @@ let annotate ~stats ?(organization = Separate_files) root =
         let leaves = leaf_pages k +. 1.0 in
         set stats n ~rows:k ~pages:leaves ~handles:0.0
           (leaves *. cold_page_ms c);
-        { (null_stream cls) with s_rows = k; s_clustered = clustered }
+        stream ~cls ~rows:k ~sorted:false ~seq:false ~clustered ~bytes:0.0
     | Op.Sort_rids { child } ->
         let s = go stats child in
         set stats n ~rows:s.s_rows ~pages:0.0 ~handles:0.0 (sort_ms c s.s_rows);
@@ -450,12 +463,8 @@ let annotate ~stats ?(organization = Separate_files) root =
             +. get_att_ms (n_in *. fi (List.length preds))
           in
           set stats n ~rows ~pages:io_pages ~handles:n_in ms;
-          {
-            (null_stream cls) with
-            s_rows = rows;
-            s_sorted = s.s_sorted;
-            s_clustered = s.s_clustered;
-          }
+          stream ~cls ~rows ~sorted:s.s_sorted ~seq:false ~clustered:s.s_clustered
+            ~bytes:0.0
         end
     | Op.Nav_set { child; nav_cls; preds; _ } ->
         let s = go stats child in
@@ -489,7 +498,8 @@ let annotate ~stats ?(organization = Separate_files) root =
           +. get_att_ms (s.s_rows +. (touched *. fi (List.length preds)))
         in
         set stats n ~rows ~pages:io_pages ~handles:touched ms;
-        { (null_stream nav_cls) with s_rows = rows }
+        stream ~cls:nav_cls ~rows ~sorted:false ~seq:false ~clustered:false
+          ~bytes:0.0
     | Op.Nav_inverse { child; nav_cls; preds; _ } ->
         let s = go stats child in
         let pe = cat_extent stats nav_cls in
@@ -518,7 +528,8 @@ let annotate ~stats ?(organization = Separate_files) root =
           +. get_att_ms (nc +. (nc *. fi (List.length preds)))
         in
         set stats n ~rows ~pages:io_pages ~handles:parent_handles ms;
-        { (null_stream nav_cls) with s_rows = rows }
+        stream ~cls:nav_cls ~rows ~sorted:false ~seq:false ~clustered:false
+          ~bytes:0.0
     | Op.Harvest { child; cls; attrs; _ } ->
         let s = go stats child in
         let bytes = fi (payload_bytes stats ~cls attrs) in
@@ -588,11 +599,8 @@ let annotate ~stats ?(organization = Separate_files) root =
           else swap_ms c ~bytes:(table_bytes +. result_mem) ~ops:p.s_rows
         in
         set stats n ~rows ~pages:0.0 ~handles:0.0 ms;
-        {
-          (null_stream probe_cls) with
-          s_rows = rows;
-          s_bytes = result_bytes_row;
-        }
+        stream ~cls:probe_cls ~rows ~sorted:false ~seq:false ~clustered:false
+          ~bytes:result_bytes_row
     | Op.Sort { child } ->
         let s = go stats child in
         let rows = s.s_rows in
@@ -612,11 +620,8 @@ let annotate ~stats ?(organization = Separate_files) root =
         let rows = r.s_rows *. (l.s_rows /. Float.max 1.0 (fi pe.Sc.x_card)) in
         set stats n ~rows ~pages:0.0 ~handles:0.0
           ((l.s_rows +. r.s_rows) *. c.Tb_sim.Cost_model.compare_us /. 1000.0);
-        {
-          (null_stream l.s_cls) with
-          s_rows = rows;
-          s_bytes = l.s_bytes +. r.s_bytes +. 16.0;
-        }
+        stream ~cls:l.s_cls ~rows ~sorted:false ~seq:false ~clustered:false
+          ~bytes:(l.s_bytes +. r.s_bytes +. 16.0)
     | Op.Project { child; _ } ->
         let s = go stats child in
         set stats n ~rows:s.s_rows ~pages:0.0 ~handles:0.0
@@ -660,15 +665,9 @@ let annotate ~stats ?(organization = Separate_files) root =
           else 0.0
         in
         set stats n ~rows ~pages:0.0 ~handles:0.0 ms;
-        {
-          s_rows = rows;
-          s_cls = (if Array.length ls = 0 then "" else ls.(0).s_cls);
-          s_sorted = ordered;
-          s_seq = false;
-          s_clustered = false;
-          s_bytes = row_bytes;
-          s_spill = 0.0;
-        }
+        stream
+          ~cls:(if Array.length ls = 0 then "" else ls.(0).s_cls)
+          ~rows ~sorted:ordered ~seq:false ~clustered:false ~bytes:row_bytes
   in
   ignore (go stats root)
 

@@ -68,8 +68,12 @@ val rank_joins : env -> (Plan.join_algo * float) list
     per-key correction, which is how validate-stage feedback reaches the
     next optimization round. *)
 
-(** The feedback/correction key for an operator: its opcode plus the class
-    it works over, so the two sides of a join correct independently. *)
+(** The class an operator works over: with its opcode, the key its
+    correction is kept under, so the two sides of a join correct
+    independently. *)
+val est_cls : Op.t -> string
+
+(** The correction key for display: ["opcode/class"]. *)
 val est_key : Op.t -> string
 
 (** A class's extent statistics; empty when the catalog does not know the

@@ -1091,7 +1091,6 @@ let run_sharded_explained smap root ~keep =
 (* --- validate: reconcile estimates against accounted frames --- *)
 
 type est_check = {
-  ec_label : string;
   ec_key : string;
   ec_est_ms : float;
   ec_actual_ms : float;
@@ -1116,11 +1115,10 @@ let validate ?(threshold = 2.0) ~stats root =
           let q = Op.Est.q ~est:e.Op.est_ms ~actual in
           let fed = q > threshold in
           if fed then
-            Tb_statcore.Stat_catalog.observe stats ~key:(Estimate.est_key n)
-              ~est_ms:e.Op.est_ms ~actual_ms:actual;
+            Tb_statcore.Stat_catalog.observe stats ~op:(Op.opcode n)
+              ~cls:(Estimate.est_cls n) ~est_ms:e.Op.est_ms ~actual_ms:actual;
           checks :=
             {
-              ec_label = Op.label n;
               ec_key = Estimate.est_key n;
               ec_est_ms = e.Op.est_ms;
               ec_actual_ms = actual;

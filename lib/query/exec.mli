@@ -78,7 +78,6 @@ val run_sharded_explained :
     against the ms its accounted frame accrued. *)
 
 type est_check = {
-  ec_label : string;  (** [Op.label] of the operator *)
   ec_key : string;  (** its correction key ({!Estimate.est_key}) *)
   ec_est_ms : float;
   ec_actual_ms : float;

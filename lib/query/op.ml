@@ -181,9 +181,32 @@ let children node =
   | Merge { left; right; _ } -> [ left; right ]
   | Gather { lanes; _ } -> Array.to_list lanes
 
+(* Recurses on [kind] directly: [children] would cons a list at every node,
+   and [reset_frames] walks the tree on every run. *)
 let rec iter f node =
   f node;
-  List.iter (iter f) (children node)
+  match node.kind with
+  | Seq_scan _ | Index_scan _ -> ()
+  | Sort_rids { child }
+  | Fetch { child; _ }
+  | Nav_set { child; _ }
+  | Nav_inverse { child; _ }
+  | Harvest { child; _ }
+  | Hash_build { child }
+  | Spill_partition { child; _ }
+  | Sort { child }
+  | Project { child; _ }
+  | Materialize { child; _ }
+  | Shard_lane { child; _ }
+  | Exchange { child; _ } ->
+      iter f child
+  | Hash_probe { build = a; probe = b; _ } | Merge { left = a; right = b; _ } ->
+      iter f a;
+      iter f b
+  | Gather { lanes; _ } ->
+      for i = 0 to Array.length lanes - 1 do
+        iter f lanes.(i)
+      done
 
 let reset_frames node =
   iter
@@ -457,12 +480,14 @@ module Est = struct
     let e = Float.max 0.01 est and a = Float.max 0.01 actual in
     Float.max (e /. a) (a /. e)
 
+  (* Pre-order, into a float-only cell: the walk allocates nothing per
+     operator. *)
   let sum_ms root =
-    let acc = ref 0.0 in
+    let acc = { ms = 0.0 } in
     iter
-      (fun n -> match n.est with Some e -> acc := !acc +. e.est_ms | None -> ())
+      (fun n -> match n.est with Some e -> acc.ms <- acc.ms +. e.est_ms | None -> ())
       root;
-    !acc
+    acc.ms
 
   let report_line ppf ~name ~depth n =
     let fr = n.frame in

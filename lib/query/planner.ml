@@ -596,7 +596,7 @@ let run_sharded_explained ?organization ?force_algo ?force_sorted ?force_seq
 (* --- the optimizer pipeline: enumerate -> cost -> pick -> validate --- *)
 
 type choice = {
-  ch_desc : string;
+  ch_plan : Plan.t;
   ch_packed : bool;
   ch_cost_ms : float;
 }
@@ -604,7 +604,6 @@ type choice = {
 type decision = {
   d_plan : Plan.t;
   d_root : Op.t;  (* lowered + annotated chosen tree *)
-  d_desc : string;
   d_packed : bool;
   d_cost_ms : float;
   d_candidates : choice list;  (* every candidate, ranked best-first *)
@@ -612,11 +611,21 @@ type decision = {
   d_organization : Estimate.organization;
 }
 
+(* Descriptions are formatted only when something prints them. *)
+let ch_desc ch = Enumerate.describe ch.ch_plan ~packed:ch.ch_packed
+let d_desc d = Enumerate.describe d.d_plan ~packed:d.d_packed
+
 (* [optimize db text] runs the first three stages: enumerate the candidate
-   space, lower and cost every candidate against catalog statistics, and
+   plans, lower and cost each plan once against catalog statistics, and
    pick the argmin.  The argmin is strict-<, so on equal cost the FIRST
-   enumerated candidate wins — which is how the tie policy (originals over
-   extensions, index over scan, packed over handle) is enforced.
+   enumerated plan wins — which is how the tie policy (originals over
+   extensions, index over scan) is enforced.
+
+   Each plan is lowered packed and costed once.  [Estimate.annotate] never
+   reads an operator's evaluation mode, so the plan's handle twin would
+   cost the same bits; the ranking lists both modes of every plan, packed
+   first, and on that tie the packed twin is the one picked.  Only the
+   winner's tree is kept.
 
    Statistics default to a fresh [Stat_catalog.analyze]; pass a retained
    catalog to let validate-stage feedback from earlier runs reach this
@@ -634,43 +643,34 @@ let optimize ?stats ?organization ?(batch = 256) db text =
             default_organization stats ~parent_cls ~child_cls
         | Plan.B_selection _ -> Estimate.Separate_files)
   in
+  let best = ref None in
   let scored =
     List.map
-      (fun (c : Enumerate.candidate) ->
-        let root = lower ~packed:c.Enumerate.c_packed ~batch c.Enumerate.c_plan in
+      (fun plan ->
+        let root = lower ~packed:true ~batch plan in
         Estimate.annotate ~stats ~organization root;
-        (c, root, Estimate.plan_cost_ms root))
+        let ch = { ch_plan = plan; ch_packed = true; ch_cost_ms = Estimate.plan_cost_ms root } in
+        (match !best with
+        | Some (b, _) when not (ch.ch_cost_ms < b.ch_cost_ms) -> ()
+        | _ -> best := Some (ch, root));
+        ch)
       (Enumerate.candidates stats bound)
   in
-  match scored with
-  | [] -> raise (Plan.Unsupported "optimizer: empty candidate space")
-  | first :: rest ->
-      let best =
-        List.fold_left
-          (fun acc x ->
-            let _, _, acc_ms = acc and _, _, x_ms = x in
-            if x_ms < acc_ms then x else acc)
-          first rest
-      in
-      let c, root, cost_ms = best in
+  match !best with
+  | None -> raise (Plan.Unsupported "optimizer: empty candidate space")
+  | Some (b, root) ->
       let ranked =
-        List.stable_sort
-          (fun a b -> Float.compare a.ch_cost_ms b.ch_cost_ms)
-          (List.map
-             (fun ((c : Enumerate.candidate), _, ms) ->
-               {
-                 ch_desc = c.Enumerate.c_desc;
-                 ch_packed = c.Enumerate.c_packed;
-                 ch_cost_ms = ms;
-               })
+        List.concat_map
+          (fun ch -> [ ch; { ch with ch_packed = false } ])
+          (List.stable_sort
+             (fun a b -> Float.compare a.ch_cost_ms b.ch_cost_ms)
              scored)
       in
       {
-        d_plan = c.Enumerate.c_plan;
+        d_plan = b.ch_plan;
         d_root = root;
-        d_desc = c.Enumerate.c_desc;
-        d_packed = c.Enumerate.c_packed;
-        d_cost_ms = cost_ms;
+        d_packed = b.ch_packed;
+        d_cost_ms = b.ch_cost_ms;
         d_candidates = ranked;
         d_stats = stats;
         d_organization = organization;

@@ -123,7 +123,7 @@ val run_sharded_explained :
 
 (** One costed candidate, for explain output and snapshots. *)
 type choice = {
-  ch_desc : string;  (** e.g. ["PHJ parent=index child=seq packed"] *)
+  ch_plan : Plan.t;
   ch_packed : bool;
   ch_cost_ms : float;
 }
@@ -133,7 +133,6 @@ type choice = {
 type decision = {
   d_plan : Plan.t;
   d_root : Op.t;
-  d_desc : string;
   d_packed : bool;
   d_cost_ms : float;
   d_candidates : choice list;  (** ranked best-first; ties keep enumeration order *)
@@ -141,11 +140,20 @@ type decision = {
   d_organization : Estimate.organization;
 }
 
-(** [optimize db text] enumerates every candidate plan, costs each by
+(** A candidate's shape, e.g. ["PHJ parent=index child=seq packed"]
+    ({!Enumerate.describe}); formatted on each call. *)
+val ch_desc : choice -> string
+
+(** The chosen candidate's shape, as {!ch_desc}. *)
+val d_desc : decision -> string
+
+(** [optimize db text] enumerates every candidate plan, costs each once by
     lowering and annotating it against catalog statistics, and picks the
-    strict argmin — on equal cost the first enumerated candidate wins,
-    which enforces the tie policy (the paper's originals over extensions,
-    index over scan, packed over handle).  [stats] defaults to a fresh
+    strict argmin — on equal cost the first enumerated plan wins, which
+    enforces the tie policy (the paper's originals over extensions, index
+    over scan).  Costing never reads the evaluation mode, so the ranking
+    lists each plan packed then handle at one cost, and the packed twin
+    is the one picked.  [stats] defaults to a fresh
     {!Tb_statcore.Stat_catalog.analyze}; pass a retained catalog so
     validate-stage feedback reaches the next optimization.  Never
     executes and never charges. *)

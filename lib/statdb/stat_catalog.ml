@@ -39,13 +39,17 @@ type index = {
    blind spot), where no multiplier can reach the observed cost. *)
 type corr = { c_mul : float; c_add : float }
 
+(* One operator key's correction: the opcode and the class it works over,
+   kept apart so a lookup compares them without building the key. *)
+type entry = { e_op : string; e_cls : string; e_corr : corr }
+
 type t = {
   cost : Tb_sim.Cost_model.t;
   client_cache_pages : int;
   schema : Schema.t;
   extents : extent list;
   indexes : index list;
-  corrections : (string * corr) list ref;
+  corrections : entry list ref;
   fed_back : int ref;
 }
 
@@ -97,13 +101,21 @@ let cost t = t.cost
 let client_cache_pages t = t.client_cache_pages
 let available_bytes t = Tb_sim.Cost_model.available_bytes t.cost
 
-let extent t ~cls =
-  List.find_opt (fun e -> String.equal e.x_cls cls) t.extents
+(* The cost stage looks these up at every operator and predicate, so the
+   walks are top-level recursions: no closure, no option. *)
+let rec extent_in cls = function
+  | [] -> raise Not_found
+  | e :: rest -> if String.equal e.x_cls cls then e else extent_in cls rest
 
-let index_on t ~cls ~attr =
-  List.find_opt
-    (fun i -> String.equal i.i_cls cls && String.equal i.i_attr attr)
-    t.indexes
+let find_extent t ~cls = extent_in cls t.extents
+
+let rec index_in cls attr = function
+  | [] -> raise Not_found
+  | i :: rest ->
+      if String.equal i.i_cls cls && String.equal i.i_attr attr then i
+      else index_in cls attr rest
+
+let find_index t ~cls ~attr = index_in cls attr t.indexes
 
 let is_clustered i = i.i_clustering >= 0.8
 
@@ -112,9 +124,9 @@ let is_clustered i = i.i_clustering >= 0.8
 let selectivity_below i k = Index_def.selectivity_below i.i_def k
 
 let shared_file t cls_a cls_b =
-  match (extent t ~cls:cls_a, extent t ~cls:cls_b) with
-  | Some a, Some b -> a.x_file = b.x_file
-  | _ -> false
+  match (find_extent t ~cls:cls_a, find_extent t ~cls:cls_b) with
+  | a, b -> a.x_file = b.x_file
+  | exception Not_found -> false
 
 let attr_bytes t ~cls attr =
   match Schema.attr_type t.schema ~cls ~attr with
@@ -159,9 +171,9 @@ let merge ts =
       let sum_extent e =
         List.fold_left
           (fun acc t ->
-            match extent t ~cls:e.x_cls with
-            | Some e' -> (fst acc + e'.x_card, snd acc + e'.x_pages)
-            | None -> acc)
+            match find_extent t ~cls:e.x_cls with
+            | e' -> (fst acc + e'.x_card, snd acc + e'.x_pages)
+            | exception Not_found -> acc)
           (e.x_card, e.x_pages)
           rest
       in
@@ -184,14 +196,14 @@ let merge ts =
           (fun i ->
             List.fold_left
               (fun acc t ->
-                match index_on t ~cls:i.i_cls ~attr:i.i_attr with
-                | Some i' ->
+                match find_index t ~cls:i.i_cls ~attr:i.i_attr with
+                | i' ->
                     {
                       acc with
                       i_lo = min acc.i_lo i'.i_lo;
                       i_hi = max acc.i_hi i'.i_hi;
                     }
-                | None -> acc)
+                | exception Not_found -> acc)
               i rest)
           first.indexes
       in
@@ -199,23 +211,23 @@ let merge ts =
 
 (* --- validate-stage feedback --- *)
 
-let correction t key =
-  match
-    List.find_opt (fun (k, _) -> String.equal k key) !(t.corrections)
-  with
-  | Some (_, c) -> c
-  | None -> { c_mul = 1.0; c_add = 0.0 }
+(* Shared by every key without a correction: a miss allocates nothing. *)
+let identity = { c_mul = 1.0; c_add = 0.0 }
 
-let corrected_ms t ~key raw =
-  let c = correction t key in
-  (raw *. c.c_mul) +. c.c_add
+let rec correction_in op cls = function
+  | [] -> identity
+  | e :: rest ->
+      if String.equal e.e_op op && String.equal e.e_cls cls then e.e_corr
+      else correction_in op cls rest
+
+let correction t ~op ~cls = correction_in op cls !(t.corrections)
 
 (* Record a mis-estimate: scale the operator's correction so the corrected
    estimate reproduces [actual_ms] exactly on the next round.  When the
    (already corrected) estimate is ~zero the multiplier has nothing to act
    on, so the observation lands on the additive leg instead. *)
-let observe t ~key ~est_ms ~actual_ms =
-  let cur = correction t key in
+let observe t ~op ~cls ~est_ms ~actual_ms =
+  let cur = correction t ~op ~cls in
   let next =
     if est_ms > 1e-3 then
       let f = actual_ms /. est_ms in
@@ -223,16 +235,13 @@ let observe t ~key ~est_ms ~actual_ms =
     else { cur with c_add = actual_ms }
   in
   t.corrections :=
-    (key, next)
-    :: List.filter (fun (k, _) -> not (String.equal k key)) !(t.corrections);
+    { e_op = op; e_cls = cls; e_corr = next }
+    :: List.filter
+         (fun e -> not (String.equal e.e_op op && String.equal e.e_cls cls))
+         !(t.corrections);
   incr t.fed_back
 
 let fed_back t = !(t.fed_back)
-
-let corrections t =
-  List.sort
-    (fun (a, _, _) (b, _, _) -> String.compare a b)
-    (List.map (fun (k, c) -> (k, c.c_mul, c.c_add)) !(t.corrections))
 
 let reset_corrections t =
   t.corrections := [];

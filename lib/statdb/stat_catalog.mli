@@ -9,7 +9,7 @@
     costing code stays out of the charging set.
 
     The catalog also carries the validate stage's feedback: per-operator-key
-    correction factors ({!observe}) that {!corrected_ms} folds into later
+    correction factors ({!observe}) that the cost stage folds into later
     estimates, so a repeated query converges onto its accounted cost. *)
 
 type extent = {
@@ -46,8 +46,11 @@ val client_cache_pages : t -> int
     into before the thrash model bites. *)
 val available_bytes : t -> int
 
-val extent : t -> cls:string -> extent option
-val index_on : t -> cls:string -> attr:string -> index option
+(** The class's extent.  Raises [Not_found] for an unknown class. *)
+val find_extent : t -> cls:string -> extent
+
+(** The index on [cls.attr].  Raises [Not_found] when there is none. *)
+val find_index : t -> cls:string -> attr:string -> index
 val is_clustered : index -> bool
 
 (** Fraction of the index's entries with key strictly below [k]
@@ -69,22 +72,22 @@ val scale : t -> shards:int -> t
     Raises [Invalid_argument] on an empty list. *)
 val merge : t list -> t
 
-(** {2 Feedback} *)
+(** {2 Feedback}
 
-val correction : t -> string -> corr
+    Corrections are keyed by an operator's opcode and the class it works
+    over ([Estimate.est_key] joins the two for display).  A corrected
+    estimate is [raw *. c_mul +. c_add]. *)
 
-(** Apply the key's correction to a raw estimate. *)
-val corrected_ms : t -> key:string -> float -> float
+(** The key's correction; one shared identity when it has none. *)
+val correction : t -> op:string -> cls:string -> corr
 
-(** Record a mis-estimate for [key]: after this call, [corrected_ms] of the
-    same raw estimate returns [actual_ms] (one-round convergence). *)
-val observe : t -> key:string -> est_ms:float -> actual_ms:float -> unit
+(** Record a mis-estimate for the key: after this call, the corrected
+    estimate of the same raw estimate is [actual_ms] (one-round
+    convergence). *)
+val observe : t -> op:string -> cls:string -> est_ms:float -> actual_ms:float -> unit
 
 (** Mis-estimate observations recorded since the last
     {!reset_corrections}. *)
 val fed_back : t -> int
-
-(** All live corrections as [(key, mul, add)], sorted by key. *)
-val corrections : t -> (string * float * float) list
 
 val reset_corrections : t -> unit

@@ -1,5 +1,6 @@
 (* Allocation budgets: the executor's row path, the B+-tree's lookups,
-   the words per object write, and the write path's page-sized blocks.
+   the words per object write, the write path's page-sized blocks, and the
+   optimizer's words per call.
 
    The engine is deterministic, so the host allocation of a query is
    reproducible to the word.  Cold queries at scale 500 must stay within
@@ -453,6 +454,66 @@ let test_txn_page_blocks () =
   Alcotest.(check int) "the abort restores nothing" undo0
     (Database.sim db).Sim.counters.Counters.undo_pages
 
+(* --- the optimizer ---
+
+   [Planner.optimize] lowers, annotates and costs each enumerated plan once
+   and formats no candidate description, and the statistics it reads
+   (extents, indexes, corrections) are found without allocating.  Its words
+   per call, on a retained catalog, are budgeted to the measured value
+   rounded up, so one extra two-word allocation per candidate trips the
+   point selection (three plans, six ranked candidates) and the point join
+   (thirteen plans).  The tree walks every run makes, [Op.reset_frames]
+   and the cost stage's [Est.sum_ms], allocate nothing per operator. *)
+
+let point_selection = "select pa.mrn from pa in Patients where pa.num = 123"
+let point_join = "select pa.mrn from p in Providers, pa in p.clients where p.upin = 7"
+
+let test_optimizer_budget () =
+  let db = (built ()).Generator.db in
+  let stats = Tb_statcore.Stat_catalog.analyze db in
+  let per_call text =
+    ignore (Planner.optimize ~stats db text);
+    let reps = 10 in
+    words (fun () ->
+        for _ = 1 to reps do
+          ignore (Sys.opaque_identity (Planner.optimize ~stats db text))
+        done)
+    /. float_of_int reps
+  in
+  List.iter
+    (fun (what, text, budget) ->
+      let x = per_call text in
+      check_bool
+        (Printf.sprintf "optimize %s: %.1f minor words per call <= %.0f" what x budget)
+        true (x <= budget))
+    [ ("point selection", point_selection, 1335.0); ("point join", point_join, 9437.0) ]
+
+let test_tree_walks () =
+  let db = (built ()).Generator.db in
+  let stats = Tb_statcore.Stat_catalog.analyze db in
+  let lowered ?force_algo text =
+    let root =
+      Planner.lower (Planner.plan ?force_algo db (Oql_parser.parse text))
+    in
+    Estimate.annotate ~stats root;
+    root
+  in
+  let join = lowered ~force_algo:Plan.PHJ point_join in
+  let leaf = Op.make (Op.Seq_scan { cls = "Patient" }) in
+  Estimate.annotate ~stats leaf;
+  let nodes = ref 0 in
+  Op.iter (fun _ -> incr nodes) join;
+  check_bool "the join tree has both sides" true (!nodes >= 8);
+  Alcotest.(check (float 0.0)) "Op.reset_frames allocates nothing" 0.0
+    (words (fun () -> Op.reset_frames join));
+  (* A constant few words: the accumulator cell, the walk's closure and the
+     boxed float result.  None of them may depend on the tree. *)
+  let sum root = words (fun () -> ignore (Sys.opaque_identity (Op.Est.sum_ms root))) in
+  Alcotest.(check (float 0.0))
+    (Printf.sprintf "Est.sum_ms over %d operators allocates what it does over one"
+       !nodes)
+    (sum leaf) (sum join)
+
 let suite =
   [
     Alcotest.test_case "row path: minor words per pinned object, charges exact"
@@ -465,4 +526,8 @@ let suite =
       test_txn_page_blocks;
     Alcotest.test_case "writes: minor words per update and delete, charges exact"
       `Quick test_write_budget;
+    Alcotest.test_case "optimizer: minor words per optimize, point selection and join"
+      `Quick test_optimizer_budget;
+    Alcotest.test_case "tree walks: reset_frames and sum_ms allocate nothing per operator"
+      `Quick test_tree_walks;
   ]

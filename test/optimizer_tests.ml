@@ -170,7 +170,7 @@ let test_fig6_crossover_from_stats () =
     let cost desc =
       match
         List.find_opt
-          (fun ch -> String.equal ch.Planner.ch_desc desc)
+          (fun ch -> String.equal (Planner.ch_desc ch) desc)
           d.Planner.d_candidates
       with
       | Some ch -> ch.Planner.ch_cost_ms
@@ -226,6 +226,177 @@ let test_validate_covers_every_operator () =
   check_int "one check per operator" !ops (List.length checks);
   check_bool "worst q sane" true (Exec.worst_q checks >= 1.0)
 
+(* --- pick: each plan is costed once ---
+
+   The reference treats the two modes of every plan as separate
+   candidates: every plan × {packed, handle} lowered, annotated and costed
+   on its own, the strict-< argmin over that list, and a stable sort for
+   the ranking.  [optimize] costs each plan once; it must return the
+   same winner, the same cost bits, the same ranked list and the same
+   estimate on every operator of the tree it keeps. *)
+
+let bits = Int64.bits_of_float
+
+let est_line n =
+  match Op.Est.get n with
+  | None -> Op.label n ^ " -"
+  | Some e ->
+      Printf.sprintf "%s %Lx %Lx %Lx %Lx" (Op.label n) (bits e.Op.est_rows)
+        (bits e.Op.est_pages) (bits e.Op.est_handles) (bits e.Op.est_ms)
+
+let est_lines root =
+  let acc = ref [] in
+  Op.iter (fun n -> acc := est_line n :: !acc) root;
+  List.rev !acc
+
+let ranked_line (desc, packed, ms) = Printf.sprintf "%s %b %Lx" desc packed (bits ms)
+
+(* Returns the reference winner's (desc, packed, cost, root) and ranking. *)
+let reference ~stats ~organization db text =
+  let bound = Plan.bind db (Oql_parser.parse text) in
+  let scored =
+    List.concat_map
+      (fun plan ->
+        List.map
+          (fun packed ->
+            let root = Planner.lower ~packed plan in
+            Estimate.annotate ~stats ~organization root;
+            (Enumerate.describe plan ~packed, packed, Estimate.plan_cost_ms root, root))
+          [ true; false ])
+      (Enumerate.candidates stats bound)
+  in
+  match scored with
+  | [] -> Alcotest.failf "%s: empty candidate space" text
+  | first :: rest ->
+      let cost (_, _, ms, _) = ms in
+      let best =
+        List.fold_left (fun acc c -> if cost c < cost acc then c else acc) first rest
+      in
+      let ranked =
+        List.map
+          (fun (desc, packed, ms, _) -> (desc, packed, ms))
+          (List.stable_sort (fun a b -> Float.compare (cost a) (cost b)) scored)
+      in
+      (best, ranked)
+
+let check_identical what db (d : Planner.decision) text =
+  let (desc, packed, ms, root), ranked =
+    reference ~stats:d.Planner.d_stats ~organization:d.Planner.d_organization db text
+  in
+  let what = what ^ ": " ^ text in
+  Alcotest.(check string) (what ^ ": chosen shape") desc (Planner.d_desc d);
+  check_bool (what ^ ": chosen mode") packed d.Planner.d_packed;
+  Alcotest.(check int64) (what ^ ": cost bits") (bits ms) (bits d.Planner.d_cost_ms);
+  Alcotest.(check (list string))
+    (what ^ ": ranking")
+    (List.map ranked_line ranked)
+    (List.map
+       (fun ch ->
+         ranked_line (Planner.ch_desc ch, ch.Planner.ch_packed, ch.Planner.ch_cost_ms))
+       d.Planner.d_candidates);
+  Alcotest.(check (list string))
+    (what ^ ": estimates on the kept tree")
+    (est_lines root) (est_lines d.Planner.d_root)
+
+let optimized_identical what ?stats ?organization db text =
+  check_identical what db (Planner.optimize ?stats ?organization db text) text
+
+let point_texts =
+  [
+    "select pa.mrn from pa in Patients where pa.num = 123";
+    "select pa.age from pa in Patients where pa.mrn < 3";
+    "select pa.age from pa in Patients where pa.mrn >= 400 and pa.mrn < 420";
+    "select count(pa) from pa in Patients where pa.num < 3 and pa.age = 20";
+    "select pa.mrn from p in Providers, pa in p.clients where p.upin = 7";
+  ]
+
+let test_pick_costs_each_plan_once () =
+  (* The five point-lookup classes on a retained catalog. *)
+  let deep =
+    Generator.build
+      ~cost:(Tb_sim.Cost_model.scaled 40)
+      (Generator.config ~scale:40 `Deep Generator.Class_clustered)
+  in
+  let db = deep.Generator.db in
+  Database.analyze db;
+  let stats = Sc.analyze db in
+  List.iter (optimized_identical "point lookup" ~stats db) point_texts;
+  (* The Figure 6 selectivity sweep. *)
+  let b = built Generator.Class_clustered in
+  let db = b.Generator.db in
+  let stats = Sc.analyze db in
+  let n = Array.length b.Generator.patients in
+  List.iter
+    (fun permille ->
+      optimized_identical "fig6 sweep" ~stats db
+        (Printf.sprintf "select pa.age from pa in Patients where pa.num < %d"
+           (permille * n / 1000)))
+    [ 1; 10; 50; 100; 300; 600; 900 ];
+  (* Every join algorithm under every organization, default and declared. *)
+  List.iter
+    (fun org ->
+      let b = if org = Generator.Class_clustered then b else built org in
+      let db = b.Generator.db in
+      let stats = Sc.analyze db in
+      let d = Planner.optimize ~stats db join_oql in
+      List.iter
+        (fun algo ->
+          check_bool
+            (Printf.sprintf "%s: %s is a candidate" (org_name org) (Plan.algo_name algo))
+            true
+            (List.exists
+               (fun ch ->
+                 match ch.Planner.ch_plan with
+                 | Plan.Hier_join { algo = a; _ } -> a = algo
+                 | Plan.Selection _ -> false)
+               d.Planner.d_candidates))
+        Estimate.all_algos;
+      check_identical (org_name org) db d join_oql;
+      optimized_identical
+        (org_name org ^ " declared")
+        ~stats
+        ~organization:(Generator.estimate_organization b.Generator.cfg)
+        db join_oql)
+    [ Generator.Class_clustered; Generator.Randomized; Generator.Composition;
+      Generator.Assoc_ordered ];
+  (* Corrections present: three rounds of validate feedback first. *)
+  let b = built Generator.Composition in
+  let db = b.Generator.db in
+  let stats = Sc.analyze db in
+  for _ = 1 to 3 do
+    List.iter
+      (fun text ->
+        Database.cold_restart db;
+        let r, _, _, _ = Planner.run_optimized_explained ~stats db text in
+        Query_result.dispose r)
+      [ join_oql; "select pa.age from pa in Patients where pa.num < 500" ]
+  done;
+  check_bool "feedback recorded corrections" true (Sc.fed_back stats > 0);
+  List.iter
+    (optimized_identical "after feedback" ~stats db)
+    [ join_oql; "select pa.age from pa in Patients where pa.num < 500" ];
+  (* The sharded break-even at S=4 picks from the same decision. *)
+  let bs =
+    Generator.build_sharded
+      ~cost:(Tb_sim.Cost_model.scaled 40)
+      ~shards:4
+      (Generator.config ~scale:40 `Wide Generator.Class_clustered)
+  in
+  let smap = bs.Generator.smap in
+  List.iter
+    (fun text ->
+      let sd = Planner.optimize_sharded smap text in
+      let d = sd.Planner.sd_decision in
+      check_identical "sharded S=4" (Tb_store.Shard_map.shard smap 0) d text;
+      let root = Planner.lower_sharded ~packed:d.Planner.d_packed smap d.Planner.d_plan in
+      Estimate.annotate ~stats:d.Planner.d_stats ~organization:d.Planner.d_organization
+        root;
+      Alcotest.(check int64)
+        ("sharded S=4: sharded cost bits: " ^ text)
+        (bits (Estimate.plan_cost_ms root))
+        (bits sd.Planner.sd_sharded_ms))
+    [ "select pa.age from pa in Patients where pa.num < 20"; join_oql ]
+
 let suite =
   [
     Alcotest.test_case "distinct pages: boundaries" `Quick
@@ -237,6 +408,8 @@ let suite =
     Alcotest.test_case "fig6 crossover from statistics" `Quick
       test_fig6_crossover_from_stats;
     Alcotest.test_case "pick: tie policy" `Quick test_pick_tie_policy;
+    Alcotest.test_case "pick: each plan costed once, decision unchanged" `Slow
+      test_pick_costs_each_plan_once;
     Alcotest.test_case "validate covers every operator" `Quick
       test_validate_covers_every_operator;
   ]

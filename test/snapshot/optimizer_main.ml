@@ -54,7 +54,7 @@ let join_cell b (sel_pat, sel_prov) =
 
 let candidate_cost d desc =
   List.find_opt
-    (fun ch -> String.equal ch.Planner.ch_desc desc)
+    (fun ch -> String.equal (Planner.ch_desc ch) desc)
     d.Planner.d_candidates
 
 let () =
@@ -69,13 +69,13 @@ let () =
       let d = Planner.optimize ~stats db (selection_query b permille) in
       Format.printf "--- sel %.1f%%: chose %s (est %.3f ms)@."
         (float_of_int permille /. 10.0)
-        d.Planner.d_desc d.Planner.d_cost_ms;
+        (Planner.d_desc d) d.Planner.d_cost_ms;
       Format.printf "    plan: %a@." Plan.pp d.Planner.d_plan;
       List.iteri
         (fun i ch ->
           if i < 3 then
             Format.printf "    #%d %-20s %14.3f ms@." (i + 1)
-              ch.Planner.ch_desc ch.Planner.ch_cost_ms)
+              (Planner.ch_desc ch) ch.Planner.ch_cost_ms)
         d.Planner.d_candidates;
       match (candidate_cost d "index packed", candidate_cost d "seq packed") with
       | Some ix, Some sq ->
@@ -106,7 +106,7 @@ let () =
     let sd = Planner.optimize_sharded smap oql in
     Format.printf
       "%-24s chose %s: unsharded %.3f ms vs sharded %.3f ms -> %s@." title
-      sd.Planner.sd_decision.Planner.d_desc sd.Planner.sd_unsharded_ms
+      (Planner.d_desc sd.Planner.sd_decision) sd.Planner.sd_unsharded_ms
       sd.Planner.sd_sharded_ms
       (if sd.Planner.sd_use_sharded then "shard it" else "stay single-node");
     sd.Planner.sd_use_sharded

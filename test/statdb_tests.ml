@@ -122,8 +122,7 @@ let test_record_estimates () =
   let t = Stat_store.create () in
   let check q fed =
     {
-      Tb_query.Exec.ec_label = "fetch(pa:Patient)";
-      ec_key = "fetch/Patient";
+      Tb_query.Exec.ec_key = "fetch/Patient";
       ec_est_ms = 100.0 *. q;
       ec_actual_ms = 100.0;
       ec_q = q;
