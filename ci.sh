@@ -65,3 +65,14 @@ TREEBENCH_RECOVERY_FULL=1 dune exec test/test_main.exe -- test recovery
 # runtest pass strides both).
 TREEBENCH_CHAOS_FULL=1 dune exec test/test_main.exe -- test chaos
 dune exec bench/perf_gate.exe -- --smoke --check --tolerance 150
+# Opt-in soak (TREEBENCH_SOAK=1, about half an hour): every workload for
+# 180 s on seeds 1 and 7, every answer checked.  A fault that shows only
+# once a run lives long (a replica promotion after hundreds of blocks)
+# surfaces here and not in the smoke run.
+if [ "${TREEBENCH_SOAK:-}" = "1" ]; then
+  for seed in 1 7; do
+    for workload in paper-cold point-lookup sharded-failover update-mix; do
+      python3 e2ebench/run.py --workload "$workload" --seed "$seed" --seconds 180 --trace 0
+    done
+  done
+fi

@@ -16,6 +16,10 @@ type t = {
   capacity : int;
   table : node Int_table.t; (* keyed by the packed Page_id *)
   sentinel : node;
+  (* The entry the last full [add] evicted, reported in place so that an
+     eviction boxes nothing; the sentinel's page when there is none. *)
+  mutable victim_id : Page_id.t;
+  mutable victim : Page_layout.t;
 }
 
 let create ~capacity_pages =
@@ -32,6 +36,8 @@ let create ~capacity_pages =
     capacity = capacity_pages;
     table = Int_table.create (min 65536 (capacity_pages + 1));
     sentinel;
+    victim_id = sentinel.id;
+    victim = sentinel.page;
   }
 
 let capacity t = t.capacity
@@ -68,30 +74,34 @@ let peek t (id : Page_id.t) =
   | None -> None
   | Some node -> Some node.page
 
+let victim_id t = t.victim_id
+let victim t = t.victim
+
 let add t (id : Page_id.t) page =
   match Int_table.find_opt t.table (id :> int) with
   | Some node ->
       (* Re-adding refreshes recency only; the cached page stays. *)
       ignore page;
       touch t node;
-      None
+      false
   | None ->
       if Int_table.length t.table >= t.capacity then begin
         (* Full: evict the LRU entry and recycle its node for the newcomer. *)
         let lru = t.sentinel.next in
-        let victim = (lru.id, lru.page) in
+        t.victim_id <- lru.id;
+        t.victim <- lru.page;
         Int_table.remove t.table (lru.id :> int);
         lru.id <- id;
         lru.page <- page;
         Int_table.replace t.table (id :> int) lru;
         touch t lru;
-        Some victim
+        true
       end
       else begin
         let node = { id; page; prev = t.sentinel; next = t.sentinel } in
         Int_table.replace t.table (id :> int) node;
         push_tail t node;
-        None
+        false
       end
 
 let remove t (id : Page_id.t) =
@@ -112,6 +122,7 @@ let iter t f =
   go s.next
 
 let clear t =
+  t.victim <- t.sentinel.page;
   Int_table.reset t.table;
   t.sentinel.prev <- t.sentinel;
   t.sentinel.next <- t.sentinel

@@ -24,10 +24,17 @@ val mem : t -> Page_id.t -> bool
     that cannot perturb eviction order. *)
 val peek : t -> Page_id.t -> Page_layout.t option
 
-(** [add t id page] caches [page]; if the pool was full, the least recently
-    used entry is evicted and returned.  Re-adding a present id refreshes
-    recency and returns [None]. *)
-val add : t -> Page_id.t -> Page_layout.t -> (Page_id.t * Page_layout.t) option
+(** [add t id page] caches [page] and tells whether the pool was full: then
+    the least recently used entry was evicted, and {!victim_id} and
+    {!victim} name it until the next eviction or [clear].  Re-adding a present
+    id refreshes recency and returns [false].  Allocates nothing beyond
+    the table's own bucket. *)
+val add : t -> Page_id.t -> Page_layout.t -> bool
+
+(** The id and page the last evicting [add] evicted. *)
+val victim_id : t -> Page_id.t
+
+val victim : t -> Page_layout.t
 
 (** [remove t id] drops an entry if present. *)
 val remove : t -> Page_id.t -> unit

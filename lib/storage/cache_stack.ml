@@ -28,10 +28,10 @@ let set_write_observer t obs = t.write_observer <- obs
 let set_persist_observer t obs = t.persist_observer <- obs
 
 (* Writing a page to disk: charge the I/O, copy the working bytes into the
-   durable image, clear the dirty bit.  The persist observer (the WAL) sees
-   the image first, before the fault layer decides whether the machine
-   survives the write; a crashing write is not charged (the charge models a
-   completed transfer) and leaves the image untouched — or, torn,
+   durable image (which clears the dirty bit).  The persist observer (the
+   WAL) sees the image first, before the fault layer decides whether the
+   machine survives the write; a crashing write is not charged (the charge
+   models a completed transfer) and leaves the image untouched — or, torn,
    half-updated under the wrong checksum. *)
 let write_to_disk t id page =
   if Page_layout.dirty page then begin
@@ -46,26 +46,24 @@ let write_to_disk t id page =
             Disk.persist_torn t.disk id page;
             raise Fault.Crash));
     Tb_sim.Sim.charge_disk_write t.sim;
-    Disk.persist t.disk id page;
-    Page_layout.set_dirty page false
+    Disk.persist t.disk id page
   end
 
 (* Install a page in the server pool; a dirty victim goes to disk. *)
 let server_add t id page =
-  match Buffer_pool.add t.server id page with
-  | None -> ()
-  | Some (vid, victim) -> write_to_disk t vid victim
+  if Buffer_pool.add t.server id page then
+    write_to_disk t (Buffer_pool.victim_id t.server) (Buffer_pool.victim t.server)
 
 (* Install a page in the client pool; a dirty victim is shipped back to the
    server (one RPC) and stays dirty there until the server evicts it. *)
 let client_add t id page =
-  match Buffer_pool.add t.client id page with
-  | None -> ()
-  | Some (vid, victim) ->
-      if Page_layout.dirty victim then begin
-        Tb_sim.Sim.charge_rpc t.sim ~pages:1;
-        server_add t vid victim
-      end
+  if Buffer_pool.add t.client id page then begin
+    let victim = Buffer_pool.victim t.client in
+    if Page_layout.dirty victim then begin
+      Tb_sim.Sim.charge_rpc t.sim ~pages:1;
+      server_add t (Buffer_pool.victim_id t.client) victim
+    end
+  end
 
 let fetch_from_server t id =
   match Buffer_pool.find t.server id with
@@ -111,10 +109,13 @@ let fetch t id =
       client_add t id page;
       page
 
-(* The observer (the WAL) runs after the fetch but before the caller can
-   mutate: a first touch logs the page, and every touch refreshes the
-   WAL's reference to the current working object.  Charge-free. *)
+(* The only way to make a page writable.  The disk detaches the page
+   first, so its image keeps the pre-write bytes; then the observer (the
+   WAL) runs, before the caller can mutate: a first touch logs the page,
+   and every touch refreshes the WAL's reference to the current working
+   object.  Charge-free. *)
 let note_write t id page =
+  Disk.detach t.disk id page;
   Page_layout.set_dirty page true;
   match t.write_observer with None -> () | Some obs -> obs id page
 
@@ -139,15 +140,15 @@ let flush t =
 
 (* Drop both pools without flushing: the crash/abort path.  Dirty working
    pages are simply lost; the durable images stay whatever the last persists
-   made them.  The disk's memo of a dirty object is void by the dirty bit,
-   so the next load re-reads exactly those pages; clean ones are reused. *)
+   made them.  A dirty object no longer shares its image, so the disk's
+   memo of it is void and the next load re-reads exactly those pages,
+   taking the dead object's buffer back; clean ones are reused. *)
 let drop t =
   Buffer_pool.clear t.client;
   Buffer_pool.clear t.server
 
 (* Cold restart: flush, then drop.  After the flush every working object is
-   clean and byte-identical to its durable image, so every disk memo stays
-   valid. *)
+   clean and shares its durable image, so every disk memo stays valid. *)
 let clear t =
   flush t;
   drop t

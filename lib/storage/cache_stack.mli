@@ -26,16 +26,20 @@ val client_capacity : t -> int
     boundaries it crosses) and returns it. *)
 val fetch : t -> Page_id.t -> Page_layout.t
 
-(** Like [fetch], and marks the page dirty.  Every call is reported to the
-    write observer (after the fetch, before the caller can mutate), which is
-    how the WAL learns which pages a transaction touches and tracks their
-    working objects. *)
+(** Like [fetch], and makes the page writable: it is {!note_write} after
+    the fetch.  Every call is reported to the write observer (after the
+    fetch, before the caller can mutate), which is how the WAL learns which
+    pages a transaction touches and tracks their working objects. *)
 val fetch_for_write : t -> Page_id.t -> Page_layout.t
 
 (** [note_write t id page] is what {!fetch_for_write} does after its
     fetch, for a client-cached [page] the caller fetched and charged
-    itself (the B+-tree's bulk-build fast path): mark it dirty and report
-    it to the write observer.  Charges nothing itself. *)
+    itself (the B+-tree's bulk-build fast path): detach it from its
+    durable image ({!Disk.detach}), mark it dirty and report it to the
+    write observer.  Charges nothing itself.  [note_write] and
+    [fetch_for_write] are the only ways to make a page writable: a page
+    from [fetch] or [peek] shares its durable image until then, and every
+    {!Page_layout} mutator refuses it. *)
 val note_write : t -> Page_id.t -> Page_layout.t -> unit
 
 (** [peek t id] is the client-cached working page, if any: [Some] iff a

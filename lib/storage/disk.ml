@@ -1,23 +1,29 @@
 (* The durable medium.  Each page is a byte image plus an out-of-band
    descriptor word pair: the LSN of the last persist and a checksum of the
    image as written.  Working [Page_layout.t] objects live only in the
-   buffer pools; [load_page] materializes a copy from the image (or hands
-   back the memoized one, see [durable.obj]) and [persist] copies the
-   working page's dirty blocks back.  Keeping the two words outside the
-   page bytes preserves the page's record capacity (the golden counter
-   gate pins every capacity-derived count); the page_fill slack is what a
-   real layout would carve them from. *)
+   buffer pools; [load_page] builds one over the image itself (or hands
+   back the memoized one, see [durable.obj]), [detach] gives the image a
+   copy of its own before the first write, and [persist] copies the
+   working page's dirty blocks back and shares the page's bytes as the
+   image again.  Keeping the two words outside the page bytes preserves
+   the page's record capacity (the golden counter gate pins every
+   capacity-derived count); the page_fill slack is what a real layout
+   would carve them from. *)
 
 type durable = {
   mutable image : Bytes.t;
   mutable lsn : int;
   mutable checksum : int;
-  (* Host-level memo of the last working object materialized from or
-     persisted to [image].  It is valid exactly while the object is clean:
-     every page mutator sets the dirty bit and only a completed write to
-     disk clears it (after [persist]), so a clean memo's bytes equal the
-     image.  [restore_image] and [persist_torn] change the image under it
-     and drop it. *)
+  (* Host-level memo of the last working object built over or persisted
+     to [image].  It is valid exactly while it is shared: its buffer IS
+     [image], so a clean page costs one buffer, not two.  [detach] hands
+     [image] a private copy before the first write (the page keeps its
+     buffer, so views into it stay valid) and [persist] shares the page's
+     bytes again.  [restore_image] and [persist_torn] never write into a
+     shared buffer: they detach the memo first and leave it stale.  A
+     dirty or stale memo is dead once the pools are dropped; [load_page]
+     takes its buffer back for the image.  So a page buffer only ever
+     holds bytes of its own page, and only private copies become spares. *)
   mutable obj : Page_layout.t option;
 }
 
@@ -37,10 +43,45 @@ type t = {
   (* Pristine page image and its checksum, computed once: the page size is
      fixed by the cost model, and [append_page] runs on loader hot paths. *)
   mutable empty : (Bytes.t * int) option;
+  (* Page-sized buffers no page object and no image holds, a stack in
+     [spares.(0 .. n_spares - 1)]: detach copies and the WAL's
+     before-images draw from it before they allocate. *)
+  spares : Bytes.t array;
+  mutable n_spares : int;
 }
 
-let create sim = { sim; files = [||]; n_files = 0; empty = None }
+(* At most this many spare buffers stay alive: a bulk load's thousands of
+   detaches do not, while a transaction's detaches and steals, and the
+   buffers its commit or abort gives back, cycle without allocating. *)
+let max_spares = 64
+
+let create sim =
+  {
+    sim;
+    files = [||];
+    n_files = 0;
+    empty = None;
+    spares = Array.make max_spares Bytes.empty;
+    n_spares = 0;
+  }
+
 let page_size t = t.sim.Tb_sim.Sim.cost.Tb_sim.Cost_model.page_size
+
+let take_spare t =
+  if t.n_spares = 0 then Bytes.create (page_size t)
+  else begin
+    let n = t.n_spares - 1 in
+    let b = t.spares.(n) in
+    t.spares.(n) <- Bytes.empty;
+    t.n_spares <- n;
+    b
+  end
+
+let give_spare t b =
+  if t.n_spares < max_spares && Bytes.length b = page_size t then begin
+    t.spares.(t.n_spares) <- b;
+    t.n_spares <- t.n_spares + 1
+  end
 
 (* The page checksum: a sum, modulo 2^63, of one term per 8-byte word (and
    one per byte of a final partial word).  Word [i], folded to 63 bits by
@@ -163,14 +204,47 @@ let append_page t ~file =
   f.n_pages <- f.n_pages + 1;
   f.n_pages - 1
 
+let share d =
+  let page = Page_layout.of_image ~lsn:d.lsn d.image in
+  d.obj <- Some page;
+  page
+
 let load_page t pid =
   let d = durable_of t pid in
   match d.obj with
-  | Some page when not (Page_layout.dirty page) -> page
-  | Some _ | None ->
-      let page = Page_layout.of_bytes ~lsn:d.lsn d.image in
-      d.obj <- Some page;
-      page
+  | Some page when Page_layout.shared page -> page
+  | Some dead ->
+      (* A dirty or stale memo outside the pools: an abort, a crash or a
+         restored image dropped it, and the handles that pointed into it
+         went with the pools.  Its buffer takes the image back, and the
+         private copy becomes a spare. *)
+      let buf = Page_layout.buffer dead in
+      Bytes.blit d.image 0 buf 0 (Bytes.length buf);
+      give_spare t d.image;
+      d.image <- buf;
+      Page_layout.retire dead;
+      share d
+  | None -> share d
+
+(* Give [d.image] a private copy if the memo shares it; the memo keeps its
+   buffer, which no longer is the image. *)
+let unshare t d =
+  match d.obj with
+  | Some page when Page_layout.shared page ->
+      let copy = take_spare t in
+      Bytes.blit d.image 0 copy 0 (Bytes.length copy);
+      d.image <- copy;
+      Page_layout.set_shared page false
+  | Some _ | None -> ()
+
+let detach t pid page =
+  if Page_layout.shared page then begin
+    let d = durable_of t pid in
+    (match d.obj with
+    | Some memo when memo == page -> ()
+    | Some _ | None -> invalid_arg "Disk.detach: not the page's working object");
+    unshare t d
+  end
 
 (* Copy only the page's dirty blocks, a run of adjacent ones at a time:
    outside them a working page equals the image it was loaded from or last
@@ -178,9 +252,7 @@ let load_page t pid =
    one — the memo makes one working object per page current at a time,
    and nothing else writes an image under a live dirty object.  The
    checksum moves by the difference of the copied runs' terms. *)
-let persist t pid page =
-  let d = durable_of t pid in
-  let src = Page_layout.buffer page in
+let copy_dirty_blocks d page src =
   let size = Bytes.length d.image in
   let bb = Page_layout.block_bytes page in
   let blocks = ref (Page_layout.dirty_blocks page) in
@@ -201,8 +273,25 @@ let persist t pid page =
       Bytes.blit src !off d.image !off len;
       off := !stop
     end
-  done;
+  done
+
+(* A detached page's dirty blocks go to its private image copy; then the
+   page's bytes become the image again and the copy a spare (unless
+   another object still shares it, which then goes stale). *)
+let persist t pid page =
+  let d = durable_of t pid in
+  let src = Page_layout.buffer page in
+  if src != d.image then begin
+    copy_dirty_blocks d page src;
+    (match d.obj with
+    | Some other when other != page && Page_layout.shared other ->
+        Page_layout.set_shared other false
+    | Some _ | None -> give_spare t d.image);
+    d.image <- src
+  end;
   d.lsn <- Page_layout.lsn page;
+  Page_layout.set_dirty page false;
+  Page_layout.set_shared page true;
   d.obj <- Some page
 
 (* A torn write: the crash interrupted the transfer after the first
@@ -212,12 +301,12 @@ let persist t pid page =
    state [verify] exists to flag. *)
 let persist_torn t pid page =
   let d = durable_of t pid in
+  unshare t d;
   let half = Bytes.length d.image / 2 in
   let full = Page_layout.buffer page in
   let new_checksum = checksum full in
   Bytes.blit full 0 d.image 0 half;
   d.lsn <- Page_layout.lsn page;
-  d.obj <- None;
   (* If the surviving old tail equals the new tail, the image IS the new
      page and the checksum matches: the tear is harmless and invisible,
      which is also what a real page checksum would conclude. *)
@@ -225,10 +314,10 @@ let persist_torn t pid page =
 
 let restore_image t pid image ~lsn =
   let d = durable_of t pid in
+  unshare t d;
   Bytes.blit image 0 d.image 0 (Bytes.length d.image);
   d.lsn <- lsn;
-  d.checksum <- checksum d.image;
-  d.obj <- None
+  d.checksum <- checksum d.image
 
 let image_equal t pid image = Bytes.equal (durable_of t pid).image image
 
@@ -259,6 +348,30 @@ let truncate_files t ~keep =
   (* A fresh array, so the dropped files' pages are not kept reachable. *)
   t.files <- Array.sub t.files 0 keep;
   t.n_files <- keep
+
+let memo t pid = (durable_of t pid).obj
+let is_image t pid buf = buf == (durable_of t pid).image
+
+type footprint = { image_bytes : int; memo_bytes : int; spare_bytes : int }
+
+let footprint t =
+  let images = ref 0 and memos = ref 0 in
+  for file = 0 to t.n_files - 1 do
+    let f = t.files.(file) in
+    for index = 0 to f.n_pages - 1 do
+      let d = f.pages.(index) in
+      images := !images + Bytes.length d.image;
+      match d.obj with
+      | Some page when Page_layout.buffer page != d.image ->
+          memos := !memos + Bytes.length (Page_layout.buffer page)
+      | Some _ | None -> ()
+    done
+  done;
+  {
+    image_bytes = !images;
+    memo_bytes = !memos;
+    spare_bytes = t.n_spares * page_size t;
+  }
 
 let page_counts t = Array.init t.n_files (fun i -> t.files.(i).n_pages)
 

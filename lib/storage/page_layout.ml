@@ -21,6 +21,10 @@ type t = {
   block_shift : int;
   mutable version : int;
   mutable lsn : int;
+  (* [buf] is the disk's durable image itself, not a copy of it: the page
+     is clean and every mutator refuses it until the disk detaches it (see
+     [Disk.detach]). *)
+  mutable shared : bool;
 }
 
 (* Versions are drawn from one monotonic counter shared by every page
@@ -52,6 +56,7 @@ let make buf =
     block_shift = block_shift_of size;
     version = next_version ();
     lsn = 0;
+    shared = false;
   }
 
 let create ~size =
@@ -69,15 +74,35 @@ let of_bytes ?(lsn = 0) image =
   t.lsn <- lsn;
   t
 
+let of_image ~lsn image =
+  let t = make image in
+  t.lsn <- lsn;
+  t.shared <- true;
+  t
+
 (* Full-page physical image, the WAL's after-image unit. *)
 let snapshot t = Bytes.copy t.buf
 
 let size t = t.size
 let dirty t = t.dirty
 
+(* Every mutator starts here: a write to a shared page would change the
+   durable image under the disk's feet. *)
+let writable t =
+  if t.shared then
+    invalid_arg "Page_layout: write to a page that shares its durable image"
+
 let set_dirty t d =
+  if d then writable t;
   t.dirty <- d;
   if not d then t.blocks <- 0
+
+let shared t = t.shared
+let set_shared t s = t.shared <- s
+
+let retire t =
+  t.shared <- true;
+  t.version <- next_version ()
 
 let dirty_blocks t = t.blocks
 let block_bytes t = 1 lsl t.block_shift
@@ -179,6 +204,7 @@ let compact t =
 let contiguous_free t = dir_start t - free_off t
 
 let insert_sub t src ~off:src_off ~len =
+  writable t;
   if len <= 0 || len > t.size - header_size - dir_entry then
     invalid_arg "Page_layout.insert: body size";
   if not (fits t len) then None
@@ -226,11 +252,13 @@ let record_offset t slot =
   off
 
 let record_modified t ~off ~len =
+  writable t;
   mark t off len;
   t.dirty <- true;
   t.version <- next_version ()
 
 let delete t slot =
+  writable t;
   check_slot t slot;
   if slot_offset t slot <> 0 then begin
     set_slot t slot ~off:0 ~len:0;
@@ -239,6 +267,7 @@ let delete t slot =
   end
 
 let update_sub t slot src ~off:src_off ~len =
+  writable t;
   check_slot t slot;
   let off = slot_offset t slot in
   if off = 0 then raise Not_found;

@@ -17,10 +17,30 @@ type t
     64 and at most 65528 (offsets are 16-bit). *)
 val create : size:int -> t
 
-(** [of_bytes image] is a clean working copy of a durable page image (the
-    disk hands these out; see {!Disk.load_page}).  [lsn] seeds the advisory
-    log sequence number. *)
+(** [of_bytes image] is a clean page over a copy of [image].  [lsn] seeds
+    the advisory log sequence number. *)
 val of_bytes : ?lsn:int -> Bytes.t -> t
+
+(** [of_image ~lsn image] is a clean page over [image] itself, not a copy:
+    {!Disk.load_page} builds its pages over the durable image.  The page is
+    {!shared} until the disk detaches it. *)
+val of_image : lsn:int -> Bytes.t -> t
+
+(** {2 Sharing the durable image}
+
+    A shared page's bytes are the disk's durable image.  Every mutator
+    ([insert], [update], [delete], {!record_modified} and [set_dirty t
+    true]) raises [Invalid_argument] on a shared page, so a write that
+    skips {!Cache_stack.note_write} fails loudly instead of silently
+    changing a durable image.  Only {!Disk} changes the flag. *)
+
+val shared : t -> bool
+val set_shared : t -> bool -> unit
+
+(** [retire t] marks a dead page whose buffer the disk has taken back as
+    its image: it becomes shared, so it refuses writes, and its {!version}
+    moves, so no view of it stays valid. *)
+val retire : t -> unit
 
 (** A copy of the full page bytes (the WAL's after-image unit). *)
 val snapshot : t -> Bytes.t
@@ -29,7 +49,8 @@ val size : t -> int
 val dirty : t -> bool
 
 (** [set_dirty t false] also empties the dirty-block set: the page now
-    equals the durable image it was written to. *)
+    equals the durable image it was written to.  [set_dirty t true] raises
+    [Invalid_argument] on a {!shared} page. *)
 val set_dirty : t -> bool -> unit
 
 (** {2 Dirty blocks}
@@ -113,7 +134,8 @@ val record_offset : t -> int -> int
 
 (** [record_modified t ~off ~len] declares that bytes [off, off + len) were
     patched through [buffer]: marks the page dirty, adds the range to its
-    dirty blocks and bumps [version]. *)
+    dirty blocks and bumps [version].  Raises [Invalid_argument] on a
+    {!shared} page: the patch has already changed the durable image. *)
 val record_modified : t -> off:int -> len:int -> unit
 
 (** [delete t slot] frees the slot (idempotent on dead slots within range).

@@ -642,13 +642,14 @@ let extent_pages t ~cls = Heap_file.page_count (class_file t ~cls)
    durable — can recover the catalog that matches the replayed pages. *)
 let commit t =
   let wal = Transaction.wal t.txn in
+  let disk = Tb_storage.Cache_stack.disk t.stack in
   (match Transaction.mode t.txn with
   | Transaction.Standard -> Wal.force wal
-  | Transaction.Load_off -> Wal.discard wal);
+  | Transaction.Load_off -> Wal.discard wal disk);
   t.pending_ckpt <- Some (take_ckpt t);
   Tb_storage.Cache_stack.flush t.stack;
   Transaction.reset t.txn;
-  Wal.checkpoint wal;
+  Wal.checkpoint wal disk;
   (match t.pending_ckpt with Some c -> t.checkpoint <- c | None -> ());
   t.pending_ckpt <- None;
   t.commit_seq <- t.commit_seq + 1;
@@ -836,7 +837,7 @@ let crash_and_recover t =
       (`Loser, 0, undone)
     end
   in
-  Wal.discard wal;
+  Wal.discard wal disk;
   Transaction.reset t.txn;
   t.pending_ckpt <- None;
   (match Tb_storage.Disk.verify disk with

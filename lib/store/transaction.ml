@@ -37,14 +37,15 @@ let commit t stack =
       (* A mode switch mid-transaction used to leave the standard-mode log
          tail pending across the commit, to be charged to the next
          transaction; transaction-off commits now drop it. *)
-      Wal.discard t.wal);
+      Wal.discard t.wal (Tb_storage.Cache_stack.disk stack));
   Tb_storage.Cache_stack.flush stack;
   t.uncommitted <- 0;
-  Wal.checkpoint t.wal
+  Wal.checkpoint t.wal (Tb_storage.Cache_stack.disk stack)
 
 let abort t stack =
-  let undone = Wal.undo t.wal (Tb_storage.Cache_stack.disk stack) in
+  let disk = Tb_storage.Cache_stack.disk stack in
+  let undone = Wal.undo t.wal disk in
   Tb_storage.Cache_stack.drop stack;
-  Wal.discard t.wal;
+  Wal.discard t.wal disk;
   t.uncommitted <- 0;
   undone

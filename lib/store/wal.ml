@@ -28,9 +28,6 @@ type t = {
   sim : Tb_sim.Sim.t;
   touched : touch Int_table.t; (* keyed by the packed Page_id *)
   mutable order : touch list; (* reverse first-touch order = undo order *)
-  (* Before-image buffers of retired intervals: the next steals refill
-     them instead of allocating fresh page-sized blocks. *)
-  mutable spares : Bytes.t list;
   mutable pending : int; (* log bytes not yet filling a whole page *)
   mutable next_lsn : int;
   mutable commit_durable : bool;
@@ -42,7 +39,6 @@ let create sim =
     sim;
     touched = Int_table.create 64;
     order = [];
-    spares = [];
     pending = 0;
     next_lsn = 1;
     commit_durable = false;
@@ -92,18 +88,12 @@ let note_touch t (pid : Page_id.t) page =
 (* The persist observer: runs before every write of a dirty page to disk.
    The first write of a touched page while the commit record is not yet
    durable is a steal; copy the durable image it is about to overwrite (in
-   a spare buffer when one is left) as the page's before-image. *)
+   the disk's spare buffer when one is left) as the page's before-image. *)
 let note_persist t disk (pid : Page_id.t) =
   if not t.commit_durable then
     match Int_table.find_opt t.touched (pid :> int) with
     | Some ({ before = None; _ } as tch) ->
-        let buf =
-          match t.spares with
-          | spare :: rest ->
-              t.spares <- rest;
-              spare
-          | [] -> Bytes.create (Disk.page_size disk)
-        in
+        let buf = Disk.take_spare disk in
         tch.before_lsn <- Disk.copy_image disk pid buf;
         tch.before <- Some buf
     | Some _ | None -> ()
@@ -143,30 +133,25 @@ let force t =
       t.order;
   t.commit_durable <- true
 
-(* At most this many spare before-image buffers outlive a checkpoint: a
-   bulk load's thousands of steals are not kept alive for good, and a run
-   of small transactions stealing a page now and then never allocates. *)
-let max_spares = 16
-
 (* Truncate the log after a completed commit: serial transactions need no
-   history past the last checkpoint.  The retired before-images join the
-   spares; nothing reads them again (undo and redo run before this). *)
-let checkpoint t =
+   history past the last checkpoint.  The retired before-images return to
+   the disk's spares; nothing reads them again (undo and redo run before
+   this). *)
+let checkpoint t disk =
   Int_table.reset t.touched;
   List.iter
     (fun tch ->
       match tch.before with
-      | Some b when List.compare_length_with t.spares max_spares < 0 ->
-          t.spares <- b :: t.spares
-      | Some _ | None -> ())
+      | Some b -> Disk.give_spare disk b
+      | None -> ())
     t.order;
   t.order <- [];
   t.commit_durable <- false
 
 (* Drop everything including the unflushed tail: transaction-off commits
    (which never logged their writes' images to begin with) and abort. *)
-let discard t =
-  checkpoint t;
+let discard t disk =
+  checkpoint t disk;
   t.pending <- 0
 
 (* Roll back: restore every stolen page's durable image to its

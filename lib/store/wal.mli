@@ -32,7 +32,8 @@ val note_touch : t -> Tb_storage.Page_id.t -> Tb_storage.Page_layout.t -> unit
 (** [note_persist t disk pid] runs before [pid] is written to disk.  The
     first write of a touched page before the commit record is durable (a
     steal) copies the durable image it will overwrite as the page's
-    before-image, with that image's LSN.  Installed as the
+    before-image, with that image's LSN, into a {!Tb_storage.Disk.take_spare}
+    buffer.  Installed as the
     {!Tb_storage.Cache_stack} persist observer. *)
 val note_persist : t -> Tb_storage.Disk.t -> Tb_storage.Page_id.t -> unit
 
@@ -54,13 +55,14 @@ val force : t -> unit
 val commit_durable : t -> bool
 
 (** Truncate the log after a completed commit.  The retired records'
-    before-image buffers are kept as spares (a bounded number): the next
-    steals refill them instead of allocating page images. *)
-val checkpoint : t -> unit
+    before-image buffers return to the disk's spares
+    ({!Tb_storage.Disk.give_spare}): the next steals and detaches refill
+    them instead of allocating page images. *)
+val checkpoint : t -> Tb_storage.Disk.t -> unit
 
 (** Drop records and tail without forcing: transaction-off commits and
-    abort (after {!undo}).  Keeps spares like {!checkpoint}. *)
-val discard : t -> unit
+    abort (after {!undo}).  Returns buffers like {!checkpoint}. *)
+val discard : t -> Tb_storage.Disk.t -> unit
 
 val touched_pages : t -> int
 

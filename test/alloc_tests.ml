@@ -244,6 +244,54 @@ let test_btree_lookup_budget () =
   Tb_storage.Cache_stack.drop stack;
   check_pass "after a pool drop"
 
+(* --- Pool misses ---
+
+   A fetch that misses both pools evicts in each.  The loaded page is the
+   disk's memo (a clean page shares its durable image), each pool reports
+   its victim in place and recycles the victim's node, so beyond its
+   charges a miss allocates only the two hash-table buckets (four words
+   each) that key the recycled nodes under the new page. *)
+
+let test_cold_miss_budget () =
+  let sim = Sim.create (Tb_sim.Cost_model.scaled 100) in
+  let disk = Tb_storage.Disk.create sim in
+  let stack =
+    Tb_storage.Cache_stack.create sim disk ~server_pages:8 ~client_pages:16
+  in
+  let file = Tb_storage.Disk.new_file disk ~name:"f" in
+  let n = 512 in
+  let pids =
+    Array.init n (fun _ ->
+        Tb_storage.Page_id.make ~file ~index:(Tb_storage.Disk.append_page disk ~file))
+  in
+  (* A cyclic sweep larger than both pools misses both on every fetch. *)
+  let sweep () =
+    for i = 0 to n - 1 do
+      ignore (Tb_storage.Cache_stack.fetch stack pids.(i))
+    done
+  in
+  sweep ();
+  let c = sim.Sim.counters in
+  let client0 = c.Counters.client_misses and server0 = c.Counters.server_misses in
+  let miss_words = (words sweep -. words ignore) /. float_of_int n in
+  Alcotest.(check int) "every fetch misses the client" n (c.Counters.client_misses - client0);
+  Alcotest.(check int) "every fetch misses the server" n (c.Counters.server_misses - server0);
+  (* The charges a miss makes, on a separate simulator. *)
+  let twin = Sim.create sim.Sim.cost in
+  let charges =
+    words (fun () ->
+        for _ = 1 to n do
+          Sim.charge_rpc twin ~pages:1;
+          Sim.charge_disk_read twin
+        done)
+    /. float_of_int n
+  in
+  check_bool
+    (Printf.sprintf "cold miss: %.2f minor words beyond its charges' %.2f <= 8"
+       (miss_words -. charges) charges)
+    true
+    (miss_words -. charges <= 8.0)
+
 (* --- The write path ---
 
    [update_object] and [delete_object] read the old record where it lies
@@ -522,6 +570,8 @@ let suite =
       `Quick test_cold_acquire_budget;
     Alcotest.test_case "btree: search and range allocate nothing per entry"
       `Quick test_btree_lookup_budget;
+    Alcotest.test_case "pool: a cold client-and-server miss allocates two buckets"
+      `Quick test_cold_miss_budget;
     Alcotest.test_case "txn: a repeat transaction copies no page" `Quick
       test_txn_page_blocks;
     Alcotest.test_case "writes: minor words per update and delete, charges exact"

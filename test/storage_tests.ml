@@ -323,14 +323,20 @@ let test_page_id_packing () =
 let pid i = Page_id.make ~file:0 ~index:i
 let page () = Page_layout.create ~size:64
 
+(* [Buffer_pool.add] with its victim, if any, read back as an option. *)
+let add pool id p =
+  if Buffer_pool.add pool id p then
+    Some (Buffer_pool.victim_id pool, Buffer_pool.victim pool)
+  else None
+
 let test_pool_lru_eviction () =
   let pool = Buffer_pool.create ~capacity_pages:2 in
   let p0 = page () and p1 = page () and p2 = page () in
-  check_bool "no victim" true (Buffer_pool.add pool (pid 0) p0 = None);
-  check_bool "no victim" true (Buffer_pool.add pool (pid 1) p1 = None);
+  check_bool "no victim" true (add pool (pid 0) p0 = None);
+  check_bool "no victim" true (add pool (pid 1) p1 = None);
   (* Touch 0 so 1 becomes the LRU. *)
   ignore (Buffer_pool.find pool (pid 0));
-  (match Buffer_pool.add pool (pid 2) p2 with
+  (match add pool (pid 2) p2 with
   | Some (vid, _) -> check_bool "evicts LRU (1)" true (Page_id.equal vid (pid 1))
   | None -> Alcotest.fail "expected eviction");
   check_bool "0 still in" true (Buffer_pool.mem pool (pid 0));
@@ -338,10 +344,10 @@ let test_pool_lru_eviction () =
 
 let test_pool_readd_refreshes () =
   let pool = Buffer_pool.create ~capacity_pages:2 in
-  ignore (Buffer_pool.add pool (pid 0) (page ()));
-  ignore (Buffer_pool.add pool (pid 1) (page ()));
-  ignore (Buffer_pool.add pool (pid 0) (page ()));
-  (match Buffer_pool.add pool (pid 2) (page ()) with
+  ignore (add pool (pid 0) (page ()));
+  ignore (add pool (pid 1) (page ()));
+  ignore (add pool (pid 0) (page ()));
+  (match add pool (pid 2) (page ()) with
   | Some (vid, _) -> check_bool "1 was LRU" true (Page_id.equal vid (pid 1))
   | None -> Alcotest.fail "expected eviction");
   Buffer_pool.clear pool;
@@ -352,11 +358,11 @@ let pool_never_exceeds_capacity =
     QCheck.(pair (int_range 1 8) (small_list (int_range 0 30)))
     (fun (cap, adds) ->
       let pool = Buffer_pool.create ~capacity_pages:cap in
-      List.iter (fun i -> ignore (Buffer_pool.add pool (pid i) (page ()))) adds;
+      List.iter (fun i -> ignore (add pool (pid i) (page ()))) adds;
       Buffer_pool.size pool <= cap)
 
 let expect_victim pool id p want =
-  match Buffer_pool.add pool id p with
+  match add pool id p with
   | Some (vid, _) ->
       check_bool
         (Printf.sprintf "victim is %d" (Page_id.index want))
@@ -368,15 +374,15 @@ let test_pool_interleaved_order () =
   (* The eviction order must track an interleaving of find/add/remove, not
      just insertion order. *)
   let pool = Buffer_pool.create ~capacity_pages:3 in
-  ignore (Buffer_pool.add pool (pid 0) (page ()));
-  ignore (Buffer_pool.add pool (pid 1) (page ()));
-  ignore (Buffer_pool.add pool (pid 2) (page ()));
+  ignore (add pool (pid 0) (page ()));
+  ignore (add pool (pid 1) (page ()));
+  ignore (add pool (pid 2) (page ()));
   (* Recency (old -> new) is 0 1 2; touch 0 and drop 1: now 2 0. *)
   ignore (Buffer_pool.find pool (pid 0));
   Buffer_pool.remove pool (pid 1);
   check_int "remove shrinks" 2 (Buffer_pool.size pool);
   check_bool "freed slot absorbs an add" true
-    (Buffer_pool.add pool (pid 3) (page ()) = None);
+    (add pool (pid 3) (page ()) = None);
   (* Chain is 2 0 3: successive adds evict in exactly that order. *)
   expect_victim pool (pid 4) (page ()) (pid 2);
   expect_victim pool (pid 5) (page ()) (pid 0);
@@ -389,8 +395,8 @@ let test_pool_interleaved_order () =
 let test_pool_capacity_one () =
   let pool = Buffer_pool.create ~capacity_pages:1 in
   let p0 = page () in
-  check_bool "first add fits" true (Buffer_pool.add pool (pid 0) p0 = None);
-  (match Buffer_pool.add pool (pid 1) (page ()) with
+  check_bool "first add fits" true (add pool (pid 0) p0 = None);
+  (match add pool (pid 1) (page ()) with
   | Some (vid, vp) ->
       check_bool "sole resident is the victim" true (Page_id.equal vid (pid 0));
       check_bool "victim page returned" true (vp == p0)
@@ -407,8 +413,8 @@ let test_pool_capacity_one () =
 
 let test_pool_clear_resets_chain () =
   let pool = Buffer_pool.create ~capacity_pages:2 in
-  ignore (Buffer_pool.add pool (pid 0) (page ()));
-  ignore (Buffer_pool.add pool (pid 1) (page ()));
+  ignore (add pool (pid 0) (page ()));
+  ignore (add pool (pid 1) (page ()));
   Buffer_pool.clear pool;
   check_int "empty" 0 (Buffer_pool.size pool);
   let seen = ref 0 in
@@ -416,8 +422,8 @@ let test_pool_clear_resets_chain () =
   check_int "iter sees nothing" 0 !seen;
   check_bool "stale id gone" false (Buffer_pool.mem pool (pid 0));
   (* The chain restarts from scratch; no stale node resurfaces. *)
-  ignore (Buffer_pool.add pool (pid 2) (page ()));
-  ignore (Buffer_pool.add pool (pid 3) (page ()));
+  ignore (add pool (pid 2) (page ()));
+  ignore (add pool (pid 3) (page ()));
   expect_victim pool (pid 4) (page ()) (pid 2)
 
 (* --- Cache stack --- *)
@@ -627,6 +633,11 @@ let dirty_block_persist_prop =
           in
           let page = pages.(p) in
           if torn.(p) = None then begin
+            (* A loaded page shares its durable image until detached. *)
+            (match op with
+            | `Insert _ | `Delete _ | `Update _ | `Patch _ ->
+                Disk.detach disk pids.(p) page
+            | `Persist _ | `Torn _ -> ());
             match op with
             | `Insert (_, n) -> ignore (Page_layout.insert page (bytes n))
             | `Delete (_, i) -> (
@@ -682,6 +693,204 @@ let dirty_block_persist_prop =
           (Disk.verify disk)
       in
       List.sort compare flagged = expect)
+
+(* A clean working page shares its durable image, and the first write
+   detaches it.  Random fetches, writes (an insert or an in-place patch),
+   flushes, drops, cold restarts, torn persists and restored images run on
+   a stack with small pools, against a model that keeps copies: the image
+   of every page and the bytes its working page should hold.  The stack's
+   persist observer tells the model when an eviction writes a page.  After
+   every step every image equals the model, [verify] flags exactly the
+   torn pages, every shared memo aliases its image and is clean, a clean
+   memo that does not is stale (torn or restored since its last load),
+   and a Handle pinned on a record reads that record's current bytes
+   through every write, persist and eviction until the pools are
+   dropped. *)
+let shared_image_prop =
+  let open QCheck in
+  let n_pages = 6 in
+  let step_gen =
+    Gen.(
+      frequency
+        [
+          (4, map (fun p -> `Fetch p) nat);
+          (6, map2 (fun p n -> `Write (p, n)) nat nat);
+          (1, return `Flush);
+          (1, return `Drop);
+          (1, return `Cold_restart);
+          (1, map (fun p -> `Torn p) nat);
+          (1, map2 (fun p k -> `Restore (p, k)) nat bool);
+        ])
+  in
+  let print = function
+    | `Fetch p -> Printf.sprintf "fetch %d" p
+    | `Write (p, n) -> Printf.sprintf "write %d %d" p n
+    | `Flush -> "flush"
+    | `Drop -> "drop"
+    | `Cold_restart -> "cold_restart"
+    | `Torn p -> Printf.sprintf "torn %d" p
+    | `Restore (p, k) -> Printf.sprintf "restore %d %b" p k
+  in
+  Test.make ~name:"stack: shared images agree with a copying model" ~count:300
+    (make ~print:(Print.list print) Gen.(list_size (int_range 1 120) step_gen))
+    (fun steps ->
+      let _, disk, stack = fresh_stack ~server:2 ~client:3 () in
+      let file = Disk.new_file disk ~name:"f" in
+      let pids =
+        Array.init n_pages (fun _ ->
+            Page_id.make ~file ~index:(Disk.append_page disk ~file))
+      in
+      let empty =
+        Page_layout.snapshot (Page_layout.create ~size:(Disk.page_size disk))
+      in
+      let image = Array.init n_pages (fun _ -> Bytes.copy empty) in
+      let work = Array.init n_pages (fun _ -> Bytes.copy empty) in
+      (* [torn.(p)]: [verify] must flag it; no writes until restored. *)
+      let torn = Array.make n_pages false in
+      let stale = Array.make n_pages false in
+      Cache_stack.set_persist_observer stack
+        (Some
+           (fun pid ->
+             let p = Page_id.index pid in
+             image.(p) <- Bytes.copy work.(p)));
+      let slab = Tb_store.Handle.create_slab () in
+      let pin = ref None in
+      let crash () =
+        Cache_stack.drop stack;
+        (match !pin with
+        | Some (_, h, _) -> Tb_store.Handle.free slab h
+        | None -> ());
+        pin := None;
+        Array.iteri (fun p b -> work.(p) <- Bytes.copy b) image
+      in
+      let first_slot page =
+        let first = ref None in
+        Page_layout.iter_spans page (fun slot _ _ ->
+            if !first = None then first := Some slot);
+        !first
+      in
+      let fetch p =
+        stale.(p) <- false;
+        let page = Cache_stack.fetch stack pids.(p) in
+        if not (Bytes.equal (Page_layout.snapshot page) work.(p)) then
+          Test.fail_reportf "page %d: fetched bytes differ from the model" p;
+        page
+      in
+      (* The same write on the page and on a copy of the model's bytes. *)
+      let write p n page =
+        let model = Page_layout.of_bytes work.(p) in
+        let apply page =
+          match first_slot page with
+          | Some slot when n mod 2 = 1 ->
+              let off = Page_layout.record_offset page slot in
+              let len = Bytes.length (Page_layout.read page slot) in
+              let at = n / 2 mod len in
+              Bytes.fill (Page_layout.buffer page) (off + at) 1
+                (Char.chr (n land 0xff));
+              Page_layout.record_modified page ~off:(off + at) ~len:1
+          | Some _ | None ->
+              ignore
+                (Page_layout.insert page
+                   (Bytes.make (1 + (n mod 300)) (Char.chr (65 + (n mod 26)))))
+        in
+        apply page;
+        apply model;
+        work.(p) <- Page_layout.snapshot model;
+        if not (Bytes.equal (Page_layout.snapshot page) work.(p)) then
+          Test.fail_reportf "page %d: written bytes differ from the model" p
+      in
+      let check () =
+        Array.iteri
+          (fun p pid ->
+            if not (Disk.image_equal disk pid image.(p)) then
+              Test.fail_reportf "page %d: image differs from the model" p;
+            match Disk.memo disk pid with
+            | Some m when Page_layout.shared m ->
+                if not (Disk.is_image disk pid (Page_layout.buffer m)) then
+                  Test.fail_reportf "page %d: shared memo does not alias its image" p;
+                if Page_layout.dirty m then
+                  Test.fail_reportf "page %d: shared memo is dirty" p
+            | Some m when Page_layout.dirty m ->
+                if Disk.is_image disk pid (Page_layout.buffer m) then
+                  Test.fail_reportf "page %d: dirty memo writes its image" p
+            | Some _ ->
+                if not stale.(p) then
+                  Test.fail_reportf "page %d: clean memo does not alias its image" p
+            | None -> ())
+          pids;
+        let flagged = List.map Page_id.index (Disk.verify disk) in
+        let expect = List.filter (fun p -> torn.(p)) (List.init n_pages Fun.id) in
+        if List.sort compare flagged <> expect then
+          Test.fail_reportf "verify flags [%s], torn are [%s]"
+            (String.concat ";" (List.map string_of_int flagged))
+            (String.concat ";" (List.map string_of_int expect));
+        match !pin with
+        | None -> ()
+        | Some (p, h, slot) ->
+            let want = Page_layout.read (Page_layout.of_bytes work.(p)) slot in
+            let buf = Tb_store.Handle.packed_buf slab h in
+            let got =
+              Bytes.sub buf (Tb_store.Handle.packed_body slab h) (Bytes.length want)
+            in
+            if not (Bytes.equal got want) then
+              Test.fail_reportf "page %d: the pinned Handle reads stale bytes" p
+      in
+      List.iter
+        (fun step ->
+          (match step with
+          | `Fetch p -> (
+              let p = p mod n_pages in
+              let page = fetch p in
+              match (!pin, first_slot page) with
+              | None, Some slot ->
+                  let h =
+                    Tb_store.Handle.alloc_packed slab
+                      ~rid:(Rid.make ~file ~page:p ~slot)
+                      ~class_id:0 ~page ~slot ~delta:0
+                      ~body:(Page_layout.record_offset page slot)
+                  in
+                  pin := Some (p, h, slot)
+              | _ -> ())
+          | `Write (p, n) ->
+              let p = p mod n_pages in
+              if not torn.(p) then begin
+                stale.(p) <- false;
+                write p n (Cache_stack.fetch_for_write stack pids.(p))
+              end
+          | `Flush -> Cache_stack.flush stack
+          | `Drop -> crash ()
+          | `Cold_restart ->
+              Cache_stack.clear stack;
+              crash ()
+          | `Torn p ->
+              let p = p mod n_pages in
+              if not torn.(p) then begin
+                let page = fetch p in
+                let half = Bytes.length empty / 2 in
+                let tail b = Bytes.sub b half (Bytes.length b - half) in
+                Disk.persist_torn disk pids.(p) page;
+                torn.(p) <- not (Bytes.equal (tail work.(p)) (tail image.(p)));
+                Bytes.blit work.(p) 0 image.(p) 0 half;
+                stale.(p) <- true;
+                crash ()
+              end
+          | `Restore (p, undo) ->
+              (* Undo to the empty page, or redo the working bytes, with the
+                 working page still resident (an abort undoes before it
+                 drops the pools): its bytes must not move. *)
+              let p = p mod n_pages in
+              let live = fetch p in
+              let target = if undo then Bytes.copy empty else Bytes.copy work.(p) in
+              Disk.restore_image disk pids.(p) target ~lsn:0;
+              if not (Bytes.equal (Page_layout.snapshot live) work.(p)) then
+                Test.fail_reportf "page %d: restore_image wrote into a live page" p;
+              image.(p) <- target;
+              torn.(p) <- false;
+              stale.(p) <- true;
+              crash ());
+          check ())
+        steps;
+      true)
 
 (* --- Heap file --- *)
 
@@ -839,6 +1048,7 @@ let suite =
     Alcotest.test_case "disk: checksum catches every bit flip" `Quick
       test_checksum_catches_every_bit_flip;
     QCheck_alcotest.to_alcotest dirty_block_persist_prop;
+    QCheck_alcotest.to_alcotest shared_image_prop;
     Alcotest.test_case "disk: torn and restored images drop the memo" `Quick
       test_disk_image_writes_drop_memo;
     Alcotest.test_case "heap: insert/read/scan" `Quick test_heap_insert_read_scan;
