@@ -14,6 +14,8 @@
    the paper's published numbers; the Bechamel suite measures the real
    wall-clock cost of the engine operations behind each table. *)
 
+module Micro = Tb_micro.Micro
+
 let default_scale = 40
 
 let usage msg =
@@ -93,28 +95,101 @@ let parse_args () =
   let figures = match List.rev !figures with [] -> [ "all" ] | fs -> fs in
   (!scale, !micro, !batches, !shards, !csv, figures)
 
-(* The Bechamel micro suite itself lives in {!Micro}, shared with
-   bench/perf_gate.exe. *)
-let run_micro () =
-  Printf.printf "\n=== Bechamel microbenchmarks (wall clock) ===\n";
-  List.iter
-    (fun (name, est) -> Printf.printf "%-36s %14.1f ns/run\n" name est)
-    (Micro.estimates ~quota:0.5 ())
+(* Benchmark names come back as "treebench/<name>". *)
+let strip_group name =
+  match String.index_opt name '/' with
+  | Some i -> String.sub name (i + 1) (String.length name - i - 1)
+  | None -> name
 
-(* Wall-clock only — the parity test guarantees the batch size cannot move
-   a simulated charge. *)
-let run_batch_sweep batches =
-  Printf.printf "\n=== Batch-size sweep (fig7 full scan, wall clock) ===\n";
+(* Run [(name, kernel)] pairs under Bechamel and return [(name,
+   ns_per_run)], sorted by name.  Reported, never gated: the gate on the
+   same kernels is their allocation, in test/alloc_tests.ml. *)
+let estimates_of ~quota kernels =
+  let open Bechamel in
+  let tests =
+    List.map (fun (name, f) -> Test.make ~name (Staged.stage f)) kernels
+  in
+  let grouped = Test.make_grouped ~name:"treebench" tests in
+  let instances = Toolkit.Instance.[ monotonic_clock ] in
+  let cfg = Benchmark.cfg ~limit:100 ~quota:(Time.second quota) () in
+  let raw = Benchmark.all cfg instances grouped in
+  let ols =
+    Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |]
+  in
+  let results = List.map (fun instance -> Analyze.all ols instance raw) instances in
+  let merged = Analyze.merge ols instances results in
+  let rows = ref [] in
+  Hashtbl.iter
+    (fun _measure tbl ->
+      Hashtbl.iter
+        (fun name result ->
+          match Analyze.OLS.estimates result with
+          | Some (est :: _) -> rows := (strip_group name, est) :: !rows
+          | Some [] | None -> ())
+        tbl)
+    merged;
+  List.sort (fun (a, _) (b, _) -> String.compare a b) !rows
+
+(* Exits 1 when Bechamel returns no estimate for some kernel, so a run
+   cannot quietly report a short table. *)
+let print_estimates title kernels =
+  Printf.printf "\n=== %s ===\n" title;
+  let rows = estimates_of ~quota:0.5 kernels in
   List.iter
     (fun (name, est) -> Printf.printf "%-36s %14.1f ns/run\n" name est)
-    (Micro.batch_sweep ~quota:0.5 ~batches ())
+    rows;
+  if List.length rows < List.length kernels then begin
+    Printf.eprintf "bench: %d of %d kernels returned no estimate\n"
+      (List.length kernels - List.length rows)
+      (List.length kernels);
+    exit 1
+  end
+
+(* Batch-size sweep over the fig7 full scan: how much interpreter dispatch
+   the row vectors amortize.  Wall-clock only — the parity test guarantees
+   the batch size cannot move a simulated charge. *)
+let run_batch_sweep batches =
+  print_estimates "Batch-size sweep (fig7 full scan, wall clock)"
+    (List.map
+       (fun batch ->
+         ( Printf.sprintf "fig7.full_scan.b%d" batch,
+           fun () ->
+             ignore
+               (Micro.run_query ~force_seq:true ~batch
+                  (Lazy.force Micro.sel_q) ()) ))
+       (List.sort_uniq Int.compare batches))
+
+(* Shard-count sweep over the fig7 full scan, in *simulated* elapsed time:
+   the near-linear fork/join speedup, with the Gather merge cost bending
+   the curve.  Deterministic — one cold run per shard count; each S gets
+   its own freshly built partitioning. *)
+let shard_sweep ~shards_list () =
+  List.map
+    (fun shards ->
+      let b =
+        Tb_derby.Generator.build_sharded ~cost:(Tb_sim.Cost_model.scaled 500)
+          ~shards (Micro.bench_cfg ())
+      in
+      let smap = b.Tb_derby.Generator.smap in
+      Tb_store.Shard_map.cold_restart smap;
+      let q =
+        Printf.sprintf "select pa.age from pa in Patients where pa.num < %d"
+          (Array.length b.Tb_derby.Generator.sh_patients / 2)
+      in
+      let r, _, _, lanes =
+        Tb_query.Planner.run_sharded_explained smap q ~force_seq:true
+          ~keep:false
+      in
+      Tb_query.Query_result.dispose r;
+      (shards, lanes))
+    shards_list
 
 (* Simulated elapsed, not wall clock: the fork/join clock's speedup with
    the Gather merge cost itemized. *)
 let run_shard_sweep shards_list =
   Printf.printf
     "\n=== Shard sweep (fig7 full scan, simulated elapsed) ===\n";
-  let sweep = Micro.shard_sweep ~shards_list () in
+  let sweep = shard_sweep ~shards_list () in
   let base =
     match sweep with (_, l) :: _ -> l.Tb_query.Exec.elapsed_ms | [] -> 1.0
   in
@@ -153,6 +228,7 @@ let () =
         "@.[stats] %d observations recorded in the Figure-3 stats database \
          (use --csv FILE to export)@."
         (Tb_statdb.Stat_store.count (Tb_core.Figures.stats ctx)));
-  if micro then run_micro ();
+  if micro then
+    print_estimates "Bechamel microbenchmarks (wall clock)" (Micro.kernels ());
   if batches <> [] then run_batch_sweep batches;
   if shards <> [] then run_shard_sweep shards

@@ -1,8 +1,8 @@
-(* The Bechamel micro suite: one wall-clock benchmark per paper table,
-   exercising the code path that dominates it, at a tiny fixed scale.
-   Shared by bench/main.exe (--micro) and bench/perf_gate.exe, so the
-   interactive listing and the regression gate always measure the same
-   thing. *)
+(* The micro kernels: one per paper table, exercising the code path that
+   dominates it, at a tiny fixed scale.  Shared by bench/main.exe
+   (--micro), which reports their wall-clock cost, and by the allocation
+   gate in test/alloc_tests.ml, which budgets their words per call, so
+   the listing and the gate always run the same code. *)
 
 let bench_cfg () =
   {
@@ -58,9 +58,8 @@ let opt_stats =
     (let b = Lazy.force built in
      Tb_statcore.Stat_catalog.analyze b.Tb_derby.Generator.db)
 
-let tests () =
-  let open Bechamel in
-  let t name f = Test.make ~name (Staged.stage f) in
+let kernels () =
+  let t name f = (name, fun () -> ignore (Sys.opaque_identity (f ()))) in
   [
     (* Figure 6: selection through an unclustered index, unsorted. *)
     t "fig6.index_scan" (fun () ->
@@ -192,9 +191,8 @@ let tests () =
             let h = Tb_store.Database.acquire db rid in
             Tb_store.Database.unref db h)
           b.Tb_derby.Generator.patients);
-    (* The same churn with one attribute read per Handle: the packed repr
-       decodes it straight off the pinned page instead of materializing
-       the record. *)
+    (* The same churn with one attribute read per Handle, decoded in place
+       off the pinned page bytes by a pre-resolved slot. *)
     t "fig9.packed_churn" (fun () ->
         let b = Lazy.force built in
         let db = b.Tb_derby.Generator.db in
@@ -223,8 +221,7 @@ let tests () =
     (* 1000 entries through the bulk-build path, fed the already-sorted run
        that Database.create_index produces over a clustered extent — the
        production fast case.  The ratio against sec3.btree_insert_1k (the
-       same entry count built incrementally) is the bulk-build speedup the
-       gate watches. *)
+       same entry count built incrementally) is the bulk-build speedup. *)
     t "sec3.btree_bulk_build_1k"
       (let run =
          (* Built once: the run is the bench input, not bulk-build work. *)
@@ -270,77 +267,3 @@ let tests () =
           (fun _ _ -> incr n);
         !n);
   ]
-
-(* Benchmark names come back as "treebench/<name>". *)
-let strip_group name =
-  match String.index_opt name '/' with
-  | Some i -> String.sub name (i + 1) (String.length name - i - 1)
-  | None -> name
-
-(* Run a test list and return [(name, ns_per_run)], sorted by name. *)
-let estimates_of ~quota tests =
-  let open Bechamel in
-  let grouped = Test.make_grouped ~name:"treebench" tests in
-  let instances = Toolkit.Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:100 ~quota:(Time.second quota) () in
-  let raw = Benchmark.all cfg instances grouped in
-  let ols =
-    Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let results = List.map (fun instance -> Analyze.all ols instance raw) instances in
-  let merged = Analyze.merge ols instances results in
-  let rows = ref [] in
-  Hashtbl.iter
-    (fun _measure tbl ->
-      Hashtbl.iter
-        (fun name result ->
-          match Analyze.OLS.estimates result with
-          | Some (est :: _) -> rows := (strip_group name, est) :: !rows
-          | Some [] | None -> ())
-        tbl)
-    merged;
-  List.sort (fun (a, _) (b, _) -> String.compare a b) !rows
-
-let estimates ~quota () = estimates_of ~quota (tests ())
-
-(* Shard-count sweep over the fig7 full scan, in *simulated* elapsed time:
-   the near-linear fork/join speedup, with the Gather merge cost bending
-   the curve.  Deterministic — one cold run per shard count, no Bechamel;
-   each S gets its own freshly built partitioning. *)
-let shard_sweep ~shards_list () =
-  List.map
-    (fun shards ->
-      let b =
-        Tb_derby.Generator.build_sharded ~cost:(Tb_sim.Cost_model.scaled 500)
-          ~shards (bench_cfg ())
-      in
-      let smap = b.Tb_derby.Generator.smap in
-      Tb_store.Shard_map.cold_restart smap;
-      let q =
-        Printf.sprintf "select pa.age from pa in Patients where pa.num < %d"
-          (Array.length b.Tb_derby.Generator.sh_patients / 2)
-      in
-      let r, _, _, lanes =
-        Tb_query.Planner.run_sharded_explained smap q ~force_seq:true
-          ~keep:false
-      in
-      Tb_query.Query_result.dispose r;
-      (shards, lanes))
-    shards_list
-
-(* Batch-size sweep over the fig7 full scan: how much interpreter dispatch
-   the row vectors amortize.  Charge-invariant by construction (the parity
-   test pins that), so this is wall-clock tuning data only — deliberately
-   not part of [tests ()], the perf_gate baseline tracks the default. *)
-let batch_sweep ~quota ~batches () =
-  let open Bechamel in
-  let tests =
-    List.map
-      (fun batch ->
-        Test.make
-          ~name:(Printf.sprintf "fig7.full_scan.b%d" batch)
-          (Staged.stage (fun () ->
-               run_query ~force_seq:true ~batch (Lazy.force sel_q) ())))
-      batches
-  in
-  estimates_of ~quota tests

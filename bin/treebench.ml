@@ -11,8 +11,17 @@
 open Cmdliner
 
 let scale_arg =
+  let positive =
+    let parse v =
+      match int_of_string_opt v with
+      | Some n when n > 0 -> Ok n
+      | Some _ | None ->
+          Error (`Msg (Printf.sprintf "invalid value '%s', expected a positive integer" v))
+    in
+    Arg.conv (parse, Format.pp_print_int)
+  in
   let doc = "Scale divisor: databases at 1/SCALE of the paper's size." in
-  Arg.(value & opt int 100 & info [ "s"; "scale" ] ~docv:"SCALE" ~doc)
+  Arg.(value & opt positive 100 & info [ "s"; "scale" ] ~docv:"SCALE" ~doc)
 
 let shape_arg =
   let shape_conv =
@@ -306,6 +315,13 @@ let query_cmd =
       replicas chaos_seed =
     if shards < 1 then begin
       Printf.eprintf "treebench: --shards expects a positive count\n";
+      exit 2
+    end;
+    if shards > Tb_store.Shard_map.max_shards then begin
+      Printf.eprintf
+        "treebench: --shards expects at most %d (exchange-tagged file ids \
+         must fit a Rid)\n"
+        Tb_store.Shard_map.max_shards;
       exit 2
     end;
     if optimize then begin

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
-# Full local CI: build everything, run the test suite (including the
-# counter-invariance gate), then smoke the perf gate against the committed
-# baseline.  The wide tolerance absorbs smoke-quota noise while still
-# catching order-of-magnitude regressions; check mode never rewrites the
-# baseline.
+# Full local CI: build everything, lint, run the test suite (including the
+# counter-invariance gate and the allocation gate, which budgets every micro
+# kernel's words per call), smoke the end-to-end benchmark, then run the
+# full recovery and chaos sweeps.  Wall clock is reported
+# (bench/main.exe --micro) but never gated: it does not reproduce across
+# hosts.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -64,7 +65,6 @@ TREEBENCH_RECOVERY_FULL=1 dune exec test/test_main.exe -- test recovery
 # require promotion to refuse it or match a fault-free twin (the default
 # runtest pass strides both).
 TREEBENCH_CHAOS_FULL=1 dune exec test/test_main.exe -- test chaos
-dune exec bench/perf_gate.exe -- --smoke --check --tolerance 150
 # Opt-in soak (TREEBENCH_SOAK=1, about half an hour): every workload for
 # 180 s on seeds 1 and 7, every answer checked.  A fault that shows only
 # once a run lives long (a replica promotion after hundreds of blocks)

@@ -68,7 +68,15 @@ let tokenize s =
         while !stop < n && is_digit s.[!stop] do
           incr stop
         done;
-        go !stop (INT (int_of_string (String.sub s pos (!stop - pos))) :: acc)
+        let digits = String.sub s pos (!stop - pos) in
+        (* [Failure], not [int_of_string_opt]: a literal that fits allocates
+           no option. *)
+        let n =
+          try int_of_string digits
+          with Failure _ ->
+            raise (Lex_error ("integer literal out of range: " ^ digits))
+        in
+        go !stop (INT n :: acc)
       end
       else if c = '"' then begin
         let stop = ref (pos + 1) in

@@ -1,6 +1,6 @@
 (* Allocation budgets: the executor's row path, the B+-tree's lookups,
-   the words per object write, the write path's page-sized blocks, and the
-   optimizer's words per call.
+   the words per object write, the write path's page-sized blocks, the
+   optimizer's words per call, and every micro kernel's words per call.
 
    The engine is deterministic, so the host allocation of a query is
    reproducible to the word.  Cold queries at scale 500 must stay within
@@ -15,7 +15,8 @@
    The budgets are measured under the default (dev) build profile, where
    each library is compiled opaquely and charges box their float
    arguments; a release build inlines across modules and allocates less,
-   so it stays within them too. *)
+   so it stays within them too.  The micro kernels' budgets are exact to
+   2%: in another profile only their ceilings are checked. *)
 
 open Tb_query
 module Database = Tb_store.Database
@@ -562,6 +563,89 @@ let test_tree_walks () =
        !nodes)
     (sum leaf) (sum join)
 
+(* --- the micro kernels ---
+
+   Every kernel that bench/main.exe --micro times (one per paper table,
+   {!Tb_micro.Micro.kernels}) is budgeted here by name: minor words and
+   direct major words (page-sized blocks) per call, over ten calls after
+   two warming ones.  Allocation does not depend on the host, so each
+   budget is the dev-profile figure rounded up to the next word, with no
+   margin: a kernel fails above its budget, and also (in the dev profile,
+   where the figures were read) more than 2% below it, so that the change
+   which earns a drop records it here.  A compiler upgrade can move the
+   figures too; re-read the table then. *)
+
+let kernel_budgets =
+  [
+    ("fig6.index_scan", 8186.0, 0.0);
+    ("fig6.optimizer_sweep", 9588.0, 0.0);
+    ("fig7.sorted_index_scan", 8210.0, 602.0);
+    ("fig7.full_scan", 10274.0, 0.0);
+    ("fig7.sharded_scan", 11718.0, 0.0);
+    ("fig7.sharded_scan_degraded", 12203.0, 0.0);
+    ("fig7.packed_scan", 5021.0, 0.0);
+    ("fig11_14.nl", 16810.0, 0.0);
+    ("fig11_14.nojoin", 15326.0, 602.0);
+    ("fig11_14.phj", 17694.0, 1627.0);
+    ("fig11_14.chj", 21369.0, 1627.0);
+    ("ext.phhj", 19500.0, 1627.0);
+    ("ext.smj", 22839.0, 903.0);
+    ("ext.count", 9668.0, 0.0);
+    ("fig10.hash_build", 7218.0, 1025.0);
+    ("fig9.handle_churn", 2407.0, 0.0);
+    ("fig9.packed_churn", 4813.0, 0.0);
+    ("sec3.btree_insert_1k", 4569.0, 15414.0);
+    ("sec3.btree_bulk_build_1k", 1389.0, 16844.0);
+    ("sec3.btree_delete_1k", 124861.0, 266915.0);
+    ("fig6.index_range", 742.0, 0.0);
+  ]
+
+let kernel_calls = 10
+let kernel_floor = String.equal Build_profile.name "dev"
+
+let test_kernel_budgets () =
+  let kernels = Tb_micro.Micro.kernels () in
+  let faults = ref [] in
+  let fault fmt = Printf.ksprintf (fun m -> faults := m :: !faults) fmt in
+  List.iter
+    (fun (name, _, _) ->
+      if not (List.mem_assoc name kernels) then fault "%s: a budget row for no kernel" name)
+    kernel_budgets;
+  List.iter
+    (fun (name, f) ->
+      f ();
+      f ();
+      let major = ref 0.0 in
+      let minor =
+        words (fun () ->
+            major :=
+              direct_major_words (fun () ->
+                  for _ = 1 to kernel_calls do
+                    f ()
+                  done))
+      in
+      let per x = x /. float_of_int kernel_calls in
+      let minor = per minor and major = per !major in
+      Printf.printf "%-28s %10.1f minor %10.1f direct major words per call\n" name
+        minor major;
+      match List.find_opt (fun (n, _, _) -> String.equal n name) kernel_budgets with
+      | None -> fault "%s: no budget row" name
+      | Some (_, budget_minor, budget_major) ->
+          List.iter
+            (fun (what, x, budget) ->
+              if x > budget then
+                fault "%s: %.1f %s words per call, over its budget of %.0f" name x what
+                  budget
+              else if kernel_floor && x < budget *. 0.98 then
+                fault "%s: %.1f %s words per call, more than 2%% under its budget of \
+                       %.0f: lower the budget"
+                  name x what budget)
+            [ ("minor", minor, budget_minor); ("direct major", major, budget_major) ])
+    kernels;
+  match List.rev !faults with
+  | [] -> ()
+  | faults -> Alcotest.fail (String.concat "\n" faults)
+
 let suite =
   [
     Alcotest.test_case "row path: minor words per pinned object, charges exact"
@@ -580,4 +664,6 @@ let suite =
       `Quick test_optimizer_budget;
     Alcotest.test_case "tree walks: reset_frames and sum_ms allocate nothing per operator"
       `Quick test_tree_walks;
+    Alcotest.test_case "kernels: words per call of every micro kernel, at budget"
+      `Quick test_kernel_budgets;
   ]

@@ -20,6 +20,11 @@ let test_lexer () =
   check_bool "bad char rejected" true
     (match Oql_lexer.tokenize "a # b" with
     | exception Oql_lexer.Lex_error _ -> true
+    | _ -> false);
+  (* Found by the front-end fuzz property below. *)
+  check_bool "out-of-range integer literal rejected" true
+    (match Oql_lexer.tokenize "pa.num < 99999999999999999999999" with
+    | exception Oql_lexer.Lex_error _ -> true
     | _ -> false)
 
 let test_parser_paper_query () =
@@ -54,6 +59,74 @@ let test_parser_errors () =
 let test_parser_literals () =
   let p = Oql_parser.parse_pred "x.sex = 'F' and x.name = \"abc\" and x.ok = true" in
   check_int "three conjuncts" 3 (List.length (Oql_ast.conjuncts p))
+
+(* --- front-end fuzz ---
+
+   Any text either parses and checks against the Derby schema, or fails
+   with one of the front end's documented errors: [Lex_error],
+   [Parse_error] or [Plan.Unsupported].  Texts are token soups over the
+   OQL alphabet, and truncations and one-character replacements,
+   insertions and deletions of valid queries. *)
+
+let valid_queries =
+  [
+    "select [p.name, pa.age] from p in Providers, pa in p.clients where \
+     pa.mrn < 100 and p.upin < 10";
+    "select pa.age from pa in Patients where pa.num < 40";
+    "select count(pa) from pa in Patients where pa.num >= -3 and pa.sex = 'F'";
+    "select sum(pa.mrn) from pa in Patients";
+    "select [n: p.name, u: p.upin] from p in Providers where p.name <> \"abc\"";
+    "select pa from pa in Patients where pa.primary_care_provider != nil";
+  ]
+
+let oql_fragments =
+  [|
+    "select"; "from"; "where"; "in"; "and"; "nil"; "true"; "false"; "count";
+    "sum"; "avg"; "min"; "max"; "p"; "pa"; "x"; "Patients"; "Providers";
+    "clients"; "age"; "num"; "mrn"; "name"; "upin"; "sex"; ","; "."; ":";
+    "["; "]"; "("; ")"; "<"; "<="; ">"; ">="; "="; "<>"; "!="; "0"; "-7";
+    "4611686018427387903"; "99999999999999999999999"; "\"abc\""; "\"";
+    "'F'"; "'"; "#"; "-";
+  |]
+
+let oql_alphabet = "selctfromwhinadPpx_0123456789 .,:[]()<>=!-\"'#"
+
+let fuzz_text =
+  let open QCheck.Gen in
+  let soup =
+    list_size (int_range 0 16) (oneofa oql_fragments)
+    >>= fun toks ->
+    map (fun sep -> String.concat sep toks) (oneofl [ " "; "" ])
+  in
+  let some_char =
+    frequency
+      [
+        (3, map (String.get oql_alphabet) (int_bound (String.length oql_alphabet - 1)));
+        (1, char);
+      ]
+  in
+  let mutate =
+    oneofl valid_queries >>= fun q ->
+    let n = String.length q in
+    triple (int_bound (n - 1)) some_char (int_bound 3) >|= fun (i, c, how) ->
+    let before = String.sub q 0 i and after k = String.sub q k (n - k) in
+    match how with
+    | 0 -> before
+    | 1 -> before ^ String.make 1 c ^ after (i + 1)
+    | 2 -> before ^ String.make 1 c ^ after i
+    | _ -> before ^ after (i + 1)
+  in
+  frequency [ (1, soup); (2, mutate) ]
+
+let front_end_fuzz_prop =
+  QCheck.Test.make ~name:"front end: only documented errors escape" ~count:5000
+    (QCheck.make ~print:(Printf.sprintf "%S") fuzz_text)
+    (fun text ->
+      match Plan.check Tb_derby.Derby.schema (Oql_parser.parse text) with
+      | () -> true
+      | exception
+          (Oql_lexer.Lex_error _ | Oql_parser.Parse_error _ | Plan.Unsupported _) ->
+          true)
 
 (* --- a small Derby database for execution tests --- *)
 
@@ -598,6 +671,7 @@ let suite =
     Alcotest.test_case "parser: the paper's query" `Quick test_parser_paper_query;
     Alcotest.test_case "parser: errors" `Quick test_parser_errors;
     Alcotest.test_case "parser: literals" `Quick test_parser_literals;
+    QCheck_alcotest.to_alcotest front_end_fuzz_prop;
     Alcotest.test_case "exec: all four algorithms agree (4 organizations)"
       `Slow test_all_algorithms_agree;
     QCheck_alcotest.to_alcotest algorithms_agree_prop;
