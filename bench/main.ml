@@ -8,6 +8,8 @@
      dune exec bench/main.exe -- --batch 1,256   — fig7 scan batch-size sweep
      dune exec bench/main.exe -- --shards 1,4    — fig7 scan shard-count sweep
                                                    (bare --shards: 1,2,4,8)
+   A mode flag (--micro, --batch, --shards) runs no figure unless one is
+   named; without one, no figure named means every figure.
      dune exec bench/main.exe -- --csv out.csv   — export the stats database
 
    Figures print simulated (paper-protocol) elapsed times side by side with
@@ -92,7 +94,12 @@ let parse_args () =
         go rest
   in
   go (List.tl (Array.to_list Sys.argv));
-  let figures = match List.rev !figures with [] -> [ "all" ] | fs -> fs in
+  (* Every figure only when nothing else was asked for: a mode flag alone
+     runs just its mode. *)
+  let modes = !micro || !batches <> [] || !shards <> [] in
+  let figures =
+    match List.rev !figures with [] when not modes -> [ "all" ] | fs -> fs
+  in
   (!scale, !micro, !batches, !shards, !csv, figures)
 
 (* Benchmark names come back as "treebench/<name>". *)
@@ -216,6 +223,7 @@ let () =
   let ctx = Tb_core.Figures.create ~scale in
   List.iter (fun name -> (Tb_core.Figures.by_name name) ctx ppf) figures;
   (match csv with
+  | None when figures = [] -> ()
   | Some path ->
       let oc = open_out path in
       output_string oc (Tb_statdb.Stat_store.to_csv (Tb_core.Figures.stats ctx));

@@ -3,8 +3,8 @@
 # counter-invariance gate and the allocation gate, which budgets every micro
 # kernel's words per call), smoke the end-to-end benchmark, then run the
 # full recovery and chaos sweeps.  Wall clock is reported
-# (bench/main.exe --micro) but never gated: it does not reproduce across
-# hosts.
+# (bench/main.exe --micro, run below as a smoke test of the reporter) but
+# never gated: it does not reproduce across hosts.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -55,6 +55,11 @@ dune runtest
 # its answers checked and its metric names printed.  It builds e2e.exe in
 # its own .bench_build directory, release profile.
 python3 e2ebench/run.py --smoke
+# Wall-clock reporter smoke (about 10 s): the Bechamel micro suite alone,
+# no figure.  It reports and never gates: a run that gets no estimate for
+# some kernel exits 1, which is printed here and does not stop CI.
+dune exec bench/main.exe -- --micro || \
+  echo "bench/main.exe --micro: the wall-clock reporter failed (reported, not gated)" >&2
 # Exhaustive crash-recovery fuzz: crash at every durable write of the
 # fixed-seed workload (the default runtest pass strides the same sweep).
 TREEBENCH_RECOVERY_FULL=1 dune exec test/test_main.exe -- test recovery

@@ -2,8 +2,8 @@
 
    One small recursive walk drives the operator tree {!Planner.lower}
    assembles: rid streams (scans), binding streams (fetch / navigation /
-   joins), (key, payload) streams (harvests) and value streams
-   (projection) are pushed bottom-up through emit callbacks, which keeps
+   joins) and (key, payload) streams (harvests) are pushed bottom-up
+   through emit callbacks into the projection and the result, which keeps
    the charge order — Handle lifetimes, page-fetch interleaving, hash and
    sort traffic — identical to the monolithic drivers this replaced.
 
@@ -22,7 +22,6 @@
 
 module Value = Tb_store.Value
 module Database = Tb_store.Database
-module Heap_file = Tb_storage.Heap_file
 module Rid = Tb_storage.Rid
 module Counters = Tb_sim.Counters
 
@@ -448,11 +447,17 @@ and run_hybrid st fr ~build ~probe ~build_var ~probe_var emit =
         live := None
     | None -> ()
   in
-  Fun.protect ~finally:dispose_live @@ fun () ->
+  let buckets = max 0 (partitions - 1) in
+  let build_spill = Operators.new_spill db ~names:battrs ~buckets in
+  let probe_spill = Operators.new_spill db ~names:pattrs ~buckets in
+  (* The spill files die with the join, also when it raises. *)
+  Fun.protect ~finally:(fun () ->
+      dispose_live ();
+      Operators.release_spill db build_spill;
+      Operators.release_spill db probe_spill)
+  @@ fun () ->
   let table : Op.payload Mem_hash.t = Mem_hash.create sim in
   live := Some table;
-  let build_spill = Operators.new_spill_files db (max 0 (partitions - 1)) in
-  let probe_spill = Operators.new_spill_files db (max 0 (partitions - 1)) in
   (* Build pass. *)
   iter_kvs st bharv (fun key payload ->
       Op.Acct.enter st.acct bsp_fr;
@@ -465,7 +470,7 @@ and run_hybrid st fr ~build ~probe ~build_var ~probe_var emit =
           ~payload_bytes:(Operators.payload_bytes payload)
           payload
       end
-      else Operators.spill build_spill.(bucket key - 1) ~names:battrs ~key payload);
+      else Operators.spill build_spill (bucket key - 1) ~key payload);
   (* Probe pass: bucket 0 joins immediately, the rest spill.  Bucket-0
      probe payloads are harvested lazily, once per match. *)
   let pslots = Operators.compile_attrs db ~cls:pcls pattrs in
@@ -502,7 +507,7 @@ and run_hybrid st fr ~build ~probe ~build_var ~probe_var emit =
           let pl = harvest h in
           Op.Acct.enter st.acct psp_fr;
           psp_fr.Op.rows_in <- psp_fr.Op.rows_in + 1;
-          Operators.spill probe_spill.(bucket key - 1) ~names:pattrs ~key pl
+          Operators.spill probe_spill (bucket key - 1) ~key pl
         end);
   dispose_live ();
   (* Spilled buckets, one at a time: each fits memory by construction. *)
@@ -510,18 +515,16 @@ and run_hybrid st fr ~build ~probe ~build_var ~probe_var emit =
     let tb : Op.payload Mem_hash.t = Mem_hash.create sim in
     live := Some tb;
     Op.Acct.enter st.acct bsp_fr;
-    Heap_file.scan build_spill.(b) (fun _ body ->
+    Operators.iter_spilled build_spill b (fun key payload ->
         Op.Acct.enter st.acct hb_fr;
-        let key, payload = Operators.unspill_record body in
         hb_fr.Op.rows_in <- hb_fr.Op.rows_in + 1;
         Mem_hash.add tb ~key
           ~payload_bytes:(Operators.payload_bytes payload)
           payload;
         Op.Acct.enter st.acct bsp_fr);
     Op.Acct.enter st.acct psp_fr;
-    Heap_file.scan probe_spill.(b) (fun _ body ->
+    Operators.iter_spilled probe_spill b (fun key pl ->
         Op.Acct.enter st.acct fr;
-        let key, pl = Operators.unspill_record body in
         pairs pl (Mem_hash.find tb ~key);
         Op.Acct.enter st.acct psp_fr);
     dispose_live ()
@@ -569,36 +572,52 @@ and run_merge st fr ~left ~right ~left_var ~right_var emit =
       emit ();
       Op.Acct.enter st.acct fr)
 
-(* --- value streams and the sink --- *)
+(* --- the projection and the sink --- *)
 
-let iter_values st node emit =
+(* The Project operator (frame [pfr]) hands a row to the Materialize
+   operator (frame [fr]). *)
+let hand_over st ~pfr ~fr =
+  pfr.Op.rows_out <- pfr.Op.rows_out + 1;
+  Op.Acct.enter st.acct fr;
+  fr.Op.rows_in <- fr.Op.rows_in + 1
+
+(* One projected row into [result]: Project builds the row's value when
+   the result reads it, and otherwise only sizes it — the same attribute
+   reads and charges, in the same order — and Materialize appends it. *)
+let append_row st ~pfr ~fr result project =
+  if Query_result.needs_value result then begin
+    let v = Operators.eval_select st.db st.regs project in
+    hand_over st ~pfr ~fr;
+    Query_result.append result v
+  end
+  else begin
+    let mem = Operators.size_select st.db st.regs project in
+    hand_over st ~pfr ~fr;
+    Query_result.append_size result mem
+  end;
+  fr.Op.rows_out <- fr.Op.rows_out + 1
+
+(* Drive a Materialize-over-Project subtree to completion and return its
+   result. *)
+let drive_materialize st node ~keep =
   match node.Op.kind with
-  | Op.Project { child; select } ->
-      let fr = node.Op.frame in
+  | Op.Materialize { child = proj; aggregate } ->
+      let fr = node.Op.frame and pfr = proj.Op.frame in
+      let child, select =
+        match proj.Op.kind with
+        | Op.Project { child; select } -> (child, select)
+        | _ -> invalid_arg "Exec: operator does not produce values"
+      in
       let project =
         Operators.compile_select st.db ~reg:(reg st) ~sources:(sources child)
           select
       in
-      iter_rows st child (fun () ->
-          Op.Acct.enter st.acct fr;
-          fr.Op.rows_in <- fr.Op.rows_in + 1;
-          let v = Operators.eval_select st.db st.regs project in
-          fr.Op.rows_out <- fr.Op.rows_out + 1;
-          emit v;
-          Op.Acct.enter st.acct fr)
-  | _ -> invalid_arg "Exec: operator does not produce values"
-
-(* Drive a Materialize subtree to completion and return its result. *)
-let drive_materialize st node ~keep =
-  match node.Op.kind with
-  | Op.Materialize { child; aggregate } ->
-      let fr = node.Op.frame in
       let result = Query_result.create ?aggregate (Database.sim st.db) ~keep in
-      iter_values st child (fun v ->
-          Op.Acct.enter st.acct fr;
-          fr.Op.rows_in <- fr.Op.rows_in + 1;
-          Query_result.append result v;
-          fr.Op.rows_out <- fr.Op.rows_out + 1);
+      iter_rows st child (fun () ->
+          Op.Acct.enter st.acct pfr;
+          pfr.Op.rows_in <- pfr.Op.rows_in + 1;
+          append_row st ~pfr ~fr result project;
+          Op.Acct.enter st.acct pfr);
       Op.Acct.enter st.acct fr;
       fr.Op.bytes <- Query_result.size_bytes result;
       result
@@ -854,12 +873,7 @@ let run_exchange_dest acct db xl ~keep ~(bx : (Rid.t * Op.payload) Exchange.t)
         hp_fr.Op.rows_out <- hp_fr.Op.rows_out + 1;
         Op.Acct.enter acct proj_fr;
         proj_fr.Op.rows_in <- proj_fr.Op.rows_in + 1;
-        let v = Operators.eval_select db regs project in
-        proj_fr.Op.rows_out <- proj_fr.Op.rows_out + 1;
-        Op.Acct.enter acct mat_fr;
-        mat_fr.Op.rows_in <- mat_fr.Op.rows_in + 1;
-        Query_result.append result v;
-        mat_fr.Op.rows_out <- mat_fr.Op.rows_out + 1;
+        append_row st ~pfr:proj_fr ~fr:mat_fr result project;
         Op.Acct.enter acct hp_fr
       in
       (* The result survives the return — the gather owns it — but a raise

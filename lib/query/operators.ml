@@ -9,6 +9,8 @@
 
 module Value = Tb_store.Value
 module Database = Tb_store.Database
+module Codec = Tb_store.Codec
+module Heap_file = Tb_storage.Heap_file
 module Rid = Tb_storage.Rid
 module Sim = Tb_sim.Sim
 
@@ -102,6 +104,24 @@ and eval_fields db regs = function
       let x = eval_select db regs p in
       (n, x) :: eval_fields db regs rest
 
+(* [eval_select]'s [Codec.mem_bytes], without the value: the same
+   attribute reads and charges, in the same order, each attribute sized
+   where it lies. *)
+let ref_mem_bytes = Codec.mem_bytes (Value.Ref Rid.nil)
+
+let rec size_select db (regs : Op.regs) = function
+  | P_const v -> Codec.mem_bytes v
+  | P_live_self _ | P_stored_self _ | P_ident _ -> ref_mem_bytes
+  | P_live_att (r, slot) -> Database.get_att_mem_bytes db regs.Op.live.(r) slot
+  | P_stored_att (r, i) -> Codec.mem_bytes regs.Op.stored.(r).Op.vals.(i)
+  | P_tuple fields -> size_fields db regs fields
+
+and size_fields db regs = function
+  | [] -> 0
+  | (_, p) :: rest ->
+      let n = size_select db regs p in
+      n + size_fields db regs rest
+
 (* A direct recursion rather than [List.for_all] over a closure: this runs
    once per navigated object, and must not allocate to do it. *)
 let rec eval_preds db h = function
@@ -187,7 +207,7 @@ let release_bytes sim n = Sim.release_bytes sim n
    streamed through disk once more (write out, read back for the merge);
    parents' keys are unique (their own Rids). *)
 let merge_join sim ~bytes ~parents ~children emit =
-  if Sim.excess_ratio sim > 0.0 then begin
+  if Sim.over_memory sim then begin
     let pages = (bytes / sim.Sim.cost.Tb_sim.Cost_model.page_size) + 1 in
     for _ = 1 to pages do
       Sim.charge_disk_write sim;
@@ -209,30 +229,95 @@ let merge_join sim ~bytes ~parents ~children emit =
 
 (* --- spilled partitions (hybrid hashing, DeWitt/Katz/Olken-style) --- *)
 
-(* A spilled payload travels as an encoded tuple whose first field is the
-   join key; the attribute names come from the harvesting operator, so the
-   record is byte for byte what a named payload would encode to. *)
-let spill_record ~names ~key (payload : Op.payload) =
-  let vals = payload.Op.vals in
-  let rec fields i = function
-    | [] -> []
-    | n :: rest -> (n, vals.(i)) :: fields (i + 1) rest
+(* A spilled payload travels as an encoded tuple whose first fields are the
+   join key and the payload's identity; the attribute names come from the
+   harvesting operator, so the record is byte for byte what a named
+   payload would encode to:
+   [\[@key: Ref key; @self: Ref self; name_1: v_1; ...\]].  It is written
+   field by field into one reused buffer, behind the heap file's framing
+   room, and read back field by field off the page. *)
+type spill = {
+  files : Heap_file.t array;
+  names : string list;
+  nvals : int;
+  fixed : int;  (** record bytes besides the values' encodings *)
+  mutable buf : bytes;
+}
+
+let key_name = "@key"
+let self_name = "@self"
+
+let new_spill db ~names ~buckets =
+  let fixed =
+    List.fold_left
+      (fun acc n -> acc + Codec.field_name_bytes n)
+      (Codec.tuple_header_bytes
+      + Codec.field_name_bytes key_name + Codec.ref_bytes
+      + Codec.field_name_bytes self_name + Codec.ref_bytes)
+      names
   in
-  Tb_store.Codec.encode
-    (Value.Tuple
-       (("@key", Value.Ref key)
-       :: ("@self", Value.Ref payload.Op.self)
-       :: fields 0 names))
+  {
+    files =
+      Array.init buckets (fun _ -> Heap_file.create_temp (Database.stack db));
+    names;
+    nvals = List.length names;
+    fixed;
+    buf = Bytes.create (Heap_file.frame_room + fixed + 64);
+  }
 
-let unspill_record body =
-  match Tb_store.Codec.decode_exn body with
-  | Value.Tuple (("@key", Value.Ref key) :: ("@self", Value.Ref self) :: attrs)
-    ->
-      (key, { Op.self; vals = Array.of_list (List.map snd attrs) })
-  | _ -> invalid_arg "Exec: corrupt spill record"
+(* Name and value of each payload field from index [i], at [pos]. *)
+let rec put_fields names vals buf i pos =
+  match names with
+  | [] -> pos
+  | n :: rest ->
+      let pos = Codec.field_name_into n buf ~pos in
+      put_fields rest vals buf (i + 1) (Codec.encode_into vals.(i) buf ~pos)
 
-let new_spill_files db n =
-  Array.init n (fun _ -> Tb_storage.Heap_file.create_temp (Database.stack db))
+let spill sp bucket ~key (payload : Op.payload) =
+  let vals = payload.Op.vals in
+  let len = ref sp.fixed in
+  for i = 0 to sp.nvals - 1 do
+    len := !len + Codec.encoded_size vals.(i)
+  done;
+  let len = !len in
+  if Bytes.length sp.buf < Heap_file.frame_room + len then
+    sp.buf <- Bytes.create (2 * (Heap_file.frame_room + len));
+  let buf = sp.buf in
+  let pos =
+    Codec.tuple_header_into ~fields:(2 + sp.nvals) buf ~pos:Heap_file.frame_room
+  in
+  let pos = Codec.field_name_into key_name buf ~pos in
+  let pos = Codec.ref_into key buf ~pos in
+  let pos = Codec.field_name_into self_name buf ~pos in
+  let pos = Codec.ref_into payload.Op.self buf ~pos in
+  if put_fields sp.names vals buf 0 pos <> Heap_file.frame_room + len then
+    invalid_arg "Operators.spill: payload does not match its names";
+  ignore (Heap_file.insert_body sp.files.(bucket) buf ~len)
 
-let spill file ~names ~key payload =
-  ignore (Tb_storage.Heap_file.insert file (spill_record ~names ~key payload))
+(* Page by page, in place: the key and identity are read as Rids, the
+   names skipped, and only the payload values decoded. *)
+let iter_spilled sp bucket f =
+  let file = sp.files.(bucket) in
+  let nvals = sp.nvals in
+  let record _ buf pos _ =
+    if Codec.tuple_fields buf ~pos <> 2 + nvals then
+      invalid_arg "Exec: corrupt spill record";
+    let pos = Codec.skip_field_name buf ~pos:(pos + Codec.tuple_header_bytes) in
+    let key = Codec.ref_at buf ~pos in
+    let pos = Codec.skip_field_name buf ~pos:(pos + Codec.ref_bytes) in
+    let self = Codec.ref_at buf ~pos in
+    let vals = Array.make nvals Value.Nil in
+    let pos = ref (pos + Codec.ref_bytes) in
+    for i = 0 to nvals - 1 do
+      let at = Codec.skip_field_name buf ~pos:!pos in
+      vals.(i) <- Codec.decode_value buf ~pos:at;
+      pos := Codec.skip buf ~pos:at
+    done;
+    f key { Op.self; vals }
+  in
+  for page = 0 to Heap_file.page_count file - 1 do
+    Heap_file.iter_page_spans file ~page record
+  done
+
+let spill_file sp bucket = sp.files.(bucket)
+let release_spill db sp = Array.iter (Database.release_temp db) sp.files

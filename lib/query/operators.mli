@@ -50,6 +50,11 @@ val compile_select :
     stowed one nothing. *)
 val eval_select : Tb_store.Database.t -> Op.regs -> projection -> Tb_store.Value.t
 
+(** [size_select db regs p] is [Codec.mem_bytes (eval_select db regs p)]
+    with the same charges in the same order, and nothing built: each
+    attribute is sized where it lies. *)
+val size_select : Tb_store.Database.t -> Op.regs -> projection -> int
+
 (** Short-circuit conjunction; one charged comparison and one charged
     attribute access per evaluated predicate. *)
 val eval_preds : Tb_store.Database.t -> Tb_store.Handle.t -> compiled_pred list -> bool
@@ -108,20 +113,34 @@ val merge_join :
   (Op.payload -> Op.payload -> unit) ->
   unit
 
-(** Decode one spilled record back into (key, payload).
-    Raises [Invalid_argument] on corrupt records. *)
-val unspill_record : bytes -> Tb_storage.Rid.t * Op.payload
+(** {2 Spilled partitions}
 
-(** [n] fresh temporary heap files for spilled partitions. *)
-val new_spill_files : Tb_store.Database.t -> int -> Tb_storage.Heap_file.t array
+    A spilled (key, payload) record is the encoded tuple
+    [\[@key: Ref key; @self: Ref self; name_1: v_1; ...\]], [names] being
+    the harvesting operator's attributes, one per payload value.  It is
+    written in place, field by field, and read back in place. *)
 
-(** Append one (key, payload) record to a spill file (charged as ordinary
-    heap-page traffic).  [names] are the harvesting operator's attributes,
-    one per payload value: the record is the tuple
-    [\[@key; @self; names...\]]. *)
-val spill :
-  Tb_storage.Heap_file.t ->
-  names:string list ->
-  key:Tb_storage.Rid.t ->
-  Op.payload ->
-  unit
+type spill
+
+(** [new_spill db ~names ~buckets] opens [buckets] fresh temporary heap
+    files for payloads carrying [names]. *)
+val new_spill :
+  Tb_store.Database.t -> names:string list -> buckets:int -> spill
+
+(** [spill sp b ~key payload] appends one record to file [b] (charged as
+    ordinary heap-page traffic).  Raises [Invalid_argument] when the
+    payload does not carry one value per name. *)
+val spill : spill -> int -> key:Tb_storage.Rid.t -> Op.payload -> unit
+
+(** [iter_spilled sp b f] reads file [b] page by page (charged as a heap
+    scan) and hands [f] each record's key and payload, in physical
+    order.  Raises [Invalid_argument] on a corrupt record. *)
+val iter_spilled :
+  spill -> int -> (Tb_storage.Rid.t -> Op.payload -> unit) -> unit
+
+(** [spill_file sp b] is the heap file bucket file [b] spills to. *)
+val spill_file : spill -> int -> Tb_storage.Heap_file.t
+
+(** [release_spill db sp] retires every file of [sp]
+    ({!Tb_store.Database.release_temp}); charge-free. *)
+val release_spill : Tb_store.Database.t -> spill -> unit

@@ -50,20 +50,6 @@ let create ?(standard = true) ?aggregate sim ~keep =
     disposed = false;
   }
 
-(* In-memory size of a result element: raw data plus a small per-row
-   overhead (field names are shared structure, not per-row storage). *)
-let rec mem_bytes v =
-  match v with
-  | Value.Nil | Value.Bool _ | Value.Char _ -> 1
-  | Value.Int _ -> 4
-  | Value.Real _ -> 8
-  | Value.String s -> String.length s
-  | Value.Ref _ | Value.Big_set _ -> 8
-  | Value.Tuple fields ->
-      List.fold_left (fun acc (_, x) -> acc + mem_bytes x) 0 fields
-  | Value.Set xs | Value.List xs ->
-      List.fold_left (fun acc x -> acc + mem_bytes x) 0 xs
-
 let numeric v =
   match v with
   | Value.Int i -> (float_of_int i, false)
@@ -91,26 +77,53 @@ let fold_row agg acc v =
         | Some m -> Oql_ast.eval_cmp Oql_ast.Gt v m
       then acc.maxv <- Some v
 
+(* Whether the next row's value is read: it is kept, it is one of the
+   sampled rows, or it feeds an aggregate other than [count].  Any other
+   row is charged by its size alone ([append_size]). *)
+let needs_value t =
+  match t.mode with
+  | Materialize -> t.keep || t.count < sample_size
+  | Fold (Oql_ast.Count, _) -> false
+  | Fold _ -> true
+
+(* One row's charges, shared by both appends; [mem] is the row's
+   [Codec.mem_bytes], which a fold does not read. *)
+let charge_row t mem =
+  match t.mode with
+  | Fold _ ->
+      (* Folding costs one comparison/addition, not a collection insert. *)
+      Tb_sim.Sim.charge_compare t.sim 1
+  | Materialize ->
+      (* The element's raw data plus a small per-row overhead. *)
+      let bytes = mem + 8 in
+      t.bytes <- t.bytes + bytes;
+      Tb_sim.Sim.charge_result_append t.sim ~bytes ~standard:t.standard;
+      (* Past physical memory the collection spills sequentially (the
+         append already paid the page fault): the spilled part is no longer
+         resident and must not make unrelated random accesses thrash. *)
+      if Tb_sim.Sim.over_memory t.sim then Tb_sim.Sim.release_bytes t.sim bytes
+      else t.resident_bytes <- t.resident_bytes + bytes
+
 let append t v =
   if t.disposed then invalid_arg "Query_result.append: disposed";
   t.count <- t.count + 1;
   match t.mode with
   | Fold (agg, acc) ->
-      (* Folding costs one comparison/addition, not a collection insert. *)
-      Tb_sim.Sim.charge_compare t.sim 1;
+      charge_row t 0;
       fold_row agg acc v
   | Materialize ->
-      let bytes = mem_bytes v + 8 in
-      t.bytes <- t.bytes + bytes;
       if t.keep then t.kept <- v :: t.kept
       else if t.count <= sample_size then t.sample <- v :: t.sample;
-      Tb_sim.Sim.charge_result_append t.sim ~bytes ~standard:t.standard;
-      (* Past physical memory the collection spills sequentially (the
-         append already paid the page fault): the spilled part is no longer
-         resident and must not make unrelated random accesses thrash. *)
-      if Tb_sim.Sim.excess_ratio t.sim > 0.0 then
-        Tb_sim.Sim.release_bytes t.sim bytes
-      else t.resident_bytes <- t.resident_bytes + bytes
+      charge_row t (Tb_store.Codec.mem_bytes v)
+
+let append_size t mem =
+  if t.disposed then invalid_arg "Query_result.append_size: disposed";
+  if needs_value t then invalid_arg "Query_result.append_size: the row's value is read";
+  t.count <- t.count + 1;
+  charge_row t mem;
+  match t.mode with
+  | Fold (agg, acc) -> fold_row agg acc Value.Nil (* a count reads no value *)
+  | Materialize -> ()
 
 (* Merge a partial (per-shard) result into [t] without re-paying per-row
    construction: the rows were already built — and charged — by the shard

@@ -26,6 +26,18 @@ val create :
     [sum]/[avg]/[min]/[max], or on a disposed result. *)
 val append : t -> Tb_store.Value.t -> unit
 
+(** [needs_value t] is whether the next row's value is read: the result is
+    kept, the row is one of the sampled ones, or it feeds an aggregate
+    other than [count].  When it is not, {!append_size} charges the row
+    without it. *)
+val needs_value : t -> bool
+
+(** [append_size t mem] is [append t v] for a row [v] that is not built:
+    [mem] is its {!Tb_store.Codec.mem_bytes}, and the charges, count and
+    size are those [append] makes.  Raises [Invalid_argument] on a
+    disposed result or when {!needs_value} holds. *)
+val append_size : t -> int -> unit
+
 (** [absorb t src] merges a partial (per-shard) result into [t] and
     retires [src] (it becomes disposed; its resident memory claim
     transfers to [t]).  Charge-free: the rows were built — and paid for —

@@ -1,6 +1,12 @@
-type t = { mutable now_ms : float; mutable work_ms : float }
+type t = {
+  mutable now_ms : float;
+  mutable work_ms : float;
+  mutable random_fault_accum : float;
+  mutable seq_fault_accum : float;
+}
 
-let create () = { now_ms = 0.0; work_ms = 0.0 }
+let create () =
+  { now_ms = 0.0; work_ms = 0.0; random_fault_accum = 0.0; seq_fault_accum = 0.0 }
 
 (* Inlined into every charge site ([Sim.us] and friends) so the duration
    stays an unboxed float all the way into the flat clock record.  The

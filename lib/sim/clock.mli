@@ -17,8 +17,21 @@
     loop) can advance the clock with a plain float store instead of a
     cross-module call.  Inlined advances must mirror {!advance} exactly:
     [now_ms <- now_ms +. ms] and [work_ms <- work_ms +. ms] with a
-    non-negative [ms]. *)
-type t = { mutable now_ms : float; mutable work_ms : float }
+    non-negative [ms].
+
+    The record also holds {!Sim}'s two swap-fault accumulators: it is
+    all floats, so OCaml stores it flat and a store into it boxes
+    nothing, where a float field of [Sim.t]'s mixed record would box
+    each update.  The clock itself never reads them; [Sim.reset] zeroes
+    them, {!reset} does not. *)
+type t = {
+  mutable now_ms : float;
+  mutable work_ms : float;
+  mutable random_fault_accum : float;
+      (** fractional random-access swap faults not yet charged *)
+  mutable seq_fault_accum : float;
+      (** fractional sequential swap faults (pages) not yet charged *)
+}
 
 val create : unit -> t
 

@@ -5,8 +5,6 @@ type t = {
   rng : Rng.t;
   mutable working_bytes : int;
   mutable peak_working_bytes : int;
-  mutable random_fault_accum : float;
-  mutable seq_fault_accum : float;
 }
 
 let create ?(seed = 42) cost =
@@ -17,8 +15,6 @@ let create ?(seed = 42) cost =
     rng = Rng.create seed;
     working_bytes = 0;
     peak_working_bytes = 0;
-    random_fault_accum = 0.0;
-    seq_fault_accum = 0.0;
   }
 
 let elapsed_s t = Clock.now_s t.clock
@@ -27,8 +23,8 @@ let reset t =
   Clock.reset t.clock;
   Counters.reset t.counters;
   t.peak_working_bytes <- t.working_bytes;
-  t.random_fault_accum <- 0.0;
-  t.seq_fault_accum <- 0.0
+  t.clock.Clock.random_fault_accum <- 0.0;
+  t.clock.Clock.seq_fault_accum <- 0.0
 
 let claim_bytes t n =
   if n < 0 then invalid_arg "Sim.claim_bytes: negative";
@@ -42,7 +38,12 @@ let release_bytes t n =
 
 let working_bytes t = t.working_bytes
 
-let excess_ratio t =
+(* [excess_ratio t > 0.0], decided on ints. *)
+let over_memory t =
+  let avail = Cost_model.available_bytes t.cost in
+  if avail <= 0 then t.working_bytes > 0 else t.working_bytes > avail
+
+let[@inline] excess_ratio t =
   let avail = Cost_model.available_bytes t.cost in
   if avail <= 0 then if t.working_bytes > 0 then 1.0 else 0.0
   else
@@ -52,30 +53,40 @@ let excess_ratio t =
 let[@inline] us t micros = Clock.advance t.clock (micros /. 1000.0)
 
 (* Deterministic swap accounting: accumulate fractional faults and charge
-   whole ones, so results do not depend on PRNG draws. *)
+   whole ones, so results do not depend on PRNG draws.  The accumulators
+   live in the flat float record of the clock, and the memory test is
+   made on ints first, so an event under memory allocates nothing and one
+   over it boxes no float. *)
+let charge_swap_faults t faults =
+  t.counters.Counters.swap_faults <- t.counters.Counters.swap_faults + faults;
+  Clock.advance t.clock (float_of_int faults *. t.cost.Cost_model.swap_fault_ms)
+
 let swap_random t =
-  let p = Float.min 1.0 (excess_ratio t *. t.cost.Cost_model.thrash_factor) in
-  if p > 0.0 then begin
-    t.random_fault_accum <- t.random_fault_accum +. p;
-    if t.random_fault_accum >= 1.0 then begin
-      let faults = int_of_float t.random_fault_accum in
-      t.random_fault_accum <- t.random_fault_accum -. float_of_int faults;
-      t.counters.Counters.swap_faults <-
-        t.counters.Counters.swap_faults + faults;
-      Clock.advance t.clock (float_of_int faults *. t.cost.Cost_model.swap_fault_ms)
+  if over_memory t then begin
+    (* [Float.min 1.0 r], spelled out: the same result for every [r]. *)
+    let r = excess_ratio t *. t.cost.Cost_model.thrash_factor in
+    let p = if r > 1.0 then 1.0 else r in
+    if p > 0.0 then begin
+      let c = t.clock in
+      c.Clock.random_fault_accum <- c.Clock.random_fault_accum +. p;
+      if c.Clock.random_fault_accum >= 1.0 then begin
+        let faults = int_of_float c.Clock.random_fault_accum in
+        c.Clock.random_fault_accum <-
+          c.Clock.random_fault_accum -. float_of_int faults;
+        charge_swap_faults t faults
+      end
     end
   end
 
 let swap_sequential t bytes =
-  if excess_ratio t > 0.0 then begin
+  if over_memory t then begin
+    let c = t.clock in
     let pages = float_of_int bytes /. float_of_int t.cost.Cost_model.page_size in
-    t.seq_fault_accum <- t.seq_fault_accum +. pages;
-    if t.seq_fault_accum >= 1.0 then begin
-      let faults = int_of_float t.seq_fault_accum in
-      t.seq_fault_accum <- t.seq_fault_accum -. float_of_int faults;
-      t.counters.Counters.swap_faults <-
-        t.counters.Counters.swap_faults + faults;
-      Clock.advance t.clock (float_of_int faults *. t.cost.Cost_model.swap_fault_ms)
+    c.Clock.seq_fault_accum <- c.Clock.seq_fault_accum +. pages;
+    if c.Clock.seq_fault_accum >= 1.0 then begin
+      let faults = int_of_float c.Clock.seq_fault_accum in
+      c.Clock.seq_fault_accum <- c.Clock.seq_fault_accum -. float_of_int faults;
+      charge_swap_faults t faults
     end
   end
 

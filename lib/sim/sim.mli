@@ -15,7 +15,13 @@
     probability that rises with the excess — the thrashing the paper observed
     when a "hash on a very large table" implied "a lot of memory swap"
     (Sections 3.5 and 5.1).  Sequential growth (result construction) pays at
-    most one fault per page of excess, modelling write-behind. *)
+    most one fault per page of excess, modelling write-behind.
+
+    Fractional faults accumulate until a whole one is charged, so no PRNG
+    draw is involved.  The two accumulators live in the float-only clock
+    record ({!Clock.t}), where an update boxes nothing, and the "past
+    available memory" test is made on ints ({!over_memory}), so an event
+    under memory computes no ratio at all. *)
 
 type t = {
   cost : Cost_model.t;
@@ -24,8 +30,6 @@ type t = {
   rng : Rng.t;
   mutable working_bytes : int;
   mutable peak_working_bytes : int;  (** high-water mark since last [reset] *)
-  mutable random_fault_accum : float;
-  mutable seq_fault_accum : float;
 }
 
 (** [create ?seed cost] makes a fresh context; [seed] defaults to 42. *)
@@ -49,6 +53,10 @@ val working_bytes : t -> int
 (** [excess_ratio t] is [(claimed - available) / available], clamped at 0 —
     how far past physical memory the working structures have grown. *)
 val excess_ratio : t -> float
+
+(** [over_memory t] is [excess_ratio t > 0.0], decided on ints: whether
+    the claimed working memory is past what is available. *)
+val over_memory : t -> bool
 
 (** {2 Charging events}
 

@@ -142,10 +142,13 @@ let flush t =
    pages are simply lost; the durable images stay whatever the last persists
    made them.  A dirty object no longer shares its image, so the disk's
    memo of it is void and the next load re-reads exactly those pages,
-   taking the dead object's buffer back; clean ones are reused. *)
+   taking the dead object's buffer back; clean ones are reused.  With no
+   pool frame left to hold one, the pages of dead scratch files are
+   released. *)
 let drop t =
   Buffer_pool.clear t.client;
-  Buffer_pool.clear t.server
+  Buffer_pool.clear t.server;
+  Disk.release_dead t.disk
 
 (* Cold restart: flush, then drop.  After the flush every working object is
    clean and shares its durable image, so every disk memo stays valid. *)

@@ -53,7 +53,8 @@ val flush : t -> unit
 
 (** Drop both caches without flushing — dirty working pages are lost.  This
     is what a crash does to the volatile state, and what abort does on
-    purpose (the durable images were or will be put right by the log). *)
+    purpose (the durable images were or will be put right by the log).
+    Then releases the pages of dead scratch files ({!Disk.release_dead}). *)
 val drop : t -> unit
 
 (** [flush] then [drop]: cold restart. *)

@@ -28,10 +28,17 @@ type durable = {
 }
 
 type file = {
-  name : string;
+  (* [dead_name] once the file's user is done with it ([mark_dead]): its
+     pages leave the durable state and are released at the next
+     [release_dead].  The name carries the mark because a flag field would
+     cost every file, and every short-lived disk, a word. *)
+  mutable name : string;
   mutable pages : durable array;
   mutable n_pages : int;
 }
+
+let dead_name = "(dead)"
+let is_dead f = f.name == dead_name
 
 type t = {
   sim : Tb_sim.Sim.t;
@@ -338,10 +345,23 @@ let verify t =
   done;
   !torn
 
+(* A dead file's released pages may be fewer than a checkpoint counted. *)
 let truncate_file t ~file ~pages =
   let f = get_file t file in
-  if pages < 0 || pages > f.n_pages then invalid_arg "Disk.truncate_file";
-  f.n_pages <- pages
+  if pages < 0 || (pages > f.n_pages && not (is_dead f)) then
+    invalid_arg "Disk.truncate_file";
+  f.n_pages <- Int.min pages f.n_pages
+
+let mark_dead t ~file = (get_file t file).name <- dead_name
+
+let release_dead t =
+  for file = 0 to t.n_files - 1 do
+    let f = t.files.(file) in
+    if is_dead f && f.n_pages > 0 then begin
+      f.pages <- [||];
+      f.n_pages <- 0
+    end
+  done
 
 let truncate_files t ~keep =
   if keep < 0 || keep > t.n_files then invalid_arg "Disk.truncate_files";
@@ -405,8 +425,10 @@ let durable_digest t =
   for i = 0 to t.n_files - 1 do
     let f = t.files.(i) in
     String.iter (fun ch -> mix_byte (Char.code ch)) f.name;
-    mix_int f.n_pages;
-    for index = 0 to f.n_pages - 1 do
+    (* A dead file's pages are not durable state, released or not. *)
+    let n_pages = if is_dead f then 0 else f.n_pages in
+    mix_int n_pages;
+    for index = 0 to n_pages - 1 do
       mix_bytes f.pages.(index).image
     done
   done;

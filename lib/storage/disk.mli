@@ -112,8 +112,21 @@ val checksum : Bytes.t -> int
 val verify : t -> Page_id.t list
 
 (** [truncate_file t ~file ~pages] drops pages beyond [pages] (recovery of a
-    loser's appends). *)
+    loser's appends).  Raises [Invalid_argument] when [pages] is negative,
+    or beyond the file's pages unless the file is dead. *)
 val truncate_file : t -> file:int -> pages:int -> unit
+
+(** {2 Dead scratch files}
+
+    A spill file outlives its join only as wasted pages.  [mark_dead t
+    ~file] retires it: its pages stop counting in {!durable_digest}, and
+    [release_dead t] drops the pages of every dead file (they then stop
+    counting in {!total_pages} too).  Only {!Cache_stack.drop} calls
+    [release_dead], once no pool frame can hold such a page; nothing may
+    read or write a dead file's pages after that. *)
+
+val mark_dead : t -> file:int -> unit
+val release_dead : t -> unit
 
 (** [truncate_files t ~keep] drops files with id >= [keep] (recovery of a
     loser's file creations; ids are allocation-ordered). *)
@@ -142,6 +155,6 @@ val page_counts : t -> int array
 val total_pages : t -> int
 
 (** Hex digest of the durable state (file names, page counts, image bytes;
-    LSNs and checksums excluded).  Equal digests mean a restart would
+    LSNs, checksums and dead files' pages excluded).  Equal digests mean a restart would
     materialize identical databases — the recovery oracle. *)
 val durable_digest : t -> string

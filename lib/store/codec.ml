@@ -200,6 +200,87 @@ let rec skip b ~pos =
   end
   else invalid_arg "Codec.skip: bad tag"
 
+(* In-memory size of a value (a result element's share of its
+   collection): raw data, with field names shared structure rather than
+   per-row storage.  [mem_bytes_at] reads the same figure off an encoding
+   without building the value. *)
+let rec mem_bytes v =
+  match v with
+  | Value.Nil | Value.Bool _ | Value.Char _ -> 1
+  | Value.Int _ -> 4
+  | Value.Real _ -> 8
+  | Value.String s -> String.length s
+  | Value.Ref _ | Value.Big_set _ -> 8
+  | Value.Tuple fields -> mem_fields fields
+  | Value.Set xs | Value.List xs -> mem_elems xs
+
+and mem_fields = function [] -> 0 | (_, x) :: rest -> mem_bytes x + mem_fields rest
+and mem_elems = function [] -> 0 | x :: rest -> mem_bytes x + mem_elems rest
+
+let rec mem_bytes_at b ~pos =
+  if pos >= Bytes.length b then invalid_arg "Codec.mem_bytes_at: truncated";
+  let tag = Bytes.get_uint8 b pos in
+  let pos = pos + 1 in
+  if tag = tag_nil || tag = tag_bool || tag = tag_char then 1
+  else if tag = tag_int then 4
+  else if tag = tag_real then 8
+  else if tag = tag_string then Bytes.get_uint16_le b pos
+  else if tag = tag_ref || tag = tag_big_set then 8
+  else if tag = tag_tuple then begin
+    let n = Bytes.get_uint16_le b pos in
+    let pos = ref (pos + 2) and acc = ref 0 in
+    for _ = 1 to n do
+      let at = !pos + 2 + Bytes.get_uint16_le b !pos in
+      acc := !acc + mem_bytes_at b ~pos:at;
+      pos := skip b ~pos:at
+    done;
+    !acc
+  end
+  else if tag = tag_set || tag = tag_list then begin
+    let n = Int32.to_int (Bytes.get_int32_le b pos) in
+    let pos = ref (pos + 4) and acc = ref 0 in
+    for _ = 1 to n do
+      acc := !acc + mem_bytes_at b ~pos:!pos;
+      pos := skip b ~pos:!pos
+    done;
+    !acc
+  end
+  else invalid_arg "Codec.mem_bytes_at: bad tag"
+
+(* A tuple written and read one field at a time: the header, each field's
+   name, then the field's value ([encode_into], or [ref_into] for a
+   reference), byte for byte what [encode] makes of the whole tuple. *)
+let tuple_header_bytes = 3
+let field_name_bytes name = 2 + String.length name
+let ref_bytes = 1 + Tb_storage.Rid.on_disk_bytes
+
+let tuple_header_into ~fields buf ~pos =
+  Bytes.set_uint8 buf pos tag_tuple;
+  Bytes.set_uint16_le buf (pos + 1) fields;
+  pos + 3
+
+let field_name_into name buf ~pos =
+  Bytes.set_uint16_le buf pos (String.length name);
+  Bytes.blit_string name 0 buf (pos + 2) (String.length name);
+  pos + 2 + String.length name
+
+let ref_into rid buf ~pos =
+  Bytes.set_uint8 buf pos tag_ref;
+  Tb_storage.Rid.encode_into rid buf ~pos:(pos + 1);
+  pos + ref_bytes
+
+let tuple_fields b ~pos =
+  if pos + 3 > Bytes.length b || Bytes.get_uint8 b pos <> tag_tuple then
+    invalid_arg "Codec.tuple_fields: not a tuple";
+  Bytes.get_uint16_le b (pos + 1)
+
+let skip_field_name b ~pos = pos + 2 + Bytes.get_uint16_le b pos
+
+let ref_at b ~pos =
+  if pos + ref_bytes > Bytes.length b || Bytes.get_uint8 b pos <> tag_ref then
+    invalid_arg "Codec.ref_at: not a reference";
+  Tb_storage.Rid.decode b ~pos:(pos + 1)
+
 let decode_exn b =
   let v, final = decode b ~pos:0 in
   if final <> Bytes.length b then invalid_arg "Codec.decode_exn: trailing bytes";

@@ -36,6 +36,51 @@ val skip : bytes -> pos:int -> int
 (** [decode_exn b] decodes a whole buffer holding exactly one value. *)
 val decode_exn : bytes -> Value.t
 
+(** {2 In-memory size}
+
+    [mem_bytes v] is the in-memory size of a result element: 1 byte for
+    [Nil], [Bool] and [Char], 4 per [Int], 8 per [Real], [Ref] and
+    [Big_set], a string's length, and the sum over a tuple's fields or a
+    collection's elements (field names are shared structure, not per-row
+    storage).  [mem_bytes_at b ~pos] is [mem_bytes] of the value encoded
+    at [pos], read in place without building it; it raises
+    [Invalid_argument] on malformed input. *)
+
+val mem_bytes : Value.t -> int
+val mem_bytes_at : bytes -> pos:int -> int
+
+(** {2 Tuples field by field}
+
+    Writers and readers for a tuple encoded one field at a time, with
+    nothing built: [tuple_header_into], then per field [field_name_into]
+    and the value ([encode_into], or [ref_into] for a reference) give
+    exactly the bytes [encode] makes of the whole [Value.Tuple].  Each
+    writer returns the position one past what it wrote. *)
+
+(** Bytes of a tuple header, of a field name's encoding, and of an
+    encoded reference. *)
+val tuple_header_bytes : int
+
+val field_name_bytes : string -> int
+val ref_bytes : int
+val tuple_header_into : fields:int -> bytes -> pos:int -> int
+val field_name_into : string -> bytes -> pos:int -> int
+
+(** [ref_into rid] writes what [encode_into (Value.Ref rid)] writes. *)
+val ref_into : Tb_storage.Rid.t -> bytes -> pos:int -> int
+
+(** [tuple_fields b ~pos] is the field count of the tuple encoded at
+    [pos]; raises [Invalid_argument] unless a tuple is encoded there. *)
+val tuple_fields : bytes -> pos:int -> int
+
+(** [skip_field_name b ~pos] is the position of the value after the field
+    name encoded at [pos]. *)
+val skip_field_name : bytes -> pos:int -> int
+
+(** [ref_at b ~pos] is the Rid of the reference encoded at [pos], read in
+    place; raises [Invalid_argument] unless a [Ref] is encoded there. *)
+val ref_at : bytes -> pos:int -> Tb_storage.Rid.t
+
 (** {2 Wire tags}
 
     The one-byte type tag that opens every encoded value, exported so the

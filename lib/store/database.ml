@@ -42,6 +42,10 @@ type t = {
   mutable old_keys : int array;
   mutable new_keys : int array;
   mutable spills : int;
+  (* Scratch files whose user is done with them while the log still
+     holds touches of theirs; marked dead once the log is checkpointed or
+     discarded (see [release_temp]). *)
+  mutable retired : int list;
 }
 
 let register_file t heap =
@@ -132,6 +136,7 @@ let create sim ~schema ~server_pages ~client_pages
       old_keys = Array.make 4 0;
       new_keys = Array.make 4 0;
       spills = 0;
+      retired = [];
     }
   in
   ignore (register_file t t.collections);
@@ -474,15 +479,25 @@ let handle_rid t h = Handle.rid (slab t) h
 let packed_buf t h = Handle.packed_buf (slab t) h
 let packed_body t h = Handle.packed_body (slab t) h
 
-let get_att_slot t h slot =
-  Tb_sim.Sim.charge_get_att t.sim;
-  let s = slab t in
-  let buf = Handle.packed_buf s h in
+(* The position of [slot]'s encoding in [buf], the Handle's page bytes. *)
+let att_pos s h buf slot =
   let pos = ref (Handle.packed_body s h) in
   for _ = 1 to slot do
     pos := Codec.skip buf ~pos:!pos
   done;
-  Codec.decode_value buf ~pos:!pos
+  !pos
+
+let get_att_slot t h slot =
+  Tb_sim.Sim.charge_get_att t.sim;
+  let s = slab t in
+  let buf = Handle.packed_buf s h in
+  Codec.decode_value buf ~pos:(att_pos s h buf slot)
+
+let get_att_mem_bytes t h slot =
+  Tb_sim.Sim.charge_get_att t.sim;
+  let s = slab t in
+  let buf = Handle.packed_buf s h in
+  Codec.mem_bytes_at buf ~pos:(att_pos s h buf slot)
 
 let attr_slot t ~cls attr =
   match Schema.attr_slot t.schema ~class_id:(Schema.class_id t.schema cls) ~attr with
@@ -635,6 +650,26 @@ let cardinality t ~cls =
 
 let extent_pages t ~cls = Heap_file.page_count (class_file t ~cls)
 
+(* Retiring a scratch file (a join's spill partition) its user is done
+   with.  Its pages are released at the next pool drop, which must not pull
+   a page the log can still read (a rollback's undo, recovery's redo):
+   while the log holds touches, the file waits for the next checkpoint or
+   discard.  A file created after the last checkpoint and truncated by a
+   rollback or recovery is gone already. *)
+let release_temp t heap =
+  let file = Heap_file.file_id heap in
+  if Wal.touched_pages (Transaction.wal t.txn) = 0 then
+    Tb_storage.Disk.mark_dead (Tb_storage.Cache_stack.disk t.stack) ~file
+  else t.retired <- file :: t.retired
+
+let settle_retired t =
+  let disk = Tb_storage.Cache_stack.disk t.stack in
+  List.iter
+    (fun file ->
+      if file < Tb_storage.Disk.file_count disk then Tb_storage.Disk.mark_dead disk ~file)
+    t.retired;
+  t.retired <- []
+
 (* Commit: force the commit record (standard mode), capture the catalog
    image the commit leads to, flush dirty pages, truncate the log, and
    publish the new checkpoint.  The capture happens between force and
@@ -652,6 +687,7 @@ let commit t =
   Wal.checkpoint wal disk;
   (match t.pending_ckpt with Some c -> t.checkpoint <- c | None -> ());
   t.pending_ckpt <- None;
+  settle_retired t;
   t.commit_seq <- t.commit_seq + 1;
   match t.on_commit with None -> () | Some f -> f ~seq:t.commit_seq
 
@@ -748,6 +784,7 @@ let rollback t =
   Handle_table.discard t.handles;
   install_ckpt t t.checkpoint;
   t.pending_ckpt <- None;
+  settle_retired t;
   undone
 
 (* {2 Transaction handles} *)
@@ -840,6 +877,7 @@ let crash_and_recover t =
   Wal.discard wal disk;
   Transaction.reset t.txn;
   t.pending_ckpt <- None;
+  settle_retired t;
   (match Tb_storage.Disk.verify disk with
   | [] -> ()
   | _ :: _ ->

@@ -75,6 +75,11 @@ val attr_slot : t -> cls:string -> string -> int
     page bytes. *)
 val get_att_slot : t -> Handle.t -> int -> Value.t
 
+(** [get_att_mem_bytes t h slot] is [Codec.mem_bytes (get_att_slot t h
+    slot)] with the same charge, read in place: the attribute is sized,
+    not built. *)
+val get_att_mem_bytes : t -> Handle.t -> int -> int
+
 (** [handle_rid t h] is the Rid the Handle represents. *)
 val handle_rid : t -> Handle.t -> Tb_storage.Rid.t
 
@@ -221,6 +226,15 @@ val durable_fingerprint : t -> string
 (** Total durable pages across all files — the size of the checksum walk a
     replica promotion verifies. *)
 val durable_pages : t -> int
+
+(** [release_temp t heap] retires a scratch file (a join's spill
+    partition) its user is done with: its pages leave the durable state
+    and are released at the next pool drop ({!cold_restart}, abort,
+    crash).  While the log still holds touches (a standard-mode
+    transaction in flight), the file waits for the next commit, abort or
+    recovery, so that nothing the log reads is released under it.
+    Charge-free. *)
+val release_temp : t -> Tb_storage.Heap_file.t -> unit
 
 type recovery = {
   outcome : [ `Winner | `Loser ];

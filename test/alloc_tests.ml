@@ -1,6 +1,7 @@
-(* Allocation budgets: the executor's row path, the B+-tree's lookups,
-   the words per object write, the write path's page-sized blocks, the
-   optimizer's words per call, and every micro kernel's words per call.
+(* Allocation budgets: the executor's row path, rows nobody keeps, spilled
+   records, the B+-tree's lookups, the words per object write, the write
+   path's page-sized blocks, the optimizer's words per call, and every
+   micro kernel's words per call.
 
    The engine is deterministic, so the host allocation of a query is
    reproducible to the word.  Cold queries at scale 500 must stay within
@@ -43,7 +44,7 @@ type run = {
 }
 
 (* Lower once, then run cold and count only what the executor allocates. *)
-let run db ?force_algo ?force_seq text =
+let run db ?force_algo ?force_seq ?(keep = false) text =
   let plan = Planner.plan ?force_algo ?force_seq db (Oql_parser.parse text) in
   let root = Planner.lower ~packed:true plan in
   Database.cold_restart db;
@@ -51,7 +52,7 @@ let run db ?force_algo ?force_seq text =
   let c = sim.Sim.counters in
   let pins0 = c.Counters.handle_allocs + c.Counters.handle_hits in
   let w0 = Gc.minor_words () in
-  let r = Exec.run db root ~keep:false in
+  let r = Exec.run db root ~keep in
   let words = Gc.minor_words () -. w0 in
   let pins = c.Counters.handle_allocs + c.Counters.handle_hits - pins0 in
   let rows = Query_result.rows_seen r in
@@ -87,19 +88,33 @@ let join =
   "select [p.name, pa.age] from p in Providers, pa in p.clients where pa.mrn < \
    60 and p.upin < 20"
 
-(* (name, force_algo, force_seq, text, words per pinned object, words per
-   emitted row).  The hash and sort-merge joins carry their stored side as
-   slot-ordered payloads, so they gate the payload path too. *)
+(* (name, force_algo, force_seq, keep, text, words per pinned object,
+   words per emitted row).  The hash and sort-merge joins carry their
+   stored side as slot-ordered payloads, so they gate the payload path
+   too.  A result that keeps no rows sizes them instead of building them;
+   the kept reading of the wide NL join gates the path that builds. *)
 let budgets =
   [
-    ("seq-scan fetch (packed)", None, Some true, scan, Some 10.0, None);
-    ("NL join", Some Plan.NL, None, join, Some 43.0, None);
-    ("wide selection", None, Some true, wide_scan, None, Some 50.0);
-    ("wide NL join", Some Plan.NL, None, wide_join, None, Some 135.0);
-    ("wide PHJ", Some Plan.PHJ, None, wide_join, None, Some 105.0);
-    ("wide CHJ", Some Plan.CHJ, None, wide_join, None, Some 144.0);
-    ("wide sort-merge", Some Plan.SMJ, None, wide_join, None, Some 134.0);
+    ("seq-scan fetch (packed)", None, Some true, false, scan, Some 10.0, None);
+    ("NL join", Some Plan.NL, None, false, join, Some 43.0, None);
+    ("wide selection", None, Some true, false, wide_scan, None, Some 32.0);
+    ("wide NL join", Some Plan.NL, None, false, wide_join, None, Some 95.0);
+    ("wide NL join, kept", Some Plan.NL, None, true, wide_join, None, Some 120.0);
+    ("wide PHJ", Some Plan.PHJ, None, false, wide_join, None, Some 85.0);
+    ("wide CHJ", Some Plan.CHJ, None, false, wide_join, None, Some 108.0);
+    ("wide sort-merge", Some Plan.SMJ, None, false, wide_join, None, Some 119.0);
   ]
+
+let words f =
+  let w0 = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. w0
+
+(* Words per un-kept projected row beyond a count's, and per spilled
+   record written and read back (see below). *)
+let unkept_row_budget = 6.0
+let spill_write_budget = 23.0
+let spill_read_budget = 13.0
 
 let within name ~per what count budget =
   Option.iter
@@ -114,9 +129,11 @@ let test_row_path_budget () =
   let db = (built ()).Generator.db in
   let twin = (built ()).Generator.db in
   List.iter
-    (fun (name, force_algo, force_seq, text, pin_budget, row_budget) ->
-      let a = run db ?force_algo ?force_seq text in
-      let b = run twin ?force_algo ?force_seq text in
+    (fun (name, force_algo, force_seq, keep, text, pin_budget, row_budget) ->
+      let a = run db ?force_algo ?force_seq ~keep text in
+      let b = run twin ?force_algo ?force_seq ~keep text in
+      Printf.printf "%-26s %8.2f words per pinned object %8.2f per emitted row\n" name
+        (a.words /. float_of_int a.pins) (a.words /. float_of_int a.rows);
       check_bool (name ^ ": pins objects") true (a.pins > 0);
       check_bool (name ^ ": emits rows") true (a.rows > 0);
       check_bool (name ^ ": scans through a packed Fetch") true a.packed_fetch;
@@ -130,6 +147,95 @@ let test_row_path_budget () =
         a.work_bits)
     budgets
 
+(* --- rows nobody keeps ---
+
+   A result that keeps no rows reads a row only for its size, so the
+   projection sizes its attributes where they lie and builds nothing.
+   Against a count of the same rows (which reads no attribute), a wide
+   projected row costs only its two attribute reads' charges and its
+   result append's, which box their floats in the dev profile; building
+   the [p.name, pa.age] tuple would add 16 words or more. *)
+
+let wide_join_count =
+  "select count(pa) from p in Providers, pa in p.clients where pa.mrn < 3000 and \
+   p.upin < 1000"
+
+let test_unkept_row_budget () =
+  let db = (built ()).Generator.db in
+  let twin = (built ()).Generator.db in
+  let measure db =
+    let rows = run db ~force_algo:Plan.NL wide_join in
+    let count = run db ~force_algo:Plan.NL wide_join_count in
+    (rows, count)
+  in
+  let rows, count = measure db in
+  let rows', count' = measure twin in
+  check_bool "the projection emits rows" true (rows.rows > 1000);
+  let per_row = (rows.words -. count.words) /. float_of_int rows.rows in
+  Printf.printf "un-kept projected row: %.2f words beyond a count's\n" per_row;
+  check_bool
+    (Printf.sprintf "un-kept projected row: %.2f minor words beyond a count's <= %.0f"
+       per_row unkept_row_budget)
+    true (per_row <= unkept_row_budget);
+  List.iter
+    (fun (what, a, b) ->
+      Alcotest.(check string) (what ^ ": counters match the twin") b.counters a.counters;
+      Alcotest.(check int64) (what ^ ": elapsed bits match the twin") b.now_bits a.now_bits;
+      Alcotest.(check int64) (what ^ ": work bits match the twin") b.work_bits a.work_bits)
+    [ ("projection", rows, rows'); ("count", count, count') ]
+
+(* --- spilled records ---
+
+   A hybrid hash join writes each spilled (key, payload) record field by
+   field into one reused buffer and reads it back in place, decoding only
+   the payload's values.  Writing one builds no tuple and copies no
+   record: it costs its heap insert (about 12 words here, the page fetch
+   and its charges) and five words per value that [Codec.encode_into]
+   spends on a closure.  Reading it back costs the payload it hands back:
+   its record, its value array and the values. *)
+
+let test_spill_record_budget () =
+  let measure db =
+    let n = 2000 in
+    let sp = Operators.new_spill db ~names:[ "name"; "age" ] ~buckets:1 in
+    let payloads =
+      Array.init n (fun i ->
+          {
+            Op.self = Tb_storage.Rid.make ~file:1 ~page:(i / 50) ~slot:(i mod 50);
+            vals = [| Tb_store.Value.String (Printf.sprintf "pp%04d" i); Tb_store.Value.Int i |];
+          })
+    in
+    let key = Tb_storage.Rid.make ~file:0 ~page:3 ~slot:7 in
+    Database.cold_restart db;
+    let write =
+      words (fun () -> Array.iter (fun p -> Operators.spill sp 0 ~key p) payloads)
+    in
+    let read_back = ref 0 in
+    let read =
+      words (fun () -> Operators.iter_spilled sp 0 (fun _ _ -> incr read_back))
+    in
+    Operators.release_spill db sp;
+    Alcotest.(check int) "every record reads back" n !read_back;
+    let sim = Database.sim db in
+    ( write /. float_of_int n,
+      read /. float_of_int n,
+      Format.asprintf "%a" Counters.pp sim.Sim.counters,
+      Int64.bits_of_float (Tb_sim.Clock.now_ms sim.Sim.clock) )
+  in
+  let write, read, counters, now = measure (built ()).Generator.db in
+  let _, _, counters', now' = measure (built ()).Generator.db in
+  Printf.printf "spilled record: %.2f words to write, %.2f to read back\n" write read;
+  check_bool
+    (Printf.sprintf "spilled record: %.2f minor words to write <= %.0f" write
+       spill_write_budget)
+    true (write <= spill_write_budget);
+  check_bool
+    (Printf.sprintf "spilled record: %.2f minor words to read back <= %.0f" read
+       spill_read_budget)
+    true (read <= spill_read_budget);
+  Alcotest.(check string) "spill: counters match the twin" counters' counters;
+  Alcotest.(check int64) "spill: elapsed bits match the twin" now' now
+
 (* --- Handle churn ---
 
    A Handle is a slab slot, and the table's index and zombie FIFO are flat
@@ -138,11 +244,6 @@ let test_row_path_budget () =
    objects) and the miss's own charges, which box their floats in the dev
    profile and so are measured rather than assumed, as for the B+-tree
    below. *)
-
-let words f =
-  let w0 = Gc.minor_words () in
-  f ();
-  Gc.minor_words () -. w0
 
 let test_cold_acquire_budget () =
   let b = built () in
@@ -577,20 +678,20 @@ let test_tree_walks () =
 
 let kernel_budgets =
   [
-    ("fig6.index_scan", 8186.0, 0.0);
+    ("fig6.index_scan", 7613.0, 0.0);
     ("fig6.optimizer_sweep", 9588.0, 0.0);
-    ("fig7.sorted_index_scan", 8210.0, 602.0);
-    ("fig7.full_scan", 10274.0, 0.0);
-    ("fig7.sharded_scan", 11718.0, 0.0);
-    ("fig7.sharded_scan_degraded", 12203.0, 0.0);
+    ("fig7.sorted_index_scan", 7637.0, 602.0);
+    ("fig7.full_scan", 9701.0, 0.0);
+    ("fig7.sharded_scan", 11226.0, 0.0);
+    ("fig7.sharded_scan_degraded", 11715.0, 0.0);
     ("fig7.packed_scan", 5021.0, 0.0);
-    ("fig11_14.nl", 16810.0, 0.0);
-    ("fig11_14.nojoin", 15326.0, 602.0);
-    ("fig11_14.phj", 17694.0, 1627.0);
-    ("fig11_14.chj", 21369.0, 1627.0);
-    ("ext.phhj", 19500.0, 1627.0);
-    ("ext.smj", 22839.0, 903.0);
-    ("ext.count", 9668.0, 0.0);
+    ("fig11_14.nl", 13813.0, 0.0);
+    ("fig11_14.nojoin", 12329.0, 602.0);
+    ("fig11_14.phj", 15513.0, 1627.0);
+    ("fig11_14.chj", 18644.0, 1627.0);
+    ("ext.phhj", 17651.0, 1627.0);
+    ("ext.smj", 20930.0, 903.0);
+    ("ext.count", 9063.0, 0.0);
     ("fig10.hash_build", 7218.0, 1025.0);
     ("fig9.handle_churn", 2407.0, 0.0);
     ("fig9.packed_churn", 4813.0, 0.0);
@@ -650,6 +751,10 @@ let suite =
   [
     Alcotest.test_case "row path: minor words per pinned object, charges exact"
       `Quick test_row_path_budget;
+    Alcotest.test_case "rows: words per un-kept projected row, charges exact" `Quick
+      test_unkept_row_budget;
+    Alcotest.test_case "spill: words per spilled record, charges exact" `Quick
+      test_spill_record_budget;
     Alcotest.test_case "handles: cold acquire/unref allocates under a word per object"
       `Quick test_cold_acquire_budget;
     Alcotest.test_case "btree: search and range allocate nothing per entry"

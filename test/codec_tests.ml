@@ -80,6 +80,21 @@ let prop_roundtrip =
           after;
       true)
 
+(* The executor sizes a row it does not build by reading its attributes'
+   encodings in place: [mem_bytes_at] must agree with [mem_bytes] of the
+   decoded value for every tag, mid-buffer and with trailing garbage. *)
+let prop_mem_bytes_at =
+  QCheck.Test.make ~name:"codec: in-place mem_bytes_at equals mem_bytes"
+    ~count:500 value_arb (fun v ->
+      let enc = Codec.encode v in
+      let pad = 3 in
+      let buf = Bytes.make (pad + Bytes.length enc + 5) '\x07' in
+      Bytes.blit enc 0 buf pad (Bytes.length enc);
+      let want = Codec.mem_bytes v and got = Codec.mem_bytes_at buf ~pos:pad in
+      if got <> want then
+        QCheck.Test.fail_reportf "mem_bytes_at %d but mem_bytes %d" got want;
+      true)
+
 (* The corners the generator might under-sample, pinned explicitly. *)
 let explicit_corners () =
   let check v =
@@ -89,7 +104,8 @@ let explicit_corners () =
       (Format.asprintf "round-trip %a" Value.pp v)
       true
       (Value.equal v v' && after = Bytes.length enc
-      && Codec.skip enc ~pos:0 = after)
+      && Codec.skip enc ~pos:0 = after
+      && Codec.mem_bytes_at enc ~pos:0 = Codec.mem_bytes v)
   in
   List.iter check
     [
@@ -111,5 +127,6 @@ let explicit_corners () =
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_roundtrip;
+    QCheck_alcotest.to_alcotest prop_mem_bytes_at;
     Alcotest.test_case "codec: explicit corner values" `Quick explicit_corners;
   ]

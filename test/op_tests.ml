@@ -64,45 +64,85 @@ let test_covering_no_handles () =
 
 (* --- spill records: payload round-trip through a heap file --- *)
 
+(* The reference encoding of a spill record: the named tuple built as a
+   value tree and encoded whole.  [Operators.spill] writes it field by
+   field in place, and must produce the same bytes. *)
+let reference_record ~names ~key (p : Op.payload) =
+  Tb_store.Codec.encode
+    (Value.Tuple
+       (("@key", Value.Ref key)
+       :: ("@self", Value.Ref p.Op.self)
+       :: List.mapi (fun i n -> (n, p.Op.vals.(i))) names))
+
 let test_spill_roundtrip () =
   let b = small_built () in
   let db = b.Generator.db in
-  let file = (Operators.new_spill_files db 1).(0) in
-  let key = b.Generator.providers.(3) in
-  let payload =
-    {
-      Op.self = b.Generator.patients.(7);
-      vals = [| Value.Int 42; Value.String "pp0007" |];
-    }
+  let names = [ "age"; "name"; "misc" ] in
+  let sp = Operators.new_spill db ~names ~buckets:2 in
+  let key i = b.Generator.providers.(i mod Array.length b.Generator.providers) in
+  let self i = b.Generator.patients.(i) in
+  (* Every tag, nested tuples and sets included, and a record long
+     enough to grow the reused buffer. *)
+  let misc =
+    [|
+      Value.Nil;
+      Value.Real 2.5;
+      Value.Bool true;
+      Value.Char 'x';
+      Value.Ref (self 9);
+      Value.Big_set (self 10);
+      Value.Tuple [ ("a", Value.Int (-3)); ("b", Value.Set [ Value.Int 1; Value.String "s" ]) ];
+      Value.List [ Value.Tuple []; Value.Set [] ];
+      Value.String (String.make 300 'q');
+    |]
   in
-  let names = [ "age"; "name" ] in
-  Operators.spill file ~names ~key payload;
-  Operators.spill file ~names:[] ~key:b.Generator.providers.(1)
-    { Op.self = b.Generator.patients.(1); vals = [||] };
-  let got = ref [] and bodies = ref [] in
-  Tb_storage.Heap_file.scan file (fun _ body ->
-      bodies := body :: !bodies;
-      got := Operators.unspill_record body :: !got);
-  (* The record is the named tuple, byte for byte: the names come from
-     the operator, not the payload. *)
-  check_bool "record encodes the named tuple" true
-    (List.nth (List.rev !bodies) 0
-    = Tb_store.Codec.encode
-        (Value.Tuple
-           [
-             ("@key", Value.Ref key);
-             ("@self", Value.Ref payload.Op.self);
-             ("age", Value.Int 42);
-             ("name", Value.String "pp0007");
-           ]));
-  match List.rev !got with
-  | [ (k1, p1); (k2, p2) ] ->
-      check_bool "key 1" true (Rid.equal k1 key);
-      check_bool "self 1" true (Rid.equal p1.Op.self payload.Op.self);
-      check_bool "values survive" true (p1.Op.vals = payload.Op.vals);
-      check_bool "key 2" true (Rid.equal k2 b.Generator.providers.(1));
-      check_bool "empty payload survives" true (p2.Op.vals = [||]);
-  | other -> Alcotest.failf "expected 2 records, got %d" (List.length other)
+  let payloads =
+    Array.mapi
+      (fun i m ->
+        {
+          Op.self = self i;
+          vals = [| Value.Int (40 + i); Value.String (Printf.sprintf "pp%04d" i); m |];
+        })
+      misc
+  in
+  Array.iteri (fun i p -> Operators.spill sp (i mod 2) ~key:(key i) p) payloads;
+  (* An empty payload carries no names. *)
+  let bare = Operators.new_spill db ~names:[] ~buckets:1 in
+  Operators.spill bare 0 ~key:(key 1) { Op.self = self 1; vals = [||] };
+  for bucket = 0 to 1 do
+    let expect =
+      List.filter (fun i -> i mod 2 = bucket) (List.init (Array.length payloads) Fun.id)
+    in
+    let bodies = ref [] and got = ref [] in
+    Tb_storage.Heap_file.scan (Operators.spill_file sp bucket) (fun _ body ->
+        bodies := body :: !bodies);
+    Operators.iter_spilled sp bucket (fun k p -> got := (k, p) :: !got);
+    check_int "records per bucket" (List.length expect) (List.length !bodies);
+    List.iter2
+      (fun i (body, (k, p)) ->
+        check_bool
+          (Printf.sprintf "record %d: bytes of the reference encoding" i)
+          true
+          (Bytes.equal body (reference_record ~names ~key:(key i) payloads.(i)));
+        check_bool (Printf.sprintf "record %d: key" i) true (Rid.equal k (key i));
+        check_bool (Printf.sprintf "record %d: self" i) true (Rid.equal p.Op.self (self i));
+        check_bool (Printf.sprintf "record %d: values" i) true
+          (p.Op.vals = payloads.(i).Op.vals))
+      expect
+      (List.combine (List.rev !bodies) (List.rev !got))
+  done;
+  let bodies = ref [] and got = ref [] in
+  Tb_storage.Heap_file.scan (Operators.spill_file bare 0) (fun _ body ->
+      bodies := body :: !bodies);
+  Operators.iter_spilled bare 0 (fun k p -> got := (k, p) :: !got);
+  match (!bodies, !got) with
+  | [ body ], [ (k, p) ] ->
+      check_bool "bare record: bytes of the reference encoding" true
+        (Bytes.equal body
+           (reference_record ~names:[] ~key:(key 1) { Op.self = self 1; vals = [||] }));
+      check_bool "bare record: key" true (Rid.equal k (key 1));
+      check_bool "empty payload survives" true (p.Op.vals = [||])
+  | _, other -> Alcotest.failf "expected 1 bare record, got %d" (List.length other)
 
 (* --- Spill_partition: bucket 0 never touches disk --- *)
 
@@ -179,6 +219,189 @@ let test_hybrid_bucket0_in_memory () =
       0 (spill_frames root4)
   in
   check_bool "writes attributed to Spill_partition frames" true (spilled > 0)
+
+(* --- spill files die with their join --- *)
+
+let phhj_root db text n =
+  Planner.lower
+    (with_partitions
+       (Planner.plan db (Oql_parser.parse text) ~force_algo:Plan.PHHJ)
+       n)
+
+let test_spill_files_released () =
+  let b = small_built () in
+  let db = b.Generator.db in
+  Database.cold_restart db;
+  let pages0 = Database.durable_pages db in
+  for run = 1 to 3 do
+    let r, global = Exec.run_explained db (phhj_root db (join_query 60 15) 4) ~keep:false in
+    Query_result.dispose r;
+    check_bool (Printf.sprintf "run %d spilled" run) true (global.Op.t_pages_written > 0);
+    Database.cold_restart db;
+    check_int (Printf.sprintf "durable pages after run %d and a restart" run) pages0
+      (Database.durable_pages db)
+  done;
+  (* A join that raises after spilling: summing a string fails at its
+     first result row, once the build side is on disk. *)
+  (match
+     Exec.run db
+       (phhj_root db
+          "select sum(p.name) from p in Providers, pa in p.clients where pa.mrn \
+           < 60 and p.upin < 15"
+          4)
+       ~keep:false
+   with
+  | exception Invalid_argument _ -> ()
+  | r ->
+      Query_result.dispose r;
+      Alcotest.fail "expected summing a string to raise");
+  Database.cold_restart db;
+  check_int "durable pages after a raising join" pages0 (Database.durable_pages db);
+  (* With the log on, a spill's pages stay while the log holds touches of
+     them: an abort truncates the files, a commit lets the next restart
+     release them. *)
+  Tb_store.Transaction.set_mode (Database.txn db) Tb_store.Transaction.Standard;
+  let spill_then resolve =
+    let h = Database.begin_txn db in
+    let r = Exec.run db (phhj_root db (join_query 60 15) 4) ~keep:false in
+    Query_result.dispose r;
+    resolve h;
+    Database.cold_restart db;
+    Database.durable_pages db
+  in
+  check_int "abort: durable pages" pages0 (spill_then Database.abort_txn);
+  check_int "commit: durable pages" pages0 (spill_then Database.commit_txn)
+
+(* --- keep: a row that is only sized charges exactly as a built one --- *)
+
+let take n l = List.filteri (fun i _ -> i < n) l
+
+let frame_lines root =
+  let acc = ref [] in
+  Op.iter
+    (fun node ->
+      let fr = node.Op.frame in
+      acc :=
+        Printf.sprintf "%s in=%d out=%d h=%d pr=%d pw=%d ga=%d cmp=%d hash=%d sort=%d b=%d ms=%Lx"
+          (Op.opcode node) fr.Op.rows_in fr.Op.rows_out fr.Op.handles fr.Op.pages_read
+          fr.Op.pages_written fr.Op.get_atts fr.Op.cmps fr.Op.hash_ops fr.Op.sort_cmps
+          fr.Op.bytes
+          (Int64.bits_of_float fr.Op.clock.Op.ms)
+        :: !acc)
+    root;
+  List.rev !acc
+
+(* Everything a run charged and returned, with at most 16 sampled rows:
+   a kept result's sample is all of its rows. *)
+let run_summary sim r root =
+  let c = sim.Sim.counters in
+  String.concat "\n"
+    ([
+       Printf.sprintf "count=%d seen=%d size=%d" (Query_result.count r)
+         (Query_result.rows_seen r) (Query_result.size_bytes r);
+       Format.asprintf "sample=%a"
+         (Format.pp_print_list Value.pp)
+         (take 16 (Query_result.sample r));
+       Format.asprintf "%a" Tb_sim.Counters.pp c;
+       Printf.sprintf "now=%Lx work=%Lx peak=%d working=%d"
+         (Int64.bits_of_float (Tb_sim.Clock.now_ms sim.Sim.clock))
+         (Int64.bits_of_float (Tb_sim.Clock.work_ms sim.Sim.clock))
+         sim.Sim.peak_working_bytes (Sim.working_bytes sim);
+     ]
+    @ frame_lines root)
+
+let test_keep_equivalence () =
+  let kept = (small_built ~fanout:8 ()).Generator.db in
+  let sized = (small_built ~fanout:8 ()).Generator.db in
+  let case name lower =
+    let side db ~keep =
+      Database.cold_restart db;
+      let root = lower db in
+      let r = Exec.run db root ~keep in
+      let s = run_summary (Database.sim db) r root in
+      let rows = Query_result.rows_seen r in
+      Query_result.dispose r;
+      (s, rows)
+    in
+    let a, rows = side kept ~keep:true in
+    let b, _ = side sized ~keep:false in
+    Alcotest.(check string) (name ^ ": keep:true and keep:false alike") a b;
+    rows
+  in
+  let plan ?force_algo ?force_seq ?force_sorted ?partitions text db =
+    let p = Planner.plan ?force_algo ?force_seq ?force_sorted db (Oql_parser.parse text) in
+    Planner.lower (match partitions with Some n -> with_partitions p n | None -> p)
+  in
+  let sel = "where pa.mrn < 150" in
+  List.iter
+    (fun (what, select) ->
+      let text = Printf.sprintf "select %s from pa in Patients %s" select sel in
+      List.iter
+        (fun (path, force_seq, force_sorted) ->
+          let rows = case (what ^ "/" ^ path) (plan ?force_seq ?force_sorted text) in
+          if String.equal path "seq" && not (String.starts_with ~prefix:"count" what)
+          then check_bool (what ^ ": more rows than the sample") true (rows > 16))
+        [ ("seq", Some true, None); ("index", None, Some false); ("sorted", None, Some true) ])
+    [
+      ("attribute", "pa.age");
+      ("tuple", "[pa.mrn, pa.name, k: 3, who: pa]");
+      ("identity", "pa");
+      ("count", "count(pa)");
+      ("sum", "sum(pa.age)");
+      ("min", "min(pa.name)");
+    ];
+  let join = join_query 300 20 in
+  let join_count =
+    "select count(pa) from p in Providers, pa in p.clients where pa.mrn < 300 and \
+     p.upin < 20"
+  in
+  List.iter
+    (fun (algo, partitions) ->
+      let name =
+        Plan.algo_name algo
+        ^ match partitions with Some n -> Printf.sprintf "/p%d" n | None -> ""
+      in
+      List.iter
+        (fun (path, force_seq) ->
+          let rows =
+            case (name ^ "/" ^ path) (plan ~force_algo:algo ?force_seq ?partitions join)
+          in
+          check_bool (name ^ ": more rows than the sample") true (rows > 16);
+          ignore (case (name ^ "/" ^ path ^ "/count")
+                    (plan ~force_algo:algo ?force_seq ?partitions join_count)))
+        [ ("seq", Some true); ("default", None) ])
+    [
+      (Plan.NL, None); (Plan.NOJOIN, None); (Plan.PHJ, None); (Plan.CHJ, None);
+      (Plan.PHHJ, Some 1); (Plan.PHHJ, Some 4); (Plan.CHHJ, Some 1); (Plan.CHHJ, Some 4);
+      (Plan.SMJ, None);
+    ];
+  (* Four shards: shard-local lanes and exchange destinations size their
+     rows too. *)
+  let sharded () =
+    (Generator.build_sharded ~cost:(Tb_sim.Cost_model.scaled 1000) ~shards:4
+       {
+         (Generator.config ~scale:1000 `Deep Generator.Class_clustered) with
+         Generator.n_providers = 25;
+         fanout = 8;
+       })
+      .Generator.smap
+  in
+  let kept = sharded () and sized = sharded () in
+  List.iter
+    (fun (algo, text) ->
+      let side smap ~keep =
+        Tb_store.Shard_map.cold_restart smap;
+        let r, root, _, _ =
+          Planner.run_sharded_explained ~force_algo:algo ~keep smap text
+        in
+        let s = run_summary (Tb_store.Shard_map.sim smap) r root in
+        Query_result.dispose r;
+        s
+      in
+      Alcotest.(check string)
+        ("S=4 " ^ Plan.algo_name algo ^ ": keep:true and keep:false alike")
+        (side kept ~keep:true) (side sized ~keep:false))
+    [ (Plan.NL, join); (Plan.PHJ, join); (Plan.CHJ, join); (Plan.PHJ, join_count) ]
 
 (* --- claim/release leaks on mid-query exceptions --- *)
 
@@ -358,6 +581,10 @@ let suite =
     Alcotest.test_case "spill records round-trip" `Quick test_spill_roundtrip;
     Alcotest.test_case "hybrid: bucket 0 never touches disk" `Quick
       test_hybrid_bucket0_in_memory;
+    Alcotest.test_case "hybrid: spill files are released at the next restart" `Quick
+      test_spill_files_released;
+    Alcotest.test_case "keep: sized rows charge as built rows, every algorithm and path"
+      `Quick test_keep_equivalence;
     Alcotest.test_case "sorted rids: no leak when a row raises" `Quick
       test_sorted_rids_leak_on_raise;
     Alcotest.test_case "merge: no leak when one side fails" `Quick
