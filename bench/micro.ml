@@ -161,6 +161,17 @@ let kernels () =
         run_query ~force_algo:Tb_query.Plan.PHJ (Lazy.force join_q) ());
     t "fig11_14.chj" (fun () ->
         run_query ~force_algo:Tb_query.Plan.CHJ (Lazy.force join_q) ());
+    (* The optimizer on a point join: enumerate + cost + pick over its
+       thirteen plans, no execution.  Join costing is most of what
+       point lookups allocate in the optimizer. *)
+    t "fig11_14.optimizer_join" (fun () ->
+        let b = Lazy.force built in
+        let d =
+          Tb_query.Planner.optimize ~stats:(Lazy.force opt_stats)
+            b.Tb_derby.Generator.db
+            "select pa.mrn from p in Providers, pa in p.clients where p.upin = 7"
+        in
+        List.length d.Tb_query.Planner.d_candidates);
     (* Extensions: hybrid hashing and sort-merge. *)
     t "ext.phhj" (fun () ->
         run_query ~force_algo:Tb_query.Plan.PHHJ (Lazy.force join_q) ());

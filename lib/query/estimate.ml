@@ -307,28 +307,32 @@ let rec est_cls (n : Op.t) =
 let est_key n = Op.opcode n ^ "/" ^ est_cls n
 
 (* What flows between operators during estimation: a row count plus the
-   physical context downstream fetch costing needs. *)
-type stream = {
-  s_rows : float;
-  s_cls : string;
-  s_sorted : bool;  (** rid stream in page order (Sort_rids below) *)
-  s_seq : bool;  (** rows arrive off a sequential sweep: pages resident *)
-  s_clustered : bool;  (** rows located through a clustered index *)
-  s_bytes : float;  (** per-row payload bytes once harvested *)
-  s_spill : float;  (** spill fraction applied below (hybrid hashing) *)
+   physical context downstream fetch costing needs.  [annotate] makes one
+   of each record per call: every operator reads what its child left in
+   them and overwrites it with its own output.  The floats sit in a
+   float-only record, so storing one boxes nothing. *)
+type flow = {
+  mutable s_rows : float;
+  mutable s_bytes : float;  (** per-row payload bytes once harvested *)
+  mutable s_spill : float;  (** spill fraction applied below (hybrid hashing) *)
 }
 
-(* A fresh stream, no spill below it: one record per operator. *)
-let stream ~cls ~rows ~sorted ~seq ~clustered ~bytes =
-  {
-    s_rows = rows;
-    s_cls = cls;
-    s_sorted = sorted;
-    s_seq = seq;
-    s_clustered = clustered;
-    s_bytes = bytes;
-    s_spill = 0.0;
-  }
+type ctx = {
+  mutable s_cls : string;
+  mutable s_sorted : bool;  (** rid stream in page order (Sort_rids below) *)
+  mutable s_seq : bool;  (** rows arrive off a sequential sweep: pages resident *)
+  mutable s_clustered : bool;  (** rows located through a clustered index *)
+}
+
+(* A fresh stream, no spill below it. *)
+let[@inline] stream f x ~cls ~rows ~sorted ~seq ~clustered ~bytes =
+  f.s_rows <- rows;
+  f.s_bytes <- bytes;
+  f.s_spill <- 0.0;
+  x.s_cls <- cls;
+  x.s_sorted <- sorted;
+  x.s_seq <- seq;
+  x.s_clustered <- clustered
 
 let null_extent cls =
   {
@@ -380,30 +384,35 @@ let payload_bytes stats ~cls attrs =
     (fun acc a -> acc + Sc.attr_bytes stats ~cls a)
     Tb_storage.Rid.on_disk_bytes attrs
 
+(* Write [n]'s estimate, its ms through the catalog's correction.
+   Inlined, so the floats reach the estimate unboxed. *)
+let[@inline] set stats n ~rows ~pages ~handles raw_ms =
+  let corr = Sc.correction stats ~op:(Op.opcode n) ~cls:(est_cls n) in
+  Op.Est.set n
+    {
+      Op.est_rows = rows;
+      est_pages = pages;
+      est_handles = handles;
+      est_ms = (raw_ms *. corr.Sc.c_mul) +. corr.Sc.c_add;
+    }
+
+let[@inline] get_att_ms c n = n *. c.Tb_sim.Cost_model.get_att_us /. 1000.0
+
 let annotate ~stats ?(organization = Separate_files) root =
   let c = Sc.cost stats in
   let cache = fi (Sc.client_cache_pages stats) in
   let avail = fi (Sc.available_bytes stats) in
   let page_sz = fi c.Tb_sim.Cost_model.page_size in
-  let get_att_ms n = n *. c.Tb_sim.Cost_model.get_att_us /. 1000.0 in
-  let set stats n ~rows ~pages ~handles raw_ms =
-    let corr = Sc.correction stats ~op:(Op.opcode n) ~cls:(est_cls n) in
-    Op.Est.set n
-      {
-        Op.est_rows = rows;
-        est_pages = pages;
-        est_handles = handles;
-        est_ms = (raw_ms *. corr.Sc.c_mul) +. corr.Sc.c_add;
-      }
-  in
-  let rec go (stats : Sc.t) (n : Op.t) : stream =
+  let f = { s_rows = 0.0; s_bytes = 0.0; s_spill = 0.0 } in
+  let x = { s_cls = ""; s_sorted = false; s_seq = false; s_clustered = false } in
+  let rec go (stats : Sc.t) (n : Op.t) =
     match n.Op.kind with
     | Op.Seq_scan { cls } ->
         let e = cat_extent stats cls in
         let rows = fi e.Sc.x_card in
         set stats n ~rows ~pages:(fi e.Sc.x_pages) ~handles:0.0
           (seq_ms c e.Sc.x_pages);
-        stream ~cls ~rows ~sorted:false ~seq:true ~clustered:false ~bytes:0.0
+        stream f x ~cls ~rows ~sorted:false ~seq:true ~clustered:false ~bytes:0.0
     | Op.Index_scan { index; lo; hi } ->
         let cls = index.Index_def.cls in
         let sel, clustered =
@@ -419,30 +428,30 @@ let annotate ~stats ?(organization = Separate_files) root =
         let leaves = leaf_pages k +. 1.0 in
         set stats n ~rows:k ~pages:leaves ~handles:0.0
           (leaves *. cold_page_ms c);
-        stream ~cls ~rows:k ~sorted:false ~seq:false ~clustered ~bytes:0.0
+        stream f x ~cls ~rows:k ~sorted:false ~seq:false ~clustered ~bytes:0.0
     | Op.Sort_rids { child } ->
-        let s = go stats child in
-        set stats n ~rows:s.s_rows ~pages:0.0 ~handles:0.0 (sort_ms c s.s_rows);
-        { s with s_sorted = true }
+        go stats child;
+        set stats n ~rows:f.s_rows ~pages:0.0 ~handles:0.0 (sort_ms c f.s_rows);
+        x.s_sorted <- true
     | Op.Fetch { child; cls; preds; covering; _ } ->
-        let s = go stats child in
+        go stats child;
         if covering then begin
-          set stats n ~rows:s.s_rows ~pages:0.0 ~handles:0.0 0.0;
-          { s with s_cls = cls }
+          set stats n ~rows:f.s_rows ~pages:0.0 ~handles:0.0 0.0;
+          x.s_cls <- cls
         end
         else begin
           let e = cat_extent stats cls in
-          let n_in = s.s_rows in
+          let n_in = f.s_rows in
           let rows = n_in *. preds_sel stats ~cls preds in
           let pages = fi e.Sc.x_pages in
           let io_pages, io_ms =
-            if s.s_seq then
+            if x.s_seq then
               (* Records sit on the pages the scan cursor just shipped. *)
               (0.0, n_in *. c.Tb_sim.Cost_model.client_hit_ms)
-            else if s.s_clustered then
+            else if x.s_clustered then
               let d = Float.min pages (n_in /. Float.max 1.0 (fi e.Sc.x_card) *. pages) in
               (d, d *. cold_page_ms c)
-            else if s.s_sorted then
+            else if x.s_sorted then
               let d =
                 distinct_pages ~rows_per_page:e.Sc.x_rows_per_page ~n:n_in
                   ~pages ()
@@ -460,21 +469,21 @@ let annotate ~stats ?(organization = Separate_files) root =
           let ms =
             io_ms
             +. (n_in *. handle_pair_ms c)
-            +. get_att_ms (n_in *. fi (List.length preds))
+            +. get_att_ms c (n_in *. fi (List.length preds))
           in
           set stats n ~rows ~pages:io_pages ~handles:n_in ms;
-          stream ~cls ~rows ~sorted:s.s_sorted ~seq:false ~clustered:s.s_clustered
+          stream f x ~cls ~rows ~sorted:x.s_sorted ~seq:false ~clustered:x.s_clustered
             ~bytes:0.0
         end
     | Op.Nav_set { child; nav_cls; preds; _ } ->
-        let s = go stats child in
-        let pe = cat_extent stats s.s_cls in
+        go stats child;
+        let pe = cat_extent stats x.s_cls in
         let ce = cat_extent stats nav_cls in
         let fanout =
           if pe.Sc.x_card = 0 then 0.0
           else fi ce.Sc.x_card /. fi pe.Sc.x_card
         in
-        let touched = s.s_rows *. fanout in
+        let touched = f.s_rows *. fanout in
         let rows = touched *. preds_sel stats ~cls:nav_cls preds in
         let cpages = fi ce.Sc.x_pages in
         let io_pages, io_ms =
@@ -495,15 +504,15 @@ let annotate ~stats ?(organization = Separate_files) root =
         let ms =
           io_ms
           +. (touched *. handle_pair_ms c)
-          +. get_att_ms (s.s_rows +. (touched *. fi (List.length preds)))
+          +. get_att_ms c (f.s_rows +. (touched *. fi (List.length preds)))
         in
         set stats n ~rows ~pages:io_pages ~handles:touched ms;
-        stream ~cls:nav_cls ~rows ~sorted:false ~seq:false ~clustered:false
+        stream f x ~cls:nav_cls ~rows ~sorted:false ~seq:false ~clustered:false
           ~bytes:0.0
     | Op.Nav_inverse { child; nav_cls; preds; _ } ->
-        let s = go stats child in
+        go stats child;
         let pe = cat_extent stats nav_cls in
-        let nc = s.s_rows in
+        let nc = f.s_rows in
         let ppages = fi pe.Sc.x_pages in
         let parent_handles = Float.min nc (fi pe.Sc.x_card) in
         let io_pages, io_ms =
@@ -525,39 +534,38 @@ let annotate ~stats ?(organization = Separate_files) root =
         let ms =
           io_ms
           +. (parent_handles *. handle_pair_ms c)
-          +. get_att_ms (nc +. (nc *. fi (List.length preds)))
+          +. get_att_ms c (nc +. (nc *. fi (List.length preds)))
         in
         set stats n ~rows ~pages:io_pages ~handles:parent_handles ms;
-        stream ~cls:nav_cls ~rows ~sorted:false ~seq:false ~clustered:false
+        stream f x ~cls:nav_cls ~rows ~sorted:false ~seq:false ~clustered:false
           ~bytes:0.0
     | Op.Harvest { child; cls; attrs; _ } ->
-        let s = go stats child in
-        let bytes = fi (payload_bytes stats ~cls attrs) in
-        set stats n ~rows:s.s_rows ~pages:0.0 ~handles:0.0
-          (get_att_ms (s.s_rows *. fi (1 + List.length attrs)));
-        { s with s_cls = cls; s_bytes = bytes }
+        go stats child;
+        set stats n ~rows:f.s_rows ~pages:0.0 ~handles:0.0
+          (get_att_ms c (f.s_rows *. fi (1 + List.length attrs)));
+        x.s_cls <- cls;
+        f.s_bytes <- fi (payload_bytes stats ~cls attrs)
     | Op.Hash_build { child } ->
-        let s = go stats child in
-        let rows = s.s_rows in
+        go stats child;
+        let rows = f.s_rows in
         let table_bytes =
           rows
-          *. (s.s_bytes +. fi (Mem_hash.entry_overhead + Mem_hash.group_overhead))
+          *. (f.s_bytes +. fi (Mem_hash.entry_overhead + Mem_hash.group_overhead))
         in
         let ms =
-          (rows *. c.Tb_sim.Cost_model.hash_insert_us *. (1.0 +. s.s_spill)
+          (rows *. c.Tb_sim.Cost_model.hash_insert_us *. (1.0 +. f.s_spill)
           /. 1000.0)
           +.
-          if s.s_spill > 0.0 then 0.0
+          if f.s_spill > 0.0 then 0.0
           else swap_ms c ~bytes:table_bytes ~ops:rows
         in
-        set stats n ~rows ~pages:0.0 ~handles:0.0 ms;
-        s
+        set stats n ~rows ~pages:0.0 ~handles:0.0 ms
     | Op.Spill_partition { child; _ } ->
-        let s = go stats child in
-        let rows = s.s_rows in
+        go stats child;
+        let rows = f.s_rows in
         let table_bytes =
           rows
-          *. (s.s_bytes +. fi (Mem_hash.entry_overhead + Mem_hash.group_overhead))
+          *. (f.s_bytes +. fi (Mem_hash.entry_overhead + Mem_hash.group_overhead))
         in
         let budget = 0.8 *. avail in
         let sf =
@@ -565,46 +573,49 @@ let annotate ~stats ?(organization = Separate_files) root =
           else if table_bytes <= 0.0 then 0.0
           else Float.max 0.0 (1.0 -. (budget /. table_bytes))
         in
-        let spill_bytes = sf *. rows *. (s.s_bytes +. 20.0) in
+        let spill_bytes = sf *. rows *. (f.s_bytes +. 20.0) in
         let io_pages = 2.0 *. spill_bytes /. page_sz in
         set stats n ~rows ~pages:io_pages ~handles:0.0
           (io_pages *. cold_page_ms c);
-        { s with s_spill = sf }
+        f.s_spill <- sf
     | Op.Hash_probe { build; probe; probe_key; probe_cls; _ } ->
-        let b = go stats build in
-        let p = go stats probe in
+        go stats build;
+        let b_rows = f.s_rows and b_bytes = f.s_bytes and b_spill = f.s_spill in
+        let b_cls = x.s_cls in
+        go stats probe;
+        let p_rows = f.s_rows and p_bytes = f.s_bytes and p_spill = f.s_spill in
         let rows =
           match probe_key with
           | Op.K_self ->
               (* Probing parents against a child-keyed table: each stored
                  child joins iff its parent probes. *)
               let pe = cat_extent stats probe_cls in
-              b.s_rows *. (p.s_rows /. Float.max 1.0 (fi pe.Sc.x_card))
+              b_rows *. (p_rows /. Float.max 1.0 (fi pe.Sc.x_card))
           | Op.K_inverse _ ->
               (* Probing children against a parent-keyed table. *)
-              let pe = cat_extent stats b.s_cls in
-              p.s_rows *. (b.s_rows /. Float.max 1.0 (fi pe.Sc.x_card))
+              let pe = cat_extent stats b_cls in
+              p_rows *. (b_rows /. Float.max 1.0 (fi pe.Sc.x_card))
         in
-        let result_bytes_row = b.s_bytes +. p.s_bytes +. 16.0 in
+        let result_bytes_row = b_bytes +. p_bytes +. 16.0 in
         let result_mem = Float.min (rows *. result_bytes_row) (0.9 *. avail) in
         let table_bytes =
-          b.s_rows
-          *. (b.s_bytes +. fi (Mem_hash.entry_overhead + Mem_hash.group_overhead))
+          b_rows
+          *. (b_bytes +. fi (Mem_hash.entry_overhead + Mem_hash.group_overhead))
         in
         let ms =
-          (p.s_rows *. c.Tb_sim.Cost_model.hash_probe_us *. (1.0 +. p.s_spill)
+          (p_rows *. c.Tb_sim.Cost_model.hash_probe_us *. (1.0 +. p_spill)
           /. 1000.0)
           +.
-          if b.s_spill > 0.0 || p.s_spill > 0.0 then 0.0
-          else swap_ms c ~bytes:(table_bytes +. result_mem) ~ops:p.s_rows
+          if b_spill > 0.0 || p_spill > 0.0 then 0.0
+          else swap_ms c ~bytes:(table_bytes +. result_mem) ~ops:p_rows
         in
         set stats n ~rows ~pages:0.0 ~handles:0.0 ms;
-        stream ~cls:probe_cls ~rows ~sorted:false ~seq:false ~clustered:false
+        stream f x ~cls:probe_cls ~rows ~sorted:false ~seq:false ~clustered:false
           ~bytes:result_bytes_row
     | Op.Sort { child } ->
-        let s = go stats child in
-        let rows = s.s_rows in
-        let bytes = rows *. (s.s_bytes +. 16.0) in
+        go stats child;
+        let rows = f.s_rows in
+        let bytes = rows *. (f.s_bytes +. 16.0) in
         let external_io =
           if bytes > avail && avail > 0.0 then
             let passes = ceil (log (bytes /. avail) /. log 8.0) in
@@ -612,50 +623,52 @@ let annotate ~stats ?(organization = Separate_files) root =
           else 0.0
         in
         set stats n ~rows ~pages:0.0 ~handles:0.0 (sort_ms c rows +. external_io);
-        { s with s_sorted = true }
+        x.s_sorted <- true
     | Op.Merge { left; right; _ } ->
-        let l = go stats left in
-        let r = go stats right in
-        let pe = cat_extent stats l.s_cls in
-        let rows = r.s_rows *. (l.s_rows /. Float.max 1.0 (fi pe.Sc.x_card)) in
+        go stats left;
+        let l_rows = f.s_rows and l_bytes = f.s_bytes and l_cls = x.s_cls in
+        go stats right;
+        let pe = cat_extent stats l_cls in
+        let rows = f.s_rows *. (l_rows /. Float.max 1.0 (fi pe.Sc.x_card)) in
         set stats n ~rows ~pages:0.0 ~handles:0.0
-          ((l.s_rows +. r.s_rows) *. c.Tb_sim.Cost_model.compare_us /. 1000.0);
-        stream ~cls:l.s_cls ~rows ~sorted:false ~seq:false ~clustered:false
-          ~bytes:(l.s_bytes +. r.s_bytes +. 16.0)
+          ((l_rows +. f.s_rows) *. c.Tb_sim.Cost_model.compare_us /. 1000.0);
+        stream f x ~cls:l_cls ~rows ~sorted:false ~seq:false ~clustered:false
+          ~bytes:(l_bytes +. f.s_bytes +. 16.0)
     | Op.Project { child; _ } ->
-        let s = go stats child in
-        set stats n ~rows:s.s_rows ~pages:0.0 ~handles:0.0
-          (get_att_ms s.s_rows);
-        s
+        go stats child;
+        set stats n ~rows:f.s_rows ~pages:0.0 ~handles:0.0 (get_att_ms c f.s_rows)
     | Op.Materialize { child; aggregate } ->
-        let s = go stats child in
+        go stats child;
         let rows_out =
-          match aggregate with Some _ -> 1.0 | None -> s.s_rows
+          match aggregate with Some _ -> 1.0 | None -> f.s_rows
         in
-        let ms = match aggregate with Some _ -> 0.0 | None -> append_ms c s.s_rows in
+        let ms = match aggregate with Some _ -> 0.0 | None -> append_ms c f.s_rows in
         set stats n ~rows:rows_out ~pages:0.0 ~handles:0.0 ms;
-        { s with s_rows = rows_out; s_bytes = Float.max s.s_bytes 24.0 }
+        f.s_rows <- rows_out;
+        f.s_bytes <- Float.max f.s_bytes 24.0
     | Op.Shard_lane { child; shards; _ } ->
-        let s = go (Sc.scale stats ~shards) child in
-        set stats n ~rows:s.s_rows ~pages:0.0 ~handles:0.0 0.0;
-        s
+        go (Sc.scale stats ~shards) child;
+        set stats n ~rows:f.s_rows ~pages:0.0 ~handles:0.0 0.0
     | Op.Exchange { child; shards; _ } ->
-        let s = go stats child in
-        let ship_rows = s.s_rows *. fi (shards - 1) /. fi (max 1 shards) in
-        let ship_pages = ship_rows *. (s.s_bytes +. 16.0) /. page_sz in
+        go stats child;
+        let ship_rows = f.s_rows *. fi (shards - 1) /. fi (max 1 shards) in
+        let ship_pages = ship_rows *. (f.s_bytes +. 16.0) /. page_sz in
         let ms =
           (ship_pages
           *. (c.Tb_sim.Cost_model.rpc_fixed_ms +. c.Tb_sim.Cost_model.rpc_page_ms))
           +. (fi (shards - 1) *. c.Tb_sim.Cost_model.rpc_fixed_ms)
         in
-        set stats n ~rows:s.s_rows ~pages:0.0 ~handles:0.0 ms;
-        s
+        set stats n ~rows:f.s_rows ~pages:0.0 ~handles:0.0 ms
     | Op.Gather { lanes; shards; ordered; _ } ->
-        let ls = Array.map (go stats) lanes in
-        let rows = Array.fold_left (fun acc s -> acc +. s.s_rows) 0.0 ls in
-        let row_bytes =
-          Array.fold_left (fun acc s -> Float.max acc s.s_bytes) 24.0 ls
-        in
+        (* The scratch stream holds one lane at a time: fold each as walked. *)
+        let rows = ref 0.0 and row_bytes = ref 24.0 and cls = ref "" in
+        for i = 0 to Array.length lanes - 1 do
+          go stats lanes.(i);
+          rows := !rows +. f.s_rows;
+          row_bytes := Float.max !row_bytes f.s_bytes;
+          if i = 0 then cls := x.s_cls
+        done;
+        let rows = !rows and row_bytes = !row_bytes in
         let ship_pages = rows *. row_bytes /. page_sz in
         let ms =
           (fi shards *. c.Tb_sim.Cost_model.rpc_fixed_ms)
@@ -665,11 +678,10 @@ let annotate ~stats ?(organization = Separate_files) root =
           else 0.0
         in
         set stats n ~rows ~pages:0.0 ~handles:0.0 ms;
-        stream
-          ~cls:(if Array.length ls = 0 then "" else ls.(0).s_cls)
-          ~rows ~sorted:ordered ~seq:false ~clustered:false ~bytes:row_bytes
+        stream f x ~cls:!cls ~rows ~sorted:ordered ~seq:false ~clustered:false
+          ~bytes:row_bytes
   in
-  ignore (go stats root)
+  go stats root
 
 (* Plan-level estimated elapsed: a plain sum for unsharded trees; for a
    Gather root, fork/join semantics — the slowest lane plus the gather's

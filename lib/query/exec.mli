@@ -14,7 +14,8 @@
 (** [run db root ~keep] executes the tree.  The root must be
     {!Op.Materialize}; frames are reset first, so a tree can be run
     repeatedly.  Raises [Invalid_argument] on malformed trees (the planner
-    never builds one). *)
+    never builds one) and, before any charge, on a tree without its
+    frames ({!Planner.shape}'s, before {!Op.attach_frames}). *)
 val run : Tb_store.Database.t -> Op.t -> keep:bool -> Query_result.t
 
 (** Like {!run}, but also returns the run's global counter deltas in

@@ -142,7 +142,7 @@ type kind =
       (** merge N shard lanes after the join point; order-preserving
           (streamed merge on the sort key) when [ordered] *)
 
-and t = { kind : kind; frame : frame; mutable est : est option }
+and t = { kind : kind; mutable frame : frame; mutable est : est option }
 
 let fresh_frame () =
   {
@@ -159,7 +159,12 @@ let fresh_frame () =
     clock = { ms = 0.0 };
   }
 
-let make kind = { kind; frame = fresh_frame (); est = None }
+(* Every node starts on this one frame, so a tree that is only costed owns
+   no run state; [reset_frames] refuses a node still on it. *)
+let shared_frame = fresh_frame ()
+
+let make kind = { kind; frame = shared_frame; est = None }
+let has_frame node = node.frame != shared_frame
 
 let children node =
   match node.kind with
@@ -208,10 +213,16 @@ let rec iter f node =
         iter f lanes.(i)
       done
 
+let attach_frames root =
+  iter (fun n -> if not (has_frame n) then n.frame <- fresh_frame ()) root;
+  root
+
 let reset_frames node =
   iter
     (fun n ->
       let fr = n.frame in
+      if fr == shared_frame then
+        invalid_arg "Op.reset_frames: a node has no frame (Op.attach_frames)";
       fr.rows_in <- 0;
       fr.rows_out <- 0;
       fr.handles <- 0;

@@ -3,12 +3,15 @@
 
     A {!t} is an instrumented operator node: the planner lowers a {!Plan.t}
     into a tree of these ({!Planner.lower}), the interpreter in {!Exec}
-    drives it, and every node carries a {!frame} recording the rows that
-    flowed through it and the slice of the simulated cost model it is
-    responsible for.  Attribution is read-only ({!Acct} diffs the global
-    {!Tb_sim.Counters} between frame switches), so the charge stream — and
-    the golden counter fingerprint — is identical whether or not anyone
-    looks at the explain output. *)
+    drives it, and each node's {!frame} records the rows that flowed
+    through it and the slice of the simulated cost model it is
+    responsible for.  Frames are run state: {!make} builds shape only, on
+    one shared empty frame, and {!attach_frames} gives a tree chosen to
+    run its own ({!Planner.lower}, or {!Planner.optimize}'s winner).  A
+    run rejects a node without one ({!reset_frames}).  Attribution is
+    read-only ({!Acct} diffs the global {!Tb_sim.Counters} between frame
+    switches), so the charge stream — and the golden counter fingerprint —
+    is identical whether or not anyone looks at the explain output. *)
 
 (** A join side is visible either as a live Handle or as information stowed
     in a hash table / sort run (Section 5).  The stowed information is a
@@ -143,7 +146,7 @@ type kind =
           merge loop itself never charges — shipping and merge comparisons
           are charged at this node by the executor. *)
 
-and t = { kind : kind; frame : frame; mutable est : est option }
+and t = { kind : kind; mutable frame : frame; mutable est : est option }
 
 (** The cost stage's per-operator prediction ({!Estimate.annotate} writes
     it, {!Est} compares it against the accounted frame). *)
@@ -156,8 +159,16 @@ and est = {
 
 val make : kind -> t
 
+(** [has_frame n]: [n] owns a frame of its own. *)
+val has_frame : t -> bool
+
+(** Give every node still on the shared frame a fresh one of its own;
+    returns the tree. *)
+val attach_frames : t -> t
+
 (** Zero every frame in the tree (the executor does this before a run, so a
-    tree can be executed repeatedly). *)
+    tree can be executed repeatedly).  Raises [Invalid_argument] on a node
+    without a frame of its own: the tree was never given its frames. *)
 val reset_frames : t -> unit
 
 val children : t -> t list

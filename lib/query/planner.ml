@@ -246,7 +246,7 @@ let make_harvest ~packed ?mode side ~key ~cls ~var select =
   let attrs, _self = Plan.needed_attrs var select in
   Op.make (Op.Harvest { child = side; key; cls; attrs; mode })
 
-let lower ?(packed = true) ?(batch = 256) plan =
+let shape ?(packed = true) ?(batch = 256) plan =
   let finish = make_finish in
   let fetch ?covering access ~cls ~var =
     make_fetch ~packed ~batch ?covering access ~cls ~var
@@ -412,6 +412,9 @@ let lower ?(packed = true) ?(batch = 256) plan =
                     right_var = child_var;
                   })))
 
+(* A tree lowered to run gets its frames here; [optimize] costs shapes. *)
+let lower ?packed ?batch plan = Op.attach_frames (shape ?packed ?batch plan)
+
 (* --- sharded lowering: Plan.t -> Gather over per-shard subtrees --- *)
 
 module Shard_map = Tb_store.Shard_map
@@ -528,9 +531,9 @@ let hash_lane ~packed ~batch ~shards ~shard plan_s =
    Gather, no Shard_lane — the one-shard engine is the unsharded engine by
    construction, which is what keeps the golden fingerprint byte-identical
    at S=1. *)
-let lower_sharded ?(packed = true) ?(batch = 256) smap plan =
+let shape_sharded ?(packed = true) ?(batch = 256) smap plan =
   let shards = Shard_map.count smap in
-  if shards = 1 then lower ~packed ~batch (remap_plan (Shard_map.shard smap 0) plan)
+  if shards = 1 then shape ~packed ~batch (remap_plan (Shard_map.shard smap 0) plan)
   else
     let ordered =
       match plan with
@@ -548,10 +551,13 @@ let lower_sharded ?(packed = true) ?(batch = 256) smap plan =
           | _ ->
               Op.make
                 (Op.Shard_lane
-                   { child = lower ~packed ~batch plan_s; shard = s; shards }))
+                   { child = shape ~packed ~batch plan_s; shard = s; shards }))
     in
     Op.make
       (Op.Gather { lanes; shards; part_key = Shard_map.key_attr smap; ordered })
+
+let lower_sharded ?packed ?batch smap plan =
+  Op.attach_frames (shape_sharded ?packed ?batch smap plan)
 
 let run ?organization ?force_algo ?force_sorted ?force_seq ?packed ?batch
     ?(keep = false) db text =
@@ -621,11 +627,11 @@ let d_desc d = Enumerate.describe d.d_plan ~packed:d.d_packed
    enumerated plan wins — which is how the tie policy (originals over
    extensions, index over scan) is enforced.
 
-   Each plan is lowered packed and costed once.  [Estimate.annotate] never
+   Each plan is shaped packed and costed once.  [Estimate.annotate] never
    reads an operator's evaluation mode, so the plan's handle twin would
    cost the same bits; the ranking lists both modes of every plan, packed
    first, and on that tie the packed twin is the one picked.  Only the
-   winner's tree is kept.
+   winner's tree is kept, and only it gets run frames.
 
    Statistics default to a fresh [Stat_catalog.analyze]; pass a retained
    catalog to let validate-stage feedback from earlier runs reach this
@@ -647,7 +653,7 @@ let optimize ?stats ?organization ?(batch = 256) db text =
   let scored =
     List.map
       (fun plan ->
-        let root = lower ~packed:true ~batch plan in
+        let root = shape ~packed:true ~batch plan in
         Estimate.annotate ~stats ~organization root;
         let ch = { ch_plan = plan; ch_packed = true; ch_cost_ms = Estimate.plan_cost_ms root } in
         (match !best with
@@ -668,7 +674,7 @@ let optimize ?stats ?organization ?(batch = 256) db text =
       in
       {
         d_plan = b.ch_plan;
-        d_root = root;
+        d_root = Op.attach_frames root;
         d_packed = b.ch_packed;
         d_cost_ms = b.ch_cost_ms;
         d_candidates = ranked;
@@ -709,7 +715,7 @@ let optimize_sharded ?organization ?(batch = 256) smap text =
   let sharded_ms =
     if shards = 1 then d.d_cost_ms
     else begin
-      let root = lower_sharded ~packed:d.d_packed ~batch smap d.d_plan in
+      let root = shape_sharded ~packed:d.d_packed ~batch smap d.d_plan in
       Estimate.annotate ~stats ~organization:d.d_organization root;
       Estimate.plan_cost_ms root
     end

@@ -41,9 +41,11 @@ val join_env :
   organization:Estimate.organization ->
   Estimate.env
 
-(** [lower plan] assembles the physical operator tree {!Exec} runs.  Pure
-    plan surgery — no database access, no charges: attribute names stay
-    symbolic and the executor resolves slots once per operator.
+(** [shape plan] assembles the physical operator tree.  Pure plan
+    surgery — no database access, no charges: attribute names stay
+    symbolic and the executor resolves slots once per operator.  Every
+    node is on {!Op.make}'s shared empty frame: the tree can be costed
+    ({!Estimate.annotate}) but not run.
 
     [packed] (default true) lets Fetch/Harvest evaluate on raw record
     bytes whenever the predicates are packed-compilable
@@ -57,6 +59,10 @@ val join_env :
     reference the schema does not declare, [Invalid_argument] when
     NL/NOJOIN receive an index access on the navigated side (the planner
     never builds those). *)
+val shape : ?packed:bool -> ?batch:int -> Plan.t -> Op.t
+
+(** [lower plan] is [shape plan] given its run frames
+    ({!Op.attach_frames}): the tree {!Exec} runs. *)
 val lower : ?packed:bool -> ?batch:int -> Plan.t -> Op.t
 
 (** Parse, plan and execute in one call (the public "just run it" API). *)
@@ -95,7 +101,7 @@ val run_explained :
     the build side S ways).  Index accesses are remapped to each shard's
     replicated catalog entry.  With a single shard this returns exactly
     [lower plan] — no Gather, no Shard_lane — so the S=1 engine is the
-    unsharded engine by construction. *)
+    unsharded engine by construction.  The tree has its run frames. *)
 val lower_sharded : ?packed:bool -> ?batch:int -> Tb_store.Shard_map.t -> Plan.t -> Op.t
 
 (** Parse, plan (against shard 0) and execute across the shard map.
@@ -148,15 +154,15 @@ val ch_desc : choice -> string
 val d_desc : decision -> string
 
 (** [optimize db text] enumerates every candidate plan, costs each once by
-    lowering and annotating it against catalog statistics, and picks the
+    annotating its {!shape} against catalog statistics, and picks the
     strict argmin — on equal cost the first enumerated plan wins, which
     enforces the tie policy (the paper's originals over extensions, index
     over scan).  Costing never reads the evaluation mode, so the ranking
     lists each plan packed then handle at one cost, and the packed twin
     is the one picked.  [stats] defaults to a fresh
     {!Tb_statcore.Stat_catalog.analyze}; pass a retained catalog so
-    validate-stage feedback reaches the next optimization.  Never
-    executes and never charges. *)
+    validate-stage feedback reaches the next optimization.  Only the
+    winner's tree gets run frames.  Never executes and never charges. *)
 val optimize :
   ?stats:Tb_statcore.Stat_catalog.t ->
   ?organization:Estimate.organization ->

@@ -28,52 +28,53 @@ let rec encoded_size = function
   | Value.Set xs | Value.List xs ->
       List.fold_left (fun acc v -> acc + encoded_size v) 5 xs
 
+(* Top level, so encoding builds no closure per value. *)
+let[@inline] put_tag buf pos t =
+  Bytes.set_uint8 buf pos t;
+  pos + 1
+
 let rec encode_into v buf ~pos =
-  let tag t =
-    Bytes.set_uint8 buf pos t;
-    pos + 1
-  in
   match v with
-  | Value.Nil -> tag tag_nil
+  | Value.Nil -> put_tag buf pos tag_nil
   | Value.Int i ->
-      let pos = tag tag_int in
+      let pos = put_tag buf pos tag_int in
       Bytes.set_int32_le buf pos (Int32.of_int i);
       pos + 4
   | Value.Real r ->
-      let pos = tag tag_real in
+      let pos = put_tag buf pos tag_real in
       Bytes.set_int64_le buf pos (Int64.bits_of_float r);
       pos + 8
   | Value.Bool b ->
-      let pos = tag tag_bool in
+      let pos = put_tag buf pos tag_bool in
       Bytes.set_uint8 buf pos (if b then 1 else 0);
       pos + 1
   | Value.Char c ->
-      let pos = tag tag_char in
+      let pos = put_tag buf pos tag_char in
       Bytes.set buf pos c;
       pos + 1
   | Value.String s ->
-      let pos = tag tag_string in
+      let pos = put_tag buf pos tag_string in
       Bytes.set_uint16_le buf pos (String.length s);
       Bytes.blit_string s 0 buf (pos + 2) (String.length s);
       pos + 2 + String.length s
   | Value.Ref rid ->
-      let pos = tag tag_ref in
+      let pos = put_tag buf pos tag_ref in
       Tb_storage.Rid.encode_into rid buf ~pos;
       pos + Tb_storage.Rid.on_disk_bytes
   | Value.Big_set rid ->
-      let pos = tag tag_big_set in
+      let pos = put_tag buf pos tag_big_set in
       Tb_storage.Rid.encode_into rid buf ~pos;
       pos + Tb_storage.Rid.on_disk_bytes
   | Value.Tuple fields ->
-      let pos = tag tag_tuple in
+      let pos = put_tag buf pos tag_tuple in
       Bytes.set_uint16_le buf pos (List.length fields);
       encode_fields fields buf ~pos:(pos + 2)
   | Value.Set xs ->
-      let pos = tag tag_set in
+      let pos = put_tag buf pos tag_set in
       Bytes.set_int32_le buf pos (Int32.of_int (List.length xs));
       encode_elems xs buf ~pos:(pos + 4)
   | Value.List xs ->
-      let pos = tag tag_list in
+      let pos = put_tag buf pos tag_list in
       Bytes.set_int32_le buf pos (Int32.of_int (List.length xs));
       encode_elems xs buf ~pos:(pos + 4)
 

@@ -449,6 +449,7 @@ let test_sorted_rids_leak_on_raise () =
            aggregate = None;
          })
   in
+  ignore (Op.attach_frames tree);
   Database.cold_restart db;
   let sim = Database.sim db in
   let baseline = Sim.working_bytes sim in
@@ -530,6 +531,7 @@ let test_merge_leak_on_raise () =
            aggregate = None;
          })
   in
+  ignore (Op.attach_frames tree);
   Database.cold_restart db;
   let sim = Database.sim db in
   let failing_run () =
@@ -574,6 +576,25 @@ let test_reconciliation () =
       check_q (Plan.algo_name algo) ~force_algo:algo join)
     [ Plan.NL; Plan.NOJOIN; Plan.PHJ; Plan.CHJ; Plan.PHHJ; Plan.CHHJ; Plan.SMJ ]
 
+(* --- frames: only a tree lowered to run owns them --- *)
+
+let test_shape_does_not_run () =
+  let db = (small_built ()).Generator.db in
+  let plan = Planner.plan db (Oql_parser.parse (join_query 60 15)) ~force_algo:Plan.PHJ in
+  let root = Planner.shape plan in
+  let counters () = Format.asprintf "%a" Tb_sim.Counters.pp (Database.sim db).Sim.counters in
+  let before = counters () in
+  (match Exec.run_explained db root ~keep:false with
+  | exception Invalid_argument _ -> ()
+  | r, _ ->
+      Query_result.dispose r;
+      Alcotest.fail "a tree without frames ran");
+  Alcotest.(check string) "the refused run charged nothing" before (counters ());
+  let root = Op.attach_frames root in
+  let r, global = Exec.run_explained db root ~keep:false in
+  Query_result.dispose r;
+  check_bool "given its frames, it runs and reconciles" true (Op.reconciles ~global root)
+
 let suite =
   [
     Alcotest.test_case "fetch: covering shortcut skips handles" `Quick
@@ -591,4 +612,6 @@ let suite =
       test_merge_leak_on_raise;
     Alcotest.test_case "explain frames reconcile with global counters" `Quick
       test_reconciliation;
+    Alcotest.test_case "frames: a shape-only tree refuses to run" `Quick
+      test_shape_does_not_run;
   ]
