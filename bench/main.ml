@@ -5,10 +5,9 @@
      dune exec bench/main.exe -- fig11 fig15     — selected figures
      dune exec bench/main.exe -- --scale 10 all  — deeper scale
      dune exec bench/main.exe -- --micro         — Bechamel wall-clock suite
-     dune exec bench/main.exe -- --batch 1,256   — fig7 scan batch-size sweep
      dune exec bench/main.exe -- --shards 1,4    — fig7 scan shard-count sweep
                                                    (bare --shards: 1,2,4,8)
-   A mode flag (--micro, --batch, --shards) runs no figure unless one is
+   A mode flag (--micro, --shards) runs no figure unless one is
    named; without one, no figure named means every figure.
      dune exec bench/main.exe -- --csv out.csv   — export the stats database
 
@@ -23,7 +22,7 @@ let default_scale = 40
 let usage msg =
   Printf.eprintf "%s\n" msg;
   Printf.eprintf
-    "usage: main [--scale N] [--micro] [--batch N[,N...]] [--shards [N[,N...]]] \
+    "usage: main [--scale N] [--micro] [--shards [N[,N...]]] \
      [--csv FILE] [figure ...]\n\
      known figures: %s\n"
     (String.concat ", " Tb_core.Figures.names);
@@ -32,7 +31,6 @@ let usage msg =
 let parse_args () =
   let scale = ref default_scale in
   let micro = ref false in
-  let batches = ref [] in
   let shards = ref [] in
   let csv = ref None in
   let figures = ref [] in
@@ -48,20 +46,6 @@ let parse_args () =
     | "--micro" :: rest ->
         micro := true;
         go rest
-    | "--batch" :: v :: rest ->
-        let parsed =
-          List.map
-            (fun s ->
-              match int_of_string_opt (String.trim s) with
-              | Some n when n > 0 -> n
-              | Some _ | None ->
-                  usage
-                    (Printf.sprintf "--batch expects positive integers, got %S" v))
-            (String.split_on_char ',' v)
-        in
-        batches := !batches @ parsed;
-        go rest
-    | [ "--batch" ] -> usage "--batch requires a value, e.g. 1,64,256,1024"
     | "--shards" :: rest ->
         (* An explicit comma list may follow; bare --shards sweeps the
            default S ∈ {1, 2, 4, 8}. *)
@@ -96,11 +80,11 @@ let parse_args () =
   go (List.tl (Array.to_list Sys.argv));
   (* Every figure only when nothing else was asked for: a mode flag alone
      runs just its mode. *)
-  let modes = !micro || !batches <> [] || !shards <> [] in
+  let modes = !micro || !shards <> [] in
   let figures =
     match List.rev !figures with [] when not modes -> [ "all" ] | fs -> fs
   in
-  (!scale, !micro, !batches, !shards, !csv, figures)
+  (!scale, !micro, !shards, !csv, figures)
 
 (* Benchmark names come back as "treebench/<name>". *)
 let strip_group name =
@@ -152,20 +136,6 @@ let print_estimates title kernels =
     exit 1
   end
 
-(* Batch-size sweep over the fig7 full scan: how much interpreter dispatch
-   the row vectors amortize.  Wall-clock only — the parity test guarantees
-   the batch size cannot move a simulated charge. *)
-let run_batch_sweep batches =
-  print_estimates "Batch-size sweep (fig7 full scan, wall clock)"
-    (List.map
-       (fun batch ->
-         ( Printf.sprintf "fig7.full_scan.b%d" batch,
-           fun () ->
-             ignore
-               (Micro.run_query ~force_seq:true ~batch
-                  (Lazy.force Micro.sel_q) ()) ))
-       (List.sort_uniq Int.compare batches))
-
 (* Shard-count sweep over the fig7 full scan, in *simulated* elapsed time:
    the near-linear fork/join speedup, with the Gather merge cost bending
    the curve.  Deterministic — one cold run per shard count; each S gets
@@ -211,7 +181,7 @@ let run_shard_sweep shards_list =
     sweep
 
 let () =
-  let scale, micro, batches, shards, csv, figures = parse_args () in
+  let scale, micro, shards, csv, figures = parse_args () in
   let ppf = Format.std_formatter in
   Format.fprintf ppf
     "treebench — reproducing \"Benchmarking Queries over Trees: Learning \
@@ -238,5 +208,4 @@ let () =
         (Tb_statdb.Stat_store.count (Tb_core.Figures.stats ctx)));
   if micro then
     print_estimates "Bechamel microbenchmarks (wall clock)" (Micro.kernels ());
-  if batches <> [] then run_batch_sweep batches;
   if shards <> [] then run_shard_sweep shards

@@ -10,9 +10,11 @@ cd "$(dirname "$0")"
 
 dune build @all
 # Static discipline gate: charge accounting, layer DAG, determinism,
-# mutable-state registry, unsafe-op containment, and the interprocedural
+# mutable-state registry, unsafe-op containment, the interprocedural
 # dataflow rules (pin/release pairing, RNG-stream taint, charge/effect
-# ordering) over the typed ASTs.
+# ordering) over the typed ASTs, and R10 (every lib/ export referenced
+# from outside its module; bin/, bench/, e2ebench/ and test/ are read for
+# references only).
 # Prints `treelint: N rules, M files, 0 violations` on success.
 dune build @lint
 # The same sweep again, driven directly: emit the SARIF artifact for CI
@@ -21,7 +23,8 @@ dune build @lint
 # under --update-baseline must be a no-op).
 TREELINT="./_build/default/tools/treelint/bin/treelint_main.exe"
 TREELINT_ARGS=(--config treelint.toml --baseline treelint.baseline \
-  --cmi _build/default/.fmt.objs/byte/fmt.cmi lib)
+  --cmi _build/default/.fmt.objs/byte/fmt.cmi \
+  --refs bin --refs bench --refs e2ebench --test-refs test lib)
 "$TREELINT" "${TREELINT_ARGS[@]}" --sarif treelint.sarif > /dev/null
 cp -f treelint.baseline _build/treelint.baseline.orig 2>/dev/null || \
   touch _build/treelint.baseline.orig
@@ -34,8 +37,7 @@ fi
 # against their committed expectations (including the sharded S=1/S=4
 # matrix); after an intentional plan or operator change — including
 # anything that flips a fetch/harvest between mode=packed and mode=handle
-# or changes the batch size shown in its label — run `dune promote` and
-# commit the updated .expected.
+# — run `dune promote` and commit the updated .expected.
 #
 # The optimizer-choice snapshots (test/snapshot/optimizer.expected) ride the
 # same pass: chosen plan + top-3 candidate costs across the Figure 6

@@ -15,7 +15,6 @@ let create ~scale =
   if scale <= 0 then invalid_arg "Figures.create: scale";
   { scale; stats = Tb_statdb.Stat_store.create (); builts = []; numtest = 0 }
 
-let scale ctx = ctx.scale
 let stats ctx = ctx.stats
 
 let shape_name = function `Wide -> "2000x1000" | `Deep -> "1000000x3"

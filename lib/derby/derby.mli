@@ -12,12 +12,6 @@ val schema : Tb_store.Schema.t
 val provider_cls : string
 
 val patient_cls : string
-val providers_extent : string
-val patients_extent : string
-
-(** [pad16 n] is the canonical 16-character string for id [n] (all string
-    attributes are 16 characters, as in the paper). *)
-val pad16 : int -> string
 
 (** [provider_value ~upin ~clients] builds a conforming Provider.  [clients]
     is the inline set value ([Set] of refs, or a placeholder). *)

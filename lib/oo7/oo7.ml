@@ -23,8 +23,6 @@ let tiny =
     seed = 1993;
   }
 
-let small = { tiny with atomics_per_composite = 40 }
-
 let schema =
   Schema.make
     ~classes:

@@ -25,11 +25,6 @@ type config = {
     parts, 3 connections. *)
 val tiny : config
 
-(** [small] doubles the atomic-part population. *)
-val small : config
-
-val schema : Tb_store.Schema.t
-
 type built = {
   db : Tb_store.Database.t;
   cfg : config;

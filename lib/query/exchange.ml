@@ -47,8 +47,6 @@ let create ?(fault_of = no_fault) sim ~shards =
     claimed = Array.init shards (fun _ -> Array.make shards 0);
   }
 
-let shards t = Array.length t.rows
-
 (* Tag a key Rid with its source shard: per-shard disks reuse file ids, so
    two different objects on two shards can carry the same raw Rid.  The
    join sides are colocated (a patient's inverse reference names a

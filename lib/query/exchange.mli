@@ -27,8 +27,6 @@ val create :
   shards:int ->
   'a t
 
-val shards : 'a t -> int
-
 (** [retag ~shard rid] tags a key Rid with its source shard so keys from
     different shards can never collide after repartitioning.  Colocated
     join sides carry the same tag on both sides of a matching pair.  A nil

@@ -134,50 +134,7 @@ let pin_row st fr ~pass ~r rid emit =
       Database.unref st.db h;
       raise e
 
-(* --- Rid streams --- *)
-
-let rec iter_rids st node emit =
-  let fr = node.Op.frame in
-  match node.Op.kind with
-  | Op.Seq_scan { cls } ->
-      Op.Acct.enter st.acct fr;
-      let cur = Database.scan_cursor st.db ~cls in
-      let rec go () =
-        let n = Database.cursor_next_page cur in
-        if n > 0 then begin
-          let rids = Database.cursor_rids cur in
-          for i = 0 to n - 1 do
-            fr.Op.rows_out <- fr.Op.rows_out + 1;
-            emit rids.(i);
-            Op.Acct.enter st.acct fr
-          done;
-          go ()
-        end
-      in
-      go ()
-  | Op.Index_scan { index; lo; hi } ->
-      Op.Acct.enter st.acct fr;
-      Tb_store.Btree.range index.Tb_store.Index_def.tree ?lo ?hi (fun _ rid ->
-          fr.Op.rows_out <- fr.Op.rows_out + 1;
-          emit rid;
-          Op.Acct.enter st.acct fr)
-  | Op.Sort_rids { child } ->
-      let rids = ref [] in
-      let n = ref 0 in
-      iter_rids st child (fun rid ->
-          rids := rid :: !rids;
-          incr n);
-      Op.Acct.enter st.acct fr;
-      fr.Op.rows_in <- !n;
-      fr.Op.bytes <- !n * Rid.on_disk_bytes;
-      Operators.sorted_rids (Database.sim st.db) ~rids:!rids ~count:!n
-        (fun rid ->
-          fr.Op.rows_out <- fr.Op.rows_out + 1;
-          emit rid;
-          Op.Acct.enter st.acct fr)
-  | _ -> invalid_arg "Exec: operator does not produce Rids"
-
-(* --- batched Rid streams ---
+(* --- Rid streams ---
 
    The vector-at-a-time feed for Fetch: Rids arrive as slices
    [rids.(pos .. pos + len - 1)] of at most [batch] rows, and the
@@ -189,9 +146,13 @@ let rec iter_rids st node emit =
    by construction and needs no planner eligibility rules.  A slice
    borrows the producer's array: the consumer must not keep it. *)
 
+(* Rows per slice: one constant for every plan, since the slice size
+   moves no charge. *)
+let batch = 256
+
 (* Emit [rids.(0 .. n - 1)] in [batch]-sized slices, bumping rows_out per
    slice. *)
-and emit_rid_chunks st fr ~batch rids n emit =
+let emit_rid_chunks st fr rids n emit =
   let pos = ref 0 in
   while !pos < n do
     let len = Int.min batch (n - !pos) in
@@ -201,7 +162,7 @@ and emit_rid_chunks st fr ~batch rids n emit =
     pos := !pos + len
   done
 
-and iter_rid_batches st ~batch node emit =
+let rec iter_rid_batches st node emit =
   let fr = node.Op.frame in
   match node.Op.kind with
   | Op.Seq_scan { cls } ->
@@ -210,7 +171,7 @@ and iter_rid_batches st ~batch node emit =
       let rec go () =
         let n = Database.cursor_next_page cur in
         if n > 0 then begin
-          emit_rid_chunks st fr ~batch (Database.cursor_rids cur) n emit;
+          emit_rid_chunks st fr (Database.cursor_rids cur) n emit;
           go ()
         end
       in
@@ -226,18 +187,21 @@ and iter_rid_batches st ~batch node emit =
           emit one ~pos:0 ~len:1;
           Op.Acct.enter st.acct fr)
   | Op.Sort_rids { child } ->
+      (* The child is an Index_scan, whose singleton slices keep its
+         per-row accounting. *)
       let rids = ref [] in
-      let n = ref 0 in
-      iter_rids st child (fun rid ->
-          rids := rid :: !rids;
-          incr n);
+      iter_rid_batches st child (fun arr ~pos ~len ->
+          for i = pos to pos + len - 1 do
+            rids := arr.(i) :: !rids
+          done);
+      let n = List.length !rids in
       Op.Acct.enter st.acct fr;
-      fr.Op.rows_in <- !n;
-      fr.Op.bytes <- !n * Rid.on_disk_bytes;
+      fr.Op.rows_in <- n;
+      fr.Op.bytes <- n * Rid.on_disk_bytes;
       (* Slice emission happens inside the claim window, so the buffer
          release still follows the last emitted row as it always did. *)
-      Operators.with_sorted_rids (Database.sim st.db) ~rids:!rids ~count:!n
-        (fun arr -> emit_rid_chunks st fr ~batch arr (Array.length arr) emit)
+      Operators.with_sorted_rids (Database.sim st.db) ~rids:!rids ~count:n
+        (fun arr -> emit_rid_chunks st fr arr (Array.length arr) emit)
   | _ -> invalid_arg "Exec: operator does not produce Rids"
 
 (* --- binding streams: rows in the register file --- *)
@@ -246,13 +210,13 @@ and iter_rows st node emit =
   let db = st.db and regs = st.regs in
   let fr = node.Op.frame in
   match node.Op.kind with
-  | Op.Fetch { child; cls; var; preds; covering; mode; batch } ->
+  | Op.Fetch { child; cls; var; preds; covering; mode } ->
       let r = reg st var in
       if covering then
         (* Identity-only projection with no residual predicates: no
            Handle traffic at all (Section 5's remark that navigation need
            not read patients when returning objects). *)
-        iter_rid_batches st ~batch child (fun rids ~pos ~len ->
+        iter_rid_batches st child (fun rids ~pos ~len ->
             for i = pos to pos + len - 1 do
               Op.Acct.enter st.acct fr;
               fr.Op.rows_in <- fr.Op.rows_in + 1;
@@ -274,7 +238,7 @@ and iter_rows st node emit =
               let prog = Packed.compile db ~cls ~preds () in
               fun h -> Packed.eval_preds db prog (Packed.seek db prog h)
         in
-        iter_rid_batches st ~batch child (fun rids ~pos ~len ->
+        iter_rid_batches st child (fun rids ~pos ~len ->
             for i = pos to pos + len - 1 do
               Op.Acct.enter st.acct fr;
               fr.Op.rows_in <- fr.Op.rows_in + 1;
@@ -732,8 +696,8 @@ let rec retarget db node =
             invalid_arg
               (Printf.sprintf "Exec: replica lacks index %s.%s" cls attr))
     | Op.Sort_rids { child } -> Op.Sort_rids { child = re child }
-    | Op.Fetch { child; cls; var; preds; covering; mode; batch } ->
-        Op.Fetch { child = re child; cls; var; preds; covering; mode; batch }
+    | Op.Fetch { child; cls; var; preds; covering; mode } ->
+        Op.Fetch { child = re child; cls; var; preds; covering; mode }
     | Op.Nav_set { child; set_attr; owner_cls; nav_var; nav_cls; preds } ->
         Op.Nav_set
           { child = re child; set_attr; owner_cls; nav_var; nav_cls; preds }

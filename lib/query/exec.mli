@@ -47,7 +47,7 @@ type lane_report = {
 
 (** [run_sharded_explained smap root ~keep] executes a sharded tree — an
     {!Op.Gather} over S {!Op.Shard_lane} subtrees, as built by
-    [Planner.lower ~shards] — against the shard map.  Shard-local subtrees
+    {!Planner.lower_sharded} — against the shard map.  Shard-local subtrees
     run in one fork/join clock scope (simulated elapsed = max over lanes);
     hash-join plans with {!Op.Exchange} children run two scopes with an
     all-to-all barrier between the route and the build/probe phase.  The

@@ -8,7 +8,6 @@ module H = Hashtbl.Make (Tb_storage.Rid)
 type 'a t = {
   sim : Tb_sim.Sim.t;
   table : 'a group H.t;
-  mutable elements : int;
   mutable bytes : int;
   mutable disposed : bool;
 }
@@ -17,7 +16,7 @@ let entry_overhead = 16
 let group_overhead = 40
 
 let create sim =
-  { sim; table = H.create 1024; elements = 0; bytes = 0; disposed = false }
+  { sim; table = H.create 1024; bytes = 0; disposed = false }
 
 let add t ~key ~payload_bytes v =
   if t.disposed then invalid_arg "Mem_hash.add: disposed";
@@ -31,7 +30,6 @@ let add t ~key ~payload_bytes v =
         H.replace t.table key { rev = [ v ]; fwd = None };
         group_overhead + entry_overhead + payload_bytes
   in
-  t.elements <- t.elements + 1;
   t.bytes <- t.bytes + cost;
   Tb_sim.Sim.claim_bytes t.sim cost;
   Tb_sim.Sim.charge_hash_insert t.sim
@@ -49,8 +47,6 @@ let find t ~key =
           l)
   | None -> []
 
-let group_count t = H.length t.table
-let element_count t = t.elements
 let size_bytes t = t.bytes
 
 let dispose t =

@@ -27,9 +27,6 @@ val add : 'a t -> key:Tb_storage.Rid.t -> payload_bytes:int -> 'a -> unit
     Raises [Invalid_argument] after {!dispose}, as {!add} does. *)
 val find : 'a t -> key:Tb_storage.Rid.t -> 'a list
 
-val group_count : 'a t -> int
-val element_count : 'a t -> int
-
 (** Simulated resident size. *)
 val size_bytes : 'a t -> int
 

@@ -91,7 +91,6 @@ type kind =
           (** no residual predicates and only the identity is needed: skip
               Handles entirely (the covering-index shortcut) *)
       mode : mode;
-      batch : int;  (** rows per vector pulled from the rid stream *)
     }
   | Nav_set of {
       child : t;
@@ -271,12 +270,12 @@ let label node =
         (match lo with Some k -> string_of_int k | None -> "-inf")
         (match hi with Some k -> string_of_int k | None -> "+inf")
   | Sort_rids _ -> "sort_rids"
-  | Fetch { cls; var; preds; covering; mode; batch; _ } ->
+  | Fetch { cls; var; preds; covering; mode; _ } ->
       if covering then
         Printf.sprintf "fetch(%s:%s)%s covering" var cls (pred_count preds)
       else
-        Printf.sprintf "fetch(%s:%s)%s mode=%s b=%d" var cls (pred_count preds)
-          (mode_name mode) batch
+        Printf.sprintf "fetch(%s:%s)%s mode=%s" var cls (pred_count preds)
+          (mode_name mode)
   | Nav_set { set_attr; nav_var; nav_cls; preds; _ } ->
       Printf.sprintf "nav_set(.%s -> %s:%s)%s" set_attr nav_var nav_cls
         (pred_count preds)
@@ -482,7 +481,6 @@ end
 module Est = struct
   let set node e = node.est <- Some e
   let get node = node.est
-  let clear root = iter (fun n -> n.est <- None) root
 
   (* q-error between an estimated and an accounted ms, floored at 0.01 ms
      (below the cost model's practical resolution) so near-zero pairs

@@ -93,7 +93,6 @@ type kind =
       preds : Plan.attr_pred list;
       covering : bool;
       mode : mode;
-      batch : int;
     }
   | Nav_set of {
       child : t;
@@ -171,8 +170,6 @@ val attach_frames : t -> t
     without a frame of its own: the tree was never given its frames. *)
 val reset_frames : t -> unit
 
-val children : t -> t list
-
 (** Pre-order traversal. *)
 val iter : (t -> unit) -> t -> unit
 
@@ -237,9 +234,6 @@ end
 module Est : sig
   val set : t -> est -> unit
   val get : t -> est option
-
-  (** Drop every estimate in the tree. *)
-  val clear : t -> unit
 
   (** q-error [max (est/actual, actual/est)], both sides floored at
       0.01 ms so near-zero pairs compare as exact. *)

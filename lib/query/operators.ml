@@ -160,9 +160,6 @@ let with_sorted_rids sim ~rids ~count f =
       Rid.sort arr;
       f arr)
 
-let sorted_rids sim ~rids ~count f =
-  with_sorted_rids sim ~rids ~count (fun arr -> Array.iter f arr)
-
 (* External-sort accounting: [n log n] comparisons, plus write+read passes
    when the run does not fit in memory. *)
 let charge_external_sort sim ~elems ~bytes =

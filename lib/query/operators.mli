@@ -82,15 +82,6 @@ val with_sorted_rids :
   (Tb_storage.Rid.t array -> unit) ->
   unit
 
-(** [sorted_rids sim ~rids ~count f] is {!with_sorted_rids} streaming one
-    Rid at a time. *)
-val sorted_rids :
-  Tb_sim.Sim.t -> rids:Tb_storage.Rid.t list -> count:int -> (Tb_storage.Rid.t -> unit) -> unit
-
-(** [n log n] comparisons plus write+read passes when the run exceeds
-    memory. *)
-val charge_external_sort : Tb_sim.Sim.t -> elems:int -> bytes:int -> unit
-
 (** Claim a gathered (key, payload) run and sort it by key.  Ownership of
     the claimed bytes passes to the caller, who must
     {!release_bytes} them (under [Fun.protect]) when the merge is done. *)

@@ -53,8 +53,6 @@ val literal_to_value : literal -> Tb_store.Value.t
 val eval_cmp : cmp -> Tb_store.Value.t -> Tb_store.Value.t -> bool
 
 val agg_name : agg -> string
-val pp_expr : Format.formatter -> expr -> unit
-val pp_projection : Format.formatter -> projection -> unit
 val pp_pred : Format.formatter -> pred -> unit
 val pp_query : Format.formatter -> query -> unit
 

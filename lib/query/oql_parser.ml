@@ -182,9 +182,3 @@ let parse_query st =
   { select; from; where }
 
 let parse s = parse_query { toks = Oql_lexer.tokenize s }
-
-let parse_pred s =
-  let st = { toks = Oql_lexer.tokenize s } in
-  let p = parse_pred_atoms st in
-  expect st Oql_lexer.EOF "trailing input";
-  p

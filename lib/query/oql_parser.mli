@@ -19,5 +19,3 @@ exception Parse_error of string
     input. *)
 val parse : string -> Oql_ast.query
 
-(** Parse just a predicate (handy in tests). *)
-val parse_pred : string -> Oql_ast.pred

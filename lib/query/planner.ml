@@ -226,13 +226,13 @@ let make_finish ~select ~aggregate env_op =
    identity — is only sound for selections; join sides always need
    attribute or set access.  The packed mode is chosen from the residual
    predicates alone ({!Packed.compilable}), keeping lowering pure. *)
-let make_fetch ~packed ~batch ?(covering = false) access ~cls ~var =
+let make_fetch ~packed ?(covering = false) access ~cls ~var =
   let preds = access_preds access in
   let mode =
     if packed && Packed.compilable preds then Op.Packed else Op.Handle
   in
   Op.make
-    (Op.Fetch { child = lower_access access; cls; var; preds; covering; mode; batch })
+    (Op.Fetch { child = lower_access access; cls; var; preds; covering; mode })
 
 (* Keys and payload prefixes are always packed-compilable; [~mode] is
    forced to Handle for hybrid probe-side harvests, which the hybrid
@@ -246,10 +246,10 @@ let make_harvest ~packed ?mode side ~key ~cls ~var select =
   let attrs, _self = Plan.needed_attrs var select in
   Op.make (Op.Harvest { child = side; key; cls; attrs; mode })
 
-let shape ?(packed = true) ?(batch = 256) plan =
+let shape ?(packed = true) plan =
   let finish = make_finish in
   let fetch ?covering access ~cls ~var =
-    make_fetch ~packed ~batch ?covering access ~cls ~var
+    make_fetch ~packed ?covering access ~cls ~var
   in
   let harvest ?mode side ~key ~cls ~var select =
     make_harvest ~packed ?mode side ~key ~cls ~var select
@@ -413,7 +413,7 @@ let shape ?(packed = true) ?(batch = 256) plan =
                   })))
 
 (* A tree lowered to run gets its frames here; [optimize] costs shapes. *)
-let lower ?packed ?batch plan = Op.attach_frames (shape ?packed ?batch plan)
+let lower ?packed plan = Op.attach_frames (shape ?packed plan)
 
 (* --- sharded lowering: Plan.t -> Gather over per-shard subtrees --- *)
 
@@ -455,7 +455,7 @@ let key_name = function Op.K_self -> "self" | Op.K_inverse a -> a
    probed on the destination.  PHHJ/CHHJ degenerate to their in-memory
    cousins — repartitioning already splits the build side S ways, which is
    exactly the memory-pressure relief the spill partitions bought. *)
-let hash_lane ~packed ~batch ~shards ~shard plan_s =
+let hash_lane ~packed ~shards ~shard plan_s =
   match plan_s with
   | Plan.Hier_join
       {
@@ -473,13 +473,13 @@ let hash_lane ~packed ~batch ~shards ~shard plan_s =
       } ->
       let parent_harvest =
         make_harvest ~packed
-          (make_fetch ~packed ~batch parent_access ~cls:parent_cls
+          (make_fetch ~packed parent_access ~cls:parent_cls
              ~var:parent_var)
           ~key:Op.K_self ~cls:parent_cls ~var:parent_var select
       in
       let child_harvest =
         make_harvest ~packed
-          (make_fetch ~packed ~batch child_access ~cls:child_cls ~var:child_var)
+          (make_fetch ~packed child_access ~cls:child_cls ~var:child_var)
           ~key:(Op.K_inverse (require_inv inv_attr))
           ~cls:child_cls ~var:child_var select
       in
@@ -531,9 +531,9 @@ let hash_lane ~packed ~batch ~shards ~shard plan_s =
    Gather, no Shard_lane — the one-shard engine is the unsharded engine by
    construction, which is what keeps the golden fingerprint byte-identical
    at S=1. *)
-let shape_sharded ?(packed = true) ?(batch = 256) smap plan =
+let shape_sharded ?(packed = true) smap plan =
   let shards = Shard_map.count smap in
-  if shards = 1 then shape ~packed ~batch (remap_plan (Shard_map.shard smap 0) plan)
+  if shards = 1 then shape ~packed (remap_plan (Shard_map.shard smap 0) plan)
   else
     let ordered =
       match plan with
@@ -547,29 +547,29 @@ let shape_sharded ?(packed = true) ?(batch = 256) smap plan =
           match plan_s with
           | Plan.Hier_join
               { algo = Plan.PHJ | Plan.CHJ | Plan.PHHJ | Plan.CHHJ; _ } ->
-              hash_lane ~packed ~batch ~shards ~shard:s plan_s
+              hash_lane ~packed ~shards ~shard:s plan_s
           | _ ->
               Op.make
                 (Op.Shard_lane
-                   { child = shape ~packed ~batch plan_s; shard = s; shards }))
+                   { child = shape ~packed plan_s; shard = s; shards }))
     in
     Op.make
       (Op.Gather { lanes; shards; part_key = Shard_map.key_attr smap; ordered })
 
-let lower_sharded ?packed ?batch smap plan =
-  Op.attach_frames (shape_sharded ?packed ?batch smap plan)
+let lower_sharded ?packed smap plan =
+  Op.attach_frames (shape_sharded ?packed smap plan)
 
-let run ?organization ?force_algo ?force_sorted ?force_seq ?packed ?batch
+let run ?organization ?force_algo ?force_sorted ?force_seq ?packed
     ?(keep = false) db text =
   let q = Oql_parser.parse text in
   let p = plan ?organization ?force_algo ?force_sorted ?force_seq db q in
-  Exec.run db (lower ?packed ?batch p) ~keep
+  Exec.run db (lower ?packed p) ~keep
 
 let run_explained ?organization ?force_algo ?force_sorted ?force_seq ?packed
-    ?batch ?(keep = false) db text =
+    ?(keep = false) db text =
   let q = Oql_parser.parse text in
   let p = plan ?organization ?force_algo ?force_sorted ?force_seq db q in
-  let root = lower ?packed ?batch p in
+  let root = lower ?packed p in
   let result, global = Exec.run_explained db root ~keep in
   (result, root, global)
 
@@ -577,11 +577,11 @@ let run_explained ?organization ?force_algo ?force_sorted ?force_seq ?packed
    index set, and shard-0 statistics (1/S of the data) rank algorithms the
    same way the global statistics do for our uniform generators. *)
 let run_sharded_explained ?organization ?force_algo ?force_sorted ?force_seq
-    ?packed ?batch ?(keep = false) smap text =
+    ?packed ?(keep = false) smap text =
   let db0 = Shard_map.shard smap 0 in
   let q = Oql_parser.parse text in
   let p = plan ?organization ?force_algo ?force_sorted ?force_seq db0 q in
-  let root = lower_sharded ?packed ?batch smap p in
+  let root = lower_sharded ?packed smap p in
   if Shard_map.count smap = 1 then
     let result, global = Exec.run_explained db0 root ~keep in
     ( result,
@@ -636,7 +636,7 @@ let d_desc d = Enumerate.describe d.d_plan ~packed:d.d_packed
    Statistics default to a fresh [Stat_catalog.analyze]; pass a retained
    catalog to let validate-stage feedback from earlier runs reach this
    optimization. *)
-let optimize ?stats ?organization ?(batch = 256) db text =
+let optimize ?stats ?organization db text =
   let q = Oql_parser.parse text in
   let stats = match stats with Some s -> s | None -> Sc.analyze db in
   let bound = Plan.bind db q in
@@ -653,7 +653,7 @@ let optimize ?stats ?organization ?(batch = 256) db text =
   let scored =
     List.map
       (fun plan ->
-        let root = shape ~packed:true ~batch plan in
+        let root = shape ~packed:true plan in
         Estimate.annotate ~stats ~organization root;
         let ch = { ch_plan = plan; ch_packed = true; ch_cost_ms = Estimate.plan_cost_ms root } in
         (match !best with
@@ -685,8 +685,8 @@ let optimize ?stats ?organization ?(batch = 256) db text =
 (* Optimize, execute, validate: the full four-stage pipeline.  The
    returned checks carry per-operator q-errors; mis-estimates have already
    fed corrections back into the decision's catalog. *)
-let run_optimized_explained ?stats ?organization ?batch ?(keep = false) db text =
-  let d = optimize ?stats ?organization ?batch db text in
+let run_optimized_explained ?stats ?organization ?(keep = false) db text =
+  let d = optimize ?stats ?organization db text in
   let result, global = Exec.run_explained db d.d_root ~keep in
   let checks = Exec.validate ~stats:d.d_stats d.d_root in
   (result, d, global, checks)
@@ -705,17 +705,17 @@ type shard_decision = {
    costed from the merged global catalog (each Shard_lane estimates
    against a 1/S-scaled view).  Nothing executes: the break-even comes
    from statistics alone. *)
-let optimize_sharded ?organization ?(batch = 256) smap text =
+let optimize_sharded ?organization smap text =
   let shards = Shard_map.count smap in
   let stats =
     Sc.merge
       (List.init shards (fun s -> Sc.analyze (Shard_map.shard smap s)))
   in
-  let d = optimize ~stats ?organization ~batch (Shard_map.shard smap 0) text in
+  let d = optimize ~stats ?organization (Shard_map.shard smap 0) text in
   let sharded_ms =
     if shards = 1 then d.d_cost_ms
     else begin
-      let root = shape_sharded ~packed:d.d_packed ~batch smap d.d_plan in
+      let root = shape_sharded ~packed:d.d_packed smap d.d_plan in
       Estimate.annotate ~stats ~organization:d.d_organization root;
       Estimate.plan_cost_ms root
     end

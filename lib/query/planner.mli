@@ -51,19 +51,18 @@ val join_env :
     bytes whenever the predicates are packed-compilable
     ({!Packed.compilable} — decided from the predicate constants alone, so
     lowering stays pure); non-compilable predicates fall back to the
-    Handle path, visible as [mode=handle] in the lowered tree.  [batch]
-    (default 256) sets the rows-per-vector of the Rid streams feeding
-    Fetch.  Neither knob moves a single simulated charge.
+    Handle path, visible as [mode=handle] in the lowered tree.  The knob
+    moves no simulated charge.
 
     Raises {!Plan.Unsupported} when the algorithm needs an inverse
     reference the schema does not declare, [Invalid_argument] when
     NL/NOJOIN receive an index access on the navigated side (the planner
     never builds those). *)
-val shape : ?packed:bool -> ?batch:int -> Plan.t -> Op.t
+val shape : ?packed:bool -> Plan.t -> Op.t
 
 (** [lower plan] is [shape plan] given its run frames
     ({!Op.attach_frames}): the tree {!Exec} runs. *)
-val lower : ?packed:bool -> ?batch:int -> Plan.t -> Op.t
+val lower : ?packed:bool -> Plan.t -> Op.t
 
 (** Parse, plan and execute in one call (the public "just run it" API). *)
 val run :
@@ -72,7 +71,6 @@ val run :
   ?force_sorted:bool ->
   ?force_seq:bool ->
   ?packed:bool ->
-  ?batch:int ->
   ?keep:bool ->
   Tb_store.Database.t ->
   string ->
@@ -86,7 +84,6 @@ val run_explained :
   ?force_sorted:bool ->
   ?force_seq:bool ->
   ?packed:bool ->
-  ?batch:int ->
   ?keep:bool ->
   Tb_store.Database.t ->
   string ->
@@ -102,7 +99,7 @@ val run_explained :
     replicated catalog entry.  With a single shard this returns exactly
     [lower plan] — no Gather, no Shard_lane — so the S=1 engine is the
     unsharded engine by construction.  The tree has its run frames. *)
-val lower_sharded : ?packed:bool -> ?batch:int -> Tb_store.Shard_map.t -> Plan.t -> Op.t
+val lower_sharded : ?packed:bool -> Tb_store.Shard_map.t -> Plan.t -> Op.t
 
 (** Parse, plan (against shard 0) and execute across the shard map.
     Returns the result, the executed tree (per-shard frames populated),
@@ -115,7 +112,6 @@ val run_sharded_explained :
   ?force_sorted:bool ->
   ?force_seq:bool ->
   ?packed:bool ->
-  ?batch:int ->
   ?keep:bool ->
   Tb_store.Shard_map.t ->
   string ->
@@ -166,7 +162,6 @@ val d_desc : decision -> string
 val optimize :
   ?stats:Tb_statcore.Stat_catalog.t ->
   ?organization:Estimate.organization ->
-  ?batch:int ->
   Tb_store.Database.t ->
   string ->
   decision
@@ -178,7 +173,6 @@ val optimize :
 val run_optimized_explained :
   ?stats:Tb_statcore.Stat_catalog.t ->
   ?organization:Estimate.organization ->
-  ?batch:int ->
   ?keep:bool ->
   Tb_store.Database.t ->
   string ->
@@ -199,7 +193,6 @@ type shard_decision = {
     which side of the break-even the query falls on.  Nothing executes. *)
 val optimize_sharded :
   ?organization:Estimate.organization ->
-  ?batch:int ->
   Tb_store.Shard_map.t ->
   string ->
   shard_decision

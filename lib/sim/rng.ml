@@ -7,8 +7,6 @@ let mask48 = (1 lsl 48) - 1
 
 let create seed = { state = ((seed lsl 16) lxor 0x330E) land mask48 }
 
-let copy t = { state = t.state }
-
 let step t =
   t.state <- ((a * t.state) + c) land mask48;
   t.state lsr 17 (* 31 random bits *)
@@ -28,8 +26,6 @@ let int t bound =
 
 let float t bound = float_of_int (step t) /. 2147483648.0 *. bound
 
-let bool t = step t land 1 = 1
-
 let shuffle t arr =
   for i = Array.length arr - 1 downto 1 do
     let j = int t (i + 1) in
@@ -42,7 +38,3 @@ let permutation t n =
   let arr = Array.init n (fun i -> i) in
   shuffle t arr;
   arr
-
-let pick t arr =
-  if Array.length arr = 0 then invalid_arg "Rng.pick: empty array";
-  arr.(int t (Array.length arr))

@@ -10,9 +10,6 @@ type t
 (** [create seed] returns a generator initialised from [seed]. *)
 val create : int -> t
 
-(** [copy t] is an independent generator with the same current state. *)
-val copy : t -> t
-
 (** [int t bound] is uniform in [\[0, bound)]. Raises [Invalid_argument] if
     [bound <= 0]. *)
 val int : t -> int -> int
@@ -20,15 +17,9 @@ val int : t -> int -> int
 (** [float t bound] is uniform in [\[0., bound)]. *)
 val float : t -> float -> float
 
-(** [bool t] is a fair coin flip. *)
-val bool : t -> bool
-
 (** [shuffle t arr] permutes [arr] in place (Fisher-Yates). *)
 val shuffle : t -> 'a array -> unit
 
 (** [permutation t n] is a random permutation of [0 .. n-1]. *)
 val permutation : t -> int -> int array
 
-(** [pick t arr] is a uniformly chosen element of [arr].
-    Raises [Invalid_argument] on an empty array. *)
-val pick : t -> 'a array -> 'a

@@ -242,7 +242,3 @@ let observe t ~op ~cls ~est_ms ~actual_ms =
   incr t.fed_back
 
 let fed_back t = !(t.fed_back)
-
-let reset_corrections t =
-  t.corrections := [];
-  t.fed_back := 0

@@ -86,8 +86,6 @@ val correction : t -> op:string -> cls:string -> corr
     convergence). *)
 val observe : t -> op:string -> cls:string -> est_ms:float -> actual_ms:float -> unit
 
-(** Mis-estimate observations recorded since the last
-    {!reset_corrections}. *)
+(** Mis-estimate observations recorded since the catalog was built. *)
 val fed_back : t -> int
 
-val reset_corrections : t -> unit

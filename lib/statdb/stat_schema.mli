@@ -18,8 +18,3 @@ val system_cls : string
     correction back). *)
 val estimate_cls : string
 
-val stats_extent : string
-val queries_extent : string
-val extents_extent : string
-val systems_extent : string
-val estimates_extent : string

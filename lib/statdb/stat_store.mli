@@ -52,13 +52,10 @@ val observations : t -> observation list
     [select s.ElapsedTimeMs from s in Stats where s.numtest < 10]. *)
 val query : t -> string -> Tb_query.Query_result.t
 
-(** [record_estimate t ~numtest check] stores one validate-stage
-    reconciliation as an [Estimate] object (ms rounded to integers,
-    q-error in percent) and returns its Rid.  [record_estimates] stores a
-    whole check list, e.g. the output of [Planner.run_optimized_explained]. *)
-val record_estimate :
-  t -> numtest:int -> Tb_query.Exec.est_check -> Tb_storage.Rid.t
-
+(** [record_estimates t ~numtest checks] stores each validate-stage
+    reconciliation of a check list (e.g. the output of
+    [Planner.run_optimized_explained]) as an [Estimate] object (ms rounded
+    to integers, q-error in percent) and returns their Rids. *)
 val record_estimates :
   t -> numtest:int -> Tb_query.Exec.est_check list -> Tb_storage.Rid.t list
 

@@ -23,7 +23,6 @@ let client_capacity t = Buffer_pool.capacity t.client
 let disk t = t.disk
 let sim t = t.sim
 let set_fault t f = t.fault <- f
-let fault t = t.fault
 let set_write_observer t obs = t.write_observer <- obs
 let set_persist_observer t obs = t.persist_observer <- obs
 

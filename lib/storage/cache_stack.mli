@@ -77,8 +77,6 @@ val set_persist_observer : t -> (Page_id.t -> unit) option -> unit
     transient-error dice.  [None] (the default) is the infallible disk. *)
 val set_fault : t -> Fault.t option -> unit
 
-val fault : t -> Fault.t option
-
 (** The underlying disk (for file allocation). *)
 val disk : t -> Disk.t
 

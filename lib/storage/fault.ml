@@ -139,11 +139,7 @@ let revive t =
 let max_read_retries t = t.max_read_retries
 let max_rpc_retries t = t.max_rpc_retries
 let writes_seen t = t.writes_seen
-let reads_seen t = t.reads_seen
 let boundaries_seen t = t.boundaries_seen
-let crashed t = t.crashed
-let down t = t.down
-let shard t = t.shard
 
 (* --- shard-addressable registry --- *)
 

@@ -110,17 +110,7 @@ val max_rpc_retries : t -> int
     (diagnostics; boundary ordinals also parameterize the chaos sweep). *)
 val writes_seen : t -> int
 
-val reads_seen : t -> int
 val boundaries_seen : t -> int
-
-(** Whether the scheduled crash has fired. *)
-val crashed : t -> bool
-
-(** Whether the shard is currently down (crash fired, not yet revived). *)
-val down : t -> bool
-
-(** The shard id this layer is scoped to (0 for a single-node layer). *)
-val shard : t -> int
 
 (** {2 Shard-addressable registry}
 

@@ -38,7 +38,6 @@ let create_temp stack =
 
 let file_id t = t.file
 let page_count t = Disk.page_count (Cache_stack.disk t.stack) t.file
-let cache t = t.stack
 let tail t = t.tail
 
 let set_tail t tail =

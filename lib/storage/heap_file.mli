@@ -89,8 +89,6 @@ val scan : t -> (Rid.t -> bytes -> unit) -> unit
 val iter_page_spans :
   t -> page:int -> (Rid.t -> bytes -> int -> int -> unit) -> unit
 
-val cache : t -> Cache_stack.t
-
 (** {2 Checkpoint support}
 
     The tail (the page index currently receiving inserts; [-1] when empty)

@@ -17,7 +17,3 @@ let file t = t lsr index_bits
 let index t = t land index_mask
 let compare = Int.compare
 let equal : t -> t -> bool = Int.equal
-(* The packed int is non-negative by construction, so it is its own
-   deterministic hash — no need for Hashtbl.hash's version-specific mix. *)
-let hash (t : t) = t
-let pp ppf t = Format.fprintf ppf "%d/%d" (file t) (index t)

@@ -11,5 +11,3 @@ val file : t -> int
 val index : t -> int
 val compare : t -> t -> int
 val equal : t -> t -> bool
-val hash : t -> int
-val pp : Format.formatter -> t -> unit

@@ -90,10 +90,6 @@ val slot_count : t -> int
 (** Number of live records. *)
 val live_count : t -> int
 
-(** Bytes a fresh insert of length [len] would need right now, accounting
-    for slot reuse; [None] when it cannot fit even after compaction. *)
-val fits : t -> int -> bool
-
 (** Free bytes available to new records after compaction (not counting the
     directory entry a brand-new slot would need). *)
 val free_bytes : t -> int

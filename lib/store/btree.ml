@@ -197,7 +197,6 @@ let create stack ~name =
   t.root <- alloc_node t (Leaf { next = -1; entries = Bytes.empty });
   t
 
-let name t = t.name
 let entry_count t = t.entries
 
 let page_count t =

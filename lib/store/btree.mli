@@ -18,7 +18,6 @@ type t
 (** [create stack ~name] builds an empty tree in a fresh file. *)
 val create : Tb_storage.Cache_stack.t -> name:string -> t
 
-val name : t -> string
 val entry_count : t -> int
 
 (** Pages allocated to the tree's file. *)

@@ -89,12 +89,5 @@ val ref_at : bytes -> pos:int -> Tb_storage.Rid.t
 
 val tag_nil : int
 val tag_int : int
-val tag_real : int
-val tag_bool : int
-val tag_char : int
 val tag_string : int
 val tag_ref : int
-val tag_tuple : int
-val tag_set : int
-val tag_list : int
-val tag_big_set : int

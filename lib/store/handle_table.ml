@@ -40,7 +40,6 @@ let create sim ~kind ~zombie_limit =
     zombie_limit;
   }
 
-let kind t = t.kind
 let slab t = t.slab
 
 (* --- the index --- *)

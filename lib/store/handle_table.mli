@@ -20,8 +20,6 @@ type t
     unreferenced Handles may linger before real destruction begins. *)
 val create : Tb_sim.Sim.t -> kind:Tb_sim.Cost_model.handle_kind -> zombie_limit:int -> t
 
-val kind : t -> Tb_sim.Cost_model.handle_kind
-
 (** The slab holding this table's Handles. *)
 val slab : t -> Handle.slab
 

@@ -23,8 +23,6 @@ let indexes t =
         (fun s acc -> if s <> empty_slot then s :: acc else acc)
         slots []
 
-let has_slots t = Option.is_some t.slots
-
 let add_index t idx =
   if idx < 0 || idx >= empty_slot then invalid_arg "Obj_header.add_index: id";
   match t.slots with
@@ -66,7 +64,6 @@ let with_slots t =
   | Some _ -> t
   | None -> { t with slots = Some (Array.make default_slot_count empty_slot) }
 
-let deleted t = t.deleted
 let set_deleted t deleted = { t with deleted }
 
 let encoded_size t =

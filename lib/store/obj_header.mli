@@ -24,8 +24,6 @@ val class_id : t -> int
 (** Index ids this object belongs to. *)
 val indexes : t -> int list
 
-val has_slots : t -> bool
-
 (** [add_index t idx] records membership; grows the slot array beyond
     {!default_slot_count} when needed ("it can be extended if required").
     Raises [Invalid_argument] if the header has no slot space at all —
@@ -38,7 +36,6 @@ val remove_index : t -> int -> t
     reallocation pass). *)
 val with_slots : t -> t
 
-val deleted : t -> bool
 val set_deleted : t -> bool -> t
 
 (** Encoded size in bytes: 4 without slots, [4 + 2*slots] with. *)

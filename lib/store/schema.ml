@@ -80,7 +80,6 @@ let class_of_id t id =
   else t.classes.(id)
 
 let attr_count t ~class_id = Array.length t.attr_names.(class_id)
-let attr_name t ~class_id slot = t.attr_names.(class_id).(slot)
 let attr_slot t ~class_id ~attr = String_table.find t.attr_slots.(class_id) attr
 
 let attr_type t ~cls ~attr =
@@ -107,19 +106,3 @@ let rec conforms t ty v =
       | TTuple _ ),
       _ ) ->
       false
-
-let rec pp_ty ppf = function
-  | TInt -> Format.pp_print_string ppf "integer"
-  | TReal -> Format.pp_print_string ppf "real"
-  | TBool -> Format.pp_print_string ppf "boolean"
-  | TChar -> Format.pp_print_string ppf "char"
-  | TString -> Format.pp_print_string ppf "string"
-  | TRef c -> Format.pp_print_string ppf c
-  | TSet ty -> Format.fprintf ppf "set(%a)" pp_ty ty
-  | TList ty -> Format.fprintf ppf "list(%a)" pp_ty ty
-  | TTuple fields ->
-      Format.fprintf ppf "tuple(@[%a@])"
-        (Format.pp_print_list
-           ~pp_sep:(fun ppf () -> Format.fprintf ppf ",@ ")
-           (fun ppf (n, ty) -> Format.fprintf ppf "%s: %a" n pp_ty ty))
-        fields

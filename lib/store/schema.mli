@@ -44,10 +44,6 @@ val class_of_id : t -> int -> cls
 
 val attr_count : t -> class_id:int -> int
 
-(** [attr_name t ~class_id slot] — raises [Invalid_argument] if the slot is
-    out of range. *)
-val attr_name : t -> class_id:int -> int -> string
-
 (** [attr_slot t ~class_id ~attr] — raises [Not_found] if the class has no
     such attribute. *)
 val attr_slot : t -> class_id:int -> attr:string -> int
@@ -61,4 +57,3 @@ val attr_type : t -> cls:string -> attr:string -> ty
     conforms to set types. *)
 val conforms : t -> ty -> Value.t -> bool
 
-val pp_ty : Format.formatter -> ty -> unit

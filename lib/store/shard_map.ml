@@ -82,7 +82,6 @@ let create sim ~schema ~shards ?(replicas = 1) ~server_pages ~client_pages
   }
 
 let count t = Array.length t.primaries
-let replicas t = t.replicas
 
 let shard t i =
   if i < 0 || i >= Array.length t.primaries then
@@ -95,14 +94,8 @@ let group t i = shard t i :: t.followers.(i)
 
 let live_replicas t i = 1 + List.length t.followers.(i)
 
-(* The "node" a replica lives on: primaries spread one per node, follower
-   r of shard s on the node r steps around the ring — distinct from its
-   primary's by the R <= S check in [create]. *)
-let node_of t ~shard ~replica = (shard + replica) mod count t
-
 let sim t = t.sim
 let key_attr t = t.key_attr
-let salt t = t.salt
 
 (* Fibonacci-style multiplicative mix of the salted key: cheap, stateless,
    and spreads consecutive provider ids evenly across shards. *)

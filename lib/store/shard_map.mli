@@ -52,9 +52,6 @@ val create :
 
 val count : t -> int
 
-(** Configured copies per shard (primary included); 1 when unreplicated. *)
-val replicas : t -> int
-
 (** [shard t i] is shard [i]'s current primary; raises [Invalid_argument]
     out of range. *)
 val shard : t -> int -> Database.t
@@ -67,17 +64,10 @@ val group : t -> int -> Database.t list
 (** Copies of shard [i] still standing (primary plus followers). *)
 val live_replicas : t -> int -> int
 
-(** The node replica [replica] of [shard] lives on: [(shard + replica) mod
-    count] — distinct nodes for every copy because [replicas <= count]. *)
-val node_of : t -> shard:int -> replica:int -> int
-
 val sim : t -> Tb_sim.Sim.t
 
 (** The partition-key attribute name chosen at [create]. *)
 val key_attr : t -> string
-
-(** The placement salt (exposed so plan labels can print a stable id). *)
-val salt : t -> int
 
 (** [shard_of_key t k] maps a partition-key value to its shard number.
     Always [0] when [count t = 1]. *)

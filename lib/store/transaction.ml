@@ -16,7 +16,6 @@ let create sim mode ~uncommitted_limit =
 
 let mode t = t.mode
 let set_mode t m = t.mode <- m
-let uncommitted t = t.uncommitted
 let wal t = t.wal
 let pending_log_bytes t = Wal.pending_bytes t.wal
 

@@ -28,7 +28,6 @@ val create : Tb_sim.Sim.t -> mode -> uncommitted_limit:int -> t
 
 val mode : t -> mode
 val set_mode : t -> mode -> unit
-val uncommitted : t -> int
 
 (** The transaction's log (for observer wiring and recovery). *)
 val wal : t -> Wal.t

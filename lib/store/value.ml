@@ -36,15 +36,9 @@ let set_field v name x =
   | _ -> invalid_arg "Value.set_field: not a tuple"
 
 let to_int = function Int i -> i | _ -> invalid_arg "Value.to_int"
-let to_real = function Real r -> r | _ -> invalid_arg "Value.to_real"
-let to_bool = function Bool b -> b | _ -> invalid_arg "Value.to_bool"
 let to_char = function Char c -> c | _ -> invalid_arg "Value.to_char"
 let to_string_exn = function String s -> s | _ -> invalid_arg "Value.to_string_exn"
 let to_ref = function Ref r -> r | _ -> invalid_arg "Value.to_ref"
-
-let elements = function
-  | Set xs | List xs -> xs
-  | _ -> invalid_arg "Value.elements"
 
 let rec equal a b =
   match (a, b) with

@@ -39,16 +39,9 @@ val set_field : t -> string -> t -> t
 (** Typed projections; raise [Invalid_argument] on the wrong constructor. *)
 val to_int : t -> int
 
-val to_real : t -> float
-val to_bool : t -> bool
 val to_char : t -> char
 val to_string_exn : t -> string
 val to_ref : t -> Tb_storage.Rid.t
-
-(** Elements of an inline [Set] or [List].
-    Raises [Invalid_argument] otherwise (including on [Big_set] — those are
-    iterated through {!Big_collection}). *)
-val elements : t -> t list
 
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

@@ -740,22 +740,22 @@ let test_tree_walks () =
 
 let kernel_budgets =
   [
-    ("fig6.index_scan", 7613.0, 0.0);
-    ("fig6.optimizer_sweep", 7901.0, 0.0);
-    ("fig7.sorted_index_scan", 7637.0, 602.0);
-    ("fig7.full_scan", 9701.0, 0.0);
-    ("fig7.sharded_scan", 11226.0, 0.0);
-    ("fig7.sharded_scan_degraded", 11715.0, 0.0);
+    ("fig6.index_scan", 7611.0, 0.0);
+    ("fig6.optimizer_sweep", 7852.0, 0.0);
+    ("fig7.sorted_index_scan", 7634.0, 602.0);
+    ("fig7.full_scan", 9697.0, 0.0);
+    ("fig7.sharded_scan", 11209.0, 0.0);
+    ("fig7.sharded_scan_degraded", 11697.0, 0.0);
     ("fig7.packed_scan", 5021.0, 0.0);
-    ("fig11_14.nl", 13813.0, 0.0);
-    ("fig11_14.nojoin", 12329.0, 602.0);
-    ("fig11_14.phj", 15513.0, 1627.0);
-    ("fig11_14.chj", 18644.0, 1627.0);
-    ("fig11_14.optimizer_join", 6379.0, 0.0);
-    ("ext.phhj", 17651.0, 1627.0);
-    ("ext.smj", 20930.0, 903.0);
-    ("ext.count", 9063.0, 0.0);
-    ("fig10.hash_build", 7218.0, 1025.0);
+    ("fig11_14.nl", 13810.0, 0.0);
+    ("fig11_14.nojoin", 12326.0, 602.0);
+    ("fig11_14.phj", 15507.0, 1627.0);
+    ("fig11_14.chj", 18638.0, 1627.0);
+    ("fig11_14.optimizer_join", 6342.0, 0.0);
+    ("ext.phhj", 17645.0, 1627.0);
+    ("ext.smj", 20925.0, 903.0);
+    ("ext.count", 9059.0, 0.0);
+    ("fig10.hash_build", 7217.0, 1025.0);
     ("fig9.handle_churn", 2407.0, 0.0);
     ("fig9.packed_churn", 4813.0, 0.0);
     ("sec3.btree_insert_1k", 4569.0, 15414.0);

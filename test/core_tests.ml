@@ -94,8 +94,8 @@ let test_assoc_ordered_is_both_worlds () =
 let test_figures_run_and_record () =
   (* The figure drivers run end to end and record observations. *)
   let ctx = ctx () in
-  Figures.fig7 ctx null_ppf;
-  Figures.fig9 ctx null_ppf;
+  Figures.by_name "fig7" ctx null_ppf;
+  Figures.by_name "fig9" ctx null_ppf;
   check_bool "observations recorded" true
     (Tb_statdb.Stat_store.count (Figures.stats ctx) >= 10);
   (* And the recorded stats answer OQL. *)

@@ -442,7 +442,6 @@ let test_sorted_rids_leak_on_raise () =
                              preds = [];
                              covering = true;
                              mode = Op.Handle;
-                             batch = 256;
                            });
                     select = Oql_ast.Path ("pa", "age");
                   });
@@ -473,7 +472,6 @@ let test_merge_leak_on_raise () =
            preds = [];
            covering = false;
            mode = Op.Handle;
-           batch = 256;
          })
   in
   (* The left run is gathered, claimed and sorted; the right side then

@@ -105,39 +105,8 @@ let test_packed_handle_parity () =
       check_q (name ^ "/sorted") ~force_algo:algo ~force_sorted:true join)
     [ Plan.NL; Plan.NOJOIN; Plan.PHJ; Plan.CHJ; Plan.PHHJ; Plan.CHHJ; Plan.SMJ ]
 
-(* Batch size is a pure interpreter knob: sweeping it must not move a
-   single charge either. *)
-let test_batch_size_parity () =
-  let db_a = (small_built ()).Generator.db in
-  let db_b = (small_built ()).Generator.db in
-  let q = "select pa.age from pa in Patients where pa.mrn < 40" in
-  let cap db batch =
-    Database.cold_restart db;
-    let r = Planner.run db q ~force_seq:true ~batch ~keep:false in
-    let rows = Query_result.count r in
-    Query_result.dispose r;
-    let sim = Database.sim db in
-    ( rows,
-      Format.asprintf "%a" Counters.pp sim.Sim.counters,
-      Int64.bits_of_float (Sim.elapsed_s sim),
-      sim.Sim.peak_working_bytes )
-  in
-  (* Lockstep again: run batch=1 on [db_a] mirrored by the default on
-     [db_b], then 1024 vs default, comparing absolute state each time. *)
-  List.iter
-    (fun batch ->
-      let r1, c1, t1, p1 = cap db_a batch in
-      let r2, c2, t2, p2 = cap db_b 256 in
-      check_int (Printf.sprintf "batch %d: rows" batch) r2 r1;
-      Alcotest.(check string) (Printf.sprintf "batch %d: counters" batch) c2 c1;
-      Alcotest.(check int64) (Printf.sprintf "batch %d: clock" batch) t2 t1;
-      check_int (Printf.sprintf "batch %d: peak" batch) p2 p1)
-    [ 1; 64; 1024 ]
-
 let suite =
   [
     Alcotest.test_case "packed vs handle: identical charges everywhere" `Quick
       test_packed_handle_parity;
-    Alcotest.test_case "batch size: charge-invariant" `Quick
-      test_batch_size_parity;
   ]

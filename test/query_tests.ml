@@ -57,8 +57,12 @@ let test_parser_errors () =
   check_bool "trailing junk" true (bad "select x from x in E 42")
 
 let test_parser_literals () =
-  let p = Oql_parser.parse_pred "x.sex = 'F' and x.name = \"abc\" and x.ok = true" in
-  check_int "three conjuncts" 3 (List.length (Oql_ast.conjuncts p))
+  let q =
+    Oql_parser.parse
+      "select x from x in E where x.sex = 'F' and x.name = \"abc\" and x.ok \
+       = true"
+  in
+  check_int "three conjuncts" 3 (List.length (Oql_ast.conjuncts q.Oql_ast.where))
 
 (* --- front-end fuzz ---
 
@@ -657,8 +661,6 @@ let test_mem_hash () =
   Mem_hash.add h ~key:(key 2) ~payload_bytes:10 "c";
   Alcotest.(check (list string)) "group order" [ "a"; "b" ] (Mem_hash.find h ~key:(key 1));
   Alcotest.(check (list string)) "missing key" [] (Mem_hash.find h ~key:(key 9));
-  check_int "groups" 2 (Mem_hash.group_count h);
-  check_int "elements" 3 (Mem_hash.element_count h);
   let claimed = Tb_sim.Sim.working_bytes sim in
   check_bool "claims memory" true (claimed >= Mem_hash.size_bytes h);
   Mem_hash.dispose h;

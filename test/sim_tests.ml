@@ -19,12 +19,6 @@ let test_rng_bounds () =
     check_bool "in range" true (v >= 0 && v < 13)
   done
 
-let test_rng_copy_independent () =
-  let a = Rng.create 3 in
-  let _ = Rng.int a 10 in
-  let b = Rng.copy a in
-  check_int "copies agree" (Rng.int a 1_000_000) (Rng.int b 1_000_000)
-
 let test_rng_permutation () =
   let r = Rng.create 11 in
   let p = Rng.permutation r 50 in
@@ -149,7 +143,6 @@ let suite =
   [
     Alcotest.test_case "rng: deterministic" `Quick test_rng_deterministic;
     Alcotest.test_case "rng: bounds" `Quick test_rng_bounds;
-    Alcotest.test_case "rng: copy independence" `Quick test_rng_copy_independent;
     Alcotest.test_case "rng: permutation" `Quick test_rng_permutation;
     QCheck_alcotest.to_alcotest test_rng_uniformity;
     Alcotest.test_case "cost model: scaling" `Quick test_cost_model_scaled;

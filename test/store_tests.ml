@@ -709,7 +709,7 @@ let btree_delete_model_prop =
       done;
       for _ = 1 to n do
         let k = Tb_sim.Rng.int rng n in
-        if Tb_sim.Rng.bool rng then begin
+        if Tb_sim.Rng.int rng 2 = 1 then begin
           ignore (Btree.delete tree ~key:k ~rid:(Rid.make ~file:0 ~page:k ~slot:0));
           live := S.remove k !live
         end

@@ -3,13 +3,19 @@
    Usage:
      treelint --config treelint.toml [--baseline FILE] [--json FILE]
               [--sarif FILE] [--explain RULE]
-              [--cmi FILE]... [--verbose] [--update-baseline] DIR...
+              [--cmi FILE]... [--refs DIR]... [--test-refs DIR]...
+              [--verbose] [--update-baseline] DIR...
 
    Each DIR is searched recursively for .cmt files.  When a DIR holds no
    cmts but _build/default/DIR does (the tool was launched from the source
    root rather than from inside _build), the build copy is scanned instead,
    so `dune exec tools/treelint/bin/treelint.exe -- ... lib` works as well
-   as the @lint rule.
+   as the @lint rule.  --refs and --test-refs name directories read only
+   for R10's references (executables and benchmarks; tests), resolved the
+   same way; R1-R9 never scan them.
+
+   A config entry that names a scanned module but matches none of its
+   values is a config error: it is printed and the exit status is 2.
 
    --sarif emits a SARIF 2.1.0 report (validated before writing).
    --explain RULE prints the dataflow trace under each of RULE's
@@ -46,8 +52,8 @@ let write_file path contents =
 let usage () =
   prerr_endline
     "usage: treelint --config FILE [--baseline FILE] [--json FILE] [--sarif \
-     FILE] [--explain RULE] [--cmi FILE]... [--verbose] \
-     [--update-baseline] DIR...";
+     FILE] [--explain RULE] [--cmi FILE]... [--refs DIR]... [--test-refs \
+     DIR]... [--verbose] [--update-baseline] DIR...";
   exit 2
 
 let () =
@@ -58,6 +64,8 @@ let () =
   let explain = ref [] in
   let cmi_files = ref [] in
   let dirs = ref [] in
+  let ref_dirs = ref [] in
+  let test_dirs = ref [] in
   let verbose = ref false in
   let update_baseline = ref false in
   let rec parse = function
@@ -79,6 +87,12 @@ let () =
         parse rest
     | "--cmi" :: v :: rest ->
         cmi_files := v :: !cmi_files;
+        parse rest
+    | "--refs" :: v :: rest ->
+        ref_dirs := v :: !ref_dirs;
+        parse rest
+    | "--test-refs" :: v :: rest ->
+        test_dirs := v :: !test_dirs;
         parse rest
     | "--verbose" :: rest ->
         verbose := true;
@@ -111,8 +125,18 @@ let () =
       if Sys.file_exists built then built else dir
   in
   let dirs = List.map resolve (List.rev !dirs) in
+  let ref_dirs = List.map resolve (List.rev !ref_dirs) in
+  let test_dirs = List.map resolve (List.rev !test_dirs) in
   let extra_dirs = List.map Filename.dirname !cmi_files in
-  let result = Engine.run ~config ~baseline ~extra_dirs ~dirs () in
+  let result =
+    Engine.run ~config ~baseline ~extra_dirs ~dirs ~ref_dirs ~test_dirs ()
+  in
+  if result.stale <> [] then begin
+    List.iter
+      (Printf.eprintf "treelint: %s: %s\n" !config_path)
+      result.stale;
+    exit 2
+  end;
   let explain_wanted d = List.mem d.Diag.rule !explain in
   List.iter
     (fun d ->

@@ -12,7 +12,7 @@ type status =
 type severity = Error | Warning | Note
 
 type t = {
-  rule : string;     (* "R1" .. "R9" *)
+  rule : string;     (* "R1" .. "R10" *)
   file : string;     (* workspace-relative source path *)
   line : int;
   col : int;

@@ -1,6 +1,8 @@
 (* The analysis engine: loads the .cmt typed ASTs dune already emits, walks
    them once collecting value references, counter mutations and toplevel
-   state, and evaluates the six treelint rules.
+   state, and evaluates the occurrence rules R1-R6; R7-R9 run over the
+   lowered CFGs (Treelint_dataflow) and R10 over the interfaces
+   (Treelint_exports).
 
    Everything works on *typed* trees: a polymorphic [=] is only flagged when
    its instantiated argument type is neither immediate nor one of the types
@@ -172,6 +174,7 @@ type occurrence = {
   o_loc : Location.t;
   o_type : Types.type_expr;  (* instantiated type at the use site *)
   o_env : Env.t;             (* summarized env, reconstructed lazily *)
+  o_module : bool;           (* a module path, not a value *)
 }
 
 type counter_set = { cs_field : string; cs_loc : Location.t }
@@ -192,6 +195,11 @@ type module_facts = {
   m_toplevels : toplevel list;
   m_ext_constrs : (ref_info * Location.t) list;
       (* extension constructors (exceptions) built or matched, for R6 *)
+  m_whole : ref_info list;
+      (* modules used as a whole (functor argument, include, packed), for
+         R10; a [module M = P] alias is not a use of P's values *)
+  m_defined : string list;  (* value paths the module defines, for the
+                               stale-name check *)
   m_cfg : Treelint_cfg.mod_cfg;  (* lowered CFGs for the dataflow rules *)
 }
 
@@ -228,36 +236,76 @@ let mutable_creator ~(config : Config.t) ~aliases expr =
   | Typedtree.Texp_array (_ :: _) -> Some "array literal"
   | _ -> None
 
-let collect_module ~(config : Config.t) ~modname ~lib ~source str =
+(* Passes 1 and 2 over one implementation: module aliases, then every
+   value reference, counter mutation, exception built or matched, and
+   module used as a whole.  Shared by the scanned libraries and the
+   reference-only directories. *)
+type refs = {
+  rf_aliases : (string * string) list;
+  rf_occs : occurrence list;
+  rf_counter_sets : counter_set list;
+  rf_ext_constrs : (ref_info * Location.t) list;
+  rf_whole : ref_info list;
+}
+
+let collect_refs ~(config : Config.t) str =
   let occs = ref [] in
   let counter_sets = ref [] in
   let aliases = ref [] in
-  (* Pass 1: local module aliases, in declaration order (later normalization
-     sees the full map; fine for a lint — shadowing is not idiomatic here). *)
+  let alias_sites = ref [] in
+  (* Pass 1: module aliases, [module M = P] at any depth and
+     [let module M = P], in declaration order (later normalization sees
+     the full map; fine for a lint — shadowing is not idiomatic here).
+     The alias's own [P], like an [open P]'s, is remembered so pass 2
+     does not count it as a use of all of P: the values used through
+     either resolve one by one. *)
   let record_alias name mexpr =
     let rec target me =
       match me.Typedtree.mod_desc with
-      | Typedtree.Tmod_ident (p, _) -> Some (Path.name p)
+      | Typedtree.Tmod_ident (p, _) -> Some (Path.name p, me.Typedtree.mod_loc)
       | Typedtree.Tmod_constraint (me, _, _, _) -> target me
       | _ -> None
     in
     match target mexpr with
-    | Some t -> aliases := (name, t) :: !aliases
+    | Some (t, loc) ->
+        aliases := (name, t) :: !aliases;
+        alias_sites := loc :: !alias_sites
     | None -> ()
   in
-  List.iter
-    (fun item ->
-      match item.Typedtree.str_desc with
-      | Typedtree.Tstr_module { mb_name = { txt = Some name; _ }; mb_expr; _ } ->
-          record_alias name mb_expr
-      | _ -> ())
-    str.Typedtree.str_items;
+  let alias_it =
+    {
+      Tast_iterator.default_iterator with
+      module_binding =
+        (fun sub mb ->
+          (match mb.Typedtree.mb_name.txt with
+          | Some name -> record_alias name mb.Typedtree.mb_expr
+          | None -> ());
+          Tast_iterator.default_iterator.module_binding sub mb);
+      expr =
+        (fun sub e ->
+          (match e.Typedtree.exp_desc with
+          | Typedtree.Texp_letmodule (_, { txt = Some name; _ }, _, me, _) ->
+              record_alias name me
+          | _ -> ());
+          Tast_iterator.default_iterator.expr sub e);
+      open_declaration =
+        (fun sub od ->
+          (match od.Typedtree.open_expr.mod_desc with
+          | Typedtree.Tmod_ident _ ->
+              alias_sites := od.Typedtree.open_expr.mod_loc :: !alias_sites
+          | _ -> ());
+          Tast_iterator.default_iterator.open_declaration sub od);
+    }
+  in
+  alias_it.structure alias_it str;
   let aliases = !aliases in
+  let alias_sites = !alias_sites in
   (* Pass 2: every value reference and counter mutation; also every
      exception (extension constructor) built or matched, for R6.  The
      constructor's defining path, not the use-site spelling, is what gets
      normalized, so aliases and re-exports can't smuggle one past. *)
   let ext_constrs = ref [] in
+  let whole = ref [] in
   let record_constr (lid : Longident.t Location.loc)
       (cd : Types.constructor_description) =
     match cd.Types.cstr_tag with
@@ -280,6 +328,7 @@ let collect_module ~(config : Config.t) ~modname ~lib ~source str =
                    o_loc = lid.Location.loc;
                    o_type = e.Typedtree.exp_type;
                    o_env = e.Typedtree.exp_env;
+                   o_module = false;
                  }
                  :: !occs
            | Typedtree.Texp_setfield (rcd, lid, lbl, _) ->
@@ -306,19 +355,34 @@ let collect_module ~(config : Config.t) ~modname ~lib ~source str =
         (fun sub me ->
           (match me.Typedtree.mod_desc with
            | Typedtree.Tmod_ident (p, lid) ->
+               let r = normalize_path ~config ~aliases (Path.name p) in
                occs :=
                  {
-                   o_ref = normalize_path ~config ~aliases (Path.name p);
+                   o_ref = r;
                    o_loc = lid.Location.loc;
                    o_type = Predef.type_unit;  (* module ref: no value type *)
                    o_env = me.Typedtree.mod_env;
+                   o_module = true;
                  }
-                 :: !occs
+                 :: !occs;
+               if not (List.mem me.Typedtree.mod_loc alias_sites) then
+                 whole := r :: !whole
            | _ -> ());
           Tast_iterator.default_iterator.module_expr sub me);
     }
   in
   it.structure it str;
+  {
+    rf_aliases = aliases;
+    rf_occs = List.rev !occs;
+    rf_counter_sets = List.rev !counter_sets;
+    rf_ext_constrs = List.rev !ext_constrs;
+    rf_whole = List.rev !whole;
+  }
+
+let collect_module ~(config : Config.t) ~modname ~lib ~source str =
+  let refs = collect_refs ~config str in
+  let aliases = refs.rf_aliases in
   (* Pass 3: toplevel bindings for R4. *)
   let toplevels = ref [] in
   let toplevel_names =
@@ -401,10 +465,12 @@ let collect_module ~(config : Config.t) ~modname ~lib ~source str =
     m_modname = modname;
     m_lib = lib;
     m_source = source;
-    m_occs = List.rev !occs;
-    m_counter_sets = List.rev !counter_sets;
+    m_occs = refs.rf_occs;
+    m_counter_sets = refs.rf_counter_sets;
     m_toplevels = List.rev !toplevels;
-    m_ext_constrs = List.rev !ext_constrs;
+    m_ext_constrs = refs.rf_ext_constrs;
+    m_whole = refs.rf_whole;
+    m_defined = Treelint_exports.struct_values "" str;
     m_cfg = Treelint_cfg.lower_module ~hooks ~modname str;
   }
 
@@ -684,24 +750,27 @@ let rule_r6 (config : Config.t) m =
 
 let all_rules = [ rule_r1; rule_r2; rule_r3; rule_r4; rule_r5; rule_r6 ]
 
-(* R7/R8/R9 run in the interprocedural dataflow pass, not per-module *)
-let rule_count = List.length all_rules + 3
+(* R7/R8/R9 run in the interprocedural dataflow pass, not per-module, and
+   R10 over the interfaces *)
+let rule_count = List.length all_rules + 4
 
 (* ------------------------------------------------------------------ *)
 (* Cmt discovery and driving                                           *)
 (* ------------------------------------------------------------------ *)
 
-let rec find_cmts dir acc =
+let rec find_files ~suffix dir acc =
   match Sys.readdir dir with
   | entries ->
       Array.fold_left
         (fun acc entry ->
           let path = Filename.concat dir entry in
-          if Sys.is_directory path then find_cmts path acc
-          else if Filename.check_suffix entry ".cmt" then path :: acc
+          if Sys.is_directory path then find_files ~suffix path acc
+          else if Filename.check_suffix entry suffix then path :: acc
           else acc)
         acc entries
   | exception Sys_error _ -> acc
+
+let find_cmts = find_files ~suffix:".cmt"
 
 (* Module identity from "Tb_query__Exec"; the bare wrapper module
    ("Tb_query", dune's generated alias file) is skipped. *)
@@ -722,6 +791,7 @@ type result = {
   violations : int;
   allowlisted : int;
   baselined : int;
+  stale : string list;  (* config entries naming nothing (config errors) *)
 }
 
 let load_module ~config path =
@@ -740,6 +810,55 @@ let load_module ~config path =
               else Some (collect_module ~config ~modname ~lib ~source str)
           | _ -> None))
 
+(* A reference-only module (executable, benchmark, test): its value
+   references and whole-module uses, whatever library it belongs to. *)
+let load_refs ~config path =
+  match Cmt_format.read_cmt path with
+  | exception _ -> None
+  | cmt -> (
+      match cmt.Cmt_format.cmt_annots with
+      | Cmt_format.Implementation str
+        when not
+               (Filename.check_suffix
+                  (Option.value cmt.Cmt_format.cmt_sourcefile ~default:"")
+                  ".ml-gen") ->
+          Some (collect_refs ~config str)
+      | _ -> None)
+
+(* The exported values of a scanned library module's interface. *)
+let load_exports ~config path =
+  match Cmt_format.read_cmt path with
+  | exception _ -> []
+  | cmt -> (
+      match
+        (identify ~config cmt.Cmt_format.cmt_modname, cmt.Cmt_format.cmt_annots)
+      with
+      | Some (lib, modname), Cmt_format.Interface sg ->
+          Treelint_exports.exports ~lib ~modname sg
+      | _ -> [])
+
+(* R10's references: every value reference, and every module used as a
+   whole, into a scanned library from outside the referenced module. *)
+let r10_uses ~modules ~user ~tests =
+  let uses ?own ~test occs whole =
+    List.filter_map (fun o -> if o.o_module then None else Some o.o_ref) occs
+    @ whole
+    |> List.filter_map (fun (r : ref_info) ->
+           match r.r_lib with
+           | None -> None
+           | Some lib ->
+               let m = List.hd (String.split_on_char '.' r.r_name) in
+               if own = Some (lib, m) then None
+               else
+                 Some
+                   { Treelint_exports.u_lib = lib; u_name = r.r_name; u_test = test })
+  in
+  List.concat_map
+    (fun m -> uses ~own:(m.m_lib, m.m_modname) ~test:false m.m_occs m.m_whole)
+    modules
+  @ List.concat_map (fun rf -> uses ~test:false rf.rf_occs rf.rf_whole) user
+  @ List.concat_map (fun rf -> uses ~test:true rf.rf_occs rf.rf_whole) tests
+
 let result_of_diags diagnostics ~files_scanned =
   let count st =
     List.length
@@ -751,9 +870,11 @@ let result_of_diags diagnostics ~files_scanned =
     violations = count "violation";
     allowlisted = count "allowlisted";
     baselined = count "baselined";
+    stale = [];
   }
 
-let run ~(config : Config.t) ~baseline ~extra_dirs ~dirs () =
+let run ~(config : Config.t) ~baseline ~extra_dirs ~dirs ?(ref_dirs = [])
+    ?(test_dirs = []) () =
   (* Load path: the stdlib plus every directory that holds a scanned cmt
      (their cmis live alongside), so Envaux can rebuild typing envs. *)
   let cmts = List.concat_map (fun d -> find_cmts d []) dirs in
@@ -779,7 +900,39 @@ let run ~(config : Config.t) ~baseline ~extra_dirs ~dirs () =
       ~mods:(List.map (fun m -> m.m_cfg) modules)
       ~mod_lib:(fun modname -> Hashtbl.find_opt libs modname)
   in
-  let diagnostics = List.sort Diag.compare (diagnostics @ flow_diags) in
+  (* R10 over the scanned libraries' interfaces, with references from the
+     libraries themselves, the reference-only dirs and the test dirs. *)
+  let load_all ds =
+    List.concat_map (fun d -> find_cmts d []) ds
+    |> List.sort String.compare
+    |> List.filter_map (load_refs ~config)
+  in
+  let exports =
+    List.concat_map (fun d -> find_files ~suffix:".cmti" d []) dirs
+    |> List.sort String.compare
+    |> List.concat_map (load_exports ~config)
+  in
+  let uses =
+    r10_uses ~modules ~user:(load_all ref_dirs) ~tests:(load_all test_dirs)
+  in
+  let export_diags = Treelint_exports.rule_r10 exports ~uses in
+  let defined modname =
+    match List.filter (fun m -> String.equal m.m_modname modname) modules with
+    | [] -> None
+    | ms ->
+        Some
+          (List.concat_map (fun m -> m.m_defined) ms
+          @ List.filter_map
+              (fun x ->
+                if String.equal x.Treelint_exports.x_module modname then
+                  Some x.Treelint_exports.x_path
+                else None)
+              exports)
+  in
+  let stale = Treelint_exports.stale_names config ~defined in
+  let diagnostics =
+    List.sort Diag.compare (diagnostics @ flow_diags @ export_diags)
+  in
   List.iter
     (fun d ->
       let keys = Diag.allow_keys d in
@@ -793,4 +946,5 @@ let run ~(config : Config.t) ~baseline ~extra_dirs ~dirs () =
           if List.exists (String.equal (Diag.fingerprint d)) baseline then
             d.Diag.status <- Diag.Baselined)
     diagnostics;
-  result_of_diags diagnostics ~files_scanned:(List.length modules)
+  { (result_of_diags diagnostics ~files_scanned:(List.length modules)) with
+    stale }

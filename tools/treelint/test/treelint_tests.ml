@@ -195,6 +195,99 @@ let test_baseline () =
   check "baselined diagnostics are still counted"
     (result.Engine.baselined = List.length expected)
 
+(* --- R10: exports nobody needs ---
+
+   fixtures/r10/lib is the scanned library; user/ stands in for bin/,
+   bench/ and e2ebench/, tests/ for test/.  Exporter.mli holds one value
+   per case. *)
+
+let r10_dir = "fixtures/r10"
+
+let run_r10 () =
+  let config = Config.load "treelint_test.toml" in
+  Engine.run ~config ~baseline:[] ~extra_dirs
+    ~dirs:[ Filename.concat r10_dir "lib" ]
+    ~ref_dirs:[ Filename.concat r10_dir "user" ]
+    ~test_dirs:[ Filename.concat r10_dir "tests" ]
+    ()
+
+let test_r10 () =
+  let result = run_r10 () in
+  let r10 =
+    List.filter (fun d -> d.Diag.rule = "R10") result.Engine.diagnostics
+  in
+  let find path = List.find_opt (fun d -> d.Diag.offender = path) r10 in
+  let kept name path =
+    check ("R10 keeps a value " ^ name) (find path = None)
+  in
+  kept "used through a module alias" "via_alias";
+  kept "used through open" "via_open";
+  kept "in a nested signature" "Nested.inner";
+  kept "referenced only from a user dir" "user_only";
+  (match find "test_only" with
+  | Some d ->
+      check "R10 test-only value is a warning" (d.Diag.severity = Diag.Warning);
+      check "R10 test-only value is reported in exporter.mli"
+        (Filename.basename d.Diag.file = "exporter.mli" && d.Diag.line = 9)
+  | None -> check "R10 reports the test-only value" false);
+  (match find "own_only" with
+  | Some d ->
+      check "R10 value used only by its own module is an error"
+        (d.Diag.severity = Diag.Error && d.Diag.modname = "Exporter")
+  | None -> check "R10 reports the value used only by its own module" false);
+  check "R10 reports exactly the two findings" (List.length r10 = 2);
+  (* Without the reference dirs the user-only value loses its only user
+     and the test-only value its test: both become errors. *)
+  let config = Config.load "treelint_test.toml" in
+  let bare =
+    Engine.run ~config ~baseline:[] ~extra_dirs
+      ~dirs:[ Filename.concat r10_dir "lib" ]
+      ()
+  in
+  check "R10 without reference dirs flags the user-only value"
+    (List.exists
+       (fun d ->
+         d.Diag.rule = "R10" && d.Diag.offender = "user_only"
+         && d.Diag.severity = Diag.Error)
+       bare.Engine.diagnostics)
+
+(* --- stale config names --- *)
+
+let test_stale_names () =
+  let config = Config.load "treelint_stale.toml" in
+  let result =
+    Engine.run ~config ~baseline:[] ~extra_dirs ~dirs:[ fixtures_dir ] ()
+  in
+  let stale = result.Engine.stale in
+  let contains m s =
+    let n = String.length s in
+    let rec go i =
+      i + n <= String.length m && (String.sub m i n = s || go (i + 1))
+    in
+    go 0
+  in
+  let mentions s = List.exists (fun m -> contains m s) stale in
+  check "stale r7 total member is reported" (mentions "\"R7_clean.no_such_fn\"");
+  check "stale r1 member prefix is reported" (mentions "\"R9_order.nope_\"");
+  check "stale allow key (unknown value) is reported"
+    (mentions "\"R4 R4_state forgoten\"");
+  check "stale allow key (unknown module) is reported"
+    (mentions "\"R5 No_such_module\"");
+  check "live names are not reported" (List.length stale = 4);
+  (* the CLI turns them into a config error *)
+  let cmi_args =
+    String.concat " "
+      (List.map
+         (fun d -> "--cmi " ^ Filename.quote (Filename.concat d "x.cmi"))
+         extra_dirs)
+  in
+  let rc =
+    Sys.command
+      (Printf.sprintf "%s --config treelint_stale.toml %s %s 2> /dev/null > /dev/null"
+         "../bin/treelint_main.exe" cmi_args fixtures_dir)
+  in
+  check "stale names exit 2" (rc = 2)
+
 (* --- TOML-subset parser --- *)
 
 let with_temp_config contents f =
@@ -449,6 +542,8 @@ let () =
   test_sarif_fixture_report ();
   test_sarif_roundtrip_qcheck ();
   test_update_baseline ();
+  test_r10 ();
+  test_stale_names ();
   test_toml_multiline_list ();
   test_toml_quoted_keys_and_types ();
   test_toml_errors ();
