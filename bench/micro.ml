@@ -26,12 +26,12 @@ let replicated_built =
     (Tb_derby.Generator.build_sharded ~cost:(Tb_sim.Cost_model.scaled 500)
        ~shards:4 ~replicas:2 (bench_cfg ()))
 
-let run_query ?force_algo ?force_seq ?force_sorted ?packed q () =
+let run_query ?force_algo ?force_seq ?force_sorted q () =
   let b = Lazy.force built in
   Tb_store.Database.cold_restart b.Tb_derby.Generator.db;
   let r =
     Tb_query.Planner.run b.Tb_derby.Generator.db q ?force_algo ?force_seq
-      ?force_sorted ?packed ~keep:false
+      ?force_sorted ~keep:false
   in
   let n = Tb_query.Query_result.count r in
   Tb_query.Query_result.dispose r;

@@ -58,24 +58,19 @@ let side_accesses stats ~cls preds =
   | None -> [ seq ]
   | Some mk -> [ mk ~sorted:true; seq ]
 
-(* The shape of an enumerated plan, e.g. "PHJ parent=index child=seq
-   packed".  Join sides only ever take the sorted index, so "index+sort"
-   names a selection's access alone.  Built only when printed. *)
-let describe plan ~packed =
-  let mode = if packed then "packed" else "handle" in
+(* The shape of an enumerated plan, e.g. "PHJ parent=index child=seq".
+   Join sides only ever take the sorted index, so "index+sort" names a
+   selection's access alone.  Built only when printed. *)
+let describe plan =
   match plan with
-  | Plan.Selection { access; _ } ->
-      let a =
-        match access with
-        | Plan.Seq_scan _ -> "seq"
-        | Plan.Index_scan { sorted = false; _ } -> "index"
-        | Plan.Index_scan { sorted = true; _ } -> "index+sort"
-      in
-      a ^ " " ^ mode
+  | Plan.Selection { access = Plan.Seq_scan _; _ } -> "seq"
+  | Plan.Selection { access = Plan.Index_scan { sorted = false; _ }; _ } -> "index"
+  | Plan.Selection { access = Plan.Index_scan { sorted = true; _ }; _ } ->
+      "index+sort"
   | Plan.Hier_join { algo; parent_access; child_access; _ } ->
       let side = function Plan.Seq_scan _ -> "seq" | Plan.Index_scan _ -> "index" in
-      Printf.sprintf "%s parent=%s child=%s %s" (Plan.algo_name algo)
-        (side parent_access) (side child_access) mode
+      Printf.sprintf "%s parent=%s child=%s" (Plan.algo_name algo)
+        (side parent_access) (side child_access)
 
 (* Estimated resident bytes of one side's hash table, for sizing hybrid
    spill partitions. *)

@@ -4,8 +4,7 @@
     side) plan the lowering can execute, in an order that encodes the tie
     policy — the cost stage's argmin keeps the first candidate on equal
     cost, so index paths precede scans and the paper's algorithms keep
-    {!Estimate.all_algos} order.  The evaluation mode is expanded by the
-    cost stage, which costs each plan once.  Pure catalog arithmetic: no
+    {!Estimate.all_algos} order.  Pure catalog arithmetic: no
     page access, no charges. *)
 
 (** The full plan list for a bound query.  Inverse-requiring algorithms
@@ -14,10 +13,9 @@
     evaluated during navigation). *)
 val candidates : Tb_statcore.Stat_catalog.t -> Plan.bound -> Plan.t list
 
-(** Human-readable shape of an enumerated plan evaluated packed or
-    through Handles, e.g. ["PHJ parent=index child=seq packed"] or
-    ["index+sort handle"]. *)
-val describe : Plan.t -> packed:bool -> string
+(** Human-readable shape of an enumerated plan, e.g.
+    ["PHJ parent=index child=seq"] or ["index+sort"]. *)
+val describe : Plan.t -> string
 
 (** {2 Shared with the closed-form planner} *)
 

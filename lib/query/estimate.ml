@@ -277,7 +277,6 @@ let rank_joins env =
    code out of the charging set). *)
 
 module Sc = Tb_statcore.Stat_catalog
-module Index_def = Tb_store.Index_def
 
 (* Feedback key: opcode plus the class the operator works over — stable
    across re-lowerings of the same logical plan, and distinct between the
@@ -285,7 +284,7 @@ module Index_def = Tb_store.Index_def
 let rec est_cls (n : Op.t) =
   match n.Op.kind with
   | Op.Seq_scan { cls } -> cls
-  | Op.Index_scan { index; _ } -> index.Index_def.cls
+  | Op.Index_scan { cls; _ } -> cls
   | Op.Fetch { cls; _ } -> cls
   | Op.Harvest { cls; _ } -> cls
   | Op.Nav_set { nav_cls; _ } -> nav_cls
@@ -413,10 +412,9 @@ let annotate ~stats ?(organization = Separate_files) root =
         set stats n ~rows ~pages:(fi e.Sc.x_pages) ~handles:0.0
           (seq_ms c e.Sc.x_pages);
         stream f x ~cls ~rows ~sorted:false ~seq:true ~clustered:false ~bytes:0.0
-    | Op.Index_scan { index; lo; hi } ->
-        let cls = index.Index_def.cls in
+    | Op.Index_scan { cls; attr; lo; hi } ->
         let sel, clustered =
-          match Sc.find_index stats ~cls ~attr:index.Index_def.attr with
+          match Sc.find_index stats ~cls ~attr with
           | ix ->
               ( Float.max (one_row stats cls) (key_window ix ~lo ~hi),
                 Sc.is_clustered ix )

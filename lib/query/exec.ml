@@ -176,9 +176,12 @@ let rec iter_rid_batches st node emit =
         end
       in
       go ()
-  | Op.Index_scan { index; lo; hi } ->
-      (* Index entries surface one at a time; singleton slices keep the
-         per-row tree-page fetches interleaved exactly as before. *)
+  | Op.Index_scan { cls; attr; lo; hi } ->
+      (* The B-tree is the one on the database this run drives, so one
+         tree runs on any shard or promoted replica.  Index entries surface
+         one at a time; singleton slices keep the per-row tree-page fetches
+         interleaved exactly as before. *)
+      let index = Database.index_on st.db ~cls ~attr in
       Op.Acct.enter st.acct fr;
       let one = [| Rid.nil |] in
       Tb_store.Btree.range index.Tb_store.Index_def.tree ?lo ?hi (fun _ rid ->
@@ -676,61 +679,6 @@ type lane_report = {
   degraded : bool;  (** completed with reduced replicas *)
 }
 
-(* Rebuild a shard-local subtree against a promoted replica: the only
-   db-bound state an operator node carries is its Index_scan catalog
-   entry, swapped for the replica's index over the same (cls, attr).
-   Frames are SHARED with the original nodes, so the wasted first attempt
-   and the re-execution accumulate into the same per-operator report and
-   [Op.reconciles] stays exact. *)
-let rec retarget db node =
-  let re = retarget db in
-  let kind =
-    match node.Op.kind with
-    | Op.Seq_scan _ as k -> k
-    | Op.Index_scan { index; lo; hi } -> (
-        let cls = index.Tb_store.Index_def.cls in
-        let attr = index.Tb_store.Index_def.attr in
-        match Database.find_index db ~cls ~attr with
-        | Some index -> Op.Index_scan { index; lo; hi }
-        | None ->
-            invalid_arg
-              (Printf.sprintf "Exec: replica lacks index %s.%s" cls attr))
-    | Op.Sort_rids { child } -> Op.Sort_rids { child = re child }
-    | Op.Fetch { child; cls; var; preds; covering; mode } ->
-        Op.Fetch { child = re child; cls; var; preds; covering; mode }
-    | Op.Nav_set { child; set_attr; owner_cls; nav_var; nav_cls; preds } ->
-        Op.Nav_set
-          { child = re child; set_attr; owner_cls; nav_var; nav_cls; preds }
-    | Op.Nav_inverse { child; inv_attr; owner_cls; nav_var; nav_cls; preds } ->
-        Op.Nav_inverse
-          { child = re child; inv_attr; owner_cls; nav_var; nav_cls; preds }
-    | Op.Harvest { child; key; cls; attrs; mode } ->
-        Op.Harvest { child = re child; key; cls; attrs; mode }
-    | Op.Hash_build { child } -> Op.Hash_build { child = re child }
-    | Op.Spill_partition { child; partitions } ->
-        Op.Spill_partition { child = re child; partitions }
-    | Op.Hash_probe { build; probe; probe_key; probe_cls; build_var; probe_var }
-      ->
-        Op.Hash_probe
-          {
-            build = re build;
-            probe = re probe;
-            probe_key;
-            probe_cls;
-            build_var;
-            probe_var;
-          }
-    | Op.Sort { child } -> Op.Sort { child = re child }
-    | Op.Merge { left; right; left_var; right_var } ->
-        Op.Merge { left = re left; right = re right; left_var; right_var }
-    | Op.Project { child; select } -> Op.Project { child = re child; select }
-    | Op.Materialize { child; aggregate } ->
-        Op.Materialize { child = re child; aggregate }
-    | Op.Shard_lane _ | Op.Exchange _ | Op.Gather _ ->
-        invalid_arg "Exec: cannot retarget a sharding operator"
-  in
-  { Op.kind; frame = node.Op.frame; est = node.Op.est }
-
 (* Promote until a replica passes its checksum walk (a refusing replica is
    consumed, so the loop advances); fail the query only when the shard has
    nothing left to promote. *)
@@ -861,16 +809,11 @@ let run_exchange_dest acct db xl ~keep ~(bx : (Rid.t * Op.payload) Exchange.t)
           raise e);
       result)
 
-let run_sharded_explained smap root ~keep =
+let run_gather smap root ~lanes ~shards ~ordered ~keep =
   let sim = Tb_store.Shard_map.sim smap in
   let clock = sim.Tb_sim.Sim.clock in
+  let gfr = root.Op.frame in
   Op.reset_frames root;
-  let lanes, shards, ordered, gfr =
-    match root.Op.kind with
-    | Op.Gather { lanes; shards; ordered; _ } ->
-        (lanes, shards, ordered, root.Op.frame)
-    | _ -> invalid_arg "Exec: sharded operator tree root must be Gather"
-  in
   if Array.length lanes <> shards then
     invalid_arg "Exec: Gather lane count does not match shard count";
   let acct = Op.Acct.create sim gfr in
@@ -960,9 +903,7 @@ let run_sharded_explained smap root ~keep =
                   (fun db ->
                     Exchange.drop_source bx ~src:shard;
                     Exchange.drop_source px ~src:shard;
-                    route_both db
-                      (retarget db xl.xl_bharv)
-                      (retarget db xl.xl_pharv)))
+                    route_both db xl.xl_bharv xl.xl_pharv))
             xls;
           Tb_sim.Clock.join scope_a;
           let scope_b = Tb_sim.Clock.fork clock ~lanes:shards in
@@ -1020,7 +961,7 @@ let run_sharded_explained smap root ~keep =
                    finish r
                  with Tb_storage.Fault.Shard_down s when s = shard ->
                    failover ~shard ~phase:"local" ~lane_fr:lfr (fun db ->
-                       finish (drive db (retarget db child))))
+                       finish (drive db child)))
             | _ -> invalid_arg "Exec: Gather lanes must be Shard_lane")
           lanes
       in
@@ -1065,6 +1006,28 @@ let run_sharded_explained smap root ~keep =
       failovers;
       degraded = (match failovers with [] -> false | _ :: _ -> true);
     } )
+
+(* One shard has no Gather: the plain tree runs on shard 0 as the
+   unsharded engine, and its one lane is the whole run. *)
+let run_sharded_explained smap root ~keep =
+  match root.Op.kind with
+  | Op.Gather { lanes; shards; ordered; _ } ->
+      run_gather smap root ~lanes ~shards ~ordered ~keep
+  | _ when Tb_store.Shard_map.count smap = 1 ->
+      let result, global =
+        run_explained (Tb_store.Shard_map.shard smap 0) root ~keep
+      in
+      ( result,
+        global,
+        {
+          lane_ms = [| global.Op.t_ms |];
+          merge_ms = 0.0;
+          elapsed_ms = global.Op.t_ms;
+          critical = 0;
+          failovers = [];
+          degraded = false;
+        } )
+  | _ -> invalid_arg "Exec: sharded operator tree root must be Gather"
 
 (* --- validate: reconcile estimates against accounted frames --- *)
 

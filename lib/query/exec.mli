@@ -11,11 +11,13 @@
     accounting frame ({!Op.Acct.enter}) so charges land on the operator
     responsible for them. *)
 
-(** [run db root ~keep] executes the tree.  The root must be
-    {!Op.Materialize}; frames are reset first, so a tree can be run
-    repeatedly.  Raises [Invalid_argument] on malformed trees (the planner
-    never builds one) and, before any charge, on a tree without its
-    frames ({!Planner.shape}'s, before {!Op.attach_frames}). *)
+(** [run db root ~keep] executes the tree on [db]: index scans read
+    [db]'s B-trees, whichever database the tree was planned on.  The root
+    must be {!Op.Materialize}; frames are reset first, so a tree can be
+    run repeatedly.  Raises [Invalid_argument] on malformed trees (the
+    planner never builds one), on an index scan whose index [db] lacks,
+    and, before any charge, on a tree without its frames
+    ({!Planner.shape}'s, before {!Op.attach_frames}). *)
 val run : Tb_store.Database.t -> Op.t -> keep:bool -> Query_result.t
 
 (** Like {!run}, but also returns the run's global counter deltas in
@@ -45,9 +47,11 @@ type lane_report = {
   degraded : bool;  (** completed with reduced replicas *)
 }
 
-(** [run_sharded_explained smap root ~keep] executes a sharded tree — an
-    {!Op.Gather} over S {!Op.Shard_lane} subtrees, as built by
-    {!Planner.lower_sharded} — against the shard map.  Shard-local subtrees
+(** [run_sharded_explained smap root ~keep] executes the tree
+    {!Planner.lower_sharded} builds against the shard map.  At S=1 that is
+    the plain tree: it runs as {!run_explained} on shard 0 and the report
+    is one lane holding the whole run ([lane_ms = [|t_ms|]], no merge).
+    Otherwise it is an {!Op.Gather} over S {!Op.Shard_lane} subtrees.  Shard-local subtrees
     run in one fork/join clock scope (simulated elapsed = max over lanes);
     hash-join plans with {!Op.Exchange} children run two scopes with an
     all-to-all barrier between the route and the build/probe phase.  The
@@ -60,12 +64,12 @@ type lane_report = {
     crash raises {!Tb_storage.Fault.Shard_down}, which the executor
     catches on the lane: it charges a detection timeout, promotes the
     shard's next replica (refusing replicas are consumed until one passes
-    its checksum walk), retargets the shard-local subtree at the replica
-    and re-executes it — all inside the lane's clock scope, so the
-    failover stretches [elapsed_ms] exactly when the dead shard is on the
-    critical path.  Wasted first-attempt work stays in the frames (they
-    are shared with the retargeted subtree), so [Op.reconciles] still
-    holds.  Fault-free and at [replicas = 1] the machinery adds zero
+    its checksum walk) and re-drives the same shard-local nodes against
+    the replica — index scans find the replica's B-trees — all inside the
+    lane's clock scope, so the failover stretches [elapsed_ms] exactly
+    when the dead shard is on the critical path.  Wasted first-attempt
+    work stays in the frames (the re-drive uses the same nodes), so
+    [Op.reconciles] still holds.  Fault-free and at [replicas = 1] the machinery adds zero
     charges and zero RNG draws: the PR 7 charge stream is bit-identical. *)
 val run_sharded_explained :
   Tb_store.Shard_map.t ->

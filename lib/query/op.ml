@@ -1,6 +1,5 @@
 module Value = Tb_store.Value
 module Handle = Tb_store.Handle
-module Index_def = Tb_store.Index_def
 module Rid = Tb_storage.Rid
 module Sim = Tb_sim.Sim
 module Counters = Tb_sim.Counters
@@ -79,7 +78,8 @@ type est = {
 
 type kind =
   | Seq_scan of { cls : string }
-  | Index_scan of { index : Index_def.t; lo : int option; hi : int option }
+  | Index_scan of { cls : string; attr : string; lo : int option; hi : int option }
+      (** the index over [cls.attr], found on the database the run drives *)
   | Sort_rids of { child : t }
       (** buffer + sort the child's Rids (Figure 8 right) *)
   | Fetch of {
@@ -265,8 +265,8 @@ let mode_name = function Packed -> "packed" | Handle -> "handle"
 let label node =
   match node.kind with
   | Seq_scan { cls } -> Printf.sprintf "seq_scan(%s)" cls
-  | Index_scan { index; lo; hi } ->
-      Printf.sprintf "index_scan(%s)[%s,%s)" index.Index_def.name
+  | Index_scan { attr; lo; hi; _ } ->
+      Printf.sprintf "index_scan(%s)[%s,%s)" attr
         (match lo with Some k -> string_of_int k | None -> "-inf")
         (match hi with Some k -> string_of_int k | None -> "+inf")
   | Sort_rids _ -> "sort_rids"

@@ -80,11 +80,11 @@ type frame = {
 
 type kind =
   | Seq_scan of { cls : string }
-  | Index_scan of {
-      index : Tb_store.Index_def.t;
-      lo : int option;
-      hi : int option;
-    }
+  | Index_scan of { cls : string; attr : string; lo : int option; hi : int option }
+      (** the index over [cls.attr]: {!Exec} finds its B-tree on the
+          database it runs the tree against, so a tree is shape only and
+          runs unchanged on any database (shard, replica) carrying that
+          index *)
   | Sort_rids of { child : t }
   | Fetch of {
       child : t;

@@ -1,4 +1,3 @@
-module Database = Tb_store.Database
 module Index_def = Tb_store.Index_def
 module Sc = Tb_statcore.Stat_catalog
 
@@ -203,8 +202,8 @@ let access_preds = function
 let lower_access access =
   match access with
   | Plan.Seq_scan { cls; _ } -> Op.make (Op.Seq_scan { cls })
-  | Plan.Index_scan { index; lo; hi; sorted; _ } ->
-      let scan = Op.make (Op.Index_scan { index; lo; hi }) in
+  | Plan.Index_scan { index = { Index_def.cls; attr; _ }; lo; hi; sorted; _ } ->
+      let scan = Op.make (Op.Index_scan { cls; attr; lo; hi }) in
       if sorted then Op.make (Op.Sort_rids { child = scan }) else scan
 
 let require_inv = function
@@ -246,7 +245,8 @@ let make_harvest ~packed ?mode side ~key ~cls ~var select =
   let attrs, _self = Plan.needed_attrs var select in
   Op.make (Op.Harvest { child = side; key; cls; attrs; mode })
 
-let shape ?(packed = true) plan =
+(* [packed:false] builds the Handle reference twin only [lower] exposes. *)
+let shape_mode ~packed plan =
   let finish = make_finish in
   let fetch ?covering access ~cls ~var =
     make_fetch ~packed ?covering access ~cls ~var
@@ -412,41 +412,14 @@ let shape ?(packed = true) plan =
                     right_var = child_var;
                   })))
 
+let shape plan = shape_mode ~packed:true plan
+
 (* A tree lowered to run gets its frames here; [optimize] costs shapes. *)
-let lower ?packed plan = Op.attach_frames (shape ?packed plan)
+let lower ?(packed = true) plan = Op.attach_frames (shape_mode ~packed plan)
 
 (* --- sharded lowering: Plan.t -> Gather over per-shard subtrees --- *)
 
 module Shard_map = Tb_store.Shard_map
-
-(* The logical plan is made against shard 0, whose Index_def values name
-   shard 0's B-trees; every shard replicates the same index set, so the
-   per-shard subtree swaps in its own catalog entry by (class, attribute).
-   Still pure plan surgery: [Database.find_index] is a catalog lookup and
-   never touches pages. *)
-let remap_access db access =
-  match access with
-  | Plan.Seq_scan _ -> access
-  | Plan.Index_scan { index; lo; hi; sorted; residual } -> (
-      match
-        Database.find_index db ~cls:index.Index_def.cls
-          ~attr:index.Index_def.attr
-      with
-      | Some index -> Plan.Index_scan { index; lo; hi; sorted; residual }
-      | None ->
-          invalid_arg
-            ("Planner: shard is missing replicated index " ^ index.Index_def.name))
-
-let remap_plan db = function
-  | Plan.Selection ({ access; _ } as r) ->
-      Plan.Selection { r with access = remap_access db access }
-  | Plan.Hier_join ({ parent_access; child_access; _ } as r) ->
-      Plan.Hier_join
-        {
-          r with
-          parent_access = remap_access db parent_access;
-          child_access = remap_access db child_access;
-        }
 
 let key_name = function Op.K_self -> "self" | Op.K_inverse a -> a
 
@@ -455,8 +428,8 @@ let key_name = function Op.K_self -> "self" | Op.K_inverse a -> a
    probed on the destination.  PHHJ/CHHJ degenerate to their in-memory
    cousins — repartitioning already splits the build side S ways, which is
    exactly the memory-pressure relief the spill partitions bought. *)
-let hash_lane ~packed ~shards ~shard plan_s =
-  match plan_s with
+let hash_lane ~shards ~shard plan =
+  match plan with
   | Plan.Hier_join
       {
         algo;
@@ -472,14 +445,14 @@ let hash_lane ~packed ~shards ~shard plan_s =
         _;
       } ->
       let parent_harvest =
-        make_harvest ~packed
-          (make_fetch ~packed parent_access ~cls:parent_cls
+        make_harvest ~packed:true
+          (make_fetch ~packed:true parent_access ~cls:parent_cls
              ~var:parent_var)
           ~key:Op.K_self ~cls:parent_cls ~var:parent_var select
       in
       let child_harvest =
-        make_harvest ~packed
-          (make_fetch ~packed child_access ~cls:child_cls ~var:child_var)
+        make_harvest ~packed:true
+          (make_fetch ~packed:true child_access ~cls:child_cls ~var:child_var)
           ~key:(Op.K_inverse (require_inv inv_attr))
           ~cls:child_cls ~var:child_var select
       in
@@ -530,10 +503,11 @@ let hash_lane ~packed ~shards ~shard plan_s =
    under a Gather root.  With a single shard this is exactly [lower]: no
    Gather, no Shard_lane — the one-shard engine is the unsharded engine by
    construction, which is what keeps the golden fingerprint byte-identical
-   at S=1. *)
-let shape_sharded ?(packed = true) smap plan =
+   at S=1.  Every lane shapes the same plan: its index scans find their
+   B-trees on the shard the lane runs on. *)
+let shape_sharded smap plan =
   let shards = Shard_map.count smap in
-  if shards = 1 then shape ~packed (remap_plan (Shard_map.shard smap 0) plan)
+  if shards = 1 then shape plan
   else
     let ordered =
       match plan with
@@ -543,33 +517,30 @@ let shape_sharded ?(packed = true) smap plan =
     in
     let lanes =
       Array.init shards (fun s ->
-          let plan_s = remap_plan (Shard_map.shard smap s) plan in
-          match plan_s with
+          match plan with
           | Plan.Hier_join
               { algo = Plan.PHJ | Plan.CHJ | Plan.PHHJ | Plan.CHHJ; _ } ->
-              hash_lane ~packed ~shards ~shard:s plan_s
+              hash_lane ~shards ~shard:s plan
           | _ ->
               Op.make
-                (Op.Shard_lane
-                   { child = shape ~packed plan_s; shard = s; shards }))
+                (Op.Shard_lane { child = shape plan; shard = s; shards }))
     in
     Op.make
       (Op.Gather { lanes; shards; part_key = Shard_map.key_attr smap; ordered })
 
-let lower_sharded ?packed smap plan =
-  Op.attach_frames (shape_sharded ?packed smap plan)
+let lower_sharded smap plan = Op.attach_frames (shape_sharded smap plan)
 
-let run ?organization ?force_algo ?force_sorted ?force_seq ?packed
+let run ?organization ?force_algo ?force_sorted ?force_seq ?(keep = false) db
+    text =
+  let q = Oql_parser.parse text in
+  let p = plan ?organization ?force_algo ?force_sorted ?force_seq db q in
+  Exec.run db (lower p) ~keep
+
+let run_explained ?organization ?force_algo ?force_sorted ?force_seq
     ?(keep = false) db text =
   let q = Oql_parser.parse text in
   let p = plan ?organization ?force_algo ?force_sorted ?force_seq db q in
-  Exec.run db (lower ?packed p) ~keep
-
-let run_explained ?organization ?force_algo ?force_sorted ?force_seq ?packed
-    ?(keep = false) db text =
-  let q = Oql_parser.parse text in
-  let p = plan ?organization ?force_algo ?force_sorted ?force_seq db q in
-  let root = lower ?packed p in
+  let root = lower p in
   let result, global = Exec.run_explained db root ~keep in
   (result, root, global)
 
@@ -577,40 +548,23 @@ let run_explained ?organization ?force_algo ?force_sorted ?force_seq ?packed
    index set, and shard-0 statistics (1/S of the data) rank algorithms the
    same way the global statistics do for our uniform generators. *)
 let run_sharded_explained ?organization ?force_algo ?force_sorted ?force_seq
-    ?packed ?(keep = false) smap text =
-  let db0 = Shard_map.shard smap 0 in
+    ?(keep = false) smap text =
   let q = Oql_parser.parse text in
-  let p = plan ?organization ?force_algo ?force_sorted ?force_seq db0 q in
-  let root = lower_sharded ?packed smap p in
-  if Shard_map.count smap = 1 then
-    let result, global = Exec.run_explained db0 root ~keep in
-    ( result,
-      root,
-      global,
-      {
-        Exec.lane_ms = [| global.Op.t_ms |];
-        merge_ms = 0.0;
-        elapsed_ms = global.Op.t_ms;
-        critical = 0;
-        failovers = [];
-        degraded = false;
-      } )
-  else
-    let result, global, lanes = Exec.run_sharded_explained smap root ~keep in
-    (result, root, global, lanes)
+  let p =
+    plan ?organization ?force_algo ?force_sorted ?force_seq
+      (Shard_map.shard smap 0) q
+  in
+  let root = lower_sharded smap p in
+  let result, global, lanes = Exec.run_sharded_explained smap root ~keep in
+  (result, root, global, lanes)
 
 (* --- the optimizer pipeline: enumerate -> cost -> pick -> validate --- *)
 
-type choice = {
-  ch_plan : Plan.t;
-  ch_packed : bool;
-  ch_cost_ms : float;
-}
+type choice = { ch_plan : Plan.t; ch_cost_ms : float }
 
 type decision = {
   d_plan : Plan.t;
   d_root : Op.t;  (* lowered + annotated chosen tree *)
-  d_packed : bool;
   d_cost_ms : float;
   d_candidates : choice list;  (* every candidate, ranked best-first *)
   d_stats : Sc.t;
@@ -618,8 +572,8 @@ type decision = {
 }
 
 (* Descriptions are formatted only when something prints them. *)
-let ch_desc ch = Enumerate.describe ch.ch_plan ~packed:ch.ch_packed
-let d_desc d = Enumerate.describe d.d_plan ~packed:d.d_packed
+let ch_desc ch = Enumerate.describe ch.ch_plan
+let d_desc d = Enumerate.describe d.d_plan
 
 (* [optimize db text] runs the first three stages: enumerate the candidate
    plans, lower and cost each plan once against catalog statistics, and
@@ -627,11 +581,8 @@ let d_desc d = Enumerate.describe d.d_plan ~packed:d.d_packed
    enumerated plan wins — which is how the tie policy (originals over
    extensions, index over scan) is enforced.
 
-   Each plan is shaped packed and costed once.  [Estimate.annotate] never
-   reads an operator's evaluation mode, so the plan's handle twin would
-   cost the same bits; the ranking lists both modes of every plan, packed
-   first, and on that tie the packed twin is the one picked.  Only the
-   winner's tree is kept, and only it gets run frames.
+   Each plan is shaped and costed once.  Only the winner's tree is kept,
+   and only it gets run frames.
 
    Statistics default to a fresh [Stat_catalog.analyze]; pass a retained
    catalog to let validate-stage feedback from earlier runs reach this
@@ -653,9 +604,9 @@ let optimize ?stats ?organization db text =
   let scored =
     List.map
       (fun plan ->
-        let root = shape ~packed:true plan in
+        let root = shape plan in
         Estimate.annotate ~stats ~organization root;
-        let ch = { ch_plan = plan; ch_packed = true; ch_cost_ms = Estimate.plan_cost_ms root } in
+        let ch = { ch_plan = plan; ch_cost_ms = Estimate.plan_cost_ms root } in
         (match !best with
         | Some (b, _) when not (ch.ch_cost_ms < b.ch_cost_ms) -> ()
         | _ -> best := Some (ch, root));
@@ -665,19 +616,14 @@ let optimize ?stats ?organization db text =
   match !best with
   | None -> raise (Plan.Unsupported "optimizer: empty candidate space")
   | Some (b, root) ->
-      let ranked =
-        List.concat_map
-          (fun ch -> [ ch; { ch with ch_packed = false } ])
-          (List.stable_sort
-             (fun a b -> Float.compare a.ch_cost_ms b.ch_cost_ms)
-             scored)
-      in
       {
         d_plan = b.ch_plan;
         d_root = Op.attach_frames root;
-        d_packed = b.ch_packed;
         d_cost_ms = b.ch_cost_ms;
-        d_candidates = ranked;
+        d_candidates =
+          List.stable_sort
+            (fun a b -> Float.compare a.ch_cost_ms b.ch_cost_ms)
+            scored;
         d_stats = stats;
         d_organization = organization;
       }
@@ -715,7 +661,7 @@ let optimize_sharded ?organization smap text =
   let sharded_ms =
     if shards = 1 then d.d_cost_ms
     else begin
-      let root = shape_sharded ~packed:d.d_packed smap d.d_plan in
+      let root = shape_sharded smap d.d_plan in
       Estimate.annotate ~stats ~organization:d.d_organization root;
       Estimate.plan_cost_ms root
     end

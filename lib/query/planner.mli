@@ -45,23 +45,26 @@ val join_env :
     surgery — no database access, no charges: attribute names stay
     symbolic and the executor resolves slots once per operator.  Every
     node is on {!Op.make}'s shared empty frame: the tree can be costed
-    ({!Estimate.annotate}) but not run.
+    ({!Estimate.annotate}) but not run.  Index scans name their index by
+    class and attribute, so the tree runs on any database carrying it.
 
-    [packed] (default true) lets Fetch/Harvest evaluate on raw record
-    bytes whenever the predicates are packed-compilable
-    ({!Packed.compilable} — decided from the predicate constants alone, so
-    lowering stays pure); non-compilable predicates fall back to the
-    Handle path, visible as [mode=handle] in the lowered tree.  The knob
-    moves no simulated charge.
+    Fetch/Harvest evaluate on raw record bytes whenever the predicates
+    are packed-compilable ({!Packed.compilable} — decided from the
+    predicate constants alone, so lowering stays pure); non-compilable
+    predicates fall back to the Handle path, visible as [mode=handle] in
+    the lowered tree.
 
     Raises {!Plan.Unsupported} when the algorithm needs an inverse
     reference the schema does not declare, [Invalid_argument] when
     NL/NOJOIN receive an index access on the navigated side (the planner
     never builds those). *)
-val shape : ?packed:bool -> Plan.t -> Op.t
+val shape : Plan.t -> Op.t
 
 (** [lower plan] is [shape plan] given its run frames
-    ({!Op.attach_frames}): the tree {!Exec} runs. *)
+    ({!Op.attach_frames}): the tree {!Exec} runs.  [~packed:false] (default
+    true) lowers every Fetch/Harvest to the Handle path instead: the
+    reference twin the packed/handle parity test compares against, at
+    identical charges. *)
 val lower : ?packed:bool -> Plan.t -> Op.t
 
 (** Parse, plan and execute in one call (the public "just run it" API). *)
@@ -70,7 +73,6 @@ val run :
   ?force_algo:Plan.join_algo ->
   ?force_sorted:bool ->
   ?force_seq:bool ->
-  ?packed:bool ->
   ?keep:bool ->
   Tb_store.Database.t ->
   string ->
@@ -83,7 +85,6 @@ val run_explained :
   ?force_algo:Plan.join_algo ->
   ?force_sorted:bool ->
   ?force_seq:bool ->
-  ?packed:bool ->
   ?keep:bool ->
   Tb_store.Database.t ->
   string ->
@@ -95,11 +96,12 @@ val run_explained :
     patients) get one plain subtree per shard; hash joins get both sides
     harvested locally and routed through {!Op.Exchange} by retagged join
     key (PHHJ/CHHJ degenerate to PHJ/CHJ: repartitioning already splits
-    the build side S ways).  Index accesses are remapped to each shard's
-    replicated catalog entry.  With a single shard this returns exactly
-    [lower plan] — no Gather, no Shard_lane — so the S=1 engine is the
-    unsharded engine by construction.  The tree has its run frames. *)
-val lower_sharded : ?packed:bool -> Tb_store.Shard_map.t -> Plan.t -> Op.t
+    the build side S ways).  Every lane shapes the same plan; its index
+    scans read the B-trees of the shard that runs it.  With a single
+    shard this returns exactly [lower plan] — no Gather, no Shard_lane —
+    so the S=1 engine is the unsharded engine by construction.  The tree
+    has its run frames. *)
+val lower_sharded : Tb_store.Shard_map.t -> Plan.t -> Op.t
 
 (** Parse, plan (against shard 0) and execute across the shard map.
     Returns the result, the executed tree (per-shard frames populated),
@@ -111,7 +113,6 @@ val run_sharded_explained :
   ?force_algo:Plan.join_algo ->
   ?force_sorted:bool ->
   ?force_seq:bool ->
-  ?packed:bool ->
   ?keep:bool ->
   Tb_store.Shard_map.t ->
   string ->
@@ -124,25 +125,20 @@ val run_sharded_explained :
     candidate space instead. *)
 
 (** One costed candidate, for explain output and snapshots. *)
-type choice = {
-  ch_plan : Plan.t;
-  ch_packed : bool;
-  ch_cost_ms : float;
-}
+type choice = { ch_plan : Plan.t; ch_cost_ms : float }
 
 (** The pick stage's output: the chosen plan, its lowered and annotated
     tree (ready to execute), and the whole ranked candidate space. *)
 type decision = {
   d_plan : Plan.t;
   d_root : Op.t;
-  d_packed : bool;
   d_cost_ms : float;
   d_candidates : choice list;  (** ranked best-first; ties keep enumeration order *)
   d_stats : Tb_statcore.Stat_catalog.t;
   d_organization : Estimate.organization;
 }
 
-(** A candidate's shape, e.g. ["PHJ parent=index child=seq packed"]
+(** A candidate's shape, e.g. ["PHJ parent=index child=seq"]
     ({!Enumerate.describe}); formatted on each call. *)
 val ch_desc : choice -> string
 
@@ -153,9 +149,7 @@ val d_desc : decision -> string
     annotating its {!shape} against catalog statistics, and picks the
     strict argmin — on equal cost the first enumerated plan wins, which
     enforces the tie policy (the paper's originals over extensions, index
-    over scan).  Costing never reads the evaluation mode, so the ranking
-    lists each plan packed then handle at one cost, and the packed twin
-    is the one picked.  [stats] defaults to a fresh
+    over scan).  [stats] defaults to a fresh
     {!Tb_statcore.Stat_catalog.analyze}; pass a retained catalog so
     validate-stage feedback reaches the next optimization.  Only the
     winner's tree gets run frames.  Never executes and never charges. *)

@@ -394,17 +394,23 @@ let insert t ~key ~rid =
 
 (* --- lookup --- *)
 
-(* Leaf page that may contain the first entry >= the probe, plus the
-   in-leaf position. *)
+(* Leaf page that may contain the first entry >= the probe.  The
+   position inside it is [leaf_start]'s: returning the pair would box a
+   tuple per lookup. *)
 let rec descend t index key rid =
   let page = page_for t index false in
   let b = Page_layout.buffer page in
   let off = Page_layout.record_offset page 0 in
-  if is_leaf b off then (page, lower_bound t b (leaf_entry off 0) (leaf_n b off) key rid)
+  if is_leaf b off then page
   else
     descend t
       (child b off (upper_bound t b (sep_entry off 0) (internal_n b off) key rid))
       key rid
+
+let leaf_start t page key rid =
+  let b = Page_layout.buffer page in
+  let off = Page_layout.record_offset page 0 in
+  lower_bound t b (leaf_entry off 0) (leaf_n b off) key rid
 
 let leaf_page t index =
   let page = page_for t index false in
@@ -453,15 +459,16 @@ let search t ~key =
       if key_at b pos = key then rid_at b pos :: collect b off n (i + 1) else []
     end
   in
-  let page, pos = descend t t.root key Rid.nil in
+  let page = descend t t.root key Rid.nil in
+  let pos = leaf_start t page key Rid.nil in
   let b = Page_layout.buffer page in
   let off = Page_layout.record_offset page 0 in
   collect b off (leaf_n b off) pos
 
 let range t ?lo ?hi f =
   let start = match lo with Some k -> k | None -> min_int in
-  let page, pos = descend t t.root start Rid.nil in
-  walk t page pos ~hi f
+  let page = descend t t.root start Rid.nil in
+  walk t page (leaf_start t page start Rid.nil) ~hi f
 
 let iter t f = range t f
 

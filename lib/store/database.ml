@@ -759,11 +759,18 @@ let create_index t ~name ~cls ~attr =
   t.index_list <- t.index_list @ [ ix ];
   ix
 
-let find_index t ~cls ~attr =
-  List.find_opt
-    (fun ix ->
-      String.equal ix.Index_def.cls cls && String.equal ix.Index_def.attr attr)
-    t.index_list
+(* A plain loop, no closure: an index scan looks its B-tree up on every
+   run. *)
+let rec index_in ixs ~cls ~attr =
+  match ixs with
+  | [] ->
+      invalid_arg (Printf.sprintf "Database.index_on: no index on %s.%s" cls attr)
+  | ix :: rest ->
+      if String.equal ix.Index_def.cls cls && String.equal ix.Index_def.attr attr
+      then ix
+      else index_in rest ~cls ~attr
+
+let index_on t ~cls ~attr = index_in t.index_list ~cls ~attr
 
 let indexes t = t.index_list
 

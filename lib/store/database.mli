@@ -128,7 +128,10 @@ val set_length : t -> Value.t -> int
     [~indexed:true] just get their membership recorded. *)
 val create_index : t -> name:string -> cls:string -> attr:string -> Index_def.t
 
-val find_index : t -> cls:string -> attr:string -> Index_def.t option
+(** [index_on t ~cls ~attr] — the index over [cls.attr].  Allocates
+    nothing; raises [Invalid_argument] naming the pair when there is none. *)
+val index_on : t -> cls:string -> attr:string -> Index_def.t
+
 val indexes : t -> Index_def.t list
 
 (** [analyze t] rebuilds optimizer statistics (key bounds, clustering

@@ -46,7 +46,7 @@ type run = {
 (* Lower once, then run cold and count only what the executor allocates. *)
 let run db ?force_algo ?force_seq ?(keep = false) text =
   let plan = Planner.plan ?force_algo ?force_seq db (Oql_parser.parse text) in
-  let root = Planner.lower ~packed:true plan in
+  let root = Planner.lower plan in
   Database.cold_restart db;
   let sim = Database.sim db in
   let c = sim.Sim.counters in
@@ -668,7 +668,7 @@ let test_optimizer_budget () =
   List.iter
     (fun (what, text, budget) ->
       at_budget ("optimize " ^ what ^ " per call") (per_call text) budget)
-    [ ("point selection", point_selection, 1106.0); ("point join", point_join, 6340.0) ]
+    [ ("point selection", point_selection, 1049.0); ("point join", point_join, 6087.0) ]
 
 (* The point join's thirteen candidates, shaped as [optimize] shapes them:
    annotating them costs each operator its estimate, and none of them owns
@@ -677,8 +677,7 @@ let test_costing_budget () =
   let db = (built ()).Generator.db in
   let stats = Tb_statcore.Stat_catalog.analyze db in
   let shapes =
-    List.map
-      (fun plan -> Planner.shape ~packed:true plan)
+    List.map Planner.shape
       (Enumerate.candidates stats (Plan.bind db (Oql_parser.parse point_join)))
   in
   Alcotest.(check int) "the point join has thirteen candidates" 13 (List.length shapes);
@@ -740,20 +739,20 @@ let test_tree_walks () =
 
 let kernel_budgets =
   [
-    ("fig6.index_scan", 7611.0, 0.0);
-    ("fig6.optimizer_sweep", 7852.0, 0.0);
-    ("fig7.sorted_index_scan", 7634.0, 602.0);
+    ("fig6.index_scan", 7609.0, 0.0);
+    ("fig6.optimizer_sweep", 7502.0, 0.0);
+    ("fig7.sorted_index_scan", 7632.0, 602.0);
     ("fig7.full_scan", 9697.0, 0.0);
-    ("fig7.sharded_scan", 11209.0, 0.0);
-    ("fig7.sharded_scan_degraded", 11697.0, 0.0);
+    ("fig7.sharded_scan", 11183.0, 0.0);
+    ("fig7.sharded_scan_degraded", 11622.0, 0.0);
     ("fig7.packed_scan", 5021.0, 0.0);
-    ("fig11_14.nl", 13810.0, 0.0);
-    ("fig11_14.nojoin", 12326.0, 602.0);
-    ("fig11_14.phj", 15507.0, 1627.0);
-    ("fig11_14.chj", 18638.0, 1627.0);
-    ("fig11_14.optimizer_join", 6342.0, 0.0);
-    ("ext.phhj", 17645.0, 1627.0);
-    ("ext.smj", 20925.0, 903.0);
+    ("fig11_14.nl", 13808.0, 0.0);
+    ("fig11_14.nojoin", 12324.0, 602.0);
+    ("fig11_14.phj", 15503.0, 1627.0);
+    ("fig11_14.chj", 18634.0, 1627.0);
+    ("fig11_14.optimizer_join", 6126.0, 0.0);
+    ("ext.phhj", 17641.0, 1627.0);
+    ("ext.smj", 20921.0, 903.0);
     ("ext.count", 9059.0, 0.0);
     ("fig10.hash_build", 7217.0, 1025.0);
     ("fig9.handle_churn", 2407.0, 0.0);
@@ -761,7 +760,7 @@ let kernel_budgets =
     ("sec3.btree_insert_1k", 4569.0, 15414.0);
     ("sec3.btree_bulk_build_1k", 1389.0, 16844.0);
     ("sec3.btree_delete_1k", 124861.0, 266915.0);
-    ("fig6.index_range", 742.0, 0.0);
+    ("fig6.index_range", 739.0, 0.0);
   ]
 
 let kernel_calls = 10

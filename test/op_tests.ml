@@ -14,13 +14,14 @@ module Derby = Tb_derby.Derby
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
-let small_built ?(fanout = 4) ?(n_providers = 25) () =
+let small_built ?(fanout = 4) ?(n_providers = 25) ?(build_num_index = true) () =
   let scale = 1000 in
   let cfg =
     {
       (Generator.config ~scale `Deep Generator.Class_clustered) with
       Generator.n_providers;
       fanout;
+      build_num_index;
     }
   in
   Generator.build ~cost:(Tb_sim.Cost_model.scaled scale) cfg
@@ -408,11 +409,6 @@ let test_keep_equivalence () =
 let test_sorted_rids_leak_on_raise () =
   let b = small_built () in
   let db = b.Generator.db in
-  let index =
-    match Database.find_index db ~cls:Derby.patient_cls ~attr:"mrn" with
-    | Some ix -> ix
-    | None -> Alcotest.fail "mrn index missing"
-  in
   (* A sorted-Rid scan feeding a projection that raises mid-stream: the
      covering Fetch keeps Handles out of the picture, so any residue is
      the sort buffer's claim. *)
@@ -435,7 +431,12 @@ let test_sorted_rids_leak_on_raise () =
                                       child =
                                         Op.make
                                           (Op.Index_scan
-                                             { index; lo = None; hi = Some 40 });
+                                             {
+                                               cls = Derby.patient_cls;
+                                               attr = "mrn";
+                                               lo = None;
+                                               hi = Some 40;
+                                             });
                                     });
                              cls = Derby.patient_cls;
                              var = "pa";
@@ -593,6 +594,70 @@ let test_shape_does_not_run () =
   Query_result.dispose r;
   check_bool "given its frames, it runs and reconciles" true (Op.reconciles ~global root)
 
+(* --- a lowered tree is shape only: it runs on the database it is given --- *)
+
+(* One cold run: the rows, every counter, the clock bits and the
+   per-operator frames. *)
+let run_capture db root =
+  Database.cold_restart db;
+  let r, _ = Exec.run_explained db root ~keep:true in
+  let rows = List.map (Format.asprintf "%a" Value.pp) (Query_result.values r) in
+  Query_result.dispose r;
+  let frames = ref [] in
+  Op.iter
+    (fun n ->
+      let f = n.Op.frame in
+      frames :=
+        Printf.sprintf "%s in=%d out=%d h=%d pr=%d pw=%d ga=%d cmp=%d hash=%d sort=%d b=%d %Lx"
+          (Op.label n) f.Op.rows_in f.Op.rows_out f.Op.handles f.Op.pages_read
+          f.Op.pages_written f.Op.get_atts f.Op.cmps f.Op.hash_ops f.Op.sort_cmps
+          f.Op.bytes
+          (Int64.bits_of_float f.Op.clock.Op.ms)
+        :: !frames)
+    root;
+  let sim = Database.sim db in
+  ( rows,
+    Format.asprintf "%a" Tb_sim.Counters.pp sim.Sim.counters,
+    Int64.bits_of_float (Sim.elapsed_s sim),
+    List.rev !frames )
+
+let test_tree_runs_on_given_db () =
+  (* [a] plans and lowers; its twins [b] and [b'] run the same query
+     sequence in lockstep, [b] on [a]'s trees and [b'] on its own. *)
+  let a = (small_built ()).Generator.db in
+  let b = (small_built ()).Generator.db in
+  let b' = (small_built ()).Generator.db in
+  let tree db ?force_algo ?force_sorted text =
+    Planner.lower (Planner.plan db (Oql_parser.parse text) ?force_algo ?force_sorted)
+  in
+  let check_q name ?force_algo ?force_sorted text =
+    let rows, counters, clock, frames =
+      run_capture b (tree a ?force_algo ?force_sorted text)
+    in
+    let rows', counters', clock', frames' =
+      run_capture b' (tree b' ?force_algo ?force_sorted text)
+    in
+    Alcotest.(check (list string)) (name ^ ": rows") rows' rows;
+    Alcotest.(check string) (name ^ ": counters") counters' counters;
+    Alcotest.(check int64) (name ^ ": clock bits") clock' clock;
+    Alcotest.(check (list string)) (name ^ ": frames") frames' frames
+  in
+  let num = "select pa.age from pa in Patients where pa.num < 30" in
+  check_q "selection/index" ~force_sorted:false num;
+  check_q "selection/sorted" ~force_sorted:true
+    "select pa.age from pa in Patients where pa.mrn < 40";
+  check_q "PHJ/sorted" ~force_algo:Plan.PHJ ~force_sorted:true (join_query 60 15);
+  check_q "NL/index" ~force_algo:Plan.NL ~force_sorted:false (join_query 60 15);
+  (* A database without the num index refuses the tree by name. *)
+  let plain = (small_built ~build_num_index:false ()).Generator.db in
+  match Exec.run plain (tree a ~force_sorted:false num) ~keep:false with
+  | exception Invalid_argument msg ->
+      Alcotest.(check string) "names the missing index"
+        "Database.index_on: no index on Patient.num" msg
+  | r ->
+      Query_result.dispose r;
+      Alcotest.fail "a tree ran on a database without its index"
+
 let suite =
   [
     Alcotest.test_case "fetch: covering shortcut skips handles" `Quick
@@ -612,4 +677,6 @@ let suite =
       test_reconciliation;
     Alcotest.test_case "frames: a shape-only tree refuses to run" `Quick
       test_shape_does_not_run;
+    Alcotest.test_case "a lowered tree runs on the database it is given" `Quick
+      test_tree_runs_on_given_db;
   ]

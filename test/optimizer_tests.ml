@@ -176,7 +176,7 @@ let test_fig6_crossover_from_stats () =
       | Some ch -> ch.Planner.ch_cost_ms
       | None -> Alcotest.failf "candidate %s missing at %d permille" desc permille
     in
-    (cost "index packed", cost "seq packed")
+    (cost "index", cost "seq")
   in
   (* Fig 6's two-way menu: the unsorted unclustered index wins at 0.1-1%
      and loses from 5% on — the same verdicts `treebench figure fig6`
@@ -194,24 +194,6 @@ let test_fig6_crossover_from_stats () =
         (sq < ix))
     [ 50; 100; 300; 600; 900 ]
 
-let test_pick_tie_policy () =
-  (* Equal-cost candidates resolve by enumeration order: packed before
-     handle, so the winner is always the packed twin. *)
-  let b = built Generator.Class_clustered in
-  let db = b.Generator.db in
-  let stats = Sc.analyze db in
-  let d =
-    Planner.optimize ~stats db
-      "select pa.age from pa in Patients where pa.num < 50"
-  in
-  check_bool "winner is packed" true d.Planner.d_packed;
-  match d.Planner.d_candidates with
-  | a :: b :: _ ->
-      check_bool "top two tie" true (Float.equal a.Planner.ch_cost_ms b.Planner.ch_cost_ms);
-      check_bool "packed enumerated first" true
-        (a.Planner.ch_packed && not b.Planner.ch_packed)
-  | _ -> Alcotest.fail "expected at least two candidates"
-
 let test_validate_covers_every_operator () =
   let b = built Generator.Class_clustered in
   let db = b.Generator.db in
@@ -228,12 +210,12 @@ let test_validate_covers_every_operator () =
 
 (* --- pick: each plan is costed once ---
 
-   The reference treats the two modes of every plan as separate
-   candidates: every plan × {packed, handle} lowered, annotated and costed
-   on its own, the strict-< argmin over that list, and a stable sort for
-   the ranking.  [optimize] costs each plan once; it must return the
-   same winner, the same cost bits, the same ranked list and the same
-   estimate on every operator of the tree it keeps. *)
+   The reference lowers, annotates and costs every plan on its own, takes
+   the strict-< argmin over that list (on equal cost the first enumerated
+   plan wins) and a stable sort for the ranking.  [optimize] keeps only
+   the winner's tree; it must return the same winner, the same cost bits,
+   the same ranked list and the same estimate on every operator of the
+   tree it keeps. *)
 
 let bits = Int64.bits_of_float
 
@@ -249,50 +231,45 @@ let est_lines root =
   Op.iter (fun n -> acc := est_line n :: !acc) root;
   List.rev !acc
 
-let ranked_line (desc, packed, ms) = Printf.sprintf "%s %b %Lx" desc packed (bits ms)
+let ranked_line (desc, ms) = Printf.sprintf "%s %Lx" desc (bits ms)
 
-(* Returns the reference winner's (desc, packed, cost, root) and ranking. *)
+(* Returns the reference winner's (desc, cost, root) and ranking. *)
 let reference ~stats ~organization db text =
   let bound = Plan.bind db (Oql_parser.parse text) in
   let scored =
-    List.concat_map
+    List.map
       (fun plan ->
-        List.map
-          (fun packed ->
-            let root = Planner.lower ~packed plan in
-            Estimate.annotate ~stats ~organization root;
-            (Enumerate.describe plan ~packed, packed, Estimate.plan_cost_ms root, root))
-          [ true; false ])
+        let root = Planner.lower plan in
+        Estimate.annotate ~stats ~organization root;
+        (Enumerate.describe plan, Estimate.plan_cost_ms root, root))
       (Enumerate.candidates stats bound)
   in
   match scored with
   | [] -> Alcotest.failf "%s: empty candidate space" text
   | first :: rest ->
-      let cost (_, _, ms, _) = ms in
+      let cost (_, ms, _) = ms in
       let best =
         List.fold_left (fun acc c -> if cost c < cost acc then c else acc) first rest
       in
       let ranked =
         List.map
-          (fun (desc, packed, ms, _) -> (desc, packed, ms))
+          (fun (desc, ms, _) -> (desc, ms))
           (List.stable_sort (fun a b -> Float.compare (cost a) (cost b)) scored)
       in
       (best, ranked)
 
 let check_identical what db (d : Planner.decision) text =
-  let (desc, packed, ms, root), ranked =
+  let (desc, ms, root), ranked =
     reference ~stats:d.Planner.d_stats ~organization:d.Planner.d_organization db text
   in
   let what = what ^ ": " ^ text in
   Alcotest.(check string) (what ^ ": chosen shape") desc (Planner.d_desc d);
-  check_bool (what ^ ": chosen mode") packed d.Planner.d_packed;
   Alcotest.(check int64) (what ^ ": cost bits") (bits ms) (bits d.Planner.d_cost_ms);
   Alcotest.(check (list string))
     (what ^ ": ranking")
     (List.map ranked_line ranked)
     (List.map
-       (fun ch ->
-         ranked_line (Planner.ch_desc ch, ch.Planner.ch_packed, ch.Planner.ch_cost_ms))
+       (fun ch -> ranked_line (Planner.ch_desc ch, ch.Planner.ch_cost_ms))
        d.Planner.d_candidates);
   Alcotest.(check (list string))
     (what ^ ": estimates on the kept tree")
@@ -388,7 +365,7 @@ let test_pick_costs_each_plan_once () =
       let sd = Planner.optimize_sharded smap text in
       let d = sd.Planner.sd_decision in
       check_identical "sharded S=4" (Tb_store.Shard_map.shard smap 0) d text;
-      let root = Planner.lower_sharded ~packed:d.Planner.d_packed smap d.Planner.d_plan in
+      let root = Planner.lower_sharded smap d.Planner.d_plan in
       Estimate.annotate ~stats:d.Planner.d_stats ~organization:d.Planner.d_organization
         root;
       Alcotest.(check int64)
@@ -407,7 +384,6 @@ let suite =
     Alcotest.test_case "feedback converges" `Quick test_feedback_converges;
     Alcotest.test_case "fig6 crossover from statistics" `Quick
       test_fig6_crossover_from_stats;
-    Alcotest.test_case "pick: tie policy" `Quick test_pick_tie_policy;
     Alcotest.test_case "pick: each plan costed once, decision unchanged" `Slow
       test_pick_costs_each_plan_once;
     Alcotest.test_case "validate covers every operator" `Quick

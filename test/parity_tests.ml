@@ -42,10 +42,11 @@ let frame_line (fr : Op.frame) =
 
 let capture db ~packed ?force_algo ?force_seq ?force_sorted q =
   Database.cold_restart db;
-  let r, root, _ =
-    Planner.run_explained db q ?force_algo ?force_seq ?force_sorted ~packed
-      ~keep:false
+  let plan =
+    Planner.plan db (Oql_parser.parse q) ?force_algo ?force_seq ?force_sorted
   in
+  let root = Planner.lower ~packed plan in
+  let r, _ = Exec.run_explained db root ~keep:false in
   let rows = Query_result.count r in
   Query_result.dispose r;
   let frames = ref [] in

@@ -77,7 +77,7 @@ let () =
             Format.printf "    #%d %-20s %14.3f ms@." (i + 1)
               (Planner.ch_desc ch) ch.Planner.ch_cost_ms)
         d.Planner.d_candidates;
-      match (candidate_cost d "index packed", candidate_cost d "seq packed") with
+      match (candidate_cost d "index", candidate_cost d "seq") with
       | Some ix, Some sq ->
           let ix_ms = ix.Planner.ch_cost_ms and sq_ms = sq.Planner.ch_cost_ms in
           if ix_ms > sq_ms && !switch = 0 then switch := permille;

@@ -1023,8 +1023,8 @@ let test_db_first_index_reallocation_cost () =
   let writes_clean, db2 = build ~indexed:true in
   check_bool "reallocation writes more" true (writes_realloc > writes_clean);
   (* And it degrades physical clustering: relocated objects moved away. *)
-  let ix1 = Option.get (Database.find_index db1 ~cls:"Patient" ~attr:"mrn") in
-  let ix2 = Option.get (Database.find_index db2 ~cls:"Patient" ~attr:"mrn") in
+  let ix1 = Database.index_on db1 ~cls:"Patient" ~attr:"mrn" in
+  let ix2 = Database.index_on db2 ~cls:"Patient" ~attr:"mrn" in
   check_bool "clean load stays clustered" true
     (ix2.Index_def.clustering >= ix1.Index_def.clustering)
 

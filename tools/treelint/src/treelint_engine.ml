@@ -196,8 +196,10 @@ type module_facts = {
   m_ext_constrs : (ref_info * Location.t) list;
       (* extension constructors (exceptions) built or matched, for R6 *)
   m_whole : ref_info list;
-      (* modules used as a whole (functor argument, include, packed), for
-         R10; a [module M = P] alias is not a use of P's values *)
+      (* module-level uses, for R10: a module used as a whole (include,
+         packed), or the values a functor argument gives the functor's
+         parameter signature; a [module M = P] alias is not a use of P's
+         values *)
   m_defined : string list;  (* value paths the module defines, for the
                                stale-name check *)
   m_cfg : Treelint_cfg.mod_cfg;  (* lowered CFGs for the dataflow rules *)
@@ -236,10 +238,45 @@ let mutable_creator ~(config : Config.t) ~aliases expr =
   | Typedtree.Texp_array (_ :: _) -> Some "array literal"
   | _ -> None
 
+(* The values a functor's parameter signature names, nested modules
+   included: all that an argument module gives the functor.  [None] when
+   the parameter is not a readable signature. *)
+let param_values (f : Typedtree.module_expr) =
+  let env =
+    try Envaux.env_of_only_summary f.Typedtree.mod_env
+    with _ -> f.Typedtree.mod_env
+  in
+  let scrape mty = try Mtype.scrape env mty with _ -> mty in
+  let rec values prefix mty =
+    match scrape mty with
+    | Types.Mty_signature sg ->
+        Some
+          (List.concat_map
+             (function
+               | Types.Sig_value (id, _, _) -> [ prefix ^ Ident.name id ]
+               | Types.Sig_module (id, _, md, _, _) ->
+                   Option.value ~default:[]
+                     (values (prefix ^ Ident.name id ^ ".") md.Types.md_type)
+               | _ -> [])
+             sg)
+    | _ -> None
+  in
+  match scrape f.Typedtree.mod_type with
+  | Types.Mty_functor (Types.Named (_, param), _) -> values "" param
+  | _ -> None
+
+(* A functor argument that is a module path: the path's node, under the
+   coercion to the parameter type the typer wraps it in. *)
+let rec arg_ident (me : Typedtree.module_expr) =
+  match me.Typedtree.mod_desc with
+  | Typedtree.Tmod_ident (p, _) -> Some (p, me)
+  | Typedtree.Tmod_constraint (me, _, _, _) -> arg_ident me
+  | _ -> None
+
 (* Passes 1 and 2 over one implementation: module aliases, then every
    value reference, counter mutation, exception built or matched, and
-   module used as a whole.  Shared by the scanned libraries and the
-   reference-only directories. *)
+   module-level use (whole modules, functor arguments).  Shared by the
+   scanned libraries and the reference-only directories. *)
 type refs = {
   rf_aliases : (string * string) list;
   rf_occs : occurrence list;
@@ -306,6 +343,9 @@ let collect_refs ~(config : Config.t) str =
      normalized, so aliases and re-exports can't smuggle one past. *)
   let ext_constrs = ref [] in
   let whole = ref [] in
+  (* A functor argument [F (P)] uses only the values of [P] that F's
+     parameter signature names, so [P] itself is not a whole-module use. *)
+  let arg_sites = ref [] in
   let record_constr (lid : Longident.t Location.loc)
       (cd : Types.constructor_description) =
     match cd.Types.cstr_tag with
@@ -354,6 +394,17 @@ let collect_refs ~(config : Config.t) str =
       module_expr =
         (fun sub me ->
           (match me.Typedtree.mod_desc with
+           | Typedtree.Tmod_apply (f, arg, _) -> (
+               match (arg_ident arg, param_values f) with
+               | Some (p, arg), Some names ->
+                   arg_sites := arg.Typedtree.mod_loc :: !arg_sites;
+                   List.iter
+                     (fun n ->
+                       whole :=
+                         normalize_path ~config ~aliases (Path.name p ^ "." ^ n)
+                         :: !whole)
+                     names
+               | _ -> ())
            | Typedtree.Tmod_ident (p, lid) ->
                let r = normalize_path ~config ~aliases (Path.name p) in
                occs :=
@@ -365,8 +416,11 @@ let collect_refs ~(config : Config.t) str =
                    o_module = true;
                  }
                  :: !occs;
-               if not (List.mem me.Typedtree.mod_loc alias_sites) then
-                 whole := r :: !whole
+               if
+                 not
+                   (List.mem me.Typedtree.mod_loc alias_sites
+                   || List.mem me.Typedtree.mod_loc !arg_sites)
+               then whole := r :: !whole
            | _ -> ());
           Tast_iterator.default_iterator.module_expr sub me);
     }

@@ -76,8 +76,9 @@ let rec struct_values prefix (str : Typedtree.structure) =
     str.Typedtree.str_items
 
 (* A reference from outside the value's own module: [u_name] is the
-   normalized "Module.path" of a value, or of a module used as a whole (a
-   functor argument, an [include], a packed first-class module), which
+   normalized "Module.path" of a value (a functor argument's values count
+   one by one, as its parameter signature names them), or of a module
+   used as a whole (an [include], a packed first-class module), which
    keeps every value under it.  [u_test] marks a test-directory referrer. *)
 type use = { u_lib : string; u_name : string; u_test : bool }
 

@@ -7,3 +7,7 @@ let opened =
   via_open 2
 
 let nested = Exporter.Nested.inner 3
+
+(* A functor argument gives the functor only what its parameter names
+   (equal, hash), not Key.describe. *)
+module Keyed = Hashtbl.Make (Key)

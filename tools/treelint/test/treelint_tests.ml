@@ -199,7 +199,7 @@ let test_baseline () =
 
    fixtures/r10/lib is the scanned library; user/ stands in for bin/,
    bench/ and e2ebench/, tests/ for test/.  Exporter.mli holds one value
-   per case. *)
+   per case; Key is a functor argument. *)
 
 let r10_dir = "fixtures/r10"
 
@@ -224,6 +224,8 @@ let test_r10 () =
   kept "used through open" "via_open";
   kept "in a nested signature" "Nested.inner";
   kept "referenced only from a user dir" "user_only";
+  kept "named by a functor parameter it is passed to" "equal";
+  kept "named by a functor parameter it is passed to" "hash";
   (match find "test_only" with
   | Some d ->
       check "R10 test-only value is a warning" (d.Diag.severity = Diag.Warning);
@@ -235,7 +237,12 @@ let test_r10 () =
       check "R10 value used only by its own module is an error"
         (d.Diag.severity = Diag.Error && d.Diag.modname = "Exporter")
   | None -> check "R10 reports the value used only by its own module" false);
-  check "R10 reports exactly the two findings" (List.length r10 = 2);
+  (match find "describe" with
+  | Some d ->
+      check "R10 functor-argument value the parameter does not name is an error"
+        (d.Diag.severity = Diag.Error && d.Diag.modname = "Key")
+  | None -> check "R10 reports the functor argument's unused value" false);
+  check "R10 reports exactly the three findings" (List.length r10 = 3);
   (* Without the reference dirs the user-only value loses its only user
      and the test-only value its test: both become errors. *)
   let config = Config.load "treelint_test.toml" in
