@@ -58,16 +58,19 @@ let opt_stats =
     (let b = Lazy.force built in
      Tb_statcore.Stat_catalog.analyze b.Tb_derby.Generator.db)
 
+let point_join = "select pa.mrn from p in Providers, pa in p.clients where p.upin = 7"
+
 let kernels () =
   let t name f = (name, fun () -> ignore (Sys.opaque_identity (f ()))) in
   [
     (* Figure 6: selection through an unclustered index, unsorted. *)
     t "fig6.index_scan" (fun () ->
         run_query ~force_sorted:false (Lazy.force sel_q) ());
-    (* The optimizer itself: enumerate + cost + pick over the Figure 6
-       selectivity sweep, no execution — bounds what `--optimize` adds on
-       top of a forced run.  The catalog is analyzed once and retained,
-       as a session would. *)
+    (* The optimizer itself: cost + pick over the Figure 6 selectivity
+       sweep, no execution — bounds what `--optimize` adds on top of a
+       forced run.  The catalog is analyzed once and retained, as a
+       session would, so after the first call every text is re-costed from
+       its prepared entry. *)
     t "fig6.optimizer_sweep" (fun () ->
         let b = Lazy.force built in
         let db = b.Tb_derby.Generator.db in
@@ -161,16 +164,21 @@ let kernels () =
         run_query ~force_algo:Tb_query.Plan.PHJ (Lazy.force join_q) ());
     t "fig11_14.chj" (fun () ->
         run_query ~force_algo:Tb_query.Plan.CHJ (Lazy.force join_q) ());
-    (* The optimizer on a point join: enumerate + cost + pick over its
-       thirteen plans, no execution.  Join costing is most of what
-       point lookups allocate in the optimizer. *)
+    (* The optimizer on a point join: cost + pick over its thirteen
+       plans, no execution, on the retained catalog (a prepared text). *)
     t "fig11_14.optimizer_join" (fun () ->
         let b = Lazy.force built in
         let d =
           Tb_query.Planner.optimize ~stats:(Lazy.force opt_stats)
-            b.Tb_derby.Generator.db
-            "select pa.mrn from p in Providers, pa in p.clients where p.upin = 7"
+            b.Tb_derby.Generator.db point_join
         in
+        List.length d.Tb_query.Planner.d_candidates);
+    (* The same point join seen for the first time: a fresh catalog per
+       call, so parse, bind, enumerate and shaping every candidate into
+       its cost program are all paid, as on a text's first call. *)
+    t "fig11_14.optimizer_join_first_seen" (fun () ->
+        let b = Lazy.force built in
+        let d = Tb_query.Planner.optimize b.Tb_derby.Generator.db point_join in
         List.length d.Tb_query.Planner.d_candidates);
     (* Extensions: hybrid hashing and sort-merge. *)
     t "ext.phhj" (fun () ->

@@ -37,11 +37,10 @@ let best_index ~(sel : Plan.attr_pred -> float) stats ~cls preds =
           (fun acc c -> if sel c < sel acc then c else acc)
           first rest
       in
-      let chosen, ix, lo, hi = best in
+      let chosen, _, lo, hi = best in
       let residual = List.filter (fun p -> p != chosen) preds in
-      Some
-        (fun ~sorted ->
-          Plan.Index_scan { index = ix.Sc.i_def; lo; hi; sorted; residual })
+      let attr = chosen.Plan.attr in
+      Some (fun ~sorted -> Plan.Index_scan { cls; attr; lo; hi; sorted; residual })
 
 (* Selections get the full Section 4.2 menu: fetch in index order, sort the
    Rids first, or sweep the extent. *)

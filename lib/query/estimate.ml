@@ -25,14 +25,17 @@ type env = {
 
 let fi = float_of_int
 
+(* The small float helpers are inlined wherever the cost stage calls them,
+   so their results reach the caller unboxed. *)
+
 (* Effective cost of moving one cold page up to the client: disk read plus
    the RPC that ships it. *)
-let cold_page_ms cost =
+let[@inline] cold_page_ms cost =
   cost.Tb_sim.Cost_model.page_read_ms
   +. cost.Tb_sim.Cost_model.rpc_fixed_ms
   +. cost.Tb_sim.Cost_model.rpc_page_ms
 
-let handle_pair_ms cost =
+let[@inline] handle_pair_ms cost =
   (cost.Tb_sim.Cost_model.handle_alloc_fat_us
   +. cost.Tb_sim.Cost_model.handle_free_fat_us)
   /. 1000.0
@@ -41,17 +44,17 @@ let handle_pair_ms cost =
    file (or a non-positive reference count) touches nothing, and once [n]
    reaches the file's total row count every page must be touched — the
    exponential form alone never quite reaches [pages], understating full
-   sweeps.  [rows_per_page] defaults to infinity (no saturation) for
-   callers without row-density statistics. *)
-let distinct_pages ?(rows_per_page = infinity) ~n ~pages () =
+   sweeps.  [rows_per_page] is infinity (no saturation) for callers
+   without row-density statistics. *)
+let[@inline] distinct_pages ~rows_per_page ~n ~pages =
   if pages <= 0.0 || n <= 0.0 then 0.0
   else if n >= pages *. rows_per_page then pages
   else pages *. (1.0 -. exp (-.n /. pages))
 
-let random_fetch_ms ?rows_per_page ~cost ~n ~pages ~cache () =
+let[@inline] random_fetch_ms ~rows_per_page ~cost ~n ~pages ~cache =
   if n <= 0.0 then 0.0
   else begin
-    let d = distinct_pages ?rows_per_page ~n ~pages () in
+    let d = distinct_pages ~rows_per_page ~n ~pages in
     (* First touches read [d] pages; re-touches miss in proportion to how
        much of the file the cache cannot hold. *)
     let retouches = Float.max 0.0 (n -. d) in
@@ -60,21 +63,21 @@ let random_fetch_ms ?rows_per_page ~cost ~n ~pages ~cache () =
     +. (retouches *. (1.0 -. miss) *. cost.Tb_sim.Cost_model.client_hit_ms)
   end
 
-let seq_ms cost pages = fi pages *. cold_page_ms cost
+let[@inline] seq_ms cost pages = fi pages *. cold_page_ms cost
 
-let sort_ms cost n =
+let[@inline] sort_ms cost n =
   if n <= 1.0 then 0.0
   else n *. (log n /. log 2.0) *. cost.Tb_sim.Cost_model.sort_cmp_us /. 1000.0
 
-let append_ms cost n =
+let[@inline] append_ms cost n =
   n *. cost.Tb_sim.Cost_model.result_append_standard_us /. 1000.0
 
 (* Leaf pages an index scan of [n] entries touches (~200 entries/leaf). *)
-let leaf_pages n = ceil (n /. 200.0)
+let[@inline] leaf_pages n = ceil (n /. 200.0)
 
 (* Thrash penalty for [ops] random operations against working structures of
    [bytes] resident bytes — mirrors Sim's fault accounting. *)
-let swap_ms cost ~bytes ~ops =
+let[@inline] swap_ms cost ~bytes ~ops =
   let avail = fi (Tb_sim.Cost_model.available_bytes cost) in
   if avail <= 0.0 then 0.0
   else
@@ -97,10 +100,11 @@ let selection_index_ms env ~sorted =
     if s.index_clustered then
       (* Contiguous keys sit on contiguous pages. *)
       s.sel *. fi s.pages *. cold_page_ms c
-    else if sorted then distinct_pages ~n:k ~pages:(fi s.pages) () *. cold_page_ms c
+    else if sorted then
+      distinct_pages ~rows_per_page:infinity ~n:k ~pages:(fi s.pages) *. cold_page_ms c
     else
-      random_fetch_ms ~cost:c ~n:k ~pages:(fi s.pages)
-        ~cache:(fi env.client_cache_pages) ()
+      random_fetch_ms ~rows_per_page:infinity ~cost:c ~n:k ~pages:(fi s.pages)
+        ~cache:(fi env.client_cache_pages)
   in
   let sort = if sorted then sort_ms c k else 0.0 in
   leaf +. fetch +. sort +. (k *. handle_pair_ms c) +. append_ms c k
@@ -116,7 +120,7 @@ let side_read_ms env s =
   if s.has_index then
     let data =
       if s.index_clustered then s.sel *. fi s.pages
-      else distinct_pages ~n:k ~pages:(fi s.pages) ()
+      else distinct_pages ~rows_per_page:infinity ~n:k ~pages:(fi s.pages)
     in
     (leaf_pages k +. data) *. cold_page_ms c
   else seq_ms c s.pages
@@ -156,8 +160,8 @@ let join_ms env algo =
             let per_page = Float.max 1.0 (fi ch.card /. Float.max 1.0 (fi ch.pages)) in
             children_touched /. per_page *. cold_page_ms c
         | Separate_files | Shared_random ->
-            random_fetch_ms ~cost:c ~n:children_touched ~pages:(fi ch.pages)
-              ~cache:(fi env.client_cache_pages) ()
+            random_fetch_ms ~rows_per_page:infinity ~cost:c ~n:children_touched
+              ~pages:(fi ch.pages) ~cache:(fi env.client_cache_pages)
       in
       parent_read +. child_read
       +. ((np_sel +. children_touched) *. handle_pair_ms c)
@@ -173,10 +177,11 @@ let join_ms env algo =
         | Assoc_clustered ->
             (* Children arrive in parent order, so parent fetches sweep the
                parent file at most once. *)
-            distinct_pages ~n:nc_sel ~pages:(fi p.pages) () *. cold_page_ms c
+            distinct_pages ~rows_per_page:infinity ~n:nc_sel ~pages:(fi p.pages)
+            *. cold_page_ms c
         | Separate_files | Shared_random ->
-            random_fetch_ms ~cost:c ~n:nc_sel ~pages:(fi p.pages)
-              ~cache:(fi env.client_cache_pages) ()
+            random_fetch_ms ~rows_per_page:infinity ~cost:c ~n:nc_sel
+              ~pages:(fi p.pages) ~cache:(fi env.client_cache_pages)
       in
       (* Distinct parents get a Handle; repeats are resident hits. *)
       let parent_handles = Float.min nc_sel (fi p.card) in
@@ -321,6 +326,7 @@ type ctx = {
   mutable s_sorted : bool;  (** rid stream in page order (Sort_rids below) *)
   mutable s_seq : bool;  (** rows arrive off a sequential sweep: pages resident *)
   mutable s_clustered : bool;  (** rows located through a clustered index *)
+  mutable s_slot : int;  (** the next operator's pre-order position *)
 }
 
 (* A fresh stream, no spill below it. *)
@@ -347,16 +353,9 @@ let cat_extent stats cls =
   | e -> e
   | exception Not_found -> null_extent cls
 
-(* Fraction of an index's entries inside the key window [lo, hi), from its
-   maintained histogram.  Unfloored: each caller floors it its own way. *)
-let key_window ix ~lo ~hi =
-  let below = function Some k -> Sc.selectivity_below ix k | None -> 1.0 in
-  let above = match lo with Some k -> Sc.selectivity_below ix k | None -> 0.0 in
-  below hi -. above
-
 (* One row of the extent: a point lookup should not be costed as if it
    returned a fixed fraction of the extent. *)
-let one_row stats cls = 1.0 /. Float.max 1.0 (fi (cat_extent stats cls).Sc.x_card)
+let[@inline] one_row stats cls = 1.0 /. Float.max 1.0 (fi (cat_extent stats cls).Sc.x_card)
 
 (* System-R style magic numbers when no statistics help. *)
 let magic_sel (p : Plan.attr_pred) =
@@ -372,69 +371,102 @@ let pred_sel ?floor stats ~cls (p : Plan.attr_pred) =
       match Sc.find_index stats ~cls ~attr:p.Plan.attr with
       | ix ->
           let floor = match floor with Some f -> f | None -> one_row stats cls in
-          Float.max floor (key_window ix ~lo ~hi)
+          Float.max floor (Sc.key_window ix ~lo ~hi)
       | exception Not_found -> magic_sel p)
 
+(* The product in conjunct order, as a loop over a local cell: no fold
+   closure, no boxed accumulator. *)
 let preds_sel ?floor stats ~cls preds =
-  List.fold_left (fun acc p -> acc *. pred_sel ?floor stats ~cls p) 1.0 preds
+  let acc = ref 1.0 and rest = ref preds in
+  while
+    match !rest with
+    | [] -> false
+    | p :: tl ->
+        acc := !acc *. pred_sel ?floor stats ~cls p;
+        rest := tl;
+        true
+  do
+    ()
+  done;
+  !acc
+
+let rec payload_bytes_in stats cls acc = function
+  | [] -> acc
+  | a :: rest -> payload_bytes_in stats cls (acc + Sc.attr_bytes stats ~cls a) rest
 
 let payload_bytes stats ~cls attrs =
-  List.fold_left
-    (fun acc a -> acc + Sc.attr_bytes stats ~cls a)
-    Tb_storage.Rid.on_disk_bytes attrs
+  payload_bytes_in stats cls Tb_storage.Rid.on_disk_bytes attrs
 
-(* Write [n]'s estimate, its ms through the catalog's correction.
+(* A plan's cost program: its operators' correction keys and raw ms, each
+   at the operator's pre-order position. *)
+type program = { p_op : string array; p_cls : string array; p_raw : float array }
+
+(* Write [n]'s estimate, its ms through the catalog's correction; or, on a
+   walk [into] a program, [n]'s key and raw ms at its pre-order [slot].
    Inlined, so the floats reach the estimate unboxed. *)
-let[@inline] set stats n ~rows ~pages ~handles raw_ms =
-  let corr = Sc.correction stats ~op:(Op.opcode n) ~cls:(est_cls n) in
-  Op.Est.set n
-    {
-      Op.est_rows = rows;
-      est_pages = pages;
-      est_handles = handles;
-      est_ms = (raw_ms *. corr.Sc.c_mul) +. corr.Sc.c_add;
-    }
+let[@inline] set into stats n slot ~rows ~pages ~handles raw_ms =
+  match into with
+  | Some p ->
+      p.p_op.(slot) <- Op.opcode n;
+      p.p_cls.(slot) <- est_cls n;
+      p.p_raw.(slot) <- raw_ms
+  | None ->
+      let corr = Sc.correction stats ~op:(Op.opcode n) ~cls:(est_cls n) in
+      Op.Est.set n
+        {
+          Op.est_rows = rows;
+          est_pages = pages;
+          est_handles = handles;
+          est_ms = (raw_ms *. corr.Sc.c_mul) +. corr.Sc.c_add;
+        }
 
 let[@inline] get_att_ms c n = n *. c.Tb_sim.Cost_model.get_att_us /. 1000.0
 
-let annotate ~stats ?(organization = Separate_files) root =
+let walk ~into ~stats ~organization root =
   let c = Sc.cost stats in
   let cache = fi (Sc.client_cache_pages stats) in
   let avail = fi (Sc.available_bytes stats) in
   let page_sz = fi c.Tb_sim.Cost_model.page_size in
   let f = { s_rows = 0.0; s_bytes = 0.0; s_spill = 0.0 } in
-  let x = { s_cls = ""; s_sorted = false; s_seq = false; s_clustered = false } in
+  let x =
+    { s_cls = ""; s_sorted = false; s_seq = false; s_clustered = false; s_slot = 0 }
+  in
   let rec go (stats : Sc.t) (n : Op.t) =
+    let slot = x.s_slot in
+    x.s_slot <- slot + 1;
     match n.Op.kind with
     | Op.Seq_scan { cls } ->
         let e = cat_extent stats cls in
         let rows = fi e.Sc.x_card in
-        set stats n ~rows ~pages:(fi e.Sc.x_pages) ~handles:0.0
+        set into stats n slot ~rows ~pages:(fi e.Sc.x_pages) ~handles:0.0
           (seq_ms c e.Sc.x_pages);
         stream f x ~cls ~rows ~sorted:false ~seq:true ~clustered:false ~bytes:0.0
     | Op.Index_scan { cls; attr; lo; hi } ->
-        let sel, clustered =
+        let sel =
           match Sc.find_index stats ~cls ~attr with
-          | ix ->
-              ( Float.max (one_row stats cls) (key_window ix ~lo ~hi),
-                Sc.is_clustered ix )
-          | exception Not_found -> (1.0 /. 3.0, false)
+          | ix -> Float.max (one_row stats cls) (Sc.key_window ix ~lo ~hi)
+          | exception Not_found -> 1.0 /. 3.0
+        in
+        let clustered =
+          match Sc.find_index stats ~cls ~attr with
+          | ix -> Sc.is_clustered ix
+          | exception Not_found -> false
         in
         let k = sel *. fi (cat_extent stats cls).Sc.x_card in
         (* Leaf pages plus the root-to-leaf descent that positions the
            cursor. *)
         let leaves = leaf_pages k +. 1.0 in
-        set stats n ~rows:k ~pages:leaves ~handles:0.0
+        set into stats n slot ~rows:k ~pages:leaves ~handles:0.0
           (leaves *. cold_page_ms c);
         stream f x ~cls ~rows:k ~sorted:false ~seq:false ~clustered ~bytes:0.0
     | Op.Sort_rids { child } ->
         go stats child;
-        set stats n ~rows:f.s_rows ~pages:0.0 ~handles:0.0 (sort_ms c f.s_rows);
+        set into stats n slot ~rows:f.s_rows ~pages:0.0 ~handles:0.0 (sort_ms c f.s_rows);
         x.s_sorted <- true
     | Op.Fetch { child; cls; preds; covering; _ } ->
         go stats child;
         if covering then begin
-          set stats n ~rows:f.s_rows ~pages:0.0 ~handles:0.0 0.0;
+          set into stats n slot ~rows:f.s_rows ~pages:0.0 ~handles:0.0 0.0;
           x.s_cls <- cls
         end
         else begin
@@ -442,34 +474,27 @@ let annotate ~stats ?(organization = Separate_files) root =
           let n_in = f.s_rows in
           let rows = n_in *. preds_sel stats ~cls preds in
           let pages = fi e.Sc.x_pages in
-          let io_pages, io_ms =
-            if x.s_seq then
-              (* Records sit on the pages the scan cursor just shipped. *)
-              (0.0, n_in *. c.Tb_sim.Cost_model.client_hit_ms)
+          (* Records off a sequential sweep sit on the pages the scan
+             cursor just shipped. *)
+          let io_pages =
+            if x.s_seq then 0.0
             else if x.s_clustered then
-              let d = Float.min pages (n_in /. Float.max 1.0 (fi e.Sc.x_card) *. pages) in
-              (d, d *. cold_page_ms c)
-            else if x.s_sorted then
-              let d =
-                distinct_pages ~rows_per_page:e.Sc.x_rows_per_page ~n:n_in
-                  ~pages ()
-              in
-              (d, d *. cold_page_ms c)
+              Float.min pages (n_in /. Float.max 1.0 (fi e.Sc.x_card) *. pages)
+            else distinct_pages ~rows_per_page:e.Sc.x_rows_per_page ~n:n_in ~pages
+          in
+          let io_ms =
+            if x.s_seq then n_in *. c.Tb_sim.Cost_model.client_hit_ms
+            else if x.s_clustered || x.s_sorted then io_pages *. cold_page_ms c
             else
-              let d =
-                distinct_pages ~rows_per_page:e.Sc.x_rows_per_page ~n:n_in
-                  ~pages ()
-              in
-              ( d,
-                random_fetch_ms ~rows_per_page:e.Sc.x_rows_per_page ~cost:c
-                  ~n:n_in ~pages ~cache () )
+              random_fetch_ms ~rows_per_page:e.Sc.x_rows_per_page ~cost:c ~n:n_in
+                ~pages ~cache
           in
           let ms =
             io_ms
             +. (n_in *. handle_pair_ms c)
             +. get_att_ms c (n_in *. fi (List.length preds))
           in
-          set stats n ~rows ~pages:io_pages ~handles:n_in ms;
+          set into stats n slot ~rows ~pages:io_pages ~handles:n_in ms;
           stream f x ~cls ~rows ~sorted:x.s_sorted ~seq:false ~clustered:x.s_clustered
             ~bytes:0.0
         end
@@ -484,27 +509,29 @@ let annotate ~stats ?(organization = Separate_files) root =
         let touched = f.s_rows *. fanout in
         let rows = touched *. preds_sel stats ~cls:nav_cls preds in
         let cpages = fi ce.Sc.x_pages in
-        let io_pages, io_ms =
+        let io_pages =
           match organization with
-          | Shared_composition -> (0.0, touched *. c.Tb_sim.Cost_model.client_hit_ms)
+          | Shared_composition -> 0.0
           | Assoc_clustered ->
-              let per_page =
-                Float.max 1.0 (fi ce.Sc.x_card /. Float.max 1.0 cpages)
-              in
-              let d = touched /. per_page in
-              (d, d *. cold_page_ms c)
+              touched /. Float.max 1.0 (fi ce.Sc.x_card /. Float.max 1.0 cpages)
           | Separate_files | Shared_random ->
-              ( distinct_pages ~rows_per_page:ce.Sc.x_rows_per_page ~n:touched
-                  ~pages:cpages (),
-                random_fetch_ms ~rows_per_page:ce.Sc.x_rows_per_page ~cost:c
-                  ~n:touched ~pages:cpages ~cache () )
+              distinct_pages ~rows_per_page:ce.Sc.x_rows_per_page ~n:touched
+                ~pages:cpages
+        in
+        let io_ms =
+          match organization with
+          | Shared_composition -> touched *. c.Tb_sim.Cost_model.client_hit_ms
+          | Assoc_clustered -> io_pages *. cold_page_ms c
+          | Separate_files | Shared_random ->
+              random_fetch_ms ~rows_per_page:ce.Sc.x_rows_per_page ~cost:c
+                ~n:touched ~pages:cpages ~cache
         in
         let ms =
           io_ms
           +. (touched *. handle_pair_ms c)
           +. get_att_ms c (f.s_rows +. (touched *. fi (List.length preds)))
         in
-        set stats n ~rows ~pages:io_pages ~handles:touched ms;
+        set into stats n slot ~rows ~pages:io_pages ~handles:touched ms;
         stream f x ~cls:nav_cls ~rows ~sorted:false ~seq:false ~clustered:false
           ~bytes:0.0
     | Op.Nav_inverse { child; nav_cls; preds; _ } ->
@@ -513,20 +540,19 @@ let annotate ~stats ?(organization = Separate_files) root =
         let nc = f.s_rows in
         let ppages = fi pe.Sc.x_pages in
         let parent_handles = Float.min nc (fi pe.Sc.x_card) in
-        let io_pages, io_ms =
+        let io_pages =
           match organization with
-          | Shared_composition -> (0.0, nc *. c.Tb_sim.Cost_model.client_hit_ms)
-          | Assoc_clustered ->
-              let d =
-                distinct_pages ~rows_per_page:pe.Sc.x_rows_per_page ~n:nc
-                  ~pages:ppages ()
-              in
-              (d, d *. cold_page_ms c)
+          | Shared_composition -> 0.0
+          | Assoc_clustered | Separate_files | Shared_random ->
+              distinct_pages ~rows_per_page:pe.Sc.x_rows_per_page ~n:nc ~pages:ppages
+        in
+        let io_ms =
+          match organization with
+          | Shared_composition -> nc *. c.Tb_sim.Cost_model.client_hit_ms
+          | Assoc_clustered -> io_pages *. cold_page_ms c
           | Separate_files | Shared_random ->
-              ( distinct_pages ~rows_per_page:pe.Sc.x_rows_per_page ~n:nc
-                  ~pages:ppages (),
-                random_fetch_ms ~rows_per_page:pe.Sc.x_rows_per_page ~cost:c
-                  ~n:nc ~pages:ppages ~cache () )
+              random_fetch_ms ~rows_per_page:pe.Sc.x_rows_per_page ~cost:c ~n:nc
+                ~pages:ppages ~cache
         in
         let rows = nc *. preds_sel stats ~cls:nav_cls preds in
         let ms =
@@ -534,12 +560,12 @@ let annotate ~stats ?(organization = Separate_files) root =
           +. (parent_handles *. handle_pair_ms c)
           +. get_att_ms c (nc +. (nc *. fi (List.length preds)))
         in
-        set stats n ~rows ~pages:io_pages ~handles:parent_handles ms;
+        set into stats n slot ~rows ~pages:io_pages ~handles:parent_handles ms;
         stream f x ~cls:nav_cls ~rows ~sorted:false ~seq:false ~clustered:false
           ~bytes:0.0
     | Op.Harvest { child; cls; attrs; _ } ->
         go stats child;
-        set stats n ~rows:f.s_rows ~pages:0.0 ~handles:0.0
+        set into stats n slot ~rows:f.s_rows ~pages:0.0 ~handles:0.0
           (get_att_ms c (f.s_rows *. fi (1 + List.length attrs)));
         x.s_cls <- cls;
         f.s_bytes <- fi (payload_bytes stats ~cls attrs)
@@ -557,7 +583,7 @@ let annotate ~stats ?(organization = Separate_files) root =
           if f.s_spill > 0.0 then 0.0
           else swap_ms c ~bytes:table_bytes ~ops:rows
         in
-        set stats n ~rows ~pages:0.0 ~handles:0.0 ms
+        set into stats n slot ~rows ~pages:0.0 ~handles:0.0 ms
     | Op.Spill_partition { child; _ } ->
         go stats child;
         let rows = f.s_rows in
@@ -573,7 +599,7 @@ let annotate ~stats ?(organization = Separate_files) root =
         in
         let spill_bytes = sf *. rows *. (f.s_bytes +. 20.0) in
         let io_pages = 2.0 *. spill_bytes /. page_sz in
-        set stats n ~rows ~pages:io_pages ~handles:0.0
+        set into stats n slot ~rows ~pages:io_pages ~handles:0.0
           (io_pages *. cold_page_ms c);
         f.s_spill <- sf
     | Op.Hash_probe { build; probe; probe_key; probe_cls; _ } ->
@@ -607,7 +633,7 @@ let annotate ~stats ?(organization = Separate_files) root =
           if b_spill > 0.0 || p_spill > 0.0 then 0.0
           else swap_ms c ~bytes:(table_bytes +. result_mem) ~ops:p_rows
         in
-        set stats n ~rows ~pages:0.0 ~handles:0.0 ms;
+        set into stats n slot ~rows ~pages:0.0 ~handles:0.0 ms;
         stream f x ~cls:probe_cls ~rows ~sorted:false ~seq:false ~clustered:false
           ~bytes:result_bytes_row
     | Op.Sort { child } ->
@@ -620,7 +646,7 @@ let annotate ~stats ?(organization = Separate_files) root =
             2.0 *. passes *. bytes /. page_sz *. cold_page_ms c
           else 0.0
         in
-        set stats n ~rows ~pages:0.0 ~handles:0.0 (sort_ms c rows +. external_io);
+        set into stats n slot ~rows ~pages:0.0 ~handles:0.0 (sort_ms c rows +. external_io);
         x.s_sorted <- true
     | Op.Merge { left; right; _ } ->
         go stats left;
@@ -628,25 +654,25 @@ let annotate ~stats ?(organization = Separate_files) root =
         go stats right;
         let pe = cat_extent stats l_cls in
         let rows = f.s_rows *. (l_rows /. Float.max 1.0 (fi pe.Sc.x_card)) in
-        set stats n ~rows ~pages:0.0 ~handles:0.0
+        set into stats n slot ~rows ~pages:0.0 ~handles:0.0
           ((l_rows +. f.s_rows) *. c.Tb_sim.Cost_model.compare_us /. 1000.0);
         stream f x ~cls:l_cls ~rows ~sorted:false ~seq:false ~clustered:false
           ~bytes:(l_bytes +. f.s_bytes +. 16.0)
     | Op.Project { child; _ } ->
         go stats child;
-        set stats n ~rows:f.s_rows ~pages:0.0 ~handles:0.0 (get_att_ms c f.s_rows)
+        set into stats n slot ~rows:f.s_rows ~pages:0.0 ~handles:0.0 (get_att_ms c f.s_rows)
     | Op.Materialize { child; aggregate } ->
         go stats child;
         let rows_out =
           match aggregate with Some _ -> 1.0 | None -> f.s_rows
         in
         let ms = match aggregate with Some _ -> 0.0 | None -> append_ms c f.s_rows in
-        set stats n ~rows:rows_out ~pages:0.0 ~handles:0.0 ms;
+        set into stats n slot ~rows:rows_out ~pages:0.0 ~handles:0.0 ms;
         f.s_rows <- rows_out;
         f.s_bytes <- Float.max f.s_bytes 24.0
     | Op.Shard_lane { child; shards; _ } ->
         go (Sc.scale stats ~shards) child;
-        set stats n ~rows:f.s_rows ~pages:0.0 ~handles:0.0 0.0
+        set into stats n slot ~rows:f.s_rows ~pages:0.0 ~handles:0.0 0.0
     | Op.Exchange { child; shards; _ } ->
         go stats child;
         let ship_rows = f.s_rows *. fi (shards - 1) /. fi (max 1 shards) in
@@ -656,7 +682,7 @@ let annotate ~stats ?(organization = Separate_files) root =
           *. (c.Tb_sim.Cost_model.rpc_fixed_ms +. c.Tb_sim.Cost_model.rpc_page_ms))
           +. (fi (shards - 1) *. c.Tb_sim.Cost_model.rpc_fixed_ms)
         in
-        set stats n ~rows:f.s_rows ~pages:0.0 ~handles:0.0 ms
+        set into stats n slot ~rows:f.s_rows ~pages:0.0 ~handles:0.0 ms
     | Op.Gather { lanes; shards; ordered; _ } ->
         (* The scratch stream holds one lane at a time: fold each as walked. *)
         let rows = ref 0.0 and row_bytes = ref 24.0 and cls = ref "" in
@@ -675,11 +701,31 @@ let annotate ~stats ?(organization = Separate_files) root =
           if ordered then rows *. c.Tb_sim.Cost_model.compare_us /. 1000.0
           else 0.0
         in
-        set stats n ~rows ~pages:0.0 ~handles:0.0 ms;
+        set into stats n slot ~rows ~pages:0.0 ~handles:0.0 ms;
         stream f x ~cls:!cls ~rows ~sorted:ordered ~seq:false ~clustered:false
           ~bytes:row_bytes
   in
   go stats root
+
+let annotate ~stats ?(organization = Separate_files) root =
+  walk ~into:None ~stats ~organization root
+
+let program ~stats ~organization root =
+  let n = ref 0 in
+  Op.iter (fun _ -> incr n) root;
+  let p = { p_op = Array.make !n ""; p_cls = Array.make !n ""; p_raw = Array.make !n 0.0 } in
+  walk ~into:(Some p) ~stats ~organization root;
+  p
+
+(* [set]'s correction and [Op.Est.sum_ms]'s order, so the sum has the bits
+   [plan_cost_ms] reads after [annotate]. *)
+let program_cost stats p =
+  let acc = ref 0.0 in
+  for i = 0 to Array.length p.p_raw - 1 do
+    let corr = Sc.correction stats ~op:p.p_op.(i) ~cls:p.p_cls.(i) in
+    acc := !acc +. ((p.p_raw.(i) *. corr.Sc.c_mul) +. corr.Sc.c_add)
+  done;
+  !acc
 
 (* Plan-level estimated elapsed: a plain sum for unsharded trees; for a
    Gather root, fork/join semantics — the slowest lane plus the gather's

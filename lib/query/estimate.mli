@@ -39,8 +39,8 @@ type env = {
 (** Expected distinct pages touched when [n] uniform references hit a
     [pages]-page file.  Clamped at both boundaries: zero when the file is
     empty (or [n] non-positive), and saturating at [pages] once [n] covers
-    every stored row ([rows_per_page], default infinity, sets that limit). *)
-val distinct_pages : ?rows_per_page:float -> n:float -> pages:float -> unit -> float
+    every stored row ([rows_per_page] sets that limit; infinity for none). *)
+val distinct_pages : rows_per_page:float -> n:float -> pages:float -> float
 
 (** {2 Selections} *)
 
@@ -98,6 +98,23 @@ val payload_bytes : Tb_statcore.Stat_catalog.t -> cls:string -> string list -> i
 (** Write an estimate on every node of a lowered tree (bottom-up). *)
 val annotate :
   stats:Tb_statcore.Stat_catalog.t -> ?organization:organization -> Op.t -> unit
+
+(** A plan's cost program: the correction key (opcode, class) and the raw,
+    uncorrected ms of each operator of its shape, in pre-order.  The raw
+    ms depend on the catalog's snapshot alone, never on its corrections. *)
+type program
+
+(** [program ~stats ~organization root] walks [root] with {!annotate}'s
+    code, which stores each operator's key and raw ms at its pre-order
+    position instead of writing an estimate; [root] is left as it was. *)
+val program :
+  stats:Tb_statcore.Stat_catalog.t -> organization:organization -> Op.t -> program
+
+(** The plan's cost under the catalog's current corrections: each raw ms
+    corrected as {!annotate} corrects it, summed in pre-order — bit for bit
+    [plan_cost_ms] of the annotated (unsharded) tree.  Allocates only its
+    result. *)
+val program_cost : Tb_statcore.Stat_catalog.t -> program -> float
 
 (** Plan-level estimated elapsed ms over an annotated tree: a plain sum,
     except a Gather root takes the slowest lane plus its own shipping

@@ -9,7 +9,8 @@ type attr_pred = { attr : string; cmp : Oql_ast.cmp; const : Value.t }
 type access =
   | Seq_scan of { cls : string; preds : attr_pred list }
   | Index_scan of {
-      index : Tb_store.Index_def.t;
+      cls : string;
+      attr : string;
       lo : int option;
       hi : int option;
       sorted : bool;
@@ -250,9 +251,8 @@ let algo_name = function
 let pp_access ppf = function
   | Seq_scan { cls; preds } ->
       Format.fprintf ppf "seq_scan(%s)[%d preds]" cls (List.length preds)
-  | Index_scan { index; lo; hi; sorted; residual } ->
-      Format.fprintf ppf "index_scan(%s%s)[%s,%s)%s"
-        index.Tb_store.Index_def.name
+  | Index_scan { attr; lo; hi; sorted; residual; _ } ->
+      Format.fprintf ppf "index_scan(%s%s)[%s,%s)%s" attr
         (if sorted then ", sorted" else "")
         (match lo with Some k -> string_of_int k | None -> "-inf")
         (match hi with Some k -> string_of_int k | None -> "+inf")

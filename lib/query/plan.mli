@@ -15,7 +15,10 @@ type access =
       (** full scan; all predicates evaluated through Handles (Figure 8
           left) *)
   | Index_scan of {
-      index : Tb_store.Index_def.t;
+      cls : string;
+      attr : string;
+          (** the index over [cls.attr], found by name where the plan
+              runs, so a plan pins no database *)
       lo : int option;  (** inclusive *)
       hi : int option;  (** exclusive *)
       sorted : bool;

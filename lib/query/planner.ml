@@ -1,4 +1,3 @@
-module Index_def = Tb_store.Index_def
 module Sc = Tb_statcore.Stat_catalog
 
 (* --- statistics: one catalog snapshot per [plan] call --- *)
@@ -202,7 +201,7 @@ let access_preds = function
 let lower_access access =
   match access with
   | Plan.Seq_scan { cls; _ } -> Op.make (Op.Seq_scan { cls })
-  | Plan.Index_scan { index = { Index_def.cls; attr; _ }; lo; hi; sorted; _ } ->
+  | Plan.Index_scan { cls; attr; lo; hi; sorted; _ } ->
       let scan = Op.make (Op.Index_scan { cls; attr; lo; hi }) in
       if sorted then Op.make (Op.Sort_rids { child = scan }) else scan
 
@@ -575,22 +574,33 @@ type decision = {
 let ch_desc ch = Enumerate.describe ch.ch_plan
 let d_desc d = Enumerate.describe d.d_plan
 
-(* [optimize db text] runs the first three stages: enumerate the candidate
-   plans, lower and cost each plan once against catalog statistics, and
-   pick the argmin.  The argmin is strict-<, so on equal cost the FIRST
-   enumerated plan wins — which is how the tie policy (originals over
-   extensions, index over scan) is enforced.
+(* --- prepared entries ---
 
-   Each plan is shaped and costed once.  Only the winner's tree is kept,
-   and only it gets run frames.
+   What [optimize] derives from a text alone, kept in the retained catalog
+   it was derived from: the bound query's candidate plans in enumeration
+   order and each plan's cost program.  The catalog is a snapshot, so the
+   raw ms in a program never go stale; only the corrections move, and
+   every call folds them in afresh.  The key is the text and the
+   organization argument as given (the default is itself a function of
+   the text and the catalog). *)
 
-   Statistics default to a fresh [Stat_catalog.analyze]; pass a retained
-   catalog to let validate-stage feedback from earlier runs reach this
-   optimization. *)
-let optimize ?stats ?organization db text =
-  let q = Oql_parser.parse text in
-  let stats = match stats with Some s -> s | None -> Sc.analyze db in
-  let bound = Plan.bind db q in
+type entry = {
+  e_organization : Estimate.organization;
+  e_plans : Plan.t array;
+  e_programs : Estimate.program array;
+}
+
+type Sc.prepared += Prepared of entry
+
+let variant = function
+  | None -> 0
+  | Some Estimate.Separate_files -> 1
+  | Some Estimate.Shared_random -> 2
+  | Some Estimate.Shared_composition -> 3
+  | Some Estimate.Assoc_clustered -> 4
+
+let prepare stats ?organization db text =
+  let bound = Plan.bind db (Oql_parser.parse text) in
   let organization =
     match organization with
     | Some o -> o
@@ -600,33 +610,72 @@ let optimize ?stats ?organization db text =
             default_organization stats ~parent_cls ~child_cls
         | Plan.B_selection _ -> Estimate.Separate_files)
   in
-  let best = ref None in
+  let plans = Array.of_list (Enumerate.candidates stats bound) in
+  if Array.length plans = 0 then
+    raise (Plan.Unsupported "optimizer: empty candidate space");
+  {
+    e_organization = organization;
+    e_plans = plans;
+    e_programs = Array.map (fun p -> Estimate.program ~stats ~organization (shape p)) plans;
+  }
+
+(* An entry applies only to a database whose schema the catalog was taken
+   from; any other is prepared for this call alone. *)
+let entry stats ?organization db text =
+  if not (Sc.analyzed_from stats (Tb_store.Database.schema db)) then
+    prepare stats ?organization db text
+  else
+    let variant = variant organization in
+    match Sc.find_prepared stats ~text ~variant with
+    | Prepared e -> e
+    | _ -> invalid_arg "Planner.optimize: a foreign prepared entry"
+    | exception Not_found ->
+        let e = prepare stats ?organization db text in
+        Sc.add_prepared stats ~text ~variant (Prepared e);
+        e
+
+(* [optimize db text] runs the first three stages: enumerate the candidate
+   plans, cost each against catalog statistics, and pick the argmin.  The
+   argmin is strict-<, so on equal cost the FIRST enumerated plan wins —
+   which is how the tie policy (originals over extensions, index over
+   scan) is enforced.
+
+   Every call costs every candidate by folding its cost program against
+   the catalog's current corrections; a text seen for the first time is
+   parsed, bound, enumerated and shaped into its entry first.  Only the
+   winner is shaped again, annotated and given run frames, so no tree is
+   shared between two decisions.
+
+   Statistics default to a fresh [Stat_catalog.analyze]; pass a retained
+   catalog to let validate-stage feedback from earlier runs reach this
+   optimization, and to keep the text's entry for the next call. *)
+let optimize ?stats ?organization db text =
+  let stats = match stats with Some s -> s | None -> Sc.analyze db in
+  let e = entry stats ?organization db text in
   let scored =
-    List.map
-      (fun plan ->
-        let root = shape plan in
-        Estimate.annotate ~stats ~organization root;
-        let ch = { ch_plan = plan; ch_cost_ms = Estimate.plan_cost_ms root } in
-        (match !best with
-        | Some (b, _) when not (ch.ch_cost_ms < b.ch_cost_ms) -> ()
-        | _ -> best := Some (ch, root));
-        ch)
-      (Enumerate.candidates stats bound)
+    List.init (Array.length e.e_plans) (fun i ->
+        {
+          ch_plan = e.e_plans.(i);
+          ch_cost_ms = Estimate.program_cost stats e.e_programs.(i);
+        })
   in
-  match !best with
-  | None -> raise (Plan.Unsupported "optimizer: empty candidate space")
-  | Some (b, root) ->
-      {
-        d_plan = b.ch_plan;
-        d_root = Op.attach_frames root;
-        d_cost_ms = b.ch_cost_ms;
-        d_candidates =
-          List.stable_sort
-            (fun a b -> Float.compare a.ch_cost_ms b.ch_cost_ms)
-            scored;
-        d_stats = stats;
-        d_organization = organization;
-      }
+  let best =
+    List.fold_left
+      (fun b ch -> if ch.ch_cost_ms < b.ch_cost_ms then ch else b)
+      (List.hd scored) scored
+  in
+  let organization = e.e_organization in
+  let root = shape best.ch_plan in
+  Estimate.annotate ~stats ~organization root;
+  {
+    d_plan = best.ch_plan;
+    d_root = Op.attach_frames root;
+    d_cost_ms = best.ch_cost_ms;
+    d_candidates =
+      List.stable_sort (fun a b -> Float.compare a.ch_cost_ms b.ch_cost_ms) scored;
+    d_stats = stats;
+    d_organization = organization;
+  }
 
 (* Optimize, execute, validate: the full four-stage pipeline.  The
    returned checks carry per-operator q-errors; mis-estimates have already

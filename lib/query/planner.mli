@@ -145,14 +145,27 @@ val ch_desc : choice -> string
 (** The chosen candidate's shape, as {!ch_desc}. *)
 val d_desc : decision -> string
 
-(** [optimize db text] enumerates every candidate plan, costs each once by
-    annotating its {!shape} against catalog statistics, and picks the
-    strict argmin — on equal cost the first enumerated plan wins, which
-    enforces the tie policy (the paper's originals over extensions, index
-    over scan).  [stats] defaults to a fresh
-    {!Tb_statcore.Stat_catalog.analyze}; pass a retained catalog so
-    validate-stage feedback reaches the next optimization.  Only the
-    winner's tree gets run frames.  Never executes and never charges. *)
+(** [optimize db text] costs every candidate plan against catalog
+    statistics and picks the strict argmin — on equal cost the first
+    enumerated plan wins, which enforces the tie policy (the paper's
+    originals over extensions, index over scan).  Only the winner is
+    shaped, annotated and given run frames, afresh on every call, so no
+    two decisions share a tree.  Never executes and never charges.
+
+    [stats] defaults to a fresh {!Tb_statcore.Stat_catalog.analyze}; pass
+    a retained catalog so validate-stage feedback reaches the next
+    optimization.  The catalog keeps a prepared entry per text and
+    [organization] argument (up to
+    {!Tb_statcore.Stat_catalog.max_prepared}): the bound query's candidate
+    plans in enumeration order and each plan's {!Estimate.program}.  A
+    text seen for the first time is parsed, bound, enumerated and shaped
+    into its entry; every call then costs each plan by folding its
+    program against the catalog's current corrections
+    ({!Estimate.program_cost}), so the winner, its cost bits, the ranked
+    list and every estimate are those a from-scratch annotation of every
+    candidate would give.  The catalog is a snapshot and only its
+    corrections move, so an entry needs no epoch.  An entry is used only
+    on a database whose schema the catalog was analyzed from. *)
 val optimize :
   ?stats:Tb_statcore.Stat_catalog.t ->
   ?organization:Estimate.organization ->

@@ -3,7 +3,9 @@
 
    Every read here is charge-free by construction: cardinalities and page
    counts are Database bookkeeping, clustering / key bounds / histograms are
-   the maintained Index_def fields refreshed at index build time.  Nothing
+   the maintained Index_def fields refreshed at index build time, kept as
+   of [analyze] so that re-analyzing the database moves no estimate of a
+   catalog already taken.  Nothing
    in this module walks a page or touches the cache stack — treelint's R1
    keeps it that way (Stat_catalog is not in [charge_allowed]).
 
@@ -11,7 +13,11 @@
    correction factors written back when an executed plan's accounted frame
    disagrees with its estimate by more than the q-error threshold.  The
    corrections live behind a shared ref so scaled per-shard views and the
-   global view of one sharded database learn from the same observations. *)
+   global view of one sharded database learn from the same observations.
+
+   Last, the catalog holds the optimizer's prepared entries: one per query
+   text and variant, opaque here (the optimizer extends [prepared]), built
+   from this snapshot and so valid for as long as it lives. *)
 
 module Database = Tb_store.Database
 module Index_def = Tb_store.Index_def
@@ -26,12 +32,10 @@ type extent = {
 }
 
 type index = {
-  i_def : Index_def.t;
   i_cls : string;
   i_attr : string;
   i_clustering : float;  (* maintained clustering factor, [0,1] *)
-  i_lo : int;
-  i_hi : int;
+  i_keys : Index_def.key_stats;  (* bounds and histogram as of [analyze] *)
 }
 
 (* Multiplicative-with-offset correction: est' = raw * c_mul + c_add.  The
@@ -43,6 +47,10 @@ type corr = { c_mul : float; c_add : float }
    kept apart so a lookup compares them without building the key. *)
 type entry = { e_op : string; e_cls : string; e_corr : corr }
 
+type prepared = ..
+
+module Prepared_table = Hashtbl.Make (String)
+
 type t = {
   cost : Tb_sim.Cost_model.t;
   client_cache_pages : int;
@@ -51,6 +59,11 @@ type t = {
   indexes : index list;
   corrections : entry list ref;
   fed_back : int ref;
+  (* The prepared entries, a text's variants chained off its binding.  The
+     table is made at the first admission, so a view that never prepares
+     (every [scale]d lane the cost stage walks) allocates none. *)
+  mutable prepared : (int * prepared) list Prepared_table.t option;
+  mutable admitted : int;
 }
 
 let analyze db =
@@ -77,12 +90,10 @@ let analyze db =
     List.map
       (fun ix ->
         {
-          i_def = ix;
           i_cls = ix.Index_def.cls;
           i_attr = ix.Index_def.attr;
           i_clustering = ix.Index_def.clustering;
-          i_lo = ix.Index_def.lo_key;
-          i_hi = ix.Index_def.hi_key;
+          i_keys = ix.Index_def.keys;
         })
       (Database.indexes db)
   in
@@ -95,6 +106,8 @@ let analyze db =
     indexes;
     corrections = ref [];
     fed_back = ref 0;
+    prepared = None;
+    admitted = 0;
   }
 
 let cost t = t.cost
@@ -119,9 +132,10 @@ let find_index t ~cls ~attr = index_in cls attr t.indexes
 
 let is_clustered i = i.i_clustering >= 0.8
 
-(* Fraction of the index's entries with key strictly below [k], from the
-   maintained histogram (or the uniform assumption when none was built). *)
-let selectivity_below i k = Index_def.selectivity_below i.i_def k
+(* Fraction of the index's entries inside the key window [lo, hi), from the
+   histogram copied at [analyze] (or the uniform assumption when none was
+   built).  Unfloored: each caller floors it its own way. *)
+let key_window i ~lo ~hi = Index_def.key_window i.i_keys ~lo ~hi
 
 let shared_file t cls_a cls_b =
   match (find_extent t ~cls:cls_a, find_extent t ~cls:cls_b) with
@@ -143,7 +157,8 @@ let attr_bytes t ~cls attr =
 (* One shard's view of an S-way partitioned database: 1/S of every extent's
    rows and pages, same indexes and histograms (every shard replicates the
    index set over its slice, and the uniform generators keep per-shard key
-   distributions identical).  Corrections stay shared. *)
+   distributions identical).  Corrections stay shared; prepared entries do
+   not, since they were costed from the unscaled extents. *)
 let scale t ~shards =
   if shards <= 1 then t
   else
@@ -158,12 +173,14 @@ let scale t ~shards =
               x_pages = max 1 ((e.x_pages + shards - 1) / shards);
             })
           t.extents;
+      prepared = None;
+      admitted = 0;
     }
 
-(* The global view over per-shard catalogs: summed cardinalities and pages,
-   widened key bounds.  Index selectivity functions come from the first
-   shard (partitioning is row-wise, so per-shard key distributions match
-   the global one).  Corrections are shared with the first catalog. *)
+(* The global view over per-shard catalogs: summed cardinalities and pages.
+   Index statistics come from the first shard (partitioning is row-wise,
+   so per-shard key distributions match the global one).  Corrections are
+   shared with the first catalog; the prepared table starts empty. *)
 let merge ts =
   match ts with
   | [] -> invalid_arg "Stat_catalog.merge: empty"
@@ -191,23 +208,7 @@ let merge ts =
             })
           first.extents
       in
-      let indexes =
-        List.map
-          (fun i ->
-            List.fold_left
-              (fun acc t ->
-                match find_index t ~cls:i.i_cls ~attr:i.i_attr with
-                | i' ->
-                    {
-                      acc with
-                      i_lo = min acc.i_lo i'.i_lo;
-                      i_hi = max acc.i_hi i'.i_hi;
-                    }
-                | exception Not_found -> acc)
-              i rest)
-          first.indexes
-      in
-      { first with extents; indexes }
+      { first with extents; prepared = None; admitted = 0 }
 
 (* --- validate-stage feedback --- *)
 
@@ -242,3 +243,33 @@ let observe t ~op ~cls ~est_ms ~actual_ms =
   incr t.fed_back
 
 let fed_back t = !(t.fed_back)
+
+(* --- prepared entries --- *)
+
+let max_prepared = 4096
+
+let analyzed_from t schema = t.schema == schema
+
+let rec variant_in variant = function
+  | [] -> raise Not_found
+  | (v, p) :: rest -> if Int.equal v variant then p else variant_in variant rest
+
+let find_prepared t ~text ~variant =
+  match t.prepared with
+  | None -> raise Not_found
+  | Some slots -> variant_in variant (Prepared_table.find slots text)
+
+let add_prepared t ~text ~variant p =
+  if t.admitted < max_prepared then begin
+    let slots =
+      match t.prepared with
+      | Some slots -> slots
+      | None ->
+          let slots = Prepared_table.create 16 in
+          t.prepared <- Some slots;
+          slots
+    in
+    let chain = Option.value (Prepared_table.find_opt slots text) ~default:[] in
+    Prepared_table.replace slots text ((variant, p) :: chain);
+    t.admitted <- t.admitted + 1
+  end

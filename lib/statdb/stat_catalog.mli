@@ -5,12 +5,16 @@
     [analyze] snapshots maintained catalog state only: per-extent
     cardinality and page count, heap-file identity, index clustering
     factors, key bounds and histograms, plus the cost model's RAM budget.
-    It never fetches a page and never charges — treelint R1 enforces that
-    costing code stays out of the charging set.
+    It is a snapshot: re-analyzing the database afterwards moves no
+    estimate read from this catalog.  It never fetches a page and never
+    charges — treelint R1 enforces that costing code stays out of the
+    charging set.
 
     The catalog also carries the validate stage's feedback: per-operator-key
     correction factors ({!observe}) that the cost stage folds into later
-    estimates, so a repeated query converges onto its accounted cost. *)
+    estimates, so a repeated query converges onto its accounted cost.
+
+    Last, it holds the optimizer's prepared entries ({!find_prepared}). *)
 
 type extent = {
   x_cls : string;
@@ -21,12 +25,12 @@ type extent = {
 }
 
 type index = {
-  i_def : Tb_store.Index_def.t;
   i_cls : string;
   i_attr : string;
   i_clustering : float;  (** maintained clustering factor in [0,1] *)
-  i_lo : int;  (** smallest indexed key *)
-  i_hi : int;  (** largest indexed key *)
+  i_keys : Tb_store.Index_def.key_stats;
+      (** key bounds and histogram as of {!analyze}: the index replaces
+          this record on a re-analyze, never edits it *)
 }
 
 (** est' = raw * c_mul + c_add; the additive leg serves operators whose raw
@@ -53,9 +57,11 @@ val find_extent : t -> cls:string -> extent
 val find_index : t -> cls:string -> attr:string -> index
 val is_clustered : index -> bool
 
-(** Fraction of the index's entries with key strictly below [k]
-    (histogram when built, uniform assumption otherwise). *)
-val selectivity_below : index -> int -> float
+(** Fraction of the index's entries inside the key window [lo, hi)
+    (inclusive, exclusive; [None] is unbounded), from the histogram when
+    one was built and the uniform assumption otherwise, as of {!analyze}.
+    Unfloored. *)
+val key_window : index -> lo:int option -> hi:int option -> float
 
 (** Whether two classes share one heap file (Figure 2's organizations). *)
 val shared_file : t -> string -> string -> bool
@@ -64,12 +70,13 @@ val shared_file : t -> string -> string -> bool
 val attr_bytes : t -> cls:string -> string -> int
 
 (** One shard's view of an S-way partitioned database: extents shrunk to
-    1/S, indexes and corrections shared.  Identity at [shards <= 1]. *)
+    1/S, indexes and corrections shared, no prepared entry.  Identity at
+    [shards <= 1]. *)
 val scale : t -> shards:int -> t
 
 (** The global view over per-shard catalogs: cardinalities and pages
-    summed, key bounds widened; corrections shared with the first.
-    Raises [Invalid_argument] on an empty list. *)
+    summed, index statistics and corrections those of the first, no
+    prepared entry.  Raises [Invalid_argument] on an empty list. *)
 val merge : t list -> t
 
 (** {2 Feedback}
@@ -89,3 +96,31 @@ val observe : t -> op:string -> cls:string -> est_ms:float -> actual_ms:float ->
 (** Mis-estimate observations recorded since the catalog was built. *)
 val fed_back : t -> int
 
+(** {2 Prepared entries}
+
+    The optimizer keeps what it derives from a query text alone (parse,
+    binding, candidate plans and each plan's cost program) here, one entry
+    per text and variant, so that a repeated text is only re-costed
+    against the current corrections.  An entry is built from this
+    snapshot, which never changes, so it needs no epoch: only the
+    corrections move, and the optimizer re-reads them on every call.
+    [prepared] is opaque at this layer; the optimizer extends it. *)
+
+type prepared = ..
+
+(** The most entries one catalog admits; past it, {!add_prepared} admits
+    nothing and a new text is prepared afresh on every call. *)
+val max_prepared : int
+
+(** [analyzed_from t schema]: [t] was analyzed from a database with this
+    very schema (physical equality) — the condition for its entries to
+    apply. *)
+val analyzed_from : t -> Tb_store.Schema.t -> bool
+
+(** The entry for [text] under [variant].  Raises [Not_found]; a hit
+    allocates nothing. *)
+val find_prepared : t -> text:string -> variant:int -> prepared
+
+(** Admit an entry, unless {!max_prepared} are already held.  The caller
+    adds a (text, variant) pair at most once. *)
+val add_prepared : t -> text:string -> variant:int -> prepared -> unit

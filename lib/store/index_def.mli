@@ -11,10 +11,14 @@ type t = {
   attr : string;
   tree : Btree.t;
   mutable clustering : float;
-  mutable lo_key : int;
-  mutable hi_key : int;
-  mutable histogram : histogram option;
+  mutable keys : key_stats;
+      (** replaced whole by {!refresh_stats} and {!build_histogram}, never
+          edited, so a statistics snapshot may keep the record it read *)
 }
+
+(** What the optimizer reads of the key distribution: the smallest and
+    largest indexed keys and the histogram, if one was built. *)
+and key_stats = { ks_lo : int; ks_hi : int; ks_histogram : histogram option }
 
 (** Equi-width histogram over the key domain — the kind of statistic the
     paper set out to identify for its cost model ("our first task was to
@@ -30,11 +34,12 @@ val refresh_stats : t -> unit
     equi-width histogram ([buckets] must be positive). *)
 val build_histogram : t -> buckets:int -> unit
 
-(** [selectivity_below t k] estimates the fraction of entries with
-    key < [k]: from the histogram when one is installed (with linear
-    interpolation inside the boundary bucket), otherwise assuming uniform
-    keys between the recorded bounds. *)
-val selectivity_below : t -> int -> float
+(** [key_window ks ~lo ~hi] estimates the fraction of entries with key in
+    [\[lo, hi)] ([None] is unbounded) as the fraction below [hi] less the
+    fraction below [lo]: each from the histogram when one was installed
+    (with linear interpolation inside the boundary bucket), otherwise
+    assuming uniform keys between the recorded bounds.  Unfloored. *)
+val key_window : key_stats -> lo:int option -> hi:int option -> float
 
 (** A clustered index: key order mostly follows physical order. *)
 val is_clustered : t -> bool

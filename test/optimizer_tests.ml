@@ -14,26 +14,27 @@ let check_int = Alcotest.(check int)
 let test_distinct_pages_bounds () =
   let dp = Estimate.distinct_pages in
   (* Degenerate inputs touch nothing. *)
-  Alcotest.(check (float 0.0)) "no pages" 0.0 (dp ~n:50.0 ~pages:0.0 ());
-  Alcotest.(check (float 0.0)) "no rows" 0.0 (dp ~n:0.0 ~pages:10.0 ());
-  Alcotest.(check (float 0.0)) "negative rows" 0.0 (dp ~n:(-3.0) ~pages:10.0 ());
-  Alcotest.(check (float 0.0)) "negative pages" 0.0 (dp ~n:5.0 ~pages:(-1.0) ());
+  let dp0 = dp ~rows_per_page:infinity in
+  Alcotest.(check (float 0.0)) "no pages" 0.0 (dp0 ~n:50.0 ~pages:0.0);
+  Alcotest.(check (float 0.0)) "no rows" 0.0 (dp0 ~n:0.0 ~pages:10.0);
+  Alcotest.(check (float 0.0)) "negative rows" 0.0 (dp0 ~n:(-3.0) ~pages:10.0);
+  Alcotest.(check (float 0.0)) "negative pages" 0.0 (dp0 ~n:5.0 ~pages:(-1.0));
   (* Fetching every row saturates at exactly the extent size — the
      unclamped formula would leave pages*(1-1/e) at the boundary. *)
   Alcotest.(check (float 0.0)) "full extent saturates" 10.0
-    (dp ~rows_per_page:10.0 ~n:100.0 ~pages:10.0 ());
+    (dp ~rows_per_page:10.0 ~n:100.0 ~pages:10.0);
   Alcotest.(check (float 0.0)) "overfull extent still saturates" 10.0
-    (dp ~rows_per_page:10.0 ~n:1000.0 ~pages:10.0 ());
+    (dp ~rows_per_page:10.0 ~n:1000.0 ~pages:10.0);
   check_bool "one short of full stays under" true
-    (dp ~rows_per_page:10.0 ~n:99.0 ~pages:10.0 () < 10.0);
+    (dp ~rows_per_page:10.0 ~n:99.0 ~pages:10.0 < 10.0);
   (* Without a rows-per-page hint the curve approaches but never reaches
      the extent. *)
-  let near = dp ~n:1000.0 ~pages:100.0 () in
+  let near = dp0 ~n:1000.0 ~pages:100.0 in
   check_bool "default hint never saturates" true (near < 100.0 && near > 99.9);
   (* Monotone in n, and never above min(n, pages). *)
   let prev = ref 0.0 in
   for n = 1 to 50 do
-    let d = dp ~rows_per_page:10.0 ~n:(float_of_int n) ~pages:20.0 () in
+    let d = dp ~rows_per_page:10.0 ~n:(float_of_int n) ~pages:20.0 in
     check_bool "monotone" true (d >= !prev);
     check_bool "<= n" true (d <= float_of_int n +. 1e-9);
     check_bool "<= pages" true (d <= 20.0);
@@ -374,6 +375,219 @@ let test_pick_costs_each_plan_once () =
         (bits sd.Planner.sd_sharded_ms))
     [ "select pa.age from pa in Patients where pa.num < 20"; join_oql ]
 
+(* --- prepared optimization on a retained catalog ---
+
+   A retained catalog keeps one prepared entry per text and organization:
+   the candidate plans and their cost programs.  Every decision must still
+   be the one a from-scratch costing gives under the catalog's corrections
+   of the moment, whatever ran, validated and fed back in between. *)
+
+let prepared_db =
+  lazy
+    (let b =
+       Generator.build
+         ~cost:(Tb_sim.Cost_model.scaled 200)
+         (Generator.config ~scale:200 `Deep Generator.Class_clustered)
+     in
+     Database.analyze b.Generator.db;
+     b)
+
+(* Five point-lookup classes and the Figure 6 sweep, each over a handful of
+   constants so that a sequence of draws repeats texts. *)
+let prepared_text n_patients n_providers (cls, rank) =
+  let k = 1 + (rank * 37) in
+  match cls with
+  | 0 -> Printf.sprintf "select pa.mrn from pa in Patients where pa.num = %d" k
+  | 1 -> Printf.sprintf "select pa.age from pa in Patients where pa.mrn < %d" (1 + rank)
+  | 2 ->
+      let a = (n_patients / 10) + k in
+      Printf.sprintf
+        "select pa.age from pa in Patients where pa.mrn >= %d and pa.mrn < %d" a
+        (a + 1 + rank)
+  | 3 ->
+      Printf.sprintf
+        "select count(pa) from pa in Patients where pa.num < %d and pa.age = %d"
+        (1 + rank) (k mod 100)
+  | 4 ->
+      Printf.sprintf
+        "select pa.mrn from p in Providers, pa in p.clients where p.upin = %d"
+        (k mod n_providers)
+  | _ ->
+      let permille = List.nth [ 1; 10; 50; 100; 300; 600; 900 ] (rank mod 7) in
+      Printf.sprintf "select pa.age from pa in Patients where pa.num < %d"
+        (permille * n_patients / 1000)
+
+let prepared_prop =
+  QCheck.Test.make ~count:12
+    ~name:"prepared: every decision equals a from-scratch costing under feedback"
+    QCheck.(list_of_size (Gen.int_range 10 30) (pair (int_range 0 5) (int_range 0 5)))
+    (fun draws ->
+      let b = Lazy.force prepared_db in
+      let db = b.Generator.db in
+      let text =
+        prepared_text
+          (Array.length b.Generator.patients)
+          (Array.length b.Generator.providers)
+      in
+      let stats = Sc.analyze db in
+      List.iteri
+        (fun i draw ->
+          let text = text draw in
+          let d = Planner.optimize ~stats db text in
+          check_identical (Printf.sprintf "draw %d" i) db d text;
+          let r, _ = Exec.run_explained db d.Planner.d_root ~keep:false in
+          Query_result.dispose r;
+          ignore (Exec.validate ~stats d.Planner.d_root);
+          (* The closed-form path runs beside it and touches no entry. *)
+          if i mod 5 = 0 then Query_result.dispose (Planner.run db text))
+        draws;
+      true)
+
+(* An entry is keyed by the organization too: one join text under two
+   organizations must be costed under each, never the other's. *)
+let test_prepared_keys_organization () =
+  let b = Lazy.force prepared_db in
+  let db = b.Generator.db in
+  let stats = Sc.analyze db in
+  let text = "select pa.mrn from p in Providers, pa in p.clients where p.upin = 7" in
+  List.iter
+    (fun organization ->
+      let d = Planner.optimize ~stats ?organization db text in
+      let expected =
+        Option.value organization ~default:Estimate.Separate_files
+      in
+      check_bool "the decision carries the organization asked for" true
+        (d.Planner.d_organization = expected);
+      check_identical "organization" db d text)
+    [ None; Some Estimate.Shared_composition; Some Estimate.Assoc_clustered; None;
+      Some Estimate.Shared_composition ]
+
+(* A scaled view starts with no entry of its parent's: its extents differ,
+   and so do the raw costs. *)
+let test_prepared_scaled_view () =
+  let b = Lazy.force prepared_db in
+  let db = b.Generator.db in
+  let stats = Sc.analyze db in
+  let texts =
+    [
+      "select pa.mrn from p in Providers, pa in p.clients where p.upin = 7";
+      "select pa.age from pa in Patients where pa.num < 3000";
+    ]
+  in
+  List.iter (fun text -> check_identical "parent" db (Planner.optimize ~stats db text) text) texts;
+  let view = Sc.scale stats ~shards:4 in
+  List.iter
+    (fun text -> check_identical "scaled view" db (Planner.optimize ~stats:view db text) text)
+    texts;
+  List.iter
+    (fun text -> check_identical "parent again" db (Planner.optimize ~stats db text) text)
+    texts
+
+(* A decision's tree is its own: optimizing, running and validating the
+   same text again touches neither the estimates nor the frames of a
+   decision already handed out. *)
+let test_prepared_decisions_share_no_tree () =
+  let b = Lazy.force prepared_db in
+  let db = b.Generator.db in
+  let stats = Sc.analyze db in
+  let text = "select pa.mrn from p in Providers, pa in p.clients where p.upin = 7" in
+  let run d =
+    let r, _ = Exec.run_explained db d.Planner.d_root ~keep:false in
+    Query_result.dispose r;
+    ignore (Exec.validate ~stats d.Planner.d_root)
+  in
+  let frame_lines root =
+    let acc = ref [] in
+    Op.iter
+      (fun n ->
+        let f = n.Op.frame in
+        acc :=
+          Printf.sprintf "%s rows %d/%d pages %d %Lx" (Op.label n) f.Op.rows_in
+            f.Op.rows_out f.Op.pages_read (bits f.Op.clock.Op.ms)
+          :: !acc)
+      root;
+    List.rev !acc
+  in
+  let first = Planner.optimize ~stats db text in
+  run first;
+  let ests = est_lines first.Planner.d_root and frames = frame_lines first.Planner.d_root in
+  for _ = 1 to 3 do
+    let again = Planner.optimize ~stats db text in
+    check_bool "a new tree" true (again.Planner.d_root != first.Planner.d_root);
+    Database.cold_restart db;
+    run again
+  done;
+  check_bool "feedback moved a correction" true (Sc.fed_back stats > 0);
+  Alcotest.(check (list string)) "the first decision's estimates" ests
+    (est_lines first.Planner.d_root);
+  Alcotest.(check (list string)) "the first decision's frames" frames
+    (frame_lines first.Planner.d_root)
+
+(* The table admits exactly [max_prepared] entries and then refuses. *)
+type Sc.prepared += Probe of int
+
+let test_prepared_cap () =
+  let b = Lazy.force prepared_db in
+  let stats = Sc.analyze b.Generator.db in
+  let text i = "t" ^ string_of_int i in
+  for i = 0 to Sc.max_prepared do
+    Sc.add_prepared stats ~text:(text i) ~variant:0 (Probe i)
+  done;
+  for i = 0 to Sc.max_prepared - 1 do
+    match Sc.find_prepared stats ~text:(text i) ~variant:0 with
+    | Probe j -> check_int "the entry admitted" i j
+    | _ -> Alcotest.fail "a foreign entry"
+    | exception Not_found -> Alcotest.failf "entry %d of %d refused" i Sc.max_prepared
+  done;
+  check_bool "the entry past the cap is refused" true
+    (match Sc.find_prepared stats ~text:(text Sc.max_prepared) ~variant:0 with
+    | _ -> false
+    | exception Not_found -> true)
+
+(* [Stat_catalog.analyze] copies key bounds and histograms: rebuilding the
+   histograms afterwards, with other buckets, moves none of its
+   estimates, while a catalog taken after the rebuild sees them.  A hole
+   in the mrn keys makes the bucket count matter. *)
+let test_catalog_is_a_snapshot () =
+  let b =
+    Generator.build
+      ~cost:(Tb_sim.Cost_model.scaled 400)
+      (Generator.config ~scale:400 `Deep Generator.Class_clustered)
+  in
+  let db = b.Generator.db in
+  let n = Array.length b.Generator.patients in
+  for j = n / 8 to (n / 2) - 1 do
+    Database.delete_object db b.Generator.patients.(j)
+  done;
+  Database.analyze db;
+  let stats = Sc.analyze db in
+  let texts =
+    [
+      Printf.sprintf "select pa.age from pa in Patients where pa.mrn < %d" (n / 4);
+      Printf.sprintf
+        "select pa.age from pa in Patients where pa.mrn >= %d and pa.mrn < %d"
+        (n / 2) ((n / 2) + 200);
+      "select pa.age from pa in Patients where pa.num < 777";
+      "select pa.mrn from p in Providers, pa in p.clients where p.upin < 7";
+    ]
+  in
+  let estimates stats =
+    List.concat_map
+      (fun text ->
+        List.concat_map
+          (fun plan ->
+            let root = Planner.lower plan in
+            Estimate.annotate ~stats root;
+            est_lines root)
+          (Enumerate.candidates stats (Plan.bind db (Oql_parser.parse text))))
+      texts
+  in
+  let before = estimates stats in
+  Database.analyze ~buckets:3 db;
+  Alcotest.(check (list string)) "estimates after the rebuild" before (estimates stats);
+  check_bool "a fresh catalog sees the new histograms" true
+    (estimates (Sc.analyze db) <> before)
+
 let suite =
   [
     Alcotest.test_case "distinct pages: boundaries" `Quick
@@ -388,4 +602,15 @@ let suite =
       test_pick_costs_each_plan_once;
     Alcotest.test_case "validate covers every operator" `Quick
       test_validate_covers_every_operator;
+    QCheck_alcotest.to_alcotest prepared_prop;
+    Alcotest.test_case "prepared: keyed by organization" `Quick
+      test_prepared_keys_organization;
+    Alcotest.test_case "prepared: a scaled view has its own entries" `Quick
+      test_prepared_scaled_view;
+    Alcotest.test_case "prepared: decisions share no tree" `Quick
+      test_prepared_decisions_share_no_tree;
+    Alcotest.test_case "prepared: the cap admits max_prepared entries" `Quick
+      test_prepared_cap;
+    Alcotest.test_case "catalog: re-analyzing the database moves no estimate" `Quick
+      test_catalog_is_a_snapshot;
   ]

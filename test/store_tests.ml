@@ -790,9 +790,9 @@ let test_histogram_matches_uniform_on_uniform_keys () =
   done;
   let ix = Index_def.make ~id:0 ~name:"t" ~cls:"C" ~attr:"a" ~tree in
   Index_def.refresh_stats ix;
-  let uniform = Index_def.selectivity_below ix 2_500 in
+  let uniform = Index_def.key_window ix.Index_def.keys ~lo:None ~hi:(Some 2_500) in
   Index_def.build_histogram ix ~buckets:32;
-  let hist = Index_def.selectivity_below ix 2_500 in
+  let hist = Index_def.key_window ix.Index_def.keys ~lo:None ~hi:(Some 2_500) in
   check_bool "both near 0.25" true
     (abs_float (uniform -. 0.25) < 0.01 && abs_float (hist -. 0.25) < 0.01)
 
@@ -810,9 +810,9 @@ let test_histogram_beats_uniform_on_skew () =
   let ix = Index_def.make ~id:0 ~name:"t" ~cls:"C" ~attr:"a" ~tree in
   Index_def.refresh_stats ix;
   (* True selectivity of key < 1000 is 0.9. *)
-  let uniform = Index_def.selectivity_below ix 1_000 in
+  let uniform = Index_def.key_window ix.Index_def.keys ~lo:None ~hi:(Some 1_000) in
   Index_def.build_histogram ix ~buckets:512;
-  let hist = Index_def.selectivity_below ix 1_000 in
+  let hist = Index_def.key_window ix.Index_def.keys ~lo:None ~hi:(Some 1_000) in
   check_bool "uniform badly off" true (uniform < 0.3);
   check_bool "histogram close to truth" true (abs_float (hist -. 0.9) < 0.05)
 
@@ -1037,7 +1037,7 @@ let test_analyze_builds_all_histograms () =
   Database.analyze db;
   List.iter
     (fun ix ->
-      check_bool "histogram installed" true (ix.Index_def.histogram <> None))
+      check_bool "histogram installed" true (ix.Index_def.keys.Index_def.ks_histogram <> None))
     (Database.indexes db)
 
 let test_db_cold_restart () =
