@@ -34,7 +34,10 @@
    time to whatever polls after it.  Read the ranking as "time spent on the
    way to this line".  Each workload's header also gives the iterations it
    completed and their rate: the sample count is fixed by the wall time,
-   so only the rate shows whether a change made the workload faster. *)
+   so only the rate shows whether a change made the workload faster.  Next
+   to the rate it gives the minor words an iteration allocated
+   ([Gc.minor_words] around the sampled loop, less the sampler's own
+   stacks), so one run shows both the time and the allocation. *)
 
 open Tb_store
 module Generator = Tb_derby.Generator
@@ -50,35 +53,53 @@ let usage () =
 
 let samples : Printexc.raw_backtrace list ref = ref []
 
-(* What a sampled run did: its stacks, and how many iterations of the
-   workload completed in how much wall time.  Samples cover a fixed wall
-   time, so a line's share alone cannot show whether anything got faster;
-   the iteration rate is the denominator that can. *)
+(* The minor words the handler spent recording [samples]: an int, so
+   adding to it allocates nothing. *)
+let sampler_words = ref 0
+
+(* What a sampled run did: its stacks, how many iterations of the
+   workload completed in how much wall time, and the minor words they
+   allocated.  Samples cover a fixed wall time, so a line's share alone
+   cannot show whether anything got faster; the iteration rate is the
+   denominator that can. *)
 type sampling = {
   stacks : Printexc.raw_backtrace list;
   iterations : int;
   wall_s : float;
+  minor_words : float;
 }
 
 let sampled seconds f =
   samples := [];
+  sampler_words := 0;
   Sys.set_signal Sys.sigalrm
     (Sys.Signal_handle
-       (fun _ -> samples := Printexc.get_callstack 64 :: !samples));
+       (fun _ ->
+         let before = Gc.minor_words () in
+         samples := Printexc.get_callstack 64 :: !samples;
+         sampler_words :=
+           !sampler_words + int_of_float (Gc.minor_words () -. before)));
   let tick = { Unix.it_interval = 0.001; it_value = 0.001 } in
   ignore (Unix.setitimer Unix.ITIMER_REAL tick : Unix.interval_timer_status);
   let start = Unix.gettimeofday () in
   let stop = start +. seconds in
   let iterations = ref 0 in
+  let words = Gc.minor_words () in
   while Unix.gettimeofday () < stop do
     f ();
     incr iterations
   done;
+  let words = Gc.minor_words () -. words in
   let wall_s = Unix.gettimeofday () -. start in
   let off = { Unix.it_interval = 0.0; it_value = 0.0 } in
   ignore (Unix.setitimer Unix.ITIMER_REAL off : Unix.interval_timer_status);
   Sys.set_signal Sys.sigalrm Sys.Signal_default;
-  { stacks = !samples; iterations = !iterations; wall_s }
+  {
+    stacks = !samples;
+    iterations = !iterations;
+    wall_s;
+    minor_words = words -. float_of_int !sampler_words;
+  }
 
 (* The located frames of one sample, innermost first, without this file's
    own (the handler on top, the driving loop below). *)
@@ -117,7 +138,7 @@ let under prefix raw =
           | None -> false)
         slots
 
-let report ~name ~top ?focus { stacks = raws; iterations; wall_s } =
+let report ~name ~top ?focus { stacks = raws; iterations; wall_s; minor_words } =
   let self = Hashtbl.create 256 and incl = Hashtbl.create 1024 in
   (* Per self line, how often each context led to it: for a stdlib line the
      chain of the five innermost engine frames below it, for any other
@@ -182,9 +203,11 @@ let report ~name ~top ?focus { stacks = raws; iterations; wall_s } =
         end)
       (ranked tbl)
   in
-  Printf.printf "%s: %d samples, %d iterations in %.2f s (%.2f iterations/s)\n"
+  Printf.printf
+    "%s: %d samples, %d iterations in %.2f s (%.2f iterations/s, %.0f minor words/iteration)\n"
     name !n iterations wall_s
-    (float_of_int iterations /. Float.max wall_s 1e-9);
+    (float_of_int iterations /. Float.max wall_s 1e-9)
+    (minor_words /. float_of_int (max 1 iterations));
   Option.iter
     (fun (label, prefix) ->
       let k = List.length (List.filter (under prefix) raws) in

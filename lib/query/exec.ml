@@ -23,6 +23,7 @@
 module Value = Tb_store.Value
 module Database = Tb_store.Database
 module Rid = Tb_storage.Rid
+module Rid_buf = Tb_storage.Rid_buf
 module Counters = Tb_sim.Counters
 
 (* The run's state: the register file its rows live in, and the plan
@@ -150,12 +151,12 @@ let pin_row st fr ~pass ~r rid emit =
    moves no charge. *)
 let batch = 256
 
-(* Emit [rids.(0 .. n - 1)] in [batch]-sized slices, bumping rows_out per
-   slice. *)
-let emit_rid_chunks st fr rids n emit =
-  let pos = ref 0 in
-  while !pos < n do
-    let len = Int.min batch (n - !pos) in
+(* Emit [rids.(base .. base + n - 1)] in [batch]-sized slices, bumping
+   rows_out per slice. *)
+let emit_rid_chunks st fr rids ~base n emit =
+  let pos = ref base and stop = base + n in
+  while !pos < stop do
+    let len = Int.min batch (stop - !pos) in
     fr.Op.rows_out <- fr.Op.rows_out + len;
     emit rids ~pos:!pos ~len;
     Op.Acct.enter st.acct fr;
@@ -171,7 +172,7 @@ let rec iter_rid_batches st node emit =
       let rec go () =
         let n = Database.cursor_next_page cur in
         if n > 0 then begin
-          emit_rid_chunks st fr (Database.cursor_rids cur) n emit;
+          emit_rid_chunks st fr (Database.cursor_rids cur) ~base:0 n emit;
           go ()
         end
       in
@@ -189,22 +190,31 @@ let rec iter_rid_batches st node emit =
           one.(0) <- rid;
           emit one ~pos:0 ~len:1;
           Op.Acct.enter st.acct fr)
-  | Op.Sort_rids { child } ->
+  | Op.Sort_rids { child } -> (
       (* The child is an Index_scan, whose singleton slices keep its
-         per-row accounting. *)
-      let rids = ref [] in
-      iter_rid_batches st child (fun arr ~pos ~len ->
-          for i = pos to pos + len - 1 do
-            rids := arr.(i) :: !rids
-          done);
-      let n = List.length !rids in
-      Op.Acct.enter st.acct fr;
-      fr.Op.rows_in <- n;
-      fr.Op.bytes <- n * Rid.on_disk_bytes;
-      (* Slice emission happens inside the claim window, so the buffer
-         release still follows the last emitted row as it always did. *)
-      Operators.with_sorted_rids (Database.sim st.db) ~rids:!rids ~count:n
-        (fun arr -> emit_rid_chunks st fr arr (Array.length arr) emit)
+         per-row accounting.  Its Rids are gathered on the database's
+         buffer above whatever an enclosing run holds there, and popped
+         again on every way out. *)
+      let buf = Database.rid_buf st.db in
+      let base = Rid_buf.length buf in
+      match
+        iter_rid_batches st child (fun arr ~pos ~len ->
+            for i = pos to pos + len - 1 do
+              Rid_buf.push buf arr.(i)
+            done);
+        let n = Rid_buf.length buf - base in
+        Op.Acct.enter st.acct fr;
+        fr.Op.rows_in <- n;
+        fr.Op.bytes <- n * Rid.on_disk_bytes;
+        (* Slice emission happens inside the claim window, so the buffer
+           release still follows the last emitted row as it always did. *)
+        Operators.with_sorted_rids (Database.sim st.db) buf ~pos:base ~count:n
+          (fun arr -> emit_rid_chunks st fr arr ~base n emit)
+      with
+      | () -> Rid_buf.truncate buf base
+      | exception e ->
+          Rid_buf.truncate buf base;
+          raise e)
   | _ -> invalid_arg "Exec: operator does not produce Rids"
 
 (* --- binding streams: rows in the register file --- *)
@@ -253,17 +263,11 @@ and iter_rows st node emit =
       let set_slot = Database.attr_slot db ~cls:owner_cls set_attr in
       let cpreds = Operators.compile_preds db ~cls:nav_cls preds in
       let pass h = Operators.eval_preds db h cpreds in
-      let visit = function
-        | Value.Ref crid -> pin_row st fr ~pass ~r crid emit
-        | Value.Nil -> ()
-        | _ -> invalid_arg "Exec: collection element is not a reference"
-      in
+      let visit crid = pin_row st fr ~pass ~r crid emit in
       iter_rows st child (fun () ->
           Op.Acct.enter st.acct fr;
           fr.Op.rows_in <- fr.Op.rows_in + 1;
-          Database.iter_set db
-            (Database.get_att_slot db regs.Op.live.(owner) set_slot)
-            visit)
+          Database.iter_set_rids db regs.Op.live.(owner) set_slot visit)
   | Op.Nav_inverse { child; inv_attr; owner_cls; nav_var; nav_cls; preds } ->
       let owner = live_reg st child and r = reg st nav_var in
       let inv_slot = Database.attr_slot db ~cls:owner_cls inv_attr in
@@ -272,10 +276,8 @@ and iter_rows st node emit =
       iter_rows st child (fun () ->
           Op.Acct.enter st.acct fr;
           fr.Op.rows_in <- fr.Op.rows_in + 1;
-          match Database.get_att_slot db regs.Op.live.(owner) inv_slot with
-          | Value.Ref prid -> pin_row st fr ~pass ~r prid emit
-          | Value.Nil -> ()
-          | _ -> invalid_arg "Exec: inverse attribute is not a reference")
+          let prid = Database.get_ref db regs.Op.live.(owner) inv_slot in
+          if not (Rid.is_nil prid) then pin_row st fr ~pass ~r prid emit)
   | Op.Hash_probe { build; probe; probe_key; probe_cls; build_var; probe_var }
     ->
       run_hash_probe st node.Op.frame ~build ~probe ~probe_key ~probe_cls

@@ -131,34 +131,30 @@ let rec eval_preds db h = function
       Oql_ast.eval_cmp pcmp (Database.get_att_slot db h pslot) pconst
       && eval_preds db h rest
 
-let key_of_inverse db inv_slot h =
-  match Database.get_att_slot db h inv_slot with
-  | Value.Ref prid -> prid
-  | Value.Nil -> Rid.nil
-  | _ -> invalid_arg "Exec: inverse attribute is not a reference"
-
 let compile_key db ~cls = function
   | Op.K_self -> Database.handle_rid db
   | Op.K_inverse attr ->
       let slot = Database.attr_slot db ~cls attr in
-      key_of_inverse db slot
+      fun h -> Database.get_ref db h slot
 
-(* Figure 8 right: the matching Rids are buffered, sorted so the fetches
-   become (at worst) one sequential sweep, and streamed out.  The buffer's
-   simulated memory is released even when a downstream operator raises —
-   a failed query must not leak claimed RAM.  Rids are distinct immediates,
-   so any correct sort gives the same order: Rid.sort radix-sorts the
-   packed ints. *)
-let with_sorted_rids sim ~rids ~count f =
+(* Figure 8 right: the matching Rids, gathered in [rids] from [pos] on,
+   are sorted so the fetches become (at worst) one sequential sweep, and
+   streamed out by [f].  The buffer's simulated memory is released even
+   when a downstream operator raises — a failed query must not leak
+   claimed RAM.  Rids are distinct immediates, so any correct sort gives
+   the same order: the buffer sorts its slice in place. *)
+let with_sorted_rids sim rids ~pos ~count f =
   let claim = count * Rid.on_disk_bytes in
   Sim.claim_bytes sim claim;
-  Fun.protect
-    ~finally:(fun () -> Sim.release_bytes sim claim)
-    (fun () ->
-      Sim.charge_sort sim count;
-      let arr = Array.of_list rids in
-      Rid.sort arr;
-      f arr)
+  match
+    Sim.charge_sort sim count;
+    Tb_storage.Rid_buf.sort rids ~pos ~len:count;
+    f (Tb_storage.Rid_buf.contents rids)
+  with
+  | () -> Sim.release_bytes sim claim
+  | exception e ->
+      Sim.release_bytes sim claim;
+      raise e
 
 (* External-sort accounting: [n log n] comparisons, plus write+read passes
    when the run does not fit in memory. *)
@@ -181,7 +177,7 @@ let charge_external_sort sim ~elems ~bytes =
 (* Claim a gathered (key, payload) run and sort it by key.  The sort is
    unstable, so the input order — newest-first, exactly as the gather loop
    prepends — is part of the deterministic contract, so this keeps the
-   stdlib heap sort rather than Rid.sort: equal keys must keep the tie
+   stdlib heap sort rather than a radix sort: equal keys must keep the tie
    order it has always produced. *)
 let claim_and_sort sim kvs ~bytes =
   Sim.claim_bytes sim bytes;

@@ -70,14 +70,16 @@ val compile_key :
   Tb_store.Handle.t ->
   Tb_storage.Rid.t
 
-(** [with_sorted_rids sim ~rids ~count f] claims the Rid buffer, charges
-    the sort, hands [f] the sorted array inside the claim window and
-    releases the claim — also when [f] raises ([Fun.protect]), so a failed
-    query cannot leak simulated RAM.  The vectorized executor chunks its
-    emission from within [f]. *)
+(** [with_sorted_rids sim rids ~pos ~count f] claims the [count] Rids
+    gathered in [rids] from [pos] on, charges their sort, sorts them in
+    place and hands [f] the buffer's array inside the claim window, then
+    releases the claim — also when [f] raises, so a failed query cannot
+    leak simulated RAM.  The vectorized executor chunks its emission from
+    within [f]. *)
 val with_sorted_rids :
   Tb_sim.Sim.t ->
-  rids:Tb_storage.Rid.t list ->
+  Tb_storage.Rid_buf.t ->
+  pos:int ->
   count:int ->
   (Tb_storage.Rid.t array -> unit) ->
   unit

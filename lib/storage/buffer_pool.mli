@@ -27,8 +27,9 @@ val peek : t -> Page_id.t -> Page_layout.t option
 (** [add t id page] caches [page] and tells whether the pool was full: then
     the least recently used entry was evicted, and {!victim_id} and
     {!victim} name it until the next eviction or [clear].  Re-adding a present
-    id refreshes recency and returns [false].  Allocates nothing beyond
-    the table's own bucket. *)
+    id refreshes recency and returns [false].  An evicting [add] recycles
+    the victim's node, so it allocates nothing unless the page lies beyond
+    its file's index, which then grows. *)
 val add : t -> Page_id.t -> Page_layout.t -> bool
 
 (** The id and page the last evicting [add] evicted. *)
@@ -42,5 +43,11 @@ val remove : t -> Page_id.t -> unit
 (** [iter t f] visits every cached entry, least recently used first. *)
 val iter : t -> (Page_id.t -> Page_layout.t -> unit) -> unit
 
-(** Drop everything (server shutdown between cold runs). *)
+(** Drop everything (server shutdown between cold runs).  The index keeps
+    its size, so refilling the pool allocates no index cell. *)
 val clear : t -> unit
+
+(** [forget_file t file] drops the index of a file that is gone (a
+    released scratch file).  Raises [Invalid_argument] while a page of it
+    is cached. *)
+val forget_file : t -> int -> unit

@@ -143,11 +143,16 @@ let flush t =
    memo of it is void and the next load re-reads exactly those pages,
    taking the dead object's buffer back; clean ones are reused.  With no
    pool frame left to hold one, the pages of dead scratch files are
-   released. *)
+   released, and so are the pools' indexes of them: each spill makes new
+   files, so keeping those would grow the pools without bound. *)
+let forget_file t file =
+  Buffer_pool.forget_file t.client file;
+  Buffer_pool.forget_file t.server file
+
 let drop t =
   Buffer_pool.clear t.client;
   Buffer_pool.clear t.server;
-  Disk.release_dead t.disk
+  Disk.release_dead t.disk forget_file t
 
 (* Cold restart: flush, then drop.  After the flush every working object is
    clean and shares its durable image, so every disk memo stays valid. *)

@@ -354,12 +354,13 @@ let truncate_file t ~file ~pages =
 
 let mark_dead t ~file = (get_file t file).name <- dead_name
 
-let release_dead t =
+let release_dead t released arg =
   for file = 0 to t.n_files - 1 do
     let f = t.files.(file) in
     if is_dead f && f.n_pages > 0 then begin
       f.pages <- [||];
-      f.n_pages <- 0
+      f.n_pages <- 0;
+      released arg file
     end
   done
 

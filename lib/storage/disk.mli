@@ -120,13 +120,15 @@ val truncate_file : t -> file:int -> pages:int -> unit
 
     A spill file outlives its join only as wasted pages.  [mark_dead t
     ~file] retires it: its pages stop counting in {!durable_digest}, and
-    [release_dead t] drops the pages of every dead file (they then stop
-    counting in {!total_pages} too).  Only {!Cache_stack.drop} calls
-    [release_dead], once no pool frame can hold such a page; nothing may
-    read or write a dead file's pages after that. *)
+    [release_dead t released arg] drops the pages of every dead file (they
+    then stop counting in {!total_pages} too) and calls [released arg] on
+    each such file's id ([arg] is passed along so that a caller need not
+    allocate a closure).  Only {!Cache_stack.drop} calls [release_dead], once
+    no pool frame can hold such a page; nothing may read or write a dead
+    file's pages after that. *)
 
 val mark_dead : t -> file:int -> unit
-val release_dead : t -> unit
+val release_dead : t -> ('a -> int -> unit) -> 'a -> unit
 
 (** [truncate_files t ~keep] drops files with id >= [keep] (recovery of a
     loser's file creations; ids are allocation-ordered). *)

@@ -44,74 +44,6 @@ let hash t =
   let mix h x = (h lxor x) * 0x0100_0193 in
   mix (mix (mix 0x811c_9dc5 (file t)) (page t)) (slot t) land max_int
 
-(* LSD radix sort, 8 bits a digit, over only the bit range in which the
-   keys differ.  Nil (-1) is the one negative Rid, so the digits are taken
-   from [t + 1] read as an unsigned 63-bit word: nil becomes 0 and the
-   largest Rid (max_int) wraps to 2^62, still above every other key. *)
-let radix_bits = 8
-let radix = 1 lsl radix_bits
-
-(* Short runs (an NL join sorts each provider's few clients) are sorted in
-   place: the radix passes would allocate a count table and a scratch
-   copy on every call. *)
-let insertion_sort (a : t array) n =
-  for i = 1 to n - 1 do
-    let x = a.(i) in
-    let j = ref (i - 1) in
-    while !j >= 0 && a.(!j) > x do
-      a.(!j + 1) <- a.(!j);
-      decr j
-    done;
-    a.(!j + 1) <- x
-  done
-
-let radix_pass (src : t array) (dst : t array) n counts shift =
-  Array.fill counts 0 radix 0;
-  for i = 0 to n - 1 do
-    let d = ((src.(i) + 1) lsr shift) land (radix - 1) in
-    counts.(d) <- counts.(d) + 1
-  done;
-  let sum = ref 0 in
-  for d = 0 to radix - 1 do
-    let c = counts.(d) in
-    counts.(d) <- !sum;
-    sum := !sum + c
-  done;
-  for i = 0 to n - 1 do
-    let x = src.(i) in
-    let d = ((x + 1) lsr shift) land (radix - 1) in
-    dst.(counts.(d)) <- x;
-    counts.(d) <- counts.(d) + 1
-  done
-
-let sort (a : t array) =
-  let n = Array.length a in
-  if n <= 32 then insertion_sort a n
-  else begin
-    let any = ref 0 and all = ref (-1) in
-    for i = 0 to n - 1 do
-      any := !any lor (a.(i) + 1);
-      all := !all land (a.(i) + 1)
-    done;
-    let differ = !any lxor !all in
-    if differ <> 0 then begin
-      let lo = ref 0 and hi = ref 62 in
-      while (differ lsr !lo) land 1 = 0 do incr lo done;
-      while (differ lsr !hi) land 1 = 0 do decr hi done;
-      let counts = Array.make radix 0 in
-      let src = ref a and dst = ref (Array.make n nil) in
-      let shift = ref !lo in
-      while !shift <= !hi do
-        radix_pass !src !dst n counts !shift;
-        let s = !src in
-        src := !dst;
-        dst := s;
-        shift := !shift + radix_bits
-      done;
-      if !src != a then Array.blit !src 0 a 0 n
-    end
-  end
-
 (* 2 bytes of file id, 4 of page number, 2 of slot: 8 bytes, as in the
    paper's size accounting. Nil encodes as all-ones. *)
 let on_disk_bytes = 8

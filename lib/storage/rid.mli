@@ -47,10 +47,6 @@ val equal : t -> t -> bool
     versions, never negative. *)
 val hash : t -> int
 
-(** Sort in place into [compare] order (a radix sort over the packed
-    ints). *)
-val sort : t array -> unit
-
 (** Bytes a Rid occupies on disk (the paper counts 8 per identifier). *)
 val on_disk_bytes : int
 

@@ -72,6 +72,12 @@ let iter heap head f =
   in
   go head
 
+(* A chunk read where it lies: its references, then its successor. *)
+let iter_chunk_refs buf ~pos f =
+  let count = pos + Tb_storage.Rid.on_disk_bytes in
+  Codec.iter_ref_elems buf ~pos:(count + 2) (Bytes.get_uint16_le buf count) f;
+  Tb_storage.Rid.decode buf ~pos
+
 let length heap head =
   let n = ref 0 in
   iter heap head (fun _ -> incr n);

@@ -19,6 +19,13 @@ val create : Tb_storage.Heap_file.t -> Value.t list -> Tb_storage.Rid.t
     as it goes. *)
 val iter : Tb_storage.Heap_file.t -> Tb_storage.Rid.t -> (Value.t -> unit) -> unit
 
+(** [iter_chunk_refs buf ~pos f] calls [f] on the Rid of each reference
+    in the chunk whose body starts at [pos] in [buf], in order, skipping
+    nil elements, and returns the next chunk's Rid ([Rid.nil] at the
+    tail): {!iter}'s per-chunk work, read in place with nothing built.
+    Raises [Invalid_argument] on an element that is not a reference. *)
+val iter_chunk_refs : bytes -> pos:int -> (Tb_storage.Rid.t -> unit) -> Tb_storage.Rid.t
+
 (** [length heap head] walks the chain and counts elements. *)
 val length : Tb_storage.Heap_file.t -> Tb_storage.Rid.t -> int
 

@@ -282,6 +282,36 @@ let ref_at b ~pos =
     invalid_arg "Codec.ref_at: not a reference";
   Tb_storage.Rid.decode b ~pos:(pos + 1)
 
+(* References read in place, for navigation: no [Value] is built. *)
+let ref_or_nil_at b ~pos =
+  if pos >= Bytes.length b then invalid_arg "Codec.ref_or_nil_at: truncated";
+  let tag = Bytes.get_uint8 b pos in
+  if tag = tag_ref then Tb_storage.Rid.decode b ~pos:(pos + 1)
+  else if tag = tag_nil then Tb_storage.Rid.nil
+  else invalid_arg "Codec.ref_or_nil_at: not a reference"
+
+let rec iter_ref_elems b ~pos n f =
+  if n > 0 then begin
+    let tag = Bytes.get_uint8 b pos in
+    if tag = tag_ref then begin
+      f (Tb_storage.Rid.decode b ~pos:(pos + 1));
+      iter_ref_elems b ~pos:(pos + ref_bytes) (n - 1) f
+    end
+    else if tag = tag_nil then iter_ref_elems b ~pos:(pos + 1) (n - 1) f
+    else invalid_arg "Codec.iter_ref_elems: element is not a reference"
+  end
+
+let iter_refs_at b ~pos f =
+  if pos >= Bytes.length b then invalid_arg "Codec.iter_refs_at: truncated";
+  let tag = Bytes.get_uint8 b pos in
+  if tag = tag_set || tag = tag_list then begin
+    iter_ref_elems b ~pos:(pos + 5) (Int32.to_int (Bytes.get_int32_le b (pos + 1))) f;
+    Tb_storage.Rid.nil
+  end
+  else if tag = tag_big_set then Tb_storage.Rid.decode b ~pos:(pos + 1)
+  else if tag = tag_nil then Tb_storage.Rid.nil
+  else invalid_arg "Codec.iter_refs_at: not a collection"
+
 let decode_exn b =
   let v, final = decode b ~pos:0 in
   if final <> Bytes.length b then invalid_arg "Codec.decode_exn: trailing bytes";

@@ -81,6 +81,27 @@ val skip_field_name : bytes -> pos:int -> int
     place; raises [Invalid_argument] unless a [Ref] is encoded there. *)
 val ref_at : bytes -> pos:int -> Tb_storage.Rid.t
 
+(** {2 References in place}
+
+    What navigation reads, with no [Value] built. *)
+
+(** [ref_or_nil_at b ~pos] is the Rid of the [Ref] encoded at [pos], or
+    [Rid.nil] for an encoded [Nil]; raises [Invalid_argument] for anything
+    else. *)
+val ref_or_nil_at : bytes -> pos:int -> Tb_storage.Rid.t
+
+(** [iter_ref_elems b ~pos n f] calls [f] on the Rid of each of the [n]
+    values encoded from [pos] on, skipping [Nil]s; raises
+    [Invalid_argument] at a value that is neither a [Ref] nor [Nil]. *)
+val iter_ref_elems : bytes -> pos:int -> int -> (Tb_storage.Rid.t -> unit) -> unit
+
+(** [iter_refs_at b ~pos f] is {!iter_ref_elems} over the elements of the
+    [Set] or [List] encoded at [pos] (none for [Nil]), and returns
+    [Rid.nil]; for a spilled [Big_set] it calls nothing and returns the
+    head chunk's Rid, whose chain the caller walks.  Raises
+    [Invalid_argument] when no collection is encoded at [pos]. *)
+val iter_refs_at : bytes -> pos:int -> (Tb_storage.Rid.t -> unit) -> Tb_storage.Rid.t
+
 (** {2 Wire tags}
 
     The one-byte type tag that opens every encoded value, exported so the

@@ -46,6 +46,8 @@ type t = {
      holds touches of theirs; marked dead once the log is checkpointed or
      discarded (see [release_temp]). *)
   mutable retired : int list;
+  (* The Rids sorted index scans gather and sort (see [Rid_buf]). *)
+  rid_buf : Tb_storage.Rid_buf.t;
 }
 
 let register_file t heap =
@@ -103,7 +105,8 @@ let install_ckpt t c =
 
 let create sim ~schema ~server_pages ~client_pages
     ?(handle_kind = Tb_sim.Cost_model.Fat) ?(zombie_limit = 8192)
-    ?(txn_mode = Transaction.Standard) ?(uncommitted_limit = 50_000) () =
+    ?(txn_mode = Transaction.Standard) ?(uncommitted_limit = 50_000)
+    ?(rid_buf = Tb_storage.Rid_buf.create ()) () =
   let disk = Tb_storage.Disk.create sim in
   let stack = Tb_storage.Cache_stack.create sim disk ~server_pages ~client_pages in
   let t =
@@ -133,6 +136,7 @@ let create sim ~schema ~server_pages ~client_pages
       pending_ckpt = None;
       on_commit = None;
       wbuf = Bytes.create 256;
+      rid_buf;
       old_keys = Array.make 4 0;
       new_keys = Array.make 4 0;
       spills = 0;
@@ -153,6 +157,7 @@ let create sim ~schema ~server_pages ~client_pages
   t
 
 let sim t = t.sim
+let rid_buf t = t.rid_buf
 let schema t = t.schema
 let stack t = t.stack
 let txn t = t.txn
@@ -498,6 +503,32 @@ let get_att_mem_bytes t h slot =
   let s = slab t in
   let buf = Handle.packed_buf s h in
   Codec.mem_bytes_at buf ~pos:(att_pos s h buf slot)
+
+(* The references navigation follows, read where they lie: one charged
+   access, like [get_att_slot], and no [Value] built. *)
+let get_ref t h slot =
+  Tb_sim.Sim.charge_get_att t.sim;
+  let s = slab t in
+  let buf = Handle.packed_buf s h in
+  Codec.ref_or_nil_at buf ~pos:(att_pos s h buf slot)
+
+(* A spilled set's chunks are fetched one [locate] each where
+   [Big_collection.iter] reads them, and read off the page: a read-only
+   walk never compacts it, so its bytes hold still while [f] runs. *)
+let rec iter_chunk_rids t rid f =
+  if not (Rid.is_nil rid) then begin
+    let page = Heap_file.locate t.collections rid in
+    iter_chunk_rids t
+      (Big_collection.iter_chunk_refs (Page_layout.buffer page)
+         ~pos:(Heap_file.located_pos t.collections) f)
+      f
+  end
+
+let iter_set_rids t h slot f =
+  Tb_sim.Sim.charge_get_att t.sim;
+  let s = slab t in
+  let buf = Handle.packed_buf s h in
+  iter_chunk_rids t (Codec.iter_refs_at buf ~pos:(att_pos s h buf slot) f) f
 
 let attr_slot t ~cls attr =
   match Schema.attr_slot t.schema ~class_id:(Schema.class_id t.schema cls) ~attr with

@@ -17,10 +17,17 @@ val create :
   ?zombie_limit:int ->
   ?txn_mode:Transaction.mode ->
   ?uncommitted_limit:int ->
+  ?rid_buf:Tb_storage.Rid_buf.t ->
   unit ->
   t
 
 val sim : t -> Tb_sim.Sim.t
+
+(** The buffer sorted index scans gather their Rids in, kept between runs
+    (see {!Tb_storage.Rid_buf}): a fresh one unless [create] was given
+    one.  Runs nest on it, so databases whose queries run one inside
+    another's (the shards of a {!Shard_map}) can share one. *)
+val rid_buf : t -> Tb_storage.Rid_buf.t
 val schema : t -> Schema.t
 val stack : t -> Tb_storage.Cache_stack.t
 val txn : t -> Transaction.t
@@ -79,6 +86,20 @@ val get_att_slot : t -> Handle.t -> int -> Value.t
     slot)] with the same charge, read in place: the attribute is sized,
     not built. *)
 val get_att_mem_bytes : t -> Handle.t -> int -> int
+
+(** [get_ref t h slot] is the Rid of the reference in [slot], or
+    [Rid.nil] for a nil one: {!get_att_slot}'s charge, read in place with
+    no [Value] built.  Raises [Invalid_argument] when the attribute is
+    neither. *)
+val get_ref : t -> Handle.t -> int -> Tb_storage.Rid.t
+
+(** [iter_set_rids t h slot f] calls [f] on the Rid of each reference in
+    the collection in [slot], in order, skipping nil elements:
+    {!get_att_slot}'s charge, then, for a spilled set, the same chunk
+    fetches as {!iter_set}.  Read in place, with no [Value] built.  Raises
+    [Invalid_argument] on an element that is not a reference or an
+    attribute that is not a collection. *)
+val iter_set_rids : t -> Handle.t -> int -> (Tb_storage.Rid.t -> unit) -> unit
 
 (** [handle_rid t h] is the Rid the Handle represents. *)
 val handle_rid : t -> Handle.t -> Tb_storage.Rid.t

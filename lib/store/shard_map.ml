@@ -58,10 +58,14 @@ let create sim ~schema ~shards ?(replicas = 1) ~server_pages ~client_pages
   (* One machine's worth of cache, divided: sharding partitions the buffer
      pool, it does not grow it. *)
   let per_shard pages = max 2 (pages / shards) in
+  (* The lanes of a sharded query run one after another, so the shards'
+     sorted runs share one retained Rid buffer rather than keeping one
+     each. *)
+  let rid_buf = Tb_storage.Rid_buf.create () in
   let mk () =
     Database.create sim ~schema ~server_pages:(per_shard server_pages)
       ~client_pages:(per_shard client_pages) ?handle_kind ?zombie_limit
-      ?txn_mode ()
+      ?txn_mode ~rid_buf ()
   in
   let dbs = Array.init shards (fun _ -> mk ()) in
   let followers =

@@ -81,7 +81,42 @@ let test_wide_shape_spills_clients () =
   (match Value.field pv "clients" with
   | Value.Big_set _ -> ()
   | _ -> Alcotest.fail "1:1000 clients should spill");
-  check_int "still iterable" 1000 (Database.set_length db (Value.field pv "clients"))
+  check_int "still iterable" 1000 (Database.set_length db (Value.field pv "clients"));
+  (* Navigation reads the spilled set and each client's inverse reference
+     in place: the same Rids, in the same order, for the same charges as
+     decoding the attributes. *)
+  let walk ~in_place =
+    Database.cold_restart db;
+    let counters = (Database.sim db).Tb_sim.Sim.counters in
+    let before = Tb_sim.Counters.snapshot counters in
+    let h = Database.acquire db b.Generator.providers.(0) in
+    let clients = Database.attr_slot db ~cls:Derby.provider_cls "clients" in
+    let pcp = Database.attr_slot db ~cls:Derby.patient_cls "primary_care_provider" in
+    let seen = ref [] in
+    let visit crid =
+      let ch = Database.acquire db crid in
+      let prid =
+        if in_place then Database.get_ref db ch pcp
+        else Value.to_ref (Database.get_att_slot db ch pcp)
+      in
+      Database.unref db ch;
+      seen := (crid, prid) :: !seen
+    in
+    if in_place then Database.iter_set_rids db h clients visit
+    else
+      Database.iter_set db (Database.get_att_slot db h clients) (fun v ->
+          visit (Value.to_ref v));
+    Database.unref db h;
+    let spent = Tb_sim.Counters.diff ~later:(Tb_sim.Counters.snapshot counters) ~earlier:before in
+    (List.rev !seen, Format.asprintf "%a" Tb_sim.Counters.pp spent)
+  in
+  let decoded, charged = walk ~in_place:false in
+  let read, charged' = walk ~in_place:true in
+  check_int "every client navigated" 1000 (List.length read);
+  check_bool "the same Rids in the same order" true (decoded = read);
+  check_bool "every client points back" true
+    (List.for_all (fun (_, prid) -> Rid.equal prid b.Generator.providers.(0)) read);
+  Alcotest.(check string) "the same charges" charged charged'
 
 let test_organizations_layout () =
   (* Class clustering: separate files; patients' physical order follows

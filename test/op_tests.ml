@@ -409,56 +409,81 @@ let test_keep_equivalence () =
 let test_sorted_rids_leak_on_raise () =
   let b = small_built () in
   let db = b.Generator.db in
-  (* A sorted-Rid scan feeding a projection that raises mid-stream: the
-     covering Fetch keeps Handles out of the picture, so any residue is
-     the sort buffer's claim. *)
-  let tree =
-    Op.make
-      (Op.Materialize
-         {
-           child =
-             Op.make
-               (Op.Project
-                  {
-                    child =
-                      Op.make
-                        (Op.Fetch
-                           {
-                             child =
-                               Op.make
-                                 (Op.Sort_rids
-                                    {
-                                      child =
-                                        Op.make
-                                          (Op.Index_scan
-                                             {
-                                               cls = Derby.patient_cls;
-                                               attr = "mrn";
-                                               lo = None;
-                                               hi = Some 40;
-                                             });
-                                    });
-                             cls = Derby.patient_cls;
-                             var = "pa";
-                             preds = [];
-                             covering = true;
-                             mode = Op.Handle;
-                           });
-                    select = Oql_ast.Path ("pa", "age");
-                  });
-           aggregate = None;
-         })
+  (* A sorted-Rid scan whose rows raise mid-stream: the Fetch's predicate
+     compares an integer with a string, so the first emitted row raises
+     after the whole run was gathered, claimed and sorted.  A cold restart
+     afterwards releases the Handles the rows pinned, so any residue is the
+     sort buffer's claim. *)
+  let scan ?(sort = true) ~preds ~covering () =
+    let index =
+      Op.make
+        (Op.Index_scan { cls = Derby.patient_cls; attr = "mrn"; lo = None; hi = Some 40 })
+    in
+    let tree =
+      Op.make
+        (Op.Materialize
+           {
+             child =
+               Op.make
+                 (Op.Project
+                    {
+                      child =
+                        Op.make
+                          (Op.Fetch
+                             {
+                               child =
+                                 (if sort then Op.make (Op.Sort_rids { child = index })
+                                  else index);
+                               cls = Derby.patient_cls;
+                               var = "pa";
+                               preds;
+                               covering;
+                               mode = Op.Handle;
+                             });
+                      select = Oql_ast.Var "pa";
+                    });
+             aggregate = None;
+           })
+    in
+    ignore (Op.attach_frames tree);
+    tree
   in
-  ignore (Op.attach_frames tree);
+  let raising =
+    scan ~covering:false
+      ~preds:[ { Plan.attr = "age"; cmp = Oql_ast.Eq; const = Value.String "x" } ]
+      ()
+  in
+  let rows tree =
+    let r = Exec.run db tree ~keep:true in
+    let rids =
+      List.map
+        (function Value.Ref rid -> rid | _ -> Alcotest.fail "expected a reference")
+        (Query_result.values r)
+    in
+    Query_result.dispose r;
+    rids
+  in
   Database.cold_restart db;
   let sim = Database.sim db in
   let baseline = Sim.working_bytes sim in
-  (match Exec.run db tree ~keep:false with
+  let scratch = Database.rid_buf db in
+  (match Exec.run db raising ~keep:false with
   | exception Invalid_argument _ -> ()
   | r ->
       Query_result.dispose r;
-      Alcotest.fail "expected the projection to raise");
-  check_int "sort buffer released on raise" baseline (Sim.working_bytes sim)
+      Alcotest.fail "expected the row to raise");
+  Database.cold_restart db;
+  check_int "sort buffer released on raise" baseline (Sim.working_bytes sim);
+  check_int "the Rid scratch is popped on raise" 0 (Tb_storage.Rid_buf.length scratch);
+  (* The next run sorts the same Rids in the scratch the raised run grew. *)
+  let grown = Tb_storage.Rid_buf.contents scratch in
+  let rids = rows (scan ~covering:true ~preds:[] ()) in
+  check_bool "the run has rows" true (List.length rids > 32);
+  check_bool "the index's rows, in physical order" true
+    (List.sort Rid.compare (rows (scan ~sort:false ~covering:true ~preds:[] ())) = rids);
+  check_int "the Rid scratch is popped after a run" 0 (Tb_storage.Rid_buf.length scratch);
+  check_bool "the next run reuses the scratch without growing it" true
+    (Tb_storage.Rid_buf.contents scratch == grown)
 
 let test_merge_leak_on_raise () =
   let b = small_built () in

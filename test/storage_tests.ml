@@ -151,24 +151,39 @@ let test_rid_retag_max_shards () =
   check_bool "nil stays nil" true
     (Rid.is_nil (Tb_query.Exchange.retag ~shard:(shards - 1) Rid.nil))
 
+(* The buffer's in-place sort of a slice: a run of [len] Rids pushed above
+   [pos] others (an enclosing run), with more pushed after it.  The slice
+   comes out in [List.sort Rid.compare] order and nothing outside it moves;
+   nil and duplicates included. *)
 let rid_sort_matches_stdlib =
   QCheck.Test.make ~name:"rid: sort = Array.sort Rid.compare" ~count:300
     QCheck.(
       make
-        ~print:(fun a -> String.concat " " (Array.to_list (Array.map Rid.to_string a)))
+        ~print:(fun (pos, len, a) ->
+          Printf.sprintf "pos %d len %d: %s" pos len
+            (String.concat " " (Array.to_list (Array.map Rid.to_string a))))
         Gen.(
           oneof
             [
               array_size (int_range 0 2) rid_gen;
               array_size (int_range 3 40) rid_gen;
               array_size (int_range 200 3000) rid_gen;
-            ]))
-    (fun a ->
-      let want = Array.copy a in
-      Array.sort Rid.compare want;
-      let got = Array.copy a in
-      Rid.sort got;
-      Array.for_all2 Rid.equal want got)
+            ]
+          >>= fun a ->
+          let n = Array.length a in
+          int_range 0 n >>= fun pos ->
+          int_range 0 (n - pos) >>= fun len -> return (pos, len, a)))
+    (fun (pos, len, a) ->
+      let buf = Tb_storage.Rid_buf.create () in
+      Array.iter (Tb_storage.Rid_buf.push buf) a;
+      Tb_storage.Rid_buf.sort buf ~pos ~len;
+      let got = Array.sub (Tb_storage.Rid_buf.contents buf) 0 (Array.length a) in
+      let n = Array.length a in
+      Array.to_list (Array.sub got pos len)
+      = List.sort Rid.compare (Array.to_list (Array.sub a pos len))
+      && Array.sub got 0 pos = Array.sub a 0 pos
+      && Array.sub got (pos + len) (n - pos - len)
+         = Array.sub a (pos + len) (n - pos - len))
 
 (* --- Slotted page --- *)
 
@@ -426,6 +441,109 @@ let test_pool_clear_resets_chain () =
   ignore (add pool (pid 3) (page ()));
   expect_victim pool (pid 4) (page ()) (pid 2)
 
+(* The pool against a naive model: an association list of (id, page),
+   least recently used first.  Random adds, finds, peeks, removes and
+   clears over several files, some pages far enough apart to grow a file's
+   index; after every step the pool must agree on the victim (id and page),
+   the answer, the size, membership and the LRU order. *)
+type pool_op =
+  | P_add of int * int
+  | P_find of int * int
+  | P_peek of int * int
+  | P_remove of int * int
+  | P_clear
+
+let pool_op_gen =
+  QCheck.Gen.(
+    let at f =
+      map2 f (int_range 0 3)
+        (frequency [ (5, int_range 0 12); (1, int_range 0 300) ])
+    in
+    frequency
+      [
+        (6, at (fun f i -> P_add (f, i)));
+        (3, at (fun f i -> P_find (f, i)));
+        (2, at (fun f i -> P_peek (f, i)));
+        (2, at (fun f i -> P_remove (f, i)));
+        (1, return P_clear);
+      ])
+
+let show_pool_op = function
+  | P_add (f, i) -> Printf.sprintf "add %d.%d" f i
+  | P_find (f, i) -> Printf.sprintf "find %d.%d" f i
+  | P_peek (f, i) -> Printf.sprintf "peek %d.%d" f i
+  | P_remove (f, i) -> Printf.sprintf "remove %d.%d" f i
+  | P_clear -> "clear"
+
+let pool_matches_lru_model =
+  QCheck.Test.make ~name:"pool: random ops match an LRU-list model" ~count:300
+    QCheck.(
+      make
+        ~print:(fun (cap, ops) ->
+          Printf.sprintf "capacity %d: %s" cap
+            (String.concat "; " (List.map show_pool_op ops)))
+        Gen.(pair (int_range 1 6) (list_size (int_range 0 150) pool_op_gen)))
+    (fun (cap, ops) ->
+      let pool = Buffer_pool.create ~capacity_pages:cap in
+      let model = ref [] in
+      let ok = ref true in
+      let expect b = if not b then ok := false in
+      let to_mru id p = model := List.remove_assoc id !model @ [ (id, p) ] in
+      let step op =
+        match op with
+        | P_add (file, index) -> (
+            let id = Page_id.make ~file ~index and p = page () in
+            let evicted = Buffer_pool.add pool id p in
+            match (List.assoc_opt id !model, !model) with
+            | Some q, _ ->
+                expect (not evicted);
+                to_mru id q
+            | None, (vid, vp) :: rest when List.length !model >= cap ->
+                expect evicted;
+                expect (Page_id.equal (Buffer_pool.victim_id pool) vid);
+                expect (Buffer_pool.victim pool == vp);
+                model := rest @ [ (id, p) ]
+            | None, _ ->
+                expect (not evicted);
+                model := !model @ [ (id, p) ])
+        | P_find (file, index) -> (
+            let id = Page_id.make ~file ~index in
+            match (Buffer_pool.find pool id, List.assoc_opt id !model) with
+            | got, Some q ->
+                expect (got == q);
+                to_mru id q
+            | _, None -> expect false
+            | exception Not_found -> expect (not (List.mem_assoc id !model)))
+        | P_peek (file, index) -> (
+            let id = Page_id.make ~file ~index in
+            match (Buffer_pool.peek pool id, List.assoc_opt id !model) with
+            | Some got, Some q -> expect (got == q)
+            | None, None -> ()
+            | _ -> expect false)
+        | P_remove (file, index) ->
+            let id = Page_id.make ~file ~index in
+            Buffer_pool.remove pool id;
+            model := List.remove_assoc id !model
+        | P_clear ->
+            Buffer_pool.clear pool;
+            model := []
+      in
+      List.iter
+        (fun op ->
+          step op;
+          expect (Buffer_pool.size pool = List.length !model);
+          List.iter (fun (id, _) -> expect (Buffer_pool.mem pool id)) !model;
+          let order = ref [] in
+          Buffer_pool.iter pool (fun id p -> order := (id, p) :: !order);
+          let order = List.rev !order in
+          expect
+            (List.length order = List.length !model
+            && List.for_all2
+                 (fun (a, p) (b, q) -> Page_id.equal a b && p == q)
+                 order !model))
+        ops;
+      !ok)
+
 (* --- Cache stack --- *)
 
 let test_stack_charges_layers () =
@@ -466,6 +584,35 @@ let test_stack_cold_after_clear () =
   Tb_sim.Sim.reset sim;
   ignore (Cache_stack.fetch stack id);
   check_int "cold again" 1 sim.Tb_sim.Sim.counters.Tb_sim.Counters.disk_reads
+
+(* Each spill makes new scratch files, so the pools' per-file indexes
+   must go with a released file: a stream of spill files, each cached,
+   retired and dropped, leaves the stack no bigger per file than the
+   disk's own record of it. *)
+let test_stack_drop_forgets_dead_files () =
+  let _, disk, stack = fresh_stack () in
+  let spill () =
+    let file = Disk.new_file disk ~name:"spill" in
+    ignore (Cache_stack.fetch stack (Page_id.make ~file ~index:(Disk.append_page disk ~file)));
+    Disk.mark_dead disk ~file;
+    Cache_stack.drop stack
+  in
+  for _ = 1 to 8 do spill () done;
+  let before = Obj.reachable_words (Obj.repr stack) in
+  for _ = 1 to 64 do spill () done;
+  let per_file = (Obj.reachable_words (Obj.repr stack) - before) / 64 in
+  check_bool (Printf.sprintf "%d words per released file < 24" per_file) true (per_file < 24);
+  let pool = Buffer_pool.create ~capacity_pages:2 in
+  ignore (add pool (Page_id.make ~file:3 ~index:5) (page ()));
+  Alcotest.check_raises "a cached file is not forgotten"
+    (Invalid_argument "Buffer_pool.forget_file: a page of the file is cached") (fun () ->
+      Buffer_pool.forget_file pool 3);
+  Buffer_pool.clear pool;
+  Buffer_pool.forget_file pool 3;
+  Buffer_pool.forget_file pool 9;
+  ignore (add pool (Page_id.make ~file:3 ~index:5) (page ()));
+  check_bool "a forgotten file can be cached again" true
+    (Buffer_pool.mem pool (Page_id.make ~file:3 ~index:5))
 
 let test_stack_dirty_writeback () =
   let sim, disk, stack = fresh_stack () in
@@ -1033,6 +1180,7 @@ let suite =
     Alcotest.test_case "pool: re-add refreshes recency" `Quick
       test_pool_readd_refreshes;
     QCheck_alcotest.to_alcotest pool_never_exceeds_capacity;
+    QCheck_alcotest.to_alcotest pool_matches_lru_model;
     Alcotest.test_case "pool: interleaved find/add/remove order" `Quick
       test_pool_interleaved_order;
     Alcotest.test_case "pool: capacity one" `Quick test_pool_capacity_one;
@@ -1042,6 +1190,8 @@ let suite =
     Alcotest.test_case "stack: server absorbs client evictions" `Quick
       test_stack_server_hit_after_client_eviction;
     Alcotest.test_case "stack: cold after clear" `Quick test_stack_cold_after_clear;
+    Alcotest.test_case "stack: drop forgets released scratch files" `Quick
+      test_stack_drop_forgets_dead_files;
     Alcotest.test_case "stack: dirty write-back" `Quick test_stack_dirty_writeback;
     Alcotest.test_case "stack: drop keeps clean memos only" `Quick
       test_stack_drop_keeps_clean_memos;
