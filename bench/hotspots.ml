@@ -15,7 +15,10 @@
 
    - [cold]: the paper-cold query mix — selections at 1..90% by scan,
      unsorted and sorted index, a 50% count, and the Fig 11-14 joins at
-     10/50/90% under each algorithm — each query after a cold restart;
+     10/50/90% under each algorithm — each query after a cold restart.
+     Before sampling it prints one line per query of the mix: the minor
+     words, direct major words and rows of its second run after a cold
+     restart, which is where the mix's allocation lives;
    - [update]: a warm standard-mode loop of ten-write transactions (half
      swap two patients' indexed nums, half set an age), every tenth one
      aborted, the rest committed;
@@ -221,17 +224,19 @@ let report ~name ~top ?focus { stacks = raws; iterations; wall_s; minor_words } 
 
 (* --- the workloads --- *)
 
-let cold_mix db ~n_patients ~n_providers =
+(* The paper-cold mix, each query with a label. *)
+let cold_queries db ~n_patients ~n_providers =
   let pct n q = max 1 (n * q / 100) in
   let sel k = Printf.sprintf "select pa.age from pa in Patients where pa.num < %d" k in
   let sels =
     List.concat_map
       (fun q ->
         let text = sel (pct n_patients q) in
+        let at path = Printf.sprintf "sel %d%% %s" q path in
         [
-          (fun () -> Planner.run ~force_seq:true db text);
-          (fun () -> Planner.run ~force_sorted:false db text);
-          (fun () -> Planner.run ~force_sorted:true db text);
+          (at "seq", fun () -> Planner.run ~force_seq:true db text);
+          (at "index", fun () -> Planner.run ~force_sorted:false db text);
+          (at "sorted", fun () -> Planner.run ~force_sorted:true db text);
         ])
       [ 1; 5; 10; 50; 90 ]
   in
@@ -249,17 +254,44 @@ let cold_mix db ~n_patients ~n_providers =
             (pct n_patients q) (pct n_providers q)
         in
         List.map
-          (fun algo () -> Planner.run ~force_algo:algo db text)
+          (fun algo ->
+            ( Printf.sprintf "%s %d%%" (Plan.algo_name algo) q,
+              fun () -> Planner.run ~force_algo:algo db text ))
           Plan.[ NL; NOJOIN; PHJ; CHJ; PHHJ; SMJ ])
       [ 10; 50; 90 ]
   in
-  let queries = Array.of_list (((fun () -> Planner.run db count) :: sels) @ joins) in
+  Array.of_list ((("count 50%", fun () -> Planner.run db count) :: sels) @ joins)
+
+let cold_mix db queries =
   let next = ref 0 in
   fun () ->
     Database.cold_restart db;
-    let r = queries.(!next mod Array.length queries) () in
+    let r = (snd queries.(!next mod Array.length queries)) () in
     Tb_query.Query_result.dispose r;
     incr next
+
+(* Each query of the mix run twice after a cold restart, the second run
+   measured: minor words ([Gc.minor_words]), direct major words (major
+   less promoted, from [Gc.counters]) and the rows it emitted. *)
+let cold_allocation db queries =
+  Printf.printf "%-16s %12s %12s %8s\n" "query" "minor" "direct major" "rows";
+  let total = ref 0.0 in
+  Array.iter
+    (fun (label, q) ->
+      Database.cold_restart db;
+      Tb_query.Query_result.dispose (q ());
+      Database.cold_restart db;
+      let minor0 = Gc.minor_words () and _, promoted0, major0 = Gc.counters () in
+      let r = q () in
+      let minor = Gc.minor_words () -. minor0 and _, promoted1, major1 = Gc.counters () in
+      let direct = major1 -. promoted1 -. (major0 -. promoted0) in
+      let rows = Tb_query.Query_result.rows_seen r in
+      Tb_query.Query_result.dispose r;
+      total := !total +. minor +. direct;
+      Printf.printf "%-16s %12.0f %12.0f %8d\n" label minor direct rows)
+    queries;
+  Printf.printf "%-16s %12.0f words per query, minor and direct major\n\n" "mean"
+    (!total /. float_of_int (Array.length queries))
 
 (* The update loop keeps each patient's attributes in a model, as
    e2ebench does, so the samples land on the write path rather than on
@@ -403,12 +435,14 @@ let () =
   let want w = !which = "all" || !which = w in
   if want "cold" then begin
     let b = build ~scale:!scale Transaction.Load_off in
-    let run =
-      cold_mix b.Generator.db
+    let queries =
+      cold_queries b.Generator.db
         ~n_patients:(Array.length b.Generator.patients)
         ~n_providers:(Array.length b.Generator.providers)
     in
-    report ~name:"paper-cold query mix" ~top:!top (sampled !seconds run)
+    cold_allocation b.Generator.db queries;
+    report ~name:"paper-cold query mix" ~top:!top
+      (sampled !seconds (cold_mix b.Generator.db queries))
   end;
   if want "update" then begin
     let b = build ~scale:!scale Transaction.Standard in

@@ -195,8 +195,11 @@ let kernels () =
     (* Figure 10: hash-table build over every patient. *)
     t "fig10.hash_build" (fun () ->
         let b = Lazy.force built in
-        let sim = Tb_store.Database.sim b.Tb_derby.Generator.db in
-        let h = Tb_query.Mem_hash.create sim in
+        let db = b.Tb_derby.Generator.db in
+        let h =
+          Tb_query.Mem_hash.create (Tb_store.Database.sim db)
+            (Tb_store.Database.arena db)
+        in
         Array.iter
           (fun rid -> Tb_query.Mem_hash.add h ~key:rid ~payload_bytes:13 0)
           b.Tb_derby.Generator.patients;

@@ -4,7 +4,7 @@
    charged (treelint R1 lists it next to Operators); the interpreter in
    {!Exec} drives the loops but never touches the cost model itself.
 
-   An ['a t] is one S-way routed buffer: rows sent to a destination lane
+   A [t] is one S-way routed buffer: rows sent to a destination lane
    accumulate there, claim simulated memory, and pay one client/server
    round trip per filled page — rows move between shards by RPC, exactly
    like the page traffic of Figure 5, batched a page at a time.  A source
@@ -13,8 +13,10 @@
 
    Buffers are per (source, destination) pair so that one source's stream
    can be dropped and re-routed from a replica ([drop_source]) without
-   touching what the other sources already shipped.  Since PR 8 the RPCs
-   themselves are fallible: when a destination shard has an armed fault
+   touching what the other sources already shipped.  A row is a (key,
+   payload offset) pair, kept in flat per-pair arrays: the payload itself
+   stays where its harvest stowed it, on the arena the shards share.  The
+   RPCs themselves are fallible: when a destination shard has an armed fault
    schedule, each page RPC first rides out its drawn timeouts — a full
    timeout window plus an exponentially backed-off, jittered re-issue per
    loss, every wait charged to the simulated clock — before the page goes
@@ -25,11 +27,15 @@ module Sim = Tb_sim.Sim
 module Rid = Tb_storage.Rid
 module Fault = Tb_storage.Fault
 
-type 'a t = {
+type t = {
   sim : Sim.t;
   page : int;
   fault_of : int -> Fault.t option;
-  rows : 'a list array array;  (* rows.(src).(dest), newest first *)
+  (* keys.(src).(dest) and offs.(src).(dest): the pair's rows in arrival
+     order, the first count.(src).(dest) cells of each *)
+  keys : Rid.t array array array;
+  offs : int array array array;
+  count : int array array;
   pending : int array array;  (* buffered-but-unbilled bytes per (src,dest) *)
   claimed : int array array;  (* simulated bytes held per (src,dest) *)
 }
@@ -42,7 +48,9 @@ let create ?(fault_of = no_fault) sim ~shards =
     sim;
     page = sim.Sim.cost.Tb_sim.Cost_model.page_size;
     fault_of;
-    rows = Array.init shards (fun _ -> Array.make shards []);
+    keys = Array.init shards (fun _ -> Array.make shards [||]);
+    offs = Array.init shards (fun _ -> Array.make shards [||]);
+    count = Array.init shards (fun _ -> Array.make shards 0);
     pending = Array.init shards (fun _ -> Array.make shards 0);
     claimed = Array.init shards (fun _ -> Array.make shards 0);
   }
@@ -62,7 +70,7 @@ let retag ~shard rid =
       ~file:((shard * Rid.disk_file_limit) + Rid.file rid)
       ~page:(Rid.page rid) ~slot:(Rid.slot rid)
 
-let dest_of t key = Rid.hash key mod Array.length t.rows
+let dest_of t key = Rid.hash key mod Array.length t.count
 
 (* Ride out the drawn RPC losses on the link to a faulted shard: each loss
    burns the full timeout window, then an exponentially backed-off wait
@@ -87,9 +95,24 @@ let charge_page_rpc t ~dest =
   | Some f -> ride_out_losses t.sim f);
   Sim.charge_rpc t.sim ~pages:1
 
-let send t ~src ~dest ~bytes v =
+(* Double a pair's arrays when full. *)
+let make_room t ~src ~dest n =
+  if n = Array.length t.keys.(src).(dest) then begin
+    let cap = Int.max 64 (2 * n) in
+    let keys = Array.make cap Rid.nil and offs = Array.make cap 0 in
+    Array.blit t.keys.(src).(dest) 0 keys 0 n;
+    Array.blit t.offs.(src).(dest) 0 offs 0 n;
+    t.keys.(src).(dest) <- keys;
+    t.offs.(src).(dest) <- offs
+  end
+
+let send t ~src ~dest ~bytes ~key off =
   if bytes < 0 then invalid_arg "Exchange.send: negative bytes";
-  t.rows.(src).(dest) <- v :: t.rows.(src).(dest);
+  let n = t.count.(src).(dest) in
+  make_room t ~src ~dest n;
+  t.keys.(src).(dest).(n) <- key;
+  t.offs.(src).(dest).(n) <- off;
+  t.count.(src).(dest) <- n + 1;
   Sim.claim_bytes t.sim bytes;
   t.claimed.(src).(dest) <- t.claimed.(src).(dest) + bytes;
   t.pending.(src).(dest) <- t.pending.(src).(dest) + bytes;
@@ -110,12 +133,13 @@ let flush_source t ~src =
 (* Arrival order: sources are driven in ascending shard order inside the
    fork scope, so concatenating per-source streams in that order is the
    order rows actually reached the lane. *)
-let take t ~dest =
-  let acc = ref [] in
-  for src = Array.length t.rows - 1 downto 0 do
-    acc := List.rev_append t.rows.(src).(dest) !acc
-  done;
-  !acc
+let iter t ~dest f =
+  for src = 0 to Array.length t.count - 1 do
+    let keys = t.keys.(src).(dest) and offs = t.offs.(src).(dest) in
+    for i = 0 to t.count.(src).(dest) - 1 do
+      f keys.(i) offs.(i)
+    done
+  done
 
 let drop_source t ~src =
   Array.iteri
@@ -123,18 +147,18 @@ let drop_source t ~src =
       Sim.release_bytes t.sim bytes;
       t.claimed.(src).(d) <- 0;
       t.pending.(src).(d) <- 0;
-      t.rows.(src).(d) <- [])
+      t.count.(src).(d) <- 0)
     t.claimed.(src)
 
 let release_dest t ~dest =
-  for src = 0 to Array.length t.rows - 1 do
+  for src = 0 to Array.length t.count - 1 do
     Sim.release_bytes t.sim t.claimed.(src).(dest);
     t.claimed.(src).(dest) <- 0;
-    t.rows.(src).(dest) <- []
+    t.count.(src).(dest) <- 0
   done
 
 let dispose t =
-  for d = 0 to Array.length t.rows - 1 do
+  for d = 0 to Array.length t.count - 1 do
     release_dest t ~dest:d
   done
 

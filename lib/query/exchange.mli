@@ -14,9 +14,11 @@
     backed-off, jittered re-issue per loss.  Quiescent faults charge
     nothing and draw nothing: fault-free runs are bit-identical to PR 7. *)
 
-(** An S-way routed buffer: rows accumulate per (source, destination)
-    cell, claim simulated memory, and pay one RPC per filled page. *)
-type 'a t
+(** An S-way routed buffer: rows, each a (key, payload offset) pair,
+    accumulate per (source, destination) cell in flat arrays, claim
+    simulated memory, and pay one RPC per filled page.  The payloads stay
+    on the arena the shards share. *)
+type t
 
 (** [create ?fault_of sim ~shards] — [fault_of d] is the fault layer
     guarding the link to destination shard [d] (default: none).  Raises
@@ -25,7 +27,7 @@ val create :
   ?fault_of:(int -> Tb_storage.Fault.t option) ->
   Tb_sim.Sim.t ->
   shards:int ->
-  'a t
+  t
 
 (** [retag ~shard rid] tags a key Rid with its source shard so keys from
     different shards can never collide after repartitioning.  Colocated
@@ -34,35 +36,36 @@ val create :
 val retag : shard:int -> Tb_storage.Rid.t -> Tb_storage.Rid.t
 
 (** Destination lane of a (retagged) key: its hash modulo the lane count. *)
-val dest_of : 'a t -> Tb_storage.Rid.t -> int
+val dest_of : t -> Tb_storage.Rid.t -> int
 
-(** [send t ~src ~dest ~bytes v] routes one row from source lane [src]:
-    buffers it, claims [bytes] of simulated memory, and charges one
+(** [send t ~src ~dest ~bytes ~key off] routes one row from source lane
+    [src]: buffers it, claims [bytes] of simulated memory, and charges one
     single-page RPC (riding out any drawn losses first) each time the
     pair's buffered bytes fill a page. *)
-val send : 'a t -> src:int -> dest:int -> bytes:int -> 'a -> unit
+val send :
+  t -> src:int -> dest:int -> bytes:int -> key:Tb_storage.Rid.t -> int -> unit
 
 (** End of source [src]'s stream: ship its partial page to every
     destination holding one (one single-page RPC per non-empty partial). *)
-val flush_source : 'a t -> src:int -> unit
+val flush_source : t -> src:int -> unit
 
-(** [take t ~dest] is lane [dest]'s rows in arrival order (per-source
-    streams concatenated in ascending source order).  Charge-free and
+(** [iter t ~dest f] calls [f key off] on lane [dest]'s rows in arrival
+    order (per-source streams in ascending source order).  Charge-free and
     non-destructive: rows stay buffered until {!release_dest}, so a
     destination lane that fails over can be re-driven on the replica. *)
-val take : 'a t -> dest:int -> 'a list
+val iter : t -> dest:int -> (Tb_storage.Rid.t -> int -> unit) -> unit
 
 (** Discard everything source [src] routed — rows and claimed bytes —
     so the stream can be re-sent from a replica after a source-side
     failover. *)
-val drop_source : 'a t -> src:int -> unit
+val drop_source : t -> src:int -> unit
 
 (** Release the rows and simulated memory still held for lane [dest]
     (call after the lane's output has been shipped to the coordinator). *)
-val release_dest : 'a t -> dest:int -> unit
+val release_dest : t -> dest:int -> unit
 
 (** Release everything (exception cleanup). *)
-val dispose : 'a t -> unit
+val dispose : t -> unit
 
 (** {2 Failure kernels} *)
 

@@ -24,6 +24,7 @@ module Value = Tb_store.Value
 module Database = Tb_store.Database
 module Rid = Tb_storage.Rid
 module Rid_buf = Tb_storage.Rid_buf
+module Arena = Tb_storage.Arena
 module Counters = Tb_sim.Counters
 
 (* The run's state: the register file its rows live in, and the plan
@@ -294,7 +295,7 @@ and iter_kvs st node emit =
   match node.Op.kind with
   | Op.Harvest { child; key; cls; attrs; mode = Op.Handle } ->
       let h_reg = live_reg st child in
-      let slots = Operators.compile_attrs db ~cls attrs in
+      let hv = Operators.compile_attrs db ~cls attrs in
       let keyf = Operators.compile_key db ~cls key in
       iter_rows st child (fun () ->
           Op.Acct.enter st.acct fr;
@@ -302,7 +303,7 @@ and iter_kvs st node emit =
           let h = st.regs.Op.live.(h_reg) in
           let k = keyf h in
           if not (Rid.is_nil k) then begin
-            let payload = Operators.make_payload db h ~slots in
+            let payload = Operators.make_payload db h hv in
             fr.Op.rows_out <- fr.Op.rows_out + 1;
             emit k payload;
             Op.Acct.enter st.acct fr
@@ -340,31 +341,39 @@ and run_hash_probe st fr ~build ~probe ~probe_key ~probe_cls ~build_var
   | _, Op.Hash_build { child = bharv } ->
       let bfr = build.Op.frame in
       let p_reg = live_reg st probe and b_reg = reg st build_var in
-      let table : Op.payload Mem_hash.t = Mem_hash.create sim in
+      let arena = Database.arena db in
+      let nvals = List.length (payload_attrs bharv) in
+      (* The build side's payloads and table live on the arena above what
+         an enclosing run holds there, and are popped on every way out. *)
+      let base = Arena.top arena in
+      let table = Mem_hash.create sim arena in
       Fun.protect
         ~finally:(fun () ->
           bfr.Op.bytes <- max bfr.Op.bytes (Mem_hash.size_bytes table);
-          Mem_hash.dispose table)
+          Mem_hash.dispose table;
+          Arena.truncate arena base)
         (fun () ->
           iter_kvs st bharv (fun key payload ->
               Op.Acct.enter st.acct bfr;
               bfr.Op.rows_in <- bfr.Op.rows_in + 1;
               Mem_hash.add table ~key
-                ~payload_bytes:(Operators.payload_bytes payload)
+                ~payload_bytes:(Operators.payload_bytes arena payload ~nvals)
                 payload);
           let keyf = Operators.compile_key db ~cls:probe_cls probe_key in
-          let matched bp =
-            regs.Op.stored.(b_reg) <- bp;
-            fr.Op.rows_out <- fr.Op.rows_out + 1;
-            emit ();
-            Op.Acct.enter st.acct fr
+          let rec matched e =
+            if e >= 0 then begin
+              regs.Op.stored.(b_reg) <- Mem_hash.value table e;
+              fr.Op.rows_out <- fr.Op.rows_out + 1;
+              emit ();
+              Op.Acct.enter st.acct fr;
+              matched (Mem_hash.next table e)
+            end
           in
           iter_rows st probe (fun () ->
               Op.Acct.enter st.acct fr;
               fr.Op.rows_in <- fr.Op.rows_in + 1;
               let key = keyf regs.Op.live.(p_reg) in
-              if not (Rid.is_nil key) then
-                List.iter matched (Mem_hash.find table ~key)))
+              if not (Rid.is_nil key) then matched (Mem_hash.find table ~key)))
   | _ -> invalid_arg "Exec: Hash_probe expects a Hash_build build side"
 
 (* Hybrid hash join.  The build side is split into [partitions] buckets by
@@ -397,6 +406,9 @@ and run_hybrid st fr ~build ~probe ~build_var ~probe_var emit =
     | _ -> invalid_arg "Exec: hybrid probe side must harvest"
   in
   let battrs = payload_attrs bharv in
+  let bvals = List.length battrs in
+  let arena = Database.arena db in
+  let base = Arena.top arena in
   let b_reg = reg st build_var and p_reg = reg st probe_var in
   let h_reg = live_reg st probe_fetch in
   let bucket key = Rid.hash key mod partitions in
@@ -419,13 +431,16 @@ and run_hybrid st fr ~build ~probe ~build_var ~probe_var emit =
   let buckets = max 0 (partitions - 1) in
   let build_spill = Operators.new_spill db ~names:battrs ~buckets in
   let probe_spill = Operators.new_spill db ~names:pattrs ~buckets in
-  (* The spill files die with the join, also when it raises. *)
+  (* The spill files and the arena space die with the join, also when it
+     raises.  A payload that is spilled, or whose pairs are emitted, is
+     popped at once. *)
   Fun.protect ~finally:(fun () ->
       dispose_live ();
+      Arena.truncate arena base;
       Operators.release_spill db build_spill;
       Operators.release_spill db probe_spill)
   @@ fun () ->
-  let table : Op.payload Mem_hash.t = Mem_hash.create sim in
+  let table = Mem_hash.create sim arena in
   live := Some table;
   (* Build pass. *)
   iter_kvs st bharv (fun key payload ->
@@ -436,34 +451,38 @@ and run_hybrid st fr ~build ~probe ~build_var ~probe_var emit =
         Op.Acct.enter st.acct hb_fr;
         hb_fr.Op.rows_in <- hb_fr.Op.rows_in + 1;
         Mem_hash.add table ~key
-          ~payload_bytes:(Operators.payload_bytes payload)
+          ~payload_bytes:(Operators.payload_bytes arena payload ~nvals:bvals)
           payload
       end
-      else Operators.spill build_spill (bucket key - 1) ~key payload);
+      else begin
+        Operators.spill build_spill (bucket key - 1) ~key payload;
+        Arena.truncate arena payload
+      end);
   (* Probe pass: bucket 0 joins immediately, the rest spill.  Bucket-0
      probe payloads are harvested lazily, once per match. *)
-  let pslots = Operators.compile_attrs db ~cls:pcls pattrs in
+  let phv = Operators.compile_attrs db ~cls:pcls pattrs in
   let pkeyf = Operators.compile_key db ~cls:pcls pkey in
   let harvest h =
     Op.Acct.enter st.acct ph_fr;
     ph_fr.Op.rows_in <- ph_fr.Op.rows_in + 1;
-    let pl = Operators.make_payload db h ~slots:pslots in
+    let pl = Operators.make_payload db h phv in
     ph_fr.Op.rows_out <- ph_fr.Op.rows_out + 1;
     pl
   in
-  let rec matches h = function
-    | [] -> ()
-    | bp :: rest ->
-        let pl = harvest h in
-        Op.Acct.enter st.acct fr;
-        emit_pair bp pl;
-        matches h rest
+  let rec matches h e =
+    if e >= 0 then begin
+      let pl = harvest h in
+      Op.Acct.enter st.acct fr;
+      emit_pair (Mem_hash.value table e) pl;
+      Arena.truncate arena pl;
+      matches h (Mem_hash.next table e)
+    end
   in
-  let rec pairs pl = function
-    | [] -> ()
-    | bp :: rest ->
-        emit_pair bp pl;
-        pairs pl rest
+  let rec pairs tb pl e =
+    if e >= 0 then begin
+      emit_pair (Mem_hash.value tb e) pl;
+      pairs tb pl (Mem_hash.next tb e)
+    end
   in
   iter_rows st probe_fetch (fun () ->
       Op.Acct.enter st.acct fr;
@@ -476,27 +495,31 @@ and run_hybrid st fr ~build ~probe ~build_var ~probe_var emit =
           let pl = harvest h in
           Op.Acct.enter st.acct psp_fr;
           psp_fr.Op.rows_in <- psp_fr.Op.rows_in + 1;
-          Operators.spill probe_spill (bucket key - 1) ~key pl
+          Operators.spill probe_spill (bucket key - 1) ~key pl;
+          Arena.truncate arena pl
         end);
   dispose_live ();
+  Arena.truncate arena base;
   (* Spilled buckets, one at a time: each fits memory by construction. *)
   for b = 0 to partitions - 2 do
-    let tb : Op.payload Mem_hash.t = Mem_hash.create sim in
+    let tb = Mem_hash.create sim arena in
     live := Some tb;
     Op.Acct.enter st.acct bsp_fr;
     Operators.iter_spilled build_spill b (fun key payload ->
         Op.Acct.enter st.acct hb_fr;
         hb_fr.Op.rows_in <- hb_fr.Op.rows_in + 1;
         Mem_hash.add tb ~key
-          ~payload_bytes:(Operators.payload_bytes payload)
+          ~payload_bytes:(Operators.payload_bytes arena payload ~nvals:bvals)
           payload;
         Op.Acct.enter st.acct bsp_fr);
     Op.Acct.enter st.acct psp_fr;
     Operators.iter_spilled probe_spill b (fun key pl ->
         Op.Acct.enter st.acct fr;
-        pairs pl (Mem_hash.find tb ~key);
+        pairs tb pl (Mem_hash.find tb ~key);
+        Arena.truncate arena pl;
         Op.Acct.enter st.acct psp_fr);
-    dispose_live ()
+    dispose_live ();
+    Arena.truncate arena base
   done
 
 (* --- pointer-based sort-merge join --- *)
@@ -504,36 +527,45 @@ and run_hybrid st fr ~build ~probe ~build_var ~probe_var emit =
 and run_merge st fr ~left ~right ~left_var ~right_var emit =
   let sim = Database.sim st.db and regs = st.regs in
   let l_reg = reg st left_var and r_reg = reg st right_var in
+  let arena = Database.arena st.db in
+  let ents = Arena.entries arena in
   let run_sort node =
     match node.Op.kind with
     | Op.Sort { child } ->
         let sfr = node.Op.frame in
-        let acc = ref [] in
+        let nvals = List.length (payload_attrs child) in
+        let pairs = Arena.length ents in
         let bytes = ref 0 in
         iter_kvs st child (fun k p ->
             Op.Acct.enter st.acct sfr;
             sfr.Op.rows_in <- sfr.Op.rows_in + 1;
-            acc := (k, p) :: !acc;
-            bytes := !bytes + Operators.payload_bytes p);
+            Operators.push_pair arena ~key:k p;
+            bytes := !bytes + Operators.payload_bytes arena p ~nvals);
         Op.Acct.enter st.acct sfr;
-        let arr = Operators.claim_and_sort sim !acc ~bytes:!bytes in
+        let run = Operators.claim_and_sort sim arena ~pairs ~bytes:!bytes in
         sfr.Op.bytes <- !bytes;
-        sfr.Op.rows_out <- Array.length arr;
-        (arr, !bytes)
+        sfr.Op.rows_out <- Operators.run_length run;
+        (run, !bytes)
     | _ -> invalid_arg "Exec: Merge expects Sort children"
   in
-  (* Both runs stay claimed until the merge is done; release also on
-     exception so a failed query cannot leak simulated RAM. *)
+  (* Both runs stay claimed, and their payloads and pairs on the arena,
+     until the merge is done; release and pop also on exception so a
+     failed query leaks neither simulated RAM nor arena space. *)
+  let base = Arena.top arena and ebase = Arena.length ents in
   let claimed = ref 0 in
-  Fun.protect ~finally:(fun () -> Operators.release_bytes sim !claimed)
+  Fun.protect
+    ~finally:(fun () ->
+      Operators.release_bytes sim !claimed;
+      Arena.shrink ents ebase;
+      Arena.truncate arena base)
   @@ fun () ->
   let parents, p_bytes = run_sort left in
   claimed := !claimed + p_bytes;
   let children, c_bytes = run_sort right in
   claimed := !claimed + c_bytes;
   Op.Acct.enter st.acct fr;
-  fr.Op.rows_in <- Array.length parents + Array.length children;
-  Operators.merge_join sim ~bytes:(p_bytes + c_bytes) ~parents ~children
+  fr.Op.rows_in <- Operators.run_length parents + Operators.run_length children;
+  Operators.merge_join sim arena ~bytes:(p_bytes + c_bytes) ~parents ~children
     (fun pp cp ->
       regs.Op.stored.(l_reg) <- pp;
       regs.Op.stored.(r_reg) <- cp;
@@ -582,11 +614,19 @@ let drive_materialize st node ~keep =
           select
       in
       let result = Query_result.create ?aggregate (Database.sim st.db) ~keep in
-      iter_rows st child (fun () ->
-          Op.Acct.enter st.acct pfr;
-          pfr.Op.rows_in <- pfr.Op.rows_in + 1;
-          append_row st ~pfr ~fr result project;
-          Op.Acct.enter st.acct pfr);
+      (* The caller owns the result once it is returned; a raise before
+         that must not leak the rows' claimed bytes. *)
+      (match
+         iter_rows st child (fun () ->
+             Op.Acct.enter st.acct pfr;
+             pfr.Op.rows_in <- pfr.Op.rows_in + 1;
+             append_row st ~pfr ~fr result project;
+             Op.Acct.enter st.acct pfr)
+       with
+      | () -> ()
+      | exception e ->
+          Query_result.dispose result;
+          raise e);
       Op.Acct.enter st.acct fr;
       fr.Op.bytes <- Query_result.size_bytes result;
       result
@@ -747,9 +787,9 @@ let exchange_parts lane =
 (* Phase B of an exchange plan: build the destination's table from the
    routed build rows, probe with the routed probe rows, project and
    materialize on this lane. *)
-let run_exchange_dest acct db xl ~keep ~(bx : (Rid.t * Op.payload) Exchange.t)
-    ~(px : (Rid.t * Op.payload) Exchange.t) =
-  let sim = Database.sim db in
+let run_exchange_dest acct db xl ~keep ~bx ~px =
+  let sim = Database.sim db and arena = Database.arena db in
+  let nvals = List.length (payload_attrs xl.xl_bharv) in
   let hb_fr = xl.xl_hb.Op.frame in
   let hp_fr = xl.xl_hp.Op.frame in
   let proj_fr = xl.xl_proj.Op.frame in
@@ -766,41 +806,40 @@ let run_exchange_dest acct db xl ~keep ~(bx : (Rid.t * Op.payload) Exchange.t)
   let project =
     Operators.compile_select db ~reg:(reg st) ~sources:(sources xl.xl_hp) select
   in
-  let table : Op.payload Mem_hash.t = Mem_hash.create sim in
+  let table = Mem_hash.create sim arena in
   Fun.protect
     ~finally:(fun () ->
       hb_fr.Op.bytes <- max hb_fr.Op.bytes (Mem_hash.size_bytes table);
       Mem_hash.dispose table)
     (fun () ->
       Op.Acct.enter acct hb_fr;
-      List.iter
-        (fun (key, payload) ->
+      Exchange.iter bx ~dest:xl.xl_shard (fun key payload ->
           hb_fr.Op.rows_in <- hb_fr.Op.rows_in + 1;
           Mem_hash.add table ~key
-            ~payload_bytes:(Operators.payload_bytes payload)
-            payload)
-        (Exchange.take bx ~dest:xl.xl_shard);
+            ~payload_bytes:(Operators.payload_bytes arena payload ~nvals)
+            payload);
       Exchange.release_dest bx ~dest:xl.xl_shard;
       let result = Query_result.create ?aggregate sim ~keep in
-      let matched bp =
-        regs.Op.stored.(b_reg) <- bp;
-        hp_fr.Op.rows_out <- hp_fr.Op.rows_out + 1;
-        Op.Acct.enter acct proj_fr;
-        proj_fr.Op.rows_in <- proj_fr.Op.rows_in + 1;
-        append_row st ~pfr:proj_fr ~fr:mat_fr result project;
-        Op.Acct.enter acct hp_fr
+      let rec matched e =
+        if e >= 0 then begin
+          regs.Op.stored.(b_reg) <- Mem_hash.value table e;
+          hp_fr.Op.rows_out <- hp_fr.Op.rows_out + 1;
+          Op.Acct.enter acct proj_fr;
+          proj_fr.Op.rows_in <- proj_fr.Op.rows_in + 1;
+          append_row st ~pfr:proj_fr ~fr:mat_fr result project;
+          Op.Acct.enter acct hp_fr;
+          matched (Mem_hash.next table e)
+        end
       in
       (* The result survives the return — the gather owns it — but a raise
          while probing must not leak its claimed bytes: dispose on the
          unwind (the failover path then rebuilds on the replica). *)
       (match
          Op.Acct.enter acct hp_fr;
-         List.iter
-           (fun (key, pl) ->
+         Exchange.iter px ~dest:xl.xl_shard (fun key pl ->
              hp_fr.Op.rows_in <- hp_fr.Op.rows_in + 1;
              regs.Op.stored.(p_reg) <- pl;
-             List.iter matched (Mem_hash.find table ~key))
-           (Exchange.take px ~dest:xl.xl_shard);
+             matched (Mem_hash.find table ~key));
          Exchange.release_dest px ~dest:xl.xl_shard;
          Op.Acct.enter acct mat_fr;
          mat_fr.Op.bytes <- Query_result.size_bytes result
@@ -860,16 +899,17 @@ let run_gather smap root ~lanes ~shards ~ordered ~keep =
          routed rows are all still intact, so the replica only re-runs
          the destination's build/probe. *)
       let xls = Array.map Option.get xls in
-      let bx : (Rid.t * Op.payload) Exchange.t =
-        Exchange.create ~fault_of sim ~shards
-      in
+      (* The routed payloads live on the arena every shard and replica
+         shares, above what it held before, until the last lane joined. *)
+      let arena = Database.arena (Tb_store.Shard_map.shard smap 0) in
+      let base = Arena.top arena in
+      Fun.protect ~finally:(fun () -> Arena.truncate arena base) @@ fun () ->
+      let bx = Exchange.create ~fault_of sim ~shards in
       (* Nested protects, one per exchange: with a single shared finally,
          the second [create] raising — or the first dispose unwinding past
          the second — would leak the survivor's claimed buffers. *)
       Fun.protect ~finally:(fun () -> Exchange.dispose bx) @@ fun () ->
-      let px : (Rid.t * Op.payload) Exchange.t =
-        Exchange.create ~fault_of sim ~shards
-      in
+      let px = Exchange.create ~fault_of sim ~shards in
       Fun.protect ~finally:(fun () -> Exchange.dispose px) @@ fun () ->
       let scope_a = Tb_sim.Clock.fork clock ~lanes:shards in
           Array.iteri
@@ -878,6 +918,7 @@ let run_gather smap root ~lanes ~shards ~ordered ~keep =
               let shard = xl.xl_shard in
               let route db (ex_fr : Op.frame) buf harv =
                 let st = state db acct harv in
+                let nvals = List.length (payload_attrs harv) in
                 iter_kvs st harv (fun key payload ->
                     Op.Acct.enter acct ex_fr;
                     ex_fr.Op.rows_in <- ex_fr.Op.rows_in + 1;
@@ -885,8 +926,10 @@ let run_gather smap root ~lanes ~shards ~ordered ~keep =
                     ex_fr.Op.rows_out <- ex_fr.Op.rows_out + 1;
                     Exchange.send buf ~src:shard
                       ~dest:(Exchange.dest_of buf key)
-                      ~bytes:(Operators.payload_bytes payload + Rid.on_disk_bytes)
-                      (key, payload));
+                      ~bytes:
+                        (Operators.payload_bytes arena payload ~nvals
+                        + Rid.on_disk_bytes)
+                      ~key payload);
                 Op.Acct.enter acct ex_fr;
                 Exchange.flush_source buf ~src:shard
               in

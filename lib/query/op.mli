@@ -13,15 +13,13 @@
     switches), so the charge stream — and the golden counter fingerprint —
     is identical whether or not anyone looks at the explain output. *)
 
-(** A join side is visible either as a live Handle or as information stowed
-    in a hash table / sort run (Section 5).  The stowed information is a
-    payload: the object's identity and the values of the attributes the
-    projection reads, in the order of the harvesting operator's [attrs]
-    (the {!Harvest} node keeps the names, once). *)
-type payload = {
-  self : Tb_storage.Rid.t;
-  vals : Tb_store.Value.t array;  (** slot-ordered: [vals.(i)] is [attrs.(i)] *)
-}
+(* A join side is visible either as a live Handle or as information stowed
+   in a hash table / sort run (Section 5).  The stowed information is a
+   payload: bytes in the database's [Tb_storage.Arena], the object's Rid
+   ([Tb_storage.Rid.encode_into]) followed by the encodings of the
+   attributes the projection reads, in the order of the harvesting
+   operator's [attrs] (the [Harvest] node keeps the names, once).  A
+   payload is named by its arena offset. *)
 
 (** How a row binds one plan variable.  Which source each variable has is
     fixed by the operator that emits the row, so the executor resolves it
@@ -30,8 +28,8 @@ type source =
   | Live of string
       (** a pinned Handle of this class, in the [live] register cell *)
   | Stored of string list
-      (** a payload in the [stored] cell, its [vals] in this attribute
-          order *)
+      (** a payload's arena offset in the [stored] cell, its values in
+          this attribute order *)
   | Ident  (** the object's Rid only, in the [ident] cell (covering Fetch) *)
 
 (** A row as a register file: one cell per plan variable in each array,
@@ -40,7 +38,7 @@ type source =
     call and one register file is reused for every row of a run. *)
 type regs = {
   live : Tb_store.Handle.t array;
-  stored : payload array;
+  stored : int array;  (** payload offsets in the database's arena *)
   ident : Tb_storage.Rid.t array;
 }
 

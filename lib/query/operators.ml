@@ -11,16 +11,50 @@ module Value = Tb_store.Value
 module Database = Tb_store.Database
 module Codec = Tb_store.Codec
 module Heap_file = Tb_storage.Heap_file
+module Arena = Tb_storage.Arena
 module Rid = Tb_storage.Rid
 module Sim = Tb_sim.Sim
 
-let payload_bytes (p : Op.payload) =
-  let vals = p.Op.vals in
-  let acc = ref Rid.on_disk_bytes in
-  for i = 0 to Array.length vals - 1 do
-    acc := !acc + 4 + Tb_store.Codec.encoded_size vals.(i)
+(* --- payloads in the arena ---
+
+   A payload is the object's Rid ([Rid.encode_into], [Rid.on_disk_bytes]
+   long) followed by its values' encodings, copied byte for byte from
+   where they lie: a record on a page or a spilled record.  Nothing is
+   decoded until a kept row's projection reads a value. *)
+
+(* The position of value [i] of the payload at [off], in [buf], its
+   chunk. *)
+let value_pos buf off i =
+  let pos = ref (Arena.pos off + Rid.on_disk_bytes) in
+  for _ = 1 to i do
+    pos := Codec.skip buf ~pos:!pos
   done;
-  !acc
+  !pos
+
+(* The simulated size: the Rid, then per value 4 bytes and its encoding. *)
+let payload_bytes arena off ~nvals =
+  let buf = Arena.buf arena off in
+  (4 * nvals) + value_pos buf off nvals - Arena.pos off
+
+let stow arena ~self src at =
+  let n = Array.length at in
+  let len = ref Rid.on_disk_bytes in
+  for i = 0 to n - 1 do
+    len := !len + Codec.skip src ~pos:at.(i) - at.(i)
+  done;
+  let off = Arena.alloc arena !len in
+  let dst = Arena.buf arena off in
+  let pos = Arena.pos off in
+  Rid.encode_into self dst ~pos;
+  let pos = ref (pos + Rid.on_disk_bytes) in
+  for i = 0 to n - 1 do
+    let l = Codec.skip src ~pos:at.(i) - at.(i) in
+    Bytes.blit src at.(i) dst !pos l;
+    pos := !pos + l
+  done;
+  off
+
+let stored_self arena off = Rid.decode (Arena.buf arena off) ~pos:(Arena.pos off)
 
 (* Attribute names are resolved to schema slots once per operator; the
    per-row work below (predicate evaluation, payload harvest, inverse
@@ -35,19 +69,22 @@ let compile_preds db ~cls preds =
     preds
 
 (* The schema slot of each attribute [select] needs from a side, in the
-   harvest's order. *)
+   harvest's order, and room for where each lies in a row's record. *)
+type harvest = { slots : int array; at : int array }
+
 let compile_attrs db ~cls attrs =
-  Array.of_list (List.map (fun a -> Database.attr_slot db ~cls a) attrs)
+  let slots = Array.of_list (List.map (fun a -> Database.attr_slot db ~cls a) attrs) in
+  { slots; at = Array.make (Array.length slots) 0 }
 
 (* Harvest exactly the attributes [select] needs from a live Handle, one
-   charged access per slot, in slot-array order. *)
-let make_payload db h ~slots =
-  let n = Array.length slots in
-  let vals = Array.make n Value.Nil in
+   charged access per slot, in slot-array order, then copy them. *)
+let make_payload db h hv =
+  let n = Array.length hv.slots in
   for i = 0 to n - 1 do
-    vals.(i) <- Database.get_att_slot db h slots.(i)
+    hv.at.(i) <- Database.get_att_pos db h hv.slots.(i)
   done;
-  { Op.self = Database.handle_rid db h; vals }
+  stow (Database.arena db) ~self:(Database.handle_rid db h) (Database.packed_buf db h)
+    hv.at
 
 let rec index_of attr i = function
   | [] -> invalid_arg ("Exec: attribute " ^ attr ^ " not stowed")
@@ -91,10 +128,13 @@ let compile_select db ~reg ~sources select =
 let rec eval_select db (regs : Op.regs) = function
   | P_const v -> v
   | P_live_self r -> Value.Ref (Database.handle_rid db regs.Op.live.(r))
-  | P_stored_self r -> Value.Ref regs.Op.stored.(r).Op.self
+  | P_stored_self r -> Value.Ref (stored_self (Database.arena db) regs.Op.stored.(r))
   | P_ident r -> Value.Ref regs.Op.ident.(r)
   | P_live_att (r, slot) -> Database.get_att_slot db regs.Op.live.(r) slot
-  | P_stored_att (r, i) -> regs.Op.stored.(r).Op.vals.(i)
+  | P_stored_att (r, i) ->
+      let off = regs.Op.stored.(r) in
+      let buf = Arena.buf (Database.arena db) off in
+      Codec.decode_value buf ~pos:(value_pos buf off i)
   | P_tuple fields -> Value.Tuple (eval_fields db regs fields)
 
 (* Left to right, as the fields are written. *)
@@ -113,7 +153,10 @@ let rec size_select db (regs : Op.regs) = function
   | P_const v -> Codec.mem_bytes v
   | P_live_self _ | P_stored_self _ | P_ident _ -> ref_mem_bytes
   | P_live_att (r, slot) -> Database.get_att_mem_bytes db regs.Op.live.(r) slot
-  | P_stored_att (r, i) -> Codec.mem_bytes regs.Op.stored.(r).Op.vals.(i)
+  | P_stored_att (r, i) ->
+      let off = regs.Op.stored.(r) in
+      let buf = Arena.buf (Database.arena db) off in
+      Codec.mem_bytes_at buf ~pos:(value_pos buf off i)
   | P_tuple fields -> size_fields db regs fields
 
 and size_fields db regs = function
@@ -174,22 +217,97 @@ let charge_external_sort sim ~elems ~bytes =
     done
   end
 
-(* Claim a gathered (key, payload) run and sort it by key.  The sort is
-   unstable, so the input order — newest-first, exactly as the gather loop
-   prepends — is part of the deterministic contract, so this keeps the
-   stdlib heap sort rather than a radix sort: equal keys must keep the tie
-   order it has always produced. *)
-let claim_and_sort sim kvs ~bytes =
+(* A sort run on the arena's entries stack: [len] (key, payload offset)
+   pairs from cell [pairs] on, in arrival order, then from cell [order]
+   the run's order as pair numbers. *)
+type run = { pairs : int; order : int; len : int }
+
+let run_length r = r.len
+
+let push_pair arena ~(key : Rid.t) off =
+  let ents = Arena.entries arena in
+  let c = Arena.grow ents 2 in
+  Arena.set ents c (key :> int);
+  Arena.set ents (c + 1) off
+
+(* Stdlib's [Array.sort] (a ternary heap sort), over cells [order ..
+   order + l - 1] of [d], comparing the keys of the pairs those cells name by
+   [Rid.compare] (the packed ints' order).  The same comparisons in the
+   same order give the same permutation, equal keys included; only the
+   stdlib's [Bottom] exception, raised and allocated once per element,
+   becomes the son index -1. *)
+let heap_sort d ~pairs ~order l =
+  let get i = Arena.get d (order + i) and set i x = Arena.set d (order + i) x in
+  let key x = Arena.get d (pairs + (2 * x)) in
+  let cmp x y = Int.compare (key x) (key y) in
+  let maxson l i =
+    let i31 = i + i + i + 1 in
+    if i31 + 2 < l then begin
+      let x = if cmp (get i31) (get (i31 + 1)) < 0 then i31 + 1 else i31 in
+      if cmp (get x) (get (i31 + 2)) < 0 then i31 + 2 else x
+    end
+    else if i31 + 1 < l && cmp (get i31) (get (i31 + 1)) < 0 then i31 + 1
+    else if i31 < l then i31
+    else -1
+  in
+  let rec trickle l i e =
+    let j = maxson l i in
+    if j >= 0 && cmp (get j) e > 0 then begin
+      set i (get j);
+      trickle l j e
+    end
+    else set i e
+  in
+  let rec bubble l i =
+    let j = maxson l i in
+    if j < 0 then i
+    else begin
+      set i (get j);
+      bubble l j
+    end
+  in
+  let rec trickleup i e =
+    let father = (i - 1) / 3 in
+    if cmp (get father) e < 0 then begin
+      set i (get father);
+      if father > 0 then trickleup father e else set 0 e
+    end
+    else set i e
+  in
+  for i = ((l + 1) / 3) - 1 downto 0 do
+    trickle l i (get i)
+  done;
+  for i = l - 1 downto 2 do
+    let e = get i in
+    set i (get 0);
+    trickleup (bubble i 0) e
+  done;
+  if l > 1 then begin
+    let e = get 1 in
+    set 1 (get 0);
+    set 0 e
+  end
+
+(* Claim a gathered run and sort it by key.  The sort is unstable, so
+   the order it starts from — newest first, as the gather loop once
+   prepended to a list — is part of the deterministic contract, and equal
+   keys keep the tie order it has always produced. *)
+let claim_and_sort sim arena ~pairs ~bytes =
   Sim.claim_bytes sim bytes;
   (* The claim deliberately survives the return — the caller owns it — but
      must not survive a raise below, or the bytes would never be released. *)
   match
-    let arr = Array.of_list kvs in
-    charge_external_sort sim ~elems:(Array.length arr) ~bytes;
-    Array.sort (fun (a, _) (b, _) -> Rid.compare a b) arr;
-    arr
+    let ents = Arena.entries arena in
+    let len = (Arena.length ents - pairs) / 2 in
+    let order = Arena.grow ents len in
+    for i = 0 to len - 1 do
+      Arena.set ents (order + i) (len - 1 - i)
+    done;
+    charge_external_sort sim ~elems:len ~bytes;
+    heap_sort ents ~pairs ~order len;
+    { pairs; order; len }
   with
-  | arr -> arr
+  | r -> r
   | exception e ->
       Sim.release_bytes sim bytes;
       raise e
@@ -199,7 +317,7 @@ let release_bytes sim n = Sim.release_bytes sim n
 (* Merge two sorted runs.  Runs that do not fit in memory together are
    streamed through disk once more (write out, read back for the merge);
    parents' keys are unique (their own Rids). *)
-let merge_join sim ~bytes ~parents ~children emit =
+let merge_join sim arena ~bytes ~parents ~children emit =
   if Sim.over_memory sim then begin
     let pages = (bytes / sim.Sim.cost.Tb_sim.Cost_model.page_size) + 1 in
     for _ = 1 to pages do
@@ -207,17 +325,20 @@ let merge_join sim ~bytes ~parents ~children emit =
       Sim.charge_disk_read sim
     done
   end;
-  let np = Array.length parents and nc = Array.length children in
+  let d = Arena.entries arena in
+  let cell r i = r.pairs + (2 * Arena.get d (r.order + i)) in
+  let np = parents.len in
   let i = ref 0 in
-  for j = 0 to nc - 1 do
-    let ckey, cp = children.(j) in
-    while !i < np && Rid.compare (fst parents.(!i)) ckey < 0 do
+  for j = 0 to children.len - 1 do
+    let c = cell children j in
+    let ckey = Arena.get d c in
+    while !i < np && Int.compare (Arena.get d (cell parents !i)) ckey < 0 do
       Sim.charge_compare sim 1;
       incr i
     done;
     Sim.charge_compare sim 1;
-    if !i < np && Rid.equal (fst parents.(!i)) ckey then
-      emit (snd parents.(!i)) cp
+    if !i < np && Int.equal (Arena.get d (cell parents !i)) ckey then
+      emit (Arena.get d (cell parents !i + 1)) (Arena.get d (c + 1))
   done
 
 (* --- spilled partitions (hybrid hashing, DeWitt/Katz/Olken-style) --- *)
@@ -228,12 +349,15 @@ let merge_join sim ~bytes ~parents ~children emit =
    payload would encode to:
    [\[@key: Ref key; @self: Ref self; name_1: v_1; ...\]].  It is written
    field by field into one reused buffer, behind the heap file's framing
-   room, and read back field by field off the page. *)
+   room, each value's bytes copied from the payload, and read back into
+   the arena the same way, nothing decoded. *)
 type spill = {
   files : Heap_file.t array;
+  arena : Arena.t;
   names : string list;
   nvals : int;
   fixed : int;  (** record bytes besides the values' encodings *)
+  at : int array;  (** where each value of a record being read lies *)
   mutable buf : bytes;
 }
 
@@ -249,30 +373,32 @@ let new_spill db ~names ~buckets =
       + Codec.field_name_bytes self_name + Codec.ref_bytes)
       names
   in
+  let nvals = List.length names in
   {
     files =
       Array.init buckets (fun _ -> Heap_file.create_temp (Database.stack db));
+    arena = Database.arena db;
     names;
-    nvals = List.length names;
+    nvals;
     fixed;
+    at = Array.make nvals 0;
     buf = Bytes.create (Heap_file.frame_room + fixed + 64);
   }
 
-(* Name and value of each payload field from index [i], at [pos]. *)
-let rec put_fields names vals buf i pos =
+(* Each name, then the next value's bytes from [src] at [from]. *)
+let rec put_fields names src from buf pos =
   match names with
   | [] -> pos
   | n :: rest ->
       let pos = Codec.field_name_into n buf ~pos in
-      put_fields rest vals buf (i + 1) (Codec.encode_into vals.(i) buf ~pos)
+      let stop = Codec.skip src ~pos:from in
+      Bytes.blit src from buf pos (stop - from);
+      put_fields rest src stop buf (pos + stop - from)
 
-let spill sp bucket ~key (payload : Op.payload) =
-  let vals = payload.Op.vals in
-  let len = ref sp.fixed in
-  for i = 0 to sp.nvals - 1 do
-    len := !len + Codec.encoded_size vals.(i)
-  done;
-  let len = !len in
+let spill sp bucket ~key off =
+  let src = Arena.buf sp.arena off in
+  let first = Arena.pos off + Rid.on_disk_bytes in
+  let len = sp.fixed + value_pos src off sp.nvals - first in
   if Bytes.length sp.buf < Heap_file.frame_room + len then
     sp.buf <- Bytes.create (2 * (Heap_file.frame_room + len));
   let buf = sp.buf in
@@ -282,13 +408,12 @@ let spill sp bucket ~key (payload : Op.payload) =
   let pos = Codec.field_name_into key_name buf ~pos in
   let pos = Codec.ref_into key buf ~pos in
   let pos = Codec.field_name_into self_name buf ~pos in
-  let pos = Codec.ref_into payload.Op.self buf ~pos in
-  if put_fields sp.names vals buf 0 pos <> Heap_file.frame_room + len then
-    invalid_arg "Operators.spill: payload does not match its names";
+  let pos = Codec.ref_into (stored_self sp.arena off) buf ~pos in
+  ignore (put_fields sp.names src first buf pos);
   ignore (Heap_file.insert_body sp.files.(bucket) buf ~len)
 
 (* Page by page, in place: the key and identity are read as Rids, the
-   names skipped, and only the payload values decoded. *)
+   names skipped, and the payload values copied into the arena. *)
 let iter_spilled sp bucket f =
   let file = sp.files.(bucket) in
   let nvals = sp.nvals in
@@ -299,14 +424,13 @@ let iter_spilled sp bucket f =
     let key = Codec.ref_at buf ~pos in
     let pos = Codec.skip_field_name buf ~pos:(pos + Codec.ref_bytes) in
     let self = Codec.ref_at buf ~pos in
-    let vals = Array.make nvals Value.Nil in
     let pos = ref (pos + Codec.ref_bytes) in
     for i = 0 to nvals - 1 do
       let at = Codec.skip_field_name buf ~pos:!pos in
-      vals.(i) <- Codec.decode_value buf ~pos:at;
+      sp.at.(i) <- at;
       pos := Codec.skip buf ~pos:at
     done;
-    f key { Op.self; vals }
+    f key (stow sp.arena ~self buf sp.at)
   in
   for page = 0 to Heap_file.page_count file - 1 do
     Heap_file.iter_page_spans file ~page record

@@ -7,9 +7,23 @@
     order of the pre-operator monolithic drivers verbatim — the golden
     counter fingerprint depends on the sequence, not just the totals. *)
 
-(** Simulated size of a stowed payload: its Rid plus, per value, 4 bytes
-    and the value's encoded size. *)
-val payload_bytes : Op.payload -> int
+(** {2 Payloads}
+
+    A stowed payload ({!Op.regs}) is bytes in the database's
+    {!Tb_storage.Arena}: the object's Rid, then its values' encodings,
+    copied from where they lie and decoded only when a kept row's
+    projection reads them. *)
+
+(** [payload_bytes arena off ~nvals] is the simulated size of the payload
+    at [off], which carries [nvals] values: its Rid plus, per value, 4
+    bytes and the value's encoded size. *)
+val payload_bytes : Tb_storage.Arena.t -> int -> nvals:int -> int
+
+(** [stow arena ~self src at] copies the values encoded in [src] at
+    [at.(0)], [at.(1)], ... into a fresh payload of [self] on [arena] and
+    returns its offset.  Charge-free: the caller has charged each value's
+    access. *)
+val stow : Tb_storage.Arena.t -> self:Tb_storage.Rid.t -> bytes -> int array -> int
 
 (** A predicate with its attribute resolved to a schema slot. *)
 type compiled_pred = {
@@ -22,12 +36,15 @@ val compile_preds :
   Tb_store.Database.t -> cls:string -> Plan.attr_pred list -> compiled_pred list
 
 (** The schema slots of a side's harvested attributes, in order. *)
-val compile_attrs : Tb_store.Database.t -> cls:string -> string list -> int array
+type harvest
 
-(** Harvest exactly the given slots from a live Handle into a payload whose
-    [vals] follow the slot array (one charged attribute access per slot). *)
-val make_payload :
-  Tb_store.Database.t -> Tb_store.Handle.t -> slots:int array -> Op.payload
+val compile_attrs : Tb_store.Database.t -> cls:string -> string list -> harvest
+
+(** Harvest exactly the given slots from a live Handle into a payload on
+    the database's arena, its values in slot order (one charged attribute
+    access per slot, through {!Tb_store.Database.get_att_pos}); returns
+    its offset. *)
+val make_payload : Tb_store.Database.t -> Tb_store.Handle.t -> harvest -> int
 
 (** A projection with every name resolved: variables to registers,
     attributes to schema slots (Handle-backed variables) or payload
@@ -84,26 +101,40 @@ val with_sorted_rids :
   (Tb_storage.Rid.t array -> unit) ->
   unit
 
-(** Claim a gathered (key, payload) run and sort it by key.  Ownership of
-    the claimed bytes passes to the caller, who must
-    {!release_bytes} them (under [Fun.protect]) when the merge is done. *)
+(** {2 Sort-merge}
+
+    A sort run gathers (key, payload offset) pairs on the arena's entries
+    stack ({!push_pair}) above a position the caller read first
+    ({!Tb_storage.Arena.length}), and is sorted by {!claim_and_sort}. *)
+
+type run
+
+val run_length : run -> int
+
+(** Append one (key, payload offset) pair to the run being gathered. *)
+val push_pair : Tb_storage.Arena.t -> key:Tb_storage.Rid.t -> int -> unit
+
+(** [claim_and_sort sim arena ~pairs ~bytes] claims [bytes] and sorts the
+    pairs gathered from cell [pairs] on by key: the permutation stdlib
+    [Array.sort] gives the pairs newest first, ties included.  Ownership
+    of the claimed bytes passes to the caller, who must {!release_bytes}
+    them (under [Fun.protect]) when the merge is done, and pop the
+    entries stack back to [pairs]. *)
 val claim_and_sort :
-  Tb_sim.Sim.t ->
-  (Tb_storage.Rid.t * Op.payload) list ->
-  bytes:int ->
-  (Tb_storage.Rid.t * Op.payload) array
+  Tb_sim.Sim.t -> Tb_storage.Arena.t -> pairs:int -> bytes:int -> run
 
 val release_bytes : Tb_sim.Sim.t -> int -> unit
 
 (** Merge two key-sorted runs, charging one comparison per advance and the
     extra disk pass when the combined runs exceed memory; [emit] receives
-    each matching (left, right) payload pair. *)
+    the payload offsets of each matching (left, right) pair. *)
 val merge_join :
   Tb_sim.Sim.t ->
+  Tb_storage.Arena.t ->
   bytes:int ->
-  parents:(Tb_storage.Rid.t * Op.payload) array ->
-  children:(Tb_storage.Rid.t * Op.payload) array ->
-  (Op.payload -> Op.payload -> unit) ->
+  parents:run ->
+  children:run ->
+  (int -> int -> unit) ->
   unit
 
 (** {2 Spilled partitions}
@@ -111,25 +142,26 @@ val merge_join :
     A spilled (key, payload) record is the encoded tuple
     [\[@key: Ref key; @self: Ref self; name_1: v_1; ...\]], [names] being
     the harvesting operator's attributes, one per payload value.  It is
-    written in place, field by field, and read back in place. *)
+    written in place, field by field, each value's bytes copied from the
+    payload, and read back into the arena the same way. *)
 
 type spill
 
 (** [new_spill db ~names ~buckets] opens [buckets] fresh temporary heap
-    files for payloads carrying [names]. *)
+    files for payloads on the database's arena carrying [names]. *)
 val new_spill :
   Tb_store.Database.t -> names:string list -> buckets:int -> spill
 
-(** [spill sp b ~key payload] appends one record to file [b] (charged as
-    ordinary heap-page traffic).  Raises [Invalid_argument] when the
-    payload does not carry one value per name. *)
-val spill : spill -> int -> key:Tb_storage.Rid.t -> Op.payload -> unit
+(** [spill sp b ~key off] appends one record to file [b] for the payload
+    at arena offset [off] (charged as ordinary heap-page traffic). *)
+val spill : spill -> int -> key:Tb_storage.Rid.t -> int -> unit
 
 (** [iter_spilled sp b f] reads file [b] page by page (charged as a heap
-    scan) and hands [f] each record's key and payload, in physical
-    order.  Raises [Invalid_argument] on a corrupt record. *)
-val iter_spilled :
-  spill -> int -> (Tb_storage.Rid.t -> Op.payload -> unit) -> unit
+    scan) and hands [f] each record's key and the offset of its payload,
+    copied onto the arena, in physical order.  The caller pops the arena
+    when done with them.  Raises [Invalid_argument] on a corrupt
+    record. *)
+val iter_spilled : spill -> int -> (Tb_storage.Rid.t -> int -> unit) -> unit
 
 (** [spill_file sp b] is the heap file bucket file [b] spills to. *)
 val spill_file : spill -> int -> Tb_storage.Heap_file.t

@@ -40,11 +40,18 @@ type pinstr = {
    then record the cursor into scratch register [dst]. *)
 type seek = { skips : int; dst : int }
 
+(* Each payload attribute's register, in harvest order, and room for its
+   position in a row's record.  Shared and empty when nothing is
+   harvested, so a selection's program costs nothing for it. *)
+type payload = { regs : int array; at : int array }
+
+let no_payload = { regs = [||]; at = [||] }
+
 type prog = {
   seeks : seek array;
   scratch : int array;  (* absolute attribute offsets, filled per record *)
   preds : pinstr array;  (* in predicate order *)
-  payload : int array;  (* register of each payload attribute, in harvest order *)
+  payload : payload;
   inverse : int;  (* register of the inverse reference; -1 for K_self *)
 }
 
@@ -115,7 +122,12 @@ let compile db ~cls ?(preds = []) ?(key = Op.K_self) ?(attrs = []) () =
     seeks;
     scratch = Array.make (List.length needed) 0;
     preds;
-    payload = Array.of_list (List.map reg_of_slot payload_slots);
+    payload =
+      (match payload_slots with
+      | [] -> no_payload
+      | _ ->
+          let regs = Array.of_list (List.map reg_of_slot payload_slots) in
+          { regs; at = Array.make (Array.length regs) 0 });
     inverse = (match inverse_slot with Some s -> reg_of_slot s | None -> -1);
   }
 
@@ -202,15 +214,13 @@ let eval_key db prog buf ~self =
   end
 
 (* Harvest the payload attributes in harvest order: per attribute the
-   Handle path's get_att charge, then one decode at the recorded position
-   (with the payload's record and array, the packed path's only per-row
-   allocation, for rows that survived the predicates). *)
+   Handle path's get_att charge, then the encodings are copied from their
+   recorded positions onto the arena, nothing decoded. *)
 let make_payload db prog buf ~self =
   let sim = Database.sim db in
-  let n = Array.length prog.payload in
-  let vals = Array.make n Value.Nil in
-  for i = 0 to n - 1 do
+  let { regs; at } = prog.payload in
+  for i = 0 to Array.length regs - 1 do
     Sim.charge_get_att sim;
-    vals.(i) <- Codec.decode_value buf ~pos:prog.scratch.(prog.payload.(i))
+    at.(i) <- prog.scratch.(regs.(i))
   done;
-  { Op.self; vals }
+  Operators.stow (Database.arena db) ~self buf at

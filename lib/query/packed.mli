@@ -54,7 +54,8 @@ val eval_key :
   Tb_store.Database.t -> prog -> bytes -> self:Tb_storage.Rid.t -> Tb_storage.Rid.t
 
 (** [make_payload db prog buf ~self] harvests the payload attributes in
-    [attrs] order into a slot-ordered payload, one get_att charge per
-    attribute. *)
+    [attrs] order, one get_att charge per attribute, copying their
+    encodings into a payload on the database's arena
+    ({!Operators.stow}); returns its offset. *)
 val make_payload :
-  Tb_store.Database.t -> prog -> bytes -> self:Tb_storage.Rid.t -> Op.payload
+  Tb_store.Database.t -> prog -> bytes -> self:Tb_storage.Rid.t -> int

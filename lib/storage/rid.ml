@@ -37,9 +37,8 @@ let equal : t -> t -> bool = Int.equal
 (* FNV-1a over the (file, page, slot) triple: deterministic across runs and
    OCaml versions (Hashtbl.hash is specified only per-version), masked
    non-negative so [hash t mod n] is a valid bucket index.  It is the hash
-   of the unpacked fields, not of the packed word: Mem_hash and
-   Handle_table bucket order, hybrid partitioning and exchange routing all
-   follow it. *)
+   of the unpacked fields, not of the packed word: hybrid partitioning
+   and exchange routing follow it. *)
 let hash t =
   let mix h x = (h lxor x) * 0x0100_0193 in
   mix (mix (mix 0x811c_9dc5 (file t)) (page t)) (slot t) land max_int

@@ -48,6 +48,8 @@ type t = {
   mutable retired : int list;
   (* The Rids sorted index scans gather and sort (see [Rid_buf]). *)
   rid_buf : Tb_storage.Rid_buf.t;
+  (* The stowed sides of joins (see [Arena]). *)
+  arena : Tb_storage.Arena.t;
 }
 
 let register_file t heap =
@@ -106,7 +108,8 @@ let install_ckpt t c =
 let create sim ~schema ~server_pages ~client_pages
     ?(handle_kind = Tb_sim.Cost_model.Fat) ?(zombie_limit = 8192)
     ?(txn_mode = Transaction.Standard) ?(uncommitted_limit = 50_000)
-    ?(rid_buf = Tb_storage.Rid_buf.create ()) () =
+    ?(rid_buf = Tb_storage.Rid_buf.create ())
+    ?(arena = Tb_storage.Arena.create ()) () =
   let disk = Tb_storage.Disk.create sim in
   let stack = Tb_storage.Cache_stack.create sim disk ~server_pages ~client_pages in
   let t =
@@ -137,6 +140,7 @@ let create sim ~schema ~server_pages ~client_pages
       on_commit = None;
       wbuf = Bytes.create 256;
       rid_buf;
+      arena;
       old_keys = Array.make 4 0;
       new_keys = Array.make 4 0;
       spills = 0;
@@ -158,6 +162,7 @@ let create sim ~schema ~server_pages ~client_pages
 
 let sim t = t.sim
 let rid_buf t = t.rid_buf
+let arena t = t.arena
 let schema t = t.schema
 let stack t = t.stack
 let txn t = t.txn
@@ -497,6 +502,11 @@ let get_att_slot t h slot =
   let s = slab t in
   let buf = Handle.packed_buf s h in
   Codec.decode_value buf ~pos:(att_pos s h buf slot)
+
+let get_att_pos t h slot =
+  Tb_sim.Sim.charge_get_att t.sim;
+  let s = slab t in
+  att_pos s h (Handle.packed_buf s h) slot
 
 let get_att_mem_bytes t h slot =
   Tb_sim.Sim.charge_get_att t.sim;

@@ -18,6 +18,7 @@ val create :
   ?txn_mode:Transaction.mode ->
   ?uncommitted_limit:int ->
   ?rid_buf:Tb_storage.Rid_buf.t ->
+  ?arena:Tb_storage.Arena.t ->
   unit ->
   t
 
@@ -28,6 +29,12 @@ val sim : t -> Tb_sim.Sim.t
     one.  Runs nest on it, so databases whose queries run one inside
     another's (the shards of a {!Shard_map}) can share one. *)
 val rid_buf : t -> Tb_storage.Rid_buf.t
+
+(** The arena joins stow their sides in, kept between runs (see
+    {!Tb_storage.Arena}): a fresh one unless [create] was given one.  The
+    shards and replicas of a {!Shard_map} share one, so an exchange's
+    routed payloads stay readable on whichever database joins them. *)
+val arena : t -> Tb_storage.Arena.t
 val schema : t -> Schema.t
 val stack : t -> Tb_storage.Cache_stack.t
 val txn : t -> Transaction.t
@@ -81,6 +88,11 @@ val attr_slot : t -> cls:string -> string -> int
     same simulated charge, attribute decoded in place off the handle's
     page bytes. *)
 val get_att_slot : t -> Handle.t -> int -> Value.t
+
+(** [get_att_pos t h slot] is {!get_att_slot}'s charge and the position
+    of the slot's encoding in {!packed_buf}'s buffer, where it can be
+    copied without being decoded. *)
+val get_att_pos : t -> Handle.t -> int -> int
 
 (** [get_att_mem_bytes t h slot] is [Codec.mem_bytes (get_att_slot t h
     slot)] with the same charge, read in place: the attribute is sized,

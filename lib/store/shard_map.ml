@@ -60,12 +60,14 @@ let create sim ~schema ~shards ?(replicas = 1) ~server_pages ~client_pages
   let per_shard pages = max 2 (pages / shards) in
   (* The lanes of a sharded query run one after another, so the shards'
      sorted runs share one retained Rid buffer rather than keeping one
-     each. *)
+     each; and they share one arena, which also lets an exchange's
+     destination read the payloads its sources stowed. *)
   let rid_buf = Tb_storage.Rid_buf.create () in
+  let arena = Tb_storage.Arena.create () in
   let mk () =
     Database.create sim ~schema ~server_pages:(per_shard server_pages)
       ~client_pages:(per_shard client_pages) ?handle_kind ?zombie_limit
-      ?txn_mode ~rid_buf ()
+      ?txn_mode ~rid_buf ~arena ()
   in
   let dbs = Array.init shards (fun _ -> mk ()) in
   let followers =

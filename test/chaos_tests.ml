@@ -247,6 +247,35 @@ let test_kill_sweep () =
               || Filename.check_suffix name "/index"))
          (matrix ()))
 
+(* --- the shared arena survives every kill point ---
+
+   The shards and replicas share one arena: the routed payloads of an
+   exchange sit on it from the first source's route to the last
+   destination's join.  Killing any shard at any boundary of a PHJ must
+   still give the fault-free answer and leave the arena where the run
+   found it, whichever phase failed over. *)
+let test_kill_pops_arena () =
+  let smap = (Lazy.force built).Generator.smap in
+  let at_base () =
+    let a = Database.arena (Shard_map.shard smap 0) in
+    Tb_storage.Arena.top a = 0
+    && Tb_storage.Arena.length (Tb_storage.Arena.entries a) = 0
+    && Tb_storage.Arena.length (Tb_storage.Arena.slots a) = 0
+  in
+  let baseline = run_chaos ~smap ~force_algo:Plan.PHJ ~force_seq:true join in
+  check_bool "baseline: arena at its base" true (at_base ());
+  check_bool "baseline: the join has rows" true (baseline.rows > 0);
+  List.iter
+    (fun victim ->
+      for k = 1 to baseline.boundaries.(victim) do
+        check_kill ~name:"phj/seq" ~baseline ~smap ~force_algo:Plan.PHJ
+          ~force_seq:true join ~victim ~k;
+        check_bool
+          (Printf.sprintf "kill s%d@b%d: arena at its base" victim k)
+          true (at_base ())
+      done)
+    (List.init shards Fun.id)
+
 (* --- partitions heal without failover --- *)
 
 let test_partition_heals () =
@@ -460,6 +489,8 @@ let suite =
   [
     Alcotest.test_case "quiescent faults add zero charges (R=2 = R=1)" `Quick
       test_quiescent_bit_identity;
+    Alcotest.test_case "kill at every PHJ boundary pops the shared arena" `Quick
+      test_kill_pops_arena;
     Alcotest.test_case "kill sweep: every death yields the fault-free answer"
       `Slow test_kill_sweep;
     Alcotest.test_case "partition: heals by itself, charged wait" `Quick

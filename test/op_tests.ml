@@ -68,16 +68,17 @@ let test_covering_no_handles () =
 (* The reference encoding of a spill record: the named tuple built as a
    value tree and encoded whole.  [Operators.spill] writes it field by
    field in place, and must produce the same bytes. *)
-let reference_record ~names ~key (p : Op.payload) =
+let reference_record ~names ~key ~self vals =
   Tb_store.Codec.encode
     (Value.Tuple
        (("@key", Value.Ref key)
-       :: ("@self", Value.Ref p.Op.self)
-       :: List.mapi (fun i n -> (n, p.Op.vals.(i))) names))
+       :: ("@self", Value.Ref self)
+       :: List.mapi (fun i n -> (n, vals.(i))) names))
 
 let test_spill_roundtrip () =
   let b = small_built () in
   let db = b.Generator.db in
+  let arena = Database.arena db in
   let names = [ "age"; "name"; "misc" ] in
   let sp = Operators.new_spill db ~names ~buckets:2 in
   let key i = b.Generator.providers.(i mod Array.length b.Generator.providers) in
@@ -97,52 +98,54 @@ let test_spill_roundtrip () =
       Value.String (String.make 300 'q');
     |]
   in
-  let payloads =
+  let vals =
     Array.mapi
-      (fun i m ->
-        {
-          Op.self = self i;
-          vals = [| Value.Int (40 + i); Value.String (Printf.sprintf "pp%04d" i); m |];
-        })
+      (fun i m -> [| Value.Int (40 + i); Value.String (Printf.sprintf "pp%04d" i); m |])
       misc
   in
-  Array.iteri (fun i p -> Operators.spill sp (i mod 2) ~key:(key i) p) payloads;
+  Array.iteri
+    (fun i v ->
+      Operators.spill sp (i mod 2) ~key:(key i) (Stowed.make arena ~self:(self i) v))
+    vals;
   (* An empty payload carries no names. *)
   let bare = Operators.new_spill db ~names:[] ~buckets:1 in
-  Operators.spill bare 0 ~key:(key 1) { Op.self = self 1; vals = [||] };
+  Operators.spill bare 0 ~key:(key 1) (Stowed.make arena ~self:(self 1) [||]);
   for bucket = 0 to 1 do
     let expect =
-      List.filter (fun i -> i mod 2 = bucket) (List.init (Array.length payloads) Fun.id)
+      List.filter (fun i -> i mod 2 = bucket) (List.init (Array.length vals) Fun.id)
     in
     let bodies = ref [] and got = ref [] in
     Tb_storage.Heap_file.scan (Operators.spill_file sp bucket) (fun _ body ->
         bodies := body :: !bodies);
-    Operators.iter_spilled sp bucket (fun k p -> got := (k, p) :: !got);
+    Operators.iter_spilled sp bucket (fun k p ->
+        got := (k, Stowed.self arena p, Stowed.values arena p 3) :: !got);
     check_int "records per bucket" (List.length expect) (List.length !bodies);
     List.iter2
-      (fun i (body, (k, p)) ->
+      (fun i (body, (k, s, v)) ->
         check_bool
           (Printf.sprintf "record %d: bytes of the reference encoding" i)
           true
-          (Bytes.equal body (reference_record ~names ~key:(key i) payloads.(i)));
+          (Bytes.equal body
+             (reference_record ~names ~key:(key i) ~self:(self i) vals.(i)));
         check_bool (Printf.sprintf "record %d: key" i) true (Rid.equal k (key i));
-        check_bool (Printf.sprintf "record %d: self" i) true (Rid.equal p.Op.self (self i));
-        check_bool (Printf.sprintf "record %d: values" i) true
-          (p.Op.vals = payloads.(i).Op.vals))
+        check_bool (Printf.sprintf "record %d: self" i) true (Rid.equal s (self i));
+        check_bool (Printf.sprintf "record %d: values" i) true (v = vals.(i)))
       expect
       (List.combine (List.rev !bodies) (List.rev !got))
   done;
   let bodies = ref [] and got = ref [] in
   Tb_storage.Heap_file.scan (Operators.spill_file bare 0) (fun _ body ->
       bodies := body :: !bodies);
-  Operators.iter_spilled bare 0 (fun k p -> got := (k, p) :: !got);
+  Operators.iter_spilled bare 0 (fun k p ->
+      got := (k, Stowed.self arena p, Stowed.values arena p 0) :: !got);
+  Tb_storage.Arena.truncate arena 0;
   match (!bodies, !got) with
-  | [ body ], [ (k, p) ] ->
+  | [ body ], [ (k, s, v) ] ->
       check_bool "bare record: bytes of the reference encoding" true
-        (Bytes.equal body
-           (reference_record ~names:[] ~key:(key 1) { Op.self = self 1; vals = [||] }));
+        (Bytes.equal body (reference_record ~names:[] ~key:(key 1) ~self:(self 1) [||]));
       check_bool "bare record: key" true (Rid.equal k (key 1));
-      check_bool "empty payload survives" true (p.Op.vals = [||])
+      check_bool "bare record: self" true (Rid.equal s (self 1));
+      check_bool "empty payload survives" true (v = [||])
   | _, other -> Alcotest.failf "expected 1 bare record, got %d" (List.length other)
 
 (* --- Spill_partition: bucket 0 never touches disk --- *)
@@ -683,6 +686,74 @@ let test_tree_runs_on_given_db () =
       Query_result.dispose r;
       Alcotest.fail "a tree ran on a database without its index"
 
+(* --- the arena is popped on every way out of a stowing join ---
+
+   One provider's name and one patient's age, half-way along their
+   extents, are set to Nil, which no predicate can compare with a string
+   or an int.  A predicate on the provider raises half-way through the
+   parents (mid-build for PHJ, PHHJ and sort-merge, mid-probe for CHJ),
+   one on the patient half-way through the children (the other way
+   round).  Each must leave the arena and the claimed memory as it found
+   them, and the next run of each algorithm must give the right rows. *)
+let test_join_raise_pops_arena () =
+  let b = small_built () in
+  let db = b.Generator.db in
+  let nil_attr rid attr =
+    match snd (Database.read_object db rid) with
+    | Value.Tuple fields ->
+        Database.update_object db rid
+          (Value.Tuple
+             (List.map (fun (n, v) -> if n = attr then (n, Value.Nil) else (n, v)) fields))
+    | _ -> Alcotest.fail "expected a tuple object"
+  in
+  let half a = a.(Array.length a / 2) in
+  nil_attr (half b.Generator.providers) "name";
+  nil_attr (half b.Generator.patients) "age";
+  let join where =
+    "select [p.upin, pa.mrn] from p in Providers, pa in p.clients where " ^ where
+  in
+  let on_parent = join "p.name < \"zzzz\"" and on_child = join "pa.age < 1000000" in
+  let clean = join "pa.mrn < 1000000" in
+  let arena = Database.arena db in
+  let at_base () =
+    Tb_storage.Arena.top arena = 0
+    && Tb_storage.Arena.length (Tb_storage.Arena.entries arena) = 0
+    && Tb_storage.Arena.length (Tb_storage.Arena.slots arena) = 0
+  in
+  let sim = Database.sim db in
+  let baseline = Sim.working_bytes sim in
+  let rows algo =
+    Database.cold_restart db;
+    let r = Planner.run db clean ~force_algo:algo ~keep:true in
+    let v = List.sort compare (Query_result.values r) in
+    Query_result.dispose r;
+    v
+  in
+  let expect = rows Plan.NL in
+  check_bool "the clean join has rows" true (List.length expect > 32);
+  List.iter
+    (fun algo ->
+      let name = Plan.algo_name algo in
+      List.iter
+        (fun (side, text) ->
+          Database.cold_restart db;
+          (match Planner.run db text ~force_algo:algo ~keep:false with
+          | exception Invalid_argument _ -> ()
+          | r ->
+              Query_result.dispose r;
+              Alcotest.failf "%s, %s: expected the row to raise" name side);
+          (* Resident Handles hold their claim until the restart. *)
+          Database.cold_restart db;
+          check_bool (Printf.sprintf "%s, %s: arena at its base" name side) true
+            (at_base ());
+          check_int
+            (Printf.sprintf "%s, %s: claimed memory released" name side)
+            baseline (Sim.working_bytes sim))
+        [ ("parent raises", on_parent); ("child raises", on_child) ];
+      check_bool (name ^ ": the next run's rows") true (rows algo = expect);
+      check_bool (name ^ ": arena at its base after a run") true (at_base ()))
+    [ Plan.PHJ; Plan.CHJ; Plan.PHHJ; Plan.SMJ ]
+
 let suite =
   [
     Alcotest.test_case "fetch: covering shortcut skips handles" `Quick
@@ -698,6 +769,8 @@ let suite =
       test_sorted_rids_leak_on_raise;
     Alcotest.test_case "merge: no leak when one side fails" `Quick
       test_merge_leak_on_raise;
+    Alcotest.test_case "stowing joins: the arena is popped when a row raises" `Quick
+      test_join_raise_pops_arena;
     Alcotest.test_case "explain frames reconcile with global counters" `Quick
       test_reconciliation;
     Alcotest.test_case "frames: a shape-only tree refuses to run" `Quick

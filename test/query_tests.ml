@@ -654,18 +654,151 @@ let test_aggregate_non_numeric_rejected () =
 
 let test_mem_hash () =
   let sim = Tb_sim.Sim.create (Tb_sim.Cost_model.scaled 100) in
-  let h = Mem_hash.create sim in
+  let arena = Tb_storage.Arena.create () in
+  let h = Mem_hash.create sim arena in
   let key i = Tb_storage.Rid.make ~file:0 ~page:i ~slot:0 in
-  Mem_hash.add h ~key:(key 1) ~payload_bytes:10 "a";
-  Mem_hash.add h ~key:(key 1) ~payload_bytes:10 "b";
-  Mem_hash.add h ~key:(key 2) ~payload_bytes:10 "c";
-  Alcotest.(check (list string)) "group order" [ "a"; "b" ] (Mem_hash.find h ~key:(key 1));
-  Alcotest.(check (list string)) "missing key" [] (Mem_hash.find h ~key:(key 9));
+  Mem_hash.add h ~key:(key 1) ~payload_bytes:10 1;
+  Mem_hash.add h ~key:(key 1) ~payload_bytes:10 2;
+  Mem_hash.add h ~key:(key 2) ~payload_bytes:10 3;
+  let rec group e = if e < 0 then [] else Mem_hash.value h e :: group (Mem_hash.next h e) in
+  Alcotest.(check (list int)) "group order" [ 1; 2 ] (group (Mem_hash.find h ~key:(key 1)));
+  Alcotest.(check (list int)) "missing key" [] (group (Mem_hash.find h ~key:(key 9)));
   let claimed = Tb_sim.Sim.working_bytes sim in
   check_bool "claims memory" true (claimed >= Mem_hash.size_bytes h);
   Mem_hash.dispose h;
   check_int "dispose releases" (claimed - Mem_hash.size_bytes h)
-    (Tb_sim.Sim.working_bytes sim)
+    (Tb_sim.Sim.working_bytes sim);
+  check_int "dispose pops the entries" 0
+    (Tb_storage.Arena.length (Tb_storage.Arena.entries arena));
+  check_int "dispose pops the key slots" 0
+    (Tb_storage.Arena.length (Tb_storage.Arena.slots arena))
+
+(* Random adds, finds and a dispose against a list-of-groups model: a few
+   hundred Rid keys (nil included) so groups repeat and the key slots
+   double, each value a payload of one scalar of some tag stowed on the
+   arena.  The groups, the resident size, the claimed and released
+   simulated bytes, the hash counters and the payload sizes must all be
+   the model's; a use after dispose must raise; a dispose pops both
+   stacks. *)
+type hop = H_add of int * int | H_find of int | H_dispose
+
+let scalar i =
+  match i mod 7 with
+  | 0 -> Value.Nil
+  | 1 -> Value.Int (i - 500)
+  | 2 -> Value.Real (float_of_int i /. 3.0)
+  | 3 -> Value.Bool (i mod 2 = 0)
+  | 4 -> Value.Char (Char.chr (97 + (i mod 26)))
+  | 5 -> Value.String (String.make (i mod 40) 's')
+  | _ -> Value.Ref (Tb_storage.Rid.make ~file:1 ~page:i ~slot:3)
+
+let hop_gen =
+  QCheck.Gen.(
+    map2
+      (fun kind (key, v) ->
+        if kind < 60 then H_add (key, v) else if kind < 99 then H_find key else H_dispose)
+      (int_range 0 99)
+      (pair (int_range (-1) 150) (int_range 0 1000)))
+
+let prop_mem_hash_model =
+  QCheck.Test.make ~count:60
+    ~name:"mem_hash: random adds, finds and dispose agree with a list of groups"
+    (QCheck.make QCheck.Gen.(list_size (int_range 1 600) hop_gen))
+    (fun ops ->
+      let module Rid = Tb_storage.Rid in
+      let module Arena = Tb_storage.Arena in
+      let sim = Tb_sim.Sim.create (Tb_sim.Cost_model.scaled 100) in
+      let c = sim.Tb_sim.Sim.counters in
+      let arena = Arena.create () in
+      let key k = if k < 0 then Rid.nil else Rid.make ~file:(k mod 3) ~page:k ~slot:(k mod 5) in
+      let h = Mem_hash.create sim arena in
+      let groups = Hashtbl.create 16 in
+      let bytes = ref 0 and inserts = ref 0 and probes = ref 0 and disposed = ref false in
+      let fail fmt = QCheck.Test.fail_reportf fmt in
+      let raises f = match f () with exception Invalid_argument _ -> true | _ -> false in
+      List.iter
+        (fun op ->
+          (match op with
+          | H_add (k, _) when !disposed ->
+              if not (raises (fun () -> Mem_hash.add h ~key:(key k) ~payload_bytes:1 0))
+              then fail "add after dispose did not raise"
+          | H_add (k, i) ->
+              let v = scalar i in
+              let off = Stowed.make arena ~self:(key (k + 1)) [| v |] in
+              let pb = Operators.payload_bytes arena off ~nvals:1 in
+              if pb <> Rid.on_disk_bytes + 4 + Tb_store.Codec.encoded_size v then
+                fail "payload_bytes %d for %s" pb (Format.asprintf "%a" Value.pp v);
+              Mem_hash.add h ~key:(key k) ~payload_bytes:pb off;
+              let g = Option.value (Hashtbl.find_opt groups k) ~default:[] in
+              bytes :=
+                !bytes
+                + (if g = [] then Mem_hash.group_overhead else 0)
+                + Mem_hash.entry_overhead + pb;
+              Hashtbl.replace groups k ((off, v) :: g);
+              incr inserts
+          | H_find k when !disposed ->
+              if not (raises (fun () -> Mem_hash.find h ~key:(key k))) then
+                fail "find after dispose did not raise"
+          | H_find k ->
+              let rec walk e =
+                if e < 0 then [] else Mem_hash.value h e :: walk (Mem_hash.next h e)
+              in
+              let got = walk (Mem_hash.find h ~key:(key k)) in
+              let want = List.rev (Option.value (Hashtbl.find_opt groups k) ~default:[]) in
+              if got <> List.map fst want then fail "group of key %d out of order" k;
+              List.iter2
+                (fun off (_, v) ->
+                  if Stowed.values arena off 1 <> [| v |] then fail "a payload changed";
+                  if not (Rid.equal (Stowed.self arena off) (key (k + 1))) then
+                    fail "a payload's self changed")
+                got want;
+              incr probes
+          | H_dispose ->
+              Mem_hash.dispose h;
+              disposed := true);
+          if Mem_hash.size_bytes h <> !bytes then fail "size %d, model %d" (Mem_hash.size_bytes h) !bytes;
+          let held = if !disposed then 0 else !bytes in
+          if Tb_sim.Sim.working_bytes sim <> held then
+            fail "claimed %d, model %d" (Tb_sim.Sim.working_bytes sim) held;
+          if c.Tb_sim.Counters.hash_inserts <> !inserts then fail "hash inserts";
+          if c.Tb_sim.Counters.hash_probes <> !probes then fail "hash probes")
+        ops;
+      Mem_hash.dispose h;
+      Tb_sim.Sim.working_bytes sim = 0
+      && Arena.length (Arena.entries arena) = 0
+      && Arena.length (Arena.slots arena) = 0)
+
+(* A sort run on the arena against the sort it replaced: (key, payload)
+   pairs gathered newest first into an array and [Array.sort]ed by key.
+   Keys repeat (and include nil), so the order of equal keys is checked
+   too; it shows as the order in which a merge against one parent per
+   key emits the children. *)
+let prop_sort_run =
+  QCheck.Test.make ~count:200
+    ~name:"sort run: the arena order is Array.sort's over (key, payload) pairs"
+    QCheck.(list_of_size Gen.(int_range 0 300) (int_range (-1) 40))
+    (fun keys ->
+      let module Rid = Tb_storage.Rid in
+      let module Arena = Tb_storage.Arena in
+      let sim = Tb_sim.Sim.create (Tb_sim.Cost_model.scaled 100) in
+      let arena = Arena.create () in
+      let key k = if k < 0 then Rid.nil else Rid.make ~file:0 ~page:k ~slot:0 in
+      let children = List.mapi (fun i k -> (k, i)) keys in
+      let reference = Array.of_list (List.rev_map (fun (k, i) -> (key k, (k, i))) children) in
+      Array.sort (fun (a, _) (b, _) -> Rid.compare a b) reference;
+      let ents = Arena.entries arena in
+      let gather pairs =
+        let base = Arena.length ents in
+        List.iter (fun (k, p) -> Operators.push_pair arena ~key:(key k) p) pairs;
+        Operators.claim_and_sort sim arena ~pairs:base ~bytes:0
+      in
+      let parents = gather (List.map (fun k -> (k, 1000 + k)) (List.sort_uniq compare keys)) in
+      let children_run = gather children in
+      let got = ref [] in
+      Operators.merge_join sim arena ~bytes:0 ~parents ~children:children_run (fun p c ->
+          got := (p, c) :: !got);
+      List.rev !got
+      = Array.to_list (Array.map (fun (_, (k, i)) -> (1000 + k, i)) reference))
 
 let suite =
   [
@@ -716,4 +849,6 @@ let suite =
     Alcotest.test_case "aggregates: non-numeric rejected" `Quick
       test_aggregate_non_numeric_rejected;
     Alcotest.test_case "mem_hash" `Quick test_mem_hash;
+    QCheck_alcotest.to_alcotest prop_mem_hash_model;
+    QCheck_alcotest.to_alcotest prop_sort_run;
   ]

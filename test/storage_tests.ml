@@ -85,9 +85,9 @@ let rid_encode_roundtrip =
       Rid.equal (Rid.decode (Rid.encode r) ~pos:0) r
       && Rid.equal (Rid.decode b ~pos:3) r)
 
-(* Literal FNV-1a values of the (file, page, slot) triple: Mem_hash and
-   Handle_table bucket order, hybrid partitioning and exchange routing all
-   depend on them staying exactly these. *)
+(* Literal FNV-1a values of the (file, page, slot) triple: hybrid
+   partitioning and exchange routing depend on them staying exactly
+   these. *)
 let test_rid_hash_values () =
   List.iter
     (fun ((file, page, slot), want) ->
